@@ -1,15 +1,21 @@
-//! The executor: physical operators over the simulated store.
+//! The executor: physical operators over the simulated store, run as
+//! pipelines of flat binding batches.
 
-use crate::eval::{eval_operand, eval_pred};
+mod operators;
+mod pipeline;
+
+use crate::batch::{Batch, BATCH_ROWS};
+use crate::eval::{col_of, Pred, Slot};
 use crate::morsel;
 use crate::tuple::Tuple;
-use oodb_algebra::{Operand, PhysicalOp, PhysicalPlan, QueryEnv, SetOpKind, VarId, VarOrigin};
+use oodb_algebra::{PhysicalOp, PhysicalPlan, QueryEnv, VarOrigin};
 use oodb_fault::{Fault, RunLimits};
 use oodb_mem::MemoryGrant;
 use oodb_object::{Oid, Value};
 use oodb_storage::{DiskParams, DiskStats, Io, PageId, Store};
 use oodb_telemetry::OpTrace;
-use std::collections::{HashMap, HashSet};
+use pipeline::{bind, child, malformed, nodes, Bound, Pipeline, Source, Stage};
+use std::borrow::Cow;
 use std::fmt;
 use std::time::Instant;
 
@@ -23,7 +29,7 @@ pub enum ExecError {
     Fault(Fault),
     /// The run's [`oodb_fault::CancelToken`] was cancelled.
     Cancelled,
-    /// The run's deadline passed at an operator batch boundary.
+    /// The run's deadline passed at a batch boundary.
     DeadlineExceeded,
     /// The run materialized more tuples than its budget allows.
     RowBudgetExceeded {
@@ -91,6 +97,14 @@ pub struct OpCounts {
 }
 
 impl OpCounts {
+    /// Folds in counts accumulated elsewhere (a parallel worker's).
+    pub(crate) fn add(&mut self, other: &OpCounts) {
+        self.tuples += other.tuples;
+        self.preds += other.preds;
+        self.hash_ops += other.hash_ops;
+        self.derefs += other.derefs;
+    }
+
     /// Counts accumulated since `base` was captured.
     fn delta(&self, base: &OpCounts) -> OpCounts {
         OpCounts {
@@ -189,18 +203,54 @@ struct RunBase {
     leaf_rows: u64,
 }
 
-/// I/O counters at one instant, for per-operator trace deltas.
-#[derive(Clone, Copy, Debug)]
-struct IoMark {
+/// Wall clock and I/O counters at one instant, for per-operator trace
+/// deltas.
+struct Mark {
+    at: Instant,
     hits: u64,
     misses: u64,
     io_s: f64,
     spill_pages: u64,
 }
 
+/// One zeroed trace node per plan node, in preorder.
+fn trace_slots(env: &QueryEnv, plan: &PhysicalPlan, out: &mut Vec<OpTrace>) {
+    out.push(OpTrace {
+        label: oodb_algebra::display::render_physical_op(env, &plan.op),
+        ..OpTrace::default()
+    });
+    for c in &plan.children {
+        trace_slots(env, c, out);
+    }
+}
+
+/// Folds the preorder slots, which hold each operator's *own* time and
+/// I/O, into the trace tree, whose nodes include their children's.
+fn fold_trace(plan: &PhysicalPlan, slots: &mut impl Iterator<Item = OpTrace>) -> Option<OpTrace> {
+    let mut node = slots.next()?;
+    for c in &plan.children {
+        let kid = fold_trace(c, slots)?;
+        node.elapsed_ns += kid.elapsed_ns;
+        node.buffer_hits += kid.buffer_hits;
+        node.buffer_misses += kid.buffer_misses;
+        node.sim_io_s += kid.sim_io_s;
+        node.spill_pages += kid.spill_pages;
+        node.children.push(kid);
+    }
+    Some(node)
+}
+
 /// The plan executor. One per query run, or reused across runs to model a
 /// warm buffer pool — statistics are attributed per run either way (see
 /// [`Executor::stats`]).
+///
+/// A plan runs as **pipelines** of flat binding batches: a file scan
+/// streams ≤1024-row batches through the filters, unnests and in-memory
+/// hash-join probes above it, up to the root or to the next operator that
+/// needs its whole input (a hash-join build, a sort, a set operation, a
+/// pointer join or assembly, whose elevator sweeps span their input). Such
+/// an operator drains its child pipeline into one batch, runs, and is the
+/// source of the next pipeline.
 ///
 /// Buffer hits and misses are tallied **locally** from each access's
 /// outcome, never read back from the pool's global counters. With a
@@ -220,34 +270,25 @@ pub struct Executor<'a> {
     hits: u64,
     misses: u64,
     run_base: RunBase,
-    tracing: bool,
-    /// Stack of children-lists for the trace tree under construction;
-    /// `exec` pushes a fresh frame before descending and folds it into the
-    /// parent frame after.
-    trace_stack: Vec<Vec<OpTrace>>,
+    /// During a traced run, one slot per plan node in preorder, holding
+    /// the operator's own rows, time and I/O; empty otherwise.
+    trace: Vec<OpTrace>,
     /// Cooperative run limits (deadline, cancellation, row budget),
-    /// checked at operator batch boundaries and every 1024 page touches.
+    /// checked at every batch boundary.
     limits: RunLimits,
-    /// Page touches this executor has performed (drives the periodic
-    /// mid-operator limit check).
-    touched: u64,
     /// This run's memory grant, recreated at every `begin_run` from the
     /// store's governor (when attached) and `RunLimits::mem_budget`.
     /// Operators reserve against it in coarse units (a hash table, a
-    /// partition, an assembly window) — never per row.
+    /// partition, an assembly window) — never per row — and at most one
+    /// reservation is live at a time.
     grant: MemoryGrant,
     /// Hash-join partitions spilled to simulated disk, cumulative.
     spilled_partitions: u64,
     /// Rows produced by leaf scans (file + index), cumulative; reported
     /// per run via [`RunBase`] deltas like every other counter.
     leaf_rows: u64,
-    /// CPU-loop iterations (hash build/probe, set-op staging) since
-    /// creation; every 256th drives a limits check so a huge build is
-    /// interruptible mid-loop, not only at operator boundaries.
-    worked: u64,
-    /// Worker threads for morsel-parallel operator segments (filter,
-    /// root projection, in-memory hash-join probe). `1` (the default)
-    /// keeps every operator on the calling thread.
+    /// Worker threads for the pure-CPU stages of a pipeline. `1` (the
+    /// default) keeps every operator on the calling thread.
     parallelism: usize,
 }
 
@@ -271,45 +312,34 @@ impl<'a> Executor<'a> {
             hits: 0,
             misses: 0,
             run_base: RunBase::default(),
-            tracing: false,
-            trace_stack: Vec::new(),
+            trace: Vec::new(),
             limits: RunLimits::default(),
-            touched: 0,
             grant: MemoryGrant::detached(None),
             spilled_partitions: 0,
             leaf_rows: 0,
-            worked: 0,
             parallelism: 1,
         }
     }
 
-    /// Sets the worker count for morsel-parallel operator segments
-    /// (clamped to at least 1). Only pure-CPU segments parallelize —
-    /// predicate filters, the root projection, and in-memory hash-join
-    /// probes — and their outputs are concatenated in morsel order, so
-    /// results are byte-identical to a serial run. I/O-charging
-    /// operators always stay on the calling thread.
+    /// Sets the worker count for a pipeline's pure-CPU stages (clamped to
+    /// at least 1): filters, unnests, in-memory hash-join probes and the
+    /// root projection run on whole batches, whose outputs are
+    /// concatenated in batch order, so results are byte-identical to a
+    /// serial run. Sources and every I/O-charging operator stay on the
+    /// calling thread, as do traced runs.
     pub fn set_parallelism(&mut self, workers: usize) {
         self.parallelism = workers.max(1);
     }
 
-    /// The configured morsel worker count.
+    /// The configured worker count.
     pub fn parallelism(&self) -> usize {
         self.parallelism
     }
 
-    /// Folds counts merged back from a morsel dispatch into this run's
-    /// accounting.
-    fn merge_counts(&mut self, c: OpCounts) {
-        self.counts.tuples += c.tuples;
-        self.counts.preds += c.preds;
-        self.counts.hash_ops += c.hash_ops;
-        self.counts.derefs += c.derefs;
-    }
-
     /// Installs cooperative run limits for subsequent `run*` calls. The
-    /// limits are checked at every operator entry and exit and every 1024
-    /// page touches, so a runaway operator is interrupted mid-batch.
+    /// limits are checked at every batch boundary, inside streaming
+    /// pipelines and inside the loops of operators that hold their whole
+    /// input, so a runaway operator is interrupted mid-flight.
     pub fn set_limits(&mut self, limits: RunLimits) {
         self.limits = limits;
     }
@@ -317,16 +347,7 @@ impl<'a> Executor<'a> {
     /// Checks cancellation, deadline, and row budget. Cheap when the run
     /// is unlimited (three `Option` tests, no clock read).
     fn checkpoint(&self) -> Result<(), ExecError> {
-        if let Some(c) = &self.limits.cancel {
-            if c.is_cancelled() {
-                return Err(ExecError::Cancelled);
-            }
-        }
-        if let Some(d) = self.limits.deadline {
-            if Instant::now() >= d {
-                return Err(ExecError::DeadlineExceeded);
-            }
-        }
+        morsel::check_limits(&self.limits)?;
         if let Some(budget) = self.limits.row_budget {
             if self.counts.tuples - self.run_base.counts.tuples > budget {
                 return Err(ExecError::RowBudgetExceeded { budget });
@@ -340,41 +361,30 @@ impl<'a> Executor<'a> {
     /// executor). A reused executor keeps its warm buffer pool but never
     /// smears one run's I/O into the next run's numbers.
     pub fn stats(&self) -> ExecStats {
-        let disk = self.io.disk_stats().delta(&self.run_base.disk);
-        ExecStats {
-            disk,
-            counts: self.counts.delta(&self.run_base.counts),
-            buffer_hits: self.hits - self.run_base.hits,
-            buffer_misses: self.misses - self.run_base.misses,
-            mem: MemEffort {
-                peak_bytes: self.grant.peak(),
-                spill_pages_written: disk.spill_writes,
-                spill_pages_read: disk.spill_reads,
-                spilled_partitions: self.spilled_partitions - self.run_base.spilled_partitions,
-                grant_denials: self.grant.denials(),
-            },
-            root_rows: 0,
-            leaf_rows: self.leaf_rows - self.run_base.leaf_rows,
-        }
+        self.stats_since(&self.run_base)
     }
 
     /// Statistics since the executor was created, across every run.
     pub fn cumulative_stats(&self) -> ExecStats {
-        let disk = self.io.disk_stats();
+        self.stats_since(&RunBase::default())
+    }
+
+    fn stats_since(&self, base: &RunBase) -> ExecStats {
+        let disk = self.io.disk_stats().delta(&base.disk);
         ExecStats {
             disk,
-            counts: self.counts,
-            buffer_hits: self.hits,
-            buffer_misses: self.misses,
+            counts: self.counts.delta(&base.counts),
+            buffer_hits: self.hits - base.hits,
+            buffer_misses: self.misses - base.misses,
             mem: MemEffort {
                 peak_bytes: self.grant.peak(),
                 spill_pages_written: disk.spill_writes,
                 spill_pages_read: disk.spill_reads,
-                spilled_partitions: self.spilled_partitions,
+                spilled_partitions: self.spilled_partitions - base.spilled_partitions,
                 grant_denials: self.grant.denials(),
             },
             root_rows: 0,
-            leaf_rows: self.leaf_rows,
+            leaf_rows: self.leaf_rows - base.leaf_rows,
         }
     }
 
@@ -417,8 +427,9 @@ impl<'a> Executor<'a> {
 
     /// Runs a plan to completion while recording a per-operator
     /// [`OpTrace`]: actual rows, wall-clock time, and buffer/disk traffic
-    /// for every node of the plan tree. This is `EXPLAIN ANALYZE`.
-    /// Panics on failure; prefer [`Executor::try_run_traced`].
+    /// for every node of the plan tree, operators fused into one pipeline
+    /// included. This is `EXPLAIN ANALYZE`. Panics on failure; prefer
+    /// [`Executor::try_run_traced`].
     pub fn run_traced(&mut self, plan: &PhysicalPlan) -> (ExecResult, OpTrace) {
         self.try_run_traced(plan)
             .unwrap_or_else(|e| panic!("execution failed: {e}"))
@@ -431,98 +442,279 @@ impl<'a> Executor<'a> {
         plan: &PhysicalPlan,
     ) -> Result<(ExecResult, OpTrace), ExecError> {
         self.begin_run();
-        self.tracing = true;
-        self.trace_stack.clear();
-        self.trace_stack.push(Vec::new());
+        self.trace.clear();
+        trace_slots(self.env, plan, &mut self.trace);
         let result = self.checkpoint().and_then(|()| self.exec_root(plan));
-        self.tracing = false;
-        let result = result?;
-        let root = self
-            .trace_stack
-            .pop()
-            .and_then(|mut frame| frame.pop())
-            .ok_or_else(|| ExecError::MalformedTrace("traced run produced no root trace".into()))?;
-        Ok((result, root))
+        let mut slots = std::mem::take(&mut self.trace).into_iter();
+        let root = fold_trace(plan, &mut slots)
+            .ok_or_else(|| ExecError::MalformedTrace("trace lost a plan node".into()))?;
+        Ok((result?, root))
     }
 
     fn exec_root(&mut self, plan: &PhysicalPlan) -> Result<ExecResult, ExecError> {
+        let store = self.store;
         if let PhysicalOp::AlgProject { items } = &plan.op {
-            // Projection is only legal at the root, so `exec` never sees
-            // it; trace it here with the same wrap the inner nodes get.
-            if self.tracing {
-                let start = Instant::now();
-                let before = self.io_mark();
-                self.trace_stack.push(Vec::new());
-                let rows = self.project(items, &plan.children[0])?;
-                let children = self
-                    .trace_stack
-                    .pop()
-                    .ok_or_else(|| ExecError::MalformedTrace("trace frame missing".into()))?;
-                let node = self.trace_node(plan, rows.len() as u64, start, before, children);
-                self.trace_stack
-                    .last_mut()
-                    .ok_or_else(|| ExecError::MalformedTrace("root trace frame missing".into()))?
-                    .push(node);
-                return Ok(ExecResult::Rows(rows));
-            }
-            return Ok(ExecResult::Rows(self.project(items, &plan.children[0])?));
+            // Projection is only legal at the root: it is the tail of the
+            // topmost pipeline, not a stage.
+            let p = self.open(child(plan, 0)?, 1)?;
+            let items: Vec<Slot> = items
+                .iter()
+                .map(|item| Slot::resolve(item, &p.cols))
+                .collect::<Result<_, _>>()?;
+            let project = |batch: Batch, counts: &mut OpCounts| {
+                counts.tuples += batch.len() as u64;
+                let mut rows = Vec::with_capacity(batch.len());
+                for row in batch.rows() {
+                    let cells = items
+                        .iter()
+                        .map(|item| item.eval(store, row).map(Cow::into_owned));
+                    rows.push(
+                        cells
+                            .collect::<Result<Vec<Value>, _>>()
+                            .map_err(ExecError::Corrupt)?,
+                    );
+                }
+                Ok(rows)
+            };
+            let mut rows = Vec::new();
+            self.pump(p, 0, &project, &mut |chunk| rows.extend(chunk))?;
+            self.charge(0, None, rows.len());
+            return Ok(ExecResult::Rows(rows));
         }
-        Ok(ExecResult::Tuples(self.exec(plan)?))
+        let mut p = self.open(plan, 0)?;
+        let (n_vars, cols) = (self.n_vars(), std::mem::take(&mut p.cols));
+        let bind = |batch: Batch, _: &mut OpCounts| {
+            let tuple = |row| Tuple::from_row(n_vars, &cols, row);
+            Ok(batch.rows().map(tuple).collect::<Vec<_>>())
+        };
+        let mut tuples = Vec::new();
+        self.pump(p, 0, &bind, &mut |chunk| tuples.extend(chunk))?;
+        Ok(ExecResult::Tuples(tuples))
     }
 
-    fn project(
+    /// Opens the pipeline that produces `plan`'s output (`id` is the
+    /// node's preorder index): resolves every operand to a column, walks
+    /// down through the streaming operators to their source, and runs
+    /// whatever must finish first — hash-join builds, and every operator
+    /// that needs its whole input — children in plan order, so pages are
+    /// touched in the order the plan reads them.
+    fn open(&mut self, plan: &PhysicalPlan, id: usize) -> Result<Pipeline<'a>, ExecError> {
+        let env = self.env;
+        match &plan.op {
+            PhysicalOp::FileScan { coll, var } => {
+                return Ok(Pipeline {
+                    source: Source::Scan { coll: *coll, id },
+                    stages: Vec::new(),
+                    cols: vec![*var],
+                    reserved: 0,
+                })
+            }
+            PhysicalOp::Filter { pred } => {
+                let mut p = self.open(child(plan, 0)?, id + 1)?;
+                let pred = Pred::resolve(env, *pred, &p.cols)?;
+                p.stages.push((id, Stage::Filter(pred)));
+                return Ok(p);
+            }
+            PhysicalOp::AlgUnnest { out } => {
+                let VarOrigin::Unnest { src, field } = env.scopes.var(*out).origin else {
+                    return Err(malformed("AlgUnnest output must have Unnest origin"));
+                };
+                let mut p = self.open(child(plan, 0)?, id + 1)?;
+                let src = col_of(&p.cols, src)?;
+                let out = bind(&mut p.cols, *out);
+                p.stages.push((id, Stage::Unnest { src, field, out }));
+                return Ok(p);
+            }
+            PhysicalOp::HybridHashJoin { pred } => return self.open_hash_join(plan, id, *pred),
+            PhysicalOp::AlgProject { .. } => {
+                return Err(malformed("projection only supported at the plan root"))
+            }
+            _ => {}
+        }
+        let mut inputs = Vec::with_capacity(plan.children.len());
+        let mut kid = id + 1;
+        for c in &plan.children {
+            inputs.push(self.drain(c, kid)?);
+            kid += nodes(c);
+        }
+        let mut inputs = inputs.into_iter();
+        let mut input = || {
+            let missing = || malformed(format!("{} is missing an input", plan.op.name()));
+            inputs.next().ok_or_else(missing)
+        };
+        let since = self.mark();
+        let out = match &plan.op {
+            PhysicalOp::IndexScan { index, var, pred } => {
+                (self.index_scan(*index, *pred)?, vec![*var])
+            }
+            PhysicalOp::PointerJoin { pred } => self.pointer_join(*pred, input()?)?,
+            PhysicalOp::Assembly { targets, window } => {
+                let mut bound = input()?;
+                for &v in targets {
+                    bound = self.assemble(bound, v, *window)?;
+                }
+                bound
+            }
+            PhysicalOp::WarmAssembly { target } => self.warm_assemble(input()?, *target)?,
+            PhysicalOp::Sort { key } => self.sort(input()?, key)?,
+            PhysicalOp::MergeJoin { pred } => self.merge_join(*pred, input()?, input()?)?,
+            PhysicalOp::HashSetOp { kind } => self.set_op(*kind, input()?, input()?)?,
+            PhysicalOp::FileScan { .. }
+            | PhysicalOp::Filter { .. }
+            | PhysicalOp::AlgUnnest { .. }
+            | PhysicalOp::HybridHashJoin { .. }
+            | PhysicalOp::AlgProject { .. } => unreachable!("streaming operators returned above"),
+        };
+        self.charge(id, since, out.0.len());
+        Ok(Pipeline::rows(out))
+    }
+
+    /// Runs `plan` to completion into one batch.
+    fn drain(&mut self, plan: &PhysicalPlan, id: usize) -> Result<Bound, ExecError> {
+        let p = self.open(plan, id)?;
+        self.collect(p, id)
+    }
+
+    /// Runs an opened pipeline (whose top node is `id`) to completion
+    /// into one batch.
+    fn collect(&mut self, mut p: Pipeline<'a>, id: usize) -> Result<Bound, ExecError> {
+        let cols = std::mem::take(&mut p.cols);
+        if p.stages.is_empty() {
+            if let Source::Rows(batch) = p.source {
+                return Ok((batch, cols));
+            }
+        }
+        let mut out = Batch::new(cols.len());
+        let append = &mut |batch: Batch| out.data.extend_from_slice(&batch.data);
+        self.pump(p, id, &|batch, _| Ok(batch), append)?;
+        Ok((out, cols))
+    }
+
+    /// Drives a pipeline: every source batch goes through the stages and
+    /// `tail` — the last pure-CPU step, charged to plan node `tail_id` —
+    /// and on to `sink`, in source order, with the run limits checked at
+    /// each batch boundary. With a worker set configured and a source of
+    /// at least [`morsel::MIN_PARALLEL_ROWS`] rows, the source's batches
+    /// are gathered first and their stages run on the workers; this is
+    /// the one place the engine goes parallel.
+    fn pump<T: Send>(
         &mut self,
-        items: &[Operand],
-        child: &PhysicalPlan,
-    ) -> Result<Vec<Vec<Value>>, ExecError> {
-        let input = self.exec(child)?;
-        if self.parallelism > 1 && input.len() >= morsel::MIN_PARALLEL_ROWS {
-            let store = self.store;
-            let (rows, counts) =
-                morsel::dispatch(self.parallelism, &self.limits, input, |t, counts, out| {
-                    counts.tuples += 1;
-                    let row = items
+        p: Pipeline<'a>,
+        tail_id: usize,
+        tail: &(dyn Fn(Batch, &mut OpCounts) -> Result<T, ExecError> + Sync),
+        sink: &mut dyn FnMut(T),
+    ) -> Result<(), ExecError> {
+        let Pipeline {
+            source,
+            stages,
+            reserved,
+            ..
+        } = p;
+        let mut serial = |ex: &mut Self, mut batch: Batch| {
+            for (id, stage) in &stages {
+                let since = ex.mark();
+                batch = stage.apply(ex.store, batch, &mut ex.counts)?;
+                ex.charge(*id, since, batch.len());
+            }
+            let since = ex.mark();
+            sink(tail(batch, &mut ex.counts)?);
+            ex.charge(tail_id, since, 0);
+            ex.checkpoint()
+        };
+        if self.parallelism > 1 && self.trace.is_empty() {
+            let (mut batches, mut rows) = (Vec::new(), 0);
+            self.produce(source, &mut |ex, batch| {
+                rows += batch.len();
+                batches.push(batch);
+                ex.checkpoint()
+            })?;
+            if rows >= morsel::MIN_PARALLEL_ROWS {
+                let store = self.store;
+                let work = |batch, counts: &mut OpCounts| {
+                    let staged = stages
                         .iter()
-                        .map(|i| eval_operand(store, &t, i))
-                        .collect::<Result<Vec<_>, _>>()
-                        .map_err(ExecError::Corrupt)?;
-                    out.push(row);
-                    Ok(())
-                })?;
-            self.merge_counts(counts);
-            self.checkpoint()?;
-            return Ok(rows);
+                        .try_fold(batch, |b, (_, stage)| stage.apply(store, b, counts))?;
+                    tail(staged, counts)
+                };
+                let (outs, counts) =
+                    morsel::dispatch(self.parallelism, &self.limits, batches, work)?;
+                self.counts.add(&counts);
+                self.checkpoint()?;
+                outs.into_iter().for_each(sink);
+            } else {
+                batches
+                    .into_iter()
+                    .try_for_each(|batch| serial(self, batch))?;
+            }
+        } else {
+            self.produce(source, &mut serial)?;
         }
-        let mut rows = Vec::with_capacity(input.len());
-        for t in &input {
-            self.counts.tuples += 1;
-            let row = items
-                .iter()
-                .map(|i| eval_operand(self.store, t, i))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(ExecError::Corrupt)?;
-            rows.push(row);
+        if reserved > 0 {
+            self.grant.release(reserved);
         }
-        self.checkpoint()?;
-        Ok(rows)
+        Ok(())
+    }
+
+    /// Hands the source's rows to `each` in batches of at most
+    /// [`BATCH_ROWS`]. A scan touches its pages as it goes, one pool
+    /// access per run of members sharing a page.
+    fn produce(
+        &mut self,
+        source: Source,
+        each: &mut dyn FnMut(&mut Self, Batch) -> Result<(), ExecError>,
+    ) -> Result<(), ExecError> {
+        match source {
+            Source::Scan { coll, id } => {
+                let store = self.store;
+                for chunk in store.members(coll).chunks(BATCH_ROWS) {
+                    let since = self.mark();
+                    self.touch_objects(chunk)?;
+                    self.counts.tuples += chunk.len() as u64;
+                    self.leaf_rows += chunk.len() as u64;
+                    let batch = Batch {
+                        width: 1,
+                        data: chunk.to_vec(),
+                    };
+                    self.charge(id, since, chunk.len());
+                    each(self, batch)?;
+                }
+                Ok(())
+            }
+            Source::Rows(batch) if batch.len() <= BATCH_ROWS => each(self, batch),
+            Source::Rows(batch) => {
+                let width = batch.width;
+                batch.data.chunks(BATCH_ROWS * width).try_for_each(|rows| {
+                    let data = rows.to_vec();
+                    each(self, Batch { width, data })
+                })
+            }
+        }
     }
 
     fn n_vars(&self) -> usize {
         self.env.scopes.len()
     }
 
-    /// Touches one page, attributing the hit/miss to this executor.
-    /// Surfaces injected storage faults and (every 1024 touches) the run
-    /// limits, so even single-operator scans stay interruptible.
+    /// Touches one page `n` times in a row, attributing the hit/miss
+    /// outcomes to this executor. Surfaces injected storage faults.
+    fn touch_run(&mut self, page: PageId, n: u64) -> Result<(), ExecError> {
+        let hit = self.io.try_touch_run(page, n).map_err(ExecError::Fault)?;
+        self.hits += n - u64::from(!hit);
+        self.misses += u64::from(!hit);
+        Ok(())
+    }
+
     fn touch(&mut self, page: PageId) -> Result<(), ExecError> {
-        self.touched += 1;
-        if self.touched & 1023 == 0 {
-            self.checkpoint()?;
-        }
-        if self.io.try_touch(page).map_err(ExecError::Fault)? {
-            self.hits += 1;
-        } else {
-            self.misses += 1;
+        self.touch_run(page, 1)
+    }
+
+    /// Touches the page of every object in turn, as one run per stretch of
+    /// objects sharing a page.
+    fn touch_objects(&mut self, mut oids: &[Oid]) -> Result<(), ExecError> {
+        while !oids.is_empty() {
+            let (page, run) = self.store.try_page_run(oids).map_err(ExecError::Corrupt)?;
+            self.touch_run(page, run as u64)?;
+            oids = &oids[run..];
         }
         Ok(())
     }
@@ -530,7 +722,6 @@ impl<'a> Executor<'a> {
     /// Touches a batch in elevator order, attributing hits/misses. A
     /// fault aborts before any page of the batch is charged.
     fn touch_elevator(&mut self, pages: &[PageId]) -> Result<(), ExecError> {
-        self.touched += pages.len() as u64;
         self.checkpoint()?;
         let (hits, misses) = self
             .io
@@ -541,18 +732,6 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    /// One unit of CPU-loop work (a hash build/probe row, a staged
-    /// set-op key). Every 256th unit re-checks the run limits, so
-    /// cancellation and deadlines reach *inside* a huge hash build
-    /// instead of waiting for the operator to finish.
-    fn work_tick(&mut self) -> Result<(), ExecError> {
-        self.worked += 1;
-        if self.worked & 255 == 0 {
-            self.checkpoint()?;
-        }
-        Ok(())
-    }
-
     /// Bytes one bound variable slot costs in our simulated accounting.
     const SLOT_BYTES: u64 = 16;
     /// Fixed overhead charged per tuple held in a governed structure.
@@ -560,7 +739,10 @@ impl<'a> Executor<'a> {
     /// Extra bytes charged per hash-table entry over the tuple itself.
     const HASH_ENTRY_OVERHEAD: u64 = 48;
 
-    /// Approximate resident bytes of one materialized tuple.
+    /// Approximate resident bytes of one materialized tuple. Simulated
+    /// accounting prices a row at the query's full variable count, not at
+    /// the batch's width, so grants and spill pages do not depend on how
+    /// the engine lays rows out.
     fn tuple_bytes(&self) -> u64 {
         self.n_vars() as u64 * Self::SLOT_BYTES + Self::TUPLE_OVERHEAD
     }
@@ -594,936 +776,32 @@ impl<'a> Executor<'a> {
         self.grant.note_spill(0, pages * page_bytes);
     }
 
-    fn io_mark(&self) -> IoMark {
-        IoMark {
+    /// The instant an operator's own work starts, when tracing.
+    fn mark(&self) -> Option<Mark> {
+        (!self.trace.is_empty()).then(|| Mark {
+            at: Instant::now(),
             hits: self.hits,
             misses: self.misses,
             io_s: self.io.elapsed_s(),
             spill_pages: self.io.disk_stats().spill_pages(),
-        }
-    }
-
-    fn trace_node(
-        &self,
-        plan: &PhysicalPlan,
-        rows: u64,
-        start: Instant,
-        before: IoMark,
-        children: Vec<OpTrace>,
-    ) -> OpTrace {
-        OpTrace {
-            label: oodb_algebra::display::render_physical_op(self.env, &plan.op),
-            actual_rows: rows,
-            elapsed_ns: start.elapsed().as_nanos() as u64,
-            buffer_hits: self.hits - before.hits,
-            buffer_misses: self.misses - before.misses,
-            sim_io_s: self.io.elapsed_s() - before.io_s,
-            spill_pages: self.io.disk_stats().spill_pages() - before.spill_pages,
-            children,
-        }
-    }
-
-    /// Executes one operator; when tracing, wraps it with a stopwatch and
-    /// an I/O probe and records the node into the trace tree. The run
-    /// limits are checked at every operator boundary (entry and exit).
-    fn exec(&mut self, plan: &PhysicalPlan) -> Result<Vec<Tuple>, ExecError> {
-        self.checkpoint()?;
-        let out = if !self.tracing {
-            self.exec_node(plan)?
-        } else {
-            let start = Instant::now();
-            let before = self.io_mark();
-            self.trace_stack.push(Vec::new());
-            let out = self.exec_node(plan)?;
-            let children = self
-                .trace_stack
-                .pop()
-                .ok_or_else(|| ExecError::MalformedTrace("trace frame missing".into()))?;
-            let node = self.trace_node(plan, out.len() as u64, start, before, children);
-            self.trace_stack
-                .last_mut()
-                .ok_or_else(|| ExecError::MalformedTrace("parent trace frame missing".into()))?
-                .push(node);
-            out
-        };
-        self.checkpoint()?;
-        Ok(out)
-    }
-
-    fn exec_node(&mut self, plan: &PhysicalPlan) -> Result<Vec<Tuple>, ExecError> {
-        match &plan.op {
-            PhysicalOp::FileScan { coll, var } => {
-                let members = self.store.members(*coll).to_vec();
-                let mut out = Vec::with_capacity(members.len());
-                for oid in members {
-                    let page = self.store.try_page_of(oid).map_err(ExecError::Corrupt)?;
-                    self.touch(page)?;
-                    self.counts.tuples += 1;
-                    out.push(Tuple::single(self.n_vars(), *var, oid));
-                }
-                self.leaf_rows += out.len() as u64;
-                Ok(out)
-            }
-
-            PhysicalOp::IndexScan { index, var, pred } => {
-                let idx = self.store.index(*index);
-                let full_scan = self.env.preds.pred(*pred).terms.is_empty();
-                let matches: Vec<Oid> = if full_scan {
-                    // Full ordered sweep: every leaf, entries in key order;
-                    // fetch order must follow the keys, not the OIDs.
-                    idx.all_ordered()
-                } else {
-                    let (op, key) = self.index_term(*pred)?;
-                    // Point or range lookup: fetch in OID (storage) order,
-                    // which is elevator-friendly.
-                    let mut m = idx.lookup_cmp(op, &key);
-                    m.sort_unstable();
-                    m
-                };
-                for p in idx.lookup_pages(matches.len() as u64) {
-                    self.touch(p)?;
-                }
-                for oid in &matches {
-                    let page = self.store.try_page_of(*oid).map_err(ExecError::Corrupt)?;
-                    self.touch(page)?;
-                }
-                self.counts.tuples += matches.len() as u64;
-                self.leaf_rows += matches.len() as u64;
-                Ok(matches
-                    .into_iter()
-                    .map(|oid| Tuple::single(self.n_vars(), *var, oid))
-                    .collect())
-            }
-
-            PhysicalOp::Filter { pred } => {
-                let input = self.exec(&plan.children[0])?;
-                self.filter_tuples(*pred, input)
-            }
-
-            PhysicalOp::HybridHashJoin { pred } => {
-                let left = self.exec(&plan.children[0])?;
-                let right = self.exec(&plan.children[1])?;
-                self.hash_join(*pred, left, right)
-            }
-
-            PhysicalOp::PointerJoin { pred } => {
-                let left = self.exec(&plan.children[0])?;
-                self.pointer_join(*pred, left)
-            }
-
-            PhysicalOp::Assembly { targets, window } => {
-                let mut tuples = self.exec(&plan.children[0])?;
-                for &v in targets {
-                    self.assemble(&mut tuples, v, *window)?;
-                }
-                Ok(tuples)
-            }
-
-            PhysicalOp::WarmAssembly { target } => {
-                let tuples = self.exec(&plan.children[0])?;
-                self.warm_assemble(tuples, *target)
-            }
-
-            PhysicalOp::AlgUnnest { out } => {
-                let input = self.exec(&plan.children[0])?;
-                let VarOrigin::Unnest { src, field } = self.env.scopes.var(*out).origin else {
-                    return Err(ExecError::MalformedPlan(
-                        "AlgUnnest output must have Unnest origin".into(),
-                    ));
-                };
-                let mut result = Vec::new();
-                for t in input {
-                    let set = self
-                        .store
-                        .try_read_field(t.get(src), field)
-                        .map_err(ExecError::Corrupt)?
-                        .as_ref_set()
-                        .ok_or_else(|| {
-                            ExecError::MalformedPlan("unnest field must be set-valued".into())
-                        })?
-                        .to_vec();
-                    for m in set {
-                        self.counts.tuples += 1;
-                        result.push(t.with(*out, m));
-                    }
-                }
-                Ok(result)
-            }
-
-            PhysicalOp::AlgProject { .. } => Err(ExecError::MalformedPlan(
-                "projection only supported at the plan root".into(),
-            )),
-
-            PhysicalOp::HashSetOp { kind } => {
-                let left = self.exec(&plan.children[0])?;
-                let right = self.exec(&plan.children[1])?;
-                self.set_op(*kind, left, right)
-            }
-
-            PhysicalOp::MergeJoin { pred } => {
-                let left = self.exec(&plan.children[0])?;
-                let right = self.exec(&plan.children[1])?;
-                self.merge_join(*pred, left, right)
-            }
-
-            PhysicalOp::Sort { key } => {
-                let tuples = self.exec(&plan.children[0])?;
-                self.counts.hash_ops += tuples.len() as u64; // sort work proxy
-                                                             // Extract keys up front so corruption surfaces as an error
-                                                             // (a comparator closure cannot propagate one).
-                let mut keyed = Vec::with_capacity(tuples.len());
-                for t in tuples {
-                    let k = self
-                        .store
-                        .try_read_field(t.get(key.var), key.field)
-                        .map_err(ExecError::Corrupt)?
-                        .clone();
-                    keyed.push((k, t));
-                }
-                keyed.sort_by(|a, b| {
-                    a.0.partial_cmp_val(&b.0)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                Ok(keyed.into_iter().map(|(_, t)| t).collect())
-            }
-        }
-    }
-
-    /// Applies a filter predicate, in parallel morsels when the input is
-    /// large and a worker set is configured. Both paths preserve input
-    /// order and per-term predicate accounting; the parallel path
-    /// re-checks the row budget against the merged counts right after
-    /// the dispatch.
-    fn filter_tuples(
-        &mut self,
-        pred: oodb_algebra::PredId,
-        input: Vec<Tuple>,
-    ) -> Result<Vec<Tuple>, ExecError> {
-        if self.parallelism <= 1 || input.len() < morsel::MIN_PARALLEL_ROWS {
-            let mut out = Vec::with_capacity(input.len());
-            for t in input {
-                let (ok, n) =
-                    eval_pred(self.store, self.env, &t, pred).map_err(ExecError::Corrupt)?;
-                self.counts.preds += n;
-                if ok {
-                    out.push(t);
-                }
-            }
-            return Ok(out);
-        }
-        let (store, env) = (self.store, self.env);
-        let (out, counts) =
-            morsel::dispatch(self.parallelism, &self.limits, input, |t, counts, out| {
-                let (ok, n) = eval_pred(store, env, &t, pred).map_err(ExecError::Corrupt)?;
-                counts.preds += n;
-                if ok {
-                    out.push(t);
-                }
-                Ok(())
-            })?;
-        self.merge_counts(counts);
-        self.checkpoint()?;
-        Ok(out)
-    }
-
-    /// Extracts the comparison operator and constant key of an index-scan
-    /// predicate, normalizing `const <op> attr` to `attr <flipped-op>
-    /// const`.
-    fn index_term(
-        &self,
-        pred: oodb_algebra::PredId,
-    ) -> Result<(oodb_object::value::CmpLike, Value), ExecError> {
-        let p = self.env.preds.pred(pred);
-        for t in &p.terms {
-            if let Operand::Const(v) = &t.right {
-                return Ok((t.op.as_cmp_like(), v.clone()));
-            }
-            if let Operand::Const(v) = &t.left {
-                return Ok((t.op.flipped().as_cmp_like(), v.clone()));
-            }
-        }
-        Err(ExecError::MalformedPlan(
-            "index-scan predicate has no constant".into(),
-        ))
-    }
-
-    /// Maximum partition-recursion depth for a spilling hash join;
-    /// beyond it (skewed keys that never split) the join falls back to
-    /// grant-bounded chunking, which always terminates.
-    const MAX_SPILL_DEPTH: u32 = 4;
-    /// Partition fan-out per spill level.
-    const SPILL_FANOUT: usize = 8;
-
-    fn hash_join(
-        &mut self,
-        pred: oodb_algebra::PredId,
-        left: Vec<Tuple>,
-        right: Vec<Tuple>,
-    ) -> Result<Vec<Tuple>, ExecError> {
-        let p = self.env.preds.pred(pred);
-        let first = p
-            .terms
-            .iter()
-            .find(|t| t.op == oodb_algebra::CmpOp::Eq)
-            .ok_or_else(|| ExecError::MalformedPlan("hash join needs an equality term".into()))?;
-        // Decide which operand belongs to which side by probing bindings.
-        let (left_key_op, right_key_op) = if left
-            .first()
-            .and_then(|t| first.left.var().and_then(|v| t.try_get(v)))
-            .is_some()
-            || right
-                .first()
-                .and_then(|t| first.right.var().and_then(|v| t.try_get(v)))
-                .is_some()
-        {
-            (&first.left, &first.right)
-        } else {
-            (&first.right, &first.left)
-        };
-        self.hash_join_governed(pred, left_key_op, right_key_op, left, right, 0)
-    }
-
-    /// The true hybrid: build in memory when the grant covers the build
-    /// side; otherwise partition both sides by a depth-salted rehash of
-    /// the join key, spill each partition to simulated disk at
-    /// sequential rates, and recurse — producing exactly the rows the
-    /// in-memory join would.
-    fn hash_join_governed(
-        &mut self,
-        pred: oodb_algebra::PredId,
-        left_key_op: &Operand,
-        right_key_op: &Operand,
-        left: Vec<Tuple>,
-        right: Vec<Tuple>,
-        depth: u32,
-    ) -> Result<Vec<Tuple>, ExecError> {
-        let need = (left.len() as u64 * self.hash_entry_bytes()).max(1);
-        if self.grant.try_reserve(need) {
-            let out = self.hash_join_in_memory(pred, left_key_op, right_key_op, &left, &right);
-            self.grant.release(need);
-            return out;
-        }
-        if depth >= Self::MAX_SPILL_DEPTH {
-            return self.hash_join_chunked(pred, left_key_op, right_key_op, left, right);
-        }
-        // Grant refused: split into FANOUT partition pairs. A key's
-        // partition depends only on (key, depth), so matching rows land
-        // together and partitions join independently.
-        let salt = oodb_fault::splitmix64(0xA55E_B1E0 ^ u64::from(depth));
-        let part_of =
-            |k: u64| (oodb_fault::splitmix64(k ^ salt) % Self::SPILL_FANOUT as u64) as usize;
-        let mut lparts: Vec<Vec<Tuple>> = (0..Self::SPILL_FANOUT).map(|_| Vec::new()).collect();
-        let mut rparts: Vec<Vec<Tuple>> = (0..Self::SPILL_FANOUT).map(|_| Vec::new()).collect();
-        for t in left {
-            self.work_tick()?;
-            self.counts.hash_ops += 1;
-            // Keyless rows can never match — the in-memory build skips
-            // them too.
-            if let Some(k) = eval_operand(self.store, &t, left_key_op)
-                .map_err(ExecError::Corrupt)?
-                .hash_key()
-            {
-                lparts[part_of(k)].push(t);
-            }
-        }
-        for t in right {
-            self.work_tick()?;
-            self.counts.hash_ops += 1;
-            if let Some(k) = eval_operand(self.store, &t, right_key_op)
-                .map_err(ExecError::Corrupt)?
-                .hash_key()
-            {
-                rparts[part_of(k)].push(t);
-            }
-        }
-        // Write every productive partition out, then read each back and
-        // join it. One write pairs with one read, so spill bytes
-        // reconcile at quiesce; partitions that cannot produce rows
-        // (either side empty) are dropped unspilled.
-        let parts: Vec<(Vec<Tuple>, Vec<Tuple>)> = lparts.into_iter().zip(rparts).collect();
-        let mut pages_of = Vec::with_capacity(parts.len());
-        for (lp, rp) in &parts {
-            if lp.is_empty() || rp.is_empty() {
-                pages_of.push(0);
-                continue;
-            }
-            let pages = self.spill_pages_for(lp.len() + rp.len());
-            self.charge_spill_write(pages);
-            self.spilled_partitions += 1;
-            pages_of.push(pages);
-        }
-        let mut out = Vec::new();
-        for ((lp, rp), pages) in parts.into_iter().zip(pages_of) {
-            if pages == 0 {
-                continue;
-            }
-            self.checkpoint()?;
-            self.charge_spill_read(pages);
-            out.extend(self.hash_join_governed(
-                pred,
-                left_key_op,
-                right_key_op,
-                lp,
-                rp,
-                depth + 1,
-            )?);
-        }
-        Ok(out)
-    }
-
-    /// Classic build + probe over the whole build side; callers have
-    /// already reserved the table's bytes.
-    fn hash_join_in_memory(
-        &mut self,
-        pred: oodb_algebra::PredId,
-        left_key_op: &Operand,
-        right_key_op: &Operand,
-        left: &[Tuple],
-        right: &[Tuple],
-    ) -> Result<Vec<Tuple>, ExecError> {
-        // Build on the left input ("hash table of the referenced objects").
-        let mut table: HashMap<u64, Vec<usize>> = HashMap::new();
-        for (i, t) in left.iter().enumerate() {
-            self.work_tick()?;
-            self.counts.hash_ops += 1;
-            if let Some(k) = eval_operand(self.store, t, left_key_op)
-                .map_err(ExecError::Corrupt)?
-                .hash_key()
-            {
-                table.entry(k).or_default().push(i);
-            }
-        }
-        // Probe. The build above is serial (it mutates the table and the
-        // grant has already covered its bytes); the probe is a pure
-        // function of (table, left, right) and parallelizes over right
-        // morsels when a worker set is configured, with outputs
-        // concatenated in probe order — byte-identical to the serial
-        // loop below.
-        if self.parallelism > 1 && right.len() >= morsel::MIN_PARALLEL_ROWS {
-            let (store, env) = (self.store, self.env);
-            let table = &table;
-            let probes: Vec<&Tuple> = right.iter().collect();
-            let (out, counts) =
-                morsel::dispatch(self.parallelism, &self.limits, probes, |rt, counts, out| {
-                    counts.hash_ops += 1;
-                    let Some(k) = eval_operand(store, rt, right_key_op)
-                        .map_err(ExecError::Corrupt)?
-                        .hash_key()
-                    else {
-                        return Ok(());
-                    };
-                    if let Some(matches) = table.get(&k) {
-                        for &i in matches {
-                            let merged = left[i].merge(rt);
-                            let (ok, n) =
-                                eval_pred(store, env, &merged, pred).map_err(ExecError::Corrupt)?;
-                            counts.preds += n;
-                            if ok {
-                                counts.tuples += 1;
-                                out.push(merged);
-                            }
-                        }
-                    }
-                    Ok(())
-                })?;
-            self.merge_counts(counts);
-            self.checkpoint()?;
-            return Ok(out);
-        }
-        let mut out = Vec::new();
-        for rt in right {
-            self.work_tick()?;
-            self.counts.hash_ops += 1;
-            let Some(k) = eval_operand(self.store, rt, right_key_op)
-                .map_err(ExecError::Corrupt)?
-                .hash_key()
-            else {
-                continue;
-            };
-            if let Some(matches) = table.get(&k) {
-                for &i in matches {
-                    let merged = left[i].merge(rt);
-                    // Verify the full predicate (hash collisions + residual
-                    // conjuncts).
-                    let (ok, n) = eval_pred(self.store, self.env, &merged, pred)
-                        .map_err(ExecError::Corrupt)?;
-                    self.counts.preds += n;
-                    if ok {
-                        self.counts.tuples += 1;
-                        out.push(merged);
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Last-resort join when partitioning cannot split the keys: build
-    /// over the largest left chunk the grant admits (at least one row)
-    /// and probe the whole right side per chunk, charging each extra
-    /// probe pass as a sequential spool out and back. Fails typed only
-    /// when even a single-row chunk does not fit.
-    fn hash_join_chunked(
-        &mut self,
-        pred: oodb_algebra::PredId,
-        left_key_op: &Operand,
-        right_key_op: &Operand,
-        left: Vec<Tuple>,
-        right: Vec<Tuple>,
-    ) -> Result<Vec<Tuple>, ExecError> {
-        let entry = self.hash_entry_bytes();
-        let probe_pages = self.spill_pages_for(right.len());
-        let mut out = Vec::new();
-        let mut i = 0usize;
-        let mut pass = 0u64;
-        while i < left.len() {
-            self.checkpoint()?;
-            let mut chunk = left.len() - i;
-            let need = loop {
-                let need = (chunk as u64 * entry).max(1);
-                if self.grant.try_reserve(need) {
-                    break need;
-                }
-                if chunk <= 1 {
-                    return Err(ExecError::MemoryExhausted {
-                        requested: need,
-                        budget: self.grant.budget(),
-                    });
-                }
-                chunk /= 2;
-            };
-            if pass > 0 {
-                self.charge_spill_write(probe_pages);
-                self.charge_spill_read(probe_pages);
-            }
-            let joined = self.hash_join_in_memory(
-                pred,
-                left_key_op,
-                right_key_op,
-                &left[i..i + chunk],
-                &right,
-            );
-            self.grant.release(need);
-            out.extend(joined?);
-            i += chunk;
-            pass += 1;
-        }
-        Ok(out)
-    }
-
-    fn pointer_join(
-        &mut self,
-        pred: oodb_algebra::PredId,
-        left: Vec<Tuple>,
-    ) -> Result<Vec<Tuple>, ExecError> {
-        let p = self.env.preds.pred(pred);
-        let term = p
-            .terms
-            .first()
-            .ok_or_else(|| ExecError::MalformedPlan("pointer join needs a term".into()))?;
-        let (ref_on_left, target) = term.as_ref_eq().ok_or_else(|| {
-            ExecError::MalformedPlan("pointer join needs a reference equality".into())
-        })?;
-        let ref_op = if ref_on_left { &term.left } else { &term.right };
-
-        // Partition: gather all references, fetch their pages in one
-        // elevator sweep, then bind.
-        let mut refs = Vec::with_capacity(left.len());
-        for t in &left {
-            self.counts.derefs += 1;
-            let oid = eval_operand(self.store, t, ref_op)
-                .map_err(ExecError::Corrupt)?
-                .as_ref_oid()
-                .ok_or_else(|| {
-                    ExecError::MalformedPlan("reference operand must yield a reference".into())
-                })?;
-            refs.push(oid);
-        }
-        let pages: Vec<PageId> = refs
-            .iter()
-            .map(|&o| self.store.try_page_of(o).map_err(ExecError::Corrupt))
-            .collect::<Result<_, _>>()?;
-        self.touch_elevator(&pages)?;
-        Ok(left
-            .into_iter()
-            .zip(refs)
-            .map(|(t, oid)| t.with(target, oid))
-            .collect())
-    }
-
-    fn assemble(
-        &mut self,
-        tuples: &mut [Tuple],
-        target: VarId,
-        window: u32,
-    ) -> Result<(), ExecError> {
-        let VarOrigin::Mat { src, field } = self.env.scopes.var(target).origin else {
-            return Err(ExecError::MalformedPlan(
-                "assembly target must have Mat origin".into(),
-            ));
-        };
-        // An open reference costs bookkeeping bytes while its window is
-        // in flight; under memory pressure the window shrinks, trading
-        // the elevator's seek discount for staying inside the grant. A
-        // window of one needs no reservation (that is the floor).
-        const OPEN_REF_BYTES: u64 = 48;
-        let mut window = window.max(1) as usize;
-        let mut reserved = 0u64;
-        while window > 1 {
-            let need = window as u64 * OPEN_REF_BYTES;
-            if self.grant.try_reserve(need) {
-                reserved = need;
-                break;
-            }
-            window /= 2;
-        }
-        let mut i = 0;
-        while i < tuples.len() {
-            // Satellite guarantee: cancellation/deadline reach every
-            // window boundary, not just operator entry/exit.
-            self.checkpoint()?;
-            let end = (i + window).min(tuples.len());
-            // Open a window of references, fetch its pages in one elevator
-            // sweep, resolve, slide on.
-            let mut refs = Vec::with_capacity(end - i);
-            for t in &tuples[i..end] {
-                self.counts.derefs += 1;
-                // A plan may assemble a component the input already binds
-                // (an extent scan of the component's collection); the
-                // binding IS the reference, so resolve through the source
-                // only when the target is still open.
-                let oid = match t.try_get(target) {
-                    Some(o) => o,
-                    None => match field {
-                        Some(f) => self
-                            .store
-                            .try_read_field(t.get(src), f)
-                            .map_err(ExecError::Corrupt)?
-                            .as_ref_oid()
-                            .ok_or_else(|| {
-                                ExecError::MalformedPlan("Mat field must hold a reference".into())
-                            })?,
-                        None => t.get(src),
-                    },
-                };
-                refs.push(oid);
-            }
-            let pages: Vec<PageId> = refs
-                .iter()
-                .map(|&o| self.store.try_page_of(o).map_err(ExecError::Corrupt))
-                .collect::<Result<_, _>>()?;
-            if window == 1 {
-                self.touch(pages[0])?;
-            } else {
-                self.touch_elevator(&pages)?;
-            }
-            for (t, oid) in tuples[i..end].iter_mut().zip(refs) {
-                t.bind(target, oid);
-            }
-            i = end;
-        }
-        if reserved > 0 {
-            self.grant.release(reserved);
-        }
-        Ok(())
-    }
-
-    /// Warm-start assembly: sweep the component's whole collection
-    /// sequentially into the buffer pool, then resolve every reference as
-    /// a buffer hit.
-    fn warm_assemble(
-        &mut self,
-        tuples: Vec<Tuple>,
-        target: VarId,
-    ) -> Result<Vec<Tuple>, ExecError> {
-        let VarOrigin::Mat { src, field } = self.env.scopes.var(target).origin else {
-            return Err(ExecError::MalformedPlan(
-                "warm assembly target must have Mat origin".into(),
-            ));
-        };
-        let domain = self
-            .env
-            .var_domain(target)
-            .ok_or_else(|| ExecError::MalformedPlan("warm assembly needs a known domain".into()))?;
-        for page in self.store.scan_pages(domain) {
-            self.touch(page)?;
-        }
-        let mut out = Vec::with_capacity(tuples.len());
-        for t in tuples {
-            self.counts.derefs += 1;
-            // As in [`Executor::assemble`]: an already-bound target is its
-            // own reference.
-            let oid = match t.try_get(target) {
-                Some(o) => o,
-                None => match field {
-                    Some(f) => self
-                        .store
-                        .try_read_field(t.get(src), f)
-                        .map_err(ExecError::Corrupt)?
-                        .as_ref_oid()
-                        .ok_or_else(|| {
-                            ExecError::MalformedPlan("Mat field must hold a reference".into())
-                        })?,
-                    None => t.get(src),
-                },
-            };
-            // The referenced page is (almost certainly) resident now;
-            // touching it records the buffer hit honestly.
-            let page = self.store.try_page_of(oid).map_err(ExecError::Corrupt)?;
-            self.touch(page)?;
-            out.push(t.with(target, oid));
-        }
-        Ok(out)
-    }
-
-    /// Merge join over key-sorted inputs: advance two cursors, pair up
-    /// equal-key groups, verify residual conjuncts.
-    fn merge_join(
-        &mut self,
-        pred: oodb_algebra::PredId,
-        left: Vec<Tuple>,
-        right: Vec<Tuple>,
-    ) -> Result<Vec<Tuple>, ExecError> {
-        let p = self.env.preds.pred(pred);
-        let eq = p
-            .terms
-            .iter()
-            .find(|t| t.op == oodb_algebra::CmpOp::Eq)
-            .ok_or_else(|| ExecError::MalformedPlan("merge join needs an equality term".into()))?;
-        // Orient operands by which side binds their variable.
-        let (l_op, r_op) = {
-            let lv = eq.left.var().ok_or_else(|| {
-                ExecError::MalformedPlan("merge join needs an attribute operand".into())
-            })?;
-            if left.first().is_some_and(|t| t.try_get(lv).is_some()) {
-                (&eq.left, &eq.right)
-            } else {
-                (&eq.right, &eq.left)
-            }
-        };
-        // Extract both key columns up front (totalizes corruption; the
-        // run-gathering below then needs no fallible closure).
-        let lkeys: Vec<Value> = left
-            .iter()
-            .map(|t| eval_operand(self.store, t, l_op).map_err(ExecError::Corrupt))
-            .collect::<Result<_, _>>()?;
-        let rkeys: Vec<Value> = right
-            .iter()
-            .map(|t| eval_operand(self.store, t, r_op).map_err(ExecError::Corrupt))
-            .collect::<Result<_, _>>()?;
-        let mut out = Vec::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < left.len() && j < right.len() {
-            self.counts.tuples += 1;
-            let kl = &lkeys[i];
-            let kr = &rkeys[j];
-            match kl.total_cmp_val(kr) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    // Gather both equal-key runs and cross them.
-                    let i_end = (i..left.len())
-                        .take_while(|&x| &lkeys[x] == kl)
-                        .last()
-                        .unwrap()
-                        + 1;
-                    let j_end = (j..right.len())
-                        .take_while(|&y| &rkeys[y] == kr)
-                        .last()
-                        .unwrap()
-                        + 1;
-                    for l in &left[i..i_end] {
-                        for r in &right[j..j_end] {
-                            let merged = l.merge(r);
-                            let (ok, n) = eval_pred(self.store, self.env, &merged, pred)
-                                .map_err(ExecError::Corrupt)?;
-                            self.counts.preds += n;
-                            if ok {
-                                out.push(merged);
-                            }
-                        }
-                    }
-                    i = i_end;
-                    j = j_end;
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// Extra bytes charged per key held in a set-op hash set.
-    const SET_ENTRY_OVERHEAD: u64 = 48;
-
-    /// Approximate bytes one bound-slot key occupies in a set-op table.
-    fn set_entry_bytes(&self) -> u64 {
-        self.tuple_bytes() + Self::SET_ENTRY_OVERHEAD
-    }
-
-    /// Hash set ops, governed: when the grant covers the key sets, the
-    /// classic hashed variant runs; when refused, a staged variant
-    /// produces the identical output in bounded memory.
-    fn set_op(
-        &mut self,
-        kind: SetOpKind,
-        left: Vec<Tuple>,
-        right: Vec<Tuple>,
-    ) -> Result<Vec<Tuple>, ExecError> {
-        let need = ((left.len() + right.len()) as u64 * self.set_entry_bytes()).max(1);
-        if self.grant.try_reserve(need) {
-            let out = self.set_op_hashed(kind, left, right);
-            self.grant.release(need);
-            return out;
-        }
-        self.set_op_staged(kind, left, right)
-    }
-
-    fn set_op_hashed(
-        &mut self,
-        kind: SetOpKind,
-        left: Vec<Tuple>,
-        right: Vec<Tuple>,
-    ) -> Result<Vec<Tuple>, ExecError> {
-        let key = |t: &Tuple| -> Vec<(usize, Oid)> { t.bound().collect() };
-        let mut right_keys: HashSet<Vec<(usize, Oid)>> = HashSet::with_capacity(right.len());
-        for t in &right {
-            self.work_tick()?;
-            self.counts.hash_ops += 1;
-            right_keys.insert(key(t));
-        }
-        self.counts.hash_ops += left.len() as u64;
-        Ok(match kind {
-            SetOpKind::Union => {
-                let mut seen: HashSet<Vec<(usize, Oid)>> = HashSet::new();
-                let mut out = Vec::new();
-                for t in left.into_iter().chain(right) {
-                    self.work_tick()?;
-                    if seen.insert(key(&t)) {
-                        out.push(t);
-                    }
-                }
-                out
-            }
-            SetOpKind::Intersect => left
-                .into_iter()
-                .filter(|t| right_keys.contains(&key(t)))
-                .collect(),
-            SetOpKind::Difference => left
-                .into_iter()
-                .filter(|t| !right_keys.contains(&key(t)))
-                .collect(),
         })
     }
 
-    /// Memory-bounded set ops producing byte-identical output to
-    /// [`Executor::set_op_hashed`]:
-    ///
-    /// - **Union** sorts an index array over the concatenated inputs by
-    ///   key (stable tie-break on chain position), keeps each key's
-    ///   first chain occurrence, and emits in chain order — one index
-    ///   and one flag per row instead of a hash set of keys.
-    /// - **Intersect/Difference** stage the right side through
-    ///   grant-sized key chunks, marking matched left rows; left order
-    ///   is preserved.
-    fn set_op_staged(
-        &mut self,
-        kind: SetOpKind,
-        left: Vec<Tuple>,
-        right: Vec<Tuple>,
-    ) -> Result<Vec<Tuple>, ExecError> {
-        let key = |t: &Tuple| -> Vec<(usize, Oid)> { t.bound().collect() };
-        match kind {
-            SetOpKind::Union => {
-                let all: Vec<Tuple> = left.into_iter().chain(right).collect();
-                // One u32 index + one flag byte per row.
-                let need = (all.len() as u64 * 5).max(1);
-                if !self.grant.try_reserve(need) {
-                    return Err(ExecError::MemoryExhausted {
-                        requested: need,
-                        budget: self.grant.budget(),
-                    });
-                }
-                self.counts.hash_ops += all.len() as u64; // sort work proxy
-                let mut idx: Vec<u32> = (0..all.len() as u32).collect();
-                idx.sort_by(|&a, &b| {
-                    key(&all[a as usize])
-                        .cmp(&key(&all[b as usize]))
-                        .then(a.cmp(&b))
-                });
-                let mut keep = vec![false; all.len()];
-                let mut g = 0;
-                while g < idx.len() {
-                    self.work_tick()?;
-                    let kg = key(&all[idx[g] as usize]);
-                    let mut end = g + 1;
-                    while end < idx.len() && key(&all[idx[end] as usize]) == kg {
-                        end += 1;
-                    }
-                    // Ascending tie-break means idx[g] is the first chain
-                    // occurrence of this key.
-                    keep[idx[g] as usize] = true;
-                    g = end;
-                }
-                self.grant.release(need);
-                Ok(all
-                    .into_iter()
-                    .zip(keep)
-                    .filter_map(|(t, k)| k.then_some(t))
-                    .collect())
-            }
-            SetOpKind::Intersect | SetOpKind::Difference => {
-                let flags_need = (left.len() as u64).max(1);
-                if !self.grant.try_reserve(flags_need) {
-                    return Err(ExecError::MemoryExhausted {
-                        requested: flags_need,
-                        budget: self.grant.budget(),
-                    });
-                }
-                let mut matched = vec![false; left.len()];
-                let entry = self.set_entry_bytes();
-                let mut j = 0usize;
-                while j < right.len() {
-                    self.checkpoint()?;
-                    let mut chunk = right.len() - j;
-                    let need = loop {
-                        let need = (chunk as u64 * entry).max(1);
-                        if self.grant.try_reserve(need) {
-                            break need;
-                        }
-                        if chunk <= 1 {
-                            self.grant.release(flags_need);
-                            return Err(ExecError::MemoryExhausted {
-                                requested: need,
-                                budget: self.grant.budget(),
-                            });
-                        }
-                        chunk /= 2;
-                    };
-                    let mut keys: HashSet<Vec<(usize, Oid)>> = HashSet::with_capacity(chunk);
-                    for t in &right[j..j + chunk] {
-                        self.work_tick()?;
-                        self.counts.hash_ops += 1;
-                        keys.insert(key(t));
-                    }
-                    for (t, m) in left.iter().zip(matched.iter_mut()) {
-                        if !*m {
-                            self.work_tick()?;
-                            self.counts.hash_ops += 1;
-                            if keys.contains(&key(t)) {
-                                *m = true;
-                            }
-                        }
-                    }
-                    self.grant.release(need);
-                    j += chunk;
-                }
-                self.grant.release(flags_need);
-                let keep_on_match = kind == SetOpKind::Intersect;
-                Ok(left
-                    .into_iter()
-                    .zip(matched)
-                    .filter_map(|(t, m)| (m == keep_on_match).then_some(t))
-                    .collect())
-            }
+    /// Charges `rows` more output rows, and the time and I/O since
+    /// `since`, to plan node `id`; a no-op outside traced runs.
+    fn charge(&mut self, id: usize, since: Option<Mark>, rows: usize) {
+        if self.trace.is_empty() {
+            return;
+        }
+        let now = self.mark();
+        let slot = &mut self.trace[id];
+        slot.actual_rows += rows as u64;
+        if let (Some(m), Some(now)) = (since, now) {
+            slot.elapsed_ns += (now.at - m.at).as_nanos() as u64;
+            slot.buffer_hits += now.hits - m.hits;
+            slot.buffer_misses += now.misses - m.misses;
+            slot.sim_io_s += now.io_s - m.io_s;
+            slot.spill_pages += now.spill_pages - m.spill_pages;
         }
     }
 }
@@ -1532,11 +810,8 @@ impl<'a> Executor<'a> {
 /// Panics on failure — use [`try_execute`] when faults, deadlines, or
 /// cancellation are in play.
 pub fn execute(store: &Store, env: &QueryEnv, plan: &PhysicalPlan) -> (ExecResult, ExecStats) {
-    let mut ex = Executor::new(store, env);
-    let result = ex.run(plan);
-    let mut stats = ex.stats();
-    stats.root_rows = result.len() as u64;
-    (result, stats)
+    try_execute(store, env, plan, RunLimits::default())
+        .unwrap_or_else(|e| panic!("execution failed: {e}"))
 }
 
 /// One-shot fallible execution under cooperative [`RunLimits`]: fresh
@@ -1548,18 +823,13 @@ pub fn try_execute(
     plan: &PhysicalPlan,
     limits: RunLimits,
 ) -> Result<(ExecResult, ExecStats), ExecError> {
-    let mut ex = Executor::new(store, env);
-    ex.set_limits(limits);
-    let result = ex.try_run(plan)?;
-    let mut stats = ex.stats();
-    stats.root_rows = result.len() as u64;
-    Ok((result, stats))
+    try_execute_parallel(store, env, plan, limits, 1)
 }
 
-/// One-shot fallible execution with a morsel worker set: like
-/// [`try_execute`] but pure-CPU operator segments (filters, root
-/// projection, in-memory hash-join probes) run on up to `workers`
-/// threads. Results are byte-identical to the serial path.
+/// One-shot fallible execution with a worker set: like [`try_execute`]
+/// but the pure-CPU stages of every pipeline (filters, unnests, in-memory
+/// hash-join probes, the root projection) run on up to `workers` threads.
+/// Results are byte-identical to the serial path.
 pub fn try_execute_parallel(
     store: &Store,
     env: &QueryEnv,
@@ -1584,11 +854,8 @@ pub fn execute_traced(
     env: &QueryEnv,
     plan: &PhysicalPlan,
 ) -> (ExecResult, ExecStats, OpTrace) {
-    let mut ex = Executor::new(store, env);
-    let (result, trace) = ex.run_traced(plan);
-    let mut stats = ex.stats();
-    stats.root_rows = result.len() as u64;
-    (result, stats, trace)
+    try_execute_traced(store, env, plan, RunLimits::default())
+        .unwrap_or_else(|e| panic!("execution failed: {e}"))
 }
 
 /// Fallible [`execute_traced`] under cooperative [`RunLimits`].
@@ -1607,790 +874,4 @@ pub fn try_execute_traced(
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use oodb_algebra::{CmpOp, PlanEst, QueryBuilder};
-    use oodb_storage::{generate_paper_db, GenConfig};
-
-    fn plan(op: PhysicalOp, children: Vec<PhysicalPlan>) -> PhysicalPlan {
-        PhysicalPlan {
-            op,
-            children,
-            est: PlanEst::default(),
-        }
-    }
-
-    #[test]
-    fn file_scan_returns_all_members_with_sequential_io() {
-        let (store, m) = generate_paper_db(GenConfig::small());
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (_, c) = qb.get(m.ids.cities, "c");
-        let env = qb.into_env();
-        let scan = plan(
-            PhysicalOp::FileScan {
-                coll: m.ids.cities,
-                var: c,
-            },
-            vec![],
-        );
-        let (res, stats) = execute(&store, &env, &scan);
-        assert_eq!(res.len(), store.members(m.ids.cities).len());
-        // Dense scan: almost everything sequential.
-        assert!(stats.disk.seq_reads >= stats.disk.rand_reads);
-    }
-
-    #[test]
-    fn filter_agrees_with_oracle() {
-        let (store, m) = generate_paper_db(GenConfig::small());
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (_, t) = qb.get(m.ids.tasks, "t");
-        let pred = qb.cmp_const(t, m.ids.task_time, CmpOp::Eq, Value::Int(100));
-        let env = qb.into_env();
-        let p = plan(
-            PhysicalOp::Filter { pred },
-            vec![plan(
-                PhysicalOp::FileScan {
-                    coll: m.ids.tasks,
-                    var: t,
-                },
-                vec![],
-            )],
-        );
-        let (res, _) = execute(&store, &env, &p);
-        let oracle = store
-            .members(m.ids.tasks)
-            .iter()
-            .filter(|&&o| store.read_field(o, m.ids.task_time) == &Value::Int(100))
-            .count();
-        assert_eq!(res.len(), oracle);
-    }
-
-    #[test]
-    fn assembly_resolves_references_and_window_matters() {
-        let (store, m) = generate_paper_db(GenConfig::small());
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (cities, c) = qb.get(m.ids.cities, "c");
-        let (_, cm) = qb.mat(cities, c, m.ids.city_mayor, "cm");
-        let env = qb.into_env();
-
-        let mk = |window: u32| {
-            plan(
-                PhysicalOp::Assembly {
-                    targets: vec![cm],
-                    window,
-                },
-                vec![plan(
-                    PhysicalOp::FileScan {
-                        coll: m.ids.cities,
-                        var: c,
-                    },
-                    vec![],
-                )],
-            )
-        };
-        let (res_w, stats_w) = execute(&store, &env, &mk(8192));
-        let (res_1, stats_1) = execute(&store, &env, &mk(1));
-        assert_eq!(res_w.len(), res_1.len());
-        // Same bindings regardless of window.
-        for (a, b) in res_w.tuples().iter().zip(res_1.tuples()) {
-            assert_eq!(a.get(cm), b.get(cm));
-            assert_eq!(
-                Some(a.get(cm)),
-                store.read_field(a.get(c), m.ids.city_mayor).as_ref_oid()
-            );
-        }
-        // The windowed elevator is cheaper on simulated time.
-        assert!(
-            stats_w.disk.total_s < stats_1.disk.total_s,
-            "window {} vs window-1 {}",
-            stats_w.disk.total_s,
-            stats_1.disk.total_s
-        );
-    }
-
-    #[test]
-    fn hash_join_matches_pointer_join() {
-        let (store, m) = generate_paper_db(GenConfig::small());
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (emp, e) = qb.get(m.ids.employees, "e");
-        let (_, d) = qb.mat(emp, e, m.ids.emp_dept, "d");
-        let pred = qb.ref_eq(e, m.ids.emp_dept, d);
-        let env = qb.into_env();
-
-        let emp_scan = || {
-            plan(
-                PhysicalOp::FileScan {
-                    coll: m.ids.employees,
-                    var: e,
-                },
-                vec![],
-            )
-        };
-        // HHJ: referenced objects (departments) on the build/left side.
-        let hhj = plan(
-            PhysicalOp::HybridHashJoin { pred },
-            vec![
-                plan(
-                    PhysicalOp::FileScan {
-                        coll: m.ids.department_extent,
-                        var: d,
-                    },
-                    vec![],
-                ),
-                emp_scan(),
-            ],
-        );
-        let pj = plan(PhysicalOp::PointerJoin { pred }, vec![emp_scan()]);
-        let (r1, _) = execute(&store, &env, &hhj);
-        let (r2, _) = execute(&store, &env, &pj);
-        assert_eq!(r1.len(), r2.len());
-        assert_eq!(r1.len(), store.members(m.ids.employees).len());
-        let set1: HashSet<&Tuple> = r1.tuples().iter().collect();
-        assert!(r2.tuples().iter().all(|t| set1.contains(t)));
-    }
-
-    #[test]
-    fn set_ops_behave() {
-        let (store, m) = generate_paper_db(GenConfig::small());
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (_, t) = qb.get(m.ids.tasks, "t");
-        let p100 = qb.cmp_const(t, m.ids.task_time, CmpOp::Eq, Value::Int(100));
-        let ple = qb.cmp_const(t, m.ids.task_time, CmpOp::Le, Value::Int(100));
-        let env = qb.into_env();
-        let scan = || {
-            plan(
-                PhysicalOp::FileScan {
-                    coll: m.ids.tasks,
-                    var: t,
-                },
-                vec![],
-            )
-        };
-        let f100 = plan(PhysicalOp::Filter { pred: p100 }, vec![scan()]);
-        let fle = plan(PhysicalOp::Filter { pred: ple }, vec![scan()]);
-
-        let inter = plan(
-            PhysicalOp::HashSetOp {
-                kind: SetOpKind::Intersect,
-            },
-            vec![f100.clone(), fle.clone()],
-        );
-        let diff = plan(
-            PhysicalOp::HashSetOp {
-                kind: SetOpKind::Difference,
-            },
-            vec![fle.clone(), f100.clone()],
-        );
-        let union = plan(
-            PhysicalOp::HashSetOp {
-                kind: SetOpKind::Union,
-            },
-            vec![f100.clone(), fle.clone()],
-        );
-        let (ri, _) = execute(&store, &env, &inter);
-        let (rd, _) = execute(&store, &env, &diff);
-        let (ru, _) = execute(&store, &env, &union);
-        let (r100, _) = execute(&store, &env, &f100);
-        let (rle, _) = execute(&store, &env, &fle);
-        // time==100 ⊆ time<=100.
-        assert_eq!(ri.len(), r100.len());
-        assert_eq!(rd.len(), rle.len() - r100.len());
-        assert_eq!(ru.len(), rle.len());
-    }
-
-    /// The spilling hybrid join must produce exactly the rows the
-    /// in-memory join does — partitioned, recursed, or chunked — while
-    /// charging visible spill I/O and reconciling the governor's ledger.
-    #[test]
-    fn spilling_hash_join_matches_in_memory() {
-        use oodb_mem::MemoryGovernor;
-        let (mut store, m) = generate_paper_db(GenConfig::small());
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (emp, e) = qb.get(m.ids.employees, "e");
-        let (_, d) = qb.mat(emp, e, m.ids.emp_dept, "d");
-        let pred = qb.ref_eq(e, m.ids.emp_dept, d);
-        let env = qb.into_env();
-        let hhj = plan(
-            PhysicalOp::HybridHashJoin { pred },
-            vec![
-                plan(
-                    PhysicalOp::FileScan {
-                        coll: m.ids.employees,
-                        var: e,
-                    },
-                    vec![],
-                ),
-                plan(
-                    PhysicalOp::FileScan {
-                        coll: m.ids.department_extent,
-                        var: d,
-                    },
-                    vec![],
-                ),
-            ],
-        );
-        let (baseline, base_stats) = try_execute(&store, &env, &hhj, RunLimits::default()).unwrap();
-        assert_eq!(base_stats.mem.spill_pages_written, 0, "unconstrained run");
-        let mut base_sorted: Vec<&Tuple> = baseline.tuples().iter().collect();
-        base_sorted.sort_by_key(|t| (t.get(e), t.get(d)));
-
-        // Govern at a fraction of the 500-row build side; every budget
-        // must still produce the identical result multiset.
-        let gov = MemoryGovernor::new(u64::MAX);
-        store.attach_memory_governor(gov.clone());
-        for budget in [8192u64, 1024, 256] {
-            let (res, stats) = try_execute(
-                &store,
-                &env,
-                &hhj,
-                RunLimits {
-                    mem_budget: Some(budget),
-                    ..Default::default()
-                },
-            )
-            .unwrap_or_else(|err| panic!("budget {budget}: {err}"));
-            let mut sorted: Vec<&Tuple> = res.tuples().iter().collect();
-            sorted.sort_by_key(|t| (t.get(e), t.get(d)));
-            assert_eq!(sorted, base_sorted, "budget {budget}");
-            assert!(
-                stats.mem.spilled_partitions > 0 || stats.mem.grant_denials > 0,
-                "budget {budget} should constrain a 500-row build: {:?}",
-                stats.mem
-            );
-            assert_eq!(
-                stats.mem.spill_pages_written, stats.mem.spill_pages_read,
-                "every spilled page is read back exactly once (budget {budget})"
-            );
-            assert!(
-                stats.mem.peak_bytes <= budget,
-                "peak {} exceeds budget {budget}",
-                stats.mem.peak_bytes
-            );
-            assert!(stats.disk.total_s > base_stats.disk.total_s || budget >= 8192);
-        }
-        let gs = gov.stats();
-        assert_eq!(gs.reserved, 0, "quiesce: all grants returned");
-        assert_eq!(gs.reserved_total, gs.released_total);
-        assert_eq!(gs.spill_bytes_written, gs.spill_bytes_read);
-    }
-
-    /// A grant that cannot hold even one hash-table row is a typed
-    /// error, not a panic or a wrong answer.
-    #[test]
-    fn zero_memory_budget_is_a_typed_error() {
-        let (store, m) = generate_paper_db(GenConfig::small());
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (emp, e) = qb.get(m.ids.employees, "e");
-        let (_, d) = qb.mat(emp, e, m.ids.emp_dept, "d");
-        let pred = qb.ref_eq(e, m.ids.emp_dept, d);
-        let env = qb.into_env();
-        let hhj = plan(
-            PhysicalOp::HybridHashJoin { pred },
-            vec![
-                plan(
-                    PhysicalOp::FileScan {
-                        coll: m.ids.department_extent,
-                        var: d,
-                    },
-                    vec![],
-                ),
-                plan(
-                    PhysicalOp::FileScan {
-                        coll: m.ids.employees,
-                        var: e,
-                    },
-                    vec![],
-                ),
-            ],
-        );
-        let err = try_execute(
-            &store,
-            &env,
-            &hhj,
-            RunLimits {
-                mem_budget: Some(0),
-                ..Default::default()
-            },
-        )
-        .unwrap_err();
-        assert!(
-            matches!(err, ExecError::MemoryExhausted { budget: 0, .. }),
-            "{err}"
-        );
-    }
-
-    /// Staged set-ops under a tight grant emit byte-identical output to
-    /// the hashed variants, in the same order.
-    #[test]
-    fn staged_set_ops_match_hashed_exactly() {
-        let (store, m) = generate_paper_db(GenConfig::small());
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (_, t) = qb.get(m.ids.tasks, "t");
-        let p100 = qb.cmp_const(t, m.ids.task_time, CmpOp::Eq, Value::Int(100));
-        let ple = qb.cmp_const(t, m.ids.task_time, CmpOp::Le, Value::Int(100));
-        let env = qb.into_env();
-        let scan = || {
-            plan(
-                PhysicalOp::FileScan {
-                    coll: m.ids.tasks,
-                    var: t,
-                },
-                vec![],
-            )
-        };
-        let f100 = plan(PhysicalOp::Filter { pred: p100 }, vec![scan()]);
-        let fle = plan(PhysicalOp::Filter { pred: ple }, vec![scan()]);
-        for kind in [
-            SetOpKind::Union,
-            SetOpKind::Intersect,
-            SetOpKind::Difference,
-        ] {
-            let p = plan(
-                PhysicalOp::HashSetOp { kind },
-                vec![fle.clone(), f100.clone()],
-            );
-            let (unconstrained, _) = try_execute(&store, &env, &p, RunLimits::default()).unwrap();
-            let (staged, stats) = try_execute(
-                &store,
-                &env,
-                &p,
-                RunLimits {
-                    // Enough for flags and a small key chunk, far too
-                    // small for the full key sets.
-                    mem_budget: Some(128),
-                    ..Default::default()
-                },
-            )
-            .unwrap_or_else(|err| panic!("{kind:?}: {err}"));
-            assert!(
-                stats.mem.grant_denials > 0,
-                "{kind:?} should have been staged"
-            );
-            assert_eq!(
-                staged.tuples(),
-                unconstrained.tuples(),
-                "{kind:?}: staged output must match hashed output exactly"
-            );
-        }
-    }
-
-    /// A grant-shrunk assembly window binds the same references, paying
-    /// more simulated seeks for the smaller elevator sweep.
-    #[test]
-    fn pressured_assembly_window_shrinks_not_breaks() {
-        let (store, m) = generate_paper_db(GenConfig::small());
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (cities, c) = qb.get(m.ids.cities, "c");
-        let (_, cm) = qb.mat(cities, c, m.ids.city_mayor, "cm");
-        let env = qb.into_env();
-        let p = plan(
-            PhysicalOp::Assembly {
-                targets: vec![cm],
-                window: 8192,
-            },
-            vec![plan(
-                PhysicalOp::FileScan {
-                    coll: m.ids.cities,
-                    var: c,
-                },
-                vec![],
-            )],
-        );
-        let (full, full_stats) = try_execute(&store, &env, &p, RunLimits::default()).unwrap();
-        let (tight, tight_stats) = try_execute(
-            &store,
-            &env,
-            &p,
-            RunLimits {
-                mem_budget: Some(1024), // window shrinks to ~21 refs
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(full.tuples(), tight.tuples(), "bindings are unaffected");
-        assert!(
-            tight_stats.disk.total_s > full_stats.disk.total_s,
-            "smaller window loses elevator discount: {} vs {}",
-            tight_stats.disk.total_s,
-            full_stats.disk.total_s
-        );
-    }
-
-    /// Satellite: the row budget (and with it, cancellation and the
-    /// deadline — they share the checkpoint) interrupts a hash join
-    /// *mid-probe*, not only at the next operator boundary.
-    #[test]
-    fn row_budget_interrupts_hash_join_mid_probe() {
-        let (store, m) = generate_paper_db(GenConfig::small());
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (emp, e) = qb.get(m.ids.employees, "e");
-        let (_, d) = qb.mat(emp, e, m.ids.emp_dept, "d");
-        let pred = qb.ref_eq(e, m.ids.emp_dept, d);
-        let env = qb.into_env();
-        let hhj = plan(
-            PhysicalOp::HybridHashJoin { pred },
-            vec![
-                plan(
-                    PhysicalOp::FileScan {
-                        coll: m.ids.department_extent,
-                        var: d,
-                    },
-                    vec![],
-                ),
-                plan(
-                    PhysicalOp::FileScan {
-                        coll: m.ids.employees,
-                        var: e,
-                    },
-                    vec![],
-                ),
-            ],
-        );
-        // The scans produce 10 + 500 tuples; the probe then emits one
-        // joined tuple per employee. A budget of 600 survives the scans
-        // and expires partway through the probe's 500 emissions.
-        let mut ex = Executor::new(&store, &env);
-        ex.set_limits(RunLimits {
-            row_budget: Some(600),
-            ..Default::default()
-        });
-        let err = ex.try_run(&hhj).unwrap_err();
-        assert_eq!(err, ExecError::RowBudgetExceeded { budget: 600 });
-        let probed = ex.stats().counts.hash_ops;
-        assert!(
-            probed < 510,
-            "the probe loop must stop mid-flight, not at operator exit \
-             (hash ops = {probed}, full join would be 510)"
-        );
-    }
-
-    #[test]
-    fn reused_executor_attributes_stats_per_run() {
-        let (store, m) = generate_paper_db(GenConfig::small());
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (_, c) = qb.get(m.ids.cities, "c");
-        let env = qb.into_env();
-        let scan = plan(
-            PhysicalOp::FileScan {
-                coll: m.ids.cities,
-                var: c,
-            },
-            vec![],
-        );
-        let mut ex = Executor::new(&store, &env);
-        ex.run(&scan);
-        let first = ex.stats();
-        ex.run(&scan);
-        let second = ex.stats();
-        // Second run reports only its own work: all buffer hits (pool is
-        // warm), no fresh misses, same tuple count as the first run.
-        assert_eq!(second.counts.tuples, first.counts.tuples);
-        assert_eq!(second.buffer_misses, 0, "warm rerun must not miss");
-        assert!(second.buffer_hits > 0);
-        assert_eq!(second.disk.pages(), 0, "warm rerun reads no pages");
-        // Cumulative view still aggregates both runs.
-        let cum = ex.cumulative_stats();
-        assert_eq!(
-            cum.counts.tuples,
-            first.counts.tuples + second.counts.tuples
-        );
-        assert_eq!(cum.buffer_misses, first.buffer_misses);
-    }
-
-    #[test]
-    fn traced_run_reconciles_with_stats() {
-        let (store, m) = generate_paper_db(GenConfig::small());
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (_, t) = qb.get(m.ids.tasks, "t");
-        let pred = qb.cmp_const(t, m.ids.task_time, CmpOp::Eq, Value::Int(100));
-        let env = qb.into_env();
-        let p = plan(
-            PhysicalOp::Filter { pred },
-            vec![plan(
-                PhysicalOp::FileScan {
-                    coll: m.ids.tasks,
-                    var: t,
-                },
-                vec![],
-            )],
-        );
-        let (result, stats, trace) = execute_traced(&store, &env, &p);
-        // The trace tree mirrors the plan tree.
-        assert_eq!(trace.children.len(), 1);
-        assert!(trace.label.starts_with("Filter"), "{}", trace.label);
-        assert!(trace.children[0].label.starts_with("File Scan"));
-        // Root actual rows equal result cardinality.
-        assert_eq!(trace.actual_rows, result.len() as u64);
-        // Root (cumulative) I/O equals the run's ExecStats.
-        assert_eq!(
-            trace.buffer_hits + trace.buffer_misses,
-            stats.buffer_hits + stats.buffer_misses
-        );
-        assert!((trace.sim_io_s - stats.disk.total_s).abs() < 1e-12);
-        // The scan produced at least as many rows as survived the filter.
-        assert!(trace.children[0].actual_rows >= trace.actual_rows);
-        // Untraced execution returns identical results.
-        let (plain, _) = execute(&store, &env, &p);
-        assert_eq!(plain, result);
-    }
-
-    #[test]
-    fn shared_pool_attribution_is_per_executor() {
-        let (mut store, m) = generate_paper_db(GenConfig::small());
-        store.attach_shared_pool(1 << 14);
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (_, c) = qb.get(m.ids.cities, "c");
-        let env = qb.into_env();
-        let scan = plan(
-            PhysicalOp::FileScan {
-                coll: m.ids.cities,
-                var: c,
-            },
-            vec![],
-        );
-        let (_, cold) = execute(&store, &env, &scan);
-        let (_, warm) = execute(&store, &env, &scan);
-        // The second executor is brand new, yet the shared pool is warm.
-        assert!(cold.buffer_misses > 0);
-        assert_eq!(warm.buffer_misses, 0, "shared pool must stay warm");
-        assert_eq!(warm.buffer_hits, cold.buffer_hits + cold.buffer_misses);
-        // Pool-wide counters equal the sum of the per-executor tallies.
-        let pool = store.shared_pool().unwrap();
-        assert_eq!(
-            pool.stats(),
-            (
-                cold.buffer_hits + warm.buffer_hits,
-                cold.buffer_misses + warm.buffer_misses
-            )
-        );
-    }
-
-    #[test]
-    fn nested_projection_is_a_typed_error_not_a_panic() {
-        let (store, m) = generate_paper_db(GenConfig::small());
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (_, c) = qb.get(m.ids.cities, "c");
-        let items = vec![Operand::VarOid(c)];
-        let env = qb.into_env();
-        // A projection *below* a filter is malformed: only the root may
-        // project. The engine must refuse, not panic.
-        let p = plan(
-            PhysicalOp::Filter {
-                pred: env.preds.intern(oodb_algebra::Pred { terms: vec![] }),
-            },
-            vec![plan(
-                PhysicalOp::AlgProject { items },
-                vec![plan(
-                    PhysicalOp::FileScan {
-                        coll: m.ids.cities,
-                        var: c,
-                    },
-                    vec![],
-                )],
-            )],
-        );
-        let err = try_execute(&store, &env, &p, RunLimits::default()).unwrap_err();
-        assert!(matches!(err, ExecError::MalformedPlan(_)), "{err:?}");
-    }
-
-    #[test]
-    fn cancelled_token_stops_the_run() {
-        let (store, m) = generate_paper_db(GenConfig::small());
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (_, c) = qb.get(m.ids.cities, "c");
-        let env = qb.into_env();
-        let scan = plan(
-            PhysicalOp::FileScan {
-                coll: m.ids.cities,
-                var: c,
-            },
-            vec![],
-        );
-        let cancel = oodb_fault::CancelToken::new();
-        cancel.cancel();
-        let limits = RunLimits {
-            cancel: Some(cancel),
-            ..Default::default()
-        };
-        assert_eq!(
-            try_execute(&store, &env, &scan, limits).unwrap_err(),
-            ExecError::Cancelled
-        );
-    }
-
-    #[test]
-    fn row_budget_interrupts_a_scan() {
-        let (store, m) = generate_paper_db(GenConfig::small());
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (_, c) = qb.get(m.ids.cities, "c");
-        let env = qb.into_env();
-        let scan = plan(
-            PhysicalOp::FileScan {
-                coll: m.ids.cities,
-                var: c,
-            },
-            vec![],
-        );
-        let limits = RunLimits {
-            row_budget: Some(0),
-            ..Default::default()
-        };
-        assert_eq!(
-            try_execute(&store, &env, &scan, limits).unwrap_err(),
-            ExecError::RowBudgetExceeded { budget: 0 }
-        );
-    }
-
-    #[test]
-    fn injected_faults_surface_as_typed_errors() {
-        let (mut store, m) = generate_paper_db(GenConfig::small());
-        store.attach_fault_injector(oodb_storage::FaultInjector::new(
-            oodb_storage::FaultConfig {
-                read_fault_rate: 1.0,
-                ..Default::default()
-            },
-        ));
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (_, c) = qb.get(m.ids.cities, "c");
-        let env = qb.into_env();
-        let scan = plan(
-            PhysicalOp::FileScan {
-                coll: m.ids.cities,
-                var: c,
-            },
-            vec![],
-        );
-        let err = try_execute(&store, &env, &scan, RunLimits::default()).unwrap_err();
-        assert!(matches!(err, ExecError::Fault(_)), "{err:?}");
-        // Disabling the injector restores infallible execution.
-        store.fault_injector().unwrap().set_enabled(false);
-        assert!(try_execute(&store, &env, &scan, RunLimits::default()).is_ok());
-    }
-
-    #[test]
-    fn unnest_expands_teams() {
-        let (store, m) = generate_paper_db(GenConfig::small());
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (tasks, t) = qb.get(m.ids.tasks, "t");
-        let (_, mm) = qb.unnest(tasks, t, m.ids.task_team_members, "m");
-        let env = qb.into_env();
-        let p = plan(
-            PhysicalOp::AlgUnnest { out: mm },
-            vec![plan(
-                PhysicalOp::FileScan {
-                    coll: m.ids.tasks,
-                    var: t,
-                },
-                vec![],
-            )],
-        );
-        let (res, _) = execute(&store, &env, &p);
-        let oracle: usize = store
-            .members(m.ids.tasks)
-            .iter()
-            .map(|&o| {
-                store
-                    .read_field(o, m.ids.task_team_members)
-                    .as_ref_set()
-                    .unwrap()
-                    .len()
-            })
-            .sum();
-        assert_eq!(res.len(), oracle);
-    }
-
-    /// A plan exercising every morsel-parallel segment — filter, root
-    /// projection, and the in-memory hash-join probe — over an input
-    /// large enough to actually dispatch (employees at 1/10 scale =
-    /// 5000 rows > the parallel threshold).
-    fn morsel_heavy_plan(
-        m: &oodb_object::paper::PaperModel,
-        mut qb: QueryBuilder,
-    ) -> (PhysicalPlan, QueryEnv) {
-        let (_, e) = qb.get(m.ids.employees, "e");
-        let (_, d) = qb.get(m.ids.department_extent, "d");
-        let join = qb.ref_eq(e, m.ids.emp_dept, d);
-        let sel = qb.cmp_const(
-            e,
-            m.ids.emp_salary,
-            CmpOp::Ge,
-            Value::Int(0), // keep every row so the probe stays big
-        );
-        let name = Operand::Attr {
-            var: e,
-            field: m.ids.person_name,
-        };
-        let p = plan(
-            PhysicalOp::AlgProject { items: vec![name] },
-            vec![plan(
-                PhysicalOp::HybridHashJoin { pred: join },
-                vec![
-                    plan(
-                        PhysicalOp::FileScan {
-                            coll: m.ids.department_extent,
-                            var: d,
-                        },
-                        vec![],
-                    ),
-                    plan(
-                        PhysicalOp::Filter { pred: sel },
-                        vec![plan(
-                            PhysicalOp::FileScan {
-                                coll: m.ids.employees,
-                                var: e,
-                            },
-                            vec![],
-                        )],
-                    ),
-                ],
-            )],
-        );
-        (p, qb.into_env())
-    }
-
-    #[test]
-    fn morsel_parallel_run_is_byte_identical_to_serial() {
-        let (store, m) = generate_paper_db(GenConfig {
-            scale_div: 10,
-            ..Default::default()
-        });
-        let qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (p, env) = morsel_heavy_plan(&m, qb);
-
-        let mut serial = Executor::new(&store, &env);
-        let base = serial.run(&p);
-        let base_stats = serial.stats();
-
-        for workers in [2, 4, 8] {
-            let mut par = Executor::new(&store, &env);
-            par.set_parallelism(workers);
-            let res = par.run(&p);
-            assert_eq!(res, base, "{workers} workers");
-            let stats = par.stats();
-            // Identical work accounting, not just identical rows.
-            assert_eq!(stats.counts.tuples, base_stats.counts.tuples);
-            assert_eq!(stats.counts.preds, base_stats.counts.preds);
-            assert_eq!(stats.counts.hash_ops, base_stats.counts.hash_ops);
-        }
-    }
-
-    #[test]
-    fn morsel_parallel_run_observes_cancellation() {
-        use oodb_fault::CancelToken;
-        let (store, m) = generate_paper_db(GenConfig {
-            scale_div: 10,
-            ..Default::default()
-        });
-        let qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (p, env) = morsel_heavy_plan(&m, qb);
-        let cancel = CancelToken::new();
-        cancel.cancel();
-        let mut ex = Executor::new(&store, &env);
-        ex.set_parallelism(4);
-        ex.set_limits(RunLimits {
-            cancel: Some(cancel),
-            ..Default::default()
-        });
-        assert_eq!(ex.try_run(&p).unwrap_err(), ExecError::Cancelled);
-    }
-}
+mod tests;

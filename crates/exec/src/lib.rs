@@ -7,7 +7,10 @@
 //! optimizer emits can actually be run and its simulated I/O compared with
 //! the optimizer's estimate.
 //!
-//! Every physical operator of the algebra is implemented:
+//! A plan runs as pipelines of flat binding batches (see
+//! [`Executor`]): scans stream through the filters, unnests and hash-join
+//! probes above them; operators that need their whole input drain it
+//! first. Every physical operator of the algebra is implemented:
 //!
 //! * file scan (sequential page touches), index scan (B-tree walk + fetch),
 //! * filter (predicate evaluation over bound objects),
@@ -24,9 +27,10 @@
 
 #![forbid(unsafe_code)]
 
+mod batch;
 pub mod engine;
-pub mod eval;
-pub mod morsel;
+mod eval;
+mod morsel;
 pub mod tuple;
 
 pub use engine::{

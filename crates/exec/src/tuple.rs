@@ -1,80 +1,36 @@
-//! Tuples: per-variable object bindings.
+//! Tuples: the per-variable object bindings of one result row.
 
 use oodb_algebra::VarId;
 use oodb_object::Oid;
 
-/// A tuple binds scope variables to object identities. Whether the bound
-/// object's *state* is resident is a physical-property concern handled by
-/// the optimizer; at execution time each operator fetches what it needs
-/// and charges the shared I/O stack.
+/// A result row binding scope variables to object identities — the row
+/// type of [`crate::ExecResult::Tuples`]. The engine itself works on flat
+/// batches; tuples are built once, at the plan root.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
 pub struct Tuple {
     slots: Vec<Option<Oid>>,
 }
 
 impl Tuple {
-    /// An empty tuple over `n_vars` variables.
-    pub fn empty(n_vars: usize) -> Self {
-        Tuple {
-            slots: vec![None; n_vars],
+    /// A tuple over `n_vars` variables binding `cols[i]` to `row[i]`.
+    pub(crate) fn from_row(n_vars: usize, cols: &[VarId], row: &[Oid]) -> Self {
+        let mut slots = vec![None; n_vars];
+        for (var, &oid) in cols.iter().zip(row) {
+            slots[var.index()] = Some(oid);
         }
+        Tuple { slots }
     }
 
-    /// A tuple with a single binding.
-    pub fn single(n_vars: usize, var: VarId, oid: Oid) -> Self {
-        let mut t = Tuple::empty(n_vars);
-        t.bind(var, oid);
-        t
-    }
-
-    /// Binds a variable.
-    pub fn bind(&mut self, var: VarId, oid: Oid) {
-        self.slots[var.index()] = Some(oid);
-    }
-
-    /// Returns a copy with an extra binding.
-    #[must_use]
-    pub fn with(&self, var: VarId, oid: Oid) -> Self {
-        let mut t = self.clone();
-        t.bind(var, oid);
-        t
-    }
-
-    /// The binding of a variable; panics when unbound (an optimizer bug —
-    /// plans must bind variables before use).
+    /// The binding of a variable; panics when unbound (the plan's root
+    /// does not produce it).
     pub fn get(&self, var: VarId) -> Oid {
-        self.slots[var.index()]
+        self.try_get(var)
             .unwrap_or_else(|| panic!("variable v{} unbound in tuple", var.index()))
     }
 
     /// The binding, if any.
     pub fn try_get(&self, var: VarId) -> Option<Oid> {
-        self.slots[var.index()]
-    }
-
-    /// Merges two tuples with disjoint bindings (join output). Overlapping
-    /// bindings must agree.
-    #[must_use]
-    pub fn merge(&self, other: &Tuple) -> Tuple {
-        let mut out = self.clone();
-        for (i, s) in other.slots.iter().enumerate() {
-            if let Some(oid) = s {
-                debug_assert!(
-                    out.slots[i].is_none() || out.slots[i] == Some(*oid),
-                    "conflicting bindings in join"
-                );
-                out.slots[i] = Some(*oid);
-            }
-        }
-        out
-    }
-
-    /// Bound variables, for set-operation keys.
-    pub fn bound(&self) -> impl Iterator<Item = (usize, Oid)> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter_map(|(i, s)| s.map(|o| (i, o)))
+        self.slots.get(var.index()).copied().flatten()
     }
 }
 
@@ -91,25 +47,21 @@ mod tests {
     }
 
     #[test]
-    fn bind_and_get() {
-        let mut t = Tuple::empty(4);
-        t.bind(v(2), oid(7));
+    fn rows_bind_their_columns() {
+        let t = Tuple::from_row(4, &[v(2), v(0)], &[oid(7), oid(1)]);
         assert_eq!(t.get(v(2)), oid(7));
-        assert_eq!(t.try_get(v(0)), None);
-    }
-
-    #[test]
-    fn merge_disjoint() {
-        let a = Tuple::single(4, v(0), oid(1));
-        let b = Tuple::single(4, v(3), oid(9));
-        let m = a.merge(&b);
-        assert_eq!(m.get(v(0)), oid(1));
-        assert_eq!(m.get(v(3)), oid(9));
+        assert_eq!(t.get(v(0)), oid(1));
+        assert_eq!(t.try_get(v(1)), None);
+        assert_eq!(
+            t.try_get(v(9)),
+            None,
+            "out of range is unbound, not a panic"
+        );
     }
 
     #[test]
     #[should_panic(expected = "unbound")]
     fn unbound_get_panics() {
-        Tuple::empty(2).get(v(1));
+        Tuple::from_row(2, &[], &[]).get(v(1));
     }
 }

@@ -1733,24 +1733,33 @@ fn render_rows(
     result_vars: oodb_algebra::VarSet,
     result: &ExecResult,
 ) -> Vec<String> {
+    use std::fmt::Write as _;
+    // Each row is written cell by cell into one `String`: after execution
+    // itself, rendering is the largest slice of a warm request.
+    const INFALLIBLE: &str = "writing to a String cannot fail";
     match result {
         ExecResult::Rows(rows) => rows
             .iter()
             .map(|row| {
-                let cells: Vec<String> = row.iter().map(oodb_object::Value::to_string).collect();
-                cells.join(" | ")
+                let mut line = String::new();
+                for (i, v) in row.iter().enumerate() {
+                    line.push_str(if i > 0 { " | " } else { "" });
+                    write!(line, "{v}").expect(INFALLIBLE);
+                }
+                line
             })
             .collect(),
         ExecResult::Tuples(tuples) => tuples
             .iter()
             .map(|t| {
-                let cells: Vec<String> = env
-                    .scopes
-                    .iter()
-                    .filter(|(id, _)| result_vars.contains(*id))
-                    .filter_map(|(id, v)| t.try_get(id).map(|o| format!("{}={o}", v.name)))
-                    .collect();
-                cells.join("  ")
+                let mut line = String::new();
+                for (id, v) in env.scopes.iter() {
+                    if let Some(o) = t.try_get(id).filter(|_| result_vars.contains(id)) {
+                        line.push_str(if line.is_empty() { "" } else { "  " });
+                        write!(line, "{}={o}", v.name).expect(INFALLIBLE);
+                    }
+                }
+                line
             })
             .collect(),
     }
@@ -2081,6 +2090,30 @@ mod tests {
     }
 
     const Q_TIME: &str = "SELECT t FROM Task t IN Tasks WHERE t.time() == 100";
+
+    /// Rendered rows are the wire format and the sort key: projected cells
+    /// joined by `" | "`, bindings as `name=oid` joined by two spaces.
+    #[test]
+    fn rendered_rows_keep_their_format_byte_for_byte() {
+        use oodb_object::Value;
+        let (_store, model) = generate_paper_db(GenConfig::small());
+        let env = oodb_algebra::QueryBuilder::new(model.schema, model.catalog).into_env();
+        let projected = ExecResult::Rows(vec![
+            vec![Value::str("a b"), Value::Int(3), Value::Null],
+            vec![Value::Bool(true)],
+            vec![],
+        ]);
+        assert_eq!(
+            render_rows(&env, oodb_algebra::VarSet::EMPTY, &projected),
+            ["\"a b\" | 3 | null", "true", ""]
+        );
+        let out = small_service()
+            .submit("SELECT c FROM City c IN Cities")
+            .expect("runs");
+        let (name, oid) = out.rows[0].split_once('=').expect("name=oid");
+        assert_eq!(name, "c");
+        assert!(oid.starts_with('@') && !oid.contains(' '), "{oid}");
+    }
 
     /// An explicit equi-join over the two largest extents. Paired with
     /// [`hash_join_service`], whose config disables the pointer- and

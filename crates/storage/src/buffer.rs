@@ -47,13 +47,23 @@ impl BufferPool {
     /// page becomes resident, evicting the least-recently-used page if the
     /// pool is full.
     pub fn access(&mut self, page: PageId) -> bool {
-        self.clock += 1;
+        self.access_run(page, 1)
+    }
+
+    /// Records `n >= 1` back-to-back accesses to one page with a single
+    /// lookup; returns whether the first was a hit. Counters, clock and
+    /// LRU stamp end exactly where `n` calls of [`BufferPool::access`]
+    /// leave them: after the first access the page is resident, so the
+    /// rest are hits that only advance the clock.
+    pub fn access_run(&mut self, page: PageId, n: u64) -> bool {
+        self.clock += n;
         if let Some(stamp) = self.resident.get_mut(&page) {
             *stamp = self.clock;
-            self.hits += 1;
+            self.hits += n;
             return true;
         }
         self.misses += 1;
+        self.hits += n - 1;
         if self.resident.len() >= self.capacity {
             // Evict the LRU entry. Linear scan is fine: eviction only
             // happens on misses and pools are small in tests / bounded in
@@ -102,7 +112,13 @@ impl SharedBufferPool {
 
     /// Records an access; `true` on a hit. See [`BufferPool::access`].
     pub fn access(&self, page: PageId) -> bool {
-        self.0.lock().unwrap().access(page)
+        self.access_run(page, 1)
+    }
+
+    /// Records a run of accesses under one lock acquisition. See
+    /// [`BufferPool::access_run`].
+    pub fn access_run(&self, page: PageId, n: u64) -> bool {
+        self.0.lock().unwrap().access_run(page, n)
     }
 
     /// Pool-wide (hits, misses) across every sharing execution.
@@ -177,9 +193,13 @@ impl Io {
     }
 
     fn access(&mut self, page: PageId) -> bool {
+        self.access_run(page, 1)
+    }
+
+    fn access_run(&mut self, page: PageId, n: u64) -> bool {
         match &mut self.pool {
-            PoolRef::Local(p) => p.access(page),
-            PoolRef::Shared(p) => p.access(page),
+            PoolRef::Local(p) => p.access_run(page, n),
+            PoolRef::Shared(p) => p.access_run(page, n),
         }
     }
 
@@ -219,6 +239,26 @@ impl Io {
             inj.check_read(page)?;
         }
         Ok(self.touch(page))
+    }
+
+    /// Touches one page `n >= 1` times in a row — `n` consecutive objects
+    /// of a scan living on it — and returns whether the first touch was a
+    /// buffer hit (the rest always are). Without a fault injector this is
+    /// one pool access; with one attached every touch is checked and
+    /// charged on its own, as [`Io::try_touch`] would.
+    pub fn try_touch_run(&mut self, page: PageId, n: u64) -> Result<bool, Fault> {
+        if self.injector.is_some() {
+            let first = self.try_touch(page)?;
+            for _ in 1..n {
+                self.try_touch(page)?;
+            }
+            return Ok(first);
+        }
+        let hit = self.access_run(page, n);
+        if !hit {
+            self.disk.read(page);
+        }
+        Ok(hit)
     }
 
     /// Fallible [`Io::touch_elevator`]: checks every page of the batch
@@ -334,6 +374,44 @@ mod tests {
         assert_eq!(shared.stats(), (1, 1));
         assert_eq!(a.disk_stats().pages(), 1);
         assert_eq!(b.disk_stats().pages(), 0);
+    }
+
+    /// A run of touches leaves hits, misses, LRU order and disk charges
+    /// exactly where the same touches one by one do, cold and warm, with
+    /// an eviction in between.
+    #[test]
+    fn touch_run_matches_single_touches() {
+        let mut one = Io::new(2, DiskParams::default());
+        let mut run = Io::new(2, DiskParams::default());
+        for (page, n) in [(7u64, 3u64), (8, 1), (7, 2), (9, 4), (8, 2), (7, 1)] {
+            let mut first = None;
+            for _ in 0..n {
+                first.get_or_insert(one.touch(page));
+            }
+            assert_eq!(run.try_touch_run(page, n), Ok(first.unwrap()));
+            assert_eq!(run.pool_stats(), one.pool_stats());
+            assert_eq!(run.disk_stats(), one.disk_stats());
+        }
+        let (PoolRef::Local(a), PoolRef::Local(b)) = (&one.pool, &run.pool) else {
+            unreachable!("private pools")
+        };
+        assert_eq!((a.clock, &a.resident), (b.clock, &b.resident));
+    }
+
+    /// With a fault injector attached a run is checked touch by touch.
+    #[test]
+    fn touch_run_consults_the_injector_per_touch() {
+        let inj = FaultInjector::new(oodb_fault::FaultConfig {
+            read_fault_rate: 1.0,
+            ..Default::default()
+        });
+        let mut io = Io::new(4, DiskParams::default());
+        io.set_fault_injector(Some(inj.clone()));
+        assert!(io.try_touch_run(3, 5).is_err());
+        assert_eq!(io.pool_stats(), (0, 0), "a faulted read charges nothing");
+        inj.set_enabled(false);
+        assert_eq!(io.try_touch_run(3, 5), Ok(false));
+        assert_eq!(io.pool_stats(), (4, 1));
     }
 
     #[test]

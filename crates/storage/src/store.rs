@@ -12,7 +12,9 @@
 use crate::disk::PageId;
 use crate::index::BuiltIndex;
 use oodb_object::{Catalog, CollectionId, FieldId, IndexId, Object, Oid, Schema, TypeId, Value};
-use std::collections::HashMap;
+
+/// "No slot" marker in the dense `[type][field]` layout table.
+const NO_SLOT: u32 = u32::MAX;
 
 /// Page region of one type.
 #[derive(Clone, Copy, Debug)]
@@ -84,8 +86,9 @@ pub struct Store {
     members: Vec<Vec<Oid>>,
     /// Built indexes, parallel to `catalog.indexes()`.
     indexes: Vec<BuiltIndex>,
-    /// `(type, field) -> slot` cache so hot-path slot lookup is O(1).
-    slots: HashMap<(TypeId, FieldId), usize>,
+    /// Dense `[type][field] -> slot` table ([`NO_SLOT`] where the field
+    /// is not on the type): a field read is two indexed loads, no hashing.
+    slots: Vec<Vec<u32>>,
     next_page: PageId,
     /// When attached, executors charge page access through this shared
     /// pool instead of a private one: concurrent queries share residency
@@ -113,10 +116,10 @@ impl Store {
     pub fn new(schema: Schema, catalog: Catalog) -> Self {
         let n_types = schema.type_count();
         let n_colls = catalog.collections().count();
-        let mut slots = HashMap::new();
+        let mut slots = vec![vec![NO_SLOT; schema.field_count()]; n_types];
         for (ty, _) in schema.types() {
             for (slot, f) in schema.fields_of(ty).into_iter().enumerate() {
-                slots.insert((ty, f), slot);
+                slots[ty.index()][f.index()] = slot as u32;
             }
         }
         Store {
@@ -305,6 +308,30 @@ impl Store {
         Ok(r.first_page + (oid.seq() / r.objs_per_page) as u64)
     }
 
+    /// The page `oids[0]` lives on and how many leading objects of `oids`
+    /// live on it too — what a scan hands [`crate::Io::try_touch_run`] so
+    /// a page costs one pool access. `oids` must be non-empty.
+    pub fn try_page_run(&self, oids: &[Oid]) -> Result<(PageId, usize), StoreError> {
+        let first = oids[0];
+        let ty = first.type_id();
+        let r = self
+            .regions
+            .get(ty.index())
+            .copied()
+            .flatten()
+            .ok_or(StoreError::NoRegion(ty))?;
+        let page = first.seq() / r.objs_per_page;
+        let (lo, hi) = (
+            page * r.objs_per_page,
+            (page + 1).saturating_mul(r.objs_per_page),
+        );
+        let run = oids
+            .iter()
+            .take_while(|o| o.type_id() == ty && (lo..hi).contains(&o.seq()))
+            .count();
+        Ok((r.first_page + u64::from(page), run))
+    }
+
     /// Slot index of `field` on objects of exact type `ty`.
     pub fn slot(&self, ty: TypeId, field: FieldId) -> usize {
         self.try_slot(ty, field)
@@ -314,10 +341,14 @@ impl Store {
     /// Slot index of `field` on `ty`, reporting a layout mismatch as a
     /// typed error instead of panicking.
     pub fn try_slot(&self, ty: TypeId, field: FieldId) -> Result<usize, StoreError> {
-        self.slots
-            .get(&(ty, field))
-            .copied()
-            .ok_or(StoreError::UnknownField { ty, field })
+        match self
+            .slots
+            .get(ty.index())
+            .and_then(|row| row.get(field.index()))
+        {
+            Some(&slot) if slot != NO_SLOT => Ok(slot as usize),
+            _ => Err(StoreError::UnknownField { ty, field }),
+        }
     }
 
     /// Reads a field of an object (by the object's exact type layout).
@@ -523,6 +554,30 @@ mod tests {
         assert_eq!(store.page_of(Oid::new(t, 9)), 0);
         assert_eq!(store.page_of(Oid::new(t, 10)), 1);
         assert_eq!(store.page_of(Oid::new(t, 99)), 9);
+    }
+
+    #[test]
+    fn page_runs_end_at_page_and_type_boundaries() {
+        let (store, t, coll) = tiny();
+        let all = store.members(coll);
+        // 10 objects per page: a full page, then what is left of one.
+        assert_eq!(store.try_page_run(all), Ok((0, 10)));
+        assert_eq!(store.try_page_run(&all[7..]), Ok((0, 3)));
+        assert_eq!(store.try_page_run(&all[95..]), Ok((9, 5)));
+        // Out of storage order, a run is still only what shares the page.
+        let hops = [
+            Oid::new(t, 12),
+            Oid::new(t, 19),
+            Oid::new(t, 3),
+            Oid::new(t, 11),
+        ];
+        assert_eq!(store.try_page_run(&hops), Ok((1, 2)));
+        let other = Oid::new(TypeId::from_index(t.index() + 1), 0);
+        assert_eq!(store.try_page_run(&[all[0], other]), Ok((0, 1)));
+        assert_eq!(
+            store.try_page_run(&[other]),
+            Err(StoreError::NoRegion(other.type_id()))
+        );
     }
 
     #[test]

@@ -1,0 +1,170 @@
+//! Executor golden file: every enumerated Q1–Q4 plan (the `tests/audit.rs`
+//! corpus) × {1, 4} exec workers × {100%, 25%} memory grants must produce
+//! the rows, operation counts, buffer traffic, simulated disk time and
+//! spill traffic recorded in `tests/golden/exec_plans.txt`, to the last
+//! digit. The file was recorded from the materialise-everything executor
+//! (commit f652406) before the batch pipeline replaced it: the engine may
+//! change speed, not the paper's simulated cost model.
+//!
+//! The store is scale 1/10 so the 5000-row employee scans cross the
+//! morsel-parallel threshold. `OODB_GOLDEN_BLESS=1` rewrites the file.
+
+use open_oodb::exec::{try_execute_parallel, ExecResult};
+use open_oodb::prelude::*;
+use open_oodb::volcano::EnumLimits;
+use open_oodb::zql;
+use std::fmt::Write as _;
+
+const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/exec_plans.txt");
+
+const QUERIES: [(&str, &str); 4] = [
+    (
+        "q1",
+        r#"SELECT Newobject( e.name(), d.name() )
+FROM Employee e IN Employees, Department d IN Department
+WHERE d.floor() == 3 && e.age() >= 32 && e.last_raise() >= Date(1992,1,1)
+  && e.dept() == d ;"#,
+    ),
+    (
+        "q2",
+        r#"SELECT c FROM City c IN Cities WHERE c.mayor().name() == "Joe""#,
+    ),
+    (
+        "q3",
+        r#"SELECT Newobject(c.mayor().age(), c.name())
+FROM City c IN Cities WHERE c.mayor().name() == "Joe""#,
+    ),
+    (
+        "q4",
+        r#"SELECT t FROM Task t IN Tasks
+WHERE t.time() == 100
+  && EXISTS (SELECT m FROM m IN t.team_members() WHERE m.name() == "Fred")"#,
+    ),
+];
+
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One rendered line per result row, in the order the executor produced
+/// them; tuples are restricted to the query's result variables.
+fn render(result: &ExecResult, vars: VarSet) -> Vec<String> {
+    match result {
+        ExecResult::Rows(rows) => rows.iter().map(|r| format!("{r:?}")).collect(),
+        ExecResult::Tuples(ts) => ts
+            .iter()
+            .map(|t| {
+                let bound: Vec<String> = vars
+                    .iter()
+                    .map(|v| format!("v{}={:?}", v.index(), t.get(v)))
+                    .collect();
+                bound.join(",")
+            })
+            .collect(),
+    }
+}
+
+/// The golden fields of one run: produced-order and canonical (sorted)
+/// hashes of the result bytes plus every exact counter.
+fn run_line(
+    store: &Store,
+    env: &QueryEnv,
+    plan: &PhysicalPlan,
+    vars: VarSet,
+    workers: usize,
+    budget: Option<u64>,
+) -> (String, u64) {
+    let limits = RunLimits {
+        mem_budget: budget,
+        ..Default::default()
+    };
+    match try_execute_parallel(store, env, plan, limits, workers) {
+        Err(e) => (format!("ERR {e}"), 0),
+        Ok((result, s)) => {
+            let mut lines = render(&result, vars);
+            let ordered = fnv1a(lines.join("\n").as_bytes());
+            lines.sort();
+            let canon = fnv1a(lines.join("\n").as_bytes());
+            let line = format!(
+                "rows={} ordered={ordered:016x} canon={canon:016x} tuples={} preds={} \
+                 hash_ops={} derefs={} hits={} misses={} pages={} io_s={:?} spill_w={} \
+                 spill_r={} parts={} denials={}",
+                result.len(),
+                s.counts.tuples,
+                s.counts.preds,
+                s.counts.hash_ops,
+                s.counts.derefs,
+                s.buffer_hits,
+                s.buffer_misses,
+                s.disk.pages(),
+                s.disk.total_s,
+                s.mem.spill_pages_written,
+                s.mem.spill_pages_read,
+                s.mem.spilled_partitions,
+                s.mem.grant_denials,
+            );
+            (line, s.mem.peak_bytes)
+        }
+    }
+}
+
+fn record() -> String {
+    let (store, model) = generate_paper_db(GenConfig {
+        scale_div: 10,
+        ..Default::default()
+    });
+    let mut out = String::new();
+    let mut total = 0;
+    for (label, src) in QUERIES {
+        let q = zql::compile(src, &model.schema, &model.catalog).expect("compiles");
+        let report = OpenOodb::with_config(&q.env, OptimizerConfig::all_rules())
+            .audit(&q.plan, q.result_vars, None, EnumLimits::default())
+            .expect("feasible plan");
+        assert!(!report.truncated, "{label}: enumeration truncated");
+        total += report.plans.len();
+        for (i, plan) in report.plans.iter().enumerate() {
+            let shape = fnv1a(render_physical(&q.env, plan).as_bytes());
+            let (base, peak) = run_line(&store, &q.env, plan, q.result_vars, 1, None);
+            writeln!(out, "{label}/{i:03} plan={shape:016x} peak={peak}").unwrap();
+            writeln!(out, "  w=1 g=100 {base}").unwrap();
+            let canon = |line: &str| {
+                line.split(' ')
+                    .find(|f| f.starts_with("canon="))
+                    .map(str::to_owned)
+            };
+            for (workers, budget) in [(4, None), (1, Some(peak / 4)), (4, Some(peak / 4))] {
+                let (line, _) = run_line(&store, &q.env, plan, q.result_vars, workers, budget);
+                assert_eq!(
+                    canon(&line),
+                    canon(&base),
+                    "{label}/{i}: same rows under any grant"
+                );
+                let g = if budget.is_some() { 25 } else { 100 };
+                writeln!(out, "  w={workers} g={g} {line}").unwrap();
+            }
+        }
+    }
+    writeln!(out, "plans={total}").unwrap();
+    out
+}
+
+#[test]
+fn every_enumerated_plan_reproduces_the_recorded_run() {
+    let got = record();
+    if std::env::var("OODB_GOLDEN_BLESS").is_ok_and(|v| v != "0") {
+        std::fs::write(GOLDEN, &got).expect("write golden file");
+        return;
+    }
+    let want = std::fs::read_to_string(GOLDEN).expect("golden file present");
+    assert!(want.ends_with("plans=127\n"), "golden corpus is 127 plans");
+    // The recorded corpus does exercise the refused-build fallbacks: a
+    // quarter of a join's own peak never covers its build side.
+    let refused = |l: &&str| l.contains(" g=25 ") && !l.contains(" parts=0 ");
+    assert!(want.lines().filter(refused).count() >= 100);
+    for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
+        assert_eq!(g, w, "golden line {} differs", n + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count());
+}
