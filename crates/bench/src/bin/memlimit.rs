@@ -3,7 +3,7 @@
 //! Replays a Zipf-skewed stream of the paper's memory-hungry query shapes
 //! (hash joins, assembly windows, set ops — pointer/merge join disabled so
 //! equi-joins must build hash tables) through the
-//! [`oodb_service::QueryService`] at 1/2/4/8 worker threads, with each
+//! [`oodb_service::QueryService`] from 1/2/4/8 submitter threads, with each
 //! query's memory grant capped at 100% / 50% / 25% of its *measured*
 //! working set, and reports per cell:
 //!
@@ -16,16 +16,16 @@
 //! * **governor overhead** — warm 1-thread replay with no governor vs. an
 //!   unlimited governor attached; bounds what byte accounting costs a
 //!   deployment that never constrains memory (acceptance: < 1%),
-//! * **shed rate** — a burst against a bounded worker pool; how much of
-//!   an oversized burst is refused with `Overloaded` while the admitted
-//!   remainder completes.
+//! * **shed rate** — a burst from 8 submitters against a service capped
+//!   at `max_inflight: 2`; how much of it is refused with `Overloaded`
+//!   while the admitted remainder completes.
 //!
 //! Output is JSON in `BENCH_memlimit.json`.
 
-use oodb_bench::workload::{percentile, Zipf};
+use oodb_bench::workload::{percentile, submit_concurrently, Zipf};
 use oodb_core::config::rule_names;
 use oodb_core::{CostParams, OptimizerConfig};
-use oodb_service::{QueryService, ServiceError, SubmitOptions, WorkerPool};
+use oodb_service::{AdmissionConfig, QueryService, ServiceError, SubmitOptions};
 use oodb_storage::{generate_paper_db, GenConfig, MemoryGovernor};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -105,7 +105,7 @@ struct CellStats {
     max_peak_bytes: u64,
 }
 
-/// One measured replay: `stream` Zipf draws through `threads` workers,
+/// One measured replay: `stream` Zipf draws from `threads` submitters,
 /// each query under its entry in `budgets` (`None` = ungoverned).
 fn run_stream(
     service: &QueryService,
@@ -114,24 +114,19 @@ fn run_stream(
     budgets: Option<&[u64]>,
     threads: usize,
 ) -> CellStats {
-    let pool = WorkerPool::new(service.clone(), threads);
     let wall = Instant::now();
-    let pending: Vec<_> = stream
-        .iter()
-        .map(|&i| {
-            let opts = SubmitOptions {
-                mem_budget: budgets.map(|b| b[i]),
-                ..Default::default()
-            };
-            pool.submit(pool_queries[i].as_str(), opts)
-        })
-        .collect();
-    let outputs: Vec<_> = pending
-        .into_iter()
-        .map(|p| p.wait().expect("query failed under grant"))
-        .collect();
+    let outputs: Vec<_> = submit_concurrently(service, threads, stream.len(), |n| {
+        let i = stream[n];
+        let opts = SubmitOptions {
+            mem_budget: budgets.map(|b| b[i]),
+            ..Default::default()
+        };
+        (pool_queries[i].as_str(), opts)
+    })
+    .into_iter()
+    .map(|r| r.expect("query failed under grant"))
+    .collect();
     let wall_s = wall.elapsed().as_secs_f64();
-    pool.shutdown();
 
     let mut latencies: Vec<u64> = outputs
         .iter()
@@ -272,34 +267,35 @@ fn main() {
          {qps_governor_on:.0} q/s attached ({governor_overhead_pct:.2}%)"
     );
 
-    // --- Shed rate: an oversized burst against a bounded pool. ----------
+    // --- Shed rate: an oversized burst against a capped gate. ----------
     let shed_service = hash_join_service(&store);
     for q in &queries {
         shed_service.submit(q).expect("prime query failed");
     }
     let realize_scale = (TARGET_STALL_S / mean_io_s.max(1e-9)).clamp(1e-4, 10.0);
     let burst = 64usize;
-    let pool = WorkerPool::with_queue_limit(shed_service.clone(), 2, 2);
+    shed_service.set_admission(AdmissionConfig {
+        max_inflight: 2,
+        ..Default::default()
+    });
     let opts = SubmitOptions {
         realize_io_scale: realize_scale,
         ..Default::default()
     };
-    let pending: Vec<_> = (0..burst)
-        .map(|i| pool.submit(queries[i % queries.len()].as_str(), opts))
-        .collect();
     let (mut served, mut shed) = (0u64, 0u64);
-    for p in pending {
-        match p.wait() {
+    for reply in submit_concurrently(&shed_service, 8, burst, |i| {
+        (queries[i % queries.len()].as_str(), opts)
+    }) {
+        match reply {
             Ok(_) => served += 1,
             Err(ServiceError::Overloaded { .. }) => shed += 1,
             Err(e) => panic!("burst reply must be served or shed: {e}"),
         }
     }
-    pool.shutdown();
     let shed_rate = shed as f64 / burst as f64;
     eprintln!(
         "saturation burst: {served}/{burst} served, {shed} shed \
-         ({:.0}% shed rate, queue depth 2, 2 workers)",
+         ({:.0}% shed rate, 8 submitters, max_inflight 2)",
         shed_rate * 100.0
     );
 
@@ -331,8 +327,8 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"saturation\": {{\"burst\": {burst}, \"workers\": 2, \
-         \"queue_limit\": 2, \"served\": {served}, \"shed\": {shed}, \
+        "  \"saturation\": {{\"burst\": {burst}, \"submitters\": 8, \
+         \"max_inflight\": 2, \"served\": {served}, \"shed\": {shed}, \
          \"shed_rate\": {shed_rate:.3}}}"
     );
     json.push_str("}\n");

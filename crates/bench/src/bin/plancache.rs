@@ -2,7 +2,7 @@
 //!
 //! Replays a Zipf-skewed stream of Q1–Q4 variants (different constants,
 //! same shapes — the OLTP pattern plan caches exist for) through the
-//! [`oodb_service::QueryService`] at 1/2/4/8 worker threads, and reports:
+//! [`oodb_service::QueryService`] from 1/2/4/8 submitter threads, and reports:
 //!
 //! * cold vs. warm mean *optimize* latency (the amortization win),
 //! * aggregate throughput per thread count,
@@ -14,17 +14,17 @@
 //! Two modes per thread count:
 //!
 //! * **cpu_only** — queries run back-to-back; on a single-core host the
-//!   workers serialize and throughput cannot scale.
+//!   threads serialize and throughput cannot scale.
 //! * **realized_io** — each query additionally sleeps
 //!   `simulated_io_seconds × scale`, turning the storage simulator's I/O
-//!   estimate into a real stall. Workers overlap stalls exactly the way a
-//!   real server overlaps disk waits, so throughput scales with workers
+//!   estimate into a real stall. Threads overlap stalls exactly the way a
+//!   real server overlaps disk waits, so throughput scales with threads
 //!   even on one core. The scale is calibrated so the mean stall is a few
 //!   milliseconds and is recorded in the JSON.
 
-use oodb_bench::workload::{paper_query_pool, percentile, Zipf};
+use oodb_bench::workload::{paper_query_pool, percentile, submit_concurrently, Zipf};
 use oodb_core::{CostParams, OptimizerConfig};
-use oodb_service::{QueryService, SubmitOptions, WorkerPool};
+use oodb_service::{QueryService, SubmitOptions};
 use oodb_storage::{generate_paper_db, GenConfig};
 use oodb_telemetry::HistogramSnapshot;
 use rand::rngs::SmallRng;
@@ -53,8 +53,8 @@ struct RunStats {
     hit_rate: f64,
 }
 
-/// One measured replay: `samples` Zipf draws through a pool of `threads`
-/// workers. Latency = service time per query (plan + execute + any
+/// One measured replay: `samples` Zipf draws from `threads` concurrent
+/// submitters. Latency = service time per query (plan + execute + any
 /// realized stall); throughput = samples / wall.
 fn run_stream(
     service: &QueryService,
@@ -64,22 +64,18 @@ fn run_stream(
     realize_io_scale: f64,
 ) -> RunStats {
     let before = service.cache().stats();
-    let pool = WorkerPool::new(service.clone(), threads);
     let opts = SubmitOptions {
         realize_io_scale,
         ..Default::default()
     };
     let wall = Instant::now();
-    let pending: Vec<_> = stream
-        .iter()
-        .map(|&i| pool.submit(pool_queries[i].as_str(), opts))
-        .collect();
-    let outputs: Vec<_> = pending
-        .into_iter()
-        .map(|p| p.wait().expect("query failed"))
-        .collect();
+    let outputs: Vec<_> = submit_concurrently(service, threads, stream.len(), |i| {
+        (pool_queries[stream[i]].as_str(), opts)
+    })
+    .into_iter()
+    .map(|r| r.expect("query failed"))
+    .collect();
     let wall_s = wall.elapsed().as_secs_f64();
-    pool.shutdown();
     let after = service.cache().stats();
 
     let mut latencies: Vec<u64> = outputs

@@ -4,7 +4,7 @@
 //!
 //! 1. **Inter-query scaling**: replays the plancache bench's Zipf-skewed
 //!    warm query stream through the [`oodb_service::QueryService`] at
-//!    1/2/4/8 worker threads in cpu-only mode (no realized I/O stalls).
+//!    1/2/4/8 submitter threads in cpu-only mode (no realized I/O stalls).
 //!    Before the epoch-snapshot refactor this curve *fell* with thread
 //!    count (0.61× at 8 threads) because every submission serialized on
 //!    service-wide `RwLock`s; with lock-free snapshot reads it must not.
@@ -30,12 +30,12 @@
 //! the big-query database.
 
 use oodb_algebra::{CmpOp, Operand, PhysicalOp, PhysicalPlan, PlanEst, QueryBuilder, QueryEnv};
-use oodb_bench::workload::{paper_query_pool, percentile, Zipf};
+use oodb_bench::workload::{paper_query_pool, percentile, submit_concurrently, Zipf};
 use oodb_core::{CostParams, OptimizerConfig};
 use oodb_exec::{ExecResult, Executor};
 use oodb_object::paper::PaperModel;
 use oodb_object::Value;
-use oodb_service::{QueryService, SubmitOptions, WorkerPool};
+use oodb_service::{QueryService, SubmitOptions};
 use oodb_storage::{generate_paper_db, GenConfig, Store};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -78,7 +78,7 @@ struct ReplayRow {
     hit_rate: f64,
 }
 
-/// One warm cpu-only replay of `stream` through `threads` pool workers.
+/// One warm cpu-only replay of `stream` from `threads` concurrent submitters.
 fn replay(
     service: &QueryService,
     stream: &[usize],
@@ -86,19 +86,14 @@ fn replay(
     threads: usize,
 ) -> ReplayRow {
     let before = service.cache().stats();
-    let pool = WorkerPool::new(service.clone(), threads);
-    let opts = SubmitOptions::default();
     let wall = Instant::now();
-    let pending: Vec<_> = stream
-        .iter()
-        .map(|&i| pool.submit(queries[i].as_str(), opts))
-        .collect();
-    let outputs: Vec<_> = pending
-        .into_iter()
-        .map(|p| p.wait().expect("query failed"))
-        .collect();
+    let outputs: Vec<_> = submit_concurrently(service, threads, stream.len(), |i| {
+        (queries[stream[i]].as_str(), SubmitOptions::default())
+    })
+    .into_iter()
+    .map(|r| r.expect("query failed"))
+    .collect();
     let wall_s = wall.elapsed().as_secs_f64();
-    pool.shutdown();
     let after = service.cache().stats();
 
     let mut latencies: Vec<u64> = outputs

@@ -16,8 +16,8 @@
 //! 3. **Closed loop** — 1/2/4/8 client connections, each issuing one
 //!    request at a time; qps and p50/p99 per client count.
 //! 4. **Open loop** — 1/2/4/8 split-connection senders on a fixed
-//!    schedule against a deliberately small pool (2 workers, queue
-//!    limit 2), receivers draining pipelined responses. Latency is
+//!    schedule against a deliberately small gate (service
+//!    `max_inflight: 2`), receivers draining pipelined responses. Latency is
 //!    measured from the *scheduled* send instant (no coordinated
 //!    omission); 429/503 answers count as sheds, and at 8 clients the
 //!    offered load exceeds capacity so sheds must appear.
@@ -29,7 +29,7 @@
 use oodb_bench::workload::{canonical_queries, paper_query_pool, percentile, Zipf};
 use oodb_core::{CostParams, OptimizerConfig};
 use oodb_server::{Client, RequestOptions, Server, ServerConfig};
-use oodb_service::{QueryService, SubmitOptions};
+use oodb_service::{AdmissionConfig, QueryService, SubmitOptions};
 use oodb_storage::{generate_paper_db, GenConfig, Store};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -43,7 +43,7 @@ const TARGET_STALL_S: f64 = 0.003;
 const CLIENTS: &[usize] = &[1, 2, 4, 8];
 /// Per-connection send interval for the open-loop section: close
 /// enough to the realized stall that eight senders overrun a
-/// two-worker pool, far enough that one sender alone never queues.
+/// two-slot gate, far enough that one sender alone never sheds.
 const OPEN_INTERVAL: Duration = Duration::from_millis(4);
 
 struct Sizes {
@@ -378,15 +378,8 @@ fn main() {
     server.shutdown();
 
     // --- 3. Closed loop at 1/2/4/8 clients. ------------------------------
-    let closed_server = Server::start(
-        service(&store),
-        "127.0.0.1:0",
-        ServerConfig {
-            pool_workers: 8,
-            ..Default::default()
-        },
-    )
-    .expect("closed-loop server start failed");
+    let closed_server = Server::start(service(&store), "127.0.0.1:0", ServerConfig::default())
+        .expect("closed-loop server start failed");
     let closed_addr = closed_server.local_addr().to_string();
     let mut warm = Client::connect(&closed_addr).expect("connect failed");
     let mut closed_ids = Vec::with_capacity(pool_queries.len());
@@ -416,17 +409,14 @@ fn main() {
     }
     closed_server.shutdown();
 
-    // --- 4. Open loop against a deliberately small pool. ------------------
-    let open_server = Server::start(
-        service(&store),
-        "127.0.0.1:0",
-        ServerConfig {
-            pool_workers: 2,
-            queue_limit: 2,
-            ..Default::default()
-        },
-    )
-    .expect("open-loop server start failed");
+    // --- 4. Open loop against a deliberately small gate. ------------------
+    let open_service = service(&store);
+    open_service.set_admission(AdmissionConfig {
+        max_inflight: 2,
+        ..Default::default()
+    });
+    let open_server = Server::start(open_service, "127.0.0.1:0", ServerConfig::default())
+        .expect("open-loop server start failed");
     let open_addr = open_server.local_addr().to_string();
     let mut warm = Client::connect(&open_addr).expect("connect failed");
     let mut open_ids = Vec::with_capacity(pool_queries.len());
@@ -461,7 +451,7 @@ fn main() {
     let overloaded = &open_rows.last().unwrap().1;
     assert!(
         overloaded.sheds > 0,
-        "8 clients over a 2-worker/2-queue pool must shed"
+        "8 clients over a 2-slot gate must shed"
     );
     open_server.shutdown();
 
@@ -502,7 +492,7 @@ fn main() {
     json.push_str("  ],\n");
     let _ = writeln!(
         json,
-        "  \"open_loop\": {{\"pool_workers\": 2, \"queue_limit\": 2, \
+        "  \"open_loop\": {{\"max_inflight\": 2, \
          \"per_client_offered_qps\": {per_conn_qps:.1}, \"runs\": ["
     );
     for (i, (clients, r)) in open_rows.iter().enumerate() {

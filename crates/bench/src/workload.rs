@@ -1,10 +1,41 @@
 //! Shared replay-workload helpers for the service-level benches
 //! (`plancache`, `scaling`, `memlimit`, `server`): the ZQL query pool
 //! built from the paper's four shapes, a Zipf sampler for skewed
-//! replay, and the percentile picker the latency reports use.
+//! replay, the percentile picker the latency reports use, and the
+//! N-concurrent-submitters driver.
 
+use oodb_service::{QueryOutput, QueryService, ServiceError, SubmitOptions};
 use rand::rngs::SmallRng;
 use rand::Rng;
+
+/// Runs jobs `0..n` against one shared service from `threads` concurrent
+/// submitters — thread `t` takes jobs `t, t + threads, …` in order — and
+/// returns the replies in job order. `job(i)` names job `i`'s query.
+pub fn submit_concurrently<'q>(
+    service: &QueryService,
+    threads: usize,
+    n: usize,
+    job: impl Fn(usize) -> (&'q str, SubmitOptions) + Sync,
+) -> Vec<Result<QueryOutput, ServiceError>> {
+    let (threads, job) = (threads.max(1), &job);
+    let mut strided: Vec<_> = std::thread::scope(|s| {
+        let submitters: Vec<_> = (0..threads)
+            .map(|t| {
+                let mine = (t..n).step_by(threads).map(job);
+                s.spawn(move || -> Vec<_> {
+                    mine.map(|(q, opts)| service.submit_with(q, opts)).collect()
+                })
+            })
+            .collect();
+        let joined = submitters
+            .into_iter()
+            .map(|h| h.join().expect("submitter panicked"));
+        joined.map(Vec::into_iter).collect()
+    });
+    (0..n)
+        .map(|i| strided[i % threads].next().expect("every job ran"))
+        .collect()
+}
 
 /// The distinct query pool: the paper's four query shapes, each with a
 /// spread of constants drawn from the generator's value pools.

@@ -16,6 +16,9 @@
 //!   ([`decode_error`]) instead of pattern-matching prose.
 
 use oodb_service::{QueryOutput, ServiceError, ShedReason, StageBreakdown};
+/// Appends a string JSON-escaped (with surrounding quotes) — the
+/// workspace's one escaper, shared with the metrics snapshot.
+pub use oodb_telemetry::metrics::push_escaped;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -275,25 +278,6 @@ fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Json, String> {
     }
 }
 
-/// Appends `s` JSON-escaped (with surrounding quotes) to `out`.
-pub fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// A u64 identifier in wire form: 16 lowercase hex digits.
 pub fn hex_id(id: u64) -> String {
     format!("{id:016x}")
@@ -413,7 +397,7 @@ pub fn encode_error(e: &ServiceError) -> String {
             out.push_str(",\"detail\":");
             push_escaped(&mut out, msg);
         }
-        ServiceError::NoPlan | ServiceError::Cancelled | ServiceError::WorkerLost => {}
+        ServiceError::NoPlan | ServiceError::Cancelled => {}
     }
     out.push('}');
     out
@@ -432,7 +416,6 @@ pub fn error_kind(e: &ServiceError) -> &'static str {
         ServiceError::MemoryExhausted { .. } => "memory_exhausted",
         ServiceError::StorageFault { .. } => "storage_fault",
         ServiceError::Exec(_) => "exec",
-        ServiceError::WorkerLost => "worker_lost",
         ServiceError::Panicked(_) => "panicked",
     }
 }
@@ -501,7 +484,6 @@ pub fn decode_error(v: &Json) -> ServiceError {
             transient: v.get("transient").and_then(Json::as_bool).unwrap_or(false),
             retries: v.get("retries").and_then(Json::as_u64).unwrap_or(0) as u32,
         },
-        "worker_lost" => ServiceError::WorkerLost,
         "panicked" => ServiceError::Panicked(
             v.get("detail")
                 .and_then(Json::as_str)
@@ -604,7 +586,6 @@ mod tests {
                 retries: 3,
             },
             ServiceError::Exec("join side \"inner\"\nfailed".into()),
-            ServiceError::WorkerLost,
             ServiceError::Panicked("index out of bounds".into()),
         ];
         for e in variants {

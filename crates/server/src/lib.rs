@@ -4,7 +4,7 @@
 //! resilience and memory-governance ladders, the morsel-parallel
 //! executor) is reachable only in-process; this crate puts a wire on
 //! it. It is a dependency-free HTTP/1.1 + JSON layer over
-//! [`oodb_service::QueryService`] / [`oodb_service::WorkerPool`]:
+//! [`oodb_service::QueryService`]:
 //!
 //! | Endpoint              | Meaning                                        |
 //! |-----------------------|------------------------------------------------|
@@ -18,12 +18,12 @@
 //! | `GET /stats`          | Server + cache + per-tenant counters, JSON     |
 //!
 //! Connections are keep-alive and pipelined; requests may carry a
-//! `tenant` namespace, and each tenant gets its own admission ladder
+//! `tenant` namespace, and each tenant gets its own admission gate
 //! (inflight cap → `429`, circuit breaker → `503` + `Retry-After`) —
-//! see [`tenant`]. Typed [`oodb_service::ServiceError`]s map onto HTTP
-//! statuses ([`server::status_for`]); graceful shutdown stops
-//! accepting, answers every accepted in-flight request, and drains the
-//! worker pool.
+//! see [`tenant`]. A request runs on the connection thread that read
+//! it. Typed [`oodb_service::ServiceError`]s map onto HTTP statuses
+//! ([`server::status_for`]); graceful shutdown stops accepting and
+//! answers every accepted in-flight request.
 
 #![forbid(unsafe_code)]
 

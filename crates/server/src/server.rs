@@ -1,10 +1,10 @@
 //! The serving loop: a `std::net` listener, a bounded acceptor, one
-//! thread per connection, and graceful shutdown that drains in-flight
-//! work through the [`WorkerPool`].
+//! thread per connection, and graceful shutdown that joins them.
 //!
-//! Life of a request: accept → (connection thread) read + parse →
-//! route → tenant admission ([`crate::tenant`]) → worker-pool submit →
-//! settle tenant permit with the outcome → encode → write. Keep-alive
+//! Life of a request, all on the connection thread that read it: accept
+//! → read + parse → route → tenant gate ([`crate::tenant`]) →
+//! [`QueryService`] submit (the process gate, then the pipeline) →
+//! settle the tenant permit with the outcome → encode → write. Keep-alive
 //! and pipelining fall out of the sequential read loop; read/write
 //! socket deadlines bound a stalled peer, and the shutdown signal is an
 //! `oodb-fault` [`CancelToken`] checked between requests — the same
@@ -13,11 +13,9 @@
 
 use crate::http::{read_request, ReadError, Request, Response};
 use crate::json::{self, Json};
-use crate::tenant::{TenantRegistry, TenantShed};
+use crate::tenant::TenantRegistry;
 use oodb_fault::CancelToken;
-use oodb_service::{
-    AdmissionConfig, QueryService, ServiceError, ShedReason, SubmitOptions, WorkerPool,
-};
+use oodb_service::{AdmissionConfig, QueryService, ServiceError, ShedReason, SubmitOptions};
 use oodb_telemetry::metrics::{Counter, Gauge};
 use std::fmt::Write as _;
 use std::io::{self, BufReader, BufWriter};
@@ -27,15 +25,13 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 /// Server tuning knobs. The defaults are test-friendly; a real
-/// deployment would raise the connection and body caps.
+/// deployment would raise the connection and body caps. Concurrency is
+/// bounded twice and only twice: `max_connections` at the socket, and
+/// the service's [`AdmissionConfig::max_inflight`] at the gate.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
-    /// Worker threads in the serving [`WorkerPool`].
-    pub pool_workers: usize,
-    /// Bounded pool queue depth (0 = unbounded). Overflow sheds with
-    /// [`ShedReason::QueueFull`] exactly as in-process callers see it.
-    pub queue_limit: usize,
-    /// Concurrent connections the acceptor admits; the excess is
+    /// Concurrent connections the acceptor admits — each is one thread,
+    /// and a request runs on the thread that read it; the excess is
     /// answered `503` + `Retry-After` and closed without a thread.
     pub max_connections: usize,
     /// Request-body ceiling; larger declared bodies get `413`.
@@ -56,8 +52,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            pool_workers: 4,
-            queue_limit: 0,
             max_connections: 64,
             max_body_bytes: 1 << 20,
             io_timeout: Duration::from_secs(5),
@@ -86,7 +80,6 @@ struct ServerMetrics {
 
 struct Shared {
     service: QueryService,
-    pool: WorkerPool,
     tenants: TenantRegistry,
     config: ServerConfig,
     m: ServerMetrics,
@@ -137,14 +130,8 @@ impl Server {
             config.tenant_overrides.clone(),
             Arc::clone(reg),
         );
-        let pool = if config.queue_limit > 0 {
-            WorkerPool::with_queue_limit(service.clone(), config.pool_workers, config.queue_limit)
-        } else {
-            WorkerPool::new(service.clone(), config.pool_workers)
-        };
         let shared = Arc::new(Shared {
             service,
-            pool,
             tenants,
             config,
             m,
@@ -179,8 +166,8 @@ impl Server {
 
     /// Graceful shutdown: stop accepting, let every connection finish
     /// the request it is reading or running (responses are written
-    /// before close), then drain and join the worker pool. Idle
-    /// keep-alive connections notice within one `io_timeout`.
+    /// before close) and join its thread. Idle keep-alive connections
+    /// notice within one `io_timeout`.
     pub fn shutdown(mut self) {
         self.shared.shutdown.cancel();
         // Unblock the acceptor's blocking accept() with a throwaway
@@ -192,11 +179,6 @@ impl Server {
         let handles: Vec<_> = lock(&self.conns).drain(..).collect();
         for h in handles {
             let _ = h.join();
-        }
-        // All connections are gone, so this Arc is the last owner and
-        // the pool can be drained and joined for real.
-        if let Ok(shared) = Arc::try_unwrap(self.shared) {
-            shared.pool.shutdown();
         }
     }
 }
@@ -359,17 +341,20 @@ pub fn status_for(e: &ServiceError) -> u16 {
         ServiceError::MemoryExhausted { .. }
         | ServiceError::StorageFault { .. }
         | ServiceError::Exec(_)
-        | ServiceError::WorkerLost
         | ServiceError::Panicked(_) => 500,
     }
 }
 
-fn error_response(e: &ServiceError, retry_after: Option<Duration>) -> Response {
+/// `retry_after` is the refusing gate's hint; it only matters for a shed.
+fn error_response(e: &ServiceError, retry_after: Duration) -> Response {
     let status = status_for(e);
     let mut resp = Response::json(status, format!("{{\"error\":{}}}", json::encode_error(e)));
     if matches!(status, 429 | 503) {
-        // Back-pressure contract: every shed carries Retry-After.
-        resp.retry_after_s = Some(retry_after.map_or(1, |d| d.as_secs().max(1)));
+        // Back-pressure contract: every shed carries Retry-After, in
+        // whole seconds rounded *up* — a client told "1" for a 1.9 s
+        // cooldown would retry into a breaker that is still open.
+        let whole = retry_after.as_secs() + u64::from(retry_after.subsec_nanos() > 0);
+        resp.retry_after_s = Some(whole.max(1));
     }
     resp
 }
@@ -399,12 +384,6 @@ fn parse_body(req: &Request) -> Result<Json, Response> {
         .map_err(|_| protocol_error_response(400, "bad_request", "body is not utf-8"))?;
     json::parse(text)
         .map_err(|e| protocol_error_response(400, "bad_request", &format!("invalid json: {e}")))
-}
-
-fn tenant_of(body: &Json) -> Option<String> {
-    body.get("tenant")
-        .and_then(Json::as_str)
-        .map(str::to_string)
 }
 
 fn handle_request(shared: &Shared, req: &Request) -> Response {
@@ -452,55 +431,47 @@ fn handle_request(shared: &Shared, req: &Request) -> Response {
 }
 
 /// `/query` (ad-hoc text) and `/execute/{id}` (prepared) share one
-/// path: tenant admission → pool submit → settle → encode.
+/// path: validate → tenant gate → submit on this thread → settle →
+/// encode. A request that cannot run never reaches the gate: a malformed
+/// body must neither take a slot nor feed the tenant's breaker.
 fn handle_submission(shared: &Shared, req: &Request, prepared: Option<u64>) -> Response {
     let body = match parse_body(req) {
         Ok(b) => b,
         Err(resp) => return resp,
     };
-    let opts = submit_options(&body, shared.config.default_deadline);
-    let permit = match shared.tenants.admit(tenant_of(&body).as_deref()) {
-        Ok(p) => p,
-        Err(TenantShed {
-            reason,
-            retry_after,
-        }) => {
-            return error_response(&ServiceError::Overloaded { reason }, Some(retry_after));
+    let zql = match body.get("query").and_then(Json::as_str) {
+        Some(zql) => zql,
+        None if prepared.is_some() => "",
+        None => {
+            return protocol_error_response(400, "bad_request", "missing required field \"query\"")
         }
     };
-    let pending = match prepared {
-        Some(id) => shared.pool.submit_prepared(id, opts),
-        None => match body.get("query").and_then(Json::as_str) {
-            Some(zql) => shared.pool.submit(zql, opts),
-            None => {
-                permit.settle(Ok(()));
-                return protocol_error_response(
-                    400,
-                    "bad_request",
-                    "missing required field \"query\"",
-                );
-            }
-        },
+    let opts = submit_options(&body, shared.config.default_deadline);
+    let tenant = shared
+        .tenants
+        .tenant(body.get("tenant").and_then(Json::as_str));
+    let permit = match tenant.admit() {
+        Ok(p) => p,
+        Err(shed) => {
+            let e = ServiceError::Overloaded {
+                reason: shed.reason,
+            };
+            return error_response(&e, shed.retry_after);
+        }
     };
-    match pending.wait() {
+    let result = match prepared {
+        Some(id) => shared.service.submit_prepared_with(id, opts),
+        None => shared.service.submit_with(zql, opts),
+    };
+    permit.settle(result.as_ref().map(|_| ()));
+    match result {
         Ok(out) => {
             shared.m.executed_ok.inc();
-            permit.settle(Ok(()));
             Response::json(200, json::encode_output(&out))
         }
         Err(e) => {
             shared.m.executed_err.inc();
-            permit.settle(Err(&e));
-            // Service-side breaker sheds carry the service cooldown as
-            // the hint; queue sheds get the 1s default.
-            let hint = matches!(
-                e,
-                ServiceError::Overloaded {
-                    reason: ShedReason::CircuitOpen
-                }
-            )
-            .then(|| shared.service.admission().breaker_cooldown);
-            error_response(&e, hint)
+            error_response(&e, shared.service.retry_after())
         }
     }
 }
@@ -516,8 +487,6 @@ fn handle_prepare(shared: &Shared, req: &Request) -> Response {
             return protocol_error_response(400, "bad_request", "missing required field \"query\"")
         }
     };
-    // Registration is parse + fingerprint — cheap enough to run on the
-    // connection thread; executions are what go through the pool.
     match shared.service.prepare(zql) {
         Ok((stmt, created)) => {
             let mut out = String::from("{\"id\":");
@@ -527,7 +496,7 @@ fn handle_prepare(shared: &Shared, req: &Request) -> Response {
             out.push('}');
             Response::json(200, out)
         }
-        Err(e) => error_response(&e, None),
+        Err(e) => error_response(&e, Duration::ZERO), // never a shed
     }
 }
 

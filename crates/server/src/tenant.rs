@@ -1,176 +1,76 @@
-//! Per-tenant QoS: the PR 4–5 admission ladder, replicated *per
-//! namespace* at the server's front door. The service's own
-//! [`AdmissionConfig`] guards the process; this module guards each
-//! tenant's slice of it, so one noisy tenant saturating its inflight
-//! cap or tripping its breaker sheds **only its own** traffic — other
-//! tenants' requests never queue behind the refusals.
+//! Per-tenant QoS: one [`Gate`] per namespace at the server's front
+//! door. The service's own gate guards the process; a tenant's guards its
+//! slice of it, so one noisy tenant saturating its inflight cap or
+//! tripping its breaker sheds **only its own** traffic — other tenants'
+//! requests never queue behind the refusals.
 //!
-//! The ladder per tenant is the same shape as the service's:
-//! inflight-cap shed (`429`, [`ShedReason::QueueFull`]) and a
-//! consecutive-resource-failure circuit breaker with cooldown and a
-//! half-open probe (`503`, [`ShedReason::CircuitOpen`], `Retry-After`
-//! = remaining cooldown). Pressure-degrade stays global — memory
-//! pressure is a process property, not a tenant one.
+//! The policy is the gate's ([`oodb_service::admission`]): inflight-cap
+//! shed (`429`, [`ShedReason::QueueFull`]) and a consecutive-resource-
+//! failure breaker with cooldown and a half-open probe (`503`,
+//! [`ShedReason::CircuitOpen`], `Retry-After` = remaining cooldown).
+//! Pressure-degrade stays global — memory pressure is a process
+//! property, not a tenant one.
 
-use oodb_service::{AdmissionConfig, ServiceError, ShedReason};
-use oodb_telemetry::metrics::{Counter, Gauge, MetricsRegistry};
+use oodb_service::{AdmissionConfig, Gate, GateMetrics, Permit, Shed, ShedReason};
+use oodb_telemetry::metrics::{Counter, MetricsRegistry};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::{Duration, Instant};
 
 /// The name requests without an explicit tenant land under.
 pub const DEFAULT_TENANT: &str = "default";
 
-/// A refusal from tenant admission, before any work ran.
-#[derive(Debug)]
-pub struct TenantShed {
-    /// Which rung refused (`QueueFull` = inflight cap, `CircuitOpen` =
-    /// breaker).
-    pub reason: ShedReason,
-    /// Suggested client backoff, surfaced as `Retry-After`.
-    pub retry_after: Duration,
-}
-
-impl TenantShed {
-    /// The equivalent typed service error for the wire.
-    pub fn as_error(&self) -> ServiceError {
-        ServiceError::Overloaded {
-            reason: self.reason,
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct TenantBreaker {
-    consecutive_failures: u32,
-    open_until: Option<Instant>,
-}
-
-/// One tenant's admission state + counters.
+/// One tenant's gate + counters.
 pub struct TenantState {
     /// Tenant namespace.
     pub name: String,
     admission: AdmissionConfig,
-    inflight: AtomicUsize,
-    breaker: Mutex<TenantBreaker>,
+    gate: Gate,
     admitted: Counter,
     shed_queue_full: Counter,
     shed_circuit_open: Counter,
     resource_failures: Counter,
-    inflight_gauge: Gauge,
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl TenantState {
     fn new(name: &str, admission: AdmissionConfig, reg: &MetricsRegistry) -> Self {
         let t = [("tenant", name)];
+        let shed = |reason| {
+            reg.counter(
+                "oodb_server_tenant_shed_total",
+                &[("tenant", name), ("reason", reason)],
+            )
+        };
+        let resource_failures = reg.counter("oodb_server_tenant_resource_failures_total", &t);
         TenantState {
             name: name.to_string(),
             admission,
-            inflight: AtomicUsize::new(0),
-            breaker: Mutex::new(TenantBreaker::default()),
+            gate: Gate::new(GateMetrics {
+                inflight: reg.gauge("oodb_server_tenant_inflight", &t),
+                failures: resource_failures.clone(),
+                ..Default::default()
+            }),
             admitted: reg.counter("oodb_server_tenant_admitted_total", &t),
-            shed_queue_full: reg.counter(
-                "oodb_server_tenant_shed_total",
-                &[("tenant", name), ("reason", "queue_full")],
-            ),
-            shed_circuit_open: reg.counter(
-                "oodb_server_tenant_shed_total",
-                &[("tenant", name), ("reason", "circuit_open")],
-            ),
-            resource_failures: reg.counter("oodb_server_tenant_resource_failures_total", &t),
-            inflight_gauge: reg.gauge("oodb_server_tenant_inflight", &t),
+            shed_queue_full: shed("queue_full"),
+            shed_circuit_open: shed("circuit_open"),
+            resource_failures,
         }
     }
 
-    /// Runs the tenant's admission ladder. `Ok` returns a permit that
-    /// must be [`TenantPermit::settle`]d with the outcome (and releases
-    /// the inflight slot on drop regardless).
-    fn admit(self: &Arc<Self>) -> Result<TenantPermit, TenantShed> {
-        // Breaker first: an open breaker sheds even an otherwise-free
-        // slot, because admitted work would hit the same failing
-        // resource again.
-        if self.admission.breaker_threshold > 0 {
-            let mut b = lock(&self.breaker);
-            if let Some(until) = b.open_until {
-                let now = Instant::now();
-                if now < until {
-                    self.shed_circuit_open.inc();
-                    return Err(TenantShed {
-                        reason: ShedReason::CircuitOpen,
-                        retry_after: until - now,
-                    });
-                }
-                // Cooldown over: half-open. Clear the gate but keep the
-                // failure count one below the threshold, so a failing
-                // probe re-trips immediately and a success resets.
-                b.open_until = None;
-                b.consecutive_failures = self.admission.breaker_threshold.saturating_sub(1);
-            }
+    /// Runs the tenant's gate. `Ok` is a permit to settle with the
+    /// request's outcome (dropping it releases the slot regardless).
+    pub fn admit(&self) -> Result<Permit<'_>, Shed> {
+        let admitted = self.gate.admit(&self.admission);
+        match &admitted {
+            Ok(_) => self.admitted.inc(),
+            Err(shed) if shed.reason == ShedReason::QueueFull => self.shed_queue_full.inc(),
+            Err(_) => self.shed_circuit_open.inc(),
         }
-        if self.admission.max_inflight > 0 {
-            // Optimistic claim, rolled back on overflow — same pattern
-            // as the service's own inflight gate.
-            let claimed = self.inflight.fetch_add(1, Ordering::AcqRel) + 1;
-            if claimed > self.admission.max_inflight {
-                self.inflight.fetch_sub(1, Ordering::AcqRel);
-                self.shed_queue_full.inc();
-                return Err(TenantShed {
-                    reason: ShedReason::QueueFull,
-                    retry_after: Duration::from_secs(1),
-                });
-            }
-        } else {
-            self.inflight.fetch_add(1, Ordering::AcqRel);
-        }
-        self.admitted.inc();
-        self.inflight_gauge
-            .set(self.inflight.load(Ordering::Acquire) as i64);
-        Ok(TenantPermit {
-            tenant: Arc::clone(self),
-            settled: false,
-        })
-    }
-
-    /// True when `e` counts as a *resource* failure for the breaker —
-    /// the same classification the service's breaker uses, plus the
-    /// worker-death family (a lost worker is a capacity loss).
-    fn is_resource_failure(e: &ServiceError) -> bool {
-        matches!(
-            e,
-            ServiceError::MemoryExhausted { .. }
-                | ServiceError::StorageFault { .. }
-                | ServiceError::WorkerLost
-                | ServiceError::Panicked(_)
-        )
-    }
-
-    fn record(&self, outcome: Result<(), &ServiceError>) {
-        if self.admission.breaker_threshold == 0 {
-            return;
-        }
-        let mut b = lock(&self.breaker);
-        match outcome {
-            Err(e) if Self::is_resource_failure(e) => {
-                self.resource_failures.inc();
-                b.consecutive_failures += 1;
-                if b.consecutive_failures >= self.admission.breaker_threshold {
-                    b.open_until = Some(Instant::now() + self.admission.breaker_cooldown);
-                }
-            }
-            // Successes and benign errors (parse errors, row budgets,
-            // deadlines) close the loop: the tenant's resources work.
-            _ => b.consecutive_failures = 0,
-        }
+        admitted
     }
 
     /// Currently admitted requests for this tenant.
     pub fn inflight(&self) -> usize {
-        self.inflight.load(Ordering::Acquire)
+        self.gate.inflight()
     }
 
     /// Lifetime admitted / shed / resource-failure counts.
@@ -181,47 +81,6 @@ impl TenantState {
             self.shed_circuit_open.get(),
             self.resource_failures.get(),
         )
-    }
-}
-
-/// An admitted request's slot: settle it with the outcome; dropping it
-/// releases the tenant's inflight slot either way (panic-safe).
-pub struct TenantPermit {
-    tenant: Arc<TenantState>,
-    settled: bool,
-}
-
-impl std::fmt::Debug for TenantPermit {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TenantPermit")
-            .field("tenant", &self.tenant.name)
-            .field("settled", &self.settled)
-            .finish()
-    }
-}
-
-impl TenantPermit {
-    /// Feeds the request outcome to the tenant breaker.
-    pub fn settle(mut self, outcome: Result<(), &ServiceError>) {
-        self.tenant.record(outcome);
-        self.settled = true;
-        drop(self);
-    }
-}
-
-impl Drop for TenantPermit {
-    fn drop(&mut self) {
-        self.tenant.inflight.fetch_sub(1, Ordering::AcqRel);
-        self.tenant
-            .inflight_gauge
-            .set(self.tenant.inflight.load(Ordering::Acquire) as i64);
-        if !self.settled {
-            // Dropped without settling (handler panicked mid-request):
-            // count it as a resource failure so a crash-looping tenant
-            // still trips its breaker.
-            self.tenant
-                .record(Err(&ServiceError::Panicked("unsettled permit".into())));
-        }
     }
 }
 
@@ -251,8 +110,15 @@ impl TenantRegistry {
         }
     }
 
-    fn state(&self, name: &str) -> Arc<TenantState> {
-        let mut map = lock(&self.tenants);
+    fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<String, Arc<TenantState>>> {
+        self.tenants.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The state for `tenant` (or [`DEFAULT_TENANT`]), created on first
+    /// sight.
+    pub fn tenant(&self, tenant: Option<&str>) -> Arc<TenantState> {
+        let name = tenant.unwrap_or(DEFAULT_TENANT);
+        let mut map = self.lock();
         if let Some(t) = map.get(name) {
             return Arc::clone(t);
         }
@@ -266,14 +132,9 @@ impl TenantRegistry {
         t
     }
 
-    /// Admits one request for `tenant` (or [`DEFAULT_TENANT`]).
-    pub fn admit(&self, tenant: Option<&str>) -> Result<TenantPermit, TenantShed> {
-        self.state(tenant.unwrap_or(DEFAULT_TENANT)).admit()
-    }
-
     /// Snapshot of every tenant seen so far, sorted by name.
     pub fn snapshot(&self) -> Vec<Arc<TenantState>> {
-        let mut v: Vec<_> = lock(&self.tenants).values().cloned().collect();
+        let mut v: Vec<_> = self.lock().values().cloned().collect();
         v.sort_by(|a, b| a.name.cmp(&b.name));
         v
     }
@@ -283,99 +144,38 @@ impl TenantRegistry {
 mod tests {
     use super::*;
 
-    fn registry(default_admission: AdmissionConfig) -> TenantRegistry {
-        TenantRegistry::new(
-            default_admission,
-            Vec::new(),
-            Arc::new(MetricsRegistry::new()),
-        )
-    }
-
+    /// The gate's policy is proven once, in `oodb_service::admission`;
+    /// what is the registry's own is isolation and the per-tenant counts.
     #[test]
-    fn inflight_cap_sheds_only_the_saturated_tenant() {
-        let reg = registry(AdmissionConfig {
-            max_inflight: 2,
-            ..Default::default()
-        });
-        let a1 = reg.admit(Some("a")).unwrap();
-        let _a2 = reg.admit(Some("a")).unwrap();
-        let shed = reg.admit(Some("a")).unwrap_err();
-        assert_eq!(shed.reason, ShedReason::QueueFull);
-        // Tenant b is untouched by a's saturation.
-        let _b1 = reg.admit(Some("b")).unwrap();
+    fn one_tenants_saturation_sheds_only_that_tenant() {
+        let reg = TenantRegistry::new(
+            AdmissionConfig {
+                max_inflight: 2,
+                ..Default::default()
+            },
+            vec![("vip".into(), AdmissionConfig::default())],
+            Arc::new(MetricsRegistry::new()),
+        );
+        let (a, b, vip) = (
+            reg.tenant(Some("a")),
+            reg.tenant(Some("b")),
+            reg.tenant(Some("vip")),
+        );
+        let a1 = a.admit().unwrap();
+        let _a2 = a.admit().unwrap();
+        assert_eq!(a.admit().unwrap_err().reason, ShedReason::QueueFull);
+        // Tenant b is untouched by a's saturation; vip has no cap at all.
+        let _b1 = b.admit().unwrap();
+        let _vips: Vec<_> = (0..3).map(|_| vip.admit().unwrap()).collect();
         // Releasing a slot re-opens tenant a.
         a1.settle(Ok(()));
-        let _a3 = reg.admit(Some("a")).unwrap();
-        let a = reg.state("a");
-        let (admitted, shed_q, _, _) = a.counts();
-        assert_eq!((admitted, shed_q), (3, 1));
-    }
-
-    #[test]
-    fn breaker_trips_on_resource_failures_and_half_opens() {
-        let reg = registry(AdmissionConfig {
-            breaker_threshold: 2,
-            breaker_cooldown: Duration::from_millis(30),
-            ..Default::default()
-        });
-        let boom = ServiceError::StorageFault {
-            transient: false,
-            retries: 0,
-        };
-        for _ in 0..2 {
-            reg.admit(Some("t")).unwrap().settle(Err(&boom));
-        }
-        let shed = reg.admit(Some("t")).unwrap_err();
-        assert_eq!(shed.reason, ShedReason::CircuitOpen);
-        assert!(shed.retry_after <= Duration::from_millis(30));
-        std::thread::sleep(Duration::from_millis(40));
-        // Half-open probe admitted; a failure re-trips at once...
-        reg.admit(Some("t")).unwrap().settle(Err(&boom));
-        assert_eq!(
-            reg.admit(Some("t")).unwrap_err().reason,
-            ShedReason::CircuitOpen
-        );
-        std::thread::sleep(Duration::from_millis(40));
-        // ...while a successful probe closes the breaker fully.
-        reg.admit(Some("t")).unwrap().settle(Ok(()));
-        reg.admit(Some("t")).unwrap().settle(Err(&boom));
+        let _a3 = a.admit().unwrap();
+        assert_eq!(a.counts(), (3, 1, 0, 0));
+        assert_eq!((a.inflight(), b.inflight(), vip.inflight()), (2, 1, 3));
         assert!(
-            reg.admit(Some("t")).is_ok(),
-            "one failure after close must not trip"
+            Arc::ptr_eq(&a, &reg.tenant(Some("a"))),
+            "one state per name"
         );
-    }
-
-    #[test]
-    fn benign_errors_do_not_feed_the_breaker() {
-        let reg = registry(AdmissionConfig {
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::from_millis(50),
-            ..Default::default()
-        });
-        for e in [
-            ServiceError::NoPlan,
-            ServiceError::RowBudgetExceeded { budget: 1 },
-            ServiceError::DeadlineExceeded { stage: "execute" },
-        ] {
-            reg.admit(Some("t")).unwrap().settle(Err(&e));
-            let probe = reg.admit(Some("t"));
-            assert!(probe.is_ok(), "{e} must not trip the breaker");
-            probe.unwrap().settle(Ok(()));
-        }
-    }
-
-    #[test]
-    fn unsettled_permit_counts_as_a_resource_failure() {
-        let reg = registry(AdmissionConfig {
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::from_secs(5),
-            ..Default::default()
-        });
-        drop(reg.admit(Some("t")).unwrap()); // handler panicked
-        assert_eq!(
-            reg.admit(Some("t")).unwrap_err().reason,
-            ShedReason::CircuitOpen
-        );
-        assert_eq!(reg.state("t").inflight(), 0, "slot still released");
+        assert_eq!(reg.tenant(None).name, DEFAULT_TENANT);
     }
 }

@@ -36,7 +36,7 @@ fn arb_shed_reason() -> impl Strategy<Value = ShedReason> {
     ]
 }
 
-/// All 14 wire shapes: the 12 enum variants, with `Overloaded` split per
+/// All 13 wire shapes: the 11 enum variants, with `Overloaded` split per
 /// shed reason (each reason is its own `reason` discriminant on the wire).
 fn arb_error() -> impl Strategy<Value = ServiceError> {
     // Raw JSON numbers are f64 on the wire; stay within exact-integer
@@ -62,7 +62,6 @@ fn arb_error() -> impl Strategy<Value = ServiceError> {
         (any::<bool>(), any::<u32>())
             .prop_map(|(transient, retries)| { ServiceError::StorageFault { transient, retries } }),
         adversarial().prop_map(ServiceError::Exec),
-        Just(ServiceError::WorkerLost),
         adversarial().prop_map(ServiceError::Panicked),
     ]
 }

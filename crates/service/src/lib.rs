@@ -9,9 +9,10 @@
 //!   [`OptimizerConfig`], and a sharded [`PlanCache`]; [`QueryService::submit`]
 //!   compiles, fingerprints, and either reuses a cached plan or optimizes
 //!   and caches the winner.
-//! * [`WorkerPool`] serves `submit` from N `std::thread` workers feeding
-//!   off one queue — the optimizer is `&self` and the executor borrows
-//!   `&Store`, so scaling out is `Arc`-ification, not a rewrite.
+//! * The service is `Clone + Send + Sync`: a submission runs on the
+//!   thread that calls it, so N concurrent callers are N clones — the
+//!   optimizer is `&self` and the executor borrows `&Store`. One
+//!   [`admission::Gate`] bounds and breaks the whole process.
 //! * Statistics and physical-design changes go through the service
 //!   ([`QueryService::refresh_statistics`], [`QueryService::restrict_indexes`]),
 //!   which swap in a new store snapshot whose catalog carries a bumped
@@ -25,6 +26,9 @@
 
 #![forbid(unsafe_code)]
 
+pub mod admission;
+
+pub use admission::{AdmissionConfig, Gate, GateMetrics, Permit, Shed, ShedReason};
 use oodb_algebra::fingerprint::{fingerprint, QueryFingerprint};
 use oodb_algebra::{LogicalPlan, QueryEnv, SortSpec, VarSet};
 use oodb_core::plancache::{CacheKey, CachedBody, CachedPlan, PlanCache};
@@ -46,32 +50,9 @@ pub use oodb_wal::{
 use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
-
-/// Why an overloaded service refused a submission without running it.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ShedReason {
-    /// The worker pool's bounded queue was full.
-    QueueFull,
-    /// The circuit breaker is open after repeated resource failures.
-    CircuitOpen,
-    /// The memory governor reported critical pressure at admission.
-    MemoryPressure,
-}
-
-impl std::fmt::Display for ShedReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ShedReason::QueueFull => "queue full",
-            ShedReason::CircuitOpen => "circuit breaker open",
-            ShedReason::MemoryPressure => "memory pressure critical",
-        })
-    }
-}
 
 /// Errors a submission can produce.
 #[derive(Clone, Debug, PartialEq)]
@@ -123,8 +104,6 @@ pub enum ServiceError {
     },
     /// Execution failed in a non-retryable way (malformed plan or trace).
     Exec(String),
-    /// The worker serving this submission died before replying.
-    WorkerLost,
     /// The submission panicked; the service caught it and stayed up.
     Panicked(String),
 }
@@ -159,7 +138,6 @@ impl std::fmt::Display for ServiceError {
                 if *transient { "transient" } else { "permanent" }
             ),
             ServiceError::Exec(msg) => write!(f, "execution failed: {msg}"),
-            ServiceError::WorkerLost => write!(f, "worker died before replying"),
             ServiceError::Panicked(msg) => write!(f, "submission panicked: {msg}"),
         }
     }
@@ -167,12 +145,19 @@ impl std::fmt::Display for ServiceError {
 
 impl std::error::Error for ServiceError {}
 
-/// Poison-recovering mutex lock (worker queue receivers, breaker, pool
-/// handles): a holder that panicked mid-section must not wedge the
-/// service — the state behind each of these mutexes is either replaced
-/// wholesale or trivially re-derivable.
-fn lock_mutex<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+impl ServiceError {
+    /// Whether this error says the system is out of a resource — memory,
+    /// storage, or a pipeline that panicked — rather than that the query
+    /// was bad, late, or refused. The only failure classifier: it is what
+    /// every [`Gate`]'s breaker counts.
+    pub fn is_resource_failure(&self) -> bool {
+        matches!(
+            self,
+            ServiceError::MemoryExhausted { .. }
+                | ServiceError::StorageFault { .. }
+                | ServiceError::Panicked(_)
+        )
+    }
 }
 
 /// Best-effort text of a caught panic payload.
@@ -194,7 +179,7 @@ pub struct SubmitOptions {
     pub dynamic: bool,
     /// When positive, sleep `simulated_io_seconds × scale` after
     /// executing, turning the storage simulator's I/O estimate into real
-    /// wall-clock stalls. This is what makes multi-worker throughput
+    /// wall-clock stalls. This is what makes multi-threaded throughput
     /// meaningful on a machine whose *real* I/O is a warm page cache.
     pub realize_io_scale: f64,
     /// Record a per-operator [`OpTrace`] during execution (`EXPLAIN
@@ -224,51 +209,6 @@ pub struct SubmitOptions {
     /// hash-join probes). `0` or `1` (the default) executes serially;
     /// results are byte-identical either way.
     pub exec_workers: usize,
-}
-
-/// Admission-control policy for [`QueryService`]. Everything is disabled
-/// by default — the service behaves exactly as before until an operator
-/// opts in via [`QueryService::set_admission`].
-///
-/// The overload ladder runs *degrade → shed → fail*: under
-/// [`PressureLevel::High`] submissions degrade (greedy plan, halved
-/// grant) before anything is refused; at [`PressureLevel::Critical`]
-/// they shed with [`ServiceError::Overloaded`] so in-flight work can
-/// finish; only an execution whose grant cannot cover its smallest
-/// working unit fails with [`ServiceError::MemoryExhausted`].
-#[derive(Clone, Copy, Debug)]
-pub struct AdmissionConfig {
-    /// Maximum concurrently admitted submissions (0 = unlimited). The
-    /// excess is refused with [`ShedReason::QueueFull`].
-    pub max_inflight: usize,
-    /// Consecutive resource failures (memory exhaustion, storage faults
-    /// that survived retries) that trip the circuit breaker
-    /// (0 = breaker disabled).
-    pub breaker_threshold: u32,
-    /// How long a tripped breaker sheds before half-opening to probe.
-    pub breaker_cooldown: Duration,
-    /// Enables the pressure ladder: degrade under
-    /// [`PressureLevel::High`], shed at [`PressureLevel::Critical`].
-    pub degrade_under_pressure: bool,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            max_inflight: 0,
-            breaker_threshold: 0,
-            breaker_cooldown: Duration::from_millis(100),
-            degrade_under_pressure: false,
-        }
-    }
-}
-
-/// Circuit-breaker state: consecutive resource failures and, when
-/// tripped, the instant shedding stops and a half-open probe is allowed.
-#[derive(Debug, Default)]
-struct Breaker {
-    consecutive_failures: u32,
-    open_until: Option<Instant>,
 }
 
 /// Wall-clock nanoseconds each pipeline stage of one submission took.
@@ -459,12 +399,6 @@ struct ServiceMetrics {
     shed_queue_full: Counter,
     shed_circuit_open: Counter,
     shed_memory_pressure: Counter,
-    /// Circuit-breaker trips (closed → open transitions).
-    breaker_trips: Counter,
-    /// 1 while the breaker is open, else 0.
-    breaker_open: Gauge,
-    /// Currently admitted submissions.
-    inflight: Gauge,
     /// Submissions served degraded because of memory pressure (greedy
     /// plan, halved grant).
     pressure_degrades: Counter,
@@ -530,9 +464,6 @@ impl ServiceMetrics {
             shed_queue_full: reg.counter("oodb_shed_total", &[("reason", "queue_full")]),
             shed_circuit_open: reg.counter("oodb_shed_total", &[("reason", "circuit_open")]),
             shed_memory_pressure: reg.counter("oodb_shed_total", &[("reason", "memory_pressure")]),
-            breaker_trips: reg.counter("oodb_breaker_trips_total", &[]),
-            breaker_open: reg.gauge("oodb_breaker_open", &[]),
-            inflight: reg.gauge("oodb_inflight", &[]),
             pressure_degrades: reg.counter("oodb_pressure_degrades_total", &[]),
             exec_spill_written: reg.counter("oodb_exec_spill_pages_written_total", &[]),
             exec_spill_read: reg.counter("oodb_exec_spill_pages_read_total", &[]),
@@ -574,20 +505,6 @@ impl ServiceMetrics {
     }
 }
 
-/// Decrements the in-flight ledger when an admitted submission finishes,
-/// on every path out — success, typed error, or panic unwind.
-struct InflightGuard<'a> {
-    counter: &'a AtomicUsize,
-    gauge: &'a Gauge,
-}
-
-impl Drop for InflightGuard<'_> {
-    fn drop(&mut self) {
-        self.counter.fetch_sub(1, Ordering::Relaxed);
-        self.gauge.sub(1);
-    }
-}
-
 /// What a submission executes: raw ZQL text (parsed per submission) or a
 /// registered prepared statement (parsed once at [`QueryService::prepare`]).
 enum QueryInput<'a> {
@@ -623,8 +540,8 @@ struct Inner {
     prepared: Snap<BTreeMap<u64, Arc<PreparedQuery>>>,
     telemetry: Arc<MetricsRegistry>,
     metrics: ServiceMetrics,
-    inflight: AtomicUsize,
-    breaker: Mutex<Breaker>,
+    /// The process-wide admission gate.
+    gate: Gate,
     /// Actual-vs-estimated cardinality feedback, keyed by canonical
     /// fingerprint hash. Fed by every static submission (traced or not);
     /// read back as corrective [`oodb_algebra::StatsOverlay`]s at the
@@ -654,6 +571,13 @@ impl QueryService {
         let config_fp = config.fingerprint();
         let telemetry = Arc::new(MetricsRegistry::new());
         let metrics = ServiceMetrics::register(&telemetry);
+        let gate = Gate::new(GateMetrics {
+            inflight: telemetry.gauge("oodb_inflight", &[]),
+            trips: telemetry.counter("oodb_breaker_trips_total", &[]),
+            open: telemetry.gauge("oodb_breaker_open", &[]),
+            // Resource failures already show as typed errors per request.
+            failures: Counter::new(),
+        });
         QueryService {
             inner: Arc::new(Inner {
                 state: Snap::new(ServiceState {
@@ -667,8 +591,7 @@ impl QueryService {
                 prepared: Snap::new(BTreeMap::new()),
                 telemetry,
                 metrics,
-                inflight: AtomicUsize::new(0),
-                breaker: Mutex::new(Breaker::default()),
+                gate,
                 feedback: Arc::new(FeedbackStore::default()),
                 durability: Mutex::new(None),
             }),
@@ -1156,7 +1079,7 @@ impl QueryService {
         id: u64,
         opts: SubmitOptions,
     ) -> Result<QueryOutput, ServiceError> {
-        self.submit_prepared_guarded(id, opts, None)
+        self.submit_prepared(id, opts, None)
     }
 
     /// [`QueryService::submit_prepared_with`] plus a cooperative
@@ -1167,10 +1090,10 @@ impl QueryService {
         opts: SubmitOptions,
         cancel: &CancelToken,
     ) -> Result<QueryOutput, ServiceError> {
-        self.submit_prepared_guarded(id, opts, Some(cancel))
+        self.submit_prepared(id, opts, Some(cancel))
     }
 
-    fn submit_prepared_guarded(
+    fn submit_prepared(
         &self,
         id: u64,
         opts: SubmitOptions,
@@ -1182,16 +1105,7 @@ impl QueryService {
             m.errors.inc();
             return Err(ServiceError::UnknownStatement { id });
         };
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.submit_inner(QueryInput::Prepared(&stmt), opts, cancel)
-        })) {
-            Ok(reply) => reply,
-            Err(payload) => {
-                m.errors.inc();
-                m.submission_panics.inc();
-                Err(ServiceError::Panicked(panic_message(payload.as_ref())))
-            }
-        }
+        self.submit_guarded(QueryInput::Prepared(&stmt), opts, cancel)
     }
 
     /// Compiles, plans (via cache), executes. Equivalent to
@@ -1200,8 +1114,8 @@ impl QueryService {
         self.submit_with(zql_src, SubmitOptions::default())
     }
 
-    /// Compiles, plans (via cache), executes, with options. Panics inside
-    /// the pipeline are caught and surfaced as
+    /// Compiles, plans (via cache), executes, with options, on the calling
+    /// thread. Panics inside the pipeline are caught and surfaced as
     /// [`ServiceError::Panicked`] — a submission can fail, but it cannot
     /// take the service down.
     pub fn submit_with(
@@ -1209,7 +1123,7 @@ impl QueryService {
         zql_src: &str,
         opts: SubmitOptions,
     ) -> Result<QueryOutput, ServiceError> {
-        self.submit_guarded(zql_src, opts, None)
+        self.submit_guarded(QueryInput::Text(zql_src), opts, None)
     }
 
     /// [`QueryService::submit_with`] plus a cooperative [`CancelToken`]:
@@ -1221,32 +1135,46 @@ impl QueryService {
         opts: SubmitOptions,
         cancel: &CancelToken,
     ) -> Result<QueryOutput, ServiceError> {
-        self.submit_guarded(zql_src, opts, Some(cancel))
+        self.submit_guarded(QueryInput::Text(zql_src), opts, Some(cancel))
     }
 
-    /// The panic boundary around the submission pipeline.
+    /// The one panic boundary around the submission pipeline. The gate's
+    /// permit lives inside it, so a panic drops the permit unsettled and
+    /// the breaker counts it.
     fn submit_guarded(
         &self,
-        zql_src: &str,
+        input: QueryInput<'_>,
         opts: SubmitOptions,
         cancel: Option<&CancelToken>,
     ) -> Result<QueryOutput, ServiceError> {
-        match catch_unwind(AssertUnwindSafe(|| {
-            self.submit_inner(QueryInput::Text(zql_src), opts, cancel)
-        })) {
-            Ok(reply) => reply,
-            Err(payload) => {
+        catch_unwind(AssertUnwindSafe(|| self.submit_inner(input, opts, cancel))).unwrap_or_else(
+            |payload| {
                 let m = &self.inner.metrics;
                 m.errors.inc();
                 m.submission_panics.inc();
                 Err(ServiceError::Panicked(panic_message(payload.as_ref())))
-            }
-        }
+            },
+        )
     }
 
-    /// Admission control around the pipeline: circuit breaker, in-flight
-    /// cap, and the pressure ladder (degrade at High, shed at Critical),
-    /// all disabled by default ([`AdmissionConfig`]).
+    /// Counts and builds a refusal.
+    fn shed(&self, reason: ShedReason) -> ServiceError {
+        let m = &self.inner.metrics;
+        m.errors.inc();
+        m.record_shed(reason);
+        ServiceError::Overloaded { reason }
+    }
+
+    /// What to tell a client this service just refused: the process
+    /// breaker's remaining cooldown while it is open, one second
+    /// otherwise.
+    pub fn retry_after(&self) -> Duration {
+        self.inner.gate.retry_after()
+    }
+
+    /// Admission around the pipeline: the process [`Gate`] (breaker and
+    /// in-flight cap), then the pressure rung beside it (degrade at High,
+    /// shed at Critical) — all disabled by default ([`AdmissionConfig`]).
     fn submit_inner(
         &self,
         input: QueryInput<'_>,
@@ -1263,85 +1191,27 @@ impl QueryService {
         // policy, store, and config all come from the same epoch.
         let state = self.inner.state.load();
         let adm = state.admission;
-
-        // Circuit breaker: while open, shed without touching the pipeline.
-        // Once the cooldown passes, half-open — let one probe through; a
-        // single failure re-trips (the failure count still sits at the
-        // threshold), a success closes.
-        if adm.breaker_threshold > 0 {
-            let mut breaker = lock_mutex(&self.inner.breaker);
-            if let Some(until) = breaker.open_until {
-                if Instant::now() < until {
-                    drop(breaker);
-                    m.errors.inc();
-                    m.record_shed(ShedReason::CircuitOpen);
-                    return Err(ServiceError::Overloaded {
-                        reason: ShedReason::CircuitOpen,
-                    });
-                }
-                breaker.open_until = None;
-                m.breaker_open.set(0);
-            }
-        }
-
-        // In-flight cap. The guard is armed before the check so a refused
-        // submission's increment is rolled back by the same Drop path.
-        let prev_inflight = self.inner.inflight.fetch_add(1, Ordering::Relaxed);
-        m.inflight.add(1);
-        let _inflight = InflightGuard {
-            counter: &self.inner.inflight,
-            gauge: &m.inflight,
-        };
-        if adm.max_inflight > 0 && prev_inflight >= adm.max_inflight {
-            m.errors.inc();
-            m.record_shed(ShedReason::QueueFull);
-            return Err(ServiceError::Overloaded {
-                reason: ShedReason::QueueFull,
-            });
-        }
-
+        let permit = self
+            .inner
+            .gate
+            .admit(&adm)
+            .map_err(|shed| self.shed(shed.reason))?;
         // Pressure ladder: degrade before shedding, shed before failing.
-        let mut pressure_degraded = false;
-        if adm.degrade_under_pressure {
-            if let Some(gov) = state.store.memory_governor() {
-                match gov.pressure() {
-                    PressureLevel::Critical => {
-                        m.errors.inc();
-                        m.record_shed(ShedReason::MemoryPressure);
-                        return Err(ServiceError::Overloaded {
-                            reason: ShedReason::MemoryPressure,
-                        });
-                    }
-                    PressureLevel::High => pressure_degraded = true,
-                    PressureLevel::Nominal | PressureLevel::Elevated => {}
-                }
-            }
-        }
-
-        let result = self.submit_pipeline(&state, input, opts, cancel, pressure_degraded);
-
-        if adm.breaker_threshold > 0 {
-            let mut breaker = lock_mutex(&self.inner.breaker);
-            match &result {
-                Ok(_) => {
-                    breaker.consecutive_failures = 0;
-                    breaker.open_until = None;
-                    m.breaker_open.set(0);
-                }
-                // Only resource failures trip the breaker: a malformed
-                // query or a cancelled token says nothing about capacity.
-                Err(ServiceError::MemoryExhausted { .. })
-                | Err(ServiceError::StorageFault { .. }) => {
-                    breaker.consecutive_failures += 1;
-                    if breaker.consecutive_failures >= adm.breaker_threshold {
-                        breaker.open_until = Some(Instant::now() + adm.breaker_cooldown);
-                        m.breaker_trips.inc();
-                        m.breaker_open.set(1);
-                    }
-                }
-                Err(_) => {}
-            }
-        }
+        let pressure = adm
+            .degrade_under_pressure
+            .then(|| state.store.memory_governor().map(MemoryGovernor::pressure))
+            .flatten();
+        let result = match pressure {
+            Some(PressureLevel::Critical) => Err(self.shed(ShedReason::MemoryPressure)),
+            level => self.submit_pipeline(
+                &state,
+                input,
+                opts,
+                cancel,
+                level == Some(PressureLevel::High),
+            ),
+        };
+        permit.settle(result.as_ref().map(|_| ()));
         result
     }
 
@@ -1765,311 +1635,6 @@ fn render_rows(
     }
 }
 
-type Reply = Result<QueryOutput, ServiceError>;
-
-/// What one pool job executes.
-enum JobKind {
-    /// Raw ZQL text, parsed by the serving worker.
-    Text(String),
-    /// A prepared-statement id (no parsing on the worker).
-    Prepared(u64),
-    /// Test hook: a poison pill that makes the receiving worker retire
-    /// without replying, simulating a worker death mid-job.
-    Kill,
-}
-
-struct Job {
-    kind: JobKind,
-    opts: SubmitOptions,
-    cancel: Option<CancelToken>,
-    reply: mpsc::Sender<Reply>,
-}
-
-/// A handle to one enqueued submission.
-pub struct Pending {
-    rx: mpsc::Receiver<Reply>,
-}
-
-impl Pending {
-    /// Blocks until the worker answers. If the worker died with the job
-    /// in flight (its reply sender was dropped), this is
-    /// [`ServiceError::WorkerLost`] — never a panic or a hang.
-    pub fn wait(self) -> Reply {
-        self.rx.recv().unwrap_or(Err(ServiceError::WorkerLost))
-    }
-
-    /// Waits up to `timeout` for the reply. `None` means no reply arrived
-    /// in time — the job may still be queued or running (e.g. waiting on
-    /// a worker respawn) and can complete later.
-    pub fn wait_timeout(self, timeout: Duration) -> Option<Reply> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(reply) => Some(reply),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(ServiceError::WorkerLost)),
-        }
-    }
-}
-
-/// State shared between the pool handle and its worker threads, so a
-/// replacement worker can be spawned from the same queues and registry.
-///
-/// Each worker slot owns its own channel: dequeue never serializes
-/// across workers on one shared receiver lock (the old design's
-/// bottleneck at high thread counts). A slot's mutex is only ever taken
-/// by the one worker bound to that slot — it exists so a *respawned*
-/// worker can adopt its dead predecessor's receiver, keeping queued
-/// jobs alive across worker deaths.
-struct PoolShared {
-    rxs: Vec<Mutex<mpsc::Receiver<Job>>>,
-    svc: QueryService,
-    reg: Arc<MetricsRegistry>,
-    queue_depth: Gauge,
-    /// Jobs enqueued but not yet dequeued — the ledger behind the
-    /// bounded-queue admission check (the gauge is display-only).
-    queued: AtomicUsize,
-}
-
-fn spawn_worker(shared: &Arc<PoolShared>, i: usize) -> thread::JoinHandle<()> {
-    let shared = Arc::clone(shared);
-    thread::Builder::new()
-        .name(format!("oodb-worker-{i}"))
-        .spawn(move || {
-            let worker = i.to_string();
-            // Registration is get-or-create, so a respawned worker
-            // reclaims its predecessor's gauges and counters.
-            let busy = shared.reg.gauge("oodb_worker_busy", &[("worker", &worker)]);
-            let jobs = shared
-                .reg
-                .counter("oodb_worker_jobs_total", &[("worker", &worker)]);
-            loop {
-                // This slot's receiver; uncontended (one worker per slot).
-                let job = match lock_mutex(&shared.rxs[i]).recv() {
-                    Ok(job) => job,
-                    Err(_) => break,
-                };
-                shared.queued.fetch_sub(1, Ordering::Relaxed);
-                shared.queue_depth.sub(1);
-                busy.set(1);
-                jobs.inc();
-                if matches!(job.kind, JobKind::Kill) {
-                    // Retire without replying: the dropped reply sender
-                    // surfaces as WorkerLost and the next enqueue respawns.
-                    busy.set(0);
-                    break;
-                }
-                // `submit_guarded` already converts pipeline panics into
-                // typed errors; this outer boundary covers everything
-                // else (reply plumbing, metrics). A worker that panics
-                // anyway retires silently and is respawned.
-                let out = catch_unwind(AssertUnwindSafe(|| match &job.kind {
-                    JobKind::Text(zql) => {
-                        shared
-                            .svc
-                            .submit_guarded(zql, job.opts, job.cancel.as_ref())
-                    }
-                    JobKind::Prepared(id) => {
-                        shared
-                            .svc
-                            .submit_prepared_guarded(*id, job.opts, job.cancel.as_ref())
-                    }
-                    JobKind::Kill => unreachable!("kill handled above"),
-                }));
-                busy.set(0);
-                match out {
-                    Ok(reply) => {
-                        let _ = job.reply.send(reply);
-                    }
-                    Err(_) => break,
-                }
-            }
-        })
-        .expect("spawn worker thread")
-}
-
-/// N `std::thread` workers, each with its own job channel; submissions
-/// are distributed round-robin. Dead workers (panics, poison pills) are
-/// detected and respawned on the next enqueue — a respawn adopts the
-/// dead slot's receiver, so jobs already queued there still run. Jobs a
-/// worker died *holding* surface as [`ServiceError::WorkerLost`] rather
-/// than hanging or panicking the caller.
-pub struct WorkerPool {
-    /// Per-slot senders; `None` after shutdown closed the queues.
-    txs: Option<Vec<mpsc::Sender<Job>>>,
-    shared: Arc<PoolShared>,
-    /// Worker slots: (slot index, live handle). A slot's handle is
-    /// replaced when the worker is found dead.
-    handles: Mutex<Vec<(usize, thread::JoinHandle<()>)>>,
-    /// Round-robin cursor over the worker slots.
-    next: AtomicUsize,
-    queue_depth: Gauge,
-    respawns: Counter,
-    /// Maximum queued (not yet dequeued) jobs across all slots; 0 =
-    /// unbounded. The excess is shed at enqueue with
-    /// [`ShedReason::QueueFull`].
-    queue_limit: usize,
-}
-
-impl WorkerPool {
-    /// Spawns `workers` threads serving `service`. The pool registers a
-    /// shared `oodb_queue_depth` gauge (incremented on enqueue, decremented
-    /// on dequeue), an `oodb_worker_respawns_total` counter, plus
-    /// per-worker `oodb_worker_busy` gauges and `oodb_worker_jobs_total`
-    /// counters in the service's registry. The queue is unbounded; use
-    /// [`WorkerPool::with_queue_limit`] for load shedding.
-    pub fn new(service: QueryService, workers: usize) -> Self {
-        WorkerPool::build(service, workers, 0)
-    }
-
-    /// As [`WorkerPool::new`], but the queue holds at most `queue_limit`
-    /// not-yet-dequeued jobs: submissions past the limit resolve
-    /// immediately to [`ServiceError::Overloaded`] with
-    /// [`ShedReason::QueueFull`] instead of queueing without bound —
-    /// bounded staleness beats unbounded latency under saturation.
-    pub fn with_queue_limit(service: QueryService, workers: usize, queue_limit: usize) -> Self {
-        WorkerPool::build(service, workers, queue_limit.max(1))
-    }
-
-    fn build(service: QueryService, workers: usize, queue_limit: usize) -> Self {
-        let workers = workers.max(1);
-        let (txs, rxs): (Vec<_>, Vec<_>) = (0..workers)
-            .map(|_| {
-                let (tx, rx) = mpsc::channel::<Job>();
-                (tx, Mutex::new(rx))
-            })
-            .unzip();
-        let reg = Arc::clone(service.telemetry());
-        let queue_depth = reg.gauge("oodb_queue_depth", &[]);
-        let respawns = reg.counter("oodb_worker_respawns_total", &[]);
-        let shared = Arc::new(PoolShared {
-            rxs,
-            svc: service,
-            reg,
-            queue_depth: queue_depth.clone(),
-            queued: AtomicUsize::new(0),
-        });
-        let handles = (0..workers)
-            .map(|i| (i, spawn_worker(&shared, i)))
-            .collect();
-        WorkerPool {
-            txs: Some(txs),
-            shared,
-            handles: Mutex::new(handles),
-            next: AtomicUsize::new(0),
-            queue_depth,
-            respawns,
-            queue_limit,
-        }
-    }
-
-    /// Replaces every dead worker with a fresh thread on the same slot.
-    fn reap(&self) {
-        let mut handles = lock_mutex(&self.handles);
-        for slot in handles.iter_mut() {
-            if slot.1.is_finished() {
-                let fresh = spawn_worker(&self.shared, slot.0);
-                let dead = std::mem::replace(&mut slot.1, fresh);
-                let _ = dead.join();
-                self.respawns.inc();
-            }
-        }
-    }
-
-    fn enqueue(&self, kind: JobKind, opts: SubmitOptions, cancel: Option<CancelToken>) -> Pending {
-        self.reap();
-        let (reply, rx) = mpsc::channel();
-        // Bounded-queue shed: resolve the handle immediately instead of
-        // queueing. Poison pills (tests) are exempt — they must always
-        // reach a worker.
-        if !matches!(kind, JobKind::Kill)
-            && self.queue_limit > 0
-            && self.shared.queued.load(Ordering::Relaxed) >= self.queue_limit
-        {
-            self.shared
-                .svc
-                .inner
-                .metrics
-                .record_shed(ShedReason::QueueFull);
-            let _ = reply.send(Err(ServiceError::Overloaded {
-                reason: ShedReason::QueueFull,
-            }));
-            return Pending { rx };
-        }
-        self.shared.queued.fetch_add(1, Ordering::Relaxed);
-        self.queue_depth.add(1);
-        if let Some(txs) = self.txs.as_ref() {
-            // Round-robin over per-worker queues: senders never contend
-            // with each other or with dequeuing workers.
-            let slot = self.next.fetch_add(1, Ordering::Relaxed) % txs.len();
-            // The receiver lives in PoolShared, so this send cannot fail
-            // while the pool exists; `let _ =` keeps shutdown races benign.
-            let _ = txs[slot].send(Job {
-                kind,
-                opts,
-                cancel,
-                reply,
-            });
-        }
-        Pending { rx }
-    }
-
-    /// Enqueues a query; the returned handle yields the result.
-    pub fn submit(&self, zql: impl Into<String>, opts: SubmitOptions) -> Pending {
-        self.enqueue(JobKind::Text(zql.into()), opts, None)
-    }
-
-    /// Enqueues a prepared-statement execution by id; the serving worker
-    /// skips parsing entirely.
-    pub fn submit_prepared(&self, id: u64, opts: SubmitOptions) -> Pending {
-        self.enqueue(JobKind::Prepared(id), opts, None)
-    }
-
-    /// Enqueues a query with a [`CancelToken`] the caller can trip from
-    /// any thread to stop the execution cooperatively.
-    pub fn submit_cancellable(
-        &self,
-        zql: impl Into<String>,
-        opts: SubmitOptions,
-        cancel: &CancelToken,
-    ) -> Pending {
-        self.enqueue(JobKind::Text(zql.into()), opts, Some(cancel.clone()))
-    }
-
-    /// As [`WorkerPool::submit_prepared`], with a [`CancelToken`].
-    pub fn submit_prepared_cancellable(
-        &self,
-        id: u64,
-        opts: SubmitOptions,
-        cancel: &CancelToken,
-    ) -> Pending {
-        self.enqueue(JobKind::Prepared(id), opts, Some(cancel.clone()))
-    }
-
-    /// Test hook: enqueues a poison pill that kills the worker that
-    /// dequeues it. The returned handle yields
-    /// [`ServiceError::WorkerLost`]; the next enqueue respawns the worker.
-    #[doc(hidden)]
-    pub fn kill_worker_for_test(&self) -> Pending {
-        self.enqueue(JobKind::Kill, SubmitOptions::default(), None)
-    }
-
-    /// Drains the queues and joins every worker.
-    pub fn shutdown(mut self) {
-        self.txs.take(); // close every per-worker queue
-        for (_, h) in lock_mutex(&self.handles).drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        self.txs.take();
-        for (_, h) in lock_mutex(&self.handles).drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2395,37 +1960,6 @@ mod tests {
     }
 
     #[test]
-    fn pool_serves_prepared_executions() {
-        let svc = small_service();
-        let (stmt, _) = svc.prepare(Q_TIME).unwrap();
-        let expect = svc.submit(Q_TIME).unwrap();
-        let pool = WorkerPool::new(svc, 2);
-        let pending: Vec<Pending> = (0..8)
-            .map(|_| pool.submit_prepared(stmt.id, SubmitOptions::default()))
-            .collect();
-        for p in pending {
-            let out = p.wait().unwrap();
-            assert!(out.cache_hit);
-            assert_eq!(out.rows, expect.rows);
-        }
-        pool.shutdown();
-    }
-
-    #[test]
-    fn pool_round_trip() {
-        let svc = small_service();
-        let pool = WorkerPool::new(svc, 2);
-        let pending: Vec<Pending> = (0..8)
-            .map(|_| pool.submit(Q_TIME, SubmitOptions::default()))
-            .collect();
-        let outs: Vec<QueryOutput> = pending.into_iter().map(|p| p.wait().unwrap()).collect();
-        for o in &outs[1..] {
-            assert_eq!(o.rows, outs[0].rows);
-        }
-        pool.shutdown();
-    }
-
-    #[test]
     fn panicking_mutator_does_not_wedge_snapshot_state() {
         let svc = small_service();
         // Panic *inside* a snapshot update closure: the writer mutex is
@@ -2468,43 +2002,30 @@ mod tests {
             panic_rate: 1.0,
             ..Default::default()
         }));
+        svc.set_admission(AdmissionConfig {
+            breaker_threshold: 1,
+            breaker_cooldown: Duration::from_secs(60),
+            ..Default::default()
+        });
         let err = svc.submit(Q_TIME).unwrap_err();
         assert!(matches!(err, ServiceError::Panicked(_)), "{err:?}");
+        // The panic unwound through the gate's permit: the process
+        // breaker counts it like any other resource failure.
+        assert_eq!(
+            svc.submit(Q_TIME).unwrap_err(),
+            ServiceError::Overloaded {
+                reason: ShedReason::CircuitOpen
+            }
+        );
+        assert!(svc.retry_after() > Duration::from_secs(1));
         let text = svc.metrics_prometheus();
         assert!(text.contains("oodb_submission_panics_total 1"), "{text}");
+        assert!(text.contains("oodb_breaker_trips_total 1"), "{text}");
+        assert!(text.contains("oodb_inflight 0"), "{text}");
         // Detach and the same service (same locks, same cache) recovers.
         svc.detach_fault_injector();
+        svc.set_admission(AdmissionConfig::default());
         assert!(svc.submit(Q_TIME).is_ok());
-    }
-
-    #[test]
-    fn worker_death_surfaces_as_worker_lost_and_respawns() {
-        let svc = small_service();
-        let pool = WorkerPool::new(svc.clone(), 1);
-        assert_eq!(
-            pool.kill_worker_for_test().wait(),
-            Err(ServiceError::WorkerLost)
-        );
-        // The next submissions respawn the dead worker and are served.
-        // `wait_timeout` guards the race where the enqueue's reap ran
-        // before the dead thread was observably finished: that job sits
-        // queued until a later enqueue respawns the worker.
-        let mut served = false;
-        for _ in 0..100 {
-            let pending = pool.submit(Q_TIME, SubmitOptions::default());
-            if matches!(
-                pending.wait_timeout(Duration::from_millis(200)),
-                Some(Ok(_))
-            ) {
-                served = true;
-                break;
-            }
-            thread::sleep(Duration::from_millis(10));
-        }
-        assert!(served, "respawned worker must serve new submissions");
-        let text = svc.metrics_prometheus();
-        assert!(text.contains("oodb_worker_respawns_total 1"), "{text}");
-        pool.shutdown();
     }
 
     #[test]
@@ -2593,114 +2114,6 @@ mod tests {
     }
 
     #[test]
-    fn inflight_cap_sheds_concurrent_submissions() {
-        let svc = small_service();
-        svc.set_admission(AdmissionConfig {
-            max_inflight: 1,
-            ..Default::default()
-        });
-        // Hold the one slot by submitting from another thread with
-        // realized I/O, then saturate from this one.
-        let bg = svc.clone();
-        let slow = thread::spawn(move || {
-            bg.submit_with(
-                Q_TIME,
-                SubmitOptions {
-                    realize_io_scale: 50.0,
-                    ..Default::default()
-                },
-            )
-        });
-        // Wait until the background submission is admitted.
-        for _ in 0..200 {
-            if svc.inner.inflight.load(Ordering::Relaxed) > 0 {
-                break;
-            }
-            thread::sleep(Duration::from_millis(5));
-        }
-        let shed = svc.submit(Q_TIME).unwrap_err();
-        assert_eq!(
-            shed,
-            ServiceError::Overloaded {
-                reason: ShedReason::QueueFull
-            }
-        );
-        assert!(slow.join().unwrap().is_ok(), "in-flight work must finish");
-        // With the slot free again, submissions are admitted.
-        assert!(svc.submit(Q_TIME).is_ok());
-        let text = svc.metrics_prometheus();
-        assert!(
-            text.contains(r#"oodb_shed_total{reason="queue_full"} 1"#),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn breaker_trips_on_resource_failures_and_half_opens() {
-        let svc = hash_join_service();
-        svc.set_admission(AdmissionConfig {
-            breaker_threshold: 2,
-            breaker_cooldown: Duration::from_millis(40),
-            ..Default::default()
-        });
-        let exhaust = SubmitOptions {
-            mem_budget: Some(0),
-            ..Default::default()
-        };
-        // Two consecutive memory exhaustions trip the breaker...
-        for _ in 0..2 {
-            assert!(matches!(
-                svc.submit_with(Q_JOIN, exhaust).unwrap_err(),
-                ServiceError::MemoryExhausted { .. }
-            ));
-        }
-        // ...so the next submission sheds without executing, even though
-        // it carries no budget problem of its own.
-        assert_eq!(
-            svc.submit(Q_TIME).unwrap_err(),
-            ServiceError::Overloaded {
-                reason: ShedReason::CircuitOpen
-            }
-        );
-        let text = svc.metrics_prometheus();
-        assert!(text.contains("oodb_breaker_trips_total 1"), "{text}");
-        assert!(text.contains("oodb_breaker_open 1"), "{text}");
-        // After the cooldown the breaker half-opens; a healthy probe
-        // closes it and service resumes.
-        thread::sleep(Duration::from_millis(60));
-        assert!(svc.submit(Q_TIME).is_ok());
-        assert!(svc.submit(Q_TIME).is_ok());
-        let text = svc.metrics_prometheus();
-        assert!(text.contains("oodb_breaker_open 0"), "{text}");
-    }
-
-    #[test]
-    fn half_open_probe_failure_retrips_immediately() {
-        let svc = hash_join_service();
-        svc.set_admission(AdmissionConfig {
-            breaker_threshold: 1,
-            breaker_cooldown: Duration::from_millis(40),
-            ..Default::default()
-        });
-        let exhaust = SubmitOptions {
-            mem_budget: Some(0),
-            ..Default::default()
-        };
-        let _ = svc.submit_with(Q_JOIN, exhaust); // trips
-        thread::sleep(Duration::from_millis(60));
-        let _ = svc.submit_with(Q_JOIN, exhaust); // half-open probe fails
-        assert_eq!(
-            svc.submit(Q_TIME).unwrap_err(),
-            ServiceError::Overloaded {
-                reason: ShedReason::CircuitOpen
-            }
-        );
-        assert!(svc
-            .metrics_prometheus()
-            .contains("oodb_breaker_trips_total 2"));
-    }
-
-    #[test]
     fn pressure_ladder_degrades_then_sheds() {
         let svc = small_service();
         let gov = MemoryGovernor::new(1000);
@@ -2736,49 +2149,6 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("oodb_pressure_degrades_total 1"), "{text}");
-    }
-
-    #[test]
-    fn bounded_pool_sheds_when_queue_is_full() {
-        let svc = small_service();
-        let pool = WorkerPool::with_queue_limit(svc.clone(), 1, 1);
-        // One slow job occupies the worker, the next fills the queue;
-        // everything past that sheds instantly with a typed error.
-        let slow_opts = SubmitOptions {
-            realize_io_scale: 50.0,
-            ..Default::default()
-        };
-        let running = pool.submit(Q_TIME, slow_opts);
-        // Wait until the worker has *dequeued* the slow job; otherwise it
-        // still occupies the 1-deep queue and the whole burst sheds.
-        for _ in 0..400 {
-            if pool.shared.queued.load(Ordering::Relaxed) == 0 {
-                break;
-            }
-            thread::sleep(Duration::from_millis(5));
-        }
-        let burst: Vec<Pending> = (0..16)
-            .map(|_| pool.submit(Q_TIME, SubmitOptions::default()))
-            .collect();
-        let (mut served, mut shed) = (0usize, 0usize);
-        for p in burst {
-            match p.wait() {
-                Ok(_) => served += 1,
-                Err(ServiceError::Overloaded {
-                    reason: ShedReason::QueueFull,
-                }) => shed += 1,
-                Err(other) => panic!("unexpected reply: {other:?}"),
-            }
-        }
-        assert!(shed > 0, "a 1-deep queue must shed under a 16-burst");
-        assert!(served > 0, "queued jobs must still be served");
-        assert!(running.wait().is_ok(), "in-flight work must finish");
-        let text = svc.metrics_prometheus();
-        assert!(
-            text.contains(r#"oodb_shed_total{reason="queue_full"}"#),
-            "{text}"
-        );
-        pool.shutdown();
     }
 
     #[test]

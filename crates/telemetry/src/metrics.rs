@@ -347,20 +347,25 @@ fn escape_label(v: &str) -> String {
         .replace('\n', "\\n")
 }
 
-fn escape_json(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
-    for c in v.chars() {
+/// Appends `s` as a JSON string (surrounding quotes included) to `out`.
+/// The workspace's one JSON string escaper: the metrics snapshot below
+/// and the server's wire codec both write through it.
+pub fn push_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
             '\\' => out.push_str("\\\\"),
             '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
     }
-    out
+    out.push('"');
 }
 
 #[derive(Clone, Debug)]
@@ -534,33 +539,37 @@ impl MetricsRegistry {
     pub fn render_json(&self) -> String {
         let metrics = self.metrics.load();
         let labels_json = |key: &MetricKey| {
-            let pairs: Vec<String> = key
-                .labels
-                .iter()
-                .map(|(k, v)| format!("\"{}\": \"{}\"", escape_json(k), escape_json(v)))
-                .collect();
-            format!("{{{}}}", pairs.join(", "))
+            let mut out = String::from("{");
+            for (i, (k, v)) in key.labels.iter().enumerate() {
+                out.push_str(if i > 0 { ", " } else { "" });
+                push_escaped(&mut out, k);
+                out.push_str(": ");
+                push_escaped(&mut out, v);
+            }
+            out.push('}');
+            out
         };
         let mut counters = Vec::new();
         let mut gauges = Vec::new();
         let mut histograms = Vec::new();
         for (key, slot) in metrics.iter() {
-            let name = escape_json(&key.name);
+            let mut name = String::new();
+            push_escaped(&mut name, &key.name);
             match slot {
                 Slot::Counter(c) => counters.push(format!(
-                    "{{\"name\": \"{name}\", \"labels\": {}, \"value\": {}}}",
+                    "{{\"name\": {name}, \"labels\": {}, \"value\": {}}}",
                     labels_json(key),
                     c.get()
                 )),
                 Slot::Gauge(g) => gauges.push(format!(
-                    "{{\"name\": \"{name}\", \"labels\": {}, \"value\": {}}}",
+                    "{{\"name\": {name}, \"labels\": {}, \"value\": {}}}",
                     labels_json(key),
                     g.get()
                 )),
                 Slot::Histogram(h) => {
                     let snap = h.snapshot();
                     histograms.push(format!(
-                        "{{\"name\": \"{name}\", \"labels\": {}, \"count\": {}, \
+                        "{{\"name\": {name}, \"labels\": {}, \"count\": {}, \
                          \"sum_ns\": {}, \"mean_ns\": {:.1}, \"p50_ns\": {:.1}, \
                          \"p95_ns\": {:.1}, \"p99_ns\": {:.1}}}",
                         labels_json(key),
@@ -721,7 +730,13 @@ mod tests {
         reg.set_profiling(true);
         reg.counter("c_total", &[]).add(7);
         reg.histogram("h_ns", &[("stage", "x")]).record(1000);
+        reg.gauge("g", &[("odd", "q\"b\\n\nr\rt\tc\u{1}")]).set(1);
         let json = reg.render_json();
+        assert!(
+            json.contains(r#""odd": "q\"b\\n\nr\rt\tc\u0001""#),
+            "every label byte below 0x20 must leave escaped: {json}"
+        );
+        assert!(!json.bytes().any(|b| b < 0x20), "{json:?}");
         assert!(json.contains("\"name\": \"c_total\""), "{json}");
         assert!(json.contains("\"value\": 7"), "{json}");
         assert!(json.contains("\"stage\": \"x\""), "{json}");

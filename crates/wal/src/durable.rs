@@ -314,44 +314,6 @@ impl WalSession {
         })
     }
 
-    /// Resumes a durability session over an existing directory after
-    /// [`recover`], truncating the log to the sequence recovery actually
-    /// applied (the report's `next_seq`). A degraded recovery stops at
-    /// the first record that fails to decode or apply; seq-valid frames
-    /// *after* that point must not stay in the log, or records appended
-    /// by the resumed session would sit behind a poison record and never
-    /// replay. Returns the session and the log bytes discarded (torn
-    /// tail plus unapplied records).
-    pub fn resume(
-        dir: &Path,
-        applied_next_seq: u64,
-        policy: FlushPolicy,
-        injector: Option<WriteFaultInjector>,
-    ) -> Result<(WalSession, u64), SessionError> {
-        let (wal, scan) = Wal::open_append_at(
-            &dir.join(WAL_FILE),
-            applied_next_seq,
-            policy,
-            injector.clone(),
-        )?;
-        let kept = (wal.next_seq() - scan.base_seq) as usize;
-        let dropped_records: u64 = scan.records[kept..]
-            .iter()
-            .map(|(_, rec)| (crate::frame::FRAME_HEADER + 8 + rec.len()) as u64)
-            .sum();
-        Ok((
-            WalSession {
-                dir: dir.to_path_buf(),
-                wal,
-                policy,
-                injector,
-                last_checkpoint: CheckpointStats::default(),
-                compacted_records: 0,
-            },
-            scan.torn_bytes + dropped_records,
-        ))
-    }
-
     /// The session directory.
     pub fn dir(&self) -> &Path {
         &self.dir
@@ -711,47 +673,5 @@ mod tests {
             store_digest(&recovered),
             "a re-replayed StatsRefresh would bump the epoch and diverge"
         );
-    }
-
-    #[test]
-    fn resume_truncates_records_recovery_did_not_apply() {
-        let dir = ScratchDir::new("resume-degraded").unwrap();
-        let mut store = small_store();
-        let session =
-            WalSession::create(dir.path(), &store, FlushPolicy::EveryRecord, None).unwrap();
-        drop(session);
-        // Build a log whose middle record cannot decode: replay stops
-        // after the first record, stranding the third behind the poison.
-        let wal_path = dir.path().join(WAL_FILE);
-        let (mut wal, _) = Wal::open_append(&wal_path, FlushPolicy::EveryRecord, None).unwrap();
-        let good = WalRecord::StatsRefresh { buckets: 16 };
-        wal.append(&good.encode()).unwrap();
-        wal.append(&[0xFF; 10]).unwrap();
-        wal.append(&good.encode()).unwrap();
-        drop(wal);
-        apply_to(&mut store, &good).unwrap();
-
-        let (recovered, report) = recover(dir.path()).unwrap();
-        assert_eq!(report.replayed_records, 1);
-        assert!(report.stopped.is_some(), "decode failure stops replay");
-        assert_eq!(report.next_seq, 1);
-        assert_eq!(store_digest(&store), store_digest(&recovered));
-
-        // Resume at the applied sequence: the poison record and the
-        // stranded one behind it are truncated, so a fresh append lands
-        // at seq 1 and replays on the next recovery.
-        let (mut resumed, discarded) =
-            WalSession::resume(dir.path(), report.next_seq, FlushPolicy::EveryRecord, None)
-                .unwrap();
-        assert!(discarded > 0);
-        assert_eq!(resumed.next_seq(), 1);
-        let rec = WalRecord::StatsRefresh { buckets: 32 };
-        assert_eq!(resumed.append(&rec).unwrap(), 1);
-        let mut store2 = recovered;
-        apply_to(&mut store2, &rec).unwrap();
-        let (recovered2, report2) = recover(dir.path()).unwrap();
-        assert_eq!(report2.replayed_records, 2);
-        assert!(report2.stopped.is_none());
-        assert_eq!(store_digest(&store2), store_digest(&recovered2));
     }
 }

@@ -23,7 +23,7 @@ use crate::frame::{read_frame, write_frame, FrameError, FRAME_HEADER};
 use crate::util::sync_parent_dir;
 use oodb_fault::{WriteFault, WriteFaultInjector};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 /// Log file magic (8 bytes).
@@ -217,59 +217,6 @@ impl Wal {
         })
     }
 
-    /// Reopens an existing log for appending, truncating any torn tail
-    /// found by [`Wal::scan`]. Returns the log and the scan it recovered
-    /// from.
-    pub fn open_append(
-        path: &Path,
-        policy: FlushPolicy,
-        injector: Option<WriteFaultInjector>,
-    ) -> Result<(Wal, WalScan), WalError> {
-        Wal::open_append_at(path, u64::MAX, policy, injector)
-    }
-
-    /// Reopens an existing log for appending, keeping only records with
-    /// sequence below `keep_below` — everything at or above it, plus any
-    /// torn tail, is truncated away. A degraded recovery that stopped
-    /// replay early resumes through this (with the report's `next_seq`)
-    /// so appends never land behind a record that will not replay.
-    pub fn open_append_at(
-        path: &Path,
-        keep_below: u64,
-        policy: FlushPolicy,
-        injector: Option<WriteFaultInjector>,
-    ) -> Result<(Wal, WalScan), WalError> {
-        let scan = Wal::scan(path)?;
-        let keep = keep_below
-            .saturating_sub(scan.base_seq)
-            .min(scan.records.len() as u64) as usize;
-        let valid_len = WAL_HEADER as u64
-            + scan.records[..keep]
-                .iter()
-                .map(|(_, rec)| (FRAME_HEADER + 8 + rec.len()) as u64)
-                .sum::<u64>();
-        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
-        file.set_len(valid_len)?;
-        file.seek(SeekFrom::End(0))?;
-        file.sync_all()?;
-        let next_seq = scan.base_seq + keep as u64;
-        Ok((
-            Wal {
-                file,
-                path: path.to_path_buf(),
-                next_seq,
-                policy,
-                buffer: Vec::new(),
-                buffered_records: Vec::new(),
-                stats: WalLogStats::default(),
-                injector,
-                ops: 0,
-                poisoned: false,
-            },
-            scan,
-        ))
-    }
-
     /// The log file path.
     pub fn path(&self) -> &Path {
         &self.path
@@ -431,7 +378,7 @@ mod tests {
     }
 
     #[test]
-    fn torn_tail_is_truncated_on_reopen() {
+    fn torn_tail_is_reported_not_replayed() {
         let dir = ScratchDir::new("log-torn").unwrap();
         let path = dir.path().join("wal.oodb");
         let mut wal = Wal::create(&path, 0, FlushPolicy::EveryRecord, None).unwrap();
@@ -441,36 +388,10 @@ mod tests {
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(&[0xAB; 5]).unwrap();
         drop(f);
-        let (mut wal2, scan) = Wal::open_append(&path, FlushPolicy::EveryRecord, None).unwrap();
+        let scan = Wal::scan(&path).unwrap();
         assert_eq!(scan.records.len(), 2);
         assert_eq!(scan.torn_bytes, 5);
         assert_eq!(scan.stop, Some(FrameError::Truncated));
-        // The truncated log accepts appends at the right sequence.
-        assert_eq!(wal2.append(b"three").unwrap(), 2);
-        let rescan = Wal::scan(&path).unwrap();
-        assert_eq!(rescan.records.len(), 3);
-        assert_eq!(rescan.torn_bytes, 0);
-    }
-
-    #[test]
-    fn open_append_at_truncates_unkept_records() {
-        let dir = ScratchDir::new("log-keep").unwrap();
-        let path = dir.path().join("wal.oodb");
-        let mut wal = Wal::create(&path, 3, FlushPolicy::EveryRecord, None).unwrap();
-        for i in 0..5u8 {
-            wal.append(&[i; 6]).unwrap();
-        }
-        drop(wal);
-        // Keep only sequences below 5: records 3 and 4 survive, 5..8 go.
-        let (mut wal2, scan) =
-            Wal::open_append_at(&path, 5, FlushPolicy::EveryRecord, None).unwrap();
-        assert_eq!(scan.records.len(), 5);
-        assert_eq!(wal2.next_seq(), 5);
-        assert_eq!(wal2.append(b"new").unwrap(), 5);
-        let rescan = Wal::scan(&path).unwrap();
-        assert_eq!(rescan.records.len(), 3);
-        assert_eq!(rescan.records.last().unwrap().0, 5);
-        assert_eq!(rescan.torn_bytes, 0);
     }
 
     #[test]
@@ -529,10 +450,10 @@ mod tests {
         }
         let err = wal.flush().unwrap_err();
         assert!(matches!(err, WalError::Fault(WriteFault::TornWrite { .. })));
-        // Reopen recovers: whatever whole frames survived replay, the
-        // torn remainder is truncated.
-        let (wal2, scan) = Wal::open_append(&path, FlushPolicy::Manual, None).unwrap();
+        // A scan recovers whatever whole frames survived; the torn
+        // remainder is reported, not replayed.
+        let scan = Wal::scan(&path).unwrap();
         assert!(scan.records.len() < 6);
-        assert_eq!(wal2.next_seq(), scan.records.len() as u64);
+        assert!(scan.torn_bytes > 0 || scan.records.is_empty());
     }
 }

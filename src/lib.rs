@@ -69,7 +69,7 @@ pub mod prelude {
     pub use oodb_mem::{MemoryGovernor, MemoryGrant, PressureLevel};
     pub use oodb_object::paper::{paper_model, paper_model_scaled};
     pub use oodb_object::{Catalog, Schema, Value};
-    pub use oodb_service::{QueryService, SubmitOptions, WorkerPool};
+    pub use oodb_service::{QueryService, SubmitOptions};
     pub use oodb_storage::{generate_paper_db, GenConfig, Store};
     pub use oodb_telemetry::{MetricsRegistry, OpTrace};
     pub use oodb_wal::{recover, FlushPolicy, WalSession};

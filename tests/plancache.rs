@@ -3,9 +3,10 @@
 //! query, rule configuration, statistics epoch, and index set all match,
 //! and concurrent submission is observationally identical to serial.
 
+use oodb_bench::workload::submit_concurrently;
 use oodb_core::config::rule_names;
 use oodb_core::{CostParams, OptimizerConfig};
-use oodb_service::{QueryOutput, QueryService, SubmitOptions, WorkerPool};
+use oodb_service::{QueryOutput, QueryService};
 use oodb_storage::{generate_paper_db, GenConfig};
 
 fn service() -> QueryService {
@@ -125,7 +126,7 @@ fn dropped_index_is_never_served() {
 #[test]
 fn concurrent_submit_is_byte_identical_to_serial() {
     // One Zipf-ish workload, three queries, interleaved; serial reference
-    // first, then the same stream through 8 workers on a fresh service.
+    // first, then the same stream from 8 threads on a fresh service.
     let queries = [
         Q_MAYOR,
         Q_TIME,
@@ -140,13 +141,12 @@ fn concurrent_submit_is_byte_identical_to_serial() {
         .collect();
 
     let par_svc = service();
-    let pool = WorkerPool::new(par_svc.clone(), 8);
-    let pending: Vec<_> = stream
-        .iter()
-        .map(|q| pool.submit(*q, SubmitOptions::default()))
-        .collect();
-    let parallel: Vec<QueryOutput> = pending.into_iter().map(|p| p.wait().unwrap()).collect();
-    pool.shutdown();
+    let parallel: Vec<QueryOutput> = submit_concurrently(&par_svc, 8, stream.len(), |i| {
+        (stream[i], Default::default())
+    })
+    .into_iter()
+    .map(Result::unwrap)
+    .collect();
 
     assert_eq!(serial.len(), parallel.len());
     for (s, p) in serial.iter().zip(&parallel) {

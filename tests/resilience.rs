@@ -7,10 +7,9 @@
 //! The fault stream is deterministic per seed. Failures print the seed;
 //! re-run with `OODB_CHAOS_SEED=<seed>` to reproduce.
 
+use oodb_bench::workload::submit_concurrently;
 use oodb_core::{CostParams, OptimizerConfig};
-use oodb_service::{
-    AdmissionConfig, QueryService, ServiceError, ShedReason, SubmitOptions, WorkerPool,
-};
+use oodb_service::{AdmissionConfig, QueryService, ServiceError, ShedReason, SubmitOptions};
 use oodb_storage::{generate_paper_db, FaultConfig, FaultInjector, GenConfig, MemoryGovernor};
 use open_oodb::fault::CancelToken;
 use std::time::Duration;
@@ -63,7 +62,7 @@ fn counter(text: &str, name: &str) -> u64 {
         .unwrap_or(0)
 }
 
-/// Replays Q1–Q4 through a worker pool at several transient-fault rates:
+/// Replays Q1–Q4 from four threads at several transient-fault rates:
 /// every reply must be `Ok`, answers must match the fault-free baseline,
 /// and the service's retry counter must equal the injector's transient
 /// fault count (each injected transient fault aborts exactly one attempt,
@@ -91,20 +90,15 @@ fn chaos_replay_under_transient_faults() {
         });
         svc.attach_fault_injector(injector.clone());
 
-        let pool = WorkerPool::new(svc.clone(), 4);
-        let submissions = 48;
         let opts = SubmitOptions {
             retries: 64,
             ..Default::default()
         };
-        let pending: Vec<_> = (0..submissions)
-            .map(|i| pool.submit(QUERIES[i % QUERIES.len()].to_string(), opts))
-            .collect();
+        let replies = submit_concurrently(&svc, 4, 48, |i| (QUERIES[i % QUERIES.len()], opts));
         let mut total_retries = 0u64;
-        for (i, p) in pending.into_iter().enumerate() {
-            let out = p
-                .wait()
-                .unwrap_or_else(|e| panic!("seed {seed} rate {rate}: submission {i}: {e}"));
+        for (i, reply) in replies.into_iter().enumerate() {
+            let out =
+                reply.unwrap_or_else(|e| panic!("seed {seed} rate {rate}: submission {i}: {e}"));
             assert!(!out.degraded, "no deadline was set (seed {seed})");
             total_retries += u64::from(out.retries);
             let mut rows = out.rows;
@@ -115,7 +109,6 @@ fn chaos_replay_under_transient_faults() {
                 "answers must survive transient faults (seed {seed}, rate {rate})"
             );
         }
-        pool.shutdown();
 
         let stats = injector.stats();
         assert_eq!(stats.permanent, 0, "transient-only model (seed {seed})");
@@ -135,7 +128,7 @@ fn chaos_replay_under_transient_faults() {
         assert_eq!(counter(&text, "oodb_retries_total"), total_retries);
         assert_eq!(counter(&text, "oodb_injected_faults_total"), stats.injected);
         assert_eq!(counter(&text, "oodb_submission_panics_total"), 0);
-        assert!(text.contains("oodb_queue_depth 0"), "{text}");
+        assert!(text.contains("oodb_inflight 0"), "{text}");
     }
 }
 
@@ -351,7 +344,7 @@ fn governed_service() -> QueryService {
 /// The tentpole acceptance replay: Q1–Q4 plus an explicit hash join run
 /// at 25% of their measured working set, under transient storage faults
 /// on top. Every answer must match the unconstrained baseline (operators
-/// spill or shrink, they do not error), and when the pool quiesces the
+/// spill or shrink, they do not error), and when the submitters quiesce the
 /// governor's byte ledger must reconcile exactly: nothing still reserved,
 /// reserves equal releases, spilled bytes written equal bytes read back.
 #[test]
@@ -402,20 +395,17 @@ fn memory_pressure_replay_matches_baseline() {
         });
         svc.attach_fault_injector(injector);
 
-        let pool = WorkerPool::new(svc.clone(), 4);
-        let pending: Vec<_> = (0..40)
-            .map(|i| {
-                let opts = SubmitOptions {
-                    retries: 64,
-                    mem_budget: Some(budgets[i % queries.len()]),
-                    ..Default::default()
-                };
-                pool.submit(queries[i % queries.len()].to_string(), opts)
-            })
-            .collect();
-        for (i, p) in pending.into_iter().enumerate() {
+        let replies = submit_concurrently(&svc, 4, 40, |i| {
+            let opts = SubmitOptions {
+                retries: 64,
+                mem_budget: Some(budgets[i % queries.len()]),
+                ..Default::default()
+            };
+            (queries[i % queries.len()], opts)
+        });
+        for (i, reply) in replies.into_iter().enumerate() {
             let budget = budgets[i % queries.len()];
-            let out = p.wait().unwrap_or_else(|e| {
+            let out = reply.unwrap_or_else(|e| {
                 panic!("seed {seed} rate {rate} budget {budget}: submission {i}: {e}")
             });
             assert!(
@@ -434,7 +424,6 @@ fn memory_pressure_replay_matches_baseline() {
                  (seed {seed}, rate {rate}, budget {budget})"
             );
         }
-        pool.shutdown();
         svc.detach_fault_injector();
     }
 
@@ -464,9 +453,10 @@ fn memory_pressure_replay_matches_baseline() {
     assert!(text.contains("oodb_mem_capacity_bytes"), "{text}");
 }
 
-/// Saturation replay: a bounded worker pool under a burst sheds with the
-/// typed `Overloaded(QueueFull)` error while every admitted submission
-/// still completes with the right answer — degrade, don't collapse.
+/// Saturation replay: a service capped at two in flight under a burst
+/// from four threads sheds with the typed `Overloaded(QueueFull)` error
+/// while every admitted submission still completes with the right answer
+/// — degrade, don't collapse.
 #[test]
 fn memory_saturation_sheds_but_completes_inflight() {
     let svc = service();
@@ -479,19 +469,20 @@ fn memory_saturation_sheds_but_completes_inflight() {
         })
         .collect();
 
-    // Two workers, a queue of two, and a burst of 24 slow submissions:
-    // the enqueue side is far faster than execution, so most must shed.
-    let pool = WorkerPool::with_queue_limit(svc.clone(), 2, 2);
+    // Two slots, four submitters, 24 slow submissions: a refusal returns
+    // at once while an admitted query stalls, so most must shed.
+    svc.set_admission(AdmissionConfig {
+        max_inflight: 2,
+        ..Default::default()
+    });
     let opts = SubmitOptions {
         realize_io_scale: 25.0,
         ..Default::default()
     };
-    let pending: Vec<_> = (0..24)
-        .map(|i| pool.submit(QUERIES[i % QUERIES.len()].to_string(), opts))
-        .collect();
+    let replies = submit_concurrently(&svc, 4, 24, |i| (QUERIES[i % QUERIES.len()], opts));
     let (mut served, mut shed) = (0u64, 0u64);
-    for (i, p) in pending.into_iter().enumerate() {
-        match p.wait() {
+    for (i, reply) in replies.into_iter().enumerate() {
+        match reply {
             Ok(out) => {
                 let mut rows = out.rows;
                 rows.sort();
@@ -505,17 +496,15 @@ fn memory_saturation_sheds_but_completes_inflight() {
         }
     }
     assert!(served > 0, "admitted work must complete");
-    assert!(shed > 0, "a 24-burst against queue depth 2 must shed");
+    assert!(shed > 0, "a 24-burst against two slots must shed");
 
-    // The pool recovers once the burst drains: a normal submission runs.
-    let after = pool
-        .submit(QUERIES[0].to_string(), SubmitOptions::default())
-        .wait()
-        .expect("pool must recover after the burst");
+    // The gate recovers once the burst drains: a normal submission runs.
+    let after = svc
+        .submit(QUERIES[0])
+        .expect("service must recover after the burst");
     let mut rows = after.rows;
     rows.sort();
     assert_eq!(rows, baseline[0]);
-    pool.shutdown();
 
     let text = svc.metrics_prometheus();
     assert_eq!(
@@ -523,7 +512,7 @@ fn memory_saturation_sheds_but_completes_inflight() {
         shed,
         "shed counter must reconcile with refused replies:\n{text}"
     );
-    assert!(text.contains("oodb_queue_depth 0"), "{text}");
+    assert!(text.contains("oodb_inflight 0"), "{text}");
 }
 
 /// Circuit breaker integration: repeated grant exhaustion trips the

@@ -20,7 +20,7 @@
 
 use oodb_core::config::rule_names;
 use oodb_core::{CostParams, OptimizerConfig};
-use oodb_service::{QueryService, SubmitOptions, WorkerPool};
+use oodb_service::QueryService;
 use oodb_storage::{generate_paper_db, GenConfig};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -141,31 +141,4 @@ fn concurrent_submissions_never_observe_torn_snapshots() {
     );
     let claimed_hits = outputs.iter().filter(|(_, _, hit)| *hit).count();
     assert_eq!(hits as usize, claimed_hits, "hit counter must reconcile");
-}
-
-/// The per-worker pool channels must deliver every queued job while the
-/// snapshot state churns underneath — no job lost to round-robin slot
-/// selection, no worker wedged on a stale receiver.
-#[test]
-fn worker_pool_drains_under_snapshot_churn() {
-    const JOBS: usize = 48;
-
-    let svc = service();
-    let pool = WorkerPool::new(svc.clone(), 3);
-    let cfgs = configs();
-    let pending: Vec<_> = (0..JOBS)
-        .map(|i| {
-            if i % 8 == 7 {
-                svc.refresh_statistics_with_config(8, cfgs[(i / 8) % cfgs.len()].clone());
-            }
-            pool.submit(QUERIES[i % QUERIES.len()], SubmitOptions::default())
-        })
-        .collect();
-    let mut served = 0;
-    for p in pending {
-        p.wait().expect("pool job failed");
-        served += 1;
-    }
-    assert_eq!(served, JOBS);
-    pool.shutdown();
 }

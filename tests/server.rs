@@ -19,6 +19,7 @@ use open_oodb::server::{Client, ClientError, Server, ServerConfig};
 use open_oodb::service::{AdmissionConfig, QueryService, ServiceError, ShedReason};
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::sync::Barrier;
 use std::thread;
 use std::time::Duration;
 
@@ -121,10 +122,7 @@ fn concurrent_pipelined_replay_reconciles_every_counter() {
     const CLIENTS: usize = 4;
     const BATCHES: usize = 4;
     const BATCH: usize = 16;
-    let server = start(ServerConfig {
-        pool_workers: 4,
-        ..Default::default()
-    });
+    let server = start(ServerConfig::default());
     let addr = server.local_addr();
 
     // Register and warm each statement once, so the storm below runs
@@ -463,10 +461,9 @@ fn tenant_breaker_maps_resource_failures_to_503() {
                     reason: ShedReason::CircuitOpen
                 }
             );
-            assert!(
-                retry_after_s.unwrap_or(0) >= 1,
-                "503 must carry Retry-After"
-            );
+            // Some 29.9 s of the 30 s cooldown remain: the header rounds
+            // *up*, or the client retries into a still-open breaker.
+            assert_eq!(retry_after_s, Some(30), "503 must carry Retry-After");
         }
         other => panic!("expected 503, got {other:?}"),
     }
@@ -483,6 +480,137 @@ fn tenant_breaker_maps_resource_failures_to_503() {
         Err(ClientError::Service { status: 500, .. }) => {}
         other => panic!("expected healthy tenant to reach storage, got {other:?}"),
     }
+    drop(c);
+    server.shutdown();
+}
+
+/// A request that cannot run never reaches the tenant's gate: it takes no
+/// slot, is not counted as admitted, and — settled as a success, as it
+/// once was — must not hold a failing tenant's breaker closed.
+#[test]
+fn malformed_requests_neither_count_as_admitted_nor_reset_the_breaker() {
+    let server = start(ServerConfig {
+        tenant_admission: AdmissionConfig {
+            breaker_threshold: 2,
+            breaker_cooldown: Duration::from_secs(30),
+            ..Default::default()
+        },
+        ..Default::default()
+    });
+    server
+        .service()
+        .attach_fault_injector(FaultInjector::new(FaultConfig {
+            read_fault_rate: 1.0,
+            permanent_ratio: 1.0,
+            seed: 7,
+            ..Default::default()
+        }));
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let opts = open_oodb::server::RequestOptions {
+        tenant: Some("flaky"),
+        ..Default::default()
+    };
+    for _ in 0..2 {
+        match c.query(QUERIES[1], opts) {
+            Err(ClientError::Service { status: 500, .. }) => {}
+            other => panic!("expected a storage fault, got {other:?}"),
+        }
+        let malformed = c
+            .request("POST", "/query", Some("{\"tenant\":\"flaky\"}"))
+            .unwrap();
+        assert_eq!(malformed.status, 400);
+    }
+    // Two faults, each followed by a malformed request: still tripped.
+    match c.query(QUERIES[1], opts) {
+        Err(ClientError::Service { status: 503, .. }) => {}
+        other => panic!("breaker must have tripped, got {other:?}"),
+    }
+    let stats = c.stats().unwrap();
+    let tenants = stats.get("tenants").unwrap().as_arr().unwrap();
+    assert_eq!(tenants.len(), 1, "{stats:?}");
+    assert_eq!(tenants[0].get("admitted").unwrap().as_u64(), Some(2));
+    assert_eq!(
+        tenants[0].get("resource_failures").unwrap().as_u64(),
+        Some(2)
+    );
+    assert_eq!(
+        tenants[0].get("shed_circuit_open").unwrap().as_u64(),
+        Some(1)
+    );
+    drop(c);
+    server.shutdown();
+}
+
+/// The process gate is the server's only bound on running queries: with
+/// `max_inflight: 2` and eight connections of slow queries, the excess is
+/// shed `429` + `Retry-After`, every admitted request is answered, and
+/// nothing is left in flight.
+#[test]
+fn service_inflight_cap_sheds_across_connections() {
+    const CLIENTS: usize = 8;
+    let server = start(ServerConfig::default());
+    let addr = server.local_addr();
+    let scale = io_scale_for(server.service(), QUERIES[0], Duration::from_millis(400));
+    let expect_rows = server.service().submit(QUERIES[0]).unwrap().rows;
+    server.service().set_admission(AdmissionConfig {
+        max_inflight: 2,
+        ..Default::default()
+    });
+
+    let start_line = Barrier::new(CLIENTS);
+    let replies: Vec<_> = thread::scope(|s| {
+        let clients: Vec<_> = (0..CLIENTS)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut c = Client::connect(addr).unwrap();
+                    start_line.wait();
+                    c.query(
+                        QUERIES[0],
+                        open_oodb::server::RequestOptions {
+                            realize_io_scale: Some(scale),
+                            ..Default::default()
+                        },
+                    )
+                })
+            })
+            .collect();
+        clients.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    let (mut served, mut shed) = (0, 0);
+    for reply in replies {
+        match reply {
+            Ok(out) => {
+                assert_eq!(out.rows, expect_rows);
+                served += 1;
+            }
+            Err(ClientError::Service {
+                status: 429,
+                error,
+                retry_after_s,
+            }) => {
+                assert_eq!(
+                    error,
+                    ServiceError::Overloaded {
+                        reason: ShedReason::QueueFull
+                    }
+                );
+                assert!(retry_after_s.unwrap_or(0) >= 1, "429 carries Retry-After");
+                shed += 1;
+            }
+            other => panic!("served or shed, nothing else: {other:?}"),
+        }
+    }
+    assert!(served >= 2, "two slots were free: {served} served");
+    assert!(shed >= 1, "eight at once cannot fit two slots");
+    let mut c = Client::connect(addr).unwrap();
+    let metrics = c.metrics().unwrap();
+    assert!(metrics.contains("\noodb_inflight 0\n"), "{metrics}");
+    assert!(
+        metrics.contains(&format!(
+            "oodb_shed_total{{reason=\"queue_full\"}} {shed}\n"
+        )),
+        "{metrics}"
+    );
     drop(c);
     server.shutdown();
 }
