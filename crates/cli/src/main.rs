@@ -13,21 +13,15 @@
 
 #![forbid(unsafe_code)]
 
-use oodb_core::plancache::{CacheKey, CachedBody, CachedPlan, PlanCache};
 use oodb_core::{
-    drift_ratio, greedy_plan, CostParams, EnumLimits, FeedbackStore, Observation, OodbModel,
-    OpenOodb, OptimizerConfig,
+    drift_ratio, greedy_plan, CostParams, EnumLimits, OodbModel, OpenOodb, OptimizerConfig,
 };
-use oodb_exec::{try_execute_parallel, try_execute_traced, ExecResult, RunLimits};
-use oodb_object::paper::PaperModel;
-use oodb_object::{Catalog, Value};
+use oodb_service::{FlushPolicy, QueryService, ServiceError, SubmitOptions};
 use oodb_storage::{
     generate_paper_db, FaultConfig, FaultInjector, GenConfig, MemoryGovernor, Store,
 };
-use oodb_telemetry::{fmt_ns, MetricsRegistry, StageTimer};
-use oodb_wal::{FlushPolicy, WalRecord, WalSession};
+use oodb_telemetry::fmt_ns;
 use std::io::{BufRead, Write};
-use std::sync::Arc;
 
 /// Collects every predicate id in a logical plan (selects and joins), in
 /// plan order, for the `EXPLAIN FEEDBACK` per-predicate listing.
@@ -59,27 +53,33 @@ fn print_diag(d: &oodb_core::verify::Diagnostic) {
     );
 }
 
+/// Prints result rows the way every statement does, local or remote: the
+/// first twenty, then the total.
+fn print_rows(rows: &[String]) {
+    for row in rows.iter().take(20) {
+        println!("  {row}");
+    }
+    if rows.len() > 20 {
+        println!("  ... ({} rows total)", rows.len());
+    }
+}
+
+/// The one service a shell drives: statements, `\`-commands and `\serve`
+/// traffic all go through it.
+fn service_over(store: Store, config: OptimizerConfig) -> QueryService {
+    QueryService::new(store, CostParams::default(), config, 256, 8)
+}
+
 struct Shell {
-    store: Store,
-    model: PaperModel,
-    catalog: Catalog,
-    config: OptimizerConfig,
-    cache: PlanCache,
-    /// Actual-vs-estimated feedback for this shell's executions. Plain
-    /// statements feed the root sample; `EXPLAIN ANALYZE` additionally
-    /// records per-predicate selectivity overrides from its trace.
-    feedback: FeedbackStore,
-    telemetry: MetricsRegistry,
+    svc: QueryService,
     /// Morsel worker threads for plain statement execution (1 = serial).
     exec_workers: usize,
-    /// A network server launched from this shell (`\serve`).
+    /// A network server launched from this shell (`\serve`), serving
+    /// `svc` itself — not a copy.
     server: Option<oodb_server::Server>,
     /// A connection to a running server (`\connect`); while set, plain
     /// statements execute remotely.
     remote: Option<oodb_server::Client>,
-    /// Active WAL session (`\durability on DIR`); while set, `\stats`
-    /// is logged before it is applied to the store.
-    wal: Option<WalSession>,
 }
 
 fn main() {
@@ -97,24 +97,16 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.0);
     eprintln!("Generating the Table 1 database at scale 1/{scale}...");
-    let (store, model) = generate_paper_db(GenConfig {
+    let (store, _model) = generate_paper_db(GenConfig {
         scale_div: scale,
         hot_employee_name_fraction: hot_names,
         ..Default::default()
     });
-    let catalog = model.catalog.clone();
     let mut shell = Shell {
-        store,
-        model,
-        catalog,
-        config: OptimizerConfig::all_rules(),
-        cache: PlanCache::default(),
-        feedback: FeedbackStore::default(),
-        telemetry: MetricsRegistry::new(),
+        svc: service_over(store, OptimizerConfig::all_rules()),
         exec_workers: 1,
         server: None,
         remote: None,
-        wal: None,
     };
     eprintln!("Open OODB reproduction shell. \\help for commands, \\q to quit.");
 
@@ -163,9 +155,27 @@ fn main() {
 }
 
 impl Shell {
+    /// Compiles `src` against the service's current snapshot; a front-end
+    /// rejection is printed and yields `None`.
+    fn compile(&self, src: &str) -> Option<zql::SimplifiedQuery> {
+        let store = self.svc.store();
+        zql::compile(src, store.schema(), store.catalog())
+            .map_err(|e| println!("{e}"))
+            .ok()
+    }
+
+    /// Edits the service's optimizer configuration in place.
+    fn update_config(&self, edit: impl FnOnce(&mut OptimizerConfig)) {
+        let mut config = self.svc.config();
+        edit(&mut config);
+        self.svc.set_config(config);
+    }
+
     /// Handles a backslash command; returns false to quit.
     fn command(&mut self, line: &str) -> bool {
         let mut parts = line.split_whitespace();
+        let store = self.svc.store();
+        let (schema, catalog) = (store.schema(), store.catalog());
         match parts.next().unwrap_or("") {
             "\\q" | "\\quit" => return false,
             "\\help" => {
@@ -216,55 +226,53 @@ impl Shell {
                 );
             }
             "\\schema" => {
-                for (ty, def) in self.model.schema.types() {
-                    let fields: Vec<String> = self
-                        .model
-                        .schema
+                for (ty, def) in schema.types() {
+                    let fields: Vec<String> = schema
                         .fields_of(ty)
                         .into_iter()
                         .map(|f| {
-                            let fd = self.model.schema.field(f);
+                            let fd = schema.field(f);
                             match fd.kind {
                                 oodb_object::FieldKind::Attr(a) => {
                                     format!("{}: {a:?}", fd.name)
                                 }
                                 oodb_object::FieldKind::Ref(t) => {
-                                    format!("{} -> {}", fd.name, self.model.schema.ty(t).name)
+                                    format!("{} -> {}", fd.name, schema.ty(t).name)
                                 }
                                 oodb_object::FieldKind::RefSet(t) => {
-                                    format!("{} -> {{{}}}", fd.name, self.model.schema.ty(t).name)
+                                    format!("{} -> {{{}}}", fd.name, schema.ty(t).name)
                                 }
                             }
                         })
                         .collect();
                     let sup = def
                         .supertype
-                        .map(|s| format!(" : {}", self.model.schema.ty(s).name))
+                        .map(|s| format!(" : {}", schema.ty(s).name))
                         .unwrap_or_default();
                     println!("{}{} {{ {} }}", def.name, sup, fields.join(", "));
                 }
             }
             "\\catalog" => {
-                for (_, def) in self.catalog.collections() {
+                for (_, def) in catalog.collections() {
                     println!(
                         "{:<22} {:>9} x {:>5} bytes  ({:?})",
                         def.name, def.cardinality, def.obj_bytes, def.kind
                     );
                 }
-                println!("histograms collected: {}", self.catalog.histogram_count());
+                println!("histograms collected: {}", catalog.histogram_count());
             }
             "\\indexes" => {
-                for (_, d) in self.catalog.indexes() {
+                for (_, d) in catalog.indexes() {
                     let path: Vec<String> = d
                         .path
                         .iter()
                         .chain(std::iter::once(&d.key))
-                        .map(|&f| self.model.schema.field(f).name.clone())
+                        .map(|&f| schema.field(f).name.clone())
                         .collect();
                     println!(
                         "{:<22} on {} ({}) distinct {}",
                         d.name,
-                        self.catalog.collection(d.collection).name,
+                        catalog.collection(d.collection).name,
                         path.join("."),
                         d.distinct_keys
                     );
@@ -273,40 +281,39 @@ impl Shell {
             "\\rules" => match (parts.next(), parts.next()) {
                 (Some("off"), Some(name)) => match oodb_core::config::rule_name_by_str(name) {
                     Some(stable) => {
-                        self.config.disabled_rules.insert(stable);
+                        self.update_config(|c| {
+                            c.disabled_rules.insert(stable);
+                        });
                         println!("disabled {stable}");
                     }
                     None => println!("unknown rule {name:?} — see \\rules"),
                 },
                 (Some("on"), Some(name)) => match oodb_core::config::rule_name_by_str(name) {
                     Some(stable) => {
-                        self.config.disabled_rules.remove(stable);
+                        self.update_config(|c| {
+                            c.disabled_rules.remove(stable);
+                        });
                         println!("enabled {stable}");
                     }
                     None => println!("unknown rule {name:?}"),
                 },
                 (Some("reset"), _) => {
-                    self.config = OptimizerConfig::all_rules();
+                    self.svc.set_config(OptimizerConfig::all_rules());
                     println!("all rules enabled");
                 }
                 _ => {
+                    let config = self.svc.config();
                     for name in oodb_core::config::ALL_RULE_NAMES {
-                        let state = if self.config.enabled(name) {
-                            "on "
-                        } else {
-                            "OFF"
-                        };
+                        let state = if config.enabled(name) { "on " } else { "OFF" };
                         println!("{state} {name}");
                     }
                 }
             },
             "\\window" => {
                 if let Some(n) = parts.next().and_then(|s| s.parse().ok()) {
-                    self.config.assembly_window = n;
-                    println!("assembly window = {n}");
-                } else {
-                    println!("assembly window = {}", self.config.assembly_window);
+                    self.update_config(|c| c.assembly_window = n);
                 }
+                println!("assembly window = {}", self.svc.config().assembly_window);
             }
             "\\workers" => {
                 if let Some(n) = parts.next().and_then(|s| s.parse::<usize>().ok()) {
@@ -320,76 +327,53 @@ impl Shell {
                     );
                 }
             }
-            "\\trace" => {
-                let rest: Vec<&str> = line.splitn(2, ' ').collect();
-                match rest.get(1) {
-                    Some(src) => self.trace(src.trim_end_matches(';')),
-                    None => println!("usage: \\trace SELECT ... ;"),
+            "\\trace" => match line.split_once(' ') {
+                Some((_, src)) => self.trace(src),
+                None => println!("usage: \\trace SELECT ... ;"),
+            },
+            "\\audit" => match line.split_once(' ') {
+                Some((_, src)) => self.audit_stmt(src),
+                None => println!("usage: \\audit SELECT ... ;"),
+            },
+            "\\verify" => match line.split_once(' ').map(|(_, rest)| rest.trim()) {
+                Some("search on") => {
+                    self.update_config(|c| c.verify_search = true);
+                    println!("verify-search on — every memo expression is linted");
                 }
-            }
-            "\\audit" => {
-                let rest: Vec<&str> = line.splitn(2, ' ').collect();
-                match rest.get(1) {
-                    Some(src) => self.audit_stmt(src.trim_end_matches(';')),
-                    None => println!("usage: \\audit SELECT ... ;"),
+                Some("search off") => {
+                    self.update_config(|c| c.verify_search = false);
+                    println!("verify-search off");
                 }
-            }
-            "\\verify" => {
-                let rest: Vec<&str> = line.splitn(2, ' ').collect();
-                match rest.get(1).map(|s| s.trim()) {
-                    Some("search on") => {
-                        self.config.verify_search = true;
-                        println!("verify-search on — every memo expression is linted");
+                Some(src) if !src.is_empty() => self.verify_stmt(src),
+                _ => println!(
+                    "usage: \\verify SELECT ... ;  or  \\verify search on|off \
+                     (currently {})",
+                    if self.svc.config().verify_search {
+                        "on"
+                    } else {
+                        "off"
                     }
-                    Some("search off") => {
-                        self.config.verify_search = false;
-                        println!("verify-search off");
-                    }
-                    Some(src) if !src.is_empty() => self.verify_stmt(src.trim_end_matches(';')),
-                    _ => println!(
-                        "usage: \\verify SELECT ... ;  or  \\verify search on|off \
-                         (currently {})",
-                        if self.config.verify_search {
-                            "on"
-                        } else {
-                            "off"
-                        }
-                    ),
-                }
-            }
+                ),
+            },
             "\\stats" => {
-                if let Some(session) = self.wal.as_mut() {
-                    // Log-then-apply: the refresh reaches the WAL before
-                    // the store, and replay re-runs the same composite.
-                    let rec = WalRecord::StatsRefresh { buckets: 32 };
-                    if let Err(e) = session.append(&rec) {
-                        println!("wal append failed ({e}); durability degraded");
-                    }
-                    if let Err(e) = oodb_wal::apply_to(&mut self.store, &rec) {
-                        println!("statistics refresh failed: {e}");
-                        return true;
-                    }
-                    self.catalog = self.store.catalog().clone();
-                } else {
-                    self.catalog = self.store.collect_statistics(&[], 32);
-                }
-                // Feedback gathered under the old statistics described a
-                // distribution the refreshed catalog supersedes.
-                self.feedback.retire_older_than(self.catalog.stats_epoch());
+                // Logged before it is applied when durability is on; the
+                // epoch bump retires cached plans and stale feedback.
+                self.svc.refresh_statistics(32);
+                let store = self.svc.store();
                 println!(
                     "collected {} histograms; selectivity estimation refined \
                      (stats epoch {} — cached plans will re-optimize)",
-                    self.catalog.histogram_count(),
-                    self.catalog.stats_epoch()
+                    store.catalog().histogram_count(),
+                    store.catalog().stats_epoch()
                 );
             }
             "\\cache" => match parts.next() {
                 Some("clear") => {
-                    self.cache.clear();
+                    self.svc.cache().clear();
                     println!("plan cache cleared");
                 }
                 None | Some("stats") => {
-                    let s = self.cache.stats();
+                    let s = self.svc.cache().stats();
                     println!(
                         "plan cache: {} entries, {} hits, {} misses, {} evictions \
                          ({:.0}% hit rate); stats epoch {}",
@@ -398,18 +382,18 @@ impl Shell {
                         s.misses,
                         s.evictions,
                         s.hit_rate() * 100.0,
-                        self.catalog.stats_epoch()
+                        catalog.stats_epoch()
                     );
                 }
                 Some(other) => println!("unknown subcommand {other:?}; \\cache [stats|clear]"),
             },
             "\\feedback" => match parts.next() {
                 Some("clear") => {
-                    self.feedback.clear();
+                    self.svc.feedback().clear();
                     println!("feedback cleared");
                 }
                 None | Some("stats") => {
-                    let s = self.feedback.stats();
+                    let s = self.svc.feedback_stats();
                     println!(
                         "feedback: {} fingerprints tracked, {} suspect, {} with \
                          overrides ({} overrides total); worst drift {:.1}x \
@@ -419,9 +403,9 @@ impl Shell {
                         s.overridden,
                         s.overrides,
                         s.worst_drift,
-                        self.feedback.threshold()
+                        self.svc.feedback().threshold()
                     );
-                    for e in self.feedback.snapshot() {
+                    for e in self.svc.feedback_snapshot() {
                         println!(
                             "  {:016x}  execs {:>4}  est {:>10.1}  actual {:>8}  \
                              drift {:>7.1}x{}{}",
@@ -443,14 +427,7 @@ impl Shell {
                     println!("unknown subcommand {other:?}; \\feedback [stats|clear]")
                 }
             },
-            "\\metrics" => {
-                // When serving, the service's registry carries the full
-                // picture (server counters included).
-                match &self.server {
-                    Some(s) => print!("{}", s.service().metrics_prometheus()),
-                    None => print!("{}", self.telemetry.render_prometheus()),
-                }
-            }
+            "\\metrics" => print!("{}", self.svc.metrics_prometheus()),
             "\\serve" => match parts.next() {
                 Some("stop") => match self.server.take() {
                     Some(s) => {
@@ -460,37 +437,26 @@ impl Shell {
                     }
                     None => println!("no server running; \\serve ADDR"),
                 },
-                Some(addr) => {
-                    if self.server.is_some() {
-                        println!("a server is already running; \\serve stop first");
-                    } else {
-                        // The server gets its own QueryService over a
-                        // snapshot of this shell's store and rule config;
-                        // later \rules / \stats changes stay local.
-                        let svc = oodb_service::QueryService::new(
-                            self.store.clone(),
-                            CostParams::default(),
-                            self.config.clone(),
-                            256,
-                            8,
-                        );
-                        match oodb_server::Server::start(
-                            svc,
-                            addr,
-                            oodb_server::ServerConfig::default(),
-                        ) {
-                            Ok(s) => {
-                                println!(
-                                    "serving on {} — POST /query, /prepare, \
-                                     /execute/{{id}}; GET /metrics, /healthz, /stats",
-                                    s.local_addr()
-                                );
-                                self.server = Some(s);
-                            }
-                            Err(e) => println!("cannot serve on {addr}: {e}"),
-                        }
-                    }
+                Some(_) if self.server.is_some() => {
+                    println!("a server is already running; \\serve stop first")
                 }
+                // The server shares this shell's service: \rules, \stats,
+                // \faults and \mem apply to served traffic too.
+                Some(addr) => match oodb_server::Server::start(
+                    self.svc.clone(),
+                    addr,
+                    oodb_server::ServerConfig::default(),
+                ) {
+                    Ok(s) => {
+                        println!(
+                            "serving on {} — POST /query, /prepare, \
+                             /execute/{{id}}; GET /metrics, /healthz, /stats",
+                            s.local_addr()
+                        );
+                        self.server = Some(s);
+                    }
+                    Err(e) => println!("cannot serve on {addr}: {e}"),
+                },
                 None => match &self.server {
                     Some(s) => println!("serving on {}", s.local_addr()),
                     None => println!("usage: \\serve ADDR (e.g. 127.0.0.1:7070) | \\serve stop"),
@@ -527,7 +493,7 @@ impl Shell {
                         .unwrap_or(0.05)
                         .clamp(0.0, 1.0);
                     let seed: u64 = parts.next().and_then(|s| s.parse().ok()).unwrap_or(0x00DB);
-                    self.store
+                    self.svc
                         .attach_fault_injector(FaultInjector::new(FaultConfig {
                             read_fault_rate: rate,
                             seed,
@@ -536,10 +502,10 @@ impl Shell {
                     println!("fault injection on: read fault rate {rate}, seed {seed}");
                 }
                 Some("off") => {
-                    self.store.detach_fault_injector();
+                    self.svc.detach_fault_injector();
                     println!("fault injection off");
                 }
-                None | Some("stats") => match self.store.fault_injector() {
+                None | Some("stats") => match store.fault_injector() {
                     Some(inj) => {
                         let s = inj.stats();
                         println!(
@@ -567,18 +533,17 @@ impl Shell {
                         .and_then(|s| s.parse().ok())
                         .unwrap_or(1 << 20)
                         .max(1);
-                    self.store
-                        .attach_memory_governor(MemoryGovernor::new(bytes));
+                    self.svc.attach_memory_governor(MemoryGovernor::new(bytes));
                     println!(
                         "memory governor on: {bytes} bytes capacity; operators \
                          spill to simulated disk when grants run out"
                     );
                 }
                 Some("off") => {
-                    self.store.detach_memory_governor();
+                    self.svc.detach_memory_governor();
                     println!("memory governor off");
                 }
-                None | Some("stats") => match self.store.memory_governor() {
+                None | Some("stats") => match store.memory_governor() {
                     Some(gov) => {
                         let s = gov.stats();
                         println!(
@@ -609,82 +574,70 @@ impl Shell {
                             (Some("manual"), _) => FlushPolicy::Manual,
                             _ => FlushPolicy::EveryRecord,
                         };
-                        match WalSession::create(
-                            std::path::Path::new(dir),
-                            &self.store,
-                            policy,
-                            None,
-                        ) {
-                            Ok(s) => {
-                                println!(
-                                    "durability on: checkpointed {} records into {dir} \
-                                     ({:?} flushes)",
-                                    s.last_checkpoint().records,
-                                    policy
-                                );
-                                self.wal = Some(s);
-                            }
+                        match self
+                            .svc
+                            .enable_durability(std::path::Path::new(dir), policy)
+                        {
+                            Ok(()) => println!(
+                                "durability on: checkpointed {} records into {dir} \
+                                 ({policy:?} flushes)",
+                                self.svc
+                                    .durability_stats()
+                                    .map_or(0, |s| s.checkpoint_records)
+                            ),
                             Err(e) => println!("cannot start durability: {e}"),
                         }
                     }
                     None => println!("\\durability on DIR [batch N | manual]"),
                 },
-                Some("off") => match self.wal.take() {
-                    Some(mut s) => {
-                        let _ = s.flush();
-                        println!("durability off (log flushed)");
+                Some("off") => {
+                    if !self.end_durability() {
+                        println!("durability is already off");
                     }
-                    None => println!("durability is already off"),
-                },
+                }
                 _ => println!(
                     "durability is {}; \\durability on DIR [batch N | manual] | off",
-                    match &self.wal {
-                        Some(s) => format!("on ({})", s.dir().display()),
+                    match self.svc.durability_stats() {
+                        Some(s) => format!("on ({})", s.dir),
                         None => "off".into(),
                     }
                 ),
             },
             "\\wal" => match parts.next() {
-                Some("checkpoint") => match self.wal.as_mut() {
-                    Some(s) => match s.checkpoint(&self.store) {
-                        Ok(ck) => println!(
-                            "checkpoint: {} records, {} bytes; log reset at seq {}",
-                            ck.records,
-                            ck.bytes,
-                            s.next_seq()
-                        ),
-                        Err(e) => println!("checkpoint failed: {e}"),
-                    },
+                Some("checkpoint") => match self.svc.checkpoint_wal() {
+                    Some(Ok(ck)) => println!(
+                        "checkpoint: {} records, {} bytes; log reset at seq {}",
+                        ck.records,
+                        ck.bytes,
+                        self.svc.durability_stats().map_or(0, |s| s.next_seq)
+                    ),
+                    Some(Err(e)) => println!("checkpoint failed: {e}"),
                     None => println!("durability is off; \\durability on DIR first"),
                 },
-                None | Some("stats") => match &self.wal {
-                    Some(s) => {
-                        let ws = s.wal_stats();
-                        let ck = s.last_checkpoint();
-                        println!(
-                            "wal: {} records ({} bytes), {} flushes, {} syncs, \
-                             {} buffered, next seq {}{}\n\
-                             checkpoint: {} records ({} bytes); {} log records \
-                             compacted this session",
-                            ws.records,
-                            ws.bytes,
-                            ws.flushes,
-                            ws.syncs,
-                            s.buffered_records(),
-                            s.next_seq(),
-                            if s.poisoned() { "  POISONED" } else { "" },
-                            ck.records,
-                            ck.bytes,
-                            s.compacted_records(),
-                        );
-                    }
+                None | Some("stats") => match self.svc.durability_stats() {
+                    Some(s) => println!(
+                        "wal: {} records ({} bytes), {} flushes, {} syncs, \
+                         {} buffered, next seq {}{}\n\
+                         checkpoint: {} records ({} bytes); {} log records \
+                         compacted this session",
+                        s.records,
+                        s.bytes,
+                        s.flushes,
+                        s.syncs,
+                        s.buffered_records,
+                        s.next_seq,
+                        if s.poisoned { "  POISONED" } else { "" },
+                        s.checkpoint_records,
+                        s.checkpoint_bytes,
+                        s.compacted_records,
+                    ),
                     None => println!("durability is off; \\durability on DIR first"),
                 },
                 Some(other) => println!("unknown subcommand {other:?}; \\wal [stats|checkpoint]"),
             },
             "\\save" => match parts.next() {
                 Some(path) => {
-                    let recs = oodb_wal::checkpoint_records(&self.store);
+                    let recs = oodb_wal::checkpoint_records(&store);
                     match oodb_wal::write_checkpoint(std::path::Path::new(path), 0, &recs) {
                         Ok(ck) => println!(
                             "saved {} records ({} bytes) to {path}",
@@ -696,6 +649,11 @@ impl Shell {
                 None => println!("\\save PATH — snapshot the database to a checkpoint file"),
             },
             "\\open" => match parts.next() {
+                // A served database cannot change identity under its
+                // clients.
+                Some(_) if self.server.is_some() => {
+                    println!("cannot \\open while serving; \\serve stop first")
+                }
                 Some(path) => {
                     let p = std::path::Path::new(path);
                     // A directory is a durability dir (checkpoint + log);
@@ -730,14 +688,16 @@ impl Shell {
                     };
                     match recovered {
                         Ok(store) => {
-                            self.catalog = store.catalog().clone();
-                            self.store = store;
-                            self.cache.clear();
-                            self.feedback.clear();
+                            // The old session logged the old database; it
+                            // must not see the new one's mutations.
+                            self.end_durability();
+                            let next = service_over(store, self.svc.config());
+                            next.set_profiling(self.svc.telemetry().profiling());
+                            self.svc = next;
                             println!(
                                 "opened {path} (stats epoch {}; plan cache and \
                                  feedback cleared)",
-                                self.catalog.stats_epoch()
+                                self.svc.store().catalog().stats_epoch()
                             );
                         }
                         Err(e) => println!("open failed: {e}"),
@@ -747,16 +707,16 @@ impl Shell {
             },
             "\\profile" => match parts.next() {
                 Some("on") => {
-                    self.telemetry.set_profiling(true);
+                    self.svc.set_profiling(true);
                     println!("profiling on — latency histograms recording");
                 }
                 Some("off") => {
-                    self.telemetry.set_profiling(false);
+                    self.svc.set_profiling(false);
                     println!("profiling off");
                 }
                 _ => println!(
                     "profiling is {}; \\profile on|off",
-                    if self.telemetry.profiling() {
+                    if self.svc.telemetry().profiling() {
                         "on"
                     } else {
                         "off"
@@ -768,19 +728,22 @@ impl Shell {
         true
     }
 
+    /// Ends the WAL session (flushing it) and says so; false if none ran.
+    fn end_durability(&self) -> bool {
+        let was_on = self.svc.disable_durability();
+        if was_on {
+            println!("durability off (log flushed)");
+        }
+        was_on
+    }
+
     /// Statically verifies a query's winning plan (always under
     /// verify-search, regardless of the session toggle): lints the logical
     /// algebra, optimizes, and reports every diagnostic — or a clean bill.
-    fn verify_stmt(&mut self, src: &str) {
-        let q = match zql::compile(src, &self.model.schema, &self.catalog) {
-            Ok(q) => q,
-            Err(e) => {
-                println!("{e}");
-                return;
-            }
-        };
+    fn verify_stmt(&self, src: &str) {
+        let Some(q) = self.compile(src) else { return };
         let mut diags = oodb_core::verify::lint_logical(&q.env, &q.plan);
-        let mut config = self.config.clone();
+        let mut config = self.svc.config();
         config.verify_search = true;
         let optimizer = OpenOodb::with_config(&q.env, config);
         let searched = match optimizer.optimize_ordered(&q.plan, q.result_vars, q.order) {
@@ -793,7 +756,8 @@ impl Shell {
                 None
             }
         };
-        self.telemetry
+        self.svc
+            .telemetry()
             .counter("oodb_verify_violations_total", &[])
             .add(diags.len() as u64);
         for d in &diags {
@@ -817,15 +781,9 @@ impl Shell {
     /// rule-graph termination proof, exhaustive enumeration with the
     /// winner checked for cost-minimality over the whole space, and the
     /// interval cardinality audit across every enumerated plan.
-    fn audit_stmt(&mut self, src: &str) {
-        let q = match zql::compile(src, &self.model.schema, &self.catalog) {
-            Ok(q) => q,
-            Err(e) => {
-                println!("{e}");
-                return;
-            }
-        };
-        let optimizer = OpenOodb::with_config(&q.env, self.config.clone());
+    fn audit_stmt(&self, src: &str) {
+        let Some(q) = self.compile(src) else { return };
+        let optimizer = OpenOodb::with_config(&q.env, self.svc.config());
         match optimizer.prove_rules_terminate() {
             Ok(p) => println!(
                 "rule graph: {} rules, {} enablement edges, {} in memo-cut \
@@ -875,19 +833,14 @@ impl Shell {
     /// `EXPLAIN FEEDBACK`: what the drift detector knows about one query —
     /// each predicate's catalog selectivity next to any feedback override,
     /// then the accumulated actual-vs-estimated record.
-    fn feedback_stmt(&mut self, src: &str) {
-        let q = match zql::compile(src, &self.model.schema, &self.catalog) {
-            Ok(q) => q,
-            Err(e) => {
-                println!("{e}");
-                return;
-            }
-        };
+    fn feedback_stmt(&self, src: &str) {
+        let Some(q) = self.compile(src) else { return };
         let fp = oodb_algebra::fingerprint(&q.env, &q.plan, q.result_vars, q.order.as_ref());
         let overlay = self
-            .feedback
-            .overlay_for(fp.hash, self.catalog.stats_epoch());
-        let model = OodbModel::new(&q.env, CostParams::default(), self.config.clone());
+            .svc
+            .feedback()
+            .overlay_for(fp.hash, self.svc.store().catalog().stats_epoch());
+        let model = OodbModel::new(&q.env, CostParams::default(), self.svc.config());
         let mut preds = Vec::new();
         collect_preds(&q.plan, &mut preds);
         if preds.is_empty() {
@@ -904,8 +857,8 @@ impl Shell {
             }
         }
         match self
-            .feedback
-            .snapshot()
+            .svc
+            .feedback_snapshot()
             .into_iter()
             .find(|e| e.fingerprint == fp.hash)
         {
@@ -927,50 +880,11 @@ impl Shell {
         }
     }
 
-    /// Folds one execution's root row count into the drift detector and
-    /// tells the user when the estimate drifted past the threshold. A
-    /// newly suspect query loses its cached plan so the next run probes
-    /// and re-optimizes.
-    fn note_drift(
-        &self,
-        key: &CacheKey,
-        fp: u64,
-        epoch: u64,
-        est: f64,
-        actual: u64,
-        corrected: bool,
-    ) {
-        match self
-            .feedback
-            .observe_root(fp, epoch, est, actual, corrected)
-        {
-            Observation::InBounds => {}
-            obs => {
-                if obs == Observation::NewlySuspect {
-                    self.cache.remove(key);
-                }
-                println!(
-                    "note: estimate drift {:.1}x (estimated {:.0} rows, observed \
-                     {actual}); run the query again to re-optimize with corrected \
-                     selectivities",
-                    drift_ratio(est, actual),
-                    est.max(0.0),
-                );
-            }
-        }
-    }
-
     /// Shows the goal-level search trace for a query (the paper's
     /// Figure 11 view, live).
-    fn trace(&mut self, src: &str) {
-        let q = match zql::compile(src, &self.model.schema, &self.catalog) {
-            Ok(q) => q,
-            Err(e) => {
-                println!("{e}");
-                return;
-            }
-        };
-        let optimizer = OpenOodb::with_config(&q.env, self.config.clone());
+    fn trace(&self, src: &str) {
+        let Some(q) = self.compile(src) else { return };
+        let optimizer = OpenOodb::with_config(&q.env, self.svc.config());
         match optimizer.optimize_traced(&q.plan, q.result_vars) {
             Some((out, lines)) => {
                 for l in &lines {
@@ -982,20 +896,6 @@ impl Shell {
         }
     }
 
-    /// Folds one execution's statistics into the always-on counters.
-    fn record_exec(&self, stats: &oodb_exec::ExecStats) {
-        self.telemetry.counter("oodb_statements_total", &[]).inc();
-        self.telemetry
-            .counter("oodb_exec_buffer_hits_total", &[])
-            .add(stats.buffer_hits);
-        self.telemetry
-            .counter("oodb_exec_buffer_misses_total", &[])
-            .add(stats.buffer_misses);
-        self.telemetry
-            .counter("oodb_exec_pages_read_total", &[])
-            .add(stats.disk.pages());
-    }
-
     /// Runs one statement against the connected server; IO failures
     /// drop the connection back to local mode.
     fn remote_statement(&mut self, src: &str) {
@@ -1004,12 +904,7 @@ impl Shell {
         };
         match client.query(src, Default::default()) {
             Ok(out) => {
-                for row in out.rows.iter().take(20) {
-                    println!("  {row}");
-                }
-                if out.rows.len() > 20 {
-                    println!("  ... ({} rows total)", out.rows.len());
-                }
+                print_rows(&out.rows);
                 println!(
                     "{} rows from {} in {} server-side{}{}",
                     out.row_count,
@@ -1044,264 +939,117 @@ impl Shell {
         // EXPLAIN VERIFY statically checks the plan; EXPLAIN ANALYZE runs
         // the plan and annotates it; bare EXPLAIN only shows the search
         // result.
-        if upper.starts_with("EXPLAIN VERIFY") {
-            let src = stmt["EXPLAIN VERIFY".len()..].trim();
-            self.verify_stmt(src.trim_end_matches(';'));
-            return;
-        }
-        if upper.starts_with("EXPLAIN AUDIT") {
-            let src = stmt["EXPLAIN AUDIT".len()..].trim();
-            self.audit_stmt(src.trim_end_matches(';'));
-            return;
-        }
-        if upper.starts_with("EXPLAIN FEEDBACK") {
-            let src = stmt["EXPLAIN FEEDBACK".len()..].trim();
-            self.feedback_stmt(src.trim_end_matches(';'));
-            return;
-        }
-        let (explain, analyze, src) = if upper.starts_with("EXPLAIN ANALYZE") {
-            (false, true, stmt["EXPLAIN ANALYZE".len()..].trim())
-        } else if upper.starts_with("EXPLAIN") {
-            (true, false, stmt["EXPLAIN".len()..].trim())
-        } else {
-            (false, false, stmt)
+        let after = |keyword: &str| {
+            upper
+                .starts_with(keyword)
+                .then(|| stmt[keyword.len()..].trim())
         };
-        let mut timer = StageTimer::start();
-        let q = match zql::compile(src, &self.model.schema, &self.catalog) {
-            Ok(q) => q,
-            Err(e) => {
+        if let Some(src) = after("EXPLAIN VERIFY") {
+            self.verify_stmt(src);
+        } else if let Some(src) = after("EXPLAIN AUDIT") {
+            self.audit_stmt(src);
+        } else if let Some(src) = after("EXPLAIN FEEDBACK") {
+            self.feedback_stmt(src);
+        } else if let Some(src) = after("EXPLAIN ANALYZE") {
+            self.submit(src, true);
+        } else if let Some(src) = after("EXPLAIN") {
+            self.explain(src);
+        } else {
+            self.submit(stmt, false);
+        }
+    }
+
+    /// Bare `EXPLAIN` always optimizes fresh: it exists to show the search.
+    fn explain(&self, src: &str) {
+        let Some(q) = self.compile(src) else { return };
+        let optimizer = OpenOodb::with_config(&q.env, self.svc.config());
+        let Some(out) = optimizer.optimize_ordered(&q.plan, q.result_vars, q.order) else {
+            println!("no feasible plan under the current rule configuration");
+            return;
+        };
+        println!("Logical algebra:");
+        println!("{}", oodb_algebra::display::render_logical(&q.env, &q.plan));
+        println!(
+            "Optimal plan (estimated {:.3} s, {} groups, {} exprs, {:?}):",
+            out.cost.total(),
+            out.stats.groups,
+            out.stats.exprs,
+            out.stats.elapsed
+        );
+        println!(
+            "{}",
+            oodb_algebra::display::render_physical(&q.env, &out.plan)
+        );
+        if let Some(g) = greedy_plan(&q.env, CostParams::default(), &q.plan) {
+            println!(
+                "Greedy (ObjectStore-style) plan ({:.3} s):",
+                g.total_io_s() + g.total_cpu_s()
+            );
+            println!("{}", oodb_algebra::display::render_physical(&q.env, &g));
+        }
+    }
+
+    /// Runs one statement through the service — the same pipeline, plan
+    /// cache and feedback loop `\serve` traffic uses — and prints the
+    /// answer; with `analyze`, the per-operator trace replaces the rows.
+    fn submit(&self, src: &str, analyze: bool) {
+        let opts = SubmitOptions {
+            trace: analyze,
+            exec_workers: self.exec_workers,
+            ..Default::default()
+        };
+        let out = match self.svc.submit_with(src, opts) {
+            Ok(out) => out,
+            Err(e @ (ServiceError::Zql(_) | ServiceError::NoPlan | ServiceError::Exec(_))) => {
                 println!("{e}");
                 return;
             }
-        };
-        timer.lap_into(
-            &self
-                .telemetry
-                .histogram("oodb_stage_latency_ns", &[("stage", "compile")]),
-        );
-        if explain {
-            // EXPLAIN always optimizes fresh: it exists to show the search.
-            let optimizer = OpenOodb::with_config(&q.env, self.config.clone());
-            let Some(out) = optimizer.optimize_ordered(&q.plan, q.result_vars, q.order) else {
-                println!("no feasible plan under the current rule configuration");
+            Err(e) => {
+                println!("execution failed: {e}");
                 return;
-            };
-            println!("Logical algebra:");
-            println!("{}", oodb_algebra::display::render_logical(&q.env, &q.plan));
-            println!(
-                "Optimal plan (estimated {:.3} s, {} groups, {} exprs, {:?}):",
-                out.cost.total(),
-                out.stats.groups,
-                out.stats.exprs,
-                out.stats.elapsed
-            );
-            println!(
-                "{}",
-                oodb_algebra::display::render_physical(&q.env, &out.plan)
-            );
-            if let Some(g) = greedy_plan(&q.env, CostParams::default(), &q.plan) {
-                println!(
-                    "Greedy (ObjectStore-style) plan ({:.3} s):",
-                    g.total_io_s() + g.total_cpu_s()
-                );
-                println!("{}", oodb_algebra::display::render_physical(&q.env, &g));
             }
-            return;
+        };
+        if let Some((est, actual)) = out.drift {
+            println!(
+                "note: estimate drift {:.1}x (estimated {:.0} rows, observed \
+                 {actual}); run the query again to re-optimize with corrected \
+                 selectivities",
+                drift_ratio(est, actual),
+                est.max(0.0),
+            );
         }
-        // Plan via the cache: key on canonical fingerprint + rule config +
-        // statistics epoch + index set + feedback-overlay fingerprint, so
-        // \stats, \rules, or \feedback changes can never serve a stale plan.
-        let fp = oodb_algebra::fingerprint(&q.env, &q.plan, q.result_vars, q.order.as_ref());
-        let epoch = self.catalog.stats_epoch();
-        let overlay = self.feedback.overlay_for(fp.hash, epoch);
-        let key = CacheKey::static_plan(
-            &fp,
-            self.config.fingerprint(),
-            epoch,
-            self.catalog.index_set_hash(),
-            overlay.as_ref().map_or(0, |o| o.fingerprint()),
-        );
-        let (entry, hit) = match self.cache.get(&key, &fp.key) {
-            Some(entry) => (entry, true),
+        let elapsed = match &out.trace {
+            Some(trace) => {
+                println!("Physical plan (analyzed):");
+                print!("{}", trace.render());
+                format!(" in {}", fmt_ns(trace.elapsed_ns))
+            }
             None => {
-                // Scope the optimizer so its borrow of `q.env` ends
-                // before the env moves into the cache entry.
-                let out = {
-                    let mut optimizer = OpenOodb::with_config(&q.env, self.config.clone());
-                    if let Some(ov) = overlay.as_ref() {
-                        optimizer = optimizer.with_overlay(Arc::clone(ov));
-                    }
-                    optimizer.optimize_ordered(&q.plan, q.result_vars, q.order)
-                };
-                let Some(out) = out else {
-                    println!("no feasible plan under the current rule configuration");
-                    return;
-                };
-                let entry = Arc::new(CachedPlan {
-                    structural: fp.key.clone(),
-                    env: q.env,
-                    result_vars: q.result_vars,
-                    body: CachedBody::Static {
-                        plan: out.plan,
-                        cost: out.cost,
-                    },
-                });
-                self.cache.insert(key, Arc::clone(&entry));
-                (entry, false)
+                print_rows(&out.rows);
+                String::new()
             }
         };
-        timer.lap_into(
-            &self
-                .telemetry
-                .histogram("oodb_stage_latency_ns", &[("stage", "plan")]),
-        );
-        // Cached ids index into the entry's captured env, not this parse's.
-        let env = &entry.env;
-        let CachedBody::Static { plan, cost } = &entry.body else {
-            unreachable!("the shell only caches static plans")
-        };
-        if analyze {
-            let (result, stats, trace) =
-                match try_execute_traced(&self.store, env, plan, RunLimits::default()) {
-                    Ok(run) => run,
-                    Err(e) => {
-                        println!("execution failed: {e}");
-                        return;
-                    }
-                };
-            timer.lap_into(
-                &self
-                    .telemetry
-                    .histogram("oodb_stage_latency_ns", &[("stage", "execute")]),
-            );
-            self.record_exec(&stats);
-            self.note_drift(
-                &key,
-                fp.hash,
-                epoch,
-                plan.est.out_card,
-                stats.root_rows,
-                overlay.is_some(),
-            );
-            // The analyzed trace doubles as the feedback probe: record
-            // per-predicate overrides so the next run of a drifting query
-            // re-optimizes under corrected selectivities.
-            if self
-                .feedback
-                .observe_trace(fp.hash, epoch, env, plan, &trace)
-                > 0
-                && overlay.is_none()
-            {
-                self.cache.remove(&key);
-            }
-            println!("Physical plan (analyzed):");
-            print!("{}", trace.render());
-            let spilled = stats.disk.spill_pages();
-            println!(
-                "{} rows in {}; estimated {:.3} s, simulated I/O {:.3} s \
-                 ({} pages, {} buffer hits / {} misses){}{}",
-                result.len(),
-                fmt_ns(trace.elapsed_ns),
-                cost.total(),
-                stats.disk.total_s,
-                stats.disk.pages(),
-                stats.buffer_hits,
-                stats.buffer_misses,
-                if spilled > 0 {
-                    format!(
-                        ", {} spill pages (peak {} B)",
-                        spilled, stats.mem.peak_bytes
-                    )
-                } else {
-                    String::new()
-                },
-                if hit { " [plan cache hit]" } else { "" }
-            );
-            return;
-        }
-        // A suspect plan's next run is probed — internally traced, like
-        // the service's hot path — so the per-predicate actuals needed
-        // for re-optimization are gathered without the user having to
-        // ask for EXPLAIN ANALYZE.
-        let (result, stats) = if self.feedback.wants_probe(fp.hash) {
-            match try_execute_traced(&self.store, env, plan, RunLimits::default()) {
-                Ok((result, stats, trace)) => {
-                    if self
-                        .feedback
-                        .observe_trace(fp.hash, epoch, env, plan, &trace)
-                        > 0
-                        && overlay.is_none()
-                    {
-                        self.cache.remove(&key);
-                    }
-                    (result, stats)
-                }
-                Err(e) => {
-                    println!("execution failed: {e}");
-                    return;
-                }
-            }
-        } else {
-            match try_execute_parallel(
-                &self.store,
-                env,
-                plan,
-                RunLimits::default(),
-                self.exec_workers,
-            ) {
-                Ok(run) => run,
-                Err(e) => {
-                    println!("execution failed: {e}");
-                    return;
-                }
-            }
-        };
-        timer.lap_into(
-            &self
-                .telemetry
-                .histogram("oodb_stage_latency_ns", &[("stage", "execute")]),
-        );
-        self.record_exec(&stats);
-        self.note_drift(
-            &key,
-            fp.hash,
-            epoch,
-            plan.est.out_card,
-            stats.root_rows,
-            overlay.is_some(),
-        );
-        match &result {
-            ExecResult::Rows(rows) => {
-                for row in rows.iter().take(20) {
-                    let cells: Vec<String> = row.iter().map(Value::to_string).collect();
-                    println!("  {}", cells.join(" | "));
-                }
-                if rows.len() > 20 {
-                    println!("  ... ({} rows total)", rows.len());
-                }
-            }
-            ExecResult::Tuples(tuples) => {
-                for t in tuples.iter().take(20) {
-                    let cells: Vec<String> = env
-                        .scopes
-                        .iter()
-                        .filter_map(|(id, v)| t.try_get(id).map(|o| format!("{}={o}", v.name)))
-                        .collect();
-                    println!("  {}", cells.join("  "));
-                }
-                if tuples.len() > 20 {
-                    println!("  ... ({} rows total)", tuples.len());
-                }
-            }
-        }
         println!(
-            "{} rows; estimated {:.3} s, simulated I/O {:.3} s ({} pages, {} buffer hits){}",
-            result.len(),
-            cost.total(),
-            stats.disk.total_s,
-            stats.disk.pages(),
-            stats.buffer_hits,
-            if hit { " [plan cache hit]" } else { "" }
+            "{} rows{elapsed}; estimated {:.3} s, simulated I/O {:.3} s \
+             ({} buffer hits / {} misses){}{}",
+            out.row_count,
+            out.est_cost_s,
+            out.sim_io_s,
+            out.buffer_hits,
+            out.buffer_misses,
+            if out.spill_pages > 0 {
+                format!(
+                    ", {} spill pages (peak {} B)",
+                    out.spill_pages, out.mem_peak_bytes
+                )
+            } else {
+                String::new()
+            },
+            if out.cache_hit {
+                " [plan cache hit]"
+            } else {
+                ""
+            }
         );
     }
 }

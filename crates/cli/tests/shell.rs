@@ -120,10 +120,10 @@ SELECT t FROM Task t IN Tasks WHERE t.time() == 100;
     );
     assert!(out.contains("profiling on"), "{out}");
     assert!(
-        out.contains("# TYPE oodb_statements_total counter"),
+        out.contains("# TYPE oodb_submissions_total counter"),
         "{out}"
     );
-    assert!(out.contains("oodb_statements_total 1"), "{out}");
+    assert!(out.contains("oodb_submissions_total 1"), "{out}");
     assert!(
         out.contains(r#"oodb_stage_latency_ns_count{stage="execute"} 1"#),
         "{out}"
@@ -267,9 +267,113 @@ fn profile_off_skips_histograms() {
 "#,
     );
     // Counters are always live; histograms need \profile on.
-    assert!(out.contains("oodb_statements_total 1"), "{out}");
+    assert!(out.contains("oodb_submissions_total 1"), "{out}");
     assert!(
         !out.contains(r#"oodb_stage_latency_ns_count{stage="execute"} 1"#),
         "histogram should not record with profiling off:\n{out}"
     );
+}
+
+/// A fresh scratch directory for one test (under cargo's target tmpdir).
+fn scratch(name: &str) -> std::path::PathBuf {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+#[test]
+fn remaining_commands_smoke() {
+    let dir = scratch("smoke");
+    let (wal, wal2, snap) = (dir.join("wal"), dir.join("wal2"), dir.join("snap"));
+    let q = "SELECT t FROM Task t IN Tasks WHERE t.time() == 100;";
+    // One command per row, with one stable substring of its answer.
+    let table: Vec<(String, &str)> = vec![
+        (
+            "\\cache stats".into(),
+            "plan cache: 0 entries, 0 hits, 0 misses",
+        ),
+        (q.into(), "rows;"),
+        (q.into(), "[plan cache hit]"),
+        ("\\cache".into(), "1 entries, 1 hits, 1 misses"),
+        ("\\cache clear".into(), "plan cache cleared"),
+        ("\\workers 2".into(), "morsel workers = 2"),
+        (q.into(), "rows;"),
+        ("\\window 4".into(), "assembly window = 4"),
+        (format!("\\trace {q}"), "-> won by"),
+        (format!("\\audit {q}"), "audit: winner is cost-minimal"),
+        (
+            format!("\\durability on {} batch 4", wal.display()),
+            "(Batch(4) flushes)",
+        ),
+        ("\\stats".into(), "collected 3 histograms"),
+        ("\\wal stats".into(), "wal: 1 records"),
+        ("\\wal checkpoint".into(), "log reset at seq 1"),
+        ("\\wal".into(), "1 log records compacted this session"),
+        ("\\durability off".into(), "durability off (log flushed)"),
+        (
+            format!("\\durability on {} manual", wal2.display()),
+            "(Manual flushes)",
+        ),
+        ("\\durability".into(), "durability is on ("),
+        ("\\durability off".into(), "durability off (log flushed)"),
+        ("\\wal stats".into(), "durability is off"),
+        (format!("\\save {}", snap.display()), "saved 23 records"),
+        (format!("\\open {}", snap.display()), "opened "),
+        ("\\catalog".into(), "histograms collected: 3"),
+    ];
+    let script: String = table.iter().map(|(cmd, _)| format!("{cmd}\n")).collect();
+    let out = run_shell(&(script + "\\q\n"));
+    // Answers appear in command order, so each search resumes where the
+    // previous one matched.
+    let mut at = 0;
+    for (cmd, want) in &table {
+        match out[at..].find(want) {
+            Some(i) => at += i + want.len(),
+            None => panic!("{cmd:?} should print {want:?} after byte {at}:\n{out}"),
+        }
+    }
+}
+
+#[test]
+fn open_ends_the_durability_session_before_swapping_stores() {
+    let dir = scratch("open_ends_durability");
+    let (wal, snap) = (dir.join("wal"), dir.join("snap"));
+    let out = run_shell(&format!(
+        "\\save {snap}\n\\durability on {wal}\n\\open {snap}\n\\stats\n\\wal stats\n\\q\n",
+        snap = snap.display(),
+        wal = wal.display()
+    ));
+    let opened = out.find("opened ").expect("snapshot opens");
+    let off = out
+        .find("durability off")
+        .expect("open reports the session's end");
+    assert!(off < opened, "session must end before the swap:\n{out}");
+    assert!(out.contains("durability is off"), "{out}");
+    // The directory still holds exactly the database it checkpointed: the
+    // \stats above belonged to the opened snapshot and was never logged.
+    let out = run_shell(&format!("\\open {}\n\\catalog\n\\q\n", wal.display()));
+    assert!(
+        out.contains("recovered: 23 checkpoint + 0 log records"),
+        "{out}"
+    );
+    assert!(out.contains("histograms collected: 0"), "{out}");
+}
+
+#[test]
+fn serving_shell_counts_local_statements_in_metrics() {
+    let out = run_shell(
+        r#"\serve 127.0.0.1:0
+SELECT t FROM Task t IN Tasks WHERE t.time() == 100;
+\metrics
+\open /nonexistent
+\serve stop
+\q
+"#,
+    );
+    assert!(out.contains("serving on 127.0.0.1:"), "{out}");
+    assert!(out.contains("oodb_submissions_total 1"), "{out}");
+    // Swapping the database under a running server is refused.
+    assert!(out.contains("\\serve stop first"), "{out}");
+    assert!(out.contains("drained and stopped"), "{out}");
 }

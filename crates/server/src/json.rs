@@ -629,6 +629,7 @@ mod tests {
             spill_pages: 11,
             stats_epoch: 12,
             config_fp: u64::MAX - 1,
+            drift: Some((40.0, 2)),
         };
         let v = parse(&encode_output(&out)).unwrap();
         let rows: Vec<&str> = v
@@ -649,5 +650,6 @@ mod tests {
             "config_fp must survive as a hex string, not an f64"
         );
         assert_eq!(decode_stages(v.get("stages").unwrap()).unwrap(), out.stages);
+        assert!(v.get("drift").is_none(), "drift is in-process only");
     }
 }

@@ -308,6 +308,10 @@ pub struct QueryOutput {
     pub stats_epoch: u64,
     /// Fingerprint of the optimizer configuration the submission used.
     pub config_fp: u64,
+    /// `(estimated, observed)` root rows when the feedback loop judged
+    /// this execution's estimate out of bounds. In-process only — the
+    /// shell's drift note reads it; it never crosses the wire.
+    pub drift: Option<(f64, u64)>,
 }
 
 /// Counters of the active WAL session, for the server's `/stats`
@@ -1313,12 +1317,10 @@ impl QueryService {
             None => {
                 m.optimizer_runs.inc();
                 let mut degraded = false;
-                let body = if pressure_degraded {
-                    // Degrade rung of the ladder: skip the Volcano search,
-                    // take the estimator-annotated greedy plan.
-                    m.pressure_degrades.inc();
-                    degraded = true;
-                    let (plan, cost, diagnostics) =
+                // The greedy rung both degradation ladders (memory
+                // pressure, optimizer deadline) step down to.
+                let greedy_body = || {
+                    let (greedy, cost, diagnostics) =
                         oodb_core::greedy_fallback(env, self.inner.params, plan, result_vars)
                             .ok_or_else(|| {
                                 m.errors.inc();
@@ -1327,7 +1329,14 @@ impl QueryService {
                     m.verify_violations.add(diagnostics.len() as u64);
                     m.interval_violations
                         .add(count_interval_diags(&diagnostics));
-                    CachedBody::Static { plan, cost }
+                    Ok(CachedBody::Static { plan: greedy, cost })
+                };
+                let body = if pressure_degraded {
+                    // Degrade rung of the ladder: skip the Volcano search,
+                    // take the estimator-annotated greedy plan.
+                    m.pressure_degrades.inc();
+                    degraded = true;
+                    greedy_body()?
                 } else if opts.dynamic {
                     CachedBody::Dynamic(compile_dynamic(
                         env,
@@ -1364,20 +1373,7 @@ impl QueryService {
                             // and verifier-linted; it is just not optimal.
                             m.fallback_plans.inc();
                             degraded = true;
-                            let (plan, cost, diagnostics) = oodb_core::greedy_fallback(
-                                env,
-                                self.inner.params,
-                                plan,
-                                result_vars,
-                            )
-                            .ok_or_else(|| {
-                                m.errors.inc();
-                                ServiceError::NoPlan
-                            })?;
-                            m.verify_violations.add(diagnostics.len() as u64);
-                            m.interval_violations
-                                .add(count_interval_diags(&diagnostics));
-                            CachedBody::Static { plan, cost }
+                            greedy_body()?
                         }
                         BoundedOutcome::Infeasible => {
                             m.errors.inc();
@@ -1522,6 +1518,7 @@ impl QueryService {
         // the drift detector through the root row-count sample the
         // executor returns for free, so stale estimates are caught even
         // with profiling off.
+        let mut drift = None;
         if !opts.dynamic && !degraded {
             let fb = &self.inner.feedback;
             let obs = fb.observe_root(
@@ -1531,10 +1528,13 @@ impl QueryService {
                 stats.root_rows,
                 overlay.is_some(),
             );
-            if trace.is_none() && obs != Observation::InBounds {
-                // Untraced counterpart of `check_actual_cards`: the root
-                // estimate drifted past the threshold.
-                m.actual_card_violations.inc();
+            if obs != Observation::InBounds {
+                drift = Some((plan.est.out_card, stats.root_rows));
+                if trace.is_none() {
+                    // Untraced counterpart of `check_actual_cards`: the
+                    // root estimate drifted past the threshold.
+                    m.actual_card_violations.inc();
+                }
             }
             if obs == Observation::NewlySuspect {
                 // The cached plan was chosen from estimates we now know
@@ -1581,6 +1581,7 @@ impl QueryService {
             spill_pages: stats.mem.spill_pages_written + stats.mem.spill_pages_read,
             stats_epoch: epoch,
             config_fp,
+            drift,
         })
     }
 }

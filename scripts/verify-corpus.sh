@@ -22,8 +22,11 @@ echo "==> replaying Q1-Q4 through EXPLAIN VERIFY (scale 1/${SCALE})"
 out=$(printf '%s\n' "$queries" | cargo run --release -q -p oodb-cli -- --scale "$SCALE")
 printf '%s\n' "$out"
 
-if printf '%s\n' "$out" | grep -q "verify violation"; then
-    echo "FAIL: the static analyzer reported diagnostics on the paper corpus" >&2
+# The shell reports findings as `verify: N diagnostic(s)` after one
+# `  [check] at PATH (OP)` / expected / got triple per diagnostic.
+if printf '%s\n' "$out" | grep -Eq "verify: [0-9]+ diagnostic"; then
+    echo "FAIL: the static analyzer reported diagnostics on the paper corpus:" >&2
+    printf '%s\n' "$out" | grep -E -A2 '^(oodb> )?  \[' >&2 || true
     exit 1
 fi
 
