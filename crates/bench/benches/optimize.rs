@@ -25,6 +25,11 @@ fn bench_optimize(c: &mut Criterion) {
     ];
     for (name, make) in cases {
         let q = make(&m);
+        // One search's counters and explore/solve split beside the timing.
+        let once = OpenOodb::with_config(&q.env, OptimizerConfig::all_rules())
+            .optimize(&q.plan, q.result_vars)
+            .expect("feasible plan");
+        println!("optimize/all-rules/{name}: {}", once.stats);
         group.bench_with_input(BenchmarkId::new("all-rules", name), &q, |b, q| {
             b.iter(|| {
                 let opt = OpenOodb::with_config(&q.env, OptimizerConfig::all_rules());

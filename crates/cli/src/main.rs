@@ -970,11 +970,12 @@ impl Shell {
         println!("Logical algebra:");
         println!("{}", oodb_algebra::display::render_logical(&q.env, &q.plan));
         println!(
-            "Optimal plan (estimated {:.3} s, {} groups, {} exprs, {:?}):",
+            "Optimal plan (estimated {:.3} s, {} groups, {} exprs, {:?}, {:?} of it exploring):",
             out.cost.total(),
             out.stats.groups,
             out.stats.exprs,
-            out.stats.elapsed
+            out.stats.elapsed,
+            out.stats.explore_elapsed
         );
         println!(
             "{}",

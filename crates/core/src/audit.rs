@@ -207,12 +207,12 @@ pub fn check_confluence(
         let root = seed(&mut opt.memo, &model, plan);
         opt.explore_all();
         let props = PhysProps::in_memory(model.objify(result_vars));
-        let winner = opt.optimize_group(root, props);
+        let winner_cost = opt.optimize_group(root, &props);
         runs.push(ConfluenceRun {
             rotation,
             groups: opt.memo.group_count(),
             exprs: opt.memo.expr_count(),
-            winner_cost: winner.map(|w| w.total.total()),
+            winner_cost: winner_cost.map(|c| c.total()),
         });
     }
     ConfluenceReport { runs }

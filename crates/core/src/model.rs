@@ -8,7 +8,19 @@ use oodb_algebra::{
     VarOrigin, VarSet,
 };
 use oodb_object::{CollectionId, FieldId};
+use std::cell::RefCell;
 use volcano::OptModel;
+
+/// What the rules ask about a predicate, over and over, for as long as a
+/// search runs — once per rule check or candidate, not once per predicate.
+#[derive(Clone, Copy)]
+struct PredFacts {
+    /// All variables mentioned.
+    vars: VarSet,
+    /// Variables whose object state is read (reference-valued ones dropped).
+    mem_vars: VarSet,
+    selectivity: f64,
+}
 
 /// The model handed to the Volcano framework: query environment + cost
 /// parameters + configuration.
@@ -23,6 +35,11 @@ pub struct OodbModel<'e> {
     /// `None` (the default) keeps costing catalog-only with zero
     /// overhead — no predicate keys are ever rendered.
     overlay: Option<std::sync::Arc<oodb_algebra::StatsOverlay>>,
+    /// [`PredFacts`] by `PredId` index, filled on first use: rules intern
+    /// new predicates mid-search, so the table cannot be built up front.
+    /// Valid for this model's environment, configuration and overlay
+    /// only, and gone with the model.
+    facts: RefCell<Vec<Option<PredFacts>>>,
 }
 
 impl<'e> OodbModel<'e> {
@@ -33,6 +50,7 @@ impl<'e> OodbModel<'e> {
             params,
             config,
             overlay: None,
+            facts: RefCell::default(),
         }
     }
 
@@ -46,6 +64,8 @@ impl<'e> OodbModel<'e> {
         } else {
             Some(overlay)
         };
+        // Selectivities already worked out predate the overlay.
+        self.facts.get_mut().clear();
         self
     }
 
@@ -73,14 +93,37 @@ impl<'e> OodbModel<'e> {
         VarSet::from_iter(vars.iter().filter(|&v| !self.env.scopes.var(v).is_ref()))
     }
 
+    fn pred_facts(&self, pred: PredId) -> PredFacts {
+        if let Some(Some(known)) = self.facts.borrow().get(pred.index()) {
+            return *known;
+        }
+        let terms = &self.env.preds.pred(pred).terms;
+        let operands = || terms.iter().flat_map(|t| [&t.left, &t.right]);
+        let facts = PredFacts {
+            vars: VarSet::from_iter(operands().filter_map(Operand::var)),
+            mem_vars: self.objify(VarSet::from_iter(operands().filter_map(Operand::mem_var))),
+            // Observed beats modeled: an overlay entry covers the whole
+            // conjunction; otherwise the terms are taken as independent.
+            selectivity: self
+                .overlay_sel(pred)
+                .unwrap_or_else(|| terms.iter().map(|t| self.term_selectivity(t)).product()),
+        };
+        let mut table = self.facts.borrow_mut();
+        if table.len() <= pred.index() {
+            table.resize(pred.index() + 1, None);
+        }
+        table[pred.index()] = Some(facts);
+        facts
+    }
+
     /// Variables whose object state a predicate reads, as a set.
     pub fn pred_mem_vars(&self, pred: PredId) -> VarSet {
-        self.objify(VarSet::from_iter(self.env.preds.mem_vars(pred)))
+        self.pred_facts(pred).mem_vars
     }
 
     /// All variables a predicate mentions, as a set.
     pub fn pred_vars(&self, pred: PredId) -> VarSet {
-        VarSet::from_iter(self.env.preds.vars_used(pred))
+        self.pred_facts(pred).vars
     }
 
     /// Variables whose object state a projection list reads.
@@ -226,16 +269,7 @@ impl<'e> OodbModel<'e> {
     /// the feedback overlay carries an observed fraction for the whole
     /// conjunction — observed beats modeled.
     pub fn selectivity(&self, pred: PredId) -> f64 {
-        if let Some(s) = self.overlay_sel(pred) {
-            return s;
-        }
-        self.env
-            .preds
-            .pred(pred)
-            .terms
-            .iter()
-            .map(|t| self.term_selectivity(t))
-            .product()
+        self.pred_facts(pred).selectivity
     }
 
     /// Output cardinality of a join: reference equi-joins produce one
@@ -329,8 +363,7 @@ impl<'e> OodbModel<'e> {
                 // sort-order extension); an equality uses distinct-key
                 // statistics; range predicates use estimated selectivity
                 // over a B-tree range sweep.
-                let p_terms = self.env.preds.pred(*pred).terms.clone();
-                let matches = match p_terms.first() {
+                let matches = match self.env.preds.pred(*pred).terms.first() {
                     None => c.cardinality as f64,
                     // An overlay override beats distinct-key statistics:
                     // the distinct-key path is exactly where a skewed key

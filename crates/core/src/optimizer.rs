@@ -263,8 +263,8 @@ impl<'e> OpenOodb<'e> {
         let memo = &opt.memo;
         let alts = memo
             .group_exprs(root)
-            .into_iter()
-            .map(|e| extract_anchored(memo, e))
+            .iter()
+            .map(|&e| extract_anchored(memo, e))
             .collect();
         (alts, opt.stats)
     }

@@ -34,8 +34,7 @@ impl<'e> ImplRule<M<'e>> for FileScanImpl {
         let (_, cost) = model.phys_estimate(&op, &[]);
         vec![Candidate {
             op,
-            children: vec![],
-            input_props: vec![],
+            inputs: vec![],
             cost,
             delivers: PhysProps::in_memory(VarSet::single(var)),
         }]
@@ -105,8 +104,7 @@ impl<'e> ImplRule<M<'e>> for CollapseToIndexScanImpl {
         let (_, cost) = model.phys_estimate(&op, &[]);
         vec![Candidate {
             op,
-            children: vec![],
-            input_props: vec![],
+            inputs: vec![],
             cost,
             delivers: PhysProps::in_memory(VarSet::single(base)),
         }]
@@ -133,7 +131,7 @@ fn pure_mat_chain(
             return false;
         }
         visited.push(g);
-        memo.group_exprs(g).into_iter().any(|e| {
+        memo.group_exprs(g).iter().any(|&e| {
             let expr = memo.expr(e);
             match expr.op {
                 LogicalOp::Get { var, .. } => var == base,
@@ -182,8 +180,7 @@ impl<'e> ImplRule<M<'e>> for FilterImpl {
         };
         vec![Candidate {
             op,
-            children: vec![expr.children[0]],
-            input_props: vec![props],
+            inputs: vec![(expr.children[0], props)],
             cost,
             delivers: props,
         }]
@@ -240,8 +237,10 @@ impl<'e> ImplRule<M<'e>> for HybridHashJoinImpl {
         let (_, cost) = model.phys_estimate(&op, &[lp, rp]);
         vec![Candidate {
             op,
-            children: vec![lg, rg],
-            input_props: vec![PhysProps::in_memory(l_req), PhysProps::in_memory(r_req)],
+            inputs: vec![
+                (lg, PhysProps::in_memory(l_req)),
+                (rg, PhysProps::in_memory(r_req)),
+            ],
             cost,
             delivers: PhysProps::in_memory(l_req.union(r_req)),
         }]
@@ -306,11 +305,13 @@ impl<'e> ImplRule<M<'e>> for PointerJoinImpl {
         let (_, cost) = model.phys_estimate(&op, &[lp]);
         vec![Candidate {
             op,
-            children: vec![lg],
-            input_props: vec![PhysProps {
-                in_memory: l_req,
-                order,
-            }],
+            inputs: vec![(
+                lg,
+                PhysProps {
+                    in_memory: l_req,
+                    order,
+                },
+            )],
             cost,
             delivers: PhysProps {
                 in_memory: l_req.insert(target),
@@ -356,11 +357,13 @@ impl<'e> ImplRule<M<'e>> for AssemblyMatImpl {
         let (_, cost) = model.phys_estimate(&op, &[child]);
         vec![Candidate {
             op,
-            children: vec![expr.children[0]],
-            input_props: vec![PhysProps {
-                in_memory: input,
-                order,
-            }],
+            inputs: vec![(
+                expr.children[0],
+                PhysProps {
+                    in_memory: input,
+                    order,
+                },
+            )],
             cost,
             delivers: PhysProps {
                 in_memory: input.insert(out),
@@ -428,19 +431,24 @@ impl<'e> ImplRule<M<'e>> for MergeJoinImpl {
         };
         vec![Candidate {
             op,
-            children: vec![lg, rg],
-            input_props: vec![
-                PhysProps {
-                    in_memory: l_req,
-                    order: Some(l_order),
-                },
-                PhysProps {
-                    in_memory: r_req,
-                    order: Some(oodb_algebra::SortSpec {
-                        var: rkey_var,
-                        field: rkey_field,
-                    }),
-                },
+            inputs: vec![
+                (
+                    lg,
+                    PhysProps {
+                        in_memory: l_req,
+                        order: Some(l_order),
+                    },
+                ),
+                (
+                    rg,
+                    PhysProps {
+                        in_memory: r_req,
+                        order: Some(oodb_algebra::SortSpec {
+                            var: rkey_var,
+                            field: rkey_field,
+                        }),
+                    },
+                ),
             ],
             cost,
             // Output inherits the left (outer) order on the join key.
@@ -490,11 +498,13 @@ impl<'e> ImplRule<M<'e>> for WarmAssemblyImpl {
         let (_, cost) = model.phys_estimate(&op, &[child]);
         vec![Candidate {
             op,
-            children: vec![expr.children[0]],
-            input_props: vec![PhysProps {
-                in_memory: input,
-                order,
-            }],
+            inputs: vec![(
+                expr.children[0],
+                PhysProps {
+                    in_memory: input,
+                    order,
+                },
+            )],
             cost,
             delivers: PhysProps {
                 in_memory: input.insert(out),
@@ -535,8 +545,7 @@ impl<'e> ImplRule<M<'e>> for AlgUnnestImpl {
         };
         vec![Candidate {
             op,
-            children: vec![expr.children[0]],
-            input_props: vec![props],
+            inputs: vec![(expr.children[0], props)],
             cost,
             delivers: props,
         }]
@@ -575,8 +584,7 @@ impl<'e> ImplRule<M<'e>> for AlgProjectImpl {
         };
         vec![Candidate {
             op,
-            children: vec![expr.children[0]],
-            input_props: vec![props],
+            inputs: vec![(expr.children[0], props)],
             cost,
             delivers: props,
         }]
@@ -628,8 +636,7 @@ impl<'e> ImplRule<M<'e>> for OrderedIndexScanImpl {
         let (_, cost) = model.phys_estimate(&op, &[]);
         vec![Candidate {
             op,
-            children: vec![],
-            input_props: vec![],
+            inputs: vec![],
             cost,
             delivers: PhysProps {
                 in_memory: VarSet::single(var),
@@ -661,8 +668,7 @@ impl<'e> ImplRule<M<'e>> for HashSetOpImpl {
         let (_, cost) = model.phys_estimate(&op, &[*memo.props(lg), *memo.props(rg)]);
         vec![Candidate {
             op,
-            children: vec![lg, rg],
-            input_props: vec![*required, *required],
+            inputs: vec![(lg, *required), (rg, *required)],
             cost,
             delivers: *required,
         }]

@@ -37,8 +37,8 @@ fn alternatives<'e>(
     opt.explore_all();
     let memo = &opt.memo;
     memo.group_exprs(root)
-        .into_iter()
-        .map(|e| {
+        .iter()
+        .map(|&e| {
             let tree = extract(memo, e);
             render_logical(env, &tree)
         })

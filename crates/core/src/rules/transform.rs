@@ -106,7 +106,7 @@ impl<'e> TransformRule<M<'e>> for SelectMatSwap {
         match &expr.op {
             LogicalOp::Select { pred } => {
                 let used = model.pred_vars(*pred);
-                for ce in memo.group_exprs(expr.children[0]) {
+                for &ce in memo.group_exprs(expr.children[0]) {
                     let child = memo.expr(ce);
                     if let LogicalOp::Mat { out: mat_out } = child.op {
                         if !used.contains(mat_out) {
@@ -122,7 +122,7 @@ impl<'e> TransformRule<M<'e>> for SelectMatSwap {
                 }
             }
             LogicalOp::Mat { out: mat_out } => {
-                for ce in memo.group_exprs(expr.children[0]) {
+                for &ce in memo.group_exprs(expr.children[0]) {
                     let child = memo.expr(ce);
                     if let LogicalOp::Select { pred } = child.op {
                         out.push(op(
@@ -161,7 +161,7 @@ impl<'e> TransformRule<M<'e>> for SelectUnnestSwap {
         match &expr.op {
             LogicalOp::Select { pred } => {
                 let used = model.pred_vars(*pred);
-                for ce in memo.group_exprs(expr.children[0]) {
+                for &ce in memo.group_exprs(expr.children[0]) {
                     let child = memo.expr(ce);
                     if let LogicalOp::Unnest { out: u } = child.op {
                         if !used.contains(u) {
@@ -177,7 +177,7 @@ impl<'e> TransformRule<M<'e>> for SelectUnnestSwap {
                 }
             }
             LogicalOp::Unnest { out: u } => {
-                for ce in memo.group_exprs(expr.children[0]) {
+                for &ce in memo.group_exprs(expr.children[0]) {
                     let child = memo.expr(ce);
                     if let LogicalOp::Select { pred } = child.op {
                         out.push(op(
@@ -216,7 +216,7 @@ impl<'e> TransformRule<M<'e>> for SelectJoinPush {
         match &expr.op {
             LogicalOp::Select { pred } => {
                 let used = model.pred_vars(*pred);
-                for ce in memo.group_exprs(expr.children[0]) {
+                for &ce in memo.group_exprs(expr.children[0]) {
                     let child = memo.expr(ce);
                     if let LogicalOp::Join { pred: jp } = child.op {
                         let (l, r) = (child.children[0], child.children[1]);
@@ -238,7 +238,7 @@ impl<'e> TransformRule<M<'e>> for SelectJoinPush {
             LogicalOp::Join { pred: jp } => {
                 // Pull a selection out of either input.
                 for side in 0..2 {
-                    for ce in memo.group_exprs(expr.children[side]) {
+                    for &ce in memo.group_exprs(expr.children[side]) {
                         let child = memo.expr(ce);
                         if let LogicalOp::Select { pred } = child.op {
                             let mut inputs = vec![grp(expr.children[0]), grp(expr.children[1])];
@@ -282,7 +282,7 @@ impl<'e> TransformRule<M<'e>> for SelectIntoJoin {
         };
         let used = model.pred_vars(pred);
         let mut out = Vec::new();
-        for ce in memo.group_exprs(expr.children[0]) {
+        for &ce in memo.group_exprs(expr.children[0]) {
             let child = memo.expr(ce);
             let LogicalOp::Join { pred: jp } = child.op else {
                 continue;
@@ -408,7 +408,7 @@ impl<'e> TransformRule<M<'e>> for JoinAssoc {
         };
         let mut out = Vec::new();
         let c = expr.children[1];
-        for le in memo.group_exprs(expr.children[0]) {
+        for &le in memo.group_exprs(expr.children[0]) {
             let lexpr = memo.expr(le);
             if let LogicalOp::Join { pred: p1 } = lexpr.op {
                 let (a, b) = (lexpr.children[0], lexpr.children[1]);
@@ -453,7 +453,7 @@ impl<'e> TransformRule<M<'e>> for MatMatSwap {
             return vec![];
         };
         let mut out = Vec::new();
-        for ce in memo.group_exprs(expr.children[0]) {
+        for &ce in memo.group_exprs(expr.children[0]) {
             let child = memo.expr(ce);
             if let LogicalOp::Mat { out: o2 } = child.op {
                 // o1 must not depend on o2, and o1's source must already be
@@ -493,7 +493,7 @@ impl<'e> TransformRule<M<'e>> for SelectSetOpPush {
             return vec![];
         };
         let mut out = Vec::new();
-        for ce in memo.group_exprs(expr.children[0]) {
+        for &ce in memo.group_exprs(expr.children[0]) {
             let child = memo.expr(ce);
             let LogicalOp::SetOp { kind } = child.op else {
                 continue;
@@ -543,7 +543,7 @@ impl<'e> TransformRule<M<'e>> for MatSetOpPush {
             return vec![];
         };
         let mut out = Vec::new();
-        for ce in memo.group_exprs(expr.children[0]) {
+        for &ce in memo.group_exprs(expr.children[0]) {
             let child = memo.expr(ce);
             let LogicalOp::SetOp { kind } = child.op else {
                 continue;
@@ -581,7 +581,7 @@ impl<'e> TransformRule<M<'e>> for MatJoinPush {
                     VarOrigin::Mat { src, .. } => src,
                     _ => return vec![],
                 };
-                for ce in memo.group_exprs(expr.children[0]) {
+                for &ce in memo.group_exprs(expr.children[0]) {
                     let child = memo.expr(ce);
                     if let LogicalOp::Join { pred } = child.op {
                         let (l, r) = (child.children[0], child.children[1]);
@@ -605,7 +605,7 @@ impl<'e> TransformRule<M<'e>> for MatJoinPush {
                 // predicate ignores the materialized component.
                 let used = model.pred_vars(pred);
                 for side in 0..2 {
-                    for ce in memo.group_exprs(expr.children[side]) {
+                    for &ce in memo.group_exprs(expr.children[side]) {
                         let child = memo.expr(ce);
                         if let LogicalOp::Mat { out: o } = child.op {
                             if !used.contains(o) {

@@ -511,6 +511,7 @@ impl ServiceMetrics {
 
 /// What a submission executes: raw ZQL text (parsed per submission) or a
 /// registered prepared statement (parsed once at [`QueryService::prepare`]).
+#[derive(Clone, Copy)]
 enum QueryInput<'a> {
     Text(&'a str),
     Prepared(&'a PreparedQuery),
@@ -1241,7 +1242,7 @@ impl QueryService {
         // Front end: a textual submission pays parse + simplify +
         // fingerprint here; a prepared execution borrows all three from
         // its registration and goes straight to the cache probe.
-        let compiled: zql::SimplifiedQuery;
+        let mut compiled: Option<zql::SimplifiedQuery> = None;
         let text_fp: QueryFingerprint;
         let (env, plan, result_vars, order, fp): (
             &QueryEnv,
@@ -1262,14 +1263,8 @@ impl QueryService {
                 })?;
                 stages.simplify_ns = timer.lap_into(&m.stage_simplify);
                 text_fp = fingerprint(&q.env, &q.plan, q.result_vars, q.order.as_ref());
-                compiled = q;
-                (
-                    &compiled.env,
-                    &compiled.plan,
-                    compiled.result_vars,
-                    compiled.order,
-                    &text_fp,
-                )
+                let q = &*compiled.insert(q);
+                (&q.env, &q.plan, q.result_vars, q.order, &text_fp)
             }
             QueryInput::Prepared(stmt) => (
                 &stmt.env,
@@ -1381,13 +1376,16 @@ impl QueryService {
                         }
                     }
                 };
-                // Misses pay one env clone for the cache entry (prepared
-                // statements keep their compiled env registered; textual
-                // submissions could move theirs, but a clone beside the
-                // full Volcano search is noise and keeps one code path).
+                // The cache entry owns an environment: a textual
+                // submission has no further use for the one it compiled;
+                // a prepared statement keeps its own registered.
+                let env = match input {
+                    QueryInput::Text(_) => compiled.expect("text input was compiled above").env,
+                    QueryInput::Prepared(stmt) => stmt.env.clone(),
+                };
                 let entry = Arc::new(CachedPlan {
                     structural: fp.key.clone(),
-                    env: env.clone(),
+                    env,
                     result_vars,
                     body,
                 });

@@ -19,7 +19,7 @@
 
 use crate::memo::GroupId;
 use crate::model::{CostValue, OptModel, RuleSet};
-use crate::search::{Optimizer, PlanNode};
+use crate::search::{GoalKey, Optimizer, PlanNode};
 
 /// Bounds on the enumeration. Exceeding any of them stops the walk and
 /// marks the result [`Enumeration::truncated`] — an oracle that silently
@@ -129,11 +129,11 @@ impl<M: OptModel> Optimizer<'_, M> {
         &mut self,
         group: GroupId,
         props: M::PProps,
-        stack: &mut Vec<(GroupId, u64)>,
+        stack: &mut Vec<GoalKey>,
         state: &mut EnumState,
     ) -> Vec<PlanNode<M>> {
         let group = self.memo.find(group);
-        let key = Self::goal_key(group, &props);
+        let key = self.goal_key(group, &props);
         if stack.contains(&key) {
             return Vec::new();
         }
@@ -141,22 +141,20 @@ impl<M: OptModel> Optimizer<'_, M> {
         let mut plans: Vec<PlanNode<M>> = Vec::new();
 
         let rules: &RuleSet<M> = self.rules();
-        for e in self.memo.group_exprs(group) {
+        for member in 0..self.memo.group_exprs(group).len() {
+            let e = self.memo.group_exprs(group)[member];
             for rule in &rules.impls {
-                let cands = {
-                    let expr = self.memo.expr(e);
-                    rule.implementations(self.model(), &self.memo, expr, &props)
-                };
+                let cands =
+                    rule.implementations(self.model(), &self.memo, self.memo.expr(e), &props);
                 for cand in cands {
                     if !self.model().satisfies(&props, &cand.delivers) {
                         continue;
                     }
-                    debug_assert_eq!(cand.children.len(), cand.input_props.len());
                     // Child plan sets; any empty set kills the candidate.
                     let mut child_sets: Vec<Vec<PlanNode<M>>> =
-                        Vec::with_capacity(cand.children.len());
+                        Vec::with_capacity(cand.inputs.len());
                     let mut feasible = true;
-                    for (cg, cp) in cand.children.iter().zip(&cand.input_props) {
+                    for (cg, cp) in &cand.inputs {
                         let set = self.enum_goal(*cg, cp.clone(), stack, state);
                         if set.is_empty() {
                             feasible = false;
@@ -291,11 +289,11 @@ mod tests {
         // Every unsorted plan appears once wrapped in the sort enforcer
         // (the toy model has no sorted join, so no other source exists).
         assert_eq!(en.plans.len(), 24);
-        let sorted_winner = opt
-            .optimize_group(root, ToySort { sorted: true })
+        let sorted_cost = opt
+            .optimize_group(root, &ToySort { sorted: true })
             .expect("sorted winner");
         let min = en.min_cost().unwrap();
-        assert!((sorted_winner.total.total() - min).abs() <= 1e-9 * min.max(1.0));
+        assert!((sorted_cost.total() - min).abs() <= 1e-9 * min.max(1.0));
     }
 
     #[test]

@@ -34,6 +34,7 @@
 #![forbid(unsafe_code)]
 
 pub mod enumerate;
+mod fx;
 pub mod memo;
 pub mod model;
 pub mod rulegraph;

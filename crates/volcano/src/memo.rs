@@ -13,12 +13,17 @@
 //!   subexpression factorization ... for free".
 //! * **Group merging.** When a top-level rewrite of group *A* produces an
 //!   expression already present in group *B*, the two groups are proven
-//!   equivalent and merged through a union-find. Merging can cascade:
-//!   normalizing child pointers may reveal further duplicates, which the
-//!   rebuild loop processes to fixpoint.
+//!   equivalent and merged through a union-find. Only the expressions
+//!   that mention the losing group change key: they are taken out of the
+//!   map, normalized and put back in ascending id order. One that now
+//!   duplicates an earlier expression is retired (same group) or proves
+//!   two more groups equal (a cascading merge), to fixpoint.
 
+use crate::fx::FxBuild;
 use crate::model::OptModel;
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
 /// Identifier of a memo group (an equivalence class of expressions).
@@ -46,6 +51,10 @@ impl ExprId {
     /// Raw index.
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    pub(crate) fn from_index(i: usize) -> Self {
+        ExprId(i as u32)
     }
 }
 
@@ -89,9 +98,20 @@ pub enum Rewrite<L> {
 }
 
 struct Group<M: OptModel> {
+    /// Live member expressions, in the order they joined the group.
     exprs: Vec<ExprId>,
     props: M::LProps,
+    /// How many expressions ever joined (inserted or merged in). Unlike
+    /// `exprs.len()` it never falls when a duplicate is retired, so
+    /// [`Memo::group_version`] changes whenever the group gains a member.
+    joined: u32,
 }
+
+/// Live expressions waiting to be put (back) into the dedup map, lowest
+/// id first — the order in which a scan over the arena would meet them.
+type Pending = BinaryHeap<Reverse<ExprId>>;
+
+type DedupMap<M> = HashMap<(<M as OptModel>::LOp, Vec<GroupId>), ExprId, FxBuild>;
 
 /// The memo structure.
 pub struct Memo<M: OptModel> {
@@ -100,8 +120,14 @@ pub struct Memo<M: OptModel> {
     groups: Vec<Group<M>>,
     /// Union-find parent; `parent[i] == i` for representatives.
     parent: Vec<u32>,
-    dedup: HashMap<(M::LOp, Vec<GroupId>), ExprId>,
+    /// `(operator, children)` of every live expression → that expression.
+    /// Children of live expressions are always representatives.
+    dedup: DedupMap<M>,
     merges: u64,
+    /// Merge by rebuilding the whole map: the reference the incremental
+    /// merge is tested against.
+    #[cfg(test)]
+    rebuild_on_merge: bool,
 }
 
 impl<M: OptModel> Default for Memo<M> {
@@ -111,8 +137,10 @@ impl<M: OptModel> Default for Memo<M> {
             dead: Vec::new(),
             groups: Vec::new(),
             parent: Vec::new(),
-            dedup: HashMap::new(),
+            dedup: HashMap::default(),
             merges: 0,
+            #[cfg(test)]
+            rebuild_on_merge: false,
         }
     }
 }
@@ -132,13 +160,7 @@ impl<M: OptModel> Memo<M> {
         GroupId(i)
     }
 
-    fn normalize(&self, children: &[GroupId]) -> Vec<GroupId> {
-        children.iter().map(|&c| self.find(c)).collect()
-    }
-
-    /// In-place variant of [`normalize`](Self::normalize) for callers that
-    /// already own the child vector — avoids an allocation per insert.
-    fn normalize_owned(&self, mut children: Vec<GroupId>) -> Vec<GroupId> {
+    fn normalize(&self, mut children: Vec<GroupId>) -> Vec<GroupId> {
         for c in &mut children {
             *c = self.find(*c);
         }
@@ -156,7 +178,7 @@ impl<M: OptModel> Memo<M> {
     ) -> (GroupId, ExprId, bool) {
         // Build the dedup key exactly once; on a miss it is moved into
         // `push_expr`, which splits it between the map and the arena.
-        let key = (op, self.normalize_owned(children));
+        let key = (op, self.normalize(children));
         if let Some(&e) = self.dedup.get(&key) {
             return (self.find(self.exprs[e.index()].group), e, false);
         }
@@ -164,7 +186,7 @@ impl<M: OptModel> Memo<M> {
             let inputs: Vec<&M::LProps> = key
                 .1
                 .iter()
-                .map(|c| &self.groups[self.find(*c).index()].props)
+                .map(|c| &self.groups[c.index()].props)
                 .collect();
             model.derive_props(&key.0, &inputs)
         };
@@ -172,6 +194,7 @@ impl<M: OptModel> Memo<M> {
         self.groups.push(Group {
             exprs: Vec::new(),
             props,
+            joined: 0,
         });
         self.parent.push(g.0);
         let e = self.push_expr(key, g);
@@ -187,7 +210,9 @@ impl<M: OptModel> Memo<M> {
         });
         self.dedup.insert(key, e);
         self.dead.push(false);
-        self.groups[g.index()].exprs.push(e);
+        let group = &mut self.groups[g.index()];
+        group.exprs.push(e);
+        group.joined += 1;
         e
     }
 
@@ -202,7 +227,7 @@ impl<M: OptModel> Memo<M> {
         children: Vec<GroupId>,
     ) -> bool {
         let group = self.find(group);
-        let key = (op, self.normalize_owned(children));
+        let key = (op, self.normalize(children));
         if let Some(&e) = self.dedup.get(&key) {
             let other = self.find(self.exprs[e.index()].group);
             if other != group {
@@ -252,86 +277,100 @@ impl<M: OptModel> Memo<M> {
         }
     }
 
+    /// Merges two distinct representative groups and restores the dedup
+    /// invariant. Re-keying in ascending id order makes every decision the
+    /// one a scan of the whole arena would make: of two equal expressions
+    /// the older survives, and cascading merges happen in the order their
+    /// younger witnesses appear.
     fn merge(&mut self, a: GroupId, b: GroupId) {
-        let (a, b) = (self.find(a), self.find(b));
-        if a == b {
-            return;
+        #[cfg(test)]
+        if self.rebuild_on_merge {
+            return self.merge_by_rebuild(a, b);
         }
-        // Keep the lower-numbered group as representative (its props win).
+        let mut pending = Pending::new();
+        self.union(a, b, &mut pending);
+        while let Some(Reverse(e)) = pending.pop() {
+            if self.dead[e.index()] {
+                continue;
+            }
+            let stale = std::mem::take(&mut self.exprs[e.index()].children);
+            self.exprs[e.index()].children = self.normalize(stale);
+            let expr = &self.exprs[e.index()];
+            let earlier = match self.dedup.entry((expr.op.clone(), expr.children.clone())) {
+                Entry::Vacant(slot) => {
+                    slot.insert(e);
+                    continue;
+                }
+                Entry::Occupied(mut slot) => match *slot.get() {
+                    holder if holder == e => continue, // queued twice
+                    holder if holder > e => {
+                        // The older expression owns the key; the younger
+                        // one meets it again when its own turn comes.
+                        slot.insert(e);
+                        pending.push(Reverse(holder));
+                        continue;
+                    }
+                    holder => holder,
+                },
+            };
+            let g1 = self.find(self.exprs[earlier.index()].group);
+            let g2 = self.find(expr.group);
+            if g1 == g2 {
+                // True duplicate within one group: retire it.
+                self.dead[e.index()] = true;
+                self.groups[g2.index()].exprs.retain(|&x| x != e);
+            } else {
+                // Equal expressions in two groups prove the groups equal;
+                // `e` is retired when it comes round again.
+                self.union(g1, g2, &mut pending);
+                pending.push(Reverse(e));
+            }
+        }
+    }
+
+    /// Points the higher-numbered of two representatives at the lower
+    /// (whose properties win) and moves its members over. Returns the
+    /// group that lost its standing.
+    fn link(&mut self, a: GroupId, b: GroupId) -> GroupId {
         let (win, lose) = if a.0 < b.0 { (a, b) } else { (b, a) };
         self.parent[lose.0 as usize] = win.0;
         let moved = std::mem::take(&mut self.groups[lose.index()].exprs);
         for e in &moved {
             self.exprs[e.index()].group = win;
         }
-        self.groups[win.index()].exprs.extend(moved);
+        let into = &mut self.groups[win.index()];
+        into.joined += moved.len() as u32;
+        into.exprs.extend(moved);
         self.merges += 1;
-        self.rebuild_dedup();
+        lose
     }
 
-    /// Re-normalizes all dedup keys after a merge; duplicate expressions
-    /// revealed by normalization are killed (same group) or trigger
-    /// cascading merges (different groups).
-    fn rebuild_dedup(&mut self) {
-        loop {
-            let mut map: HashMap<(M::LOp, Vec<GroupId>), ExprId> = HashMap::new();
-            let mut cascade: Option<(GroupId, GroupId)> = None;
-            for i in 0..self.exprs.len() {
-                if self.dead[i] {
-                    continue;
-                }
-                let e = ExprId(i as u32);
-                let norm = self.normalize(&self.exprs[i].children);
-                if self.exprs[i].children != norm {
-                    self.exprs[i].children = norm.clone();
-                }
-                let key = (self.exprs[i].op.clone(), norm);
-                match map.get(&key) {
-                    None => {
-                        map.insert(key, e);
-                    }
-                    Some(&first) => {
-                        let g1 = self.find(self.exprs[first.index()].group);
-                        let g2 = self.find(self.exprs[i].group);
-                        if g1 == g2 {
-                            // True duplicate within one group: retire it.
-                            self.dead[i] = true;
-                            self.groups[g2.index()].exprs.retain(|&x| x != e);
-                        } else {
-                            cascade = Some((g1, g2));
-                            break;
-                        }
-                    }
+    /// [`link`](Self::link)s two representatives, then takes every live
+    /// expression that mentions the loser out of the dedup map and into
+    /// `pending`: those are the only keys the union changes.
+    fn union(&mut self, a: GroupId, b: GroupId, pending: &mut Pending) {
+        let lose = self.link(a, b);
+        for (i, expr) in self.exprs.iter().enumerate() {
+            if self.dead[i] || !expr.children.contains(&lose) {
+                continue;
+            }
+            let e = ExprId(i as u32);
+            // Still under its old key unless an earlier union of this
+            // cascade already took it out.
+            if let Entry::Occupied(slot) =
+                self.dedup.entry((expr.op.clone(), expr.children.clone()))
+            {
+                if *slot.get() == e {
+                    slot.remove();
                 }
             }
-            match cascade {
-                Some((g1, g2)) => {
-                    // Union without recursive rebuild; loop handles it.
-                    let (win, lose) = if g1.0 < g2.0 { (g1, g2) } else { (g2, g1) };
-                    self.parent[lose.0 as usize] = win.0;
-                    let moved = std::mem::take(&mut self.groups[lose.index()].exprs);
-                    for e in &moved {
-                        self.exprs[e.index()].group = win;
-                    }
-                    self.groups[win.index()].exprs.extend(moved);
-                    self.merges += 1;
-                }
-                None => {
-                    self.dedup = map;
-                    return;
-                }
-            }
+            pending.push(Reverse(e));
         }
     }
 
-    /// Live expressions of a group.
-    pub fn group_exprs(&self, g: GroupId) -> Vec<ExprId> {
-        self.groups[self.find(g).index()]
-            .exprs
-            .iter()
-            .copied()
-            .filter(|e| !self.dead[e.index()])
-            .collect()
+    /// Live expressions of a group, in the order they joined it.
+    pub fn group_exprs(&self, g: GroupId) -> &[ExprId] {
+        &self.groups[self.find(g).index()].exprs
     }
 
     /// An expression by id.
@@ -349,12 +388,17 @@ impl<M: OptModel> Memo<M> {
         &self.groups[self.find(g).index()].props
     }
 
-    /// All live expression ids.
-    pub fn live_exprs(&self) -> Vec<ExprId> {
+    /// All live expression ids, ascending.
+    pub fn live_exprs(&self) -> impl Iterator<Item = ExprId> + '_ {
         (0..self.exprs.len())
             .filter(|&i| !self.dead[i])
-            .map(|i| ExprId(i as u32))
-            .collect()
+            .map(ExprId::from_index)
+    }
+
+    /// Number of expressions ever created, dead ones included: ids run
+    /// from zero to here.
+    pub(crate) fn expr_slots(&self) -> usize {
+        self.exprs.len()
     }
 
     /// Number of live (representative) groups.
@@ -376,10 +420,13 @@ impl<M: OptModel> Memo<M> {
 
     /// A small fingerprint of a group's current contents, used by the
     /// search engine to decide whether a rule must re-fire on an
-    /// expression whose children have since grown.
+    /// expression whose children have since grown: the representative and
+    /// how many expressions ever joined it. (The live member count would
+    /// not do: a group that retires one duplicate and gains one new
+    /// expression between two checks has the same count and a new member.)
     pub fn group_version(&self, g: GroupId) -> u64 {
         let g = self.find(g);
-        (g.0 as u64) << 32 | self.groups[g.index()].exprs.len() as u64
+        (g.0 as u64) << 32 | self.groups[g.index()].joined as u64
     }
 }
 
@@ -387,6 +434,211 @@ impl<M: OptModel> Memo<M> {
 mod tests {
     use super::*;
     use crate::toy::{Toy, ToyOp};
+
+    /// The reference merge: union, then throw the dedup map away and
+    /// rebuild it from a scan of the whole arena, restarting on every
+    /// cascading merge. This is what the memo did before merges became
+    /// incremental; it stays as the oracle the incremental merge must
+    /// agree with step for step (`incremental_merge_matches_rebuild_*`).
+    impl<M: OptModel> Memo<M> {
+        fn with_rebuilding_merge() -> Self {
+            Memo {
+                rebuild_on_merge: true,
+                ..Self::default()
+            }
+        }
+
+        pub(super) fn merge_by_rebuild(&mut self, a: GroupId, b: GroupId) {
+            self.link(a, b);
+            loop {
+                let mut map = DedupMap::<M>::default();
+                let mut cascade: Option<(GroupId, GroupId)> = None;
+                for i in 0..self.exprs.len() {
+                    if self.dead[i] {
+                        continue;
+                    }
+                    let e = ExprId(i as u32);
+                    let norm = self.normalize(self.exprs[i].children.clone());
+                    self.exprs[i].children.clone_from(&norm);
+                    match map.entry((self.exprs[i].op.clone(), norm)) {
+                        Entry::Vacant(slot) => {
+                            slot.insert(e);
+                        }
+                        Entry::Occupied(first) => {
+                            let g1 = self.find(self.exprs[first.get().index()].group);
+                            let g2 = self.find(self.exprs[i].group);
+                            if g1 == g2 {
+                                self.dead[i] = true;
+                                self.groups[g2.index()].exprs.retain(|&x| x != e);
+                            } else {
+                                cascade = Some((g1, g2));
+                                break;
+                            }
+                        }
+                    }
+                }
+                match cascade {
+                    Some((g1, g2)) => {
+                        self.link(g1, g2);
+                    }
+                    None => {
+                        self.dedup = map;
+                        return;
+                    }
+                }
+            }
+        }
+
+        /// Everything observable about the memo — arena, liveness, group
+        /// partition and member order, join counters, dedup keys — as one
+        /// comparable string.
+        fn snapshot(&self) -> String {
+            let mut keys: Vec<String> = self
+                .dedup
+                .iter()
+                .map(|((op, ch), e)| format!("{op:?}{ch:?}->{e:?}"))
+                .collect();
+            keys.sort();
+            let exprs: Vec<String> = (0..self.exprs.len())
+                .map(|i| {
+                    let x = &self.exprs[i];
+                    // A dead expression's children are never read again.
+                    let ch = if self.dead[i] {
+                        &[][..]
+                    } else {
+                        &x.children[..]
+                    };
+                    format!("{:?}{ch:?}@{:?}{}", x.op, x.group, self.dead[i])
+                })
+                .collect();
+            let groups: Vec<String> = (0..self.groups.len())
+                .map(|g| {
+                    let rep = self.find(GroupId(g as u32));
+                    format!(
+                        "{rep:?}{:?}#{}",
+                        self.groups[g].exprs, self.groups[g].joined
+                    )
+                })
+                .collect();
+            format!("{exprs:?}\n{groups:?}\n{keys:?}\n{}", self.merges)
+        }
+    }
+
+    /// One step of a random memo history, applied to both memos.
+    fn random_step(rng: &mut u64, memos: [&mut Memo<Toy>; 2], model: &Toy) {
+        let mut next = |bound: usize| {
+            // SplitMix64.
+            *rng = rng.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = *rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let groups = memos[0].groups.len();
+        let kind = next(10);
+        let [a, b, c, target] = [(); 4].map(|()| GroupId(next(groups) as u32));
+        let table = next(4) as u32;
+        let join = |l, r| Rewrite::Op(ToyOp::Join, vec![l, r]);
+        for memo in memos {
+            match kind {
+                // Grow: a new leaf, or a join over two existing groups.
+                0 => {
+                    memo.insert(model, ToyOp::Table(table), vec![]);
+                }
+                1..=3 => {
+                    memo.insert(model, ToyOp::Join, vec![a, b]);
+                }
+                // Rewrite a group to a one- or two-level join.
+                4..=6 => {
+                    memo.insert_rewrite(model, target, join(Rewrite::Group(a), Rewrite::Group(b)));
+                }
+                7 | 8 => {
+                    memo.insert_rewrite(
+                        model,
+                        target,
+                        join(
+                            Rewrite::Group(a),
+                            join(Rewrite::Group(b), Rewrite::Group(c)),
+                        ),
+                    );
+                }
+                // Assert two groups equal outright.
+                _ => {
+                    memo.insert_rewrite(model, target, Rewrite::Group(a));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn incremental_merge_matches_rebuild_on_random_histories() {
+        let model = Toy::default();
+        let (mut merges, mut cascades, mut retired) = (0, 0, 0);
+        for seed in 0..400u64 {
+            let mut rng = seed;
+            let mut inc = Memo::<Toy>::new();
+            let mut oracle = Memo::<Toy>::with_rebuilding_merge();
+            for memo in [&mut inc, &mut oracle] {
+                for t in 0..4 {
+                    memo.insert(&model, ToyOp::Table(t), vec![]);
+                }
+            }
+            for step in 0..40 {
+                let before = inc.merge_count();
+                random_step(&mut rng, [&mut inc, &mut oracle], &model);
+                assert_eq!(
+                    inc.snapshot(),
+                    oracle.snapshot(),
+                    "seed {seed}, step {step}"
+                );
+                let delta = inc.merge_count() - before;
+                merges += delta;
+                cascades += u64::from(delta >= 3);
+            }
+            retired += inc.dead.iter().filter(|&&d| d).count();
+        }
+        // The histories do reach what they are meant to test.
+        assert!(merges > 1000, "{merges} merges");
+        assert!(
+            cascades > 20,
+            "{cascades} steps cascaded through >= 2 more merges"
+        );
+        assert!(retired > 1000, "{retired} duplicates retired");
+    }
+
+    #[test]
+    fn incremental_merge_matches_rebuild_through_a_two_level_cascade() {
+        let model = Toy::default();
+        let mut inc = Memo::<Toy>::new();
+        let mut oracle = Memo::<Toy>::with_rebuilding_merge();
+        for memo in [&mut inc, &mut oracle] {
+            let [a, b, c, d] = [0, 1, 2, 3].map(|t| scan(memo, &model, t));
+            let (ab, _, _) = memo.insert(&model, ToyOp::Join, vec![a, b]);
+            let (ba, _, _) = memo.insert(&model, ToyOp::Join, vec![b, a]);
+            // Two towers over the two (not yet merged) join groups; the
+            // second tower's levels are created first, so the younger
+            // witness of each cascading merge is in the *first* tower.
+            let (ba_c, _, _) = memo.insert(&model, ToyOp::Join, vec![ba, c]);
+            let (ba_c_d, _, _) = memo.insert(&model, ToyOp::Join, vec![ba_c, d]);
+            let (ab_c, _, _) = memo.insert(&model, ToyOp::Join, vec![ab, c]);
+            let (ab_c_d, _, _) = memo.insert(&model, ToyOp::Join, vec![ab_c, d]);
+            // ab ≡ ba makes Join(ab, c) ≡ Join(ba, c), which in turn makes
+            // Join(·, d) over them equal: three merges from one insert.
+            memo.insert_rewrite(
+                &model,
+                ba,
+                Rewrite::Op(ToyOp::Join, vec![Rewrite::Group(a), Rewrite::Group(b)]),
+            );
+            assert_eq!(memo.merge_count(), 3);
+            assert_eq!(memo.find(ab_c), memo.find(ba_c));
+            assert_eq!(memo.find(ab_c_d), memo.find(ba_c_d));
+            // Each upper level lost the younger of its two equal joins.
+            assert_eq!(memo.group_exprs(ab_c).len(), 1);
+            assert_eq!(memo.group_exprs(ab_c_d).len(), 1);
+            assert_eq!(memo.expr_count(), 4 + 2 + 1 + 1);
+        }
+        assert_eq!(inc.snapshot(), oracle.snapshot());
+    }
 
     fn scan(memo: &mut Memo<Toy>, model: &Toy, t: u32) -> GroupId {
         memo.insert(model, ToyOp::Table(t), vec![]).0

@@ -45,8 +45,9 @@ pub trait OptModel: Sized {
     /// bottom-up per group.
     type LProps: Clone + fmt::Debug;
     /// Physical property vector (sort order, presence in memory, ...).
-    /// Used as part of the search-goal key.
-    type PProps: Clone + Eq + Hash + fmt::Debug;
+    /// With a group it names a search goal; the engine interns the
+    /// distinct vectors of a search and compares them for equality.
+    type PProps: Clone + Eq + fmt::Debug;
     /// Cost type.
     type Cost: CostValue;
 
@@ -122,12 +123,11 @@ pub trait TransformRule<M: OptModel> {
 pub struct Candidate<M: OptModel> {
     /// The algorithm.
     pub op: M::POp,
-    /// Input groups to optimize (usually the expression's children, but a
+    /// Input groups to optimize, each with the physical properties it is
+    /// required to deliver (usually the expression's children, but a
     /// collapsing rule — e.g. select-materialize-get to index scan — may
     /// produce none).
-    pub children: Vec<GroupId>,
-    /// Required physical properties per input.
-    pub input_props: Vec<M::PProps>,
+    pub inputs: Vec<(GroupId, M::PProps)>,
     /// Local cost of this operator (inputs excluded).
     pub cost: M::Cost,
     /// Physical properties the operator delivers, assuming inputs deliver

@@ -9,10 +9,12 @@
 //! those subplans that can deliver the physical properties that are
 //! required by the algorithm of the containing plan").
 
+use crate::fx::FxBuild;
 use crate::memo::{ExprId, GroupId, Memo};
 use crate::model::{CostValue, OptModel, RuleSet};
 use crate::stats::SearchStats;
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::time::Instant;
 
 /// Engine configuration.
@@ -81,20 +83,18 @@ pub struct Winner<M: OptModel> {
     pub rule: &'static str,
 }
 
-// Manual Clone impls: deriving would wrongly require `M: Clone` on the
-// model type itself rather than on the associated types.
-impl<M: OptModel> Clone for Winner<M> {
-    fn clone(&self) -> Self {
-        Winner {
-            op: self.op.clone(),
-            children: self.children.clone(),
-            local_cost: self.local_cost,
-            total: self.total,
-            delivers: self.delivers.clone(),
-            rule: self.rule,
-        }
-    }
+/// What the search knows about one goal.
+enum Goal<M: OptModel> {
+    /// Being solved further up the recursion: a plan that needs this goal
+    /// again would contain itself.
+    Open,
+    /// Solved for good: the winner, or `None` when no plan is feasible.
+    Solved(Option<Winner<M>>),
 }
+
+/// A goal: a group and the position of its required properties in
+/// [`Optimizer::goal_props`].
+pub(crate) type GoalKey = (GroupId, u32);
 
 /// An extracted physical plan node.
 #[derive(Debug)]
@@ -109,6 +109,8 @@ pub struct PlanNode<M: OptModel> {
     pub delivers: M::PProps,
 }
 
+// Manual Clone: deriving would wrongly require `M: Clone` on the model
+// type itself rather than on the associated types.
 impl<M: OptModel> Clone for PlanNode<M> {
     fn clone(&self) -> Self {
         PlanNode {
@@ -142,15 +144,15 @@ pub struct Optimizer<'a, M: OptModel> {
     /// inspect it).
     pub memo: Memo<M>,
     config: SearchConfig,
-    fired: HashMap<(ExprId, usize), u64>,
-    /// Winners/in-progress keyed on `(group, hash(props))` rather than an
-    /// owned props clone: goal keys become `Copy`, so the hot memoization
-    /// path allocates nothing. A 64-bit hash collision between two
-    /// distinct property requirements on the same group could alias two
-    /// goals; with the handful of property values a query generates the
-    /// odds are ~2⁻⁶⁴ per pair, which we accept for the allocation win.
-    winners: HashMap<(GroupId, u64), Option<Winner<M>>>,
-    in_progress: HashSet<(GroupId, u64)>,
+    /// Dense `expression × transformation rule` table: the children
+    /// version (see [`Self::children_version`]) the rule last fired at on
+    /// the expression, `None` if it never did.
+    fired: Vec<Option<u64>>,
+    /// Every distinct required-property vector this search has met — a
+    /// query generates a handful, so interning is a linear probe. Goal
+    /// keys name one by position, which makes them exact and `Copy`.
+    goal_props: Vec<M::PProps>,
+    goals: HashMap<GoalKey, Goal<M>, FxBuild>,
     depth: usize,
     /// The recorded search trace (empty unless `SearchConfig::trace`).
     pub trace: Vec<TraceEvent<M::PProps>>,
@@ -166,9 +168,9 @@ impl<'a, M: OptModel> Optimizer<'a, M> {
             rules,
             memo: Memo::new(),
             config,
-            fired: HashMap::new(),
-            winners: HashMap::new(),
-            in_progress: HashSet::new(),
+            fired: Vec::new(),
+            goal_props: Vec::new(),
+            goals: HashMap::default(),
             depth: 0,
             trace: Vec::new(),
             stats: SearchStats::default(),
@@ -186,11 +188,27 @@ impl<'a, M: OptModel> Optimizer<'a, M> {
         self.rules
     }
 
-    pub(crate) fn goal_key(group: GroupId, props: &M::PProps) -> (GroupId, u64) {
-        use std::hash::{Hash, Hasher};
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        props.hash(&mut h);
-        (group, h.finish())
+    fn props_id(&self, props: &M::PProps) -> Option<usize> {
+        self.goal_props.iter().position(|p| p == props)
+    }
+
+    /// The key of goal `(group, props)`, interning `props` on first sight.
+    /// `group` must be a representative.
+    pub(crate) fn goal_key(&mut self, group: GroupId, props: &M::PProps) -> GoalKey {
+        let id = self.props_id(props).unwrap_or_else(|| {
+            self.goal_props.push(props.clone());
+            self.goal_props.len() - 1
+        });
+        (group, id as u32)
+    }
+
+    /// The memoized winner of a solved goal, if it has one.
+    pub fn winner(&self, group: GroupId, props: &M::PProps) -> Option<&Winner<M>> {
+        let key = (self.memo.find(group), self.props_id(props)? as u32);
+        match self.goals.get(&key)? {
+            Goal::Solved(w) => w.as_ref(),
+            Goal::Open => None,
+        }
     }
 
     /// Whether the search deadline has expired. Latches into
@@ -222,28 +240,41 @@ impl<'a, M: OptModel> Optimizer<'a, M> {
     /// re-fired on an expression whenever its child groups have grown
     /// since the last firing, so multi-level patterns are fully explored.
     pub fn explore_all(&mut self) {
+        let t0 = Instant::now();
+        let rules = self.rules.transforms.len();
         'sweep: loop {
             let mut changed = false;
-            for e in self.memo.live_exprs() {
-                if self.deadline_expired() {
-                    break 'sweep;
-                }
+            // One sweep visits the expressions that exist when it starts,
+            // in id order; those it creates wait for the next sweep.
+            let slots = self.memo.expr_slots();
+            self.fired.resize(slots * rules, None);
+            for e in (0..slots).map(ExprId::from_index) {
                 if self.memo.is_dead(e) {
                     continue;
                 }
-                for ri in 0..self.rules.transforms.len() {
-                    let ver = self.children_version(e);
-                    if self.fired.get(&(e, ri)) == Some(&ver) {
+                if self.deadline_expired() {
+                    break 'sweep;
+                }
+                // Only a rewrite that changed the memo can move the version.
+                let mut ver = self.children_version(e);
+                for ri in 0..rules {
+                    let last = &mut self.fired[e.index() * rules + ri];
+                    if *last == Some(ver) {
                         continue;
                     }
-                    self.fired.insert((e, ri), ver);
-                    let expr = self.memo.expr(e).clone();
+                    *last = Some(ver);
+                    let expr = self.memo.expr(e);
                     let target = expr.group;
-                    let rewrites = self.rules.transforms[ri].apply(self.model, &self.memo, &expr);
+                    let rewrites = self.rules.transforms[ri].apply(self.model, &self.memo, expr);
                     self.stats.transform_firings += 1;
+                    let mut grew = false;
                     for rw in rewrites {
                         self.stats.exprs_generated += 1;
-                        changed |= self.memo.insert_rewrite(self.model, target, rw);
+                        grew |= self.memo.insert_rewrite(self.model, target, rw);
+                    }
+                    if grew {
+                        changed = true;
+                        ver = self.children_version(e);
                     }
                 }
             }
@@ -253,24 +284,27 @@ impl<'a, M: OptModel> Optimizer<'a, M> {
         }
         self.stats.groups = self.memo.group_count();
         self.stats.exprs = self.memo.expr_count();
+        self.stats.explore_elapsed = t0.elapsed();
     }
 
-    /// Solves a goal: the cheapest plan computing `group` that delivers
-    /// `props`. `None` means no feasible plan exists.
-    pub fn optimize_group(&mut self, group: GroupId, props: M::PProps) -> Option<Winner<M>> {
+    /// Solves a goal: the cost of the cheapest plan computing `group` that
+    /// delivers `props`. `None` means no feasible plan exists. The winner
+    /// itself stays in the goal table ([`Self::winner`], [`Self::extract`]).
+    pub fn optimize_group(&mut self, group: GroupId, props: &M::PProps) -> Option<M::Cost> {
         let group = self.memo.find(group);
-        let key = Self::goal_key(group, &props);
-        if let Some(w) = self.winners.get(&key) {
-            return w.clone();
+        let key = self.goal_key(group, props);
+        if let Some(Goal::Solved(w)) = self.goals.get(&key) {
+            return w.as_ref().map(|w| w.total);
         }
         if self.deadline_expired() {
             // Bail without memoizing: this goal is unsolved, not
             // infeasible, and must not be remembered as such.
             return None;
         }
-        if !self.in_progress.insert(key) {
-            return None; // cycle guard: a plan requiring itself is infinite
-        }
+        match self.goals.entry(key) {
+            Entry::Occupied(_) => return None, // open: a plan requiring itself is infinite
+            Entry::Vacant(slot) => slot.insert(Goal::Open),
+        };
         self.stats.goals += 1;
         if self.config.trace {
             self.trace.push(TraceEvent::GoalOpened {
@@ -285,27 +319,21 @@ impl<'a, M: OptModel> Optimizer<'a, M> {
 
         // Implementation rules over each logical alternative. Copy the
         // rule-set reference out of `self` so the recursive mutable calls
-        // below don't conflict with the loop borrow.
+        // below don't conflict with the loop borrow; goal solving never
+        // changes the memo, so the member list is walked by position.
         let rules: &'a RuleSet<M> = self.rules;
-        for e in self.memo.group_exprs(group) {
+        for member in 0..self.memo.group_exprs(group).len() {
+            let e = self.memo.group_exprs(group)[member];
             for rule in &rules.impls {
-                // Borrow the memoized expression only for candidate
-                // generation; the recursive `optimize_group` calls below
-                // need `&mut self`, so the borrow must end here.
-                let cands = {
-                    let expr = self.memo.expr(e);
-                    rule.implementations(self.model, &self.memo, expr, &props)
-                };
-                for cand in cands {
+                let cands = rule.implementations(self.model, &self.memo, self.memo.expr(e), props);
+                for mut cand in cands {
                     self.stats.candidates += 1;
-                    if !self.model.satisfies(&props, &cand.delivers) {
+                    if !self.model.satisfies(props, &cand.delivers) {
                         continue;
                     }
-                    debug_assert_eq!(cand.children.len(), cand.input_props.len());
                     let mut total = cand.cost;
-                    let mut children = Vec::with_capacity(cand.children.len());
                     let mut feasible = true;
-                    for (cg, cp) in cand.children.into_iter().zip(cand.input_props) {
+                    for (cg, cp) in &mut cand.inputs {
                         if self.config.prune {
                             if let Some(b) = &best {
                                 if total.total() >= b.total.total() {
@@ -315,10 +343,10 @@ impl<'a, M: OptModel> Optimizer<'a, M> {
                                 }
                             }
                         }
-                        match self.optimize_group(cg, cp.clone()) {
-                            Some(w) => {
-                                total = total.add(w.total);
-                                children.push((self.memo.find(cg), cp));
+                        match self.optimize_group(*cg, cp) {
+                            Some(cost) => {
+                                total = total.add(cost);
+                                *cg = self.memo.find(*cg);
                             }
                             None => {
                                 feasible = false;
@@ -336,7 +364,7 @@ impl<'a, M: OptModel> Optimizer<'a, M> {
                     {
                         best = Some(Winner {
                             op: cand.op,
-                            children,
+                            children: cand.inputs,
                             local_cost: cand.cost,
                             total,
                             delivers: cand.delivers,
@@ -349,17 +377,17 @@ impl<'a, M: OptModel> Optimizer<'a, M> {
 
         // Enforcers: satisfy the goal by fixing up a weaker one.
         for enf in &rules.enforcers {
-            let cands = enf.enforce(self.model, &self.memo, group, &props);
+            let cands = enf.enforce(self.model, &self.memo, group, props);
             for ec in cands {
                 self.stats.enforcements += 1;
-                if ec.input_props == props {
+                if ec.input_props == *props {
                     continue; // no progress: would recurse forever
                 }
-                if !self.model.satisfies(&props, &ec.delivers) {
+                if !self.model.satisfies(props, &ec.delivers) {
                     continue;
                 }
-                if let Some(w) = self.optimize_group(group, ec.input_props.clone()) {
-                    let total = ec.cost.add(w.total);
+                if let Some(cost) = self.optimize_group(group, &ec.input_props) {
+                    let total = ec.cost.add(cost);
                     self.stats.plans_costed += 1;
                     if best
                         .as_ref()
@@ -382,26 +410,27 @@ impl<'a, M: OptModel> Optimizer<'a, M> {
         if self.config.trace {
             self.trace.push(TraceEvent::GoalSolved {
                 group,
-                props,
+                props: props.clone(),
                 depth: self.depth,
                 winner: best.as_ref().map(|w| w.rule),
                 cost: best.as_ref().map(|w| w.total.total()),
             });
         }
-        self.in_progress.remove(&key);
+        let cost = best.as_ref().map(|w| w.total);
         // A goal solved while the deadline expired underneath it may have
         // skipped alternatives; recording it as the goal's final answer
         // would wrongly pin a partial (or absent) winner.
-        if !self.stats.deadline_hit {
-            self.winners.insert(key, best.clone());
+        if self.stats.deadline_hit {
+            self.goals.remove(&key);
+        } else {
+            self.goals.insert(key, Goal::Solved(best));
         }
-        best
+        cost
     }
 
     /// Extracts the winning plan tree for a solved goal.
     pub fn extract(&self, group: GroupId, props: &M::PProps) -> Option<PlanNode<M>> {
-        let key = Self::goal_key(self.memo.find(group), props);
-        let w = self.winners.get(&key)?.as_ref()?;
+        let w = self.winner(group, props)?;
         let children = w
             .children
             .iter()
@@ -419,7 +448,7 @@ impl<'a, M: OptModel> Optimizer<'a, M> {
     pub fn run(&mut self, root: GroupId, props: M::PProps) -> Option<PlanNode<M>> {
         let t0 = Instant::now();
         self.explore_all();
-        self.optimize_group(root, props.clone());
+        self.optimize_group(root, &props);
         let plan = self.extract(root, &props);
         self.stats.elapsed = t0.elapsed();
         plan
@@ -460,6 +489,105 @@ mod tests {
         assert_eq!(opt.memo.expr_count(), exprs);
     }
 
+    /// A transformation rule given as a closure.
+    struct Scripted<F>(F);
+
+    impl<F> crate::TransformRule<Toy> for Scripted<F>
+    where
+        F: Fn(&Memo<Toy>, &crate::Expr<Toy>) -> Vec<crate::Rewrite<ToyOp>>,
+    {
+        fn name(&self) -> &'static str {
+            "scripted"
+        }
+        fn apply(
+            &self,
+            _model: &Toy,
+            memo: &Memo<Toy>,
+            expr: &crate::Expr<Toy>,
+        ) -> Vec<crate::Rewrite<ToyOp>> {
+            (self.0)(memo, expr)
+        }
+    }
+
+    #[test]
+    fn parent_refires_when_a_child_retires_one_member_and_gains_another_in_one_sweep() {
+        use crate::Rewrite::{Group, Op};
+        // Whether `expr` is a join whose inputs are (groups anchored at)
+        // the given tables; `None` matches anything.
+        fn joins(
+            memo: &Memo<Toy>,
+            expr: &crate::Expr<Toy>,
+            l: Option<u32>,
+            r: Option<u32>,
+        ) -> bool {
+            let is = |g, t: Option<u32>| {
+                t.is_none_or(|t| memo.expr(memo.group_exprs(g)[0]).op == ToyOp::Table(t))
+            };
+            expr.op == ToyOp::Join && is(expr.children[0], l) && is(expr.children[1], r)
+        }
+        let model = Toy::default();
+        let seen = std::rc::Rc::new(std::cell::RefCell::new(Vec::new()));
+        let probe = std::rc::Rc::clone(&seen);
+        let rules = RuleSet {
+            transforms: vec![
+                // Join(B, A) → Join(A, B): proves the two join groups equal.
+                Box::new(Scripted(|memo: &Memo<Toy>, e: &crate::Expr<Toy>| {
+                    if joins(memo, e, Some(1), Some(0)) {
+                        vec![Op(
+                            ToyOp::Join,
+                            vec![Group(e.children[1]), Group(e.children[0])],
+                        )]
+                    } else {
+                        vec![]
+                    }
+                })) as Box<dyn crate::TransformRule<Toy>>,
+                // Join(D, D) → Join(D, A): one new member for its group.
+                Box::new(Scripted(|memo: &Memo<Toy>, e: &crate::Expr<Toy>| {
+                    if joins(memo, e, Some(3), Some(3)) {
+                        vec![Op(
+                            ToyOp::Join,
+                            vec![Group(e.children[0]), Op(ToyOp::Table(0), vec![])],
+                        )]
+                    } else {
+                        vec![]
+                    }
+                })),
+                // The two-level rule under test: on Join(G, D) it looks
+                // at G's members (and here only records them).
+                Box::new(Scripted(move |memo: &Memo<Toy>, e: &crate::Expr<Toy>| {
+                    if joins(memo, e, None, Some(3)) && !joins(memo, e, Some(3), None) {
+                        probe
+                            .borrow_mut()
+                            .push(memo.group_exprs(e.children[0]).to_vec());
+                    }
+                    vec![]
+                })),
+            ],
+            impls: vec![],
+            enforcers: vec![],
+        };
+        let mut opt = Optimizer::new(&model, &rules, SearchConfig::default());
+        let memo = &mut opt.memo;
+        let [a, b, c, d] = [0, 1, 2, 3].map(|t| memo.insert(&model, ToyOp::Table(t), vec![]).0);
+        let ab = memo.insert(&model, ToyOp::Join, vec![a, b]).0;
+        let g = memo.insert(&model, ToyOp::Join, vec![ab, c]).0;
+        memo.insert(&model, ToyOp::Join, vec![g, d]); // the parent, visited first
+        let ba = memo.insert(&model, ToyOp::Join, vec![b, a]).0;
+        memo.insert_into(&model, g, ToyOp::Join, vec![ba, c]);
+        memo.insert_into(&model, g, ToyOp::Join, vec![d, d]);
+        assert_eq!(memo.group_exprs(g).len(), 3);
+        // Sweep 1 visits the parent (three members below it), then
+        // Join(B, A): ab ≡ ba turns Join(ba, C) into a duplicate of
+        // Join(ab, C), which is retired — two members; then Join(D, D),
+        // which adds Join(D, A) — three members again, one of them new.
+        opt.explore_all();
+        assert_eq!(opt.memo.group_exprs(g).len(), 3);
+        let seen = seen.borrow();
+        assert_eq!(seen.len(), 2, "the parent is fired again in sweep 2");
+        assert_eq!(seen[1], opt.memo.group_exprs(g), "and sees the new member");
+        assert_ne!(seen[0], seen[1]);
+    }
+
     #[test]
     fn finds_cheapest_join_order() {
         let model = Toy::default(); // cards 100, 1000, 10
@@ -487,10 +615,10 @@ mod tests {
             !matches!(unsorted.op, ToyPOp::Sort),
             "no enforcer without a sorted requirement"
         );
-        let sorted = opt
-            .optimize_group(root, ToySort { sorted: true })
-            .expect("sorted plan");
-        assert!(matches!(sorted.op, ToyPOp::Sort), "sort enforcer on top");
+        let sorted = ToySort { sorted: true };
+        opt.optimize_group(root, &sorted).expect("sorted plan");
+        let top = opt.winner(root, &sorted).expect("memoized winner");
+        assert!(matches!(top.op, ToyPOp::Sort), "sort enforcer on top");
         let plan = opt.extract(root, &ToySort { sorted: true }).unwrap();
         // Sort cost = out card × 3 = (100·1000·10/100) × 3 = 30000 on top.
         assert!(plan.total_cost() > unsorted.total_cost());
@@ -509,7 +637,7 @@ mod tests {
 
         // Table 1 has no index: only scan + sort works.
         let b = opt.memo.insert(&model, ToyOp::Table(1), vec![]).0;
-        opt.optimize_group(b, ToySort { sorted: true });
+        opt.optimize_group(b, &ToySort { sorted: true });
         let plan_b = opt.extract(b, &ToySort { sorted: true }).unwrap();
         assert!(matches!(plan_b.op, ToyPOp::Sort));
     }
@@ -541,7 +669,7 @@ mod tests {
         opt.run(root, ToySort::default());
         let goals_first = opt.stats.goals;
         // Solving the same goal again must not add work.
-        opt.optimize_group(root, ToySort::default());
+        opt.optimize_group(root, &ToySort::default());
         assert_eq!(opt.stats.goals, goals_first);
     }
 
@@ -563,7 +691,7 @@ mod tests {
             opt.stats.goals, 0,
             "no goal opened past an expired deadline"
         );
-        assert!(opt.winners.is_empty(), "nothing memoized past the deadline");
+        assert!(opt.goals.is_empty(), "nothing memoized past the deadline");
     }
 
     #[test]

@@ -135,7 +135,7 @@ impl TransformRule<Toy> for Assoc {
             return vec![];
         }
         let mut out = Vec::new();
-        for le in memo.group_exprs(expr.children[0]) {
+        for &le in memo.group_exprs(expr.children[0]) {
             let lexpr = memo.expr(le);
             if lexpr.op == ToyOp::Join {
                 // (A ⋈ B) ⋈ C  →  A ⋈ (B ⋈ C)
@@ -185,16 +185,14 @@ impl ImplRule<Toy> for ScanImpl {
         let card = model.cards[t as usize];
         let mut out = vec![Candidate {
             op: ToyPOp::Scan(t),
-            children: vec![],
-            input_props: vec![],
+            inputs: vec![],
             cost: card,
             delivers: ToySort { sorted: false },
         }];
         if t == 0 {
             out.push(Candidate {
                 op: ToyPOp::SortedScan(t),
-                children: vec![],
-                input_props: vec![],
+                inputs: vec![],
                 cost: card * 1.2,
                 delivers: ToySort { sorted: true },
             });
@@ -224,8 +222,10 @@ impl ImplRule<Toy> for HashJoinImpl {
         let r = memo.props(expr.children[1]).card;
         vec![Candidate {
             op: ToyPOp::HashJoin,
-            children: expr.children.clone(),
-            input_props: vec![ToySort::default(), ToySort::default()],
+            inputs: vec![
+                (expr.children[0], ToySort::default()),
+                (expr.children[1], ToySort::default()),
+            ],
             // Build on the smaller side: 2× build + 1× probe.
             cost: 2.0 * l.min(r) + l.max(r),
             delivers: ToySort { sorted: false },

@@ -152,7 +152,7 @@ proptest! {
         let mut opt = Optimizer::new(&model, &rules, SearchConfig::default());
         let root = seed_tree(&mut opt.memo, &model, &shape);
         let unsorted = opt.run(root, ToySort::default()).expect("plan");
-        opt.optimize_group(root, ToySort { sorted: true });
+        opt.optimize_group(root, &ToySort { sorted: true });
         let sorted = opt
             .extract(root, &ToySort { sorted: true })
             .expect("sorted plan");

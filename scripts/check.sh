@@ -45,4 +45,10 @@ else
     echo "==> cargo deny check (skipped: cargo-deny not installed)"
 fi
 
+# The golden files (executor runs, search fingerprint) are rewritten only
+# on purpose: a stray OODB_GOLDEN_BLESS=1 in the runs above must not ride
+# in with an engine change.
+echo "==> golden files unchanged"
+git diff --exit-code -- tests/golden
+
 echo "OK"
