@@ -51,10 +51,10 @@ impl Batch {
 
 const NIL: u32 = u32::MAX;
 
-/// Chained hash table over the build rows of a join. Keys are the
-/// already-mixed 64-bit [`oodb_object::Value::hash_key`]s, so a bucket is
-/// the key's low bits and a chain is a linked list of row numbers — no
-/// second hash and no allocation per key.
+/// Chained hash table over the build rows of a join. Keys are 64-bit
+/// [`oodb_object::Value::hash_key`]s, which end in an avalanche step: a
+/// bucket is the key's low bits and a chain is a linked list of row
+/// numbers — no second hash and no allocation per key.
 pub(crate) struct JoinTable {
     heads: Vec<u32>,
     next: Vec<u32>,
@@ -101,6 +101,22 @@ impl JoinTable {
 }
 
 #[cfg(test)]
+/// The hash keys of 10 000 sequential oids, ints and generated names: the
+/// key families joins meet, and the ones a weak mixer piles up.
+pub(crate) fn sequential_key_families() -> [(&'static str, Vec<Option<u64>>); 3] {
+    use oodb_object::{TypeId, Value};
+    let keys = |key: fn(u32) -> Value| (0..10_000).map(|i| key(i).hash_key()).collect();
+    [
+        (
+            "oids",
+            keys(|i| Value::Ref(Oid::new(TypeId::from_index(3), i))),
+        ),
+        ("ints", keys(|i| Value::Int(i64::from(i)))),
+        ("names", keys(|i| Value::str(&format!("p{i:05}")))),
+    ]
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -114,6 +130,32 @@ mod tests {
         assert_eq!(t.matches(0).count(), 0, "a keyless row never matches");
         assert_eq!(t.matches(21).count(), 0);
         assert_eq!(JoinTable::build(&[]).matches(5).count(), 0);
+    }
+
+    /// The table trusts `hash_key`'s low bits. Sized at load ≤ 0.5, a
+    /// uniform hash occupies ≈ 0.86 buckets per key and keeps chains
+    /// short; a mixer that lets sequential keys pile up fails here, not
+    /// as a slow join later.
+    #[test]
+    fn sequential_keys_spread_over_the_buckets() {
+        for (what, keys) in sequential_key_families() {
+            let t = JoinTable::build(&keys);
+            let chain = |mut at: u32| {
+                std::iter::from_fn(|| {
+                    let here = (at != NIL).then_some(at)?;
+                    at = t.next[here as usize];
+                    Some(here)
+                })
+                .count()
+            };
+            let longest = t.heads.iter().map(|&h| chain(h)).max();
+            let occupied = t.heads.iter().filter(|&&h| h != NIL).count();
+            assert!(longest <= Some(8), "{what}: a chain of {longest:?}");
+            assert!(
+                occupied * 10 >= keys.len() * 8,
+                "{what}: {occupied} buckets"
+            );
+        }
     }
 
     #[test]

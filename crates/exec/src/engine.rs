@@ -7,7 +7,7 @@ mod pipeline;
 use crate::batch::{Batch, BATCH_ROWS};
 use crate::eval::{col_of, Pred, Slot};
 use crate::morsel;
-use crate::tuple::Tuple;
+use crate::tuple::{RootRow, Tuple};
 use oodb_algebra::{PhysicalOp, PhysicalPlan, QueryEnv, VarOrigin};
 use oodb_fault::{Fault, RunLimits};
 use oodb_mem::MemoryGrant;
@@ -15,7 +15,6 @@ use oodb_object::{Oid, Value};
 use oodb_storage::{DiskParams, DiskStats, Io, PageId, Store};
 use oodb_telemetry::OpTrace;
 use pipeline::{bind, child, malformed, nodes, Bound, Pipeline, Source, Stage};
-use std::borrow::Cow;
 use std::fmt;
 use std::time::Instant;
 
@@ -146,10 +145,9 @@ pub struct ExecStats {
     pub buffer_misses: u64,
     /// Memory-grant accounting (peak bytes, spill traffic, denials).
     pub mem: MemEffort,
-    /// Rows delivered at the plan root — the always-on cardinality sample
-    /// the feedback loop compares against the root estimate, live even on
-    /// the untraced hot path. Filled by the one-shot helpers
-    /// ([`execute`], [`try_execute`], …) from the result itself.
+    /// Rows the run delivered at the plan root — the always-on cardinality
+    /// sample the feedback loop compares against the root estimate, live
+    /// even on the untraced hot path.
     pub root_rows: u64,
     /// Rows produced by leaf scans (file + index) this run — the
     /// denominator for untraced selectivity attribution.
@@ -287,6 +285,8 @@ pub struct Executor<'a> {
     /// Rows produced by leaf scans (file + index), cumulative; reported
     /// per run via [`RunBase`] deltas like every other counter.
     leaf_rows: u64,
+    /// Rows the last run delivered at its root.
+    root_rows: u64,
     /// Worker threads for the pure-CPU stages of a pipeline. `1` (the
     /// default) keeps every operator on the calling thread.
     parallelism: usize,
@@ -317,6 +317,7 @@ impl<'a> Executor<'a> {
             grant: MemoryGrant::detached(None),
             spilled_partitions: 0,
             leaf_rows: 0,
+            root_rows: 0,
             parallelism: 1,
         }
     }
@@ -383,7 +384,7 @@ impl<'a> Executor<'a> {
                 spilled_partitions: self.spilled_partitions - base.spilled_partitions,
                 grant_denials: self.grant.denials(),
             },
-            root_rows: 0,
+            root_rows: self.root_rows,
             leaf_rows: self.leaf_rows - base.leaf_rows,
         }
     }
@@ -402,6 +403,7 @@ impl<'a> Executor<'a> {
             spilled_partitions: self.spilled_partitions,
             leaf_rows: self.leaf_rows,
         };
+        self.root_rows = 0;
         self.grant = match self.store.memory_governor() {
             Some(gov) => gov.grant(self.limits.mem_budget),
             None => MemoryGrant::detached(self.limits.mem_budget),
@@ -420,9 +422,7 @@ impl<'a> Executor<'a> {
     /// Runs a plan to completion, surfacing faults, cancellation, and
     /// limit expiry as [`ExecError`]s.
     pub fn try_run(&mut self, plan: &PhysicalPlan) -> Result<ExecResult, ExecError> {
-        self.begin_run();
-        self.checkpoint()?;
-        self.exec_root(plan)
+        Ok(self.run_root(plan, false, |ex| ex.collect_root(plan))?.0)
     }
 
     /// Runs a plan to completion while recording a per-operator
@@ -441,55 +441,104 @@ impl<'a> Executor<'a> {
         &mut self,
         plan: &PhysicalPlan,
     ) -> Result<(ExecResult, OpTrace), ExecError> {
-        self.begin_run();
-        self.trace.clear();
-        trace_slots(self.env, plan, &mut self.trace);
-        let result = self.checkpoint().and_then(|()| self.exec_root(plan));
-        let mut slots = std::mem::take(&mut self.trace).into_iter();
-        let root = fold_trace(plan, &mut slots)
-            .ok_or_else(|| ExecError::MalformedTrace("trace lost a plan node".into()))?;
-        Ok((result?, root))
+        let (result, trace) = self.run_root(plan, true, |ex| ex.collect_root(plan))?;
+        Ok((result, trace.expect("a traced run returns its trace")))
     }
 
-    fn exec_root(&mut self, plan: &PhysicalPlan) -> Result<ExecResult, ExecError> {
-        let store = self.store;
-        if let PhysicalOp::AlgProject { items } = &plan.op {
-            // Projection is only legal at the root: it is the tail of the
-            // topmost pipeline, not a stage.
-            let p = self.open(child(plan, 0)?, 1)?;
-            let items: Vec<Slot> = items
-                .iter()
-                .map(|item| Slot::resolve(item, &p.cols))
-                .collect::<Result<_, _>>()?;
-            let project = |batch: Batch, counts: &mut OpCounts| {
-                counts.tuples += batch.len() as u64;
-                let mut rows = Vec::with_capacity(batch.len());
-                for row in batch.rows() {
-                    let cells = items
-                        .iter()
-                        .map(|item| item.eval(store, row).map(Cow::into_owned));
-                    rows.push(
-                        cells
-                            .collect::<Result<Vec<Value>, _>>()
-                            .map_err(ExecError::Corrupt)?,
-                    );
-                }
-                Ok(rows)
-            };
-            let mut rows = Vec::new();
-            self.pump(p, 0, &project, &mut |chunk| rows.extend(chunk))?;
-            self.charge(0, None, rows.len());
-            return Ok(ExecResult::Rows(rows));
+    /// Runs a plan to completion, handing every result row to `emit` as
+    /// the root pipeline produces it — borrowed, before anything is cloned
+    /// or collected — and returns what `emit` made of each, in result
+    /// order. `emit` runs on the morsel workers when a worker set is
+    /// configured; its time is the root's in the [`OpTrace`] of a `traced` run.
+    pub fn try_run_rows<T: Send>(
+        &mut self,
+        plan: &PhysicalPlan,
+        traced: bool,
+        emit: &(dyn Fn(RootRow<'_>) -> T + Sync),
+    ) -> Result<(Vec<T>, Option<OpTrace>), ExecError> {
+        self.run_root(plan, traced, |ex| ex.exec_root(plan, emit))
+    }
+
+    /// One run of `plan`, `root` doing the work, traced when asked.
+    fn run_root<R>(
+        &mut self,
+        plan: &PhysicalPlan,
+        traced: bool,
+        root: impl FnOnce(&mut Self) -> Result<R, ExecError>,
+    ) -> Result<(R, Option<OpTrace>), ExecError> {
+        self.begin_run();
+        self.trace.clear();
+        if traced {
+            trace_slots(self.env, plan, &mut self.trace);
         }
-        let mut p = self.open(plan, 0)?;
-        let (n_vars, cols) = (self.n_vars(), std::mem::take(&mut p.cols));
-        let bind = |batch: Batch, _: &mut OpCounts| {
-            let tuple = |row| Tuple::from_row(n_vars, &cols, row);
-            Ok(batch.rows().map(tuple).collect::<Vec<_>>())
+        let result = self.checkpoint().and_then(|()| root(self));
+        let mut slots = std::mem::take(&mut self.trace).into_iter();
+        let lost = || ExecError::MalformedTrace("trace lost a plan node".into());
+        let trace = traced.then(|| fold_trace(plan, &mut slots).ok_or_else(lost));
+        Ok((result?, trace.transpose()?))
+    }
+
+    /// The root with the collecting consumer: every row owned, as an
+    /// [`ExecResult`]. The root emits cells exactly when it is a projection.
+    fn collect_root(&mut self, plan: &PhysicalPlan) -> Result<ExecResult, ExecError> {
+        let n_vars = self.n_vars();
+        Ok(if matches!(plan.op, PhysicalOp::AlgProject { .. }) {
+            ExecResult::Rows(self.exec_root(plan, &|row| match row {
+                RootRow::Cells(cells) => cells.iter().map(|v| Value::clone(v)).collect(),
+                RootRow::Bound(..) => unreachable!("a projection emits cells"),
+            })?)
+        } else {
+            ExecResult::Tuples(self.exec_root(plan, &|row| match row {
+                RootRow::Bound(cols, row) => Tuple::from_row(n_vars, cols, row),
+                RootRow::Cells(_) => unreachable!("only a projection emits cells"),
+            })?)
+        })
+    }
+
+    /// The root pipeline: its tail evaluates each row — the projection's
+    /// cells, or the root's bindings — and maps it through `emit`.
+    fn exec_root<T: Send>(
+        &mut self,
+        plan: &PhysicalPlan,
+        emit: &(dyn Fn(RootRow<'_>) -> T + Sync),
+    ) -> Result<Vec<T>, ExecError> {
+        let store = self.store;
+        // Projection is only legal at the root: it is the tail of the
+        // topmost pipeline, not a stage.
+        let (mut p, items) = match &plan.op {
+            PhysicalOp::AlgProject { items } => {
+                let p = self.open(child(plan, 0)?, 1)?;
+                let items = items.iter().map(|item| Slot::resolve(item, &p.cols));
+                let items = items.collect::<Result<Vec<_>, _>>()?;
+                (p, Some(items))
+            }
+            _ => (self.open(plan, 0)?, None),
         };
-        let mut tuples = Vec::new();
-        self.pump(p, 0, &bind, &mut |chunk| tuples.extend(chunk))?;
-        Ok(ExecResult::Tuples(tuples))
+        let cols = std::mem::take(&mut p.cols);
+        let tail = |batch: Batch, counts: &mut OpCounts| {
+            let mut out = Vec::with_capacity(batch.len());
+            let Some(items) = &items else {
+                out.extend(batch.rows().map(|row| emit(RootRow::Bound(&cols, row))));
+                return Ok(out);
+            };
+            counts.tuples += batch.len() as u64;
+            let mut cells = Vec::with_capacity(items.len());
+            for row in batch.rows() {
+                cells.clear();
+                for item in items {
+                    cells.push(item.eval(store, row).map_err(ExecError::Corrupt)?);
+                }
+                out.push(emit(RootRow::Cells(&cells)));
+            }
+            Ok(out)
+        };
+        let mut rows = Vec::new();
+        self.pump(p, 0, &tail, &mut |chunk| rows.extend(chunk))?;
+        if items.is_some() {
+            self.charge(0, None, rows.len());
+        }
+        self.root_rows = rows.len() as u64;
+        Ok(rows)
     }
 
     /// Opens the pipeline that produces `plan`'s output (`id` is the
@@ -841,9 +890,7 @@ pub fn try_execute_parallel(
     ex.set_limits(limits);
     ex.set_parallelism(workers);
     let result = ex.try_run(plan)?;
-    let mut stats = ex.stats();
-    stats.root_rows = result.len() as u64;
-    Ok((result, stats))
+    Ok((result, ex.stats()))
 }
 
 /// One-shot `EXPLAIN ANALYZE`: fresh executor, traced run, return result,
@@ -868,9 +915,7 @@ pub fn try_execute_traced(
     let mut ex = Executor::new(store, env);
     ex.set_limits(limits);
     let (result, trace) = ex.try_run_traced(plan)?;
-    let mut stats = ex.stats();
-    stats.root_rows = result.len() as u64;
-    Ok((result, stats, trace))
+    Ok((result, ex.stats(), trace))
 }
 
 #[cfg(test)]

@@ -58,9 +58,15 @@ impl<'a> Executor<'a> {
     /// Maximum partition-recursion depth for a spilling hash join;
     /// beyond it (skewed keys that never split) the join falls back to
     /// grant-bounded chunking, which always terminates.
-    const MAX_SPILL_DEPTH: u32 = 4;
+    pub(super) const MAX_SPILL_DEPTH: u32 = 4;
     /// Partition fan-out per spill level.
-    const SPILL_FANOUT: usize = 8;
+    pub(super) const SPILL_FANOUT: usize = 8;
+
+    /// The partition a join key spills to at `depth`: a depth-salted rehash.
+    pub(super) fn spill_partition(key: u64, depth: u32) -> usize {
+        let salt = oodb_fault::splitmix64(0xA55E_B1E0 ^ u64::from(depth));
+        (oodb_fault::splitmix64(key ^ salt) % Self::SPILL_FANOUT as u64) as usize
+    }
 
     /// The true hybrid. The build (left) input is drained first. When the
     /// grant covers its hash table, the join becomes a probe stage of the
@@ -168,7 +174,6 @@ impl<'a> Executor<'a> {
         if depth >= Self::MAX_SPILL_DEPTH {
             return self.join_chunked(spec, &left, &right);
         }
-        let salt = oodb_fault::splitmix64(0xA55E_B1E0 ^ u64::from(depth));
         let mut split = |side: &Batch, key: &Slot<'a>| -> Result<Vec<Batch>, ExecError> {
             let mut parts = vec![Batch::new(side.width); Self::SPILL_FANOUT];
             for (i, row) in side.rows().enumerate() {
@@ -180,8 +185,9 @@ impl<'a> Executor<'a> {
                 // skips them too.
                 let key = key.eval(self.store, row).map_err(ExecError::Corrupt)?;
                 if let Some(k) = key.hash_key() {
-                    let part = oodb_fault::splitmix64(k ^ salt) % Self::SPILL_FANOUT as u64;
-                    parts[part as usize].data.extend_from_slice(row);
+                    parts[Self::spill_partition(k, depth)]
+                        .data
+                        .extend_from_slice(row);
                 }
             }
             Ok(parts)

@@ -778,3 +778,24 @@ fn morsel_parallel_run_observes_cancellation() {
     });
     assert_eq!(ex.try_run(&p).unwrap_err(), ExecError::Cancelled);
 }
+
+/// Spill partitioning rehashes `hash_key`s under a per-depth salt: at
+/// every depth each of the fan-out partitions gets its share of
+/// sequential oids, ints and generated names, so a refused build side
+/// really shrinks when it is split.
+#[test]
+fn spill_partitions_share_sequential_keys_evenly() {
+    for (what, keys) in crate::batch::sequential_key_families() {
+        for depth in 0..Executor::MAX_SPILL_DEPTH {
+            let mut parts = [0usize; Executor::SPILL_FANOUT];
+            for k in keys.iter().flatten() {
+                parts[Executor::spill_partition(*k, depth)] += 1;
+            }
+            let mean = keys.len() / parts.len();
+            assert!(
+                parts.iter().all(|&n| n * 2 >= mean && n <= mean * 2),
+                "{what} at depth {depth}: {parts:?}"
+            );
+        }
+    }
+}

@@ -43,4 +43,4 @@ pub use oodb_fault::{CancelToken, Fault, FaultClass, RunLimits};
 /// Memory-governance types, re-exported for the same reason.
 pub use oodb_mem::{MemStats, MemoryGovernor, MemoryGrant, PressureLevel};
 pub use oodb_telemetry::OpTrace;
-pub use tuple::Tuple;
+pub use tuple::{RootRow, Tuple};

@@ -1,7 +1,20 @@
-//! Tuples: the per-variable object bindings of one result row.
+//! Result rows as the plan root hands them to its consumer, and tuples:
+//! the per-variable object bindings of one collected row.
 
 use oodb_algebra::VarId;
-use oodb_object::Oid;
+use oodb_object::{Oid, Value};
+use std::borrow::Cow;
+
+/// One result row at the plan root, borrowed for the duration of the
+/// consumer's call: nothing has been cloned or collected yet.
+#[derive(Clone, Copy, Debug)]
+pub enum RootRow<'r> {
+    /// The cells of a root projection, read straight from the store.
+    Cells(&'r [Cow<'r, Value>]),
+    /// An unprojected root's bindings: the variable each column binds —
+    /// the same layout for every row of a run — and the row.
+    Bound(&'r [VarId], &'r [Oid]),
+}
 
 /// A result row binding scope variables to object identities — the row
 /// type of [`crate::ExecResult::Tuples`]. The engine itself works on flat

@@ -7,6 +7,7 @@
 //! references are direct ("goto's on disk").
 
 use crate::schema::TypeId;
+use crate::value::push_decimal;
 use std::fmt;
 
 /// An object identifier: the unit of inter-object reference.
@@ -46,6 +47,14 @@ impl Oid {
         ((self.ty.index() as u64) << 32) | self.seq as u64
     }
 
+    /// Appends the OID as it is displayed, `@type:seq`.
+    pub fn write_to(self, out: &mut String) {
+        out.push('@');
+        push_decimal(out, self.ty.index() as u64);
+        out.push(':');
+        push_decimal(out, u64::from(self.seq));
+    }
+
     /// Inverse of [`Oid::as_u64`].
     #[inline]
     pub fn from_u64(bits: u64) -> Self {
@@ -64,7 +73,9 @@ impl fmt::Debug for Oid {
 
 impl fmt::Display for Oid {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "@{}:{}", self.ty.index(), self.seq)
+        let mut text = String::new();
+        self.write_to(&mut text);
+        f.write_str(&text)
     }
 }
 

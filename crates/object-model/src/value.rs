@@ -166,25 +166,60 @@ impl Value {
         }
     }
 
-    /// A stable hash key for hash-based matching (join/intersect). `None`
-    /// for values that cannot key a hash table (floats hash via bit
-    /// pattern, which is fine for generated data).
+    /// A 64-bit key for hash-based matching (join, partitioning), already
+    /// mixed: its low bits pick a bucket directly. Agrees with
+    /// [`Value::partial_cmp_val`] — values that compare `Equal` share a
+    /// key, so `Int(2)`, `Float(2.0)` and `Float(-0.0)`/`Float(0.0)` meet
+    /// in one bucket — and keeps the variants apart otherwise. `None` for
+    /// values that equal nothing (`Null`, sets) and cannot key a table.
     pub fn hash_key(&self) -> Option<u64> {
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut h = DefaultHasher::new();
-        match self {
-            Value::Null => return None,
-            Value::Int(i) => (0u8, i).hash(&mut h),
-            Value::Float(f) => (1u8, f.to_bits()).hash(&mut h),
-            Value::Bool(b) => (2u8, b).hash(&mut h),
-            Value::Str(s) => (3u8, &**s).hash(&mut h),
-            Value::Date(d) => (4u8, d.0).hash(&mut h),
-            Value::Ref(o) => (5u8, o.as_u64()).hash(&mut h),
-            Value::RefSet(_) => return None,
-        }
-        Some(h.finish())
+        // The f64 image of i64: every float an `Int` can compare equal to.
+        const INT_IMAGE: std::ops::RangeInclusive<f64> = -TWO_63..=TWO_63;
+        const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+        let word = |tag, payload| mix(seed(tag), payload);
+        Some(avalanche(match self {
+            Value::Null | Value::RefSet(_) => return None,
+            // Comparison widens ints to f64, so an int keys as the int its
+            // float image rounds back to (itself, below 2^53).
+            Value::Int(i) => word(1, (*i as f64) as i64 as u64),
+            Value::Float(f) if f.fract() == 0.0 && INT_IMAGE.contains(f) => {
+                word(1, *f as i64 as u64)
+            }
+            Value::Float(f) => word(2, f.to_bits()),
+            Value::Bool(b) => word(3, u64::from(*b)),
+            Value::Date(d) => word(4, d.0 as u64),
+            Value::Ref(o) => word(5, o.as_u64()),
+            Value::Str(s) => {
+                let mut chunks = s.as_bytes().chunks_exact(8);
+                let h = chunks.by_ref().fold(seed(6), |h, c| {
+                    mix(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
+                });
+                let mut last = [0; 8];
+                last[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+                mix(mix(h, u64::from_le_bytes(last)), s.len() as u64)
+            }
+        }))
     }
+}
+
+fn seed(tag: u64) -> u64 {
+    tag.wrapping_mul(0xD6E8_FEB8_6659_FD93)
+}
+
+/// One multiply–rotate round: the multiply carries every input bit
+/// upward, the rotation brings the well-mixed high half back down.
+fn mix(h: u64, word: u64) -> u64 {
+    (h ^ word)
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .rotate_left(32)
+}
+
+/// The 64-bit finalizer of MurmurHash3: every input bit reaches every
+/// output bit, so sequential payloads spread over a table's low bits.
+fn avalanche(mut h: u64) -> u64 {
+    h = (h ^ (h >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h = (h ^ (h >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
 }
 
 // Plan nodes embedding constants must be hashable for memo deduplication.
@@ -212,18 +247,65 @@ impl std::hash::Hash for Value {
     }
 }
 
+impl Value {
+    /// Appends the value as result rows, `EXPLAIN` and the wire show it —
+    /// the one definition [`fmt::Display`] delegates to. Ints, oids and
+    /// plain strings, which fill result rows, bypass `fmt`.
+    pub fn write_to(&self, out: &mut String) {
+        use fmt::Write as _;
+        const INFALLIBLE: &str = "writing to a String cannot fail";
+        match self {
+            Value::Null => out.push_str("null"),
+            Value::Int(i) => {
+                if *i < 0 {
+                    out.push('-');
+                }
+                push_decimal(out, i.unsigned_abs());
+            }
+            Value::Float(x) => write!(out, "{x}").expect(INFALLIBLE),
+            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            // Printable ASCII without `"` or `\` is what `{:?}` leaves
+            // alone between its quotes; everything else is its to escape.
+            Value::Str(s)
+                if s.bytes()
+                    .all(|b| matches!(b, b' '..=b'~') && b != b'"' && b != b'\\') =>
+            {
+                out.push('"');
+                out.push_str(s);
+                out.push('"');
+            }
+            Value::Str(s) => write!(out, "{s:?}").expect(INFALLIBLE),
+            Value::Date(d) => write!(out, "{d}").expect(INFALLIBLE),
+            Value::Ref(o) => o.write_to(out),
+            Value::RefSet(s) => {
+                out.push('{');
+                push_decimal(out, s.len() as u64);
+                out.push_str(" refs}");
+            }
+        }
+    }
+}
+
+/// Appends `n` in decimal.
+pub(crate) fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [b'0'; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] += (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => write!(f, "null"),
-            Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => write!(f, "{x}"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Str(s) => write!(f, "{s:?}"),
-            Value::Date(d) => write!(f, "{d}"),
-            Value::Ref(o) => write!(f, "{o}"),
-            Value::RefSet(s) => write!(f, "{{{} refs}}", s.len()),
-        }
+        let mut text = String::new();
+        self.write_to(&mut text);
+        f.write_str(&text)
     }
 }
 

@@ -36,9 +36,7 @@ use oodb_core::{
     compile_dynamic, BoundedOutcome, CostParams, FeedbackEntry, FeedbackStats, FeedbackStore,
     Observation, OpenOodb, OptimizerConfig,
 };
-use oodb_exec::{
-    try_execute, try_execute_parallel, try_execute_traced, ExecError, ExecResult, ExecStats,
-};
+use oodb_exec::{ExecError, ExecStats, Executor, RootRow};
 use oodb_fault::{CancelToken, FaultClass, FaultInjector, RunLimits};
 use oodb_storage::{MemoryGovernor, PressureLevel, Store};
 use oodb_sync::Snap;
@@ -50,7 +48,7 @@ pub use oodb_wal::{
 use std::collections::{BTreeMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -1443,24 +1441,53 @@ impl QueryService {
             !opts.trace && !opts.dynamic && !degraded && self.inner.feedback.wants_probe(fp.hash);
         let want_trace = opts.trace || probe;
         let mut retries_used = 0u32;
-        let (result, stats, trace) = loop {
-            let limits = RunLimits {
+        // The root's row consumer: each result row is written once, into
+        // the one `String` the output keeps, from values still borrowed
+        // from the store. Tuple results project only the query's *result*
+        // variables: different plans bind different auxiliary variables (a
+        // materialized path object, say), and those must not leak into
+        // the observable answer.
+        let (scopes, result_vars) = (&entry.env.scopes, entry.result_vars);
+        // The result variables' (name, column) in scope order: the root's
+        // layout is the same for every row, so it is resolved once.
+        let named = OnceLock::new();
+        let render = |row: RootRow<'_>| {
+            let mut line = String::new();
+            match row {
+                RootRow::Cells(cells) => {
+                    for (i, v) in cells.iter().enumerate() {
+                        line.push_str(if i > 0 { " | " } else { "" });
+                        v.write_to(&mut line);
+                    }
+                }
+                RootRow::Bound(cols, oids) => {
+                    let named = named.get_or_init(|| {
+                        let result = scopes.iter().filter(|(v, _)| result_vars.contains(*v));
+                        let col = |v| cols.iter().position(|&c| c == v);
+                        let bound = result.filter_map(|(v, var)| Some((&*var.name, col(v)?)));
+                        bound.collect::<Vec<_>>()
+                    });
+                    for &(name, col) in named {
+                        line.push_str(if line.is_empty() { "" } else { "  " });
+                        line.push_str(name);
+                        line.push('=');
+                        oids[col].write_to(&mut line);
+                    }
+                }
+            }
+            line
+        };
+        let ((mut rows, trace), stats) = loop {
+            let mut ex = Executor::new(&store, &entry.env);
+            ex.set_limits(RunLimits {
                 deadline: exec_deadline,
                 cancel: cancel.cloned(),
                 row_budget: opts.row_budget,
                 mem_budget,
-            };
-            let attempt = if want_trace {
-                try_execute_traced(&store, &entry.env, plan, limits)
-                    .map(|(r, s, t)| (r, s, Some(t)))
-            } else if opts.exec_workers > 1 {
-                try_execute_parallel(&store, &entry.env, plan, limits, opts.exec_workers)
-                    .map(|(r, s)| (r, s, None))
-            } else {
-                try_execute(&store, &entry.env, plan, limits).map(|(r, s)| (r, s, None))
-            };
-            match attempt {
-                Ok(v) => break v,
+            });
+            ex.set_parallelism(opts.exec_workers);
+            match ex.try_run_rows(plan, want_trace, &render) {
+                Ok(run) => break (run, ex.stats()),
                 Err(ExecError::Fault(f))
                     if f.class == FaultClass::Transient
                         && retries_used < opts.retries
@@ -1554,9 +1581,8 @@ impl QueryService {
             thread::sleep(Duration::from_secs_f64(sim_io_s * opts.realize_io_scale));
         }
 
-        let mut rows = render_rows(&entry.env, entry.result_vars, &result);
         let row_count = rows.len();
-        rows.sort();
+        rows.sort_unstable();
         Ok(QueryOutput {
             rows,
             row_count,
@@ -1593,47 +1619,6 @@ fn count_interval_diags(diags: &[oodb_core::verify::Diagnostic]) -> u64 {
         .count() as u64
 }
 
-/// Renders result rows deterministically. Tuple results project only the
-/// query's *result* variables: different plans bind different auxiliary
-/// variables (a materialized path object, say), and those must not leak
-/// into the observable answer.
-fn render_rows(
-    env: &oodb_algebra::QueryEnv,
-    result_vars: oodb_algebra::VarSet,
-    result: &ExecResult,
-) -> Vec<String> {
-    use std::fmt::Write as _;
-    // Each row is written cell by cell into one `String`: after execution
-    // itself, rendering is the largest slice of a warm request.
-    const INFALLIBLE: &str = "writing to a String cannot fail";
-    match result {
-        ExecResult::Rows(rows) => rows
-            .iter()
-            .map(|row| {
-                let mut line = String::new();
-                for (i, v) in row.iter().enumerate() {
-                    line.push_str(if i > 0 { " | " } else { "" });
-                    write!(line, "{v}").expect(INFALLIBLE);
-                }
-                line
-            })
-            .collect(),
-        ExecResult::Tuples(tuples) => tuples
-            .iter()
-            .map(|t| {
-                let mut line = String::new();
-                for (id, v) in env.scopes.iter() {
-                    if let Some(o) = t.try_get(id).filter(|_| result_vars.contains(id)) {
-                        line.push_str(if line.is_empty() { "" } else { "  " });
-                        write!(line, "{}={o}", v.name).expect(INFALLIBLE);
-                    }
-                }
-                line
-            })
-            .collect(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1655,14 +1640,55 @@ mod tests {
 
     const Q_TIME: &str = "SELECT t FROM Task t IN Tasks WHERE t.time() == 100";
 
+    /// How rows were rendered before the executor's root did it: from a
+    /// collected `ExecResult`, cell by cell through `fmt`. Kept as the
+    /// oracle the rendering consumer is compared against.
+    fn render_rows(
+        env: &oodb_algebra::QueryEnv,
+        result_vars: oodb_algebra::VarSet,
+        result: &oodb_exec::ExecResult,
+    ) -> Vec<String> {
+        use oodb_exec::ExecResult;
+        use std::fmt::Write as _;
+        const INFALLIBLE: &str = "writing to a String cannot fail";
+        match result {
+            ExecResult::Rows(rows) => rows
+                .iter()
+                .map(|row| {
+                    let mut line = String::new();
+                    for (i, v) in row.iter().enumerate() {
+                        line.push_str(if i > 0 { " | " } else { "" });
+                        write!(line, "{v}").expect(INFALLIBLE);
+                    }
+                    line
+                })
+                .collect(),
+            ExecResult::Tuples(tuples) => tuples
+                .iter()
+                .map(|t| {
+                    let mut line = String::new();
+                    for (id, v) in env.scopes.iter() {
+                        if let Some(o) = t.try_get(id).filter(|_| result_vars.contains(id)) {
+                            line.push_str(if line.is_empty() { "" } else { "  " });
+                            write!(line, "{}={o}", v.name).expect(INFALLIBLE);
+                        }
+                    }
+                    line
+                })
+                .collect(),
+        }
+    }
+
     /// Rendered rows are the wire format and the sort key: projected cells
-    /// joined by `" | "`, bindings as `name=oid` joined by two spaces.
+    /// joined by `" | "`, bindings as `name=oid` joined by two spaces —
+    /// and they are what `render_rows` made of a collected result, for
+    /// Q1–Q4 and Fig. 2, however the submission runs.
     #[test]
     fn rendered_rows_keep_their_format_byte_for_byte() {
         use oodb_object::Value;
         let (_store, model) = generate_paper_db(GenConfig::small());
         let env = oodb_algebra::QueryBuilder::new(model.schema, model.catalog).into_env();
-        let projected = ExecResult::Rows(vec![
+        let projected = oodb_exec::ExecResult::Rows(vec![
             vec![Value::str("a b"), Value::Int(3), Value::Null],
             vec![Value::Bool(true)],
             vec![],
@@ -1677,6 +1703,66 @@ mod tests {
         let (name, oid) = out.rows[0].split_once('=').expect("name=oid");
         assert_eq!(name, "c");
         assert!(oid.starts_with('@') && !oid.contains(' '), "{oid}");
+
+        let texts = [
+            "SELECT Newobject(e.name(), e.job().name(), e.dept().name()) \
+             FROM Employee e IN Employees WHERE e.dept().plant().location() == \"Dallas\"",
+            "SELECT c FROM City c IN Cities WHERE c.mayor().name() == \"Joe\"",
+            "SELECT Newobject(c.mayor().age(), c.name()) \
+             FROM City c IN Cities WHERE c.mayor().name() == \"Joe\"",
+            "SELECT t FROM Task t IN Tasks WHERE t.time() == 100 \
+             && EXISTS (SELECT m FROM m IN t.team_members() WHERE m.name() == \"Fred\")",
+            "SELECT c FROM City c IN Cities \
+             WHERE c.mayor().name() == c.country().president().name()",
+            // Every Employee/Department pair: thousands of rows, a hash join.
+            Q_JOIN,
+        ];
+        for scale_div in [10, 100] {
+            let gen = GenConfig {
+                scale_div,
+                ..Default::default()
+            };
+            let service = || {
+                let (params, config) = (CostParams::default(), OptimizerConfig::all_rules());
+                QueryService::new(generate_paper_db(gen).0, params, config, 64, 4)
+            };
+            let svc = service();
+            let store = svc.store();
+            for text in texts {
+                let ast = zql::parser::parse(text).expect("parses");
+                let q = zql::simplify(&ast, store.schema(), store.catalog()).expect("compiles");
+                let best = OpenOodb::new(&q.env, CostParams::default(), svc.config())
+                    .optimize(&q.plan, q.result_vars)
+                    .expect("plans");
+                let (collected, _) = oodb_exec::execute(&store, &q.env, &best.plan);
+                let mut want = render_rows(&q.env, q.result_vars, &collected);
+                want.sort();
+
+                let opts = |trace, exec_workers| SubmitOptions {
+                    trace,
+                    exec_workers,
+                    ..Default::default()
+                };
+                for (trace, workers) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
+                    let out = svc.submit_with(text, opts(trace, workers)).expect("runs");
+                    assert_eq!(out.rows, want, "{text} trace={trace} workers={workers}");
+                    assert_eq!(out.row_count, want.len());
+                }
+                let (stmt, _) = svc.prepare(text).expect("prepares");
+                let out = svc.submit_prepared_with(stmt.id, opts(false, 1));
+                assert_eq!(out.expect("runs").rows, want, "prepared {text}");
+                if text == Q_JOIN {
+                    continue; // the greedy fallback plans no explicit join
+                }
+                let hurried = SubmitOptions {
+                    deadline: Some(Duration::from_nanos(1)),
+                    ..Default::default()
+                };
+                let out = service().submit_with(text, hurried).expect("runs");
+                assert!(out.degraded, "an expired search falls back to greedy");
+                assert_eq!(out.rows, want, "degraded {text}");
+            }
+        }
     }
 
     /// An explicit equi-join over the two largest extents. Paired with

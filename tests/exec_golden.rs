@@ -163,8 +163,24 @@ fn every_enumerated_plan_reproduces_the_recorded_run() {
     // quarter of a join's own peak never covers its build side.
     let refused = |l: &&str| l.contains(" g=25 ") && !l.contains(" parts=0 ");
     assert!(want.lines().filter(refused).count() >= 100);
+    // On failure, name the fields that moved on each line: a re-record is
+    // reviewed by which counters changed where, not by reading hashes.
+    let mut differing = Vec::new();
     for (n, (g, w)) in got.lines().zip(want.lines()).enumerate() {
-        assert_eq!(g, w, "golden line {} differs", n + 1);
+        if g != w {
+            let run = w.trim_start().split(" rows=").next().unwrap_or(w);
+            let moved: Vec<&str> = (g.split(' ').zip(w.split(' ')))
+                .filter(|(g, w)| g != w)
+                .map(|(g, _)| g.split('=').next().unwrap_or(g))
+                .collect();
+            differing.push(format!("line {} ({run}): {}", n + 1, moved.join(" ")));
+        }
     }
+    assert!(
+        differing.is_empty(),
+        "{} golden lines differ, in these fields:\n{}",
+        differing.len(),
+        differing.join("\n")
+    );
     assert_eq!(got.lines().count(), want.lines().count());
 }
