@@ -1,12 +1,8 @@
-//! Shared replay-workload helpers for the service-level benches
-//! (`plancache`, `scaling`, `memlimit`, `server`): the ZQL query pool
-//! built from the paper's four shapes, a Zipf sampler for skewed
-//! replay, the percentile picker the latency reports use, and the
-//! N-concurrent-submitters driver.
+//! Service-level workload helpers shared by the root tests and the
+//! criterion benches: the N-concurrent-submitters driver and the
+//! canonical Q1–Q4 ZQL texts.
 
 use oodb_service::{QueryOutput, QueryService, ServiceError, SubmitOptions};
-use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// Runs jobs `0..n` against one shared service from `threads` concurrent
 /// submitters — thread `t` takes jobs `t, t + threads, …` in order — and
@@ -37,49 +33,8 @@ pub fn submit_concurrently<'q>(
         .collect()
 }
 
-/// The distinct query pool: the paper's four query shapes, each with a
-/// spread of constants drawn from the generator's value pools.
-/// `locations`/`mayors`/`times` size the constant spread per shape
-/// (the Q2 and Q3 families share the mayor pool).
-pub fn paper_query_pool(locations: usize, mayors: usize, times: usize) -> Vec<String> {
-    let mut pool = Vec::new();
-    // Q1: the Dallas report — path-expression join chain.
-    let mut locs = vec!["Dallas".to_string()];
-    locs.extend((1..locations).map(|i| format!("loc{i:05}")));
-    for loc in locs {
-        pool.push(format!(
-            "SELECT Newobject(e.name(), e.job().name(), e.dept().name()) \
-             FROM Employee e IN Employees \
-             WHERE e.dept().plant().location() == \"{loc}\""
-        ));
-    }
-    // Q2: mayor-name selection (collapses to one path-index scan).
-    let mut names = vec!["Joe".to_string()];
-    names.extend((1..mayors).map(|i| format!("p{i:05}")));
-    for name in &names {
-        pool.push(format!(
-            "SELECT c FROM City c IN Cities WHERE c.mayor().name() == \"{name}\""
-        ));
-    }
-    // Q3: projection needing the mayor in memory (assembly enforcer).
-    for name in &names {
-        pool.push(format!(
-            "SELECT Newobject(c.mayor().age(), c.name()) \
-             FROM City c IN Cities WHERE c.mayor().name() == \"{name}\""
-        ));
-    }
-    // Q4: set-valued path with EXISTS (unnest + mat).
-    for t in (1..=times).map(|i| i * 10) {
-        pool.push(format!(
-            "SELECT t FROM Task t IN Tasks WHERE t.time() == {t} \
-             && EXISTS (SELECT m FROM m IN t.team_members() WHERE m.name() == \"Fred\")"
-        ));
-    }
-    pool
-}
-
-/// One canonical representative per shape (the warm-cache Q1–Q4 set
-/// overhead comparisons run against).
+/// One canonical representative per paper query shape (Q1–Q4), every
+/// constant present in the generated data.
 pub fn canonical_queries() -> [String; 4] {
     [
         "SELECT Newobject(e.name(), e.job().name(), e.dept().name()) \
@@ -94,38 +49,4 @@ pub fn canonical_queries() -> [String; 4] {
          && EXISTS (SELECT m FROM m IN t.team_members() WHERE m.name() == \"Fred\")"
             .to_string(),
     ]
-}
-
-/// Zipf(s) sampler over `n` ranks via inverse CDF on a cumulative table.
-pub struct Zipf {
-    cumulative: Vec<f64>,
-}
-
-impl Zipf {
-    /// Builds the cumulative table for ranks `1..=n` with exponent `s`.
-    pub fn new(n: usize, s: f64) -> Self {
-        let mut cumulative = Vec::with_capacity(n);
-        let mut total = 0.0;
-        for rank in 1..=n {
-            total += 1.0 / (rank as f64).powf(s);
-            cumulative.push(total);
-        }
-        Zipf { cumulative }
-    }
-
-    /// Draws one rank in `0..n`.
-    pub fn sample(&self, rng: &mut SmallRng) -> usize {
-        let total = *self.cumulative.last().unwrap();
-        let u = rng.gen_range(0.0..total);
-        self.cumulative.partition_point(|&c| c < u)
-    }
-}
-
-/// Nearest-rank percentile over an already-sorted sample.
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * p).round() as usize;
-    sorted[idx]
 }

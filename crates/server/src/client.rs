@@ -96,8 +96,6 @@ pub struct RequestOptions<'a> {
     pub row_budget: Option<u64>,
     /// Transient-fault retry budget.
     pub retries: Option<u64>,
-    /// Realized-I/O scale (testing knob: makes executions take real time).
-    pub realize_io_scale: Option<f64>,
 }
 
 impl RequestOptions<'_> {
@@ -115,10 +113,6 @@ impl RequestOptions<'_> {
                 use std::fmt::Write as _;
                 let _ = write!(out, ",\"{k}\":{v}");
             }
-        }
-        if let Some(s) = self.realize_io_scale {
-            use std::fmt::Write as _;
-            let _ = write!(out, ",\"realize_io_scale\":{s}");
         }
     }
 }
@@ -346,57 +340,6 @@ impl Client {
             return Err(service_error(&resp));
         }
         Ok(())
-    }
-}
-
-impl Client {
-    /// Splits the connection into independently-owned send and receive
-    /// halves, for open-loop load generation: a sender thread writes
-    /// requests on a fixed schedule while a receiver thread drains
-    /// responses — neither blocks the other. Responses arrive in
-    /// request order (HTTP/1.1 pipelining).
-    pub fn split(self) -> (ClientSender, ClientReceiver) {
-        (
-            ClientSender {
-                writer: self.writer,
-                host: self.host,
-            },
-            ClientReceiver {
-                reader: self.reader,
-            },
-        )
-    }
-}
-
-/// The write half of a split [`Client`].
-pub struct ClientSender {
-    writer: TcpStream,
-    host: String,
-}
-
-impl ClientSender {
-    /// Writes one `/execute/{id}` request (no response read).
-    pub fn send_execute(&mut self, id: u64, opts: RequestOptions<'_>) -> io::Result<()> {
-        let (path, body) = execute_request(id, opts);
-        write!(
-            self.writer,
-            "POST {path} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\n\r\n{body}",
-            self.host,
-            body.len()
-        )?;
-        self.writer.flush()
-    }
-}
-
-/// The read half of a split [`Client`].
-pub struct ClientReceiver {
-    reader: BufReader<TcpStream>,
-}
-
-impl ClientReceiver {
-    /// Reads the next pipelined response.
-    pub fn recv(&mut self) -> Result<RawResponse, ClientError> {
-        Ok(read_response(&mut self.reader)?)
     }
 }
 

@@ -175,11 +175,6 @@ pub struct SubmitOptions {
     /// Cache and select from an ObjectStore-style dynamic plan *family*
     /// (one plan per useful index subset) instead of one static plan.
     pub dynamic: bool,
-    /// When positive, sleep `simulated_io_seconds × scale` after
-    /// executing, turning the storage simulator's I/O estimate into real
-    /// wall-clock stalls. This is what makes multi-threaded throughput
-    /// meaningful on a machine whose *real* I/O is a warm page cache.
-    pub realize_io_scale: f64,
     /// Record a per-operator [`OpTrace`] during execution (`EXPLAIN
     /// ANALYZE`); the trace lands in [`QueryOutput::trace`].
     pub trace: bool,
@@ -702,7 +697,7 @@ impl QueryService {
         self.inner.telemetry.render_prometheus()
     }
 
-    /// A JSON snapshot of every metric, for embedding in bench reports.
+    /// A JSON snapshot of every metric.
     pub fn metrics_json(&self) -> String {
         self.sync_cache_metrics();
         self.inner.telemetry.render_json()
@@ -1577,10 +1572,6 @@ impl QueryService {
             }
         }
         let sim_io_s = stats.disk.total_s;
-        if opts.realize_io_scale > 0.0 {
-            thread::sleep(Duration::from_secs_f64(sim_io_s * opts.realize_io_scale));
-        }
-
         let row_count = rows.len();
         rows.sort_unstable();
         Ok(QueryOutput {

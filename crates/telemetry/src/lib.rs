@@ -23,8 +23,7 @@
 //!
 //! Exports: [`MetricsRegistry::render_prometheus`] (Prometheus text
 //! format, for `\metrics` and scrapers) and
-//! [`MetricsRegistry::render_json`] (a snapshot the bench harness embeds
-//! in `BENCH_*.json`).
+//! [`MetricsRegistry::render_json`] (the same snapshot as JSON).
 
 #![forbid(unsafe_code)]
 

@@ -37,8 +37,8 @@ pub const WAL_HEADER: usize = 16;
 pub enum FlushPolicy {
     /// Flush + sync after every appended record (safest, slowest).
     EveryRecord,
-    /// Flush + sync after every `n` buffered records (the batching that
-    /// keeps logging overhead under the bench gate).
+    /// Flush + sync after every `n` buffered records (one fsync
+    /// amortized over the batch).
     Batch(usize),
     /// Only on explicit [`Wal::flush`] (checkpoints and tests).
     Manual,

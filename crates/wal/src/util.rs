@@ -19,7 +19,7 @@ pub(crate) fn sync_parent_dir(path: &Path) -> std::io::Result<()> {
 }
 
 /// A process-unique scratch directory under the OS temp dir, removed on
-/// drop (best effort). Used by the durability tests and bench.
+/// drop (best effort). Used by the durability tests.
 #[derive(Debug)]
 pub struct ScratchDir {
     path: PathBuf,

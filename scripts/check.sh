@@ -17,7 +17,7 @@ cargo test -q --workspace
 # the serving, durability and feedback gates, the executor golden file
 # and the batch-edge suite (tests/exec_golden.rs, tests/exec_pipeline.rs).
 # Only the legs that change an input run again; CI's own jobs add
-# randomized seeds, release builds and the benches on top.
+# randomized seeds and release builds on top.
 
 # Memory-governance smoke on its own: the pressure x faults replay,
 # saturation shedding, and the circuit breaker.

@@ -212,7 +212,8 @@ fn crash_at_every_boundary_and_seeded_offsets() {
 }
 
 /// Recovery from the intact log rebuilds a store whose Q1–Q4 results are
-/// identical to the pre-crash store's.
+/// identical to the pre-crash store's, at any log length and after a
+/// checkpoint.
 #[test]
 fn full_log_recovery_is_query_identical() {
     let dir = ScratchDir::new("full-recovery").expect("scratch dir");
@@ -223,6 +224,51 @@ fn full_log_recovery_is_query_identical() {
     assert!(report.stopped.is_none());
     assert_eq!(store_digest(&recovered), store_digest(&final_store));
     assert_eq!(query_rows(recovered), query_rows(final_store));
+
+    // Recovery replays exactly the log it finds, however long: one growing
+    // log (membership rewrites, a statistics refresh every 16th record)
+    // recovered at each length, then folded into a checkpoint that leaves
+    // nothing to replay.
+    let dir = ScratchDir::new("log-lengths").expect("scratch dir");
+    let mut store = fresh_store();
+    let (coll, oids) = store
+        .catalog()
+        .collections()
+        .map(|(c, _)| (c, store.members(c).to_vec()))
+        .max_by_key(|(_, m)| m.len())
+        .expect("populated collection");
+    let mut session = WalSession::create(dir.path(), &store, FlushPolicy::Batch(32), None)
+        .expect("session creates");
+    let rewrite = WalRecord::SetMembers { coll, oids };
+    let refresh = WalRecord::StatsRefresh { buckets: 16 };
+    let mut logged = 0;
+    for len in [0, 16, 64, 256] {
+        for i in logged..len {
+            let rec = if i % 16 == 15 { &refresh } else { &rewrite };
+            session.append(rec).expect("append");
+            apply_to(&mut store, rec).expect("apply");
+        }
+        logged = len;
+        session.flush().expect("flush");
+        let (recovered, report) = recover(dir.path()).expect("recovery succeeds");
+        assert_eq!(report.replayed_records as usize, len);
+        assert_eq!(store_digest(&recovered), store_digest(&store));
+    }
+    let log_bytes = || {
+        std::fs::metadata(dir.path().join(WAL_FILE))
+            .expect("log")
+            .len()
+    };
+    let uncompacted = log_bytes();
+    session.checkpoint(&store).expect("checkpoint succeeds");
+    assert_eq!(session.compacted_records(), 256);
+    assert!(
+        log_bytes() < uncompacted,
+        "the checkpoint truncates the log"
+    );
+    let (recovered, report) = recover(dir.path()).expect("post-checkpoint recovery");
+    assert_eq!(report.replayed_records, 0);
+    assert_eq!(store_digest(&recovered), store_digest(&store));
 }
 
 /// Seeded single-bit flips anywhere in the frame stream: the reader must

@@ -66,8 +66,9 @@ fn render(result: &ExecResult, vars: VarSet) -> Vec<String> {
     }
 }
 
-/// The golden fields of one run: produced-order and canonical (sorted)
-/// hashes of the result bytes plus every exact counter.
+/// The golden fields of one run — produced-order and canonical (sorted)
+/// hashes of the result bytes plus every exact counter — and, beside the
+/// line, the run's peak bytes and simulated disk seconds.
 fn run_line(
     store: &Store,
     env: &QueryEnv,
@@ -75,13 +76,13 @@ fn run_line(
     vars: VarSet,
     workers: usize,
     budget: Option<u64>,
-) -> (String, u64) {
+) -> (String, u64, f64) {
     let limits = RunLimits {
         mem_budget: budget,
         ..Default::default()
     };
     match try_execute_parallel(store, env, plan, limits, workers) {
-        Err(e) => (format!("ERR {e}"), 0),
+        Err(e) => (format!("ERR {e}"), 0, 0.0),
         Ok((result, s)) => {
             let mut lines = render(&result, vars);
             let ordered = fnv1a(lines.join("\n").as_bytes());
@@ -105,7 +106,7 @@ fn run_line(
                 s.mem.spilled_partitions,
                 s.mem.grant_denials,
             );
-            (line, s.mem.peak_bytes)
+            (line, s.mem.peak_bytes, s.disk.total_s)
         }
     }
 }
@@ -126,7 +127,7 @@ fn record() -> String {
         total += report.plans.len();
         for (i, plan) in report.plans.iter().enumerate() {
             let shape = fnv1a(render_physical(&q.env, plan).as_bytes());
-            let (base, peak) = run_line(&store, &q.env, plan, q.result_vars, 1, None);
+            let (base, peak, base_io_s) = run_line(&store, &q.env, plan, q.result_vars, 1, None);
             writeln!(out, "{label}/{i:03} plan={shape:016x} peak={peak}").unwrap();
             writeln!(out, "  w=1 g=100 {base}").unwrap();
             let canon = |line: &str| {
@@ -135,12 +136,23 @@ fn record() -> String {
                     .map(str::to_owned)
             };
             for (workers, budget) in [(4, None), (1, Some(peak / 4)), (4, Some(peak / 4))] {
-                let (line, _) = run_line(&store, &q.env, plan, q.result_vars, workers, budget);
+                let (line, held, io_s) =
+                    run_line(&store, &q.env, plan, q.result_vars, workers, budget);
                 assert_eq!(
                     canon(&line),
                     canon(&base),
                     "{label}/{i}: same rows under any grant"
                 );
+                if let Some(budget) = budget {
+                    // The grant caps what a run holds, and spilling under a
+                    // quarter grant costs at most 2.2x the simulated disk
+                    // time of the full-grant run (2.107 on q2/003).
+                    assert!(held <= budget, "{label}/{i}: peak {held} > grant {budget}");
+                    assert!(
+                        io_s <= 2.2 * base_io_s,
+                        "{label}/{i}: spill I/O {io_s} vs {base_io_s} at full grant"
+                    );
+                }
                 let g = if budget.is_some() { 25 } else { 100 };
                 writeln!(out, "  w={workers} g={g} {line}").unwrap();
             }

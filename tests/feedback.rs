@@ -8,6 +8,7 @@
 //! ~50× drift that must trip the default 10× threshold. The honest
 //! fixture (same scale, no skew) must never trip it.
 
+use oodb_bench::workload::canonical_queries;
 use oodb_core::{drift_ratio, CostParams, OptimizerConfig, MAX_DRIFT};
 use oodb_service::{QueryService, SubmitOptions};
 use oodb_storage::{generate_paper_db, GenConfig};
@@ -63,22 +64,30 @@ fn untraced_production_path_detects_estimate_drift() {
 
 /// The full ladder converges to a stable corrected cached plan within
 /// five executions: detect → evict → probe → re-optimize under the
-/// overlay → cache hit, with identical results throughout.
+/// overlay → cache hit, with identical results throughout — and never
+/// starts on data whose statistics are honest.
 #[test]
 fn ladder_converges_to_a_corrected_cached_plan_within_five_executions() {
     let svc = service_with(0.5);
     let reopt = || svc.telemetry().counter("oodb_reopt_total", &[]).get();
     let mut rows = Vec::new();
+    let mut sim_io_s = Vec::new();
     let mut converged_at = None;
     for i in 1..=5u32 {
         let out = svc.submit(Q_FRED).expect("query failed");
         rows.push(out.rows.clone());
+        sim_io_s.push(out.sim_io_s);
         if converged_at.is_none() && out.cache_hit && reopt() >= 1 {
             converged_at = Some(i);
         }
     }
-    let converged_at = converged_at.expect("ladder never converged in 5 executions");
-    assert!(converged_at <= 5);
+    // Nothing on the ladder depends on timing, so the step is exact:
+    // detect, probe, re-optimize, then the first hit on the corrected plan.
+    assert_eq!(converged_at, Some(4), "ladder never converged in 5");
+    assert!(
+        sim_io_s[3] < sim_io_s[0],
+        "the corrected plan must do less simulated I/O: {sim_io_s:?}"
+    );
     assert!(
         rows.windows(2).all(|w| w[0] == w[1]),
         "re-optimization must never change results"
@@ -92,6 +101,19 @@ fn ladder_converges_to_a_corrected_cached_plan_within_five_executions() {
         assert!(svc.submit(Q_FRED).expect("query failed").cache_hit);
     }
     assert_eq!(reopt(), 1);
+
+    // The same loop over honest statistics stays quiet: replaying Q1–Q4
+    // (every constant exists in the data) marks nothing suspect and never
+    // re-optimizes.
+    let honest = service_with(0.0);
+    for _ in 0..5 {
+        for q in &canonical_queries() {
+            honest.submit(q).expect("query failed");
+        }
+    }
+    assert_eq!(honest.feedback_stats().suspect, 0, "honest data suspect");
+    let honest_reopts = honest.telemetry().counter("oodb_reopt_total", &[]);
+    assert_eq!(honest_reopts.get(), 0, "honest data re-optimized");
 }
 
 /// Satellite: plan-cache entries produced under a [`StatsOverlay`] must

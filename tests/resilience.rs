@@ -460,26 +460,35 @@ fn memory_pressure_replay_matches_baseline() {
 #[test]
 fn memory_saturation_sheds_but_completes_inflight() {
     let svc = service();
+    let mut fewest_accesses = u64::MAX;
     let baseline: Vec<Vec<String>> = QUERIES
         .iter()
         .map(|q| {
-            let mut rows = svc.submit(q).expect("baseline must run clean").rows;
+            let out = svc.submit(q).expect("baseline must run clean");
+            fewest_accesses = fewest_accesses.min(out.buffer_hits + out.buffer_misses);
+            let mut rows = out.rows;
             rows.sort();
             rows
         })
         .collect();
 
     // Two slots, four submitters, 24 slow submissions: a refusal returns
-    // at once while an admitted query stalls, so most must shed.
+    // at once while an admitted query stalls, so most must shed. Every
+    // page access sleeps, sized so that even the query touching the
+    // fewest pages stalls 10 ms — far longer than four threads take to
+    // start.
     svc.set_admission(AdmissionConfig {
         max_inflight: 2,
         ..Default::default()
     });
-    let opts = SubmitOptions {
-        realize_io_scale: 25.0,
+    svc.attach_fault_injector(FaultInjector::new(FaultConfig {
+        latency_ns: 10_000_000 / fewest_accesses.max(1),
         ..Default::default()
-    };
-    let replies = submit_concurrently(&svc, 4, 24, |i| (QUERIES[i % QUERIES.len()], opts));
+    }));
+    let replies = submit_concurrently(&svc, 4, 24, |i| {
+        (QUERIES[i % QUERIES.len()], SubmitOptions::default())
+    });
+    svc.detach_fault_injector();
     let (mut served, mut shed) = (0u64, 0u64);
     for (i, reply) in replies.into_iter().enumerate() {
         match reply {

@@ -15,7 +15,7 @@
 //!   with a `Retry-After` header and a typed, decodable error body.
 
 use open_oodb::prelude::*;
-use open_oodb::server::{Client, ClientError, Server, ServerConfig};
+use open_oodb::server::{json, Client, ClientError, Server, ServerConfig};
 use open_oodb::service::{AdmissionConfig, QueryService, ServiceError, ShedReason};
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -152,7 +152,7 @@ fn concurrent_pipelined_replay_reconciles_every_counter() {
                 let mut ok = 0usize;
                 for batch in 0..BATCHES {
                     // Skewed replay: every batch leads with the hot
-                    // statement, like the Zipf benches.
+                    // statement, like the benchmark's Zipf replay.
                     let batch_ids: Vec<u64> =
                         (0..BATCH).map(|i| ids[(i + batch) % ids.len()]).collect();
                     for r in c.pipeline_execute(&batch_ids, opts).unwrap() {
@@ -240,6 +240,22 @@ fn malformed_and_oversized_requests_are_rejected() {
         .request("POST", "/query", Some("{\"q\":\"oops\"}"))
         .unwrap();
     assert_eq!(resp.status, 400);
+    // Unknown body keys are ignored, never interpreted: the retired
+    // `realize_io_scale` reached `Duration::from_secs_f64` unvalidated, so
+    // this request was a 500 `Panicked` that counted toward the breaker.
+    let mut rows_of = |extra: &str| {
+        let body = format!("{{\"query\":{:?}{extra}}}", QUERIES[1]);
+        let resp = c.request("POST", "/query", Some(&body)).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+        let reply = json::parse(&resp.body_str()).unwrap();
+        reply.get("rows").cloned().expect("a rows array")
+    };
+    assert_eq!(rows_of(",\"realize_io_scale\":1e300"), rows_of(""));
+    let metrics = c.metrics().unwrap();
+    assert!(
+        metrics.contains("\noodb_submission_panics_total 0\n"),
+        "{metrics}"
+    );
     // Bad statement-id syntax → 400; unknown id → typed 404.
     let resp = c.request("POST", "/execute/xyz", Some("{}")).unwrap();
     assert_eq!(resp.status, 400);
@@ -300,11 +316,18 @@ fn idle_closed_keepalive_is_replayed_transparently() {
     server.shutdown();
 }
 
-/// Picks a realize-I/O scale that stretches `query`'s execution to
-/// roughly `target` of wall-clock on this machine.
-fn io_scale_for(svc: &QueryService, query: &str, target: Duration) -> f64 {
+/// Runs `query` once and attaches a fault injector that stretches its
+/// next executions to roughly `target` of wall-clock: every page access
+/// the first run counted sleeps an equal share. Returns the first run's
+/// rows.
+fn slow_down(svc: &QueryService, query: &str, target: Duration) -> Vec<String> {
     let out = svc.submit(query).unwrap();
-    target.as_secs_f64() / out.sim_io_s.max(1e-6)
+    let accesses = (out.buffer_hits + out.buffer_misses).max(1);
+    svc.attach_fault_injector(FaultInjector::new(FaultConfig {
+        latency_ns: target.as_nanos() as u64 / accesses,
+        ..Default::default()
+    }));
+    out.rows
 }
 
 #[test]
@@ -314,18 +337,11 @@ fn graceful_shutdown_answers_inflight_requests() {
         ..Default::default()
     });
     let addr = server.local_addr();
-    let scale = io_scale_for(server.service(), QUERIES[0], Duration::from_millis(400));
-    let expect_rows = server.service().submit(QUERIES[0]).unwrap().rows;
+    let expect_rows = slow_down(server.service(), QUERIES[0], Duration::from_millis(400));
 
     let worker = thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
-        c.query(
-            QUERIES[0],
-            open_oodb::server::RequestOptions {
-                realize_io_scale: Some(scale),
-                ..Default::default()
-            },
-        )
+        c.query(QUERIES[0], Default::default())
     });
     // Let the slow request get admitted, then begin shutdown while it
     // is still executing.
@@ -357,7 +373,7 @@ fn per_tenant_inflight_cap_maps_to_429_with_retry_after() {
         ..Default::default()
     });
     let addr = server.local_addr();
-    let scale = io_scale_for(server.service(), QUERIES[0], Duration::from_millis(600));
+    slow_down(server.service(), QUERIES[0], Duration::from_millis(600));
 
     let slow = thread::spawn(move || {
         let mut c = Client::connect(addr).unwrap();
@@ -365,12 +381,14 @@ fn per_tenant_inflight_cap_maps_to_429_with_retry_after() {
             QUERIES[0],
             open_oodb::server::RequestOptions {
                 tenant: Some("acme"),
-                realize_io_scale: Some(scale),
                 ..Default::default()
             },
         )
     });
     thread::sleep(Duration::from_millis(150));
+    // The request in flight keeps the slow store snapshot it started on;
+    // everything after it runs at full speed.
+    server.service().detach_fault_injector();
     // Same tenant: the cap sheds with the full back-pressure contract.
     let mut c = Client::connect(addr).unwrap();
     match c.query(
@@ -550,8 +568,7 @@ fn service_inflight_cap_sheds_across_connections() {
     const CLIENTS: usize = 8;
     let server = start(ServerConfig::default());
     let addr = server.local_addr();
-    let scale = io_scale_for(server.service(), QUERIES[0], Duration::from_millis(400));
-    let expect_rows = server.service().submit(QUERIES[0]).unwrap().rows;
+    let expect_rows = slow_down(server.service(), QUERIES[0], Duration::from_millis(400));
     server.service().set_admission(AdmissionConfig {
         max_inflight: 2,
         ..Default::default()
@@ -564,13 +581,7 @@ fn service_inflight_cap_sheds_across_connections() {
                 s.spawn(|| {
                     let mut c = Client::connect(addr).unwrap();
                     start_line.wait();
-                    c.query(
-                        QUERIES[0],
-                        open_oodb::server::RequestOptions {
-                            realize_io_scale: Some(scale),
-                            ..Default::default()
-                        },
-                    )
+                    c.query(QUERIES[0], Default::default())
                 })
             })
             .collect();
