@@ -5,6 +5,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use oodb_bench::queries;
+use oodb_core::config::rule_names;
 use oodb_core::{OpenOodb, OptimizerConfig};
 use oodb_object::paper::paper_model;
 use std::hint::black_box;
@@ -46,15 +47,11 @@ fn bench_ablations(c: &mut Criterion) {
     });
 
     // Warm-start assembly enabled: a larger implementation-rule space.
+    let mut warm = OptimizerConfig::all_rules();
+    warm.disabled_rules.remove(rule_names::WARM_ASSEMBLY);
     group.bench_function("fig2-with-warm-assembly", |b| {
         b.iter(|| {
-            let opt = OpenOodb::with_config(
-                &fig2.env,
-                OptimizerConfig {
-                    enable_warm_assembly: true,
-                    ..OptimizerConfig::all_rules()
-                },
-            );
+            let opt = OpenOodb::with_config(&fig2.env, warm.clone());
             black_box(opt.optimize(&fig2.plan, fig2.result_vars))
         })
     });

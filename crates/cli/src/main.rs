@@ -299,7 +299,7 @@ impl Shell {
                 },
                 (Some("reset"), _) => {
                     self.svc.set_config(OptimizerConfig::all_rules());
-                    println!("all rules enabled");
+                    println!("rules reset to the default set");
                 }
                 _ => {
                     let config = self.svc.config();

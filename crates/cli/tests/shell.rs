@@ -61,6 +61,28 @@ EXPLAIN SELECT c FROM City c IN Cities WHERE c.mayor().name() == "Joe";
     assert!(first < second, "order of plans:\n{out}");
 }
 
+/// `\rules` is the one switch of every rule it lists, the one rule that
+/// is off by default included.
+#[test]
+fn warm_assembly_is_switched_by_its_rule_name() {
+    let out = run_shell(
+        r#"\rules
+\rules off collapse-to-index-scan
+\rules on warm-assembly
+EXPLAIN SELECT c FROM City c IN Cities WHERE c.mayor().name() == "Joe";
+\rules reset
+\rules
+\q
+"#,
+    );
+    let listed_off = out.match_indices("OFF warm-assembly").count();
+    assert_eq!(listed_off, 2, "off at the start and after reset:\n{out}");
+    let enabled = out.find("enabled warm-assembly").expect("switched on");
+    let plan = out.find("Warm Assembly c.mayor").expect("and planned with");
+    let reset = out.rfind("OFF warm-assembly").expect("off again");
+    assert!(enabled < plan && plan < reset, "{out}");
+}
+
 #[test]
 fn catalog_and_error_reporting() {
     let out = run_shell(

@@ -4,7 +4,7 @@
 //! our optimizer"; this module makes those experiments first-class. Rule
 //! names are the stable strings returned by each rule's `name()`.
 
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Stable rule names (see `rules::transform` / `rules::implement`).
 pub mod rule_names {
@@ -104,22 +104,19 @@ pub fn rule_name_by_str(name: &str) -> Option<&'static str> {
 /// Optimizer configuration.
 #[derive(Clone, Debug)]
 pub struct OptimizerConfig {
-    /// Rules excluded from the generated optimizer.
-    pub disabled_rules: HashSet<&'static str>,
+    /// Rules excluded from the generated optimizer. The default set holds
+    /// [`rule_names::WARM_ASSEMBLY`] — the paper's Lesson 7 future-work
+    /// suggestion, not part of the 1993 rule set; removing the name
+    /// enables it, as for any other rule.
+    pub disabled_rules: BTreeSet<&'static str>,
     /// Assembly's window of open references (1 disables the elevator
     /// advantage — the paper's "W/o Window" row).
     pub assembly_window: u32,
-    /// Enable the "warm-start assembly" algorithm (the paper's Lesson 7
-    /// future-work suggestion). Off by default so the reproduction matches
-    /// the 1993 rule set; the extensibility example and ablation bench
-    /// switch it on.
-    pub enable_warm_assembly: bool,
     /// Branch-and-bound pruning (off for paper-faithful exhaustive
     /// search).
     pub prune: bool,
-    /// Index names the optimizer must pretend do not exist — the
-    /// compile-time half of ObjectStore-style dynamic plan selection
-    /// (see [`crate::dynamic`]).
+    /// Index names the optimizer must pretend do not exist: how
+    /// [`crate::dynamic`] compiles one plan per index subset.
     pub ignored_indexes: Vec<String>,
     /// Debug mode: statically verify every expression the memo holds at
     /// the end of search (not just the winning plan). Excluded from
@@ -131,9 +128,8 @@ pub struct OptimizerConfig {
 impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
-            disabled_rules: HashSet::new(),
+            disabled_rules: BTreeSet::from([rule_names::WARM_ASSEMBLY]),
             assembly_window: 8192,
-            enable_warm_assembly: false,
             prune: false,
             ignored_indexes: Vec::new(),
             verify_search: false,
@@ -142,17 +138,17 @@ impl Default for OptimizerConfig {
 }
 
 impl OptimizerConfig {
-    /// All rules enabled — the paper's "All Rules" configuration.
+    /// The paper's "All Rules" configuration: every rule of the 1993 set
+    /// (warm-start assembly, added since, stays disabled).
     pub fn all_rules() -> Self {
         Self::default()
     }
 
-    /// Disables the named rules.
+    /// "All Rules" with the named rules disabled as well.
     pub fn without(rules: &[&'static str]) -> Self {
-        OptimizerConfig {
-            disabled_rules: rules.iter().copied().collect(),
-            ..Default::default()
-        }
+        let mut config = Self::default();
+        config.disabled_rules.extend(rules);
+        config
     }
 
     /// The paper's "W/o Comm." configuration: join commutativity disabled,
@@ -189,13 +185,12 @@ impl OptimizerConfig {
     /// plan choice. Plan-cache keys include it so a plan optimized under
     /// one rule configuration is never served under another.
     pub fn fingerprint(&self) -> u64 {
-        let mut disabled: Vec<&str> = self.disabled_rules.iter().copied().collect();
-        disabled.sort_unstable();
+        let disabled = &self.disabled_rules;
         let mut ignored: Vec<&str> = self.ignored_indexes.iter().map(String::as_str).collect();
         ignored.sort_unstable();
         let text = format!(
-            "rules:-{disabled:?}|window:{}|warm:{}|prune:{}|noindex:{ignored:?}",
-            self.assembly_window, self.enable_warm_assembly, self.prune
+            "rules:-{disabled:?}|window:{}|prune:{}|noindex:{ignored:?}",
+            self.assembly_window, self.prune
         );
         oodb_algebra::fingerprint::fnv1a(text.as_bytes())
     }
@@ -209,6 +204,10 @@ mod tests {
     fn default_enables_everything() {
         let c = OptimizerConfig::default();
         assert!(c.enabled(rule_names::JOIN_COMMUTE));
+        // …everything of 1993: the one later rule is off until asked for.
+        assert!(!c.enabled(rule_names::WARM_ASSEMBLY));
+        let wo_filter = OptimizerConfig::without(&[rule_names::FILTER]);
+        assert!(!wo_filter.enabled(rule_names::WARM_ASSEMBLY));
         assert_eq!(c.assembly_window, 8192);
     }
 

@@ -24,15 +24,8 @@
 //!   was optimized; a fresh parse of the same text may intern differently.
 //!   Every entry therefore carries its own `QueryEnv`, and hits execute
 //!   against the *stored* environment, never the caller's.
-//! * **Dynamic families** — ObjectStore-style dynamic plans
-//!   ([`crate::dynamic::DynamicPlan`]) are cached as a whole per-index-
-//!   subset family under an index-set-independent key: run-time selection
-//!   happens per lookup, so adding or dropping an index changes which
-//!   member runs without invalidating the family (the stats epoch still
-//!   does).
 
 use crate::cost::Cost;
-use crate::dynamic::DynamicPlan;
 use oodb_algebra::{PhysicalPlan, QueryEnv, QueryFingerprint, VarSet};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -48,8 +41,7 @@ pub struct CacheKey {
     pub config: u64,
     /// The catalog's statistics epoch at optimization time.
     pub stats_epoch: u64,
-    /// The catalog's index-set hash — zero for dynamic entries, whose
-    /// plan family covers every index subset by construction.
+    /// The catalog's index-set hash.
     pub index_set: u64,
     /// Fingerprint of the [`oodb_algebra::StatsOverlay`] the plan was
     /// optimized under — zero for catalog-only plans. Without this, a
@@ -58,8 +50,6 @@ pub struct CacheKey {
     /// stats epoch alone cannot see overlay changes, which happen without
     /// touching the catalog.
     pub overlay: u64,
-    /// Distinguishes static plans from dynamic plan families.
-    pub dynamic: bool,
 }
 
 impl CacheKey {
@@ -78,30 +68,13 @@ impl CacheKey {
             stats_epoch,
             index_set,
             overlay,
-            dynamic: false,
-        }
-    }
-
-    /// Key for a dynamic plan family (index-set independent). `overlay`
-    /// is the fingerprint of the selectivity overlay in force (0 = none).
-    pub fn dynamic_family(
-        fp: &QueryFingerprint,
-        config: u64,
-        stats_epoch: u64,
-        overlay: u64,
-    ) -> Self {
-        CacheKey {
-            fingerprint: fp.hash,
-            config,
-            stats_epoch,
-            index_set: 0,
-            overlay,
-            dynamic: true,
         }
     }
 }
 
-/// What a cache entry holds.
+/// What a cache entry holds. Still an enum, with one variant, because
+/// `benchmark/src/layers.rs` — frozen outside benchmark-only changes —
+/// constructs and matches on it.
 #[derive(Clone, Debug)]
 pub enum CachedBody {
     /// The winning plan and its estimated cost.
@@ -111,8 +84,6 @@ pub enum CachedBody {
         /// Its estimated cost.
         cost: Cost,
     },
-    /// A whole per-index-subset plan family; callers select at fetch time.
-    Dynamic(DynamicPlan),
 }
 
 /// A self-contained cached entry: the environment the plan's interned ids
@@ -127,7 +98,7 @@ pub struct CachedPlan {
     /// The query's result variables, as ids into `env` — rendering must
     /// project these (different plans bind different auxiliary vars).
     pub result_vars: VarSet,
-    /// The cached plan or plan family.
+    /// The cached plan.
     pub body: CachedBody,
 }
 
@@ -142,18 +113,11 @@ impl CachedPlan {
         const SCOPE_BYTES: usize = 128;
         const PRED_BYTES: usize = 192;
         const NODE_BYTES: usize = 160;
-        let plan_nodes: usize = match &self.body {
-            CachedBody::Static { plan, .. } => plan.iter_ops().len(),
-            CachedBody::Dynamic(family) => family
-                .alternatives
-                .iter()
-                .map(|a| a.plan.iter_ops().len())
-                .sum(),
-        };
+        let CachedBody::Static { plan, .. } = &self.body;
         BASE + self.structural.len()
             + self.env.scopes.len() * SCOPE_BYTES
             + self.env.preds.len() * PRED_BYTES
-            + plan_nodes * NODE_BYTES
+            + plan.iter_ops().len() * NODE_BYTES
     }
 }
 
@@ -436,13 +400,8 @@ impl PlanCache {
 /// caller's goal), so only internal consistency is checked: shape, scoping,
 /// link types, enforcer placement, and cost sanity.
 fn verify_entry(entry: &CachedPlan) -> bool {
-    let clean = |plan: &PhysicalPlan| {
-        oodb_verify::verify_physical(&entry.env, plan, oodb_algebra::PhysProps::NONE).is_empty()
-    };
-    match &entry.body {
-        CachedBody::Static { plan, .. } => clean(plan),
-        CachedBody::Dynamic(family) => family.alternatives.iter().all(|a| clean(&a.plan)),
-    }
+    let CachedBody::Static { plan, .. } = &entry.body;
+    oodb_verify::verify_physical(&entry.env, plan, oodb_algebra::PhysProps::NONE).is_empty()
 }
 
 #[cfg(test)]
@@ -513,7 +472,6 @@ mod tests {
             stats_epoch: epoch,
             index_set: 2,
             overlay: 0,
-            dynamic: false,
         }
     }
 

@@ -460,8 +460,8 @@ impl<'e> ImplRule<M<'e>> for MergeJoinImpl {
     }
 }
 
-/// `Mat` → warm-start assembly (the paper's Lesson 7 suggestion, gated by
-/// [`crate::OptimizerConfig::enable_warm_assembly`]): "the ability to scan
+/// `Mat` → warm-start assembly (the paper's Lesson 7 suggestion, disabled
+/// in the default [`crate::OptimizerConfig`]): "the ability to scan
 /// a scannable object into main memory before the normal complex object
 /// assembly operation commences." One sequential sweep of the component's
 /// collection replaces per-reference faults — a win when references far

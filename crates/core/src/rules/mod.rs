@@ -55,9 +55,7 @@ pub fn rule_set<'e>(config: &OptimizerConfig) -> RuleSet<OodbModel<'e>> {
     implement!(rn::ALG_UNNEST, implement::AlgUnnestImpl);
     implement!(rn::ALG_PROJECT, implement::AlgProjectImpl);
     implement!(rn::HASH_SET_OP, implement::HashSetOpImpl);
-    if config.enable_warm_assembly && config.enabled(rn::WARM_ASSEMBLY) {
-        rs.impls.push(Box::new(implement::WarmAssemblyImpl));
-    }
+    implement!(rn::WARM_ASSEMBLY, implement::WarmAssemblyImpl);
 
     implement!(rn::ORDERED_INDEX_SCAN, implement::OrderedIndexScanImpl);
     implement!(rn::MERGE_JOIN, implement::MergeJoinImpl);

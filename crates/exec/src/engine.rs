@@ -12,7 +12,7 @@ use oodb_algebra::{PhysicalOp, PhysicalPlan, QueryEnv, VarOrigin};
 use oodb_fault::{Fault, RunLimits};
 use oodb_mem::MemoryGrant;
 use oodb_object::{Oid, Value};
-use oodb_storage::{DiskParams, DiskStats, Io, PageId, Store};
+use oodb_storage::{DiskStats, Io, PageId, Store};
 use oodb_telemetry::OpTrace;
 use pipeline::{bind, child, malformed, nodes, Bound, Pipeline, Source, Stage};
 use std::fmt;
@@ -250,12 +250,8 @@ fn fold_trace(plan: &PhysicalPlan, slots: &mut impl Iterator<Item = OpTrace>) ->
 /// an operator drains its child pipeline into one batch, runs, and is the
 /// source of the next pipeline.
 ///
-/// Buffer hits and misses are tallied **locally** from each access's
-/// outcome, never read back from the pool's global counters. With a
-/// [`oodb_storage::SharedBufferPool`] attached to the store, concurrent
-/// executors share page residency, and pool-global counters interleave
-/// arbitrarily — per-access tallying is what keeps each query's
-/// [`ExecStats`] its own.
+/// Buffer hits and misses are tallied from each access's outcome, which
+/// is also what attributes them to the operator that made the access.
 pub struct Executor<'a> {
     /// The database.
     pub store: &'a Store,
@@ -264,7 +260,7 @@ pub struct Executor<'a> {
     /// The I/O stack (buffer pool + simulated disk).
     pub io: Io,
     counts: OpCounts,
-    /// This executor's buffer outcomes (not the pool's globals).
+    /// This executor's buffer outcomes.
     hits: u64,
     misses: u64,
     run_base: RunBase,
@@ -293,14 +289,10 @@ pub struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    /// Creates an executor. Charges I/O through the store's shared buffer
-    /// pool when one is attached, otherwise through a private pool sized
-    /// for the paper's DECstation.
+    /// Creates an executor with a private buffer pool sized for the
+    /// paper's DECstation.
     pub fn new(store: &'a Store, env: &'a QueryEnv) -> Self {
-        let mut io = match store.shared_pool() {
-            Some(pool) => Io::with_shared_pool(pool.clone(), DiskParams::default()),
-            None => Io::decstation(),
-        };
+        let mut io = Io::decstation();
         // Route page access through the store's fault injector when one is
         // attached — the executor is where injected read faults surface.
         io.set_fault_injector(store.fault_injector().cloned());
@@ -330,11 +322,6 @@ impl<'a> Executor<'a> {
     /// calling thread, as do traced runs.
     pub fn set_parallelism(&mut self, workers: usize) {
         self.parallelism = workers.max(1);
-    }
-
-    /// The configured worker count.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
     }
 
     /// Installs cooperative run limits for subsequent `run*` calls. The
@@ -428,14 +415,7 @@ impl<'a> Executor<'a> {
     /// Runs a plan to completion while recording a per-operator
     /// [`OpTrace`]: actual rows, wall-clock time, and buffer/disk traffic
     /// for every node of the plan tree, operators fused into one pipeline
-    /// included. This is `EXPLAIN ANALYZE`. Panics on failure; prefer
-    /// [`Executor::try_run_traced`].
-    pub fn run_traced(&mut self, plan: &PhysicalPlan) -> (ExecResult, OpTrace) {
-        self.try_run_traced(plan)
-            .unwrap_or_else(|e| panic!("execution failed: {e}"))
-    }
-
-    /// Fallible [`Executor::run_traced`]. On error the executor leaves
+    /// included. This is `EXPLAIN ANALYZE`. On error the executor leaves
     /// traced mode cleanly, so it can be reused for further runs.
     pub fn try_run_traced(
         &mut self,

@@ -520,37 +520,6 @@ fn traced_run_reconciles_with_stats() {
 }
 
 #[test]
-fn shared_pool_attribution_is_per_executor() {
-    let (mut store, m) = generate_paper_db(GenConfig::small());
-    store.attach_shared_pool(1 << 14);
-    let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-    let (_, c) = qb.get(m.ids.cities, "c");
-    let env = qb.into_env();
-    let scan = plan(
-        PhysicalOp::FileScan {
-            coll: m.ids.cities,
-            var: c,
-        },
-        vec![],
-    );
-    let (_, cold) = execute(&store, &env, &scan);
-    let (_, warm) = execute(&store, &env, &scan);
-    // The second executor is brand new, yet the shared pool is warm.
-    assert!(cold.buffer_misses > 0);
-    assert_eq!(warm.buffer_misses, 0, "shared pool must stay warm");
-    assert_eq!(warm.buffer_hits, cold.buffer_hits + cold.buffer_misses);
-    // Pool-wide counters equal the sum of the per-executor tallies.
-    let pool = store.shared_pool().unwrap();
-    assert_eq!(
-        pool.stats(),
-        (
-            cold.buffer_hits + warm.buffer_hits,
-            cold.buffer_misses + warm.buffer_misses
-        )
-    );
-}
-
-#[test]
 fn nested_projection_is_a_typed_error_not_a_panic() {
     let (store, m) = generate_paper_db(GenConfig::small());
     let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());

@@ -122,12 +122,6 @@ impl Histogram {
         }
         1.0 / self.distinct.max(1) as f64
     }
-
-    /// Range selectivity for `attr < v` / `attr <= v` (the complementary
-    /// operators derive from it).
-    pub fn selectivity_lt(&self, v: &Value) -> f64 {
-        self.fraction_le(v)
-    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,7 @@
 
 use oodb_service::{QueryOutput, ServiceError, ShedReason, StageBreakdown};
 /// Appends a string JSON-escaped (with surrounding quotes) — the
-/// workspace's one escaper, shared with the metrics snapshot.
+/// workspace's one escaper.
 pub use oodb_telemetry::metrics::push_escaped;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -370,7 +370,6 @@ fn cores() -> usize {
 fn submit_options(body: &Json, default_deadline: Option<Duration>) -> SubmitOptions {
     let u = |k: &str| body.get(k).and_then(Json::as_u64);
     SubmitOptions {
-        dynamic: body.get("dynamic").and_then(Json::as_bool).unwrap_or(false),
         trace: false,
         deadline: u("deadline_ms")
             .map(Duration::from_millis)

@@ -33,8 +33,8 @@ use oodb_algebra::fingerprint::{fingerprint, QueryFingerprint};
 use oodb_algebra::{LogicalPlan, QueryEnv, SortSpec, VarSet};
 use oodb_core::plancache::{CacheKey, CachedBody, CachedPlan, PlanCache};
 use oodb_core::{
-    compile_dynamic, BoundedOutcome, CostParams, FeedbackEntry, FeedbackStats, FeedbackStore,
-    Observation, OpenOodb, OptimizerConfig,
+    BoundedOutcome, CostParams, FeedbackEntry, FeedbackStats, FeedbackStore, Observation, OpenOodb,
+    OptimizerConfig,
 };
 use oodb_exec::{ExecError, ExecStats, Executor, RootRow};
 use oodb_fault::{CancelToken, FaultClass, FaultInjector, RunLimits};
@@ -45,7 +45,7 @@ use oodb_wal::WalSession;
 pub use oodb_wal::{
     CheckpointStats, FlushPolicy, RecoverError, RecoveryReport, SessionError, WalRecord,
 };
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -172,9 +172,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Per-submission options.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SubmitOptions {
-    /// Cache and select from an ObjectStore-style dynamic plan *family*
-    /// (one plan per useful index subset) instead of one static plan.
-    pub dynamic: bool,
     /// Record a per-operator [`OpTrace`] during execution (`EXPLAIN
     /// ANALYZE`); the trace lands in [`QueryOutput::trace`].
     pub trace: bool,
@@ -697,12 +694,6 @@ impl QueryService {
         self.inner.telemetry.render_prometheus()
     }
 
-    /// A JSON snapshot of every metric.
-    pub fn metrics_json(&self) -> String {
-        self.sync_cache_metrics();
-        self.inner.telemetry.render_json()
-    }
-
     /// The current store snapshot.
     pub fn store(&self) -> Arc<Store> {
         Arc::clone(&self.inner.state.load().store)
@@ -1077,33 +1068,13 @@ impl QueryService {
         id: u64,
         opts: SubmitOptions,
     ) -> Result<QueryOutput, ServiceError> {
-        self.submit_prepared(id, opts, None)
-    }
-
-    /// [`QueryService::submit_prepared_with`] plus a cooperative
-    /// [`CancelToken`].
-    pub fn submit_prepared_cancellable(
-        &self,
-        id: u64,
-        opts: SubmitOptions,
-        cancel: &CancelToken,
-    ) -> Result<QueryOutput, ServiceError> {
-        self.submit_prepared(id, opts, Some(cancel))
-    }
-
-    fn submit_prepared(
-        &self,
-        id: u64,
-        opts: SubmitOptions,
-        cancel: Option<&CancelToken>,
-    ) -> Result<QueryOutput, ServiceError> {
         let m = &self.inner.metrics;
         m.prepared_executes.inc();
         let Some(stmt) = self.prepared(id) else {
             m.errors.inc();
             return Err(ServiceError::UnknownStatement { id });
         };
-        self.submit_guarded(QueryInput::Prepared(&stmt), opts, cancel)
+        self.submit_guarded(QueryInput::Prepared(&stmt), opts, None)
     }
 
     /// Compiles, plans (via cache), executes. Equivalent to
@@ -1229,7 +1200,7 @@ impl QueryService {
         let m = &self.inner.metrics;
         let deadline = opts.deadline.map(|d| Instant::now() + d);
         let store = Arc::clone(&state.store);
-        let (config, config_fp) = (Arc::clone(&state.config), state.config_fp);
+        let config_fp = state.config_fp;
         let mut stages = StageBreakdown::default();
         let mut timer = StageTimer::start();
         // Front end: a textual submission pays parse + simplify +
@@ -1272,23 +1243,15 @@ impl QueryService {
         // under the current epoch, if drift feedback produced any. The
         // overlay fingerprint is part of the cache key, so the corrected
         // and catalog-only worlds can never serve each other's plans.
-        let overlay = if opts.dynamic {
-            None
-        } else {
-            self.inner.feedback.overlay_for(fp.hash, epoch)
-        };
+        let overlay = self.inner.feedback.overlay_for(fp.hash, epoch);
         let overlay_fp = overlay.as_ref().map_or(0, |o| o.fingerprint());
-        let key = if opts.dynamic {
-            CacheKey::dynamic_family(fp, config_fp, epoch, 0)
-        } else {
-            CacheKey::static_plan(
-                fp,
-                config_fp,
-                epoch,
-                store.catalog().index_set_hash(),
-                overlay_fp,
-            )
-        };
+        let key = CacheKey::static_plan(
+            fp,
+            config_fp,
+            epoch,
+            store.catalog().index_set_hash(),
+            overlay_fp,
+        );
         stages.fingerprint_ns = timer.lap_into(&m.stage_fingerprint);
 
         // A pressure-degraded submission bypasses the cache entirely: its
@@ -1325,16 +1288,9 @@ impl QueryService {
                     m.pressure_degrades.inc();
                     degraded = true;
                     greedy_body()?
-                } else if opts.dynamic {
-                    CachedBody::Dynamic(compile_dynamic(
-                        env,
-                        self.inner.params,
-                        &config,
-                        plan,
-                        result_vars,
-                    ))
                 } else {
-                    let mut optimizer = OpenOodb::new(env, self.inner.params, (*config).clone());
+                    let mut optimizer =
+                        OpenOodb::new(env, self.inner.params, (*state.config).clone());
                     if let Some(ov) = overlay.as_ref() {
                         // Feedback-driven re-optimization: the search runs
                         // under corrected selectivities layered over the
@@ -1398,21 +1354,7 @@ impl QueryService {
         };
         stages.optimize_ns = timer.lap_into(&m.stage_optimize);
 
-        // Dynamic families: select the member for the indexes that exist
-        // *now*. Static plans were keyed on the exact index set.
-        let (plan, est_cost_s) = match &entry.body {
-            CachedBody::Static { plan, cost } => (plan, cost.total()),
-            CachedBody::Dynamic(family) => {
-                let available: HashSet<String> = store
-                    .catalog()
-                    .indexes()
-                    .map(|(_, d)| d.name.clone())
-                    .collect();
-                let alt = family.select(&available);
-                (&alt.plan, alt.cost.total())
-            }
-        };
-
+        let CachedBody::Static { plan, cost } = &entry.body;
         let indexes_used = oodb_core::dynamic::indexes_used(&entry.env, plan);
         // A degraded plan executes without the deadline: once the search
         // has already timed out, a late best-effort answer beats an error.
@@ -1432,8 +1374,7 @@ impl QueryService {
         // A suspect fingerprint with no recorded overrides yet gets one
         // traced probe execution: only the per-operator trace can
         // attribute root-level drift to individual predicates.
-        let probe =
-            !opts.trace && !opts.dynamic && !degraded && self.inner.feedback.wants_probe(fp.hash);
+        let probe = !opts.trace && !degraded && self.inner.feedback.wants_probe(fp.hash);
         let want_trace = opts.trace || probe;
         let mut retries_used = 0u32;
         // The root's row consumer: each result row is written once, into
@@ -1539,7 +1480,7 @@ impl QueryService {
         // executor returns for free, so stale estimates are caught even
         // with profiling off.
         let mut drift = None;
-        if !opts.dynamic && !degraded {
+        if !degraded {
             let fb = &self.inner.feedback;
             let obs = fb.observe_root(
                 fp.hash,
@@ -1581,7 +1522,7 @@ impl QueryService {
             compile_ns: stages.parse_ns + stages.simplify_ns,
             optimize_ns: stages.fingerprint_ns + stages.cache_probe_ns + stages.optimize_ns,
             execute_ns: stages.execute_ns,
-            est_cost_s,
+            est_cost_s: cost.total(),
             sim_io_s,
             indexes_used,
             stages,
@@ -1910,20 +1851,6 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_family_is_cached_and_selects() {
-        let svc = small_service();
-        let opts = SubmitOptions {
-            dynamic: true,
-            ..Default::default()
-        };
-        let a = svc.submit_with(Q_TIME, opts).unwrap();
-        assert!(!a.cache_hit);
-        let b = svc.submit_with(Q_TIME, opts).unwrap();
-        assert!(b.cache_hit);
-        assert_eq!(a.rows, b.rows);
-    }
-
-    #[test]
     fn stage_breakdown_and_counters_populate() {
         let svc = small_service();
         svc.set_profiling(true);
@@ -1939,8 +1866,6 @@ mod tests {
         assert!(text.contains("oodb_optimizer_runs_total 1"));
         assert!(text.contains("oodb_plancache_misses_total 1"));
         assert!(text.contains(r#"oodb_stage_latency_ns_count{stage="parse"} 1"#));
-        let json = svc.metrics_json();
-        assert!(json.contains(r#""name": "oodb_submissions_total""#));
     }
 
     #[test]

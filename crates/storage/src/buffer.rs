@@ -10,7 +10,6 @@
 use crate::disk::{Disk, DiskParams, DiskStats, PageId};
 use oodb_fault::{Fault, FaultInjector};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 /// A fixed-capacity LRU page cache.
 ///
@@ -95,65 +94,13 @@ impl BufferPool {
     }
 }
 
-/// A buffer pool shared by concurrent executions (one pool per database,
-/// the way a real server runs). Page *residency* is global — one query's
-/// fetch warms the next query's access — while hit/miss **attribution**
-/// stays with each caller: [`Io::touch`] reports the outcome per access,
-/// and the executor tallies its own query's hits and misses locally. The
-/// pool's own counters remain the pool-wide totals.
-#[derive(Clone, Debug)]
-pub struct SharedBufferPool(Arc<Mutex<BufferPool>>);
-
-impl SharedBufferPool {
-    /// A shared pool holding at most `capacity` pages.
-    pub fn new(capacity: usize) -> Self {
-        SharedBufferPool(Arc::new(Mutex::new(BufferPool::new(capacity))))
-    }
-
-    /// Records an access; `true` on a hit. See [`BufferPool::access`].
-    pub fn access(&self, page: PageId) -> bool {
-        self.access_run(page, 1)
-    }
-
-    /// Records a run of accesses under one lock acquisition. See
-    /// [`BufferPool::access_run`].
-    pub fn access_run(&self, page: PageId, n: u64) -> bool {
-        self.0.lock().unwrap().access_run(page, n)
-    }
-
-    /// Pool-wide (hits, misses) across every sharing execution.
-    pub fn stats(&self) -> (u64, u64) {
-        self.0.lock().unwrap().stats()
-    }
-
-    /// Number of resident pages.
-    pub fn resident_pages(&self) -> usize {
-        self.0.lock().unwrap().resident_pages()
-    }
-
-    /// Drops all cached pages and statistics.
-    pub fn reset(&self) {
-        self.0.lock().unwrap().reset();
-    }
-}
-
-/// The page cache an [`Io`] stack charges accesses through: either a
-/// private pool (the historical per-executor model, which keeps every
-/// simulation deterministic) or a [`SharedBufferPool`].
-#[derive(Clone, Debug)]
-enum PoolRef {
-    Local(BufferPool),
-    Shared(SharedBufferPool),
-}
-
 /// The I/O facade the executor charges all page access through:
 /// buffer-pool check first, disk on miss. [`Io::touch`] and
 /// [`Io::touch_elevator`] report per-access hit/miss outcomes so callers
-/// can attribute I/O to the execution that performed it even when the
-/// underlying pool is shared.
+/// can attribute I/O to the operator that performed it.
 #[derive(Clone, Debug)]
 pub struct Io {
-    pool: PoolRef,
+    pool: BufferPool,
     /// The simulated device.
     pub disk: Disk,
     /// Optional fault injector consulted before every page access (see
@@ -165,7 +112,7 @@ impl Io {
     /// Creates an I/O stack with the given pool capacity and disk timing.
     pub fn new(pool_pages: usize, params: DiskParams) -> Self {
         Io {
-            pool: PoolRef::Local(BufferPool::new(pool_pages)),
+            pool: BufferPool::new(pool_pages),
             disk: Disk::new(params),
             injector: None,
         }
@@ -175,38 +122,16 @@ impl Io {
     pub fn decstation() -> Self {
         let params = DiskParams::default();
         Io {
-            pool: PoolRef::Local(BufferPool::decstation(params.page_bytes)),
+            pool: BufferPool::decstation(params.page_bytes),
             disk: Disk::new(params),
             injector: None,
-        }
-    }
-
-    /// An I/O stack charging through a shared pool. The disk (and its
-    /// timing) stays private to this stack, so simulated I/O seconds are
-    /// attributed to the execution that missed.
-    pub fn with_shared_pool(pool: SharedBufferPool, params: DiskParams) -> Self {
-        Io {
-            pool: PoolRef::Shared(pool),
-            disk: Disk::new(params),
-            injector: None,
-        }
-    }
-
-    fn access(&mut self, page: PageId) -> bool {
-        self.access_run(page, 1)
-    }
-
-    fn access_run(&mut self, page: PageId, n: u64) -> bool {
-        match &mut self.pool {
-            PoolRef::Local(p) => p.access_run(page, n),
-            PoolRef::Shared(p) => p.access_run(page, n),
         }
     }
 
     /// Touches one page (sequential/random classification by the disk).
     /// Returns `true` on a buffer hit.
     pub fn touch(&mut self, page: PageId) -> bool {
-        let hit = self.access(page);
+        let hit = self.pool.access(page);
         if !hit {
             self.disk.read(page);
         }
@@ -216,7 +141,11 @@ impl Io {
     /// Touches a batch of pages in elevator order; only misses reach disk.
     /// Returns `(hits, misses)` for the batch.
     pub fn touch_elevator(&mut self, pages: &[PageId]) -> (u64, u64) {
-        let mut missed: Vec<PageId> = pages.iter().copied().filter(|&p| !self.access(p)).collect();
+        let mut missed: Vec<PageId> = pages
+            .iter()
+            .copied()
+            .filter(|&p| !self.pool.access(p))
+            .collect();
         let misses = missed.len() as u64;
         if !missed.is_empty() {
             self.disk.read_elevator(&mut missed);
@@ -254,7 +183,7 @@ impl Io {
             }
             return Ok(first);
         }
-        let hit = self.access_run(page, n);
+        let hit = self.pool.access_run(page, n);
         if !hit {
             self.disk.read(page);
         }
@@ -273,22 +202,14 @@ impl Io {
         Ok(self.touch_elevator(pages))
     }
 
-    /// (hits, misses) of the underlying pool. For a shared pool these are
-    /// the **pool-wide** totals, not this execution's share — per-execution
-    /// attribution comes from the [`Io::touch`] return values.
+    /// (hits, misses) of the pool.
     pub fn pool_stats(&self) -> (u64, u64) {
-        match &self.pool {
-            PoolRef::Local(p) => p.stats(),
-            PoolRef::Shared(p) => p.stats(),
-        }
+        self.pool.stats()
     }
 
-    /// Number of pages resident in the underlying pool.
+    /// Number of pages resident in the pool.
     pub fn resident_pages(&self) -> usize {
-        match &self.pool {
-            PoolRef::Local(p) => p.resident_pages(),
-            PoolRef::Shared(p) => p.resident_pages(),
-        }
+        self.pool.resident_pages()
     }
 
     /// Simulated elapsed I/O time in seconds.
@@ -303,10 +224,7 @@ impl Io {
 
     /// Clears both the pool and the disk counters.
     pub fn reset(&mut self) {
-        match &mut self.pool {
-            PoolRef::Local(p) => p.reset(),
-            PoolRef::Shared(p) => p.reset(),
-        }
+        self.pool.reset();
         self.disk.reset();
     }
 }
@@ -362,20 +280,6 @@ mod tests {
         assert!(io.touch(9), "second access hits");
     }
 
-    #[test]
-    fn shared_pool_keeps_residency_across_stacks() {
-        let shared = SharedBufferPool::new(16);
-        let mut a = Io::with_shared_pool(shared.clone(), DiskParams::default());
-        let mut b = Io::with_shared_pool(shared.clone(), DiskParams::default());
-        assert!(!a.touch(1), "cold in stack a");
-        assert!(b.touch(1), "warm in stack b via the shared pool");
-        // Pool-wide counters aggregate both stacks; each stack's disk only
-        // charged its own misses.
-        assert_eq!(shared.stats(), (1, 1));
-        assert_eq!(a.disk_stats().pages(), 1);
-        assert_eq!(b.disk_stats().pages(), 0);
-    }
-
     /// A run of touches leaves hits, misses, LRU order and disk charges
     /// exactly where the same touches one by one do, cold and warm, with
     /// an eviction in between.
@@ -392,9 +296,7 @@ mod tests {
             assert_eq!(run.pool_stats(), one.pool_stats());
             assert_eq!(run.disk_stats(), one.disk_stats());
         }
-        let (PoolRef::Local(a), PoolRef::Local(b)) = (&one.pool, &run.pool) else {
-            unreachable!("private pools")
-        };
+        let (a, b) = (&one.pool, &run.pool);
         assert_eq!((a.clock, &a.resident), (b.clock, &b.resident));
     }
 

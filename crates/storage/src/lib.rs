@@ -30,7 +30,7 @@ pub mod disk;
 pub mod index;
 pub mod store;
 
-pub use buffer::{BufferPool, Io, SharedBufferPool};
+pub use buffer::{BufferPool, Io};
 pub use codec::{pack_collection, unpack_pages, CodecError, Page, PAGE_BYTES};
 pub use datagen::{generate_paper_db, GenConfig};
 pub use disk::{Disk, DiskParams, DiskStats, PageId};

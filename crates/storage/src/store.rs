@@ -90,16 +90,10 @@ pub struct Store {
     /// is not on the type): a field read is two indexed loads, no hashing.
     slots: Vec<Vec<u32>>,
     next_page: PageId,
-    /// When attached, executors charge page access through this shared
-    /// pool instead of a private one: concurrent queries share residency
-    /// (one query's fetch warms the next) exactly as on a real server.
-    /// Cloning the store — snapshot swaps in the query service — clones
-    /// the `Arc`, so the pool stays warm across catalog changes.
-    shared_pool: Option<crate::SharedBufferPool>,
     /// When attached, every executor created against this store routes
     /// page reads through the injector first (see
     /// [`oodb_fault::FaultInjector`]). Clones share counters and healing
-    /// state, mirroring the shared-pool pattern above.
+    /// state.
     fault_injector: Option<oodb_fault::FaultInjector>,
     /// When attached, every executor created against this store draws a
     /// per-run [`oodb_mem::MemoryGrant`] from this governor; operators
@@ -131,27 +125,9 @@ impl Store {
             indexes: Vec::new(),
             slots,
             next_page: 0,
-            shared_pool: None,
             fault_injector: None,
             memory_governor: None,
         }
-    }
-
-    /// Attaches a shared buffer pool of `capacity` pages (replacing any
-    /// previous one, cold). Executors created against this store charge
-    /// page access through it; see [`crate::SharedBufferPool`].
-    pub fn attach_shared_pool(&mut self, capacity: usize) {
-        self.shared_pool = Some(crate::SharedBufferPool::new(capacity));
-    }
-
-    /// Detaches the shared pool; executors go back to private pools.
-    pub fn detach_shared_pool(&mut self) {
-        self.shared_pool = None;
-    }
-
-    /// The shared buffer pool, when one is attached.
-    pub fn shared_pool(&self) -> Option<&crate::SharedBufferPool> {
-        self.shared_pool.as_ref()
     }
 
     /// Attaches a fault injector: executors created against this store
@@ -454,11 +430,6 @@ impl Store {
     #[allow(clippy::should_implement_trait)]
     pub fn index(&self, id: IndexId) -> &BuiltIndex {
         &self.indexes[id.index()]
-    }
-
-    /// Total pages allocated so far.
-    pub fn pages_allocated(&self) -> PageId {
-        self.next_page
     }
 
     /// Collects an equi-depth histogram for every index's `(collection,

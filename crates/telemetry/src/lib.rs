@@ -21,9 +21,8 @@
 //!   clock, buffer hits/misses, simulated I/O) mirroring a physical plan
 //!   tree; the substance behind `EXPLAIN ANALYZE`.
 //!
-//! Exports: [`MetricsRegistry::render_prometheus`] (Prometheus text
-//! format, for `\metrics` and scrapers) and
-//! [`MetricsRegistry::render_json`] (the same snapshot as JSON).
+//! One export: [`MetricsRegistry::render_prometheus`] (Prometheus text
+//! format, for `\metrics`, `GET /metrics` and scrapers).
 
 #![forbid(unsafe_code)]
 

@@ -210,15 +210,6 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Mean observation in nanoseconds (0 when empty).
-    pub fn mean_ns(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum_ns as f64 / self.count as f64
-        }
-    }
-
     /// Observations accumulated since `base` was captured: subtracts the
     /// older snapshot cell-wise, windowing a cumulative histogram to one
     /// measured interval (the fixed buckets make this exact).
@@ -348,8 +339,8 @@ fn escape_label(v: &str) -> String {
 }
 
 /// Appends `s` as a JSON string (surrounding quotes included) to `out`.
-/// The workspace's one JSON string escaper: the metrics snapshot below
-/// and the server's wire codec both write through it.
+/// The workspace's one JSON string escaper: the server's wire codec
+/// writes through it.
 pub fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
     // Everything that needs escaping is one ASCII byte, so the stretches
@@ -541,63 +532,6 @@ impl MetricsRegistry {
         }
         out
     }
-
-    /// Renders a JSON snapshot: counters and gauges with their values,
-    /// histograms with count/sum/mean and interpolated p50/p95/p99.
-    pub fn render_json(&self) -> String {
-        let metrics = self.metrics.load();
-        let labels_json = |key: &MetricKey| {
-            let mut out = String::from("{");
-            for (i, (k, v)) in key.labels.iter().enumerate() {
-                out.push_str(if i > 0 { ", " } else { "" });
-                push_escaped(&mut out, k);
-                out.push_str(": ");
-                push_escaped(&mut out, v);
-            }
-            out.push('}');
-            out
-        };
-        let mut counters = Vec::new();
-        let mut gauges = Vec::new();
-        let mut histograms = Vec::new();
-        for (key, slot) in metrics.iter() {
-            let mut name = String::new();
-            push_escaped(&mut name, &key.name);
-            match slot {
-                Slot::Counter(c) => counters.push(format!(
-                    "{{\"name\": {name}, \"labels\": {}, \"value\": {}}}",
-                    labels_json(key),
-                    c.get()
-                )),
-                Slot::Gauge(g) => gauges.push(format!(
-                    "{{\"name\": {name}, \"labels\": {}, \"value\": {}}}",
-                    labels_json(key),
-                    g.get()
-                )),
-                Slot::Histogram(h) => {
-                    let snap = h.snapshot();
-                    histograms.push(format!(
-                        "{{\"name\": {name}, \"labels\": {}, \"count\": {}, \
-                         \"sum_ns\": {}, \"mean_ns\": {:.1}, \"p50_ns\": {:.1}, \
-                         \"p95_ns\": {:.1}, \"p99_ns\": {:.1}}}",
-                        labels_json(key),
-                        snap.count,
-                        snap.sum_ns,
-                        snap.mean_ns(),
-                        snap.quantile(0.50),
-                        snap.quantile(0.95),
-                        snap.quantile(0.99)
-                    ));
-                }
-            }
-        }
-        format!(
-            "{{\"counters\": [{}], \"gauges\": [{}], \"histograms\": [{}]}}",
-            counters.join(", "),
-            gauges.join(", "),
-            histograms.join(", ")
-        )
-    }
 }
 
 #[cfg(test)]
@@ -730,26 +664,6 @@ mod tests {
             assert!(v >= last, "{line}");
             last = v;
         }
-    }
-
-    #[test]
-    fn json_snapshot_shape() {
-        let reg = MetricsRegistry::new();
-        reg.set_profiling(true);
-        reg.counter("c_total", &[]).add(7);
-        reg.histogram("h_ns", &[("stage", "x")]).record(1000);
-        reg.gauge("g", &[("odd", "q\"b\\n\nr\rt\tc\u{1}")]).set(1);
-        let json = reg.render_json();
-        assert!(
-            json.contains(r#""odd": "q\"b\\n\nr\rt\tc\u0001""#),
-            "every label byte below 0x20 must leave escaped: {json}"
-        );
-        assert!(!json.bytes().any(|b| b < 0x20), "{json:?}");
-        assert!(json.contains("\"name\": \"c_total\""), "{json}");
-        assert!(json.contains("\"value\": 7"), "{json}");
-        assert!(json.contains("\"stage\": \"x\""), "{json}");
-        assert!(json.contains("\"count\": 1"), "{json}");
-        assert!(json.contains("\"p99_ns\""), "{json}");
     }
 
     #[test]

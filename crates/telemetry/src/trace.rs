@@ -6,8 +6,8 @@
 //! hands back actual row counts, wall-clock time, and buffer/disk traffic
 //! per operator. Times and I/O are *cumulative* (they include the
 //! operator's inputs, the way `EXPLAIN ANALYZE` conventionally reports);
-//! [`OpTrace::self_elapsed_ns`] and friends subtract the children for
-//! per-operator attribution.
+//! [`OpTrace::self_elapsed_ns`] subtracts the children for per-operator
+//! attribution.
 
 /// One operator's measured execution, with its inputs as children.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -36,18 +36,6 @@ impl OpTrace {
     pub fn self_elapsed_ns(&self) -> u64 {
         self.elapsed_ns
             .saturating_sub(self.children.iter().map(|c| c.elapsed_ns).sum())
-    }
-
-    /// Buffer hits charged to this operator alone.
-    pub fn self_buffer_hits(&self) -> u64 {
-        self.buffer_hits
-            .saturating_sub(self.children.iter().map(|c| c.buffer_hits).sum())
-    }
-
-    /// Buffer misses charged to this operator alone.
-    pub fn self_buffer_misses(&self) -> u64 {
-        self.buffer_misses
-            .saturating_sub(self.children.iter().map(|c| c.buffer_misses).sum())
     }
 
     /// Every node of the tree, depth-first, root first.

@@ -16,6 +16,7 @@
 //! cargo run --example extending_the_optimizer
 //! ```
 
+use open_oodb::core::config::rule_names;
 use open_oodb::core::model::OodbModel;
 use open_oodb::core::rules::rule_set;
 use open_oodb::prelude::*;
@@ -67,10 +68,8 @@ fn main() {
 
     // --- Extension 1: warm-start assembly ---------------------------------
     let q = open_oodb::zql::compile(src, &m.schema, &catalog).unwrap();
-    let config = OptimizerConfig {
-        enable_warm_assembly: true,
-        ..OptimizerConfig::all_rules()
-    };
+    let mut config = OptimizerConfig::all_rules();
+    config.disabled_rules.remove(rule_names::WARM_ASSEMBLY);
     let out = OpenOodb::with_config(&q.env, config)
         .optimize(&q.plan, q.result_vars)
         .unwrap();

@@ -51,4 +51,8 @@ fi
 echo "==> golden files unchanged"
 git diff --exit-code -- tests/golden
 
+# Reported, not gated: the size figures CHANGES.md and ROADMAP.md quote.
+echo "==> non-test lines per crate"
+scripts/loc.sh
+
 echo "OK"

@@ -45,15 +45,14 @@ fn query2_all_plans_agree_with_oracle() {
         .count();
 
     let src = r#"SELECT c FROM City c IN Cities WHERE c.mayor().name() == "Joe""#;
+    let mut warm = OptimizerConfig::without(&[rn::COLLAPSE_TO_INDEX_SCAN]);
+    warm.disabled_rules.remove(rn::WARM_ASSEMBLY);
     for config in [
         OptimizerConfig::all_rules(),
         OptimizerConfig::without(&[rn::COLLAPSE_TO_INDEX_SCAN]),
         OptimizerConfig::without(&[rn::COLLAPSE_TO_INDEX_SCAN, rn::MAT_TO_JOIN]),
         OptimizerConfig::without(&[rn::POINTER_JOIN]),
-        OptimizerConfig {
-            enable_warm_assembly: true,
-            ..OptimizerConfig::without(&[rn::COLLAPSE_TO_INDEX_SCAN])
-        },
+        warm,
     ] {
         let (n, _) = run(&store, &model, src, config.clone());
         assert_eq!(n, oracle, "config {:?}", config.disabled_rules);

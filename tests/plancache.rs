@@ -111,6 +111,12 @@ fn dropped_index_is_never_served() {
         without.indexes_used
     );
     assert_eq!(with_index.rows, without.rows);
+    // One re-plan per index change is the whole cost: the plan found
+    // for the new index set is cached like any other.
+    let again = svc.submit(Q_MAYOR).unwrap();
+    assert!(again.cache_hit, "the post-drop plan must be cached");
+    assert!(again.indexes_used.is_empty(), "{:?}", again.indexes_used);
+    assert_eq!(again.rows, without.rows);
 
     // Dropping a *subset* also invalidates: a service restricted to the
     // unrelated Tasks index must not plan over the dropped mayor index.

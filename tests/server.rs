@@ -243,14 +243,21 @@ fn malformed_and_oversized_requests_are_rejected() {
     // Unknown body keys are ignored, never interpreted: the retired
     // `realize_io_scale` reached `Duration::from_secs_f64` unvalidated, so
     // this request was a 500 `Panicked` that counted toward the breaker.
-    let mut rows_of = |extra: &str| {
+    let mut answer_to = |extra: &str| {
         let body = format!("{{\"query\":{:?}{extra}}}", QUERIES[1]);
         let resp = c.request("POST", "/query", Some(&body)).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body_str());
         let reply = json::parse(&resp.body_str()).unwrap();
-        reply.get("rows").cloned().expect("a rows array")
+        let hit = reply.get("cache_hit").and_then(json::Json::as_bool);
+        let rows = reply.get("rows").cloned().expect("a rows array");
+        (rows, hit.expect("a cache_hit flag"))
     };
-    assert_eq!(rows_of(",\"realize_io_scale\":1e300"), rows_of(""));
+    let (rows, _) = answer_to(",\"realize_io_scale\":1e300");
+    assert_eq!(answer_to(""), (rows.clone(), true));
+    // The retired `dynamic` selected a plan family with a cache entry of
+    // its own, compiled by 2^indexes searches no deadline bounded: the
+    // key now changes nothing, so the request hits the entry above.
+    assert_eq!(answer_to(",\"dynamic\":true"), (rows, true));
     let metrics = c.metrics().unwrap();
     assert!(
         metrics.contains("\noodb_submission_panics_total 0\n"),
