@@ -36,6 +36,24 @@ impl Batch {
         self.data.chunks_exact(self.width)
     }
 
+    /// Row `r`.
+    pub fn row(&self, r: usize) -> &[Oid] {
+        &self.data[r * self.width..(r + 1) * self.width]
+    }
+
+    /// Drops every row not listed in `rows` (row numbers, ascending),
+    /// compacting the rest in place.
+    pub fn keep_rows(&mut self, rows: &[u32]) {
+        let w = self.width;
+        if rows.len() < self.len() {
+            for (kept, &r) in rows.iter().enumerate() {
+                let r = r as usize;
+                self.data.copy_within(r * w..(r + 1) * w, kept * w);
+            }
+            self.data.truncate(rows.len() * w);
+        }
+    }
+
     /// Appends `row` with `col` bound to `oid`: overwritten when the row
     /// already has that column, appended when `col` is one past its end.
     pub fn push_bound(&mut self, row: &[Oid], col: usize, oid: Oid) {

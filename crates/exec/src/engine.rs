@@ -15,6 +15,7 @@ use oodb_object::{Oid, Value};
 use oodb_storage::{DiskStats, Io, PageId, Store};
 use oodb_telemetry::OpTrace;
 use pipeline::{bind, child, malformed, nodes, Bound, Pipeline, Source, Stage};
+use std::borrow::Cow;
 use std::fmt;
 use std::time::Instant;
 
@@ -502,13 +503,27 @@ impl<'a> Executor<'a> {
                 return Ok(out);
             };
             counts.tuples += batch.len() as u64;
-            let mut cells = Vec::with_capacity(items.len());
-            for row in batch.rows() {
-                cells.clear();
-                for item in items {
-                    cells.push(item.eval(store, row).map_err(ExecError::Corrupt)?);
+            // A block of rows' cells side by side, filled an item — a
+            // store column — at a time; a block's cells stay in cache
+            // between being written and being emitted.
+            const BLOCK_ROWS: usize = 64;
+            static NULL: Value = Value::Null;
+            let k = items.len();
+            let mut cells = vec![Cow::Borrowed(&NULL); BLOCK_ROWS.min(batch.len()) * k];
+            for block in batch.data.chunks(BLOCK_ROWS * batch.width) {
+                let rows = block.chunks_exact(batch.width);
+                for (i, item) in items.iter().enumerate() {
+                    let mut at = i;
+                    let fill = |v| {
+                        cells[at] = v;
+                        at += k;
+                    };
+                    item.eval_each(store, rows.clone(), fill)
+                        .map_err(ExecError::Corrupt)?;
                 }
-                out.push(emit(RootRow::Cells(&cells)));
+                for r in 0..rows.len() {
+                    out.push(emit(RootRow::Cells(&cells[r * k..(r + 1) * k])));
+                }
             }
             Ok(out)
         };

@@ -117,11 +117,11 @@ impl<'a> Executor<'a> {
         let mut keys = Vec::with_capacity(build.len() / spec.build_width);
         for rows in build.chunks(BATCH_ROWS * spec.build_width) {
             self.checkpoint()?;
-            for row in rows.chunks_exact(spec.build_width) {
-                self.counts.hash_ops += 1;
-                let key = spec.build_key.eval(self.store, row);
-                keys.push(key.map_err(ExecError::Corrupt)?.hash_key());
-            }
+            let rows = rows.chunks_exact(spec.build_width);
+            self.counts.hash_ops += rows.len() as u64;
+            spec.build_key
+                .hash_keys(self.store, rows, &mut keys)
+                .map_err(ExecError::Corrupt)?;
         }
         Ok(JoinTable::build(&keys))
     }
@@ -176,18 +176,22 @@ impl<'a> Executor<'a> {
         }
         let mut split = |side: &Batch, key: &Slot<'a>| -> Result<Vec<Batch>, ExecError> {
             let mut parts = vec![Batch::new(side.width); Self::SPILL_FANOUT];
-            for (i, row) in side.rows().enumerate() {
-                if i % BATCH_ROWS == 0 {
-                    self.checkpoint()?;
-                }
-                self.counts.hash_ops += 1;
+            let mut keys = Vec::new();
+            for rows in side.data.chunks(BATCH_ROWS * side.width) {
+                self.checkpoint()?;
+                let rows = rows.chunks_exact(side.width);
+                self.counts.hash_ops += rows.len() as u64;
+                keys.clear();
+                key.hash_keys(self.store, rows.clone(), &mut keys)
+                    .map_err(ExecError::Corrupt)?;
                 // Keyless rows can never match — the in-memory build
                 // skips them too.
-                let key = key.eval(self.store, row).map_err(ExecError::Corrupt)?;
-                if let Some(k) = key.hash_key() {
-                    parts[Self::spill_partition(k, depth)]
-                        .data
-                        .extend_from_slice(row);
+                for (row, k) in rows.zip(&keys) {
+                    if let Some(k) = k {
+                        parts[Self::spill_partition(*k, depth)]
+                            .data
+                            .extend_from_slice(row);
+                    }
                 }
             }
             Ok(parts)
@@ -441,11 +445,10 @@ impl<'a> Executor<'a> {
         // Read the keys up front so corruption surfaces as an error (a
         // comparator cannot propagate one). The order is total — NULLs
         // and mixed types included — and the one merge join walks.
-        let mut keyed = input
-            .rows()
-            .map(|row| Ok((slot.eval(self.store, row)?, row)))
-            .collect::<Result<Vec<_>, _>>()
+        let keys = slot
+            .values(self.store, input.rows())
             .map_err(ExecError::Corrupt)?;
+        let mut keyed: Vec<_> = keys.into_iter().zip(input.rows()).collect();
         keyed.sort_by(|a, b| a.0.total_cmp_val(&b.0));
         let mut out = Batch::new(input.width);
         out.data.reserve(input.data.len());
@@ -468,10 +471,7 @@ impl<'a> Executor<'a> {
             JoinSpec::resolve(self.env, pred, &left_cols, &right_cols, "merge join")?;
         // Extract both key columns up front (totalizes corruption).
         let keys = |side: &Batch, key: &Slot<'a>| {
-            side.rows()
-                .map(|row| key.eval(store, row))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(ExecError::Corrupt)
+            key.values(store, side.rows()).map_err(ExecError::Corrupt)
         };
         let (lkeys, rkeys) = (
             keys(&left, &spec.build_key)?,

@@ -49,19 +49,7 @@ impl<'a> Stage<'a> {
     ) -> Result<Batch, ExecError> {
         match self {
             Stage::Filter(pred) => {
-                // Compact the passing rows in place.
-                let (w, mut kept) = (input.width, 0);
-                for r in 0..input.len() {
-                    let (ok, n) = pred
-                        .test(store, &input.data[r * w..(r + 1) * w])
-                        .map_err(ExecError::Corrupt)?;
-                    counts.preds += n;
-                    if ok {
-                        input.data.copy_within(r * w..(r + 1) * w, kept * w);
-                        kept += 1;
-                    }
-                }
-                input.data.truncate(kept * w);
+                counts.preds += pred.filter(store, &mut input).map_err(ExecError::Corrupt)?;
                 Ok(input)
             }
             Stage::Unnest { src, field, out } => {
@@ -206,13 +194,14 @@ impl<'a> JoinSpec<'a> {
         counts: &mut OpCounts,
     ) -> Result<(), ExecError> {
         let bw = self.build_width;
-        for row in input.chunks_exact(self.probe_width) {
-            counts.hash_ops += 1;
-            let key = self
-                .probe_key
-                .eval(store, row)
-                .map_err(ExecError::Corrupt)?;
-            let Some(key) = key.hash_key() else { continue };
+        let rows = input.chunks_exact(self.probe_width);
+        counts.hash_ops += rows.len() as u64;
+        let mut keys = Vec::with_capacity(rows.len());
+        self.probe_key
+            .hash_keys(store, rows.clone(), &mut keys)
+            .map_err(ExecError::Corrupt)?;
+        for (row, key) in rows.zip(keys) {
+            let Some(key) = key else { continue };
             for i in table.matches(key) {
                 if self.emit(store, &build[i * bw..(i + 1) * bw], row, out, counts)? {
                     counts.tuples += 1;

@@ -324,11 +324,6 @@ impl Object {
     pub fn new(oid: Oid, slots: Vec<Value>) -> Self {
         Object { oid, slots }
     }
-
-    /// Reads a slot by layout index.
-    pub fn slot(&self, i: usize) -> &Value {
-        &self.slots[i]
-    }
 }
 
 #[cfg(test)]

@@ -48,6 +48,7 @@ pub use oodb_wal::{
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -1387,8 +1388,11 @@ impl QueryService {
         // The result variables' (name, column) in scope order: the root's
         // layout is the same for every row, so it is resolved once.
         let named = OnceLock::new();
+        // Rows of one query share a shape: each line starts at the length
+        // of the one rendered before it instead of doubling up from empty.
+        let line_len = AtomicUsize::new(0);
         let render = |row: RootRow<'_>| {
-            let mut line = String::new();
+            let mut line = String::with_capacity(line_len.load(Ordering::Relaxed));
             match row {
                 RootRow::Cells(cells) => {
                     for (i, v) in cells.iter().enumerate() {
@@ -1411,6 +1415,7 @@ impl QueryService {
                     }
                 }
             }
+            line_len.store(line.len(), Ordering::Relaxed);
             line
         };
         let ((mut rows, trace), stats) = loop {
@@ -1813,6 +1818,27 @@ mod tests {
             (0, 0),
             "stale feedback must not survive an epoch bump: {stats:?}"
         );
+    }
+
+    /// A statistics refresh publishes a new store snapshot — new catalog,
+    /// rebuilt indexes — that shares every field column with the one it
+    /// replaced: no object is copied.
+    #[test]
+    fn a_statistics_refresh_shares_the_columns() {
+        let svc = small_service();
+        let before = svc.store();
+        svc.refresh_statistics(8);
+        let after = svc.store();
+        assert!(after.catalog().stats_epoch() > before.catalog().stats_epoch());
+        let schema = before.schema();
+        for (ty, def) in schema.types() {
+            for field in schema.fields_of(ty) {
+                let old = before.try_column(ty, field).expect("in the layout");
+                let new = after.try_column(ty, field).expect("in the layout");
+                assert_eq!(old.len(), before.population(ty));
+                assert!(std::ptr::eq(old, new), "{} was copied", def.name);
+            }
+        }
     }
 
     #[test]

@@ -10,6 +10,34 @@
 use crate::disk::{Disk, DiskParams, DiskStats, PageId};
 use oodb_fault::{Fault, FaultInjector};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a [`PageId`] with one multiply. Page numbers are dense and come
+/// from the store, never from outside the program, so there is nothing for
+/// SipHash to defend: the multiply spreads neighbouring pages over the
+/// table, and folding the product's high half down keeps strided page
+/// numbers apart in the low bits that pick a bucket.
+#[derive(Clone, Copy, Debug, Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("a page id hashes as one u64");
+    }
+
+    fn write_u64(&mut self, page: u64) {
+        let h = page.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Pages the resident map holds before it first has to grow: more than a
+/// 1/10-scale query touches, small enough to allocate per executor.
+const RESIDENT_START: usize = 512;
 
 /// A fixed-capacity LRU page cache.
 ///
@@ -20,7 +48,7 @@ use std::collections::HashMap;
 pub struct BufferPool {
     capacity: usize,
     clock: u64,
-    resident: HashMap<PageId, u64>,
+    resident: HashMap<PageId, u64, BuildHasherDefault<PageHasher>>,
     hits: u64,
     misses: u64,
 }
@@ -28,10 +56,14 @@ pub struct BufferPool {
 impl BufferPool {
     /// Creates a pool holding at most `capacity` pages.
     pub fn new(capacity: usize) -> Self {
+        let capacity = capacity.max(1);
         BufferPool {
-            capacity: capacity.max(1),
+            capacity,
             clock: 0,
-            resident: HashMap::new(),
+            resident: HashMap::with_capacity_and_hasher(
+                capacity.min(RESIDENT_START),
+                BuildHasherDefault::default(),
+            ),
             hits: 0,
             misses: 0,
         }

@@ -19,7 +19,7 @@
 
 use crate::store::Store;
 use oodb_object::paper::{paper_model_scaled, PaperModel, AVG_TEAM_MEMBERS};
-use oodb_object::{Date, Object, Oid, TypeId, Value};
+use oodb_object::{Date, Oid, TypeId, Value};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -72,6 +72,23 @@ fn pick<R: Rng>(rng: &mut R, pool: &[Arc<str>]) -> Value {
     Value::Str(pool[rng.gen_range(0..pool.len())].clone())
 }
 
+/// `n` generated objects of `N` fields each, column-major as
+/// [`Store::insert_columns`] takes them: `row(i)` draws object `i`'s values
+/// in field order, and each lands in its field's column — no row is ever
+/// materialised.
+fn columns<const N: usize>(n: u64, mut row: impl FnMut(u64) -> [Value; N]) -> Vec<Vec<Value>> {
+    let mut columns: Vec<Vec<Value>> = (0..N).map(|_| Vec::with_capacity(n as usize)).collect();
+    for i in 0..n {
+        // Moved out slot by slot: iterating the array by value measured
+        // 2.4 times the whole row's cost.
+        let mut row = row(i);
+        for (column, value) in columns.iter_mut().zip(&mut row) {
+            column.push(std::mem::replace(value, Value::Null));
+        }
+    }
+    columns
+}
+
 /// Number of `Plant` objects generated (hidden from the catalog: `Plant`
 /// has no extent, so the optimizer cannot see this number — the point of
 /// the paper's 50,000-fault anecdote).
@@ -97,193 +114,141 @@ pub fn generate_paper_db(cfg: GenConfig) -> (Store, PaperModel) {
 
     // --- Persons -----------------------------------------------------
     let n_person = card(ids.person_extent);
-    let persons: Vec<Object> = (0..n_person)
-        .map(|i| {
-            Object::new(
-                Oid::new(ids.person, i as u32),
-                vec![
-                    pick(&mut rng, &person_names),
-                    Value::Int(rng.gen_range(18..90)),
-                ],
-            )
-        })
-        .collect();
-    store.insert_objects(ids.person, persons, 100);
+    let persons = columns(n_person, |_| {
+        [
+            pick(&mut rng, &person_names),
+            Value::Int(rng.gen_range(18..90)),
+        ]
+    });
+    store.insert_columns(ids.person, n_person as usize, persons, 100);
 
     // --- Information --------------------------------------------------
     let n_info = card(ids.information_extent);
-    let infos: Vec<Object> = (0..n_info)
-        .map(|i| {
-            Object::new(
-                Oid::new(ids.information, i as u32),
-                vec![Value::str(&format!("subject-{i}"))],
-            )
-        })
-        .collect();
-    store.insert_objects(ids.information, infos, 400);
+    let infos = columns(n_info, |i| [Value::str(&format!("subject-{i}"))]);
+    store.insert_columns(ids.information, n_info as usize, infos, 400);
 
     // --- Countries -----------------------------------------------------
     let n_country = card(ids.country_extent);
-    let countries: Vec<Object> = (0..n_country)
-        .map(|i| {
-            Object::new(
-                Oid::new(ids.country, i as u32),
-                vec![
-                    Value::str(&format!("country-{i}")),
-                    Value::Ref(Oid::new(ids.person, rng.gen_range(0..n_person) as u32)),
-                    Value::Ref(Oid::new(ids.information, rng.gen_range(0..n_info) as u32)),
-                ],
-            )
-        })
-        .collect();
-    store.insert_objects(ids.country, countries, 300);
+    let countries = columns(n_country, |i| {
+        [
+            Value::str(&format!("country-{i}")),
+            Value::Ref(Oid::new(ids.person, rng.gen_range(0..n_person) as u32)),
+            Value::Ref(Oid::new(ids.information, rng.gen_range(0..n_info) as u32)),
+        ]
+    });
+    store.insert_columns(ids.country, n_country as usize, countries, 300);
 
     // --- Plants (population invisible to the catalog) -------------------
     let n_plant = (PLANT_POPULATION / cfg.scale_div.max(1)).max(20.min(PLANT_POPULATION));
-    let plants: Vec<Object> = (0..n_plant)
-        .map(|i| {
-            Object::new(
-                Oid::new(ids.plant, i as u32),
-                // Locations round-robin over the pool: exactly 1-in-10
-                // plants are in Dallas, matching the optimizer's 10%
-                // default selectivity for unindexed predicates.
-                vec![
-                    Value::str(&format!("plant-{i}")),
-                    Value::Str(locations[(i % DISTINCT_PLANT_LOCATIONS) as usize].clone()),
-                ],
-            )
-        })
-        .collect();
-    store.insert_objects(ids.plant, plants, 1000);
+    let plants = columns(n_plant, |i| {
+        // Locations round-robin over the pool: exactly 1-in-10 plants are
+        // in Dallas, matching the optimizer's 10% default selectivity for
+        // unindexed predicates.
+        [
+            Value::str(&format!("plant-{i}")),
+            Value::Str(locations[(i % DISTINCT_PLANT_LOCATIONS) as usize].clone()),
+        ]
+    });
+    store.insert_columns(ids.plant, n_plant as usize, plants, 1000);
 
     // --- Cities ----------------------------------------------------------
     let n_city = card(ids.cities);
-    let cities: Vec<Object> = (0..n_city)
-        .map(|i| {
-            Object::new(
-                Oid::new(ids.city, i as u32),
-                vec![
-                    Value::str(&format!("city-{i}")),
-                    Value::Int(rng.gen_range(1_000..5_000_000)),
-                    Value::Ref(Oid::new(ids.person, rng.gen_range(0..n_person) as u32)),
-                    Value::Ref(Oid::new(ids.country, rng.gen_range(0..n_country) as u32)),
-                ],
-            )
-        })
-        .collect();
-    store.insert_objects(ids.city, cities, 200);
+    let cities = columns(n_city, |i| {
+        [
+            Value::str(&format!("city-{i}")),
+            Value::Int(rng.gen_range(1_000..5_000_000)),
+            Value::Ref(Oid::new(ids.person, rng.gen_range(0..n_person) as u32)),
+            Value::Ref(Oid::new(ids.country, rng.gen_range(0..n_country) as u32)),
+        ]
+    });
+    store.insert_columns(ids.city, n_city as usize, cities, 200);
 
     // --- Capitals (own type; City layout + `since`) ----------------------
     let n_capital = card(ids.capitals);
-    let capitals: Vec<Object> = (0..n_capital)
-        .map(|i| {
-            Object::new(
-                Oid::new(ids.capital, i as u32),
-                vec![
-                    Value::str(&format!("capital-{i}")),
-                    Value::Int(rng.gen_range(1_000..5_000_000)),
-                    Value::Ref(Oid::new(ids.person, rng.gen_range(0..n_person) as u32)),
-                    Value::Ref(Oid::new(ids.country, (i % n_country) as u32)),
-                    Value::Date(Date::from_ymd(rng.gen_range(1800..1993), 1, 1)),
-                ],
-            )
-        })
-        .collect();
-    store.insert_objects(ids.capital, capitals, 400);
+    let capitals = columns(n_capital, |i| {
+        [
+            Value::str(&format!("capital-{i}")),
+            Value::Int(rng.gen_range(1_000..5_000_000)),
+            Value::Ref(Oid::new(ids.person, rng.gen_range(0..n_person) as u32)),
+            Value::Ref(Oid::new(ids.country, (i % n_country) as u32)),
+            Value::Date(Date::from_ymd(rng.gen_range(1800..1993), 1, 1)),
+        ]
+    });
+    store.insert_columns(ids.capital, n_capital as usize, capitals, 400);
 
     // --- Jobs -------------------------------------------------------------
     let n_job = card(ids.job_extent);
-    let jobs: Vec<Object> = (0..n_job)
-        .map(|i| {
-            Object::new(
-                Oid::new(ids.job, i as u32),
-                vec![
-                    Value::str(&format!("job-{i}")),
-                    Value::Int(rng.gen_range(1..16)),
-                ],
-            )
-        })
-        .collect();
-    store.insert_objects(ids.job, jobs, 250);
+    let jobs = columns(n_job, |i| {
+        [
+            Value::str(&format!("job-{i}")),
+            Value::Int(rng.gen_range(1..16)),
+        ]
+    });
+    store.insert_columns(ids.job, n_job as usize, jobs, 250);
 
     // --- Departments -------------------------------------------------------
     let n_dept = card(ids.department_extent);
-    let depts: Vec<Object> = (0..n_dept)
-        .map(|i| {
-            Object::new(
-                Oid::new(ids.department, i as u32),
-                vec![
-                    Value::str(&format!("dept-{i}")),
-                    Value::Int(rng.gen_range(1..=10)),
-                    Value::Ref(Oid::new(ids.plant, rng.gen_range(0..n_plant) as u32)),
-                ],
-            )
-        })
-        .collect();
-    store.insert_objects(ids.department, depts, 400);
+    let depts = columns(n_dept, |i| {
+        [
+            Value::str(&format!("dept-{i}")),
+            Value::Int(rng.gen_range(1..=10)),
+            Value::Ref(Oid::new(ids.plant, rng.gen_range(0..n_plant) as u32)),
+        ]
+    });
+    store.insert_columns(ids.department, n_dept as usize, depts, 400);
 
     // --- Employees ----------------------------------------------------------
     // Layout (Person fields first): name, age, salary, last_raise, dept, job.
     let n_emp_extent = card(ids.employee_extent);
     let n_emp_set = card(ids.employees);
-    let emps: Vec<Object> = (0..n_emp_extent)
-        .map(|i| {
-            // The hot-key draw only happens when the knob is on, so the
-            // default configuration's RNG stream (and thus every
-            // deterministic fixture built on it) is bit-identical to
-            // before the knob existed.
-            let name = if i < n_emp_set {
-                if cfg.hot_employee_name_fraction > 0.0
-                    && rng.gen_bool(cfg.hot_employee_name_fraction.clamp(0.0, 1.0))
-                {
-                    Value::Str(employee_names[0].clone())
-                } else {
-                    pick(&mut rng, &employee_names)
-                }
+    let emps = columns(n_emp_extent, |i| {
+        // The hot-key draw only happens when the knob is on, so the
+        // default configuration's RNG stream (and thus every
+        // deterministic fixture built on it) is bit-identical to
+        // before the knob existed.
+        let name = if i < n_emp_set {
+            if cfg.hot_employee_name_fraction > 0.0
+                && rng.gen_bool(cfg.hot_employee_name_fraction.clamp(0.0, 1.0))
+            {
+                Value::Str(employee_names[0].clone())
             } else {
-                pick(&mut rng, &person_names)
-            };
-            Object::new(
-                Oid::new(ids.employee, i as u32),
-                vec![
-                    name,
-                    Value::Int(rng.gen_range(18..70)),
-                    Value::Int(rng.gen_range(20_000..150_000)),
-                    Value::Date(Date::from_ymd(
-                        rng.gen_range(1988..1994),
-                        rng.gen_range(1..=12),
-                        1,
-                    )),
-                    Value::Ref(Oid::new(ids.department, rng.gen_range(0..n_dept) as u32)),
-                    Value::Ref(Oid::new(ids.job, rng.gen_range(0..n_job) as u32)),
-                ],
-            )
-        })
-        .collect();
-    store.insert_objects(ids.employee, emps, 250);
+                pick(&mut rng, &employee_names)
+            }
+        } else {
+            pick(&mut rng, &person_names)
+        };
+        [
+            name,
+            Value::Int(rng.gen_range(18..70)),
+            Value::Int(rng.gen_range(20_000..150_000)),
+            Value::Date(Date::from_ymd(
+                rng.gen_range(1988..1994),
+                rng.gen_range(1..=12),
+                1,
+            )),
+            Value::Ref(Oid::new(ids.department, rng.gen_range(0..n_dept) as u32)),
+            Value::Ref(Oid::new(ids.job, rng.gen_range(0..n_job) as u32)),
+        ]
+    });
+    store.insert_columns(ids.employee, n_emp_extent as usize, emps, 250);
 
     // --- Tasks -----------------------------------------------------------------
     let n_task_extent = card(ids.task_extent);
     let avg_team = AVG_TEAM_MEMBERS as usize;
-    let tasks: Vec<Object> = (0..n_task_extent)
-        .map(|i| {
-            let k = rng.gen_range(1..=2 * avg_team); // mean = avg_team + 0.5
-            let mut team: Vec<Oid> = (0..k)
-                .map(|_| Oid::new(ids.employee, rng.gen_range(0..n_emp_set) as u32))
-                .collect();
-            team.sort_unstable();
-            team.dedup();
-            Object::new(
-                Oid::new(ids.task, i as u32),
-                vec![
-                    Value::str(&format!("task-{i}")),
-                    Value::Int(times[rng.gen_range(0..times.len())]),
-                    Value::RefSet(team.into()),
-                ],
-            )
-        })
-        .collect();
-    store.insert_objects(ids.task, tasks, 120);
+    let tasks = columns(n_task_extent, |i| {
+        let k = rng.gen_range(1..=2 * avg_team); // mean = avg_team + 0.5
+        let mut team: Vec<Oid> = (0..k)
+            .map(|_| Oid::new(ids.employee, rng.gen_range(0..n_emp_set) as u32))
+            .collect();
+        team.sort_unstable();
+        team.dedup();
+        [
+            Value::str(&format!("task-{i}")),
+            Value::Int(times[rng.gen_range(0..times.len())]),
+            Value::RefSet(team.into()),
+        ]
+    });
+    store.insert_columns(ids.task, n_task_extent as usize, tasks, 120);
 
     // --- Collection membership (dense prefixes) ----------------------------------
     let dense =
@@ -409,8 +374,7 @@ mod tests {
         let (a, _) = generate_paper_db(GenConfig::small());
         let (b, _) = generate_paper_db(GenConfig::small());
         let ids = paper_model_scaled(100).ids;
-        let oid = Oid::new(ids.city, 3);
-        assert_eq!(a.object(oid), b.object(oid));
+        assert_eq!(a.objects_of(ids.city).nth(3), b.objects_of(ids.city).nth(3));
     }
 
     #[test]

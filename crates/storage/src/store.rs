@@ -12,6 +12,7 @@
 use crate::disk::PageId;
 use crate::index::BuiltIndex;
 use oodb_object::{Catalog, CollectionId, FieldId, IndexId, Object, Oid, Schema, TypeId, Value};
+use std::sync::Arc;
 
 /// "No slot" marker in the dense `[type][field]` layout table.
 const NO_SLOT: u32 = u32::MAX;
@@ -74,13 +75,24 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+/// The instances of one type, column-major: one value vector per field
+/// slot, each in OID order. Columns never change after the insert that
+/// made them, so a cloned store shares them — the `Arc` wraps the very
+/// vector the loader filled, because copying it into an `Arc<[Value]>`
+/// showed in set-up time at 1/100 scale.
+#[derive(Clone, Debug)]
+struct Columns {
+    population: usize,
+    by_slot: Vec<Arc<Vec<Value>>>,
+}
+
 /// The in-memory database: schema + catalog + objects + indexes.
 #[derive(Clone, Debug)]
 pub struct Store {
     schema: Schema,
     catalog: Catalog,
-    /// Objects per type, indexed by `TypeId`, packed in OID order.
-    objects: Vec<Vec<Object>>,
+    /// Field columns per type, indexed by `TypeId`.
+    columns: Vec<Columns>,
     regions: Vec<Option<Region>>,
     /// Collection membership in storage order, indexed by `CollectionId`.
     members: Vec<Vec<Oid>>,
@@ -111,15 +123,21 @@ impl Store {
         let n_types = schema.type_count();
         let n_colls = catalog.collections().count();
         let mut slots = vec![vec![NO_SLOT; schema.field_count()]; n_types];
+        let mut columns = Vec::with_capacity(n_types);
         for (ty, _) in schema.types() {
-            for (slot, f) in schema.fields_of(ty).into_iter().enumerate() {
+            let fields = schema.fields_of(ty);
+            for (slot, f) in fields.iter().enumerate() {
                 slots[ty.index()][f.index()] = slot as u32;
             }
+            columns.push(Columns {
+                population: 0,
+                by_slot: fields.iter().map(|_| Arc::default()).collect(),
+            });
         }
         Store {
             schema,
             catalog,
-            objects: vec![Vec::new(); n_types],
+            columns,
             regions: vec![None; n_types],
             members: vec![Vec::new(); n_colls],
             indexes: Vec::new(),
@@ -186,25 +204,56 @@ impl Store {
 
     /// Bulk-inserts the instances of one type, packing them into a fresh
     /// page region at `obj_bytes` per object. Objects must arrive in OID
-    /// order starting at sequence 0. Panics on a second insert for a type.
+    /// order starting at sequence 0, each with one value per field of the
+    /// type's layout. Panics on a second insert for a type.
     pub fn insert_objects(&mut self, ty: TypeId, objs: Vec<Object>, obj_bytes: u32) {
+        let (width, population) = (self.columns[ty.index()].by_slot.len(), objs.len());
+        let mut columns: Vec<Vec<Value>> =
+            (0..width).map(|_| Vec::with_capacity(population)).collect();
+        for (i, o) in objs.into_iter().enumerate() {
+            assert_eq!(o.oid, Oid::new(ty, i as u32), "objects must be dense");
+            assert_eq!(o.slots.len(), width, "{:?} does not fit its type", o.oid);
+            for (column, value) in columns.iter_mut().zip(o.slots) {
+                column.push(value);
+            }
+        }
+        self.insert_columns(ty, population, columns, obj_bytes);
+    }
+
+    /// [`Store::insert_objects`] for a caller that already holds the
+    /// `population` instances column-major: one value vector per field of
+    /// the type's layout, each holding every instance's value in OID
+    /// order.
+    pub fn insert_columns(
+        &mut self,
+        ty: TypeId,
+        population: usize,
+        columns: Vec<Vec<Value>>,
+        obj_bytes: u32,
+    ) {
         assert!(
             self.regions[ty.index()].is_none(),
             "type {} already populated",
             self.schema.ty(ty).name
         );
-        for (i, o) in objs.iter().enumerate() {
-            assert_eq!(o.oid, Oid::new(ty, i as u32), "objects must be dense");
-        }
+        let own = &mut self.columns[ty.index()];
+        assert_eq!(columns.len(), own.by_slot.len(), "one column per field");
+        assert!(
+            columns.iter().all(|c| c.len() == population),
+            "every column holds the whole population"
+        );
         let per_page = (4096 / obj_bytes.max(1)).max(1);
-        let pages = (objs.len() as u64).div_ceil(per_page as u64);
+        let pages = (population as u64).div_ceil(per_page as u64);
         self.regions[ty.index()] = Some(Region {
             first_page: self.next_page,
             objs_per_page: per_page,
             obj_bytes,
         });
         self.next_page += pages.max(1);
-        self.objects[ty.index()] = objs;
+        *own = Columns {
+            population,
+            by_slot: columns.into_iter().map(Arc::new).collect(),
+        };
     }
 
     /// Whether a type already owns a storage region (a second
@@ -226,10 +275,23 @@ impl Store {
         self.regions.get(ty.index())?.map(|r| r.first_page)
     }
 
-    /// All stored instances of a type, in OID order. Empty for
-    /// unpopulated types.
-    pub fn objects_of(&self, ty: TypeId) -> &[Object] {
-        &self.objects[ty.index()]
+    /// All stored instances of a type as owned rows, in OID order — what
+    /// checkpoints and the page codec exchange. Empty for unpopulated
+    /// types.
+    pub fn objects_of(&self, ty: TypeId) -> impl Iterator<Item = Object> + '_ {
+        let own = &self.columns[ty.index()];
+        (0..own.population).map(move |seq| {
+            let slots = own.by_slot.iter().map(|column| column[seq].clone());
+            Object::new(Oid::new(ty, seq as u32), slots.collect())
+        })
+    }
+
+    /// One field of every instance of exact type `ty`, in OID order: the
+    /// value of object `seq` is element `seq`. Empty for unpopulated
+    /// types.
+    pub fn try_column(&self, ty: TypeId, field: FieldId) -> Result<&[Value], StoreError> {
+        let slot = self.try_slot(ty, field)?;
+        Ok(&self.columns[ty.index()].by_slot[slot])
     }
 
     /// Sets a collection's membership (storage order).
@@ -242,26 +304,9 @@ impl Store {
         &self.members[coll.index()]
     }
 
-    /// Dereferences an OID. Panics on dangling references — the generator
-    /// never produces them; recovery-sensitive callers use
-    /// [`Store::try_object`] instead.
-    pub fn object(&self, oid: Oid) -> &Object {
-        self.try_object(oid)
-            .unwrap_or_else(|e| panic!("{e} (dangling reference)"))
-    }
-
-    /// Dereferences an OID, reporting dangling references as a typed
-    /// error instead of panicking.
-    pub fn try_object(&self, oid: Oid) -> Result<&Object, StoreError> {
-        self.objects
-            .get(oid.type_id().index())
-            .and_then(|objs| objs.get(oid.seq() as usize))
-            .ok_or(StoreError::UnknownOid(oid))
-    }
-
     /// Number of stored instances of a type.
     pub fn population(&self, ty: TypeId) -> usize {
-        self.objects[ty.index()].len()
+        self.columns[ty.index()].population
     }
 
     /// The page an object lives on. Panics when the type was never
@@ -308,14 +353,8 @@ impl Store {
         Ok((r.first_page + u64::from(page), run))
     }
 
-    /// Slot index of `field` on objects of exact type `ty`.
-    pub fn slot(&self, ty: TypeId, field: FieldId) -> usize {
-        self.try_slot(ty, field)
-            .unwrap_or_else(|_| panic!("field not on type {}", self.schema.ty(ty).name))
-    }
-
-    /// Slot index of `field` on `ty`, reporting a layout mismatch as a
-    /// typed error instead of panicking.
+    /// Slot index of `field` on objects of exact type `ty`; a field the
+    /// type's layout does not hold is a typed error.
     pub fn try_slot(&self, ty: TypeId, field: FieldId) -> Result<usize, StoreError> {
         match self
             .slots
@@ -328,21 +367,25 @@ impl Store {
     }
 
     /// Reads a field of an object (by the object's exact type layout).
+    /// Panics on dangling references and layout mismatches — the
+    /// generator never produces them; recovery-sensitive callers use
+    /// [`Store::try_read_field`].
     pub fn read_field(&self, oid: Oid, field: FieldId) -> &Value {
-        let obj = self.object(oid);
-        obj.slot(self.slot(oid.type_id(), field))
+        self.try_read_field(oid, field)
+            .unwrap_or_else(|e| panic!("{e} (reading a field)"))
     }
 
     /// Reads a field of an object, reporting dangling OIDs and layout
     /// mismatches as typed errors instead of panicking. Recovery-sensitive
     /// executor paths and WAL replay route through this.
     pub fn try_read_field(&self, oid: Oid, field: FieldId) -> Result<&Value, StoreError> {
-        let obj = self.try_object(oid)?;
-        let slot = self.try_slot(oid.type_id(), field)?;
-        obj.slots.get(slot).ok_or(StoreError::UnknownField {
-            ty: oid.type_id(),
-            field,
-        })
+        let (ty, seq) = (oid.type_id(), oid.seq() as usize);
+        let own = self
+            .columns
+            .get(ty.index())
+            .filter(|own| seq < own.population)
+            .ok_or(StoreError::UnknownOid(oid))?;
+        Ok(&own.by_slot[self.try_slot(ty, field)?][seq])
     }
 
     /// Follows a reference path from `oid` (all links single-valued) and
@@ -563,6 +606,87 @@ mod tests {
         let (store, t, _) = tiny();
         let x = store.schema().field_by_name(t, "x").unwrap();
         assert_eq!(store.read_field(Oid::new(t, 8), x), &Value::Int(1));
+    }
+
+    /// A dangling oid is reported before a field its type does not have,
+    /// whichever way the oid dangles; a column is per exact type.
+    #[test]
+    fn unknown_oid_is_reported_before_unknown_field() {
+        let (store, model) = crate::generate_paper_db(crate::GenConfig::small());
+        let ids = &model.ids;
+        let (city, floor) = (Oid::new(ids.city, 0), ids.dept_floor);
+        assert_eq!(
+            store.try_read_field(city, floor),
+            Err(StoreError::UnknownField {
+                ty: ids.city,
+                field: floor
+            })
+        );
+        let past = Oid::new(ids.city, store.population(ids.city) as u32);
+        let nowhere = Oid::new(TypeId::from_index(store.schema().type_count()), 0);
+        for ghost in [past, nowhere] {
+            for field in [ids.city_name, floor] {
+                assert_eq!(
+                    store.try_read_field(ghost, field),
+                    Err(StoreError::UnknownOid(ghost))
+                );
+            }
+        }
+        // An inherited field has a column of its own on the subtype.
+        let names = store.try_column(ids.employee, ids.person_name).unwrap();
+        assert_eq!(names.len(), store.population(ids.employee));
+        let some = Oid::new(ids.employee, 7);
+        assert_eq!(&names[7], store.read_field(some, ids.person_name));
+        assert!(store.try_column(ids.person, ids.emp_dept).is_err());
+        assert!(store.try_column(nowhere.type_id(), ids.city_name).is_err());
+    }
+
+    /// Rows in, rows out: every type of the paper database survives
+    /// `insert_objects` → `objects_of` bit for bit, on the page geometry
+    /// it had.
+    #[test]
+    fn rows_round_trip_through_the_columns() {
+        let (store, model) = crate::generate_paper_db(crate::GenConfig::small());
+        let mut again = Store::new(model.schema.clone(), model.catalog.clone());
+        let encoded = |rows: &[Object]| {
+            let mut bytes = Vec::new();
+            for row in rows {
+                crate::codec::encode_object(row, &mut bytes);
+            }
+            bytes
+        };
+        // Pages are handed out in insert order, so replay it.
+        let mut types: Vec<TypeId> = model.schema.types().map(|(ty, _)| ty).collect();
+        types.retain(|&ty| store.has_region(ty));
+        types.sort_by_key(|&ty| store.region_first_page(ty));
+        assert_eq!(types.len(), 10);
+        for ty in types {
+            let name = &model.schema.ty(ty).name;
+            let rows: Vec<Object> = store.objects_of(ty).collect();
+            assert_eq!(rows.len(), store.population(ty), "{name}");
+            for row in &rows {
+                for (slot, field) in model.schema.fields_of(ty).into_iter().enumerate() {
+                    assert_eq!(&row.slots[slot], store.read_field(row.oid, field));
+                }
+            }
+            let obj_bytes = store.region_obj_bytes(ty).expect("has a region");
+            again.insert_objects(ty, rows.clone(), obj_bytes);
+            let back: Vec<Object> = again.objects_of(ty).collect();
+            assert_eq!(encoded(&back), encoded(&rows), "{name}");
+            assert_eq!(
+                again.region_first_page(ty),
+                store.region_first_page(ty),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit its type")]
+    fn a_row_with_a_slot_missing_is_refused() {
+        let (full, t, _) = tiny();
+        let mut store = Store::new(full.schema().clone(), Catalog::new());
+        store.insert_objects(t, vec![Object::new(Oid::new(t, 0), vec![])], 400);
     }
 
     #[test]

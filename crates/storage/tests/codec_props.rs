@@ -88,11 +88,8 @@ fn pages_survive_a_trip_through_a_file() {
     use std::io::{Read as _, Write as _};
 
     let (store, model) = generate_paper_db(GenConfig::small());
-    let objs: Vec<Object> = store
-        .members(model.ids.cities)
-        .iter()
-        .map(|&o| store.object(o).clone())
-        .collect();
+    let objs: Vec<Object> = store.objects_of(model.ids.city).collect();
+    assert_eq!(objs.len(), store.members(model.ids.cities).len());
     let pages = pack_collection(objs.iter()).unwrap();
 
     let path = std::env::temp_dir().join("oodb_codec_roundtrip.pages");

@@ -40,6 +40,9 @@ pub enum ApplyError {
     TypeAlreadyPopulated(TypeId),
     /// `InsertObjects` payload was not dense in OID order.
     NotDense,
+    /// An `InsertObjects` object did not hold one value per field of its
+    /// type's layout.
+    ObjectShape(oodb_object::Oid),
     /// `SetMembers` named a collection outside the catalog.
     UnknownCollection(u32),
     /// `SetCatalog` changed the collection count (the store's membership
@@ -63,6 +66,7 @@ impl std::fmt::Display for ApplyError {
             ApplyError::UnknownType(t) => write!(f, "insert for unknown type {t:?}"),
             ApplyError::TypeAlreadyPopulated(t) => write!(f, "type {t:?} already populated"),
             ApplyError::NotDense => write!(f, "insert payload not dense in oid order"),
+            ApplyError::ObjectShape(oid) => write!(f, "{oid:?} does not fit its type's layout"),
             ApplyError::UnknownCollection(c) => write!(f, "unknown collection index {c}"),
             ApplyError::CatalogShape { have, got } => {
                 write!(f, "catalog reshapes collections ({have} -> {got})")
@@ -117,9 +121,13 @@ pub fn apply_to(store: &mut Store, rec: &WalRecord) -> Result<(), ApplyError> {
             if store.has_region(*ty) {
                 return Err(ApplyError::TypeAlreadyPopulated(*ty));
             }
+            let fields = store.schema().fields_of(*ty).len();
             for (i, o) in objects.iter().enumerate() {
                 if o.oid != oodb_object::Oid::new(*ty, i as u32) {
                     return Err(ApplyError::NotDense);
+                }
+                if o.slots.len() != fields {
+                    return Err(ApplyError::ObjectShape(o.oid));
                 }
             }
             store.insert_objects(*ty, objects.clone(), *obj_bytes);
@@ -174,7 +182,7 @@ pub fn checkpoint_records(store: &Store) -> Vec<WalRecord> {
         recs.push(WalRecord::InsertObjects {
             ty,
             obj_bytes: store.region_obj_bytes(ty).expect("has_region"),
-            objects: store.objects_of(ty).to_vec(),
+            objects: store.objects_of(ty).collect(),
         });
     }
     for (coll, _) in store.catalog().collections() {
@@ -209,7 +217,7 @@ pub fn store_digest(store: &Store) -> u64 {
         eat(&(store.population(ty) as u64).to_le_bytes());
         for obj in store.objects_of(ty) {
             scratch.clear();
-            oodb_storage::codec::encode_object(obj, &mut scratch);
+            oodb_storage::codec::encode_object(&obj, &mut scratch);
             eat(&scratch);
         }
     }
@@ -619,6 +627,18 @@ mod tests {
             apply_record(&mut slot, &recs[1]).unwrap_err(),
             ApplyError::TypeAlreadyPopulated(_)
         ));
+        // So is a row with a slot missing: the store is column-major and
+        // has nowhere to put it.
+        let mut short = recs[2].clone();
+        let WalRecord::InsertObjects { objects, .. } = &mut short else {
+            panic!("a checkpoint opens with its inserts");
+        };
+        objects[1].slots.pop();
+        let oid = objects[1].oid;
+        assert_eq!(
+            apply_record(&mut slot, &short).unwrap_err(),
+            ApplyError::ObjectShape(oid)
+        );
     }
 
     #[test]
