@@ -151,7 +151,7 @@ WHERE EXISTS (SELECT m FROM m IN t.team_members() WHERE m.age() >= 0)"#;
         );
         let opt = OpenOodb::with_config(&q.env, OptimizerConfig::all_rules());
         let (_, trace) = opt
-            .optimize_traced(&q.plan, q.result_vars)
+            .optimize_traced(&q.plan, q.result_vars, None)
             .expect("traced plan");
         println!("Actual goal decomposition recorded by the search engine:");
         for line in &trace {

@@ -885,7 +885,7 @@ impl Shell {
     fn trace(&self, src: &str) {
         let Some(q) = self.compile(src) else { return };
         let optimizer = OpenOodb::with_config(&q.env, self.svc.config());
-        match optimizer.optimize_traced(&q.plan, q.result_vars) {
+        match optimizer.optimize_traced(&q.plan, q.result_vars, q.order) {
             Some((out, lines)) => {
                 for l in &lines {
                     println!("  {l}");

@@ -61,6 +61,28 @@ EXPLAIN SELECT c FROM City c IN Cities WHERE c.mayor().name() == "Joe";
     assert!(first < second, "order of plans:\n{out}");
 }
 
+/// `\trace` traces the search `EXPLAIN` reports and the service runs:
+/// the query's `ORDER BY` is a goal of it, so both name one winner cost.
+#[test]
+fn trace_searches_for_the_order_explain_does() {
+    let q = "SELECT c FROM c IN Cities WHERE c.population() >= 1000 ORDER BY c.population();";
+    let out = run_shell(&format!("EXPLAIN {q}\n\\trace {q}\n\\q\n"));
+    let after = |marker: &str| {
+        let at = out
+            .find(marker)
+            .unwrap_or_else(|| panic!("{marker:?} in:\n{out}"));
+        let rest = &out[at + marker.len()..];
+        rest[..rest.find(" s").expect("a cost in seconds")].to_string()
+    };
+    assert!(out.contains("Sort by c.population"), "{out}");
+    assert!(out.contains("ordered by c.population"), "{out}");
+    assert_eq!(
+        after("Optimal plan (estimated "),
+        after("winner estimated at "),
+        "{out}"
+    );
+}
+
 /// `\rules` is the one switch of every rule it lists, the one rule that
 /// is off by default included.
 #[test]

@@ -136,10 +136,41 @@ impl<'e> OpenOodb<'e> {
         order: Option<oodb_algebra::SortSpec>,
         deadline: Option<std::time::Instant>,
     ) -> BoundedOutcome {
+        self.search(plan, result_vars, order, deadline, false).0
+    }
+
+    /// Like [`OpenOodb::optimize_ordered`], additionally returning a
+    /// rendered goal-level search trace — the live version of the paper's
+    /// Figure 11 "search state" view. Each line shows the goal's required
+    /// physical properties against the logical expression being
+    /// implemented, and which rule or enforcer won it.
+    pub fn optimize_traced(
+        &self,
+        plan: &LogicalPlan,
+        result_vars: VarSet,
+        order: Option<oodb_algebra::SortSpec>,
+    ) -> Option<(OptimizeOutcome, Vec<String>)> {
+        match self.search(plan, result_vars, order, None, true) {
+            (BoundedOutcome::Complete(out), lines) => Some((*out, lines)),
+            _ => None,
+        }
+    }
+
+    /// The one search every entry point runs: seed the memo, search for
+    /// the root goal, annotate and verify the winner. With `trace`, also
+    /// the goals it opened and solved, one rendered line each.
+    fn search(
+        &self,
+        plan: &LogicalPlan,
+        result_vars: VarSet,
+        order: Option<oodb_algebra::SortSpec>,
+        deadline: Option<std::time::Instant>,
+        trace: bool,
+    ) -> (BoundedOutcome, Vec<String>) {
         let search = SearchConfig {
             prune: self.model.config.prune,
             deadline,
-            ..Default::default()
+            trace,
         };
         let mut opt = Optimizer::new(&self.model, &self.rules, search);
         let root = seed(&mut opt.memo, &self.model, plan);
@@ -147,12 +178,15 @@ impl<'e> OpenOodb<'e> {
             in_memory: self.model.objify(result_vars),
             order,
         };
-        let Some(node) = opt.run(root, props) else {
-            return if opt.stats.deadline_hit {
+        let winner = opt.run(root, props);
+        let lines = self.render_trace(&opt);
+        let Some(node) = winner else {
+            let why = if opt.stats.deadline_hit {
                 BoundedOutcome::DeadlineExpired
             } else {
                 BoundedOutcome::Infeasible
             };
+            return (why, lines);
         };
         let cost = node.total_cost();
         let plan = merge_assemblies(self.annotate(&node));
@@ -160,34 +194,17 @@ impl<'e> OpenOodb<'e> {
         if self.model.config.verify_search {
             diagnostics.extend(verify_search_space(&opt.memo, self.model.env));
         }
-        BoundedOutcome::Complete(Box::new(OptimizeOutcome {
+        let outcome = OptimizeOutcome {
             plan,
             cost,
             stats: opt.stats,
             diagnostics,
-        }))
+        };
+        (BoundedOutcome::Complete(Box::new(outcome)), lines)
     }
 
-    /// Like [`OpenOodb::optimize`], additionally returning a rendered
-    /// goal-level search trace — the live version of the paper's Figure 11
-    /// "search state" view. Each line shows the goal's required physical
-    /// properties against the logical expression being implemented, and
-    /// which rule or enforcer won it.
-    pub fn optimize_traced(
-        &self,
-        plan: &LogicalPlan,
-        result_vars: VarSet,
-    ) -> Option<(OptimizeOutcome, Vec<String>)> {
-        let search = SearchConfig {
-            prune: self.model.config.prune,
-            trace: true,
-            ..Default::default()
-        };
-        let mut opt = Optimizer::new(&self.model, &self.rules, search);
-        let root = seed(&mut opt.memo, &self.model, plan);
-        let props = PhysProps::in_memory(self.model.objify(result_vars));
-        let node = opt.run(root, props)?;
-        let cost = node.total_cost();
+    /// One line per goal event a traced search recorded.
+    fn render_trace(&self, opt: &Optimizer<'_, OodbModel<'e>>) -> Vec<String> {
         let env = self.model.env;
         let render_props = |p: &PhysProps| -> String {
             let vars: Vec<String> = p
@@ -195,56 +212,44 @@ impl<'e> OpenOodb<'e> {
                 .iter()
                 .map(|v| env.scopes.var(v).label.clone())
                 .collect();
-            if vars.is_empty() {
+            let mut text = if vars.is_empty() {
                 "{}".to_string()
             } else {
                 format!("{{{}}} in memory", vars.join(", "))
+            };
+            if let Some(key) = p.order {
+                let (var, field) = (env.scopes.var(key.var), env.schema.field(key.field));
+                text += &format!(" ordered by {}.{}", var.label, field.name);
             }
+            text
         };
-        let lines = opt
-            .trace
-            .iter()
-            .map(|ev| match ev {
-                volcano::TraceEvent::GoalOpened {
-                    group,
-                    props,
-                    depth,
-                } => {
-                    let anchor = opt.memo.group_exprs(*group)[0];
-                    format!(
-                        "{}goal: {} requiring {}",
-                        "  ".repeat(*depth),
-                        oodb_algebra::display::render_logical_op(env, &opt.memo.expr(anchor).op),
-                        render_props(props),
-                    )
-                }
-                volcano::TraceEvent::GoalSolved {
-                    depth,
-                    winner,
-                    cost,
-                    ..
-                } => match (winner, cost) {
-                    (Some(rule), Some(c)) => {
-                        format!("{}  -> won by {rule} ({c:.3} s)", "  ".repeat(*depth))
-                    }
-                    _ => format!("{}  -> infeasible", "  ".repeat(*depth)),
-                },
-            })
-            .collect();
-        let plan = merge_assemblies(self.annotate(&node));
-        let mut diagnostics = oodb_verify::verify_physical(self.model.env, &plan, props);
-        if self.model.config.verify_search {
-            diagnostics.extend(verify_search_space(&opt.memo, self.model.env));
-        }
-        Some((
-            OptimizeOutcome {
-                plan,
+        let lines = opt.trace.iter().map(|ev| match ev {
+            volcano::TraceEvent::GoalOpened {
+                group,
+                props,
+                depth,
+            } => {
+                let anchor = opt.memo.group_exprs(*group)[0];
+                format!(
+                    "{}goal: {} requiring {}",
+                    "  ".repeat(*depth),
+                    oodb_algebra::display::render_logical_op(env, &opt.memo.expr(anchor).op),
+                    render_props(props),
+                )
+            }
+            volcano::TraceEvent::GoalSolved {
+                depth,
+                winner,
                 cost,
-                stats: opt.stats,
-                diagnostics,
+                ..
+            } => match (winner, cost) {
+                (Some(rule), Some(c)) => {
+                    format!("{}  -> won by {rule} ({c:.3} s)", "  ".repeat(*depth))
+                }
+                _ => format!("{}  -> infeasible", "  ".repeat(*depth)),
             },
-            lines,
-        ))
+        });
+        lines.collect()
     }
 
     /// Explores the memo without optimizing and returns every logical
@@ -272,31 +277,7 @@ impl<'e> OpenOodb<'e> {
     /// Converts a search-engine plan into an annotated [`PhysicalPlan`],
     /// recomputing per-node cardinalities through the shared estimator.
     pub(crate) fn annotate(&self, node: &PlanNode<OodbModel<'e>>) -> PhysicalPlan {
-        let (plan, _) = self.annotate_rec(node);
-        plan
-    }
-
-    fn annotate_rec(&self, node: &PlanNode<OodbModel<'e>>) -> (PhysicalPlan, LogicalProps) {
-        let mut children = Vec::with_capacity(node.children.len());
-        let mut input_props = Vec::with_capacity(node.children.len());
-        for c in &node.children {
-            let (p, lp) = self.annotate_rec(c);
-            children.push(p);
-            input_props.push(lp);
-        }
-        let (props, cost) = self.model.phys_estimate(&node.op, &input_props);
-        (
-            PhysicalPlan {
-                op: node.op.clone(),
-                children,
-                est: PlanEst {
-                    out_card: props.card,
-                    io_s: cost.io_s,
-                    cpu_s: cost.cpu_s,
-                },
-            },
-            props,
-        )
+        annotate_tree(&self.model, node, |n| (&n.op, &n.children)).0
     }
 }
 
@@ -419,26 +400,33 @@ pub fn annotate_physical(
     model: &OodbModel<'_>,
     plan: &PhysicalPlan,
 ) -> (PhysicalPlan, LogicalProps) {
-    let mut children = Vec::with_capacity(plan.children.len());
-    let mut input_props = Vec::with_capacity(plan.children.len());
-    for c in &plan.children {
-        let (p, lp) = annotate_physical(model, c);
-        children.push(p);
-        input_props.push(lp);
-    }
-    let (props, cost) = model.phys_estimate(&plan.op, &input_props);
-    (
-        PhysicalPlan {
-            op: plan.op.clone(),
-            children,
-            est: PlanEst {
-                out_card: props.card,
-                io_s: cost.io_s,
-                cpu_s: cost.cpu_s,
-            },
-        },
-        props,
-    )
+    annotate_tree(model, plan, |p| (&p.op, &p.children))
+}
+
+/// The one annotation walk. `parts` names a node's algorithm and inputs,
+/// so a plan the search engine returned and a hand-built one take it alike.
+fn annotate_tree<T>(
+    model: &OodbModel<'_>,
+    node: &T,
+    parts: fn(&T) -> (&PhysicalOp, &[T]),
+) -> (PhysicalPlan, LogicalProps) {
+    let (op, inputs) = parts(node);
+    let (children, input_props): (Vec<_>, Vec<_>) = inputs
+        .iter()
+        .map(|c| annotate_tree(model, c, parts))
+        .unzip();
+    let (props, cost) = model.phys_estimate(op, &input_props);
+    let est = PlanEst {
+        out_card: props.card,
+        io_s: cost.io_s,
+        cpu_s: cost.cpu_s,
+    };
+    let plan = PhysicalPlan {
+        op: op.clone(),
+        children,
+        est,
+    };
+    (plan, props)
 }
 
 #[cfg(test)]

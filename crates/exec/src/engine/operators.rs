@@ -284,24 +284,25 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Follows the reference `slot` names on `row`: one dereference, to
-    /// the object and the page it lives on.
-    fn deref(
+    /// Follows the reference `slot` names on each of `rows`: one
+    /// dereference a row, to the objects and the pages they live on.
+    fn deref<'r>(
         &mut self,
         slot: &Slot<'a>,
-        row: &[Oid],
+        rows: impl ExactSizeIterator<Item = &'r [Oid]>,
         what: &str,
-    ) -> Result<(Oid, PageId), ExecError> {
-        self.counts.derefs += 1;
-        let oid = slot
-            .eval(self.store, row)
-            .map_err(ExecError::Corrupt)?
-            .as_ref_oid()
+    ) -> Result<(Vec<Oid>, Vec<PageId>), ExecError> {
+        self.counts.derefs += rows.len() as u64;
+        let mut refs = Vec::with_capacity(rows.len());
+        slot.eval_each(self.store, rows, |value| refs.push(value.as_ref_oid()))
+            .map_err(ExecError::Corrupt)?;
+        let refs: Vec<Oid> = (refs.into_iter().collect::<Option<_>>())
             .ok_or_else(|| malformed(format!("{what} must hold a reference")))?;
-        Ok((
-            oid,
-            self.store.try_page_of(oid).map_err(ExecError::Corrupt)?,
-        ))
+        let pages = refs.iter().map(|&oid| self.store.try_page_of(oid));
+        let pages = pages
+            .collect::<Result<_, _>>()
+            .map_err(ExecError::Corrupt)?;
+        Ok((refs, pages))
     }
 
     /// How rows of layout `cols` refer to the `Mat` variable `target`. A
@@ -337,13 +338,7 @@ impl<'a> Executor<'a> {
         let target = bind(&mut cols, target);
         // Partition: gather all references, fetch their pages in one
         // elevator sweep, then bind.
-        let mut refs = Vec::with_capacity(input.len());
-        let mut pages = Vec::with_capacity(input.len());
-        for row in input.rows() {
-            let (oid, page) = self.deref(&slot, row, "reference operand")?;
-            refs.push(oid);
-            pages.push(page);
-        }
+        let (refs, pages) = self.deref(&slot, input.rows(), "reference operand")?;
         self.touch_elevator(&pages)?;
         let mut out = Batch::new(cols.len());
         for (row, oid) in input.rows().zip(refs) {
@@ -381,13 +376,7 @@ impl<'a> Executor<'a> {
             self.checkpoint()?;
             // Open a window of references, fetch its pages in one elevator
             // sweep, resolve, slide on.
-            let mut refs = Vec::with_capacity(window.min(input.len()));
-            let mut pages = Vec::with_capacity(refs.capacity());
-            for row in rows.chunks_exact(input.width) {
-                let (oid, page) = self.deref(&slot, row, "Mat field")?;
-                refs.push(oid);
-                pages.push(page);
-            }
+            let (refs, pages) = self.deref(&slot, rows.chunks_exact(input.width), "Mat field")?;
             if window == 1 {
                 self.touch(pages[0])?;
             } else {
@@ -421,8 +410,9 @@ impl<'a> Executor<'a> {
         let mut out = Batch::new(cols.len());
         for rows in input.data.chunks(BATCH_ROWS * input.width) {
             self.checkpoint()?;
-            for row in rows.chunks_exact(input.width) {
-                let (oid, page) = self.deref(&slot, row, "Mat field")?;
+            let rows = rows.chunks_exact(input.width);
+            let (refs, pages) = self.deref(&slot, rows.clone(), "Mat field")?;
+            for ((row, oid), page) in rows.zip(refs).zip(pages) {
                 // The referenced page is (almost certainly) resident now;
                 // touching it records the buffer hit honestly.
                 self.touch(page)?;

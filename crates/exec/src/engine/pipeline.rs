@@ -53,11 +53,16 @@ impl<'a> Stage<'a> {
                 Ok(input)
             }
             Stage::Unnest { src, field, out } => {
+                let sets = Slot::Field {
+                    col: *src,
+                    field: *field,
+                };
+                let sets = sets
+                    .values(store, input.rows())
+                    .map_err(ExecError::Corrupt)?;
                 let mut unnested = Batch::new(input.width.max(out + 1));
-                for row in input.rows() {
-                    let set = store
-                        .try_read_field(row[*src], *field)
-                        .map_err(ExecError::Corrupt)?
+                for (row, set) in input.rows().zip(&sets) {
+                    let set = set
                         .as_ref_set()
                         .ok_or_else(|| malformed("unnest field must be set-valued"))?;
                     counts.tuples += set.len() as u64;

@@ -326,7 +326,8 @@ mod tests {
     }
 
     fn mixed() -> Mixed {
-        use oodb_object::{AttrType, Catalog, FieldKind, Object, Schema};
+        use oodb_object::{AttrType, Catalog, FieldKind, Schema};
+        use oodb_storage::datagen::columns;
         const TWO: Value = Value::Int(2);
         let mut b = Schema::builder();
         let base = b.add_type("Base", None);
@@ -339,7 +340,7 @@ mod tests {
         let mut store = Store::new(b.build(), Catalog::new());
         let row = |ty, i: u32| {
             let other = if i.is_multiple_of(3) { derived } else { base };
-            vec![
+            [
                 match i % 4 {
                     0 => Value::Null,
                     1 => Value::Int(i64::from(i / 8)),
@@ -355,14 +356,12 @@ mod tests {
                 Value::RefSet((0..i % 3).map(|k| Oid::new(ty, k)).collect()),
             ]
         };
-        let bases = (0..40).map(|i| Object::new(Oid::new(base, i), row(base, i)));
-        store.insert_objects(base, bases.collect(), 100);
-        let deriveds = (0..25).map(|i| {
-            let mut slots = row(derived, i + 1);
-            slots.push(Value::Int(i64::from(i)));
-            Object::new(Oid::new(derived, i), slots)
+        store.insert_columns(base, 40, columns(40, |i| row(base, i as u32)), 100);
+        let deriveds = columns(25, |i| {
+            let [n, tag, peer, set] = row(derived, i as u32 + 1);
+            [n, tag, peer, set, Value::Int(i as i64)]
         });
-        store.insert_objects(derived, deriveds.collect(), 100);
+        store.insert_columns(derived, 25, deriveds, 100);
         let members = (0..60).map(|i| match i % 3 {
             0 => Oid::new(derived, i / 3),
             _ => Oid::new(base, i - i / 3 - 1),

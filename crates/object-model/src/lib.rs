@@ -3,8 +3,7 @@
 //! This crate implements the data-model substrate of the Open OODB query
 //! optimizer reproduction (Blakeley, McKenna, Graefe; SIGMOD 1993):
 //!
-//! * **Object identity** ([`Oid`]) and typed object values ([`Value`],
-//!   [`Object`]).
+//! * **Object identity** ([`Oid`]) and typed field values ([`Value`]).
 //! * **Schema** ([`Schema`], [`TypeDef`], [`FieldDef`]): user-defined types
 //!   with single inheritance, embedded attributes (record-field-like values
 //!   that never need explicit materialization), single-valued inter-object
@@ -35,4 +34,4 @@ pub use catalog::{
 pub use oid::Oid;
 pub use schema::{AttrType, FieldDef, FieldId, FieldKind, Schema, TypeDef, TypeId};
 pub use stats::Histogram;
-pub use value::{Date, Object, Value};
+pub use value::{Date, Value};

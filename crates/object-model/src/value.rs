@@ -1,4 +1,4 @@
-//! Runtime values and objects.
+//! Runtime values.
 
 use crate::oid::Oid;
 use std::fmt;
@@ -306,23 +306,6 @@ impl fmt::Display for Value {
         let mut text = String::new();
         self.write_to(&mut text);
         f.write_str(&text)
-    }
-}
-
-/// An object: identity plus one value per field slot, laid out per
-/// [`crate::Schema::fields_of`].
-#[derive(Clone, Debug, PartialEq)]
-pub struct Object {
-    /// The object's identity.
-    pub oid: Oid,
-    /// Field slots in layout order.
-    pub slots: Vec<Value>,
-}
-
-impl Object {
-    /// Creates an object with the given identity and slots.
-    pub fn new(oid: Oid, slots: Vec<Value>) -> Self {
-        Object { oid, slots }
     }
 }
 

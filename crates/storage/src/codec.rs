@@ -1,20 +1,11 @@
-//! On-disk page format: slotted 4 KB pages with a binary object codec.
-//!
-//! The simulator's cost accounting works on page *numbers*; this module
-//! supplies the byte-level reality underneath — the format a persistent
-//! Open OODB store would actually write. Objects serialize to a compact
-//! tagged binary encoding and pack into slotted pages (slot directory at
-//! the front, object bytes growing from the back), the classic layout.
-//!
-//! Used by the persistence round-trip tests and by
-//! [`pack_collection`]/[`unpack_pages`] for anyone exporting a generated
-//! database.
+//! Binary value codec: the compact tagged encoding the write-ahead log
+//! writes a field value in — a column of an insert record, a histogram
+//! bound of a catalog. Decoding is total: a count is taken from the input
+//! before anything is allocated for it, and malformed bytes are a typed
+//! error.
 
-use oodb_object::{Date, Object, Oid, Value};
+use oodb_object::{Date, Oid, Value};
 use std::sync::Arc;
-
-/// Page size in bytes (matches the cost model's 4 KB).
-pub const PAGE_BYTES: usize = 4096;
 
 /// Codec errors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -25,10 +16,6 @@ pub enum CodecError {
     BadTag(u8),
     /// String payload was not UTF-8.
     BadUtf8,
-    /// An object larger than a page cannot be stored.
-    ObjectTooLarge(usize),
-    /// Page structure inconsistent (bad slot directory).
-    CorruptPage,
 }
 
 impl std::fmt::Display for CodecError {
@@ -37,17 +24,11 @@ impl std::fmt::Display for CodecError {
             CodecError::UnexpectedEof => write!(f, "unexpected end of input"),
             CodecError::BadTag(t) => write!(f, "unknown value tag {t:#x}"),
             CodecError::BadUtf8 => write!(f, "invalid utf-8 in string payload"),
-            CodecError::ObjectTooLarge(n) => {
-                write!(f, "object of {n} bytes exceeds the {PAGE_BYTES}-byte page")
-            }
-            CodecError::CorruptPage => write!(f, "corrupt slot directory"),
         }
     }
 }
 
 impl std::error::Error for CodecError {}
-
-// ---- value encoding -------------------------------------------------------
 
 const TAG_NULL: u8 = 0x00;
 const TAG_INT: u8 = 0x01;
@@ -129,187 +110,21 @@ pub fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, CodecError> {
         ))),
         TAG_REFSET => {
             let n = u32::from_le_bytes(take(buf, pos, 4)?.try_into().unwrap()) as usize;
-            let mut set = Vec::with_capacity(n);
-            for _ in 0..n {
-                set.push(Oid::from_u64(u64::from_le_bytes(
-                    take(buf, pos, 8)?.try_into().unwrap(),
-                )));
-            }
-            Value::RefSet(set.into())
+            let members = take(buf, pos, n.saturating_mul(8))?.chunks_exact(8);
+            Value::RefSet(
+                members
+                    .map(|m| Oid::from_u64(u64::from_le_bytes(m.try_into().unwrap())))
+                    .collect(),
+            )
         }
         other => return Err(CodecError::BadTag(other)),
     })
-}
-
-/// Encodes a whole object: OID, slot count, slots.
-pub fn encode_object(obj: &Object, out: &mut Vec<u8>) {
-    out.extend_from_slice(&obj.oid.as_u64().to_le_bytes());
-    out.extend_from_slice(&(obj.slots.len() as u16).to_le_bytes());
-    for v in &obj.slots {
-        encode_value(v, out);
-    }
-}
-
-/// Decodes an object.
-pub fn decode_object(buf: &[u8], pos: &mut usize) -> Result<Object, CodecError> {
-    let oid = Oid::from_u64(u64::from_le_bytes(take(buf, pos, 8)?.try_into().unwrap()));
-    let n = u16::from_le_bytes(take(buf, pos, 2)?.try_into().unwrap()) as usize;
-    let mut slots = Vec::with_capacity(n);
-    for _ in 0..n {
-        slots.push(decode_value(buf, pos)?);
-    }
-    Ok(Object::new(oid, slots))
-}
-
-// ---- slotted pages ----------------------------------------------------------
-
-/// A slotted page: `[n_slots: u16][slot offsets: u16 × n]...free...[data]`.
-/// Object bytes grow downward from the page end; the directory grows
-/// upward from the front.
-#[derive(Clone)]
-pub struct Page {
-    buf: Box<[u8; PAGE_BYTES]>,
-    /// Start of the lowest object's bytes (free space ends here).
-    data_start: usize,
-}
-
-impl Default for Page {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Page {
-    /// An empty page.
-    pub fn new() -> Self {
-        Page {
-            buf: Box::new([0u8; PAGE_BYTES]),
-            data_start: PAGE_BYTES,
-        }
-    }
-
-    fn n_slots(&self) -> usize {
-        u16::from_le_bytes([self.buf[0], self.buf[1]]) as usize
-    }
-
-    fn set_n_slots(&mut self, n: usize) {
-        self.buf[..2].copy_from_slice(&(n as u16).to_le_bytes());
-    }
-
-    fn slot_offset(&self, i: usize) -> usize {
-        let at = 2 + 2 * i;
-        u16::from_le_bytes([self.buf[at], self.buf[at + 1]]) as usize
-    }
-
-    /// Bytes of free space remaining.
-    pub fn free(&self) -> usize {
-        self.data_start - (2 + 2 * self.n_slots())
-    }
-
-    /// Number of stored objects.
-    pub fn len(&self) -> usize {
-        self.n_slots()
-    }
-
-    /// True when no objects are stored.
-    pub fn is_empty(&self) -> bool {
-        self.n_slots() == 0
-    }
-
-    /// Tries to append an encoded object; `false` when it does not fit.
-    pub fn try_insert(&mut self, encoded: &[u8]) -> Result<bool, CodecError> {
-        if encoded.len() + 2 > PAGE_BYTES - 2 {
-            return Err(CodecError::ObjectTooLarge(encoded.len()));
-        }
-        let n = self.n_slots();
-        if self.free() < encoded.len() + 2 {
-            return Ok(false);
-        }
-        let start = self.data_start - encoded.len();
-        self.buf[start..self.data_start].copy_from_slice(encoded);
-        let dir_at = 2 + 2 * n;
-        self.buf[dir_at..dir_at + 2].copy_from_slice(&(start as u16).to_le_bytes());
-        self.set_n_slots(n + 1);
-        self.data_start = start;
-        Ok(true)
-    }
-
-    /// Decodes the `i`-th object.
-    pub fn read(&self, i: usize) -> Result<Object, CodecError> {
-        if i >= self.n_slots() {
-            return Err(CodecError::CorruptPage);
-        }
-        let mut pos = self.slot_offset(i);
-        if pos >= PAGE_BYTES {
-            return Err(CodecError::CorruptPage);
-        }
-        decode_object(&self.buf[..], &mut pos)
-    }
-
-    /// Raw page bytes (e.g. for writing to a file).
-    pub fn bytes(&self) -> &[u8; PAGE_BYTES] {
-        &self.buf
-    }
-
-    /// Reconstructs a page from raw bytes (no validation beyond reads).
-    pub fn from_bytes(bytes: [u8; PAGE_BYTES]) -> Self {
-        let p = Page {
-            buf: Box::new(bytes),
-            data_start: PAGE_BYTES,
-        };
-        // Recompute data_start from the directory for further inserts.
-        let mut start = PAGE_BYTES;
-        for i in 0..p.n_slots() {
-            start = start.min(p.slot_offset(i));
-        }
-        Page {
-            data_start: start,
-            ..p
-        }
-    }
-}
-
-/// Packs objects into as few pages as first-fit-in-order allows
-/// (preserving order — the dense packing the catalog assumes).
-pub fn pack_collection<'a>(
-    objects: impl IntoIterator<Item = &'a Object>,
-) -> Result<Vec<Page>, CodecError> {
-    let mut pages: Vec<Page> = vec![Page::new()];
-    let mut scratch = Vec::new();
-    for obj in objects {
-        scratch.clear();
-        encode_object(obj, &mut scratch);
-        let last = pages.last_mut().expect("non-empty");
-        if !last.try_insert(&scratch)? {
-            let mut fresh = Page::new();
-            if !fresh.try_insert(&scratch)? {
-                return Err(CodecError::ObjectTooLarge(scratch.len()));
-            }
-            pages.push(fresh);
-        }
-    }
-    Ok(pages)
-}
-
-/// Reads every object back out of a packed page run, in order.
-pub fn unpack_pages(pages: &[Page]) -> Result<Vec<Object>, CodecError> {
-    let mut out = Vec::new();
-    for p in pages {
-        for i in 0..p.len() {
-            out.push(p.read(i)?);
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use oodb_object::TypeId;
-
-    fn obj(seq: u32, slots: Vec<Value>) -> Object {
-        Object::new(Oid::new(TypeId::from_index(3), seq), slots)
-    }
 
     #[test]
     fn value_roundtrip_all_variants() {
@@ -342,53 +157,6 @@ mod tests {
     }
 
     #[test]
-    fn object_roundtrip() {
-        let o = obj(7, vec![Value::str("x"), Value::Int(1), Value::Null]);
-        let mut buf = Vec::new();
-        encode_object(&o, &mut buf);
-        let mut pos = 0;
-        assert_eq!(decode_object(&buf, &mut pos).unwrap(), o);
-    }
-
-    #[test]
-    fn page_packs_and_reads_back() {
-        let objs: Vec<Object> = (0..50)
-            .map(|i| {
-                obj(
-                    i,
-                    vec![Value::Int(i as i64), Value::str(&format!("name-{i}"))],
-                )
-            })
-            .collect();
-        let pages = pack_collection(objs.iter()).unwrap();
-        assert_eq!(pages.len(), 1, "50 small objects fit one page");
-        assert_eq!(unpack_pages(&pages).unwrap(), objs);
-    }
-
-    #[test]
-    fn overflow_starts_a_new_page() {
-        // ~200-byte objects: a 4 KB page fits ~19 of them.
-        let objs: Vec<Object> = (0..100)
-            .map(|i| obj(i, vec![Value::str(&"x".repeat(180)), Value::Int(i as i64)]))
-            .collect();
-        let pages = pack_collection(objs.iter()).unwrap();
-        assert!(pages.len() >= 5, "{} pages", pages.len());
-        for p in &pages {
-            assert!(!p.is_empty());
-        }
-        assert_eq!(unpack_pages(&pages).unwrap(), objs);
-    }
-
-    #[test]
-    fn oversized_object_is_rejected() {
-        let huge = obj(0, vec![Value::str(&"x".repeat(PAGE_BYTES))]);
-        assert!(matches!(
-            pack_collection(std::iter::once(&huge)),
-            Err(CodecError::ObjectTooLarge(_))
-        ));
-    }
-
-    #[test]
     fn corrupt_input_reports_errors_not_panics() {
         assert_eq!(decode_value(&[], &mut 0), Err(CodecError::UnexpectedEof));
         assert_eq!(decode_value(&[0xFF], &mut 0), Err(CodecError::BadTag(0xFF)));
@@ -402,22 +170,11 @@ mod tests {
         buf.extend_from_slice(&2u32.to_le_bytes());
         buf.extend_from_slice(&[0xFF, 0xFE]);
         assert_eq!(decode_value(&buf, &mut 0), Err(CodecError::BadUtf8));
-    }
-
-    #[test]
-    fn page_bytes_roundtrip() {
-        let objs: Vec<Object> = (0..10)
-            .map(|i| obj(i, vec![Value::Int(i as i64)]))
-            .collect();
-        let pages = pack_collection(objs.iter()).unwrap();
-        let restored = Page::from_bytes(*pages[0].bytes());
-        assert_eq!(restored.len(), 10);
-        assert_eq!(restored.read(3).unwrap(), objs[3]);
-        // And the restored page accepts further inserts.
-        let mut restored = restored;
-        let mut buf = Vec::new();
-        encode_object(&obj(99, vec![Value::Bool(true)]), &mut buf);
-        assert!(restored.try_insert(&buf).unwrap());
-        assert_eq!(restored.read(10).unwrap().oid.seq(), 99);
+        // A set claiming more members than there are bytes left is refused
+        // before anything is allocated for it.
+        let mut buf = vec![TAG_REFSET];
+        buf.extend_from_slice(&u32::MAX.to_le_bytes());
+        buf.extend_from_slice(&[0; 64]);
+        assert_eq!(decode_value(&buf, &mut 0), Err(CodecError::UnexpectedEof));
     }
 }

@@ -14,12 +14,15 @@
 //! * [`buffer`] — [`buffer::BufferPool`]: LRU page cache;
 //!   [`buffer::Io`] bundles pool + disk into the single I/O facade the
 //!   executor charges against.
-//! * [`store`] — [`store::Store`]: objects laid out densely in per-type
-//!   page regions; collections as member lists; O(1) OID dereference.
+//! * [`store`] — [`store::Store`]: one value column per field per type,
+//!   accounted as objects laid out densely in per-type page regions;
+//!   collections as member lists; O(1) OID dereference.
 //! * [`index`] — [`index::BuiltIndex`]: ordered indexes (attribute and
 //!   path) built from catalog [`oodb_object::IndexDef`]s.
 //! * [`datagen`] — synthetic database generator reproducing the paper's
 //!   Table 1 population (with a scale-down knob for fast tests).
+//! * [`codec`] — the binary encoding of a field value, which the
+//!   write-ahead log writes columns and histogram bounds in.
 
 #![forbid(unsafe_code)]
 
@@ -31,7 +34,7 @@ pub mod index;
 pub mod store;
 
 pub use buffer::{BufferPool, Io};
-pub use codec::{pack_collection, unpack_pages, CodecError, Page, PAGE_BYTES};
+pub use codec::CodecError;
 pub use datagen::{generate_paper_db, GenConfig};
 pub use disk::{Disk, DiskParams, DiskStats, PageId};
 pub use index::{BuiltIndex, OrdValue};

@@ -8,10 +8,15 @@
 //! of the region (how the generator lays them out) scans a dense prefix.
 //! Dereferencing an OID maps to an exact page in O(1) — a stored reference
 //! is literally a "goto on disk".
+//!
+//! The regions are what I/O is charged against. The values themselves are
+//! held one column per field per type ([`Store::try_column`]), the one
+//! form an object has from [`Store::insert_columns`] to the write-ahead
+//! log ([`Store::columns_of`]).
 
 use crate::disk::PageId;
 use crate::index::BuiltIndex;
-use oodb_object::{Catalog, CollectionId, FieldId, IndexId, Object, Oid, Schema, TypeId, Value};
+use oodb_object::{Catalog, CollectionId, FieldId, IndexId, Oid, Schema, TypeId, Value};
 use std::sync::Arc;
 
 /// "No slot" marker in the dense `[type][field]` layout table.
@@ -23,8 +28,8 @@ struct Region {
     first_page: PageId,
     objs_per_page: u32,
     /// The per-object byte size the region was packed at, kept so a
-    /// durability checkpoint can replay the original `insert_objects`
-    /// call and land on identical page geometry.
+    /// durability checkpoint can replay the original insert and land on
+    /// identical page geometry.
     obj_bytes: u32,
 }
 
@@ -117,7 +122,7 @@ pub struct Store {
 
 impl Store {
     /// Creates an empty store for a schema and catalog. Populate with
-    /// [`Store::insert_objects`] and [`Store::set_members`], then call
+    /// [`Store::insert_columns`] and [`Store::set_members`], then call
     /// [`Store::build_indexes`].
     pub fn new(schema: Schema, catalog: Catalog) -> Self {
         let n_types = schema.type_count();
@@ -202,33 +207,17 @@ impl Store {
         self.indexes.clear();
     }
 
-    /// Bulk-inserts the instances of one type, packing them into a fresh
-    /// page region at `obj_bytes` per object. Objects must arrive in OID
-    /// order starting at sequence 0, each with one value per field of the
-    /// type's layout. Panics on a second insert for a type.
-    pub fn insert_objects(&mut self, ty: TypeId, objs: Vec<Object>, obj_bytes: u32) {
-        let (width, population) = (self.columns[ty.index()].by_slot.len(), objs.len());
-        let mut columns: Vec<Vec<Value>> =
-            (0..width).map(|_| Vec::with_capacity(population)).collect();
-        for (i, o) in objs.into_iter().enumerate() {
-            assert_eq!(o.oid, Oid::new(ty, i as u32), "objects must be dense");
-            assert_eq!(o.slots.len(), width, "{:?} does not fit its type", o.oid);
-            for (column, value) in columns.iter_mut().zip(o.slots) {
-                column.push(value);
-            }
-        }
-        self.insert_columns(ty, population, columns, obj_bytes);
-    }
-
-    /// [`Store::insert_objects`] for a caller that already holds the
-    /// `population` instances column-major: one value vector per field of
-    /// the type's layout, each holding every instance's value in OID
-    /// order.
+    /// Bulk-inserts the `population` instances of one type, accounting
+    /// them to a fresh page region at `obj_bytes` per object. They arrive
+    /// column-major — one value vector per field of the type's layout, each
+    /// holding every instance's value in OID order — as vectors (the
+    /// generator) or as columns another store already shares (replay of a
+    /// checkpoint). Panics on a second insert for a type.
     pub fn insert_columns(
         &mut self,
         ty: TypeId,
         population: usize,
-        columns: Vec<Vec<Value>>,
+        columns: Vec<impl Into<Arc<Vec<Value>>>>,
         obj_bytes: u32,
     ) {
         assert!(
@@ -236,10 +225,11 @@ impl Store {
             "type {} already populated",
             self.schema.ty(ty).name
         );
+        let by_slot: Vec<Arc<Vec<Value>>> = columns.into_iter().map(Into::into).collect();
         let own = &mut self.columns[ty.index()];
-        assert_eq!(columns.len(), own.by_slot.len(), "one column per field");
+        assert_eq!(by_slot.len(), own.by_slot.len(), "one column per field");
         assert!(
-            columns.iter().all(|c| c.len() == population),
+            by_slot.iter().all(|c| c.len() == population),
             "every column holds the whole population"
         );
         let per_page = (4096 / obj_bytes.max(1)).max(1);
@@ -252,12 +242,12 @@ impl Store {
         self.next_page += pages.max(1);
         *own = Columns {
             population,
-            by_slot: columns.into_iter().map(Arc::new).collect(),
+            by_slot,
         };
     }
 
     /// Whether a type already owns a storage region (a second
-    /// [`Store::insert_objects`] for it would panic).
+    /// [`Store::insert_columns`] for it would panic).
     pub fn has_region(&self, ty: TypeId) -> bool {
         ty.index() < self.regions.len() && self.regions[ty.index()].is_some()
     }
@@ -275,15 +265,11 @@ impl Store {
         self.regions.get(ty.index())?.map(|r| r.first_page)
     }
 
-    /// All stored instances of a type as owned rows, in OID order — what
-    /// checkpoints and the page codec exchange. Empty for unpopulated
-    /// types.
-    pub fn objects_of(&self, ty: TypeId) -> impl Iterator<Item = Object> + '_ {
-        let own = &self.columns[ty.index()];
-        (0..own.population).map(move |seq| {
-            let slots = own.by_slot.iter().map(|column| column[seq].clone());
-            Object::new(Oid::new(ty, seq as u32), slots.collect())
-        })
+    /// Every column of a type in layout order
+    /// ([`oodb_object::Schema::fields_of`]), shared rather than copied —
+    /// what a checkpoint logs. Zero-length columns for an unpopulated type.
+    pub fn columns_of(&self, ty: TypeId) -> &[Arc<Vec<Value>>] {
+        &self.columns[ty.index()].by_slot
     }
 
     /// One field of every instance of exact type `ty`, in OID order: the
@@ -535,6 +521,7 @@ impl Store {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datagen::columns;
     use oodb_object::{AttrType, CollectionDef, CollectionKind, FieldKind};
 
     fn tiny() -> (Store, TypeId, CollectionId) {
@@ -551,10 +538,8 @@ mod tests {
             obj_bytes: 400,
         });
         let mut store = Store::new(schema, cat);
-        let objs: Vec<Object> = (0..100)
-            .map(|i| Object::new(Oid::new(t, i), vec![Value::Int(i as i64 % 7)]))
-            .collect();
-        store.insert_objects(t, objs, 400);
+        let xs = columns(100, |i| [Value::Int(i as i64 % 7)]);
+        store.insert_columns(t, 100, xs, 400);
         let oids: Vec<Oid> = (0..100).map(|i| Oid::new(t, i)).collect();
         store.set_members(coll, oids);
         (store, t, coll)
@@ -641,20 +626,13 @@ mod tests {
         assert!(store.try_column(nowhere.type_id(), ids.city_name).is_err());
     }
 
-    /// Rows in, rows out: every type of the paper database survives
-    /// `insert_objects` → `objects_of` bit for bit, on the page geometry
-    /// it had.
+    /// Columns in, columns out: every type of the paper database survives
+    /// `columns_of` → `insert_columns` value for value and without a copy,
+    /// on the page geometry it had.
     #[test]
     fn rows_round_trip_through_the_columns() {
         let (store, model) = crate::generate_paper_db(crate::GenConfig::small());
         let mut again = Store::new(model.schema.clone(), model.catalog.clone());
-        let encoded = |rows: &[Object]| {
-            let mut bytes = Vec::new();
-            for row in rows {
-                crate::codec::encode_object(row, &mut bytes);
-            }
-            bytes
-        };
         // Pages are handed out in insert order, so replay it.
         let mut types: Vec<TypeId> = model.schema.types().map(|(ty, _)| ty).collect();
         types.retain(|&ty| store.has_region(ty));
@@ -662,17 +640,19 @@ mod tests {
         assert_eq!(types.len(), 10);
         for ty in types {
             let name = &model.schema.ty(ty).name;
-            let rows: Vec<Object> = store.objects_of(ty).collect();
-            assert_eq!(rows.len(), store.population(ty), "{name}");
-            for row in &rows {
-                for (slot, field) in model.schema.fields_of(ty).into_iter().enumerate() {
-                    assert_eq!(&row.slots[slot], store.read_field(row.oid, field));
-                }
+            let (columns, population) = (store.columns_of(ty), store.population(ty));
+            let fields = model.schema.fields_of(ty);
+            assert_eq!(columns.len(), fields.len(), "{name}");
+            for (column, &field) in columns.iter().zip(&fields) {
+                assert_eq!(column.len(), population, "{name}");
+                let last = Oid::new(ty, population as u32 - 1);
+                assert_eq!(&column[population - 1], store.read_field(last, field));
             }
             let obj_bytes = store.region_obj_bytes(ty).expect("has a region");
-            again.insert_objects(ty, rows.clone(), obj_bytes);
-            let back: Vec<Object> = again.objects_of(ty).collect();
-            assert_eq!(encoded(&back), encoded(&rows), "{name}");
+            again.insert_columns(ty, population, columns.to_vec(), obj_bytes);
+            for (ours, theirs) in again.columns_of(ty).iter().zip(columns) {
+                assert!(Arc::ptr_eq(ours, theirs), "{name}: a column was copied");
+            }
             assert_eq!(
                 again.region_first_page(ty),
                 store.region_first_page(ty),
@@ -681,12 +661,13 @@ mod tests {
         }
     }
 
+    /// A row with a slot missing is a column one value short.
     #[test]
-    #[should_panic(expected = "does not fit its type")]
+    #[should_panic(expected = "every column holds the whole population")]
     fn a_row_with_a_slot_missing_is_refused() {
         let (full, t, _) = tiny();
         let mut store = Store::new(full.schema().clone(), Catalog::new());
-        store.insert_objects(t, vec![Object::new(Oid::new(t, 0), vec![])], 400);
+        store.insert_columns(t, 2, columns(1, |_| [Value::Int(0)]), 400);
     }
 
     #[test]
@@ -717,7 +698,7 @@ mod tests {
     #[should_panic(expected = "already populated")]
     fn double_insert_panics() {
         let (mut store, t, _) = tiny();
-        store.insert_objects(t, vec![], 400);
+        store.insert_columns(t, 0, columns(0, |_| [Value::Null]), 400);
     }
 
     #[test]
@@ -729,19 +710,9 @@ mod tests {
         let c_ref = b.add_field(c, "p", FieldKind::Ref(p));
         let schema = b.build();
         let mut store = Store::new(schema, Catalog::new());
-        store.insert_objects(
-            p,
-            vec![Object::new(Oid::new(p, 0), vec![Value::str("joe")])],
-            100,
-        );
-        store.insert_objects(
-            c,
-            vec![Object::new(
-                Oid::new(c, 0),
-                vec![Value::Ref(Oid::new(p, 0))],
-            )],
-            100,
-        );
+        store.insert_columns(p, 1, columns(1, |_| [Value::str("joe")]), 100);
+        let refs = columns(1, |_| [Value::Ref(Oid::new(p, 0))]);
+        store.insert_columns(c, 1, refs, 100);
         assert_eq!(
             store.eval_path(Oid::new(c, 0), &[c_ref], p_name),
             Value::str("joe")

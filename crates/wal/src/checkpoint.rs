@@ -3,7 +3,7 @@
 //! A checkpoint is not a special page dump — it is the *same* framed
 //! record stream the WAL carries, reduced to the minimal sequence that
 //! rebuilds the store: one `Genesis` (schema + catalog at its exact
-//! statistics epoch), one `InsertObjects` per populated type in original
+//! statistics epoch), one `InsertColumns` per populated type in original
 //! page-allocation order, one `SetMembers` per non-empty collection, and
 //! a final `BuildIndexes { bump_epoch: false }` when the live store had
 //! materialized indexes. Replaying it through the ordinary apply path

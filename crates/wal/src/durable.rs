@@ -34,15 +34,13 @@ pub enum ApplyError {
     MissingGenesis,
     /// A `Genesis` arrived for an already-initialized store.
     UnexpectedGenesis,
-    /// `InsertObjects` named a type outside the schema.
+    /// `InsertColumns` named a type outside the schema.
     UnknownType(TypeId),
-    /// `InsertObjects` for a type that already owns a region.
+    /// `InsertColumns` for a type that already owns a region.
     TypeAlreadyPopulated(TypeId),
-    /// `InsertObjects` payload was not dense in OID order.
-    NotDense,
-    /// An `InsertObjects` object did not hold one value per field of its
-    /// type's layout.
-    ObjectShape(oodb_object::Oid),
+    /// `InsertColumns` did not hold one column per field of the type's
+    /// layout, each as long as the population.
+    ColumnShape(TypeId),
     /// `SetMembers` named a collection outside the catalog.
     UnknownCollection(u32),
     /// `SetCatalog` changed the collection count (the store's membership
@@ -65,8 +63,7 @@ impl std::fmt::Display for ApplyError {
             ApplyError::UnexpectedGenesis => write!(f, "second genesis record"),
             ApplyError::UnknownType(t) => write!(f, "insert for unknown type {t:?}"),
             ApplyError::TypeAlreadyPopulated(t) => write!(f, "type {t:?} already populated"),
-            ApplyError::NotDense => write!(f, "insert payload not dense in oid order"),
-            ApplyError::ObjectShape(oid) => write!(f, "{oid:?} does not fit its type's layout"),
+            ApplyError::ColumnShape(t) => write!(f, "columns do not fit the layout of {t:?}"),
             ApplyError::UnknownCollection(c) => write!(f, "unknown collection index {c}"),
             ApplyError::CatalogShape { have, got } => {
                 write!(f, "catalog reshapes collections ({have} -> {got})")
@@ -110,10 +107,11 @@ pub fn apply_record(slot: &mut Option<Store>, rec: &WalRecord) -> Result<(), App
 pub fn apply_to(store: &mut Store, rec: &WalRecord) -> Result<(), ApplyError> {
     match rec {
         WalRecord::Genesis { .. } => Err(ApplyError::UnexpectedGenesis),
-        WalRecord::InsertObjects {
+        WalRecord::InsertColumns {
             ty,
             obj_bytes,
-            objects,
+            population,
+            columns,
         } => {
             if ty.index() >= store.schema().type_count() {
                 return Err(ApplyError::UnknownType(*ty));
@@ -121,16 +119,13 @@ pub fn apply_to(store: &mut Store, rec: &WalRecord) -> Result<(), ApplyError> {
             if store.has_region(*ty) {
                 return Err(ApplyError::TypeAlreadyPopulated(*ty));
             }
-            let fields = store.schema().fields_of(*ty).len();
-            for (i, o) in objects.iter().enumerate() {
-                if o.oid != oodb_object::Oid::new(*ty, i as u32) {
-                    return Err(ApplyError::NotDense);
-                }
-                if o.slots.len() != fields {
-                    return Err(ApplyError::ObjectShape(o.oid));
-                }
+            let population = *population as usize;
+            if columns.len() != store.schema().fields_of(*ty).len()
+                || columns.iter().any(|c| c.len() != population)
+            {
+                return Err(ApplyError::ColumnShape(*ty));
             }
-            store.insert_objects(*ty, objects.clone(), *obj_bytes);
+            store.insert_columns(*ty, population, columns.clone(), *obj_bytes);
             Ok(())
         }
         WalRecord::SetMembers { coll, oids } => {
@@ -179,10 +174,11 @@ pub fn checkpoint_records(store: &Store) -> Vec<WalRecord> {
         .collect();
     populated.sort_by_key(|&t| store.region_first_page(t).expect("has_region"));
     for ty in populated {
-        recs.push(WalRecord::InsertObjects {
+        recs.push(WalRecord::InsertColumns {
             ty,
             obj_bytes: store.region_obj_bytes(ty).expect("has_region"),
-            objects: store.objects_of(ty).collect(),
+            population: u32::try_from(store.population(ty)).expect("oid sequences are u32"),
+            columns: store.columns_of(ty).to_vec(),
         });
     }
     for (coll, _) in store.catalog().collections() {
@@ -215,9 +211,9 @@ pub fn store_digest(store: &Store) -> u64 {
     let mut scratch = Vec::new();
     for (ty, _) in store.schema().types() {
         eat(&(store.population(ty) as u64).to_le_bytes());
-        for obj in store.objects_of(ty) {
+        for value in store.columns_of(ty).iter().flat_map(|column| column.iter()) {
             scratch.clear();
-            oodb_storage::codec::encode_object(&obj, &mut scratch);
+            oodb_storage::codec::encode_value(value, &mut scratch);
             eat(&scratch);
         }
     }
@@ -627,18 +623,30 @@ mod tests {
             apply_record(&mut slot, &recs[1]).unwrap_err(),
             ApplyError::TypeAlreadyPopulated(_)
         ));
-        // So is a row with a slot missing: the store is column-major and
-        // has nowhere to put it.
-        let mut short = recs[2].clone();
-        let WalRecord::InsertObjects { objects, .. } = &mut short else {
+        // So are a column missing and a column shorter than the
+        // population: the store asserts both.
+        let WalRecord::InsertColumns {
+            ty,
+            obj_bytes,
+            population,
+            columns,
+        } = recs[2].clone()
+        else {
             panic!("a checkpoint opens with its inserts");
         };
-        objects[1].slots.pop();
-        let oid = objects[1].oid;
-        assert_eq!(
-            apply_record(&mut slot, &short).unwrap_err(),
-            ApplyError::ObjectShape(oid)
-        );
+        let short = std::sync::Arc::new(columns[0][1..].to_vec());
+        for bad in [columns[1..].to_vec(), [&[short], &columns[1..]].concat()] {
+            let rec = WalRecord::InsertColumns {
+                ty,
+                obj_bytes,
+                population,
+                columns: bad,
+            };
+            assert_eq!(
+                apply_record(&mut slot, &rec).unwrap_err(),
+                ApplyError::ColumnShape(ty)
+            );
+        }
     }
 
     #[test]

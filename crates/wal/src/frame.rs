@@ -21,8 +21,9 @@ pub const FRAME_HEADER: usize = 8;
 
 /// Sanity cap on a single frame's payload. A bit flip in the length word
 /// can claim up to 4 GiB; anything beyond this cap is rejected as corrupt
-/// without attempting to read it. Checkpoint `InsertObjects` records for
-/// the full paper database are ~15 MB, so 64 MiB leaves ample headroom.
+/// without attempting to read it. The largest record of a checkpoint of
+/// the full paper database is the employees' `InsertColumns`, 10.4 MB, so
+/// 64 MiB leaves ample headroom.
 pub const MAX_FRAME_PAYLOAD: usize = 64 << 20;
 
 /// Frame parse failures. `Truncated` specifically means "the buffer ended

@@ -5,8 +5,8 @@
 //! its Exodus storage manager. The design is deliberately small:
 //!
 //! * **Typed logical records** ([`record::WalRecord`]) mirror the store's
-//!   mutation surface — `Genesis`, `InsertObjects` (carried as raw 4 KiB
-//!   page images via the storage codec), `SetMembers`, `SetCatalog`,
+//!   mutation surface — `Genesis`, `InsertColumns` (one value vector per
+//!   field, as the store holds them), `SetMembers`, `SetCatalog`,
 //!   `BuildIndexes`, `StatsRefresh` — so replay drives the *same* store
 //!   methods the live path uses.
 //! * **CRC-framed log** ([`log::Wal`]): `[len][crc32][seq + record]`

@@ -7,11 +7,11 @@
 //! [`oodb_object::Schema`] nor [`oodb_object::Catalog`] implements
 //! `PartialEq`, so re-encoding *is* the equality check).
 //!
-//! Object payloads reuse the storage crate's page codec: an
-//! `InsertObjects` record carries the collection packed through
-//! [`oodb_storage::pack_collection`] as raw 4 KB page images, restored on
-//! decode via [`Page::from_bytes`] + [`oodb_storage::unpack_pages`] — the
-//! exact bytes a paged store would persist.
+//! Objects are logged the way the store holds them: an `InsertColumns`
+//! record carries one value vector per field of the type's layout, each
+//! value in the storage crate's value codec. A checkpoint's record shares
+//! the store's columns, and replay hands the decoded ones to
+//! [`oodb_storage::Store::insert_columns`] as they are.
 //!
 //! Decoding is total and allocation-bounded: every length is checked
 //! against the remaining input before use, unknown tags and inconsistent
@@ -20,10 +20,11 @@
 
 use oodb_object::{
     AttrType, Catalog, CollectionDef, CollectionId, CollectionKind, FieldId, FieldKind, Histogram,
-    IndexDef, Object, Oid, Schema, TypeId, Value,
+    IndexDef, Oid, Schema, TypeId, Value,
 };
 use oodb_storage::codec::{decode_value, encode_value};
-use oodb_storage::{pack_collection, unpack_pages, CodecError, Page, PAGE_BYTES};
+use oodb_storage::CodecError;
+use std::sync::Arc;
 
 /// Why a record failed to decode.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -47,8 +48,6 @@ pub enum DecodeError {
     BadHistogram,
     /// Trailing bytes after a complete record.
     TrailingBytes,
-    /// The embedded object-page codec rejected a page.
-    Page(CodecError),
 }
 
 impl std::fmt::Display for DecodeError {
@@ -62,18 +61,11 @@ impl std::fmt::Display for DecodeError {
             DecodeError::Duplicate => write!(f, "duplicate name in schema/catalog"),
             DecodeError::BadHistogram => write!(f, "histogram parts violate invariants"),
             DecodeError::TrailingBytes => write!(f, "trailing bytes after record"),
-            DecodeError::Page(e) => write!(f, "object page codec: {e}"),
         }
     }
 }
 
 impl std::error::Error for DecodeError {}
-
-impl From<CodecError> for DecodeError {
-    fn from(e: CodecError) -> Self {
-        DecodeError::Page(e)
-    }
-}
 
 /// One logged store mutation. The live write path appends these *before*
 /// applying them; recovery replays the same records through the same
@@ -91,15 +83,18 @@ pub enum WalRecord {
         catalog: Catalog,
     },
     /// Bulk population of one type's page region
-    /// ([`oodb_storage::Store::insert_objects`]).
-    InsertObjects {
+    /// ([`oodb_storage::Store::insert_columns`]).
+    InsertColumns {
         /// The populated type.
         ty: TypeId,
         /// Per-object byte size the region is packed at (page-geometry
         /// fidelity on replay).
         obj_bytes: u32,
-        /// The instances, dense in OID order.
-        objects: Vec<Object>,
+        /// How many instances, with OID sequences `0..population`.
+        population: u32,
+        /// One value vector per field of the type's layout, each holding
+        /// every instance's value in OID order.
+        columns: Vec<Arc<Vec<Value>>>,
     },
     /// Collection membership assignment
     /// ([`oodb_storage::Store::set_members`]).
@@ -132,11 +127,13 @@ pub enum WalRecord {
 }
 
 const TAG_GENESIS: u8 = 0x01;
-const TAG_INSERT_OBJECTS: u8 = 0x02;
+// 0x02 was the insert record that carried objects as 4 KiB slotted-page
+// images; it is not reused, so an old log is a `BadTag`, never a misread.
 const TAG_SET_MEMBERS: u8 = 0x03;
 const TAG_SET_CATALOG: u8 = 0x04;
 const TAG_BUILD_INDEXES: u8 = 0x05;
 const TAG_STATS_REFRESH: u8 = 0x06;
+const TAG_INSERT_COLUMNS: u8 = 0x07;
 
 // ---- primitive readers ----------------------------------------------------
 
@@ -203,7 +200,6 @@ impl<'a> Reader<'a> {
             CodecError::UnexpectedEof => DecodeError::UnexpectedEof,
             CodecError::BadTag(t) => DecodeError::BadTag(t),
             CodecError::BadUtf8 => DecodeError::BadUtf8,
-            other => DecodeError::Page(other),
         })
     }
 
@@ -527,23 +523,22 @@ impl WalRecord {
                 encode_schema(schema, &mut out);
                 encode_catalog(catalog, &mut out);
             }
-            WalRecord::InsertObjects {
+            WalRecord::InsertColumns {
                 ty,
                 obj_bytes,
-                objects,
+                population,
+                columns,
             } => {
-                out.push(TAG_INSERT_OBJECTS);
+                out.push(TAG_INSERT_COLUMNS);
                 out.extend_from_slice(&(ty.index() as u32).to_le_bytes());
                 out.extend_from_slice(&obj_bytes.to_le_bytes());
-                out.extend_from_slice(&(objects.len() as u64).to_le_bytes());
-                // Pack through the store's own page codec: the record
-                // carries the byte-exact page images a paged store would
-                // write for this collection.
-                let pages = pack_collection(objects.iter())
-                    .expect("objects originating from a store fit its pages");
-                out.extend_from_slice(&(pages.len() as u32).to_le_bytes());
-                for p in &pages {
-                    out.extend_from_slice(p.bytes());
+                out.extend_from_slice(&population.to_le_bytes());
+                out.extend_from_slice(&(columns.len() as u32).to_le_bytes());
+                for column in columns {
+                    out.extend_from_slice(&(column.len() as u32).to_le_bytes());
+                    for v in column.iter() {
+                        encode_value(v, &mut out);
+                    }
                 }
             }
             WalRecord::SetMembers { coll, oids } => {
@@ -580,25 +575,26 @@ impl WalRecord {
                 let catalog = decode_catalog(&mut r)?;
                 WalRecord::Genesis { schema, catalog }
             }
-            TAG_INSERT_OBJECTS => {
+            TAG_INSERT_COLUMNS => {
                 let ty = TypeId::from_index(r.u32()? as usize);
                 let obj_bytes = r.u32()?;
-                let n_objects = r.u64()?;
-                let n_pages = r.count(PAGE_BYTES)?;
-                let mut pages = Vec::with_capacity(n_pages);
-                for _ in 0..n_pages {
-                    let raw: [u8; PAGE_BYTES] =
-                        r.take(PAGE_BYTES)?.try_into().expect("PAGE_BYTES slice");
-                    pages.push(Page::from_bytes(raw));
+                let population = r.u32()?;
+                // A column is at least its length word, a value its tag.
+                let n_columns = r.count(4)?;
+                let mut columns = Vec::with_capacity(n_columns);
+                for _ in 0..n_columns {
+                    let n_values = r.count(1)?;
+                    let mut column = Vec::with_capacity(n_values);
+                    for _ in 0..n_values {
+                        column.push(r.value()?);
+                    }
+                    columns.push(Arc::new(column));
                 }
-                let objects = unpack_pages(&pages)?;
-                if objects.len() as u64 != n_objects {
-                    return Err(DecodeError::BadLength);
-                }
-                WalRecord::InsertObjects {
+                WalRecord::InsertColumns {
                     ty,
                     obj_bytes,
-                    objects,
+                    population,
+                    columns,
                 }
             }
             TAG_SET_MEMBERS => {
@@ -634,7 +630,7 @@ impl WalRecord {
     pub fn kind(&self) -> &'static str {
         match self {
             WalRecord::Genesis { .. } => "genesis",
-            WalRecord::InsertObjects { .. } => "insert-objects",
+            WalRecord::InsertColumns { .. } => "insert-columns",
             WalRecord::SetMembers { .. } => "set-members",
             WalRecord::SetCatalog { .. } => "set-catalog",
             WalRecord::BuildIndexes { .. } => "build-indexes",
@@ -647,27 +643,35 @@ impl WalRecord {
 mod tests {
     use super::*;
     use oodb_object::paper::paper_model;
+    use oodb_storage::datagen::columns;
+
+    fn insert(population: u32, columns: Vec<Vec<Value>>) -> WalRecord {
+        WalRecord::InsertColumns {
+            ty: paper_model().ids.job,
+            obj_bytes: 50,
+            population,
+            columns: columns.into_iter().map(Arc::new).collect(),
+        }
+    }
 
     fn sample_records() -> Vec<WalRecord> {
         let m = paper_model();
-        let objects: Vec<Object> = (0..40)
-            .map(|i| {
-                Object::new(
-                    Oid::new(m.ids.job, i),
-                    vec![Value::str(&format!("job-{i}")), Value::Int(i as i64)],
-                )
-            })
-            .collect();
+        let jobs = columns(40, |i| {
+            [Value::str(&format!("job-{i}")), Value::Int(i as i64)]
+        });
+        let mut ragged = jobs.clone();
+        ragged[1].truncate(7);
         vec![
             WalRecord::Genesis {
                 schema: m.schema.clone(),
                 catalog: m.catalog.clone(),
             },
-            WalRecord::InsertObjects {
-                ty: m.ids.job,
-                obj_bytes: 50,
-                objects,
-            },
+            insert(40, jobs),
+            // Shapes the codec carries and `apply_to` judges: columns of
+            // unequal length, nothing inserted, a type without fields.
+            insert(40, ragged),
+            insert(0, vec![Vec::new(), Vec::new()]),
+            insert(3, Vec::new()),
             WalRecord::SetMembers {
                 coll: m.ids.job_extent,
                 oids: (0..40).map(|i| Oid::new(m.ids.job, i)).collect(),
@@ -744,5 +748,20 @@ mod tests {
             WalRecord::decode(&bytes).unwrap_err(),
             DecodeError::BadLength
         );
+        // An insert claiming u32::MAX columns, then one claiming a column
+        // of u32::MAX values, each over a few bytes of body.
+        let mut header = vec![TAG_INSERT_COLUMNS];
+        header.extend_from_slice(&[0; 12]);
+        for counts in [&[u32::MAX][..], &[1, u32::MAX]] {
+            let mut bytes = header.clone();
+            for n in counts {
+                bytes.extend_from_slice(&n.to_le_bytes());
+            }
+            bytes.extend_from_slice(&[0; 16]);
+            assert_eq!(
+                WalRecord::decode(&bytes).unwrap_err(),
+                DecodeError::BadLength
+            );
+        }
     }
 }

@@ -5,10 +5,11 @@
 //! corruption either stops the scan or is absorbed after the last intact
 //! frame, mirroring the longest-valid-prefix recovery contract.
 
-use oodb_object::{CollectionId, Date, Object, Oid, TypeId, Value};
+use oodb_object::{CollectionId, Date, Oid, TypeId, Value};
 use oodb_wal::frame::{read_frame, write_frame, FrameError};
 use oodb_wal::record::{DecodeError, WalRecord};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -37,22 +38,21 @@ fn arb_oid() -> impl Strategy<Value = Oid> {
 /// model; here the focus is the length-prefixed collection codecs).
 fn arb_record() -> impl Strategy<Value = WalRecord> {
     prop_oneof![
+        // Column count, column lengths and population vary independently:
+        // ragged columns, empty inserts and field-less types all encode,
+        // and `apply_to` is what judges them against a schema.
         (
             0usize..32,
             1u32..4096,
-            proptest::collection::vec(proptest::collection::vec(arb_value(), 0..6), 0..12),
+            0u32..16,
+            proptest::collection::vec(proptest::collection::vec(arb_value(), 0..12), 0..6),
         )
-            .prop_map(|(ty, obj_bytes, slot_sets)| {
-                let ty = TypeId::from_index(ty);
-                let objects: Vec<Object> = slot_sets
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, slots)| Object::new(Oid::new(ty, i as u32), slots))
-                    .collect();
-                WalRecord::InsertObjects {
-                    ty,
+            .prop_map(|(ty, obj_bytes, population, columns)| {
+                WalRecord::InsertColumns {
+                    ty: TypeId::from_index(ty),
                     obj_bytes,
-                    objects,
+                    population,
+                    columns: columns.into_iter().map(Arc::new).collect(),
                 }
             }),
         (0usize..32, proptest::collection::vec(arb_oid(), 0..48)).prop_map(|(coll, oids)| {
@@ -91,10 +91,9 @@ proptest! {
     }
 
     /// A flipped bit never panics the decoder: it yields a typed error
-    /// or a well-formed record (flips in value bytes change the payload;
-    /// flips in page slack are canonicalized away). Either way the result
-    /// re-encodes to a stable canonical form — no partially-corrupt
-    /// record ever escapes the codec.
+    /// or a well-formed record (flips in value bytes change the payload).
+    /// Either way the result re-encodes to a stable canonical form — no
+    /// partially-corrupt record ever escapes the codec.
     #[test]
     fn bit_flips_never_panic(rec in arb_record(), at in any::<u16>(), bit in 0u8..8) {
         let mut bytes = rec.encode();

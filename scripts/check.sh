@@ -35,6 +35,17 @@ OODB_AUDIT_QUICK=1 cargo test -q --test audit
 echo "==> benchmark package builds against this tree"
 cargo build --release --manifest-path benchmark/Cargo.toml
 
+# A dependency no source file of its crate names is a stale manifest line.
+echo "==> every declared dependency is named by its crate"
+for manifest in crates/*/Cargo.toml; do
+    crate=$(dirname "$manifest")
+    for dep in $(awk '/^\[/ { deps = /^\[(dev-)?dependencies\]/ } deps && /^[a-z]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
+        grep -rqsw "${dep//-/_}" "$crate/src" "$crate/tests" "$crate/benches" ||
+            { echo "$manifest: $dep is named by no source file"; unused=1; }
+    done
+done
+[ -z "${unused:-}" ]
+
 # Supply-chain lint: advisories, duplicate versions, license allow-list.
 # cargo-deny is an external binary; skip gracefully where it is not
 # installed (the offline build container) rather than failing the gate.

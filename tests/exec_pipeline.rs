@@ -10,9 +10,10 @@
 use open_oodb::algebra::{CmpOp, Operand, PlanEst, SortSpec};
 use open_oodb::exec::{try_execute_parallel, ExecError, ExecResult};
 use open_oodb::object::{
-    AttrType, CollectionDef, CollectionId, CollectionKind, FieldId, FieldKind, Object, Oid,
+    AttrType, CollectionDef, CollectionId, CollectionKind, FieldId, FieldKind, Oid,
 };
 use open_oodb::prelude::*;
+use open_oodb::storage::datagen::columns;
 use std::time::{Duration, Instant};
 
 const GROUPS: u32 = 8;
@@ -75,19 +76,19 @@ impl Fixture {
         };
         let (gs, ps) = (extent("Gs", g, GROUPS), extent("Ps", p, n));
         let mut store = Store::new(b.build(), catalog);
-        let groups = (0..GROUPS).map(|i| Object::new(Oid::new(g, i), vec![Value::Int(i.into())]));
-        store.insert_objects(g, groups.collect(), 100);
-        let objects = (0..n).map(|i| {
+        let groups = columns(GROUPS.into(), |i| [Value::Int(i as i64)]);
+        store.insert_columns(g, GROUPS as usize, groups, 100);
+        let objects = columns(n.into(), |i| {
+            let i = i as u32;
             let set = members(i).into_iter().map(|m| Oid::new(g, m));
-            let slots = vec![
+            [
                 Value::Int(i.into()),
                 sort_key(i),
                 Value::Ref(Oid::new(g, i % GROUPS)),
                 Value::RefSet(set.collect()),
-            ];
-            Object::new(Oid::new(p, i), slots)
+            ]
         });
-        store.insert_objects(p, objects.collect(), 100);
+        store.insert_columns(p, n as usize, objects, 100);
         store.set_members(gs, (0..GROUPS).map(|i| Oid::new(g, i)).collect());
         store.set_members(ps, (0..n).map(|i| Oid::new(p, i)).collect());
         Fixture {

@@ -225,7 +225,7 @@ fn figure11_search_trace_tells_the_enforcer_story() {
     let q = queries::query3(&m);
     let opt = OpenOodb::with_config(&q.env, OptimizerConfig::all_rules());
     let (out, trace) = opt
-        .optimize_traced(&q.plan, q.result_vars)
+        .optimize_traced(&q.plan, q.result_vars, None)
         .expect("traced plan");
     let text = trace.join("\n");
     assert!(
