@@ -72,8 +72,6 @@ fn service_over(store: Store, config: OptimizerConfig) -> QueryService {
 
 struct Shell {
     svc: QueryService,
-    /// Morsel worker threads for plain statement execution (1 = serial).
-    exec_workers: usize,
     /// A network server launched from this shell (`\serve`), serving
     /// `svc` itself — not a copy.
     server: Option<oodb_server::Server>,
@@ -104,7 +102,6 @@ fn main() {
     });
     let mut shell = Shell {
         svc: service_over(store, OptimizerConfig::all_rules()),
-        exec_workers: 1,
         server: None,
         remote: None,
     };
@@ -195,7 +192,6 @@ impl Shell {
                      \\indexes             index descriptors\n\
                      \\rules [off NAME | on NAME | reset]   rule configuration\n\
                      \\window N            assembly window (1 = no elevator)\n\
-                     \\workers N           morsel worker threads (1 = serial)\n\
                      \\stats               collect histograms for refined selectivity\n\
                      \\cache [stats|clear] plan-cache counters / drop cached plans\n\
                      \\feedback [stats|clear] actual-vs-estimated drift per query\n\
@@ -314,18 +310,6 @@ impl Shell {
                     self.update_config(|c| c.assembly_window = n);
                 }
                 println!("assembly window = {}", self.svc.config().assembly_window);
-            }
-            "\\workers" => {
-                if let Some(n) = parts.next().and_then(|s| s.parse::<usize>().ok()) {
-                    self.exec_workers = n.max(1);
-                    println!("morsel workers = {}", self.exec_workers);
-                } else {
-                    println!(
-                        "morsel workers = {} (machine has {} cores)",
-                        self.exec_workers,
-                        std::thread::available_parallelism().map_or(1, |n| n.get())
-                    );
-                }
             }
             "\\trace" => match line.split_once(' ') {
                 Some((_, src)) => self.trace(src),
@@ -996,7 +980,6 @@ impl Shell {
     fn submit(&self, src: &str, analyze: bool) {
         let opts = SubmitOptions {
             trace: analyze,
-            exec_workers: self.exec_workers,
             ..Default::default()
         };
         let out = match self.svc.submit_with(src, opts) {

@@ -341,7 +341,6 @@ fn remaining_commands_smoke() {
         (q.into(), "[plan cache hit]"),
         ("\\cache".into(), "1 entries, 1 hits, 1 misses"),
         ("\\cache clear".into(), "plan cache cleared"),
-        ("\\workers 2".into(), "morsel workers = 2"),
         (q.into(), "rows;"),
         ("\\window 4".into(), "assembly window = 4"),
         (format!("\\trace {q}"), "-> won by"),

@@ -115,9 +115,6 @@ pub struct OptimizerConfig {
     /// Branch-and-bound pruning (off for paper-faithful exhaustive
     /// search).
     pub prune: bool,
-    /// Index names the optimizer must pretend do not exist: how
-    /// [`crate::dynamic`] compiles one plan per index subset.
-    pub ignored_indexes: Vec<String>,
     /// Debug mode: statically verify every expression the memo holds at
     /// the end of search (not just the winning plan). Excluded from
     /// [`Self::fingerprint`] — verification never influences plan choice,
@@ -131,7 +128,6 @@ impl Default for OptimizerConfig {
             disabled_rules: BTreeSet::from([rule_names::WARM_ASSEMBLY]),
             assembly_window: 8192,
             prune: false,
-            ignored_indexes: Vec::new(),
             verify_search: false,
         }
     }
@@ -185,12 +181,9 @@ impl OptimizerConfig {
     /// plan choice. Plan-cache keys include it so a plan optimized under
     /// one rule configuration is never served under another.
     pub fn fingerprint(&self) -> u64 {
-        let disabled = &self.disabled_rules;
-        let mut ignored: Vec<&str> = self.ignored_indexes.iter().map(String::as_str).collect();
-        ignored.sort_unstable();
         let text = format!(
-            "rules:-{disabled:?}|window:{}|prune:{}|noindex:{ignored:?}",
-            self.assembly_window, self.prune
+            "rules:-{:?}|window:{}|prune:{}",
+            self.disabled_rules, self.assembly_window, self.prune
         );
         oodb_algebra::fingerprint::fnv1a(text.as_bytes())
     }

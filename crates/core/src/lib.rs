@@ -38,7 +38,6 @@
 pub mod audit;
 pub mod config;
 pub mod cost;
-pub mod dynamic;
 pub mod feedback;
 pub mod greedy;
 pub mod model;
@@ -52,7 +51,6 @@ pub use audit::{
 };
 pub use config::OptimizerConfig;
 pub use cost::{Cost, CostParams};
-pub use dynamic::{compile_dynamic, DynamicAlternative, DynamicPlan};
 pub use feedback::{
     drift_ratio, FeedbackEntry, FeedbackStats, FeedbackStore, Observation, DEFAULT_DRIFT_THRESHOLD,
     MAX_DRIFT,

@@ -195,22 +195,6 @@ impl<'e> OodbModel<'e> {
         set
     }
 
-    /// Catalog index lookup filtered by the configuration's ignored set —
-    /// all index-dependent reasoning (collapse rule, ordered scans, and
-    /// index-derived statistics) must go through here so dynamic-plan
-    /// compilation can hide indexes uniformly.
-    pub fn usable_index(
-        &self,
-        coll: CollectionId,
-        path: &[FieldId],
-        key: FieldId,
-    ) -> Option<(oodb_object::IndexId, &oodb_object::IndexDef)> {
-        self.env
-            .catalog
-            .find_index(coll, path, key)
-            .filter(|(_, d)| !self.config.ignored_indexes.contains(&d.name))
-    }
-
     // ----- selectivity ------------------------------------------------------
 
     /// Selectivity of one comparison term. Index statistics are consulted
@@ -251,8 +235,8 @@ impl<'e> OodbModel<'e> {
             }
         }
         let distinct = path.and_then(|(coll, _, links)| {
-            self.usable_index(coll, &links, attr_side.1)
-                .map(|(_, idx)| idx.distinct_keys as f64)
+            let idx = self.env.catalog.find_index(coll, &links, attr_side.1);
+            idx.map(|(_, idx)| idx.distinct_keys as f64)
         });
         match (term.op, distinct) {
             (CmpOp::Eq, Some(d)) => 1.0 / d.max(1.0),

@@ -78,7 +78,7 @@ impl<'e> ImplRule<M<'e>> for CollapseToIndexScanImpl {
         let Some((coll, base, links)) = model.index_path_of(var) else {
             return vec![];
         };
-        let Some((index_id, idx)) = model.usable_index(coll, &links, field) else {
+        let Some((index_id, idx)) = model.env.catalog.find_index(coll, &links, field) else {
             return vec![];
         };
         // The collapsed scan reproduces the *entire* group only if the
@@ -624,7 +624,7 @@ impl<'e> ImplRule<M<'e>> for OrderedIndexScanImpl {
         if icoll != coll || base != var {
             return vec![];
         }
-        let Some((index_id, _)) = model.usable_index(coll, &links, key.field) else {
+        let Some((index_id, _)) = model.env.catalog.find_index(coll, &links, key.field) else {
             return vec![];
         };
         let pred = model.env.preds.intern(oodb_algebra::Pred::default());

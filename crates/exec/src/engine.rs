@@ -6,7 +6,6 @@ mod pipeline;
 
 use crate::batch::{Batch, BATCH_ROWS};
 use crate::eval::{col_of, Pred, Slot};
-use crate::morsel;
 use crate::tuple::{RootRow, Tuple};
 use oodb_algebra::{PhysicalOp, PhysicalPlan, QueryEnv, VarOrigin};
 use oodb_fault::{Fault, RunLimits};
@@ -97,14 +96,6 @@ pub struct OpCounts {
 }
 
 impl OpCounts {
-    /// Folds in counts accumulated elsewhere (a parallel worker's).
-    pub(crate) fn add(&mut self, other: &OpCounts) {
-        self.tuples += other.tuples;
-        self.preds += other.preds;
-        self.hash_ops += other.hash_ops;
-        self.derefs += other.derefs;
-    }
-
     /// Counts accumulated since `base` was captured.
     fn delta(&self, base: &OpCounts) -> OpCounts {
         OpCounts {
@@ -284,9 +275,6 @@ pub struct Executor<'a> {
     leaf_rows: u64,
     /// Rows the last run delivered at its root.
     root_rows: u64,
-    /// Worker threads for the pure-CPU stages of a pipeline. `1` (the
-    /// default) keeps every operator on the calling thread.
-    parallelism: usize,
 }
 
 impl<'a> Executor<'a> {
@@ -311,18 +299,7 @@ impl<'a> Executor<'a> {
             spilled_partitions: 0,
             leaf_rows: 0,
             root_rows: 0,
-            parallelism: 1,
         }
-    }
-
-    /// Sets the worker count for a pipeline's pure-CPU stages (clamped to
-    /// at least 1): filters, unnests, in-memory hash-join probes and the
-    /// root projection run on whole batches, whose outputs are
-    /// concatenated in batch order, so results are byte-identical to a
-    /// serial run. Sources and every I/O-charging operator stay on the
-    /// calling thread, as do traced runs.
-    pub fn set_parallelism(&mut self, workers: usize) {
-        self.parallelism = workers.max(1);
     }
 
     /// Installs cooperative run limits for subsequent `run*` calls. The
@@ -336,7 +313,16 @@ impl<'a> Executor<'a> {
     /// Checks cancellation, deadline, and row budget. Cheap when the run
     /// is unlimited (three `Option` tests, no clock read).
     fn checkpoint(&self) -> Result<(), ExecError> {
-        morsel::check_limits(&self.limits)?;
+        if let Some(c) = &self.limits.cancel {
+            if c.is_cancelled() {
+                return Err(ExecError::Cancelled);
+            }
+        }
+        if let Some(d) = self.limits.deadline {
+            if Instant::now() >= d {
+                return Err(ExecError::DeadlineExceeded);
+            }
+        }
         if let Some(budget) = self.limits.row_budget {
             if self.counts.tuples - self.run_base.counts.tuples > budget {
                 return Err(ExecError::RowBudgetExceeded { budget });
@@ -428,16 +414,16 @@ impl<'a> Executor<'a> {
 
     /// Runs a plan to completion, handing every result row to `emit` as
     /// the root pipeline produces it — borrowed, before anything is cloned
-    /// or collected — and returns what `emit` made of each, in result
-    /// order. `emit` runs on the morsel workers when a worker set is
-    /// configured; its time is the root's in the [`OpTrace`] of a `traced` run.
-    pub fn try_run_rows<T: Send>(
+    /// or collected — in result order. `emit`'s time is the root's in the
+    /// [`OpTrace`] of a `traced` run.
+    pub fn try_run_rows(
         &mut self,
         plan: &PhysicalPlan,
         traced: bool,
-        emit: &(dyn Fn(RootRow<'_>) -> T + Sync),
-    ) -> Result<(Vec<T>, Option<OpTrace>), ExecError> {
-        self.run_root(plan, traced, |ex| ex.exec_root(plan, emit))
+        emit: &mut dyn FnMut(RootRow<'_>),
+    ) -> Result<Option<OpTrace>, ExecError> {
+        let ((), trace) = self.run_root(plan, traced, |ex| ex.exec_root(plan, emit))?;
+        Ok(trace)
     }
 
     /// One run of `plan`, `root` doing the work, traced when asked.
@@ -463,26 +449,25 @@ impl<'a> Executor<'a> {
     /// [`ExecResult`]. The root emits cells exactly when it is a projection.
     fn collect_root(&mut self, plan: &PhysicalPlan) -> Result<ExecResult, ExecError> {
         let n_vars = self.n_vars();
+        let (mut rows, mut tuples) = (Vec::new(), Vec::new());
+        self.exec_root(plan, &mut |row| match row {
+            RootRow::Cells(cells) => rows.push(cells.iter().map(|v| Value::clone(v)).collect()),
+            RootRow::Bound(cols, row) => tuples.push(Tuple::from_row(n_vars, cols, row)),
+        })?;
         Ok(if matches!(plan.op, PhysicalOp::AlgProject { .. }) {
-            ExecResult::Rows(self.exec_root(plan, &|row| match row {
-                RootRow::Cells(cells) => cells.iter().map(|v| Value::clone(v)).collect(),
-                RootRow::Bound(..) => unreachable!("a projection emits cells"),
-            })?)
+            ExecResult::Rows(rows)
         } else {
-            ExecResult::Tuples(self.exec_root(plan, &|row| match row {
-                RootRow::Bound(cols, row) => Tuple::from_row(n_vars, cols, row),
-                RootRow::Cells(_) => unreachable!("only a projection emits cells"),
-            })?)
+            ExecResult::Tuples(tuples)
         })
     }
 
     /// The root pipeline: its tail evaluates each row — the projection's
-    /// cells, or the root's bindings — and maps it through `emit`.
-    fn exec_root<T: Send>(
+    /// cells, or the root's bindings — and hands it to `emit`.
+    fn exec_root(
         &mut self,
         plan: &PhysicalPlan,
-        emit: &(dyn Fn(RootRow<'_>) -> T + Sync),
-    ) -> Result<Vec<T>, ExecError> {
+        emit: &mut dyn FnMut(RootRow<'_>),
+    ) -> Result<(), ExecError> {
         let store = self.store;
         // Projection is only legal at the root: it is the tail of the
         // topmost pipeline, not a stage.
@@ -496,11 +481,14 @@ impl<'a> Executor<'a> {
             _ => (self.open(plan, 0)?, None),
         };
         let cols = std::mem::take(&mut p.cols);
-        let tail = |batch: Batch, counts: &mut OpCounts| {
-            let mut out = Vec::with_capacity(batch.len());
+        let mut root_rows = 0;
+        let mut tail = |batch: Batch, counts: &mut OpCounts| {
+            root_rows += batch.len();
             let Some(items) = &items else {
-                out.extend(batch.rows().map(|row| emit(RootRow::Bound(&cols, row))));
-                return Ok(out);
+                batch
+                    .rows()
+                    .for_each(|row| emit(RootRow::Bound(&cols, row)));
+                return Ok(());
             };
             counts.tuples += batch.len() as u64;
             // A block of rows' cells side by side, filled an item — a
@@ -522,18 +510,17 @@ impl<'a> Executor<'a> {
                         .map_err(ExecError::Corrupt)?;
                 }
                 for r in 0..rows.len() {
-                    out.push(emit(RootRow::Cells(&cells[r * k..(r + 1) * k])));
+                    emit(RootRow::Cells(&cells[r * k..(r + 1) * k]));
                 }
             }
-            Ok(out)
+            Ok(())
         };
-        let mut rows = Vec::new();
-        self.pump(p, 0, &tail, &mut |chunk| rows.extend(chunk))?;
+        self.pump(p, 0, &mut tail)?;
         if items.is_some() {
-            self.charge(0, None, rows.len());
+            self.charge(0, None, root_rows);
         }
-        self.root_rows = rows.len() as u64;
-        Ok(rows)
+        self.root_rows = root_rows as u64;
+        Ok(())
     }
 
     /// Opens the pipeline that produces `plan`'s output (`id` is the
@@ -629,24 +616,22 @@ impl<'a> Executor<'a> {
             }
         }
         let mut out = Batch::new(cols.len());
-        let append = &mut |batch: Batch| out.data.extend_from_slice(&batch.data);
-        self.pump(p, id, &|batch, _| Ok(batch), append)?;
+        self.pump(p, id, &mut |batch, _| {
+            out.data.extend_from_slice(&batch.data);
+            Ok(())
+        })?;
         Ok((out, cols))
     }
 
     /// Drives a pipeline: every source batch goes through the stages and
-    /// `tail` — the last pure-CPU step, charged to plan node `tail_id` —
-    /// and on to `sink`, in source order, with the run limits checked at
-    /// each batch boundary. With a worker set configured and a source of
-    /// at least [`morsel::MIN_PARALLEL_ROWS`] rows, the source's batches
-    /// are gathered first and their stages run on the workers; this is
-    /// the one place the engine goes parallel.
-    fn pump<T: Send>(
+    /// on to `tail` — the pipeline's last step, charged to plan node
+    /// `tail_id` — in source order, with the run limits checked at each
+    /// batch boundary.
+    fn pump(
         &mut self,
         p: Pipeline<'a>,
         tail_id: usize,
-        tail: &(dyn Fn(Batch, &mut OpCounts) -> Result<T, ExecError> + Sync),
-        sink: &mut dyn FnMut(T),
+        tail: &mut dyn FnMut(Batch, &mut OpCounts) -> Result<(), ExecError>,
     ) -> Result<(), ExecError> {
         let Pipeline {
             source,
@@ -654,45 +639,17 @@ impl<'a> Executor<'a> {
             reserved,
             ..
         } = p;
-        let mut serial = |ex: &mut Self, mut batch: Batch| {
+        self.produce(source, &mut |ex, mut batch| {
             for (id, stage) in &stages {
                 let since = ex.mark();
                 batch = stage.apply(ex.store, batch, &mut ex.counts)?;
                 ex.charge(*id, since, batch.len());
             }
             let since = ex.mark();
-            sink(tail(batch, &mut ex.counts)?);
+            tail(batch, &mut ex.counts)?;
             ex.charge(tail_id, since, 0);
             ex.checkpoint()
-        };
-        if self.parallelism > 1 && self.trace.is_empty() {
-            let (mut batches, mut rows) = (Vec::new(), 0);
-            self.produce(source, &mut |ex, batch| {
-                rows += batch.len();
-                batches.push(batch);
-                ex.checkpoint()
-            })?;
-            if rows >= morsel::MIN_PARALLEL_ROWS {
-                let store = self.store;
-                let work = |batch, counts: &mut OpCounts| {
-                    let staged = stages
-                        .iter()
-                        .try_fold(batch, |b, (_, stage)| stage.apply(store, b, counts))?;
-                    tail(staged, counts)
-                };
-                let (outs, counts) =
-                    morsel::dispatch(self.parallelism, &self.limits, batches, work)?;
-                self.counts.add(&counts);
-                self.checkpoint()?;
-                outs.into_iter().for_each(sink);
-            } else {
-                batches
-                    .into_iter()
-                    .try_for_each(|batch| serial(self, batch))?;
-            }
-        } else {
-            self.produce(source, &mut serial)?;
-        }
+        })?;
         if reserved > 0 {
             self.grant.release(reserved);
         }
@@ -867,23 +824,8 @@ pub fn try_execute(
     plan: &PhysicalPlan,
     limits: RunLimits,
 ) -> Result<(ExecResult, ExecStats), ExecError> {
-    try_execute_parallel(store, env, plan, limits, 1)
-}
-
-/// One-shot fallible execution with a worker set: like [`try_execute`]
-/// but the pure-CPU stages of every pipeline (filters, unnests, in-memory
-/// hash-join probes, the root projection) run on up to `workers` threads.
-/// Results are byte-identical to the serial path.
-pub fn try_execute_parallel(
-    store: &Store,
-    env: &QueryEnv,
-    plan: &PhysicalPlan,
-    limits: RunLimits,
-    workers: usize,
-) -> Result<(ExecResult, ExecStats), ExecError> {
     let mut ex = Executor::new(store, env);
     ex.set_limits(limits);
-    ex.set_parallelism(workers);
     let result = ex.try_run(plan)?;
     Ok((result, ex.stats()))
 }

@@ -20,8 +20,7 @@ pub(super) enum Source {
     Rows(Batch),
 }
 
-/// A streaming operator: a pure function from one batch to the next, so
-/// a pipeline's stages can run on any thread.
+/// A streaming operator: a pure function from one batch to the next.
 pub(super) enum Stage<'a> {
     Filter(Pred<'a>),
     Unnest {

@@ -653,101 +653,6 @@ fn unnest_expands_teams() {
     assert_eq!(res.len(), oracle);
 }
 
-/// A plan exercising every morsel-parallel segment — filter, root
-/// projection, and the in-memory hash-join probe — over an input
-/// large enough to actually dispatch (employees at 1/10 scale =
-/// 5000 rows > the parallel threshold).
-fn morsel_heavy_plan(
-    m: &oodb_object::paper::PaperModel,
-    mut qb: QueryBuilder,
-) -> (PhysicalPlan, QueryEnv) {
-    let (_, e) = qb.get(m.ids.employees, "e");
-    let (_, d) = qb.get(m.ids.department_extent, "d");
-    let join = qb.ref_eq(e, m.ids.emp_dept, d);
-    let sel = qb.cmp_const(
-        e,
-        m.ids.emp_salary,
-        CmpOp::Ge,
-        Value::Int(0), // keep every row so the probe stays big
-    );
-    let name = Operand::Attr {
-        var: e,
-        field: m.ids.person_name,
-    };
-    let p = plan(
-        PhysicalOp::AlgProject { items: vec![name] },
-        vec![plan(
-            PhysicalOp::HybridHashJoin { pred: join },
-            vec![
-                plan(
-                    PhysicalOp::FileScan {
-                        coll: m.ids.department_extent,
-                        var: d,
-                    },
-                    vec![],
-                ),
-                plan(
-                    PhysicalOp::Filter { pred: sel },
-                    vec![plan(
-                        PhysicalOp::FileScan {
-                            coll: m.ids.employees,
-                            var: e,
-                        },
-                        vec![],
-                    )],
-                ),
-            ],
-        )],
-    );
-    (p, qb.into_env())
-}
-
-#[test]
-fn morsel_parallel_run_is_byte_identical_to_serial() {
-    let (store, m) = generate_paper_db(GenConfig {
-        scale_div: 10,
-        ..Default::default()
-    });
-    let qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-    let (p, env) = morsel_heavy_plan(&m, qb);
-
-    let mut serial = Executor::new(&store, &env);
-    let base = serial.run(&p);
-    let base_stats = serial.stats();
-
-    for workers in [2, 4, 8] {
-        let mut par = Executor::new(&store, &env);
-        par.set_parallelism(workers);
-        let res = par.run(&p);
-        assert_eq!(res, base, "{workers} workers");
-        let stats = par.stats();
-        // Identical work accounting, not just identical rows.
-        assert_eq!(stats.counts.tuples, base_stats.counts.tuples);
-        assert_eq!(stats.counts.preds, base_stats.counts.preds);
-        assert_eq!(stats.counts.hash_ops, base_stats.counts.hash_ops);
-    }
-}
-
-#[test]
-fn morsel_parallel_run_observes_cancellation() {
-    use oodb_fault::CancelToken;
-    let (store, m) = generate_paper_db(GenConfig {
-        scale_div: 10,
-        ..Default::default()
-    });
-    let qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-    let (p, env) = morsel_heavy_plan(&m, qb);
-    let cancel = CancelToken::new();
-    cancel.cancel();
-    let mut ex = Executor::new(&store, &env);
-    ex.set_parallelism(4);
-    ex.set_limits(RunLimits {
-        cancel: Some(cancel),
-        ..Default::default()
-    });
-    assert_eq!(ex.try_run(&p).unwrap_err(), ExecError::Cancelled);
-}
-
 /// Spill partitioning rehashes `hash_key`s under a per-depth salt: at
 /// every depth each of the fan-out partitions gets its share of
 /// sequential oids, ints and generated names, so a refused build side

@@ -30,12 +30,11 @@
 mod batch;
 pub mod engine;
 mod eval;
-mod morsel;
 pub mod tuple;
 
 pub use engine::{
-    execute, execute_traced, try_execute, try_execute_parallel, try_execute_traced, ExecError,
-    ExecResult, ExecStats, Executor, MemEffort, OpCounts,
+    execute, execute_traced, try_execute, try_execute_traced, ExecError, ExecResult, ExecStats,
+    Executor, MemEffort, OpCounts,
 };
 /// Run-limit and fault types, re-exported so executor callers reach the
 /// cancellation and injection machinery without a separate dependency.

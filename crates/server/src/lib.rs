@@ -1,8 +1,8 @@
 //! # oodb-server — the network serving front end
 //!
 //! Everything below this crate (the optimizer, the plan cache, the
-//! resilience and memory-governance ladders, the morsel-parallel
-//! executor) is reachable only in-process; this crate puts a wire on
+//! resilience and memory-governance ladders, the executor) is
+//! reachable only in-process; this crate puts a wire on
 //! it. It is a dependency-free HTTP/1.1 + JSON layer over
 //! [`oodb_service::QueryService`]:
 //!

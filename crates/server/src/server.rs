@@ -20,7 +20,7 @@ use oodb_telemetry::metrics::{Counter, Gauge};
 use std::fmt::Write as _;
 use std::io::{self, BufReader, BufWriter};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -359,13 +359,6 @@ fn error_response(e: &ServiceError, retry_after: Duration) -> Response {
     resp
 }
 
-/// `available_parallelism`, asked once: it reads the affinity mask and the
-/// cgroup quota files, too slow for every request.
-fn cores() -> usize {
-    static CORES: OnceLock<usize> = OnceLock::new();
-    *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
 /// Extracts [`SubmitOptions`] from a request body object.
 fn submit_options(body: &Json, default_deadline: Option<Duration>) -> SubmitOptions {
     let u = |k: &str| body.get(k).and_then(Json::as_u64);
@@ -377,9 +370,6 @@ fn submit_options(body: &Json, default_deadline: Option<Duration>) -> SubmitOpti
         row_budget: u("row_budget"),
         retries: u("retries").unwrap_or(0) as u32,
         mem_budget: u("mem_budget"),
-        // `morsel::dispatch` bounds a request's workers only by its batch
-        // count, so the wire is bounded here: never more threads than cores.
-        exec_workers: (u("exec_workers").unwrap_or(0) as usize).min(cores()),
     }
 }
 
@@ -586,20 +576,4 @@ fn stats_json(shared: &Shared) -> String {
     }
     out.push('}');
     out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn wire_exec_workers_is_clamped_to_the_machine() {
-        let workers = |n: u64| {
-            let body = json::parse(&format!("{{\"exec_workers\":{n}}}")).unwrap();
-            submit_options(&body, None).exec_workers
-        };
-        assert_eq!(workers(0), 0);
-        assert_eq!(workers(1), 1);
-        assert_eq!(workers(1 << 40), cores());
-    }
 }

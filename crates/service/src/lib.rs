@@ -30,7 +30,7 @@ pub mod admission;
 
 pub use admission::{AdmissionConfig, Gate, GateMetrics, Permit, Shed, ShedReason};
 use oodb_algebra::fingerprint::{fingerprint, QueryFingerprint};
-use oodb_algebra::{LogicalPlan, QueryEnv, SortSpec, VarSet};
+use oodb_algebra::{LogicalPlan, PhysicalOp, PhysicalPlan, QueryEnv, SortSpec, VarSet};
 use oodb_core::plancache::{CacheKey, CachedBody, CachedPlan, PlanCache};
 use oodb_core::{
     BoundedOutcome, CostParams, FeedbackEntry, FeedbackStats, FeedbackStore, Observation, OpenOodb,
@@ -48,8 +48,7 @@ pub use oodb_wal::{
 use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -195,11 +194,6 @@ pub struct SubmitOptions {
     /// make progress concurrently; operators under the budget spill
     /// rather than error.
     pub mem_budget: Option<u64>,
-    /// Morsel worker threads for intra-query parallel execution of
-    /// pure-CPU operator segments (filters, root projection, in-memory
-    /// hash-join probes). `0` or `1` (the default) executes serially;
-    /// results are byte-identical either way.
-    pub exec_workers: usize,
 }
 
 /// Wall-clock nanoseconds each pipeline stage of one submission took.
@@ -1356,7 +1350,7 @@ impl QueryService {
         stages.optimize_ns = timer.lap_into(&m.stage_optimize);
 
         let CachedBody::Static { plan, cost } = &entry.body;
-        let indexes_used = oodb_core::dynamic::indexes_used(&entry.env, plan);
+        let indexes_used = indexes_used(&entry.env, plan);
         // A degraded plan executes without the deadline: once the search
         // has already timed out, a late best-effort answer beats an error.
         let exec_deadline = if degraded { None } else { deadline };
@@ -1387,12 +1381,12 @@ impl QueryService {
         let (scopes, result_vars) = (&entry.env.scopes, entry.result_vars);
         // The result variables' (name, column) in scope order: the root's
         // layout is the same for every row, so it is resolved once.
-        let named = OnceLock::new();
-        // Rows of one query share a shape: each line starts at the length
-        // of the one rendered before it instead of doubling up from empty.
-        let line_len = AtomicUsize::new(0);
-        let render = |row: RootRow<'_>| {
-            let mut line = String::with_capacity(line_len.load(Ordering::Relaxed));
+        let mut named = None;
+        let mut render = |rows: &mut Vec<String>, row: RootRow<'_>| {
+            // Rows of one query share a shape: each line starts at the
+            // length of the one rendered before it instead of doubling up
+            // from empty.
+            let mut line = String::with_capacity(rows.last().map_or(0, String::len));
             match row {
                 RootRow::Cells(cells) => {
                     for (i, v) in cells.iter().enumerate() {
@@ -1401,13 +1395,13 @@ impl QueryService {
                     }
                 }
                 RootRow::Bound(cols, oids) => {
-                    let named = named.get_or_init(|| {
+                    let named = named.get_or_insert_with(|| {
                         let result = scopes.iter().filter(|(v, _)| result_vars.contains(*v));
                         let col = |v| cols.iter().position(|&c| c == v);
                         let bound = result.filter_map(|(v, var)| Some((&*var.name, col(v)?)));
                         bound.collect::<Vec<_>>()
                     });
-                    for &(name, col) in named {
+                    for &(name, col) in named.iter() {
                         line.push_str(if line.is_empty() { "" } else { "  " });
                         line.push_str(name);
                         line.push('=');
@@ -1415,10 +1409,10 @@ impl QueryService {
                     }
                 }
             }
-            line_len.store(line.len(), Ordering::Relaxed);
-            line
+            rows.push(line);
         };
-        let ((mut rows, trace), stats) = loop {
+        let (mut rows, trace, stats) = loop {
+            let mut rows = Vec::new();
             let mut ex = Executor::new(&store, &entry.env);
             ex.set_limits(RunLimits {
                 deadline: exec_deadline,
@@ -1426,9 +1420,8 @@ impl QueryService {
                 row_budget: opts.row_budget,
                 mem_budget,
             });
-            ex.set_parallelism(opts.exec_workers);
-            match ex.try_run_rows(plan, want_trace, &render) {
-                Ok(run) => break (run, ex.stats()),
+            match ex.try_run_rows(plan, want_trace, &mut |row| render(&mut rows, row)) {
+                Ok(trace) => break (rows, trace, ex.stats()),
                 Err(ExecError::Fault(f))
                     if f.class == FaultClass::Transient
                         && retries_used < opts.retries
@@ -1545,6 +1538,20 @@ impl QueryService {
             drift,
         })
     }
+}
+
+/// Index names a plan reads, sorted and deduplicated.
+fn indexes_used(env: &QueryEnv, plan: &PhysicalPlan) -> Vec<String> {
+    let ops = plan.iter_ops().into_iter();
+    let mut names: Vec<String> = ops
+        .filter_map(|op| match op {
+            PhysicalOp::IndexScan { index, .. } => Some(env.catalog.index(*index).name.clone()),
+            _ => None,
+        })
+        .collect();
+    names.sort();
+    names.dedup();
+    names
 }
 
 /// Counts the interval-cardinality findings in a verifier report (the
@@ -1675,18 +1682,17 @@ mod tests {
                 let mut want = render_rows(&q.env, q.result_vars, &collected);
                 want.sort();
 
-                let opts = |trace, exec_workers| SubmitOptions {
+                let opts = |trace| SubmitOptions {
                     trace,
-                    exec_workers,
                     ..Default::default()
                 };
-                for (trace, workers) in [(false, 1), (false, 4), (true, 1), (true, 4)] {
-                    let out = svc.submit_with(text, opts(trace, workers)).expect("runs");
-                    assert_eq!(out.rows, want, "{text} trace={trace} workers={workers}");
+                for trace in [false, true] {
+                    let out = svc.submit_with(text, opts(trace)).expect("runs");
+                    assert_eq!(out.rows, want, "{text} trace={trace}");
                     assert_eq!(out.row_count, want.len());
                 }
                 let (stmt, _) = svc.prepare(text).expect("prepares");
-                let out = svc.submit_prepared_with(stmt.id, opts(false, 1));
+                let out = svc.submit_prepared_with(stmt.id, opts(false));
                 assert_eq!(out.expect("runs").rows, want, "prepared {text}");
                 if text == Q_JOIN {
                     continue; // the greedy fallback plans no explicit join

@@ -40,11 +40,23 @@ echo "==> every declared dependency is named by its crate"
 for manifest in crates/*/Cargo.toml; do
     crate=$(dirname "$manifest")
     for dep in $(awk '/^\[/ { deps = /^\[(dev-)?dependencies\]/ } deps && /^[a-z]/ { sub(/[ .=].*/, ""); print }' "$manifest"); do
-        grep -rqsw "${dep//-/_}" "$crate/src" "$crate/tests" "$crate/benches" ||
+        grep -rqsw "${dep//-/_}" "$crate/src" "$crate/tests" ||
             { echo "$manifest: $dep is named by no source file"; unused=1; }
     done
 done
 [ -z "${unused:-}" ]
+
+# Panic-site ratchet (ROADMAP item 2): non-test `panic!` / `.unwrap()` /
+# `.expect(` / `unreachable!` lines of crates/*/src outside crates/bench,
+# counted the way scripts/loc.sh counts lines (up to a file's first
+# `#[cfg(test)]`, comment lines aside). The number only goes down: lower
+# it here when a PR removes a site.
+panic_sites=76
+echo "==> panic sites do not rise above $panic_sites"
+found=$(find crates/*/src -name '*.rs' ! -name tests.rs ! -path 'crates/bench/*' -print0 |
+    xargs -0 awk 'FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
+        counting && !/^ *\/\// && /panic!|\.unwrap\(\)|\.expect\(|unreachable!/ { n++ } END { print n + 0 }')
+[ "$found" -le "$panic_sites" ] || { echo "$found panic sites, $panic_sites recorded"; exit 1; }
 
 # Supply-chain lint: advisories, duplicate versions, license allow-list.
 # cargo-deny is an external binary; skip gracefully where it is not

@@ -10,7 +10,10 @@
 # --seconds 20 --trace 0` on both sides, the parent first on even pairs and
 # the change first on odd ones. Prints every run, then per end-to-end
 # metric each side's quartiles and median, the medians' distance, and the
-# pairs each side won (a tie counts for neither).
+# pairs each side won (a tie counts for neither). Last, one `--trace 1` run
+# per side and every gate of benchmark/src/derive.rs it failed: the
+# benchmark reports a failed gate but never exits on one, so this is where
+# a PR sees it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -105,4 +108,13 @@ for m in $metrics; do
                 metric, summary(p, n), summary(c, n), 100 * (cm - pm) / pm,
                 quantile(p, n, 0.75) - quantile(p, n, 0.25), (cm > pm ? cm - pm : pm - cm), won, lost, n
         }' "$runs"
+done
+
+echo
+echo "failed gates, one --trace 1 run per side at seed 11:"
+for side in parent change; do
+    if [ "$side" = parent ]; then dir=$parent; else dir=$change; fi
+    bash "$dir/benchmark/run.sh" --workload "$workload" --seed 11 --seconds 20 --trace 1 >/dev/null 2>&1
+    sed -n 's/^ *{"name": "\(.*\)", "value": \(.*\), "min": \(.*\), "max": \(.*\), "passed": false}.*/'"$side"': \1 = \2, allowed \3..\4/p' \
+        "$dir/benchmark/out/$workload-trace1.json" | grep . || echo "$side: none"
 done

@@ -1,19 +1,22 @@
 //! The batch pipeline at its edges: every streaming operator at 0, 1,
-//! 1023, 1024, 1025 and 4097 input rows (around one batch, and past the
-//! parallel threshold), run limits that trip between two batches of one
-//! pipeline, and the plan shapes the engine must refuse or order totally.
+//! 1023, 1024, 1025 and 4097 input rows (around one batch, and five of
+//! them), run limits that trip between two batches of one pipeline, and
+//! the plan shapes the engine must refuse or order totally.
 //!
 //! The store is synthetic so row counts are exact: `n` objects of type
 //! `P` (40 to a page, so batches and pages never align) referencing 8
 //! objects of type `G`.
 
 use open_oodb::algebra::{CmpOp, Operand, PlanEst, SortSpec};
-use open_oodb::exec::{try_execute_parallel, ExecError, ExecResult};
+use open_oodb::exec::tuple::RootRow;
+use open_oodb::exec::{ExecError, ExecResult};
 use open_oodb::object::{
     AttrType, CollectionDef, CollectionId, CollectionKind, FieldId, FieldKind, Oid,
 };
 use open_oodb::prelude::*;
 use open_oodb::storage::datagen::columns;
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 const GROUPS: u32 = 8;
@@ -120,22 +123,12 @@ fn scan(coll: CollectionId, var: open_oodb::algebra::VarId) -> PhysicalPlan {
     plan(PhysicalOp::FileScan { coll, var }, vec![])
 }
 
-/// Runs `plan` serially and on four workers; both must agree on rows and
-/// counts. Returns the serial run.
-fn run_both(
+fn run(
     f: &Fixture,
     env: &QueryEnv,
     plan: &PhysicalPlan,
 ) -> (ExecResult, open_oodb::exec::ExecStats) {
-    let serial = try_execute_parallel(&f.store, env, plan, RunLimits::default(), 1).expect("runs");
-    let par = try_execute_parallel(&f.store, env, plan, RunLimits::default(), 4).expect("runs");
-    assert_eq!(par.0, serial.0, "four workers, same rows in the same order");
-    assert_eq!(par.1.counts, serial.1.counts);
-    assert_eq!(
-        (par.1.buffer_hits, par.1.buffer_misses),
-        (serial.1.buffer_hits, serial.1.buffer_misses)
-    );
-    serial
+    try_execute(&f.store, env, plan, RunLimits::default()).expect("runs")
 }
 
 #[test]
@@ -145,7 +138,7 @@ fn scan_streams_every_member_with_one_miss_per_page() {
         let mut qb = f.builder();
         let (_, p) = qb.get(f.ps, "p");
         let env = qb.into_env();
-        let (res, stats) = run_both(&f, &env, &scan(f.ps, p));
+        let (res, stats) = run(&f, &env, &scan(f.ps, p));
         let got: Vec<Oid> = res.tuples().iter().map(|t| t.get(p)).collect();
         assert_eq!(got, f.store.members(f.ps), "n = {n}");
         assert_eq!(stats.counts.tuples, u64::from(n));
@@ -164,7 +157,7 @@ fn filter_keeps_order_across_batches() {
         let pred = qb.cmp_const(p, f.k, CmpOp::Ge, Value::Int((n / 3).into()));
         let env = qb.into_env();
         let filter = plan(PhysicalOp::Filter { pred }, vec![scan(f.ps, p)]);
-        let (res, stats) = run_both(&f, &env, &filter);
+        let (res, stats) = run(&f, &env, &filter);
         let got: Vec<u32> = res.tuples().iter().map(|t| t.get(p).seq()).collect();
         assert_eq!(got, (n / 3..n).collect::<Vec<_>>(), "n = {n}");
         assert_eq!(stats.counts.preds, u64::from(n));
@@ -180,7 +173,7 @@ fn unnest_expands_each_set_in_place() {
         let (_, m) = qb.unnest(ps, p, f.g_set, "m");
         let env = qb.into_env();
         let unnest = plan(PhysicalOp::AlgUnnest { out: m }, vec![scan(f.ps, p)]);
-        let (res, stats) = run_both(&f, &env, &unnest);
+        let (res, stats) = run(&f, &env, &unnest);
         let got: Vec<(u32, u32)> = res
             .tuples()
             .iter()
@@ -208,7 +201,7 @@ fn hash_join_probe_and_projection_stream_the_probe_side() {
             PhysicalOp::HybridHashJoin { pred },
             vec![scan(f.gs, g), scan(f.ps, p)],
         );
-        let (res, stats) = run_both(&f, &env, &join);
+        let (res, stats) = run(&f, &env, &join);
         let got: Vec<(u32, u32)> = res
             .tuples()
             .iter()
@@ -219,7 +212,7 @@ fn hash_join_probe_and_projection_stream_the_probe_side() {
         assert_eq!(stats.counts.hash_ops, u64::from(GROUPS + n));
 
         let project = plan(PhysicalOp::AlgProject { items }, vec![join]);
-        let (res, _) = run_both(&f, &env, &project);
+        let (res, _) = run(&f, &env, &project);
         let ExecResult::Rows(rows) = res else {
             panic!("projected")
         };
@@ -227,6 +220,51 @@ fn hash_join_probe_and_projection_stream_the_probe_side() {
             .map(|k| vec![Value::Int(k.into()), Value::Int((k % GROUPS).into())])
             .collect();
         assert_eq!(rows, want, "n = {n}");
+    }
+}
+
+/// The root's consumer is an ordinary `FnMut` on the calling thread: one
+/// that pushes into an `Rc<RefCell<_>>` — neither `Send` nor `Sync` — sees
+/// every row of a projecting and of a non-projecting plan, in the order
+/// `try_execute` collects them.
+#[test]
+fn root_consumer_runs_on_the_calling_thread_in_produced_order() {
+    let f = Fixture::new(4097);
+    let mut qb = f.builder();
+    let (_, p) = qb.get(f.ps, "p");
+    let (_, g) = qb.get(f.gs, "g");
+    let pred = qb.ref_eq(p, f.g_ref, g);
+    let items = vec![qb.attr(p, f.k), qb.attr(g, f.id)];
+    let env = qb.into_env();
+    let join = plan(
+        PhysicalOp::HybridHashJoin { pred },
+        vec![scan(f.gs, g), scan(f.ps, p)],
+    );
+    let project = plan(PhysicalOp::AlgProject { items }, vec![join.clone()]);
+    for plan in [join, project] {
+        let lines = Rc::new(RefCell::new(Vec::new()));
+        let sink = Rc::clone(&lines);
+        let mut ex = Executor::new(&f.store, &env);
+        ex.try_run_rows(&plan, false, &mut |row| {
+            sink.borrow_mut().push(match row {
+                RootRow::Cells(cells) => format!("{cells:?}"),
+                RootRow::Bound(cols, oids) => {
+                    let at = |v| cols.iter().position(|&c| c == v).expect("bound");
+                    format!("{:?} {:?}", oids[at(p)], oids[at(g)])
+                }
+            })
+        })
+        .expect("runs");
+        let want: Vec<String> = match run(&f, &env, &plan).0 {
+            ExecResult::Rows(rows) => rows.iter().map(|r| format!("{r:?}")).collect(),
+            ExecResult::Tuples(ts) => ts
+                .iter()
+                .map(|t| format!("{:?} {:?}", t.get(p), t.get(g)))
+                .collect(),
+        };
+        assert_eq!(want.len(), 4097);
+        assert_eq!(*lines.borrow(), want);
+        assert_eq!(ex.stats().root_rows, 4097);
     }
 }
 
@@ -249,7 +287,7 @@ fn fused_unnest_probe_filter_project_agree_with_the_oracle() {
             vec![scan(f.gs, g), unnest],
         );
         let filter = plan(PhysicalOp::Filter { pred: small }, vec![probe]);
-        let (res, _) = run_both(
+        let (res, _) = run(
             &f,
             &env,
             &plan(PhysicalOp::AlgProject { items }, vec![filter]),
@@ -374,7 +412,7 @@ fn sort_is_total_over_null_and_mixed_keys() {
         field: f.key,
     };
     let sort = plan(PhysicalOp::Sort { key }, vec![scan(f.ps, p)]);
-    let (res, _) = run_both(&f, &env, &sort);
+    let (res, _) = run(&f, &env, &sort);
     let got: Vec<u32> = res.tuples().iter().map(|t| t.get(p).seq()).collect();
     let mut want: Vec<u32> = (0..1025).collect();
     want.sort_by(|&a, &b| sort_key(a).total_cmp_val(&sort_key(b)));
@@ -436,7 +474,7 @@ fn hash_join_orients_its_keys_on_empty_inputs() {
             children.reverse();
         }
         let join = plan(PhysicalOp::HybridHashJoin { pred }, children);
-        let (res, _) = run_both(&f, &env, &join);
+        let (res, _) = run(&f, &env, &join);
         let mut got: Vec<(u32, u32)> = res
             .tuples()
             .iter()

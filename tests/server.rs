@@ -207,6 +207,32 @@ fn concurrent_pipelined_replay_reconciles_every_counter() {
     server.shutdown();
 }
 
+/// The retired worker-count key asked for that many executor threads per
+/// request (clamped to the machine's cores only since PR 17). It is now
+/// an unknown key like any other: `/query` and `/execute` answer a
+/// body that carries it exactly as they answer one without it.
+#[test]
+fn retired_exec_workers_key_changes_nothing_on_query_or_execute() {
+    let server = start(ServerConfig::default());
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let (id, _) = c.prepare(QUERIES[0]).unwrap();
+    let execute = format!("/execute/{}", json::hex_id(id));
+    let mut answer_to = |path: &str, body: String| {
+        let resp = c.request("POST", path, Some(&body)).unwrap();
+        assert_eq!(resp.status, 200, "{}", resp.body_str());
+        let reply = json::parse(&resp.body_str()).unwrap();
+        let field = |k| reply.get(k).cloned().unwrap_or_else(|| panic!("no {k}"));
+        (field("rows"), field("row_count"), field("cache_hit"))
+    };
+    const WORKERS: &str = "\"exec_workers\":1099511627776";
+    let query = |extra: &str| format!("{{\"query\":{:?}{extra}}}", QUERIES[0]);
+    answer_to("/query", query("")); // plans; every answer below is warm
+    let plain = answer_to("/query", query(""));
+    assert_eq!(answer_to("/query", query(&format!(",{WORKERS}"))), plain);
+    assert_eq!(answer_to(&execute, "{}".into()), plain);
+    assert_eq!(answer_to(&execute, format!("{{{WORKERS}}}")), plain);
+}
+
 #[test]
 fn malformed_and_oversized_requests_are_rejected() {
     let server = start(ServerConfig {
