@@ -37,13 +37,13 @@ metrics="throughput_ops_s:higher query_p50_us:lower cpu_us_per_op:lower peak_rss
 runs=$(mktemp)
 trap 'rm -f "$runs"' EXIT
 
-# One run of `side` (parent|change) at `seed`: appends "seed side metric
+# One run of `side` (parent|change, each also the variable naming its
+# directory) at `seed`: appends "seed side metric
 # value" lines to $runs. A run that failed operations or checked wrong
 # answers ends the comparison.
 run() {
-    local side=$1 seed=$2 dir json
-    if [ "$side" = parent ]; then dir=$parent; else dir=$change; fi
-    json=$(bash "$dir/benchmark/run.sh" --workload "$workload" --seed "$seed" \
+    local side=$1 seed=$2 json
+    json=$(bash "${!side}/benchmark/run.sh" --workload "$workload" --seed "$seed" \
         --seconds 20 --trace 0 | tail -n 1)
     case "$json" in
     *'"correct": true'*'"failed": 0,'*) ;;
@@ -113,8 +113,7 @@ done
 echo
 echo "failed gates, one --trace 1 run per side at seed 11:"
 for side in parent change; do
-    if [ "$side" = parent ]; then dir=$parent; else dir=$change; fi
-    bash "$dir/benchmark/run.sh" --workload "$workload" --seed 11 --seconds 20 --trace 1 >/dev/null 2>&1
+    bash "${!side}/benchmark/run.sh" --workload "$workload" --seed 11 --seconds 20 --trace 1 >/dev/null 2>&1
     sed -n 's/^ *{"name": "\(.*\)", "value": \(.*\), "min": \(.*\), "max": \(.*\), "passed": false}.*/'"$side"': \1 = \2, allowed \3..\4/p' \
-        "$dir/benchmark/out/$workload-trace1.json" | grep . || echo "$side: none"
+        "${!side}/benchmark/out/$workload-trace1.json" | grep . || echo "$side: none"
 done

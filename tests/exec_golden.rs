@@ -1,9 +1,10 @@
 //! Executor golden file: every enumerated Q1–Q4 plan (the `tests/audit.rs`
 //! corpus) × {100%, 25%} memory grants must produce the rows, operation
 //! counts, buffer traffic, simulated disk time and spill traffic recorded
-//! in `tests/golden/exec_plans.txt`, to the last digit. The file was recorded from the materialise-everything executor
-//! (commit f652406) before the batch pipeline replaced it: the engine may
-//! change speed, not the paper's simulated cost model.
+//! in `tests/golden/exec_plans.txt`, to the last digit. The file was
+//! recorded from the materialise-everything executor (commit f652406)
+//! before the batch pipeline replaced it: the engine may change speed, not
+//! the paper's simulated cost model.
 //!
 //! The store is scale 1/10: 5000-row employee scans, five batches each.
 //! `OODB_GOLDEN_BLESS=1` rewrites the file.
