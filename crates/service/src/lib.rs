@@ -1412,7 +1412,9 @@ impl QueryService {
             rows.push(line);
         };
         let (mut rows, trace, stats) = loop {
-            let mut rows = Vec::new();
+            // Sized from the root's estimate — capped, an estimate is not a
+            // bound — so a large answer does not regrow row by row.
+            let mut rows = Vec::with_capacity((plan.est.out_card as usize).min(4096));
             let mut ex = Executor::new(&store, &entry.env);
             ex.set_limits(RunLimits {
                 deadline: exec_deadline,
