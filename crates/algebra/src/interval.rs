@@ -103,11 +103,6 @@ impl CardInterval {
         let hi_ok = self.hi.is_infinite() || x <= self.hi * (1.0 + INTERVAL_SLACK) + INTERVAL_SLACK;
         lo_ok && hi_ok
     }
-
-    /// Whether the interval carries any information beyond `[0, ∞)`.
-    pub fn is_informative(self) -> bool {
-        self.lo > 0.0 || self.hi.is_finite()
-    }
 }
 
 impl fmt::Display for CardInterval {
@@ -160,7 +155,5 @@ mod tests {
     fn display_and_information() {
         assert_eq!(CardInterval::new(1.0, 8.0).to_string(), "[1, 8]");
         assert_eq!(CardInterval::UNBOUNDED.to_string(), "[0, ∞)");
-        assert!(!CardInterval::UNBOUNDED.is_informative());
-        assert!(CardInterval::at_most(3.0).is_informative());
     }
 }

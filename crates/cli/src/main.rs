@@ -203,7 +203,6 @@ impl Shell {
                      \\connect ADDR        run statements against a remote server\n\
                      \\disconnect          go back to local execution\n\
                      \\metrics             dump all metrics (Prometheus text format)\n\
-                     \\profile on|off      latency histogram collection (default off)\n\
                      \\faults on [RATE] [SEED]   inject storage faults (default 0.05)\n\
                      \\faults off          detach the fault injector\n\
                      \\faults stats        injector counters and enabled state\n\
@@ -675,9 +674,7 @@ impl Shell {
                             // The old session logged the old database; it
                             // must not see the new one's mutations.
                             self.end_durability();
-                            let next = service_over(store, self.svc.config());
-                            next.set_profiling(self.svc.telemetry().profiling());
-                            self.svc = next;
+                            self.svc = service_over(store, self.svc.config());
                             println!(
                                 "opened {path} (stats epoch {}; plan cache and \
                                  feedback cleared)",
@@ -688,24 +685,6 @@ impl Shell {
                     }
                 }
                 None => println!("\\open PATH — load a \\save snapshot or durability dir"),
-            },
-            "\\profile" => match parts.next() {
-                Some("on") => {
-                    self.svc.set_profiling(true);
-                    println!("profiling on — latency histograms recording");
-                }
-                Some("off") => {
-                    self.svc.set_profiling(false);
-                    println!("profiling off");
-                }
-                _ => println!(
-                    "profiling is {}; \\profile on|off",
-                    if self.svc.telemetry().profiling() {
-                        "on"
-                    } else {
-                        "off"
-                    }
-                ),
             },
             other => println!("unknown command {other:?}; \\help"),
         }

@@ -155,14 +155,11 @@ explain analyze SELECT t FROM Task t IN Tasks WHERE t.time() == 100;
 #[test]
 fn metrics_dump_is_prometheus_text() {
     let out = run_shell(
-        r#"\profile on
-SELECT t FROM Task t IN Tasks WHERE t.time() == 100;
+        r#"SELECT t FROM Task t IN Tasks WHERE t.time() == 100;
 \metrics
-\profile off
 \q
 "#,
     );
-    assert!(out.contains("profiling on"), "{out}");
     assert!(
         out.contains("# TYPE oodb_submissions_total counter"),
         "{out}"
@@ -299,22 +296,6 @@ EXPLAIN FEEDBACK SELECT e FROM Employee e IN Employees WHERE e.name() == "Fred";
     assert!(
         out.rfind("0 fingerprints tracked").is_some(),
         "cleared store expected:\n{out}"
-    );
-}
-
-#[test]
-fn profile_off_skips_histograms() {
-    let out = run_shell(
-        r#"SELECT t FROM Task t IN Tasks WHERE t.time() == 100;
-\metrics
-\q
-"#,
-    );
-    // Counters are always live; histograms need \profile on.
-    assert!(out.contains("oodb_submissions_total 1"), "{out}");
-    assert!(
-        !out.contains(r#"oodb_stage_latency_ns_count{stage="execute"} 1"#),
-        "histogram should not record with profiling off:\n{out}"
     );
 }
 

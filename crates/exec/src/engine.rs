@@ -336,15 +336,7 @@ impl<'a> Executor<'a> {
     /// executor). A reused executor keeps its warm buffer pool but never
     /// smears one run's I/O into the next run's numbers.
     pub fn stats(&self) -> ExecStats {
-        self.stats_since(&self.run_base)
-    }
-
-    /// Statistics since the executor was created, across every run.
-    pub fn cumulative_stats(&self) -> ExecStats {
-        self.stats_since(&RunBase::default())
-    }
-
-    fn stats_since(&self, base: &RunBase) -> ExecStats {
+        let base = &self.run_base;
         let disk = self.io.disk_stats().delta(&base.disk);
         ExecStats {
             disk,

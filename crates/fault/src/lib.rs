@@ -563,16 +563,6 @@ pub struct RunLimits {
     pub mem_budget: Option<u64>,
 }
 
-impl RunLimits {
-    /// True when no limit is set — the common case, kept branch-cheap.
-    pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none()
-            && self.cancel.is_none()
-            && self.row_budget.is_none()
-            && self.mem_budget.is_none()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -654,21 +644,6 @@ mod tests {
         assert!(!t.is_cancelled());
         c.cancel();
         assert!(t.is_cancelled());
-    }
-
-    #[test]
-    fn run_limits_default_is_unlimited() {
-        assert!(RunLimits::default().is_unlimited());
-        let limited = RunLimits {
-            row_budget: Some(1),
-            ..Default::default()
-        };
-        assert!(!limited.is_unlimited());
-        let governed = RunLimits {
-            mem_budget: Some(4096),
-            ..Default::default()
-        };
-        assert!(!governed.is_unlimited());
     }
 
     #[test]

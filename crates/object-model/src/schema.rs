@@ -206,12 +206,6 @@ impl Schema {
         out
     }
 
-    /// Position of `field` in the physical layout of `ty` (its slot index),
-    /// or `None` if the field is not visible on `ty`.
-    pub fn slot_of(&self, ty: TypeId, field: FieldId) -> Option<usize> {
-        self.fields_of(ty).iter().position(|&f| f == field)
-    }
-
     /// True if `sub` is `sup` or a (transitive) subtype of it.
     pub fn is_subtype(&self, sub: TypeId, sup: TypeId) -> bool {
         let mut cur = Some(sub);
@@ -306,13 +300,6 @@ mod tests {
             .map(|f| s.field(f).name.clone())
             .collect();
         assert_eq!(names, ["name", "age", "salary"]);
-    }
-
-    #[test]
-    fn slot_of_matches_layout() {
-        let (s, _person, emp) = toy();
-        let salary = s.field_by_name(emp, "salary").unwrap();
-        assert_eq!(s.slot_of(emp, salary), Some(2));
     }
 
     #[test]

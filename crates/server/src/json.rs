@@ -606,9 +606,6 @@ mod tests {
             rows: vec!["task \"a\"".into(), "row\t2".into()],
             row_count: 2,
             cache_hit: true,
-            compile_ns: 10,
-            optimize_ns: 20,
-            execute_ns: 30,
             est_cost_s: 0.5,
             sim_io_s: 0.25,
             indexes_used: vec!["Tasks.time".into()],

@@ -490,7 +490,7 @@ fn handle_prepare(shared: &Shared, req: &Request) -> Response {
             out.push('}');
             Response::json(200, out)
         }
-        Err(e) => error_response(&e, Duration::ZERO), // never a shed
+        Err(e) => error_response(&e, shared.service.retry_after()),
     }
 }
 

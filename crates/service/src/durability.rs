@@ -1,0 +1,206 @@
+//! How the service's state changes: one publish path ([`QueryService::mutate`]),
+//! the logged mutators built on it, and the WAL-session wrappers.
+//!
+//! A logged mutator says what it does as [`WalRecord`]s. The records are
+//! appended to the session, then applied to the store being published by
+//! [`oodb_wal::apply_to`] — the function recovery replays them through, so
+//! a recovered store equals the live one by construction.
+
+use crate::{DurabilityStats, QueryService, ServiceState};
+use oodb_core::{CostParams, OptimizerConfig};
+use oodb_storage::Store;
+use oodb_wal::{
+    CheckpointStats, FlushPolicy, RecoverError, RecoveryReport, SessionError, WalRecord, WalSession,
+};
+use std::path::Path;
+use std::sync::{MutexGuard, PoisonError};
+
+impl QueryService {
+    /// Publishes a new snapshot: the current one with `change` applied.
+    /// Serialized with every other mutator by the snapshot cell's writer
+    /// lock, so concurrent reconfigurations never lose each other's
+    /// changes; a reader sees all of `change` or none of it.
+    pub(crate) fn mutate(&self, change: impl FnOnce(&mut ServiceState)) {
+        let (was, now) = self.inner.state.update(|s| {
+            let mut next = s.clone();
+            change(&mut next);
+            let epochs = (s.epoch(), next.epoch());
+            (next, epochs)
+        });
+        // Feedback recorded under an older stats epoch described a
+        // distribution that no longer exists; retire it (and its suspect
+        // markers) the moment the epoch moves.
+        if now != was {
+            self.inner.feedback.retire_older_than(now);
+        }
+    }
+
+    /// Log-then-apply: appends the records `describe` derives from the
+    /// current store, then publishes a snapshot with them (and `also`)
+    /// applied. The durability lock is held across both, so log order is
+    /// apply order and the store `describe` reads has the catalog the
+    /// records will meet — every catalog change takes this lock.
+    ///
+    /// An append failure (injected write fault, full disk) poisons the
+    /// session rather than blocking the mutation: the in-memory state
+    /// moves on, the mutation is simply not acknowledged durable, and
+    /// [`DurabilityStats::poisoned`] reports the degradation.
+    fn log_and_apply(
+        &self,
+        describe: impl FnOnce(&Store) -> Vec<WalRecord>,
+        also: impl FnOnce(&mut ServiceState),
+    ) {
+        let mut dur = self.durability_lock();
+        let records = describe(&self.store());
+        if let Some(session) = dur.as_mut() {
+            for rec in &records {
+                let _ = session.append(rec);
+            }
+        }
+        self.mutate(|s| {
+            for rec in &records {
+                // A record this process just built from its own store
+                // fails to apply only if that store is corrupt.
+                oodb_wal::apply_to(s.store_mut(), rec)
+                    .unwrap_or_else(|e| panic!("logged {} did not apply: {e}", rec.kind()));
+            }
+            also(s);
+        });
+    }
+
+    /// Collects histograms and swaps in a store whose catalog carries the
+    /// refined statistics and a bumped `stats_epoch`. With durability on,
+    /// the refresh is logged before it is applied; WAL replay runs the
+    /// same record through the same function, so the recovered catalog
+    /// matches bucket for bucket.
+    pub fn refresh_statistics(&self, buckets: usize) {
+        self.log_and_apply(|_| vec![stats_refresh(buckets)], |_| {});
+    }
+
+    /// Replaces statistics *and* configuration in one snapshot swap: a
+    /// reader either sees both changes or neither. This is the mutation
+    /// the concurrency proof drives while submissions race it.
+    pub fn refresh_statistics_with_config(&self, buckets: usize, config: OptimizerConfig) {
+        self.log_and_apply(|_| vec![stats_refresh(buckets)], |s| s.set_config(config));
+    }
+
+    /// Drops every index not named in `keep` (physical-design change) and
+    /// swaps in the rebuilt store. The epoch bump makes every cached plan
+    /// unservable, so a plan relying on a dropped index can never run.
+    pub fn restrict_indexes(&self, keep: &[&str]) {
+        let describe = |store: &Store| {
+            let catalog = store.catalog().with_only_indexes(keep);
+            vec![
+                WalRecord::SetCatalog { catalog },
+                WalRecord::BuildIndexes { bump_epoch: true },
+            ]
+        };
+        self.log_and_apply(describe, |_| {});
+    }
+
+    pub(crate) fn durability_lock(&self) -> MutexGuard<'_, Option<WalSession>> {
+        self.inner
+            .durability
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Rebuilds a service from a durability directory — checkpoint, then
+    /// the longest valid log prefix — and resumes logging into it (the
+    /// recovered state is folded into a fresh checkpoint, so the log
+    /// restarts empty). Returns the service plus what recovery found.
+    pub fn recover(
+        dir: &Path,
+        params: CostParams,
+        config: OptimizerConfig,
+        cache_capacity: usize,
+        cache_shards: usize,
+        policy: FlushPolicy,
+    ) -> Result<(QueryService, RecoveryReport), RecoverError> {
+        let (store, report) = oodb_wal::recover(dir)?;
+        let svc = QueryService::new(store, params, config, cache_capacity, cache_shards);
+        svc.inner
+            .metrics
+            .recovery_replayed
+            .add(report.replayed_records);
+        if report.torn_tail_bytes > 0 {
+            svc.inner.metrics.wal_torn_tails.inc();
+        }
+        svc.enable_durability(dir, policy)
+            .map_err(|e| RecoverError::Io(std::io::Error::other(e.to_string())))?;
+        Ok((svc, report))
+    }
+
+    /// Switches durability on: checkpoints the current store into `dir`
+    /// and opens a fresh log there. Subsequent statistics and
+    /// physical-design mutations are logged before they are applied.
+    /// Idempotent per directory — re-enabling replaces the session (the
+    /// old one flushes on drop via its final checkpoint already on disk).
+    pub fn enable_durability(&self, dir: &Path, policy: FlushPolicy) -> Result<(), SessionError> {
+        let mut dur = self.durability_lock();
+        let session = WalSession::create(dir, &self.store(), policy, None)?;
+        *dur = Some(session);
+        Ok(())
+    }
+
+    /// Switches durability off, flushing buffered records first. Returns
+    /// whether a session was active.
+    pub fn disable_durability(&self) -> bool {
+        let mut dur = self.durability_lock();
+        match dur.take() {
+            Some(mut session) => {
+                let _ = session.flush();
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Forces buffered WAL records to disk (`FlushPolicy::Batch`/`Manual`
+    /// sessions; a no-op under `EveryRecord`).
+    pub fn flush_wal(&self) -> Option<Result<(), String>> {
+        let mut dur = self.durability_lock();
+        dur.as_mut().map(|s| s.flush().map_err(|e| e.to_string()))
+    }
+
+    /// Compacts the log into a fresh checkpoint of the current store.
+    /// Mutators are blocked for the duration, so the checkpoint can never
+    /// miss a logged-but-unapplied record.
+    pub fn checkpoint_wal(&self) -> Option<Result<CheckpointStats, String>> {
+        let mut dur = self.durability_lock();
+        let store = self.store();
+        dur.as_mut()
+            .map(|s| s.checkpoint(&store).map_err(|e| e.to_string()))
+    }
+
+    /// A snapshot of the WAL session's counters, or `None` with
+    /// durability off.
+    pub fn durability_stats(&self) -> Option<DurabilityStats> {
+        let dur = self.durability_lock();
+        dur.as_ref().map(|s| {
+            let ws = s.wal_stats();
+            let ck = s.last_checkpoint();
+            DurabilityStats {
+                dir: s.dir().display().to_string(),
+                policy: format!("{:?}", s.policy()),
+                records: ws.records,
+                bytes: ws.bytes,
+                flushes: ws.flushes,
+                syncs: ws.syncs,
+                faults: ws.faults,
+                buffered_records: s.buffered_records() as u64,
+                next_seq: s.next_seq(),
+                checkpoint_records: ck.records,
+                checkpoint_bytes: ck.bytes,
+                compacted_records: s.compacted_records(),
+                poisoned: s.poisoned(),
+            }
+        })
+    }
+}
+
+fn stats_refresh(buckets: usize) -> WalRecord {
+    WalRecord::StatsRefresh {
+        buckets: buckets as u32,
+    }
+}

@@ -234,11 +234,6 @@ impl Io {
         Ok(self.touch_elevator(pages))
     }
 
-    /// (hits, misses) of the pool.
-    pub fn pool_stats(&self) -> (u64, u64) {
-        self.pool.stats()
-    }
-
     /// Number of pages resident in the pool.
     pub fn resident_pages(&self) -> usize {
         self.pool.resident_pages()
@@ -291,7 +286,7 @@ mod tests {
         io.touch(10);
         io.touch(10);
         assert_eq!(io.disk_stats().pages(), 1);
-        let (hits, misses) = io.pool_stats();
+        let (hits, misses) = io.pool.stats();
         assert_eq!((hits, misses), (2, 1));
     }
 
@@ -325,7 +320,7 @@ mod tests {
                 first.get_or_insert(one.touch(page));
             }
             assert_eq!(run.try_touch_run(page, n), Ok(first.unwrap()));
-            assert_eq!(run.pool_stats(), one.pool_stats());
+            assert_eq!(run.pool.stats(), one.pool.stats());
             assert_eq!(run.disk_stats(), one.disk_stats());
         }
         let (a, b) = (&one.pool, &run.pool);
@@ -342,10 +337,10 @@ mod tests {
         let mut io = Io::new(4, DiskParams::default());
         io.set_fault_injector(Some(inj.clone()));
         assert!(io.try_touch_run(3, 5).is_err());
-        assert_eq!(io.pool_stats(), (0, 0), "a faulted read charges nothing");
+        assert_eq!(io.pool.stats(), (0, 0), "a faulted read charges nothing");
         inj.set_enabled(false);
         assert_eq!(io.try_touch_run(3, 5), Ok(false));
-        assert_eq!(io.pool_stats(), (4, 1));
+        assert_eq!(io.pool.stats(), (4, 1));
     }
 
     #[test]

@@ -307,7 +307,7 @@ mod tests {
         // Every indexed hit must satisfy the path predicate...
         for &oid in store.members(ids.cities) {
             let name = store.eval_path(oid, &[ids.city_mayor], ids.person_name);
-            let hits = idx.lookup_eq(&name);
+            let hits = idx.lookup_cmp(oodb_object::value::CmpLike::Eq, &name);
             assert!(hits.contains(&oid));
         }
         // ...and total entries equal the set cardinality.
@@ -320,7 +320,7 @@ mod tests {
         let ids = &model.ids;
         let freds = store
             .index(ids.idx_employees_name)
-            .lookup_eq(&Value::str("Fred"))
+            .lookup_cmp(oodb_object::value::CmpLike::Eq, &Value::str("Fred"))
             .len() as f64;
         let total = store.members(ids.employees).len() as f64;
         // 100 distinct names → ≈1% Freds; allow generous statistical slack.
@@ -340,7 +340,7 @@ mod tests {
         let ids = &model.ids;
         let freds = store
             .index(ids.idx_employees_name)
-            .lookup_eq(&Value::str("Fred"))
+            .lookup_cmp(oodb_object::value::CmpLike::Eq, &Value::str("Fred"))
             .len() as f64;
         let total = store.members(ids.employees).len() as f64;
         // ≈50% forced + ≈1% from the uniform pool; the catalog's

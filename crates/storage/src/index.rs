@@ -84,22 +84,6 @@ impl BuiltIndex {
         }
     }
 
-    /// OIDs whose key equals `v` (empty if none).
-    pub fn lookup_eq(&self, v: &Value) -> &[Oid] {
-        self.map
-            .get(&OrdValue(v.clone()))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// OIDs whose key lies in `[lo, hi]` (inclusive), in key order.
-    pub fn lookup_range(&self, lo: &Value, hi: &Value) -> Vec<Oid> {
-        self.map
-            .range(OrdValue(lo.clone())..=OrdValue(hi.clone()))
-            .flat_map(|(_, v)| v.iter().copied())
-            .collect()
-    }
-
     /// All entries in key order — the full ordered scan behind the
     /// "interesting order" index alternative.
     pub fn all_ordered(&self) -> Vec<Oid> {
@@ -184,6 +168,7 @@ impl BuiltIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use oodb_object::value::CmpLike;
     use oodb_object::{Date, TypeId};
 
     fn oid(i: u32) -> Oid {
@@ -200,9 +185,9 @@ mod tests {
             ],
             100,
         );
-        let joes = idx.lookup_eq(&Value::str("Joe"));
+        let joes = idx.lookup_cmp(CmpLike::Eq, &Value::str("Joe"));
         assert_eq!(joes.len(), 2);
-        assert!(idx.lookup_eq(&Value::str("Zoe")).is_empty());
+        assert!(idx.lookup_cmp(CmpLike::Eq, &Value::str("Zoe")).is_empty());
         assert_eq!(idx.distinct_keys(), 2);
         assert_eq!(idx.entries(), 3);
     }
@@ -210,10 +195,11 @@ mod tests {
     #[test]
     fn range_lookup_in_key_order() {
         let idx = BuiltIndex::build((0..10).map(|i| (Value::Int(i), oid(i as u32))), 0);
-        let hits = idx.lookup_range(&Value::Int(3), &Value::Int(6));
-        assert_eq!(hits.len(), 4);
+        let hits = idx.lookup_cmp(CmpLike::Ge, &Value::Int(3));
+        assert_eq!(hits.len(), 7);
         assert_eq!(hits[0], oid(3));
-        assert_eq!(hits[3], oid(6));
+        assert_eq!(hits[6], oid(9));
+        assert_eq!(idx.lookup_cmp(CmpLike::Le, &Value::Int(6)).len(), 7);
     }
 
     #[test]
@@ -226,11 +212,10 @@ mod tests {
             ],
             0,
         );
-        let hits = idx.lookup_range(
-            &Value::Date(Date::from_ymd(1992, 1, 1)),
-            &Value::Date(Date::from_ymd(1999, 1, 1)),
-        );
+        let hits = idx.lookup_cmp(CmpLike::Ge, &Value::Date(Date::from_ymd(1992, 1, 1)));
         assert_eq!(hits, vec![oid(2), oid(3)]);
+        let hits = idx.lookup_cmp(CmpLike::Lt, &Value::Date(Date::from_ymd(1992, 1, 1)));
+        assert_eq!(hits, vec![oid(1)]);
     }
 
     #[test]

@@ -686,7 +686,9 @@ mod tests {
         store.set_catalog(cat);
         store.build_indexes();
         let id = store.catalog().index_by_name("Ts_x").unwrap();
-        let hits = store.index(id).lookup_eq(&Value::Int(3));
+        let hits = store
+            .index(id)
+            .lookup_cmp(oodb_object::value::CmpLike::Eq, &Value::Int(3));
         // x = i % 7 == 3 for i in {3,10,17,...,94}: 14 values.
         assert_eq!(hits.len(), 14);
         assert!(hits

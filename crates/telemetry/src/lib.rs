@@ -3,7 +3,7 @@
 //! The paper's whole evaluation (Tables 2–3, the search-effort and
 //! plan-quality figures) is instrumentation; this crate makes that
 //! instrumentation a first-class, always-on subsystem instead of
-//! per-experiment scaffolding. Three primitives, no dependencies:
+//! per-experiment scaffolding. Two primitives, no dependencies:
 //!
 //! * [`MetricsRegistry`] — a lock-light registry of named, labelled
 //!   metrics. Handles ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`'d
@@ -12,11 +12,6 @@
 //!   (256 ns … ~17 s), so recording is branch-light, merging is trivial,
 //!   and two runs of the same binary always bucket identically —
 //!   comparable across reports without bucket negotiation.
-//! * **Profiling gate** — histograms observe only while
-//!   [`MetricsRegistry::set_profiling`] is on (a single relaxed load when
-//!   off). Counters and gauges are always live: they are the cheap part
-//!   and the `\metrics` dump must never read zero hits just because
-//!   profiling was off.
 //! * [`OpTrace`] — a per-operator execution trace (actual rows, wall
 //!   clock, buffer hits/misses, simulated I/O) mirroring a physical plan
 //!   tree; the substance behind `EXPLAIN ANALYZE`.

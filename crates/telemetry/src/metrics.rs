@@ -3,9 +3,8 @@
 //! Hot-path cost model:
 //!
 //! * counter/gauge update — one relaxed atomic RMW, always on;
-//! * histogram observation — one relaxed gate load, and when profiling is
-//!   on, a bucket search over a fixed 28-entry table plus three relaxed
-//!   RMWs; when off, the gate load alone;
+//! * histogram observation — a bucket index from the leading-zero count
+//!   plus three relaxed RMWs, always on;
 //! * registration — copy-on-write: a *new* key pays one writer-mutex
 //!   acquisition and a map clone; re-registering an existing key (the
 //!   respawned-worker path) is a lock-free snapshot probe. Neither is on
@@ -18,7 +17,7 @@
 use oodb_sync::Snap;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -108,8 +107,6 @@ struct HistogramCore {
     counts: [AtomicU64; BUCKET_COUNT + 1],
     sum_ns: AtomicU64,
     count: AtomicU64,
-    /// Shared with the owning registry; observations no-op when false.
-    gate: Arc<AtomicBool>,
 }
 
 /// A fixed-bucket latency histogram. Cloning shares the underlying cells.
@@ -143,26 +140,17 @@ fn bucket_index(ns: u64) -> usize {
 }
 
 impl Histogram {
-    /// A detached histogram whose gate is always open (tests, ad-hoc use).
+    /// A detached histogram (not in any registry).
     pub fn new() -> Self {
-        Histogram::with_gate(Arc::new(AtomicBool::new(true)))
-    }
-
-    fn with_gate(gate: Arc<AtomicBool>) -> Self {
         Histogram(Arc::new(HistogramCore {
             counts: std::array::from_fn(|_| AtomicU64::new(0)),
             sum_ns: AtomicU64::new(0),
             count: AtomicU64::new(0),
-            gate,
         }))
     }
 
-    /// Records one observation in nanoseconds. A no-op while the owning
-    /// registry's profiling gate is off.
+    /// Records one observation in nanoseconds.
     pub fn record(&self, ns: u64) {
-        if !self.0.gate.load(Ordering::Relaxed) {
-            return;
-        }
         self.0.counts[bucket_index(ns)].fetch_add(1, Ordering::Relaxed);
         self.0.sum_ns.fetch_add(ns, Ordering::Relaxed);
         self.0.count.fetch_add(1, Ordering::Relaxed);
@@ -393,7 +381,6 @@ impl Slot {
 /// the per-query path.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    profiling: Arc<AtomicBool>,
     metrics: Snap<BTreeMap<MetricKey, Slot>>,
 }
 
@@ -404,12 +391,9 @@ impl Default for MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    /// An empty registry. Profiling (histogram observation) starts **off**
-    /// so an instrumented hot path costs one relaxed load until someone
-    /// asks for latency data; counters and gauges are always live.
+    /// An empty registry.
     pub fn new() -> Self {
         MetricsRegistry {
-            profiling: Arc::new(AtomicBool::new(false)),
             metrics: Snap::new(BTreeMap::new()),
         }
     }
@@ -433,17 +417,6 @@ impl MetricsRegistry {
         })
     }
 
-    /// Turns histogram observation on or off. Counters and gauges are
-    /// unaffected — they stay correct either way.
-    pub fn set_profiling(&self, on: bool) {
-        self.profiling.store(on, Ordering::Relaxed);
-    }
-
-    /// Whether histograms are currently observing.
-    pub fn profiling(&self) -> bool {
-        self.profiling.load(Ordering::Relaxed)
-    }
-
     /// Gets or creates a counter. Panics if the key exists as another kind.
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         match self.slot(MetricKey::new(name, labels), || {
@@ -462,12 +435,11 @@ impl MetricsRegistry {
         }
     }
 
-    /// Gets or creates a histogram (gated by this registry's profiling
-    /// flag). Panics if the key exists as another kind.
+    /// Gets or creates a histogram. Panics if the key exists as another
+    /// kind.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Histogram {
-        let gate = Arc::clone(&self.profiling);
         match self.slot(MetricKey::new(name, labels), || {
-            Slot::Histogram(Histogram::with_gate(gate))
+            Slot::Histogram(Histogram::new())
         }) {
             Slot::Histogram(h) => h,
             other => panic!("metric {name} already registered as {}", other.kind()),
@@ -592,21 +564,6 @@ mod tests {
     }
 
     #[test]
-    fn profiling_gate_stops_histograms_not_counters() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("x_ns", &[]);
-        let c = reg.counter("y_total", &[]);
-        reg.set_profiling(false);
-        h.record(100);
-        c.inc();
-        assert_eq!(h.count(), 0, "gated histogram must not observe");
-        assert_eq!(c.get(), 1, "counters are always live");
-        reg.set_profiling(true);
-        h.record(100);
-        assert_eq!(h.count(), 1);
-    }
-
-    #[test]
     fn registry_reuses_handles() {
         let reg = MetricsRegistry::new();
         let a = reg.counter("hits_total", &[("shard", "0")]);
@@ -629,7 +586,6 @@ mod tests {
     #[test]
     fn prometheus_format_shape() {
         let reg = MetricsRegistry::new();
-        reg.set_profiling(true);
         reg.counter("requests_total", &[("kind", "read")]).add(3);
         reg.gauge("queue_depth", &[]).set(2);
         let h = reg.histogram("latency_ns", &[("stage", "parse")]);

@@ -238,18 +238,6 @@ pub fn check_actual_cards(env: &QueryEnv, plan: &PhysicalPlan, trace: &OpTrace) 
     cx.diags
 }
 
-/// The derivable `[lo, hi]` row-count interval of a physical plan's root.
-pub fn interval_physical(env: &QueryEnv, plan: &PhysicalPlan) -> CardInterval {
-    Cx::new(env).walk_interval(plan)
-}
-
-/// The derivable `[lo, hi]` row-count interval of a logical expression's
-/// root. Any correct execution of any physical plan for this expression
-/// produces a row count inside this interval.
-pub fn interval_logical(env: &QueryEnv, plan: &LogicalPlan) -> CardInterval {
-    Cx::new(env).logical_interval(plan)
-}
-
 /// Full static verification of a winning plan: linter + property checker
 /// + cost sanity, with `required` the root goal's physical properties.
 pub fn verify_physical(
@@ -1579,61 +1567,6 @@ impl<'e> Cx<'e> {
         iv
     }
 
-    /// Interval propagation over a logical expression — the physical
-    /// table's operator-semantics half, without estimates to check.
-    fn logical_interval(&self, plan: &LogicalPlan) -> CardInterval {
-        let kids: Vec<CardInterval> = plan
-            .children
-            .iter()
-            .map(|c| self.logical_interval(c))
-            .collect();
-        let kid = |i: usize| kids.get(i).copied().unwrap_or(CardInterval::UNBOUNDED);
-        match &plan.op {
-            LogicalOp::Get { coll, .. } => {
-                CardInterval::exact(self.env.catalog.collection(*coll).cardinality as f64)
-            }
-            LogicalOp::Select { pred } => {
-                if self.pred_empty(*pred) {
-                    kid(0)
-                } else {
-                    kid(0).relax_lo()
-                }
-            }
-            LogicalOp::Project { .. } | LogicalOp::Mat { .. } => kid(0),
-            LogicalOp::Unnest { .. } => CardInterval::UNBOUNDED,
-            LogicalOp::Join { pred } => {
-                let mut iv = if self.pred_empty(*pred) {
-                    kid(0).cross(kid(1))
-                } else {
-                    kid(0).cross(kid(1)).relax_lo()
-                };
-                if self.pred_ok(*pred) && plan.children.len() == 2 {
-                    for t in &self.env.preds.pred(*pred).terms {
-                        if let Some(tv) = term_ref_eq(t) {
-                            if logical_binds(&plan.children[0], tv) {
-                                if logical_distinct_in(&plan.children[0], tv) {
-                                    iv = iv.cap(kid(1).hi);
-                                }
-                            } else if logical_binds(&plan.children[1], tv)
-                                && logical_distinct_in(&plan.children[1], tv)
-                            {
-                                iv = iv.cap(kid(0).hi);
-                            }
-                        }
-                    }
-                }
-                iv
-            }
-            LogicalOp::SetOp { kind } => match kind {
-                oodb_algebra::SetOpKind::Union => kid(0).sum(kid(1)).relax_lo(),
-                oodb_algebra::SetOpKind::Intersect => {
-                    CardInterval::at_most(kid(0).hi.min(kid(1).hi))
-                }
-                oodb_algebra::SetOpKind::Difference => CardInterval::at_most(kid(0).hi),
-            },
-        }
-    }
-
     /// True when the predicate resolves and has no terms (always-true).
     fn pred_empty(&self, p: PredId) -> bool {
         self.pred_ok(p) && self.env.preds.pred(p).terms.is_empty()
@@ -1679,35 +1612,6 @@ fn phys_distinct_in(plan: &PhysicalPlan, v: VarId) -> bool {
         | PhysicalOp::HybridHashJoin { .. }
         | PhysicalOp::MergeJoin { .. } => false,
         PhysicalOp::HashSetOp { kind } => match kind {
-            oodb_algebra::SetOpKind::Union => false,
-            oodb_algebra::SetOpKind::Intersect | oodb_algebra::SetOpKind::Difference => kid0(plan),
-        },
-    }
-}
-
-/// Whether a logical subtree binds `v` in its output scope.
-fn logical_binds(plan: &LogicalPlan, v: VarId) -> bool {
-    let here = match &plan.op {
-        LogicalOp::Get { var, .. } => *var == v,
-        LogicalOp::Mat { out } | LogicalOp::Unnest { out } => *out == v,
-        _ => false,
-    };
-    here || plan.children.iter().any(|c| logical_binds(c, v))
-}
-
-/// Logical analog of [`phys_distinct_in`].
-fn logical_distinct_in(plan: &LogicalPlan, v: VarId) -> bool {
-    let kid0 = |p: &LogicalPlan| {
-        p.children
-            .first()
-            .is_some_and(|c| logical_distinct_in(c, v))
-    };
-    match &plan.op {
-        LogicalOp::Get { var, .. } => *var == v,
-        LogicalOp::Select { .. } | LogicalOp::Project { .. } => kid0(plan),
-        LogicalOp::Mat { out } => *out != v && kid0(plan),
-        LogicalOp::Unnest { .. } | LogicalOp::Join { .. } => false,
-        LogicalOp::SetOp { kind } => match kind {
             oodb_algebra::SetOpKind::Union => false,
             oodb_algebra::SetOpKind::Intersect | oodb_algebra::SetOpKind::Difference => kid0(plan),
         },
@@ -1940,7 +1844,7 @@ mod tests {
         // Scan pinned to catalog cardinality, filter below it: feasible.
         let good = scan_filter_plan(&m, pred, c, n, n / 2.0);
         assert_eq!(check_card_intervals(&env, &good), vec![]);
-        assert_eq!(interval_physical(&env, &good), CardInterval::at_most(n));
+        assert_eq!(Cx::new(&env).walk_interval(&good), CardInterval::at_most(n));
         // A scan estimating *below* collection cardinality is infeasible —
         // the lower-bound violation CARD_BOUND cannot see.
         let low = scan_filter_plan(&m, pred, c, n / 2.0, n / 4.0);
@@ -1995,32 +1899,19 @@ mod tests {
     }
 
     #[test]
-    fn logical_interval_of_select_mat_get() {
-        let (env, plan, ..) = q2();
-        let iv = interval_logical(&env, &plan);
-        // Select drops the lower bound; Mat preserves the count.
-        assert_eq!(iv.lo, 0.0);
-        let get_iv = interval_logical(&env, &plan.children[0].children[0]);
-        assert_eq!(get_iv.lo, get_iv.hi, "Get is exact");
-        assert_eq!(iv.hi, get_iv.hi);
-    }
-
-    #[test]
     fn ref_eq_join_containment_tightens_the_bound() {
         let m = paper_model();
         let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
         let (people, p) = qb.get(m.ids.person_extent, "p");
         let (cities, c) = qb.get(m.ids.cities, "c");
         let pred = qb.ref_eq(c, m.ids.city_mayor, p);
-        let join = qb.join(people, cities, pred);
+        qb.join(people, cities, pred);
         let env = qb.into_env();
         let n_c = m.catalog.collection(m.ids.cities).cardinality as f64;
         let n_p = m.catalog.collection(m.ids.person_extent).cardinality as f64;
         assert!(n_p > n_c, "containment must be visible");
         // Each city references one mayor; the mayor side is distinct in p,
         // so the join emits at most one row per city — not n_c × n_p.
-        let iv = interval_logical(&env, &join);
-        assert_eq!(iv, CardInterval::at_most(n_c), "logical containment");
         let phys = PhysicalPlan {
             op: PhysicalOp::HybridHashJoin { pred },
             children: vec![
@@ -2044,7 +1935,7 @@ mod tests {
             est: Default::default(),
         };
         assert_eq!(
-            interval_physical(&env, &phys),
+            Cx::new(&env).walk_interval(&phys),
             CardInterval::at_most(n_c),
             "physical containment"
         );

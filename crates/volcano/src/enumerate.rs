@@ -18,7 +18,7 @@
 //! the repeated work affordable.
 
 use crate::memo::GroupId;
-use crate::model::{CostValue, OptModel, RuleSet};
+use crate::model::{OptModel, RuleSet};
 use crate::search::{GoalKey, Optimizer, PlanNode};
 
 /// Bounds on the enumeration. Exceeding any of them stops the walk and
@@ -53,16 +53,6 @@ pub struct Enumeration<M: OptModel> {
     pub truncated: bool,
 }
 
-impl<M: OptModel> Enumeration<M> {
-    /// The cheapest total cost over the enumerated plans.
-    pub fn min_cost(&self) -> Option<f64> {
-        self.plans
-            .iter()
-            .map(|p| p.total_cost().total())
-            .min_by(f64::total_cmp)
-    }
-}
-
 /// Walk state shared across the recursion.
 struct EnumState {
     limits: EnumLimits,
@@ -89,12 +79,8 @@ impl<M: OptModel> Optimizer<'_, M> {
     /// fixpoint). Candidate generation mirrors
     /// [`Optimizer::optimize_group`] exactly — same implementation rules,
     /// same property filter, same enforcer handling — so the enumerated
-    /// set is precisely the space the search chose its winner from.
-    pub fn enumerate_all(&mut self, group: GroupId, props: M::PProps) -> Enumeration<M> {
-        self.enumerate_bounded(group, props, EnumLimits::default())
-    }
-
-    /// [`Optimizer::enumerate_all`] with explicit limits.
+    /// set is precisely the space the search chose its winner from —
+    /// up to `limits`, past which the result says it was truncated.
     pub fn enumerate_bounded(
         &mut self,
         group: GroupId,
@@ -238,6 +224,7 @@ impl<M: OptModel> Optimizer<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::CostValue;
     use crate::search::SearchConfig;
     use crate::toy::{toy_rules, Toy, ToyOp, ToySort};
 
@@ -254,13 +241,18 @@ mod tests {
         (opt, root)
     }
 
+    fn min_cost(en: &Enumeration<Toy>) -> f64 {
+        let costs = en.plans.iter().map(|p| p.total_cost().total());
+        costs.min_by(f64::total_cmp).expect("non-empty space")
+    }
+
     #[test]
     fn enumeration_covers_the_space_and_contains_the_winner() {
         let model = Toy::default();
         let rules = toy_rules();
         let (mut opt, root) = three_table_setup(&model, &rules);
         let winner = opt.run(root, ToySort::default()).expect("winner");
-        let en = opt.enumerate_all(root, ToySort::default());
+        let en = opt.enumerate_bounded(root, ToySort::default(), EnumLimits::default());
         assert!(!en.truncated);
         // Root group: 6 join exprs (each table against the join of the
         // other two, both orders). Table 0 satisfies an unsorted goal two
@@ -268,7 +260,7 @@ mod tests {
         // inner pair adds another 2× for its own operand orders:
         // 6 × 2 × 2 = 24 complete plans.
         assert_eq!(en.plans.len(), 24, "3-table join space");
-        let min = en.min_cost().expect("non-empty space");
+        let min = min_cost(&en);
         let w = winner.total_cost().total();
         assert!(
             (w - min).abs() <= 1e-9 * min.max(1.0),
@@ -284,7 +276,7 @@ mod tests {
         let rules = toy_rules();
         let (mut opt, root) = three_table_setup(&model, &rules);
         opt.explore_all();
-        let en = opt.enumerate_all(root, ToySort { sorted: true });
+        let en = opt.enumerate_bounded(root, ToySort { sorted: true }, EnumLimits::default());
         assert!(!en.truncated);
         // Every unsorted plan appears once wrapped in the sort enforcer
         // (the toy model has no sorted join, so no other source exists).
@@ -292,7 +284,7 @@ mod tests {
         let sorted_cost = opt
             .optimize_group(root, &ToySort { sorted: true })
             .expect("sorted winner");
-        let min = en.min_cost().unwrap();
+        let min = min_cost(&en);
         assert!((sorted_cost.total() - min).abs() <= 1e-9 * min.max(1.0));
     }
 

@@ -123,6 +123,8 @@ pub struct Memo<M: OptModel> {
     /// `(operator, children)` of every live expression → that expression.
     /// Children of live expressions are always representatives.
     dedup: DedupMap<M>,
+    /// Group merges performed; the merge tests count cascades with it.
+    #[cfg(test)]
     merges: u64,
     /// Merge by rebuilding the whole map: the reference the incremental
     /// merge is tested against.
@@ -138,6 +140,7 @@ impl<M: OptModel> Default for Memo<M> {
             groups: Vec::new(),
             parent: Vec::new(),
             dedup: HashMap::default(),
+            #[cfg(test)]
             merges: 0,
             #[cfg(test)]
             rebuild_on_merge: false,
@@ -341,7 +344,10 @@ impl<M: OptModel> Memo<M> {
         let into = &mut self.groups[win.index()];
         into.joined += moved.len() as u32;
         into.exprs.extend(moved);
-        self.merges += 1;
+        #[cfg(test)]
+        {
+            self.merges += 1;
+        }
         lose
     }
 
@@ -411,11 +417,6 @@ impl<M: OptModel> Memo<M> {
     /// Number of live expressions.
     pub fn expr_count(&self) -> usize {
         self.dead.iter().filter(|&&d| !d).count()
-    }
-
-    /// Number of group merges performed.
-    pub fn merge_count(&self) -> u64 {
-        self.merges
     }
 
     /// A small fingerprint of a group's current contents, used by the
@@ -584,14 +585,14 @@ mod tests {
                 }
             }
             for step in 0..40 {
-                let before = inc.merge_count();
+                let before = inc.merges;
                 random_step(&mut rng, [&mut inc, &mut oracle], &model);
                 assert_eq!(
                     inc.snapshot(),
                     oracle.snapshot(),
                     "seed {seed}, step {step}"
                 );
-                let delta = inc.merge_count() - before;
+                let delta = inc.merges - before;
                 merges += delta;
                 cascades += u64::from(delta >= 3);
             }
@@ -629,7 +630,7 @@ mod tests {
                 ba,
                 Rewrite::Op(ToyOp::Join, vec![Rewrite::Group(a), Rewrite::Group(b)]),
             );
-            assert_eq!(memo.merge_count(), 3);
+            assert_eq!(memo.merges, 3);
             assert_eq!(memo.find(ab_c), memo.find(ba_c));
             assert_eq!(memo.find(ab_c_d), memo.find(ba_c_d));
             // Each upper level lost the younger of its two equal joins.
@@ -696,7 +697,7 @@ mod tests {
         );
         assert_eq!(memo.find(j1), memo.find(j2));
         assert_eq!(memo.group_exprs(j1).len(), 2);
-        assert_eq!(memo.merge_count(), 1);
+        assert_eq!(memo.merges, 1);
     }
 
     #[test]

@@ -1,10 +1,11 @@
 //! Replay, checkpointing of live stores, and the durable session.
 //!
-//! The single most load-bearing function here is [`apply_record`]: the
-//! live write path appends a record and then applies it through this
-//! function; recovery replays the persisted records through the *same*
-//! function. Replayed state therefore matches applied state by
-//! construction — there is no second interpretation of a record to drift.
+//! The single most load-bearing function here is [`apply_to`]: the live
+//! write path (the service's logged mutators) appends a record and then
+//! applies it through this function; recovery replays the persisted
+//! records through the *same* function, by way of [`apply_record`].
+//! Replayed state therefore matches applied state by construction —
+//! there is no second interpretation of a record to drift.
 //!
 //! Recovery semantics (redo-only): load the checkpoint if present, then
 //! replay the longest valid prefix of the WAL. A torn tail, a corrupt

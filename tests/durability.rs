@@ -15,8 +15,8 @@ use oodb_service::QueryService;
 use oodb_storage::{generate_paper_db, GenConfig, Store};
 use oodb_wal::{
     apply_record, apply_to, checkpoint_records, frame_boundaries, load_checkpoint, recover,
-    store_digest, DecodeError, FlushPolicy, ScratchDir, WalRecord, WalSession, CHECKPOINT_FILE,
-    WAL_FILE, WAL_HEADER,
+    store_digest, DecodeError, FlushPolicy, ScratchDir, Wal, WalRecord, WalSession,
+    CHECKPOINT_FILE, WAL_FILE, WAL_HEADER,
 };
 use std::path::Path;
 
@@ -506,6 +506,52 @@ fn service_crash_roundtrip_is_query_identical() {
         text.contains("oodb_recovery_replayed_total 2"),
         "recovery counter missing:\n{text}"
     );
+}
+
+/// The service's three logged mutators, run for real rather than modelled:
+/// the records the session wrote, applied by `apply_record` to a copy of
+/// the store the service started from, rebuild the store the service now
+/// publishes — the mutators apply what they log, nothing else.
+#[test]
+fn service_mutators_apply_exactly_what_they_log() {
+    let dir = ScratchDir::new("service-mutators").expect("scratch dir");
+    let start = fresh_store();
+    let config = OptimizerConfig::all_rules();
+    let svc = QueryService::new(start.clone(), CostParams::default(), config, 64, 4);
+    svc.enable_durability(dir.path(), FlushPolicy::EveryRecord)
+        .expect("durability on");
+    svc.refresh_statistics(16);
+    let merge_join = oodb_core::config::rule_names::MERGE_JOIN;
+    svc.refresh_statistics_with_config(24, OptimizerConfig::without(&[merge_join]));
+    let (_, kept) = start.catalog().indexes().next().expect("an index");
+    svc.restrict_indexes(&[&kept.name]);
+    assert!(!svc.durability_stats().expect("durability on").poisoned);
+
+    let scan = Wal::scan(&dir.path().join(WAL_FILE)).expect("log scans");
+    let mut slot = Some(start);
+    let mut kinds = Vec::new();
+    for (_, bytes) in &scan.records {
+        let rec = WalRecord::decode(bytes).expect("own encoding decodes");
+        apply_record(&mut slot, &rec).expect("logged record replays");
+        kinds.push(rec.kind());
+    }
+    let logged = [
+        "stats-refresh",
+        "stats-refresh",
+        "set-catalog",
+        "build-indexes",
+    ];
+    assert_eq!(kinds, logged);
+    let (live, replayed) = (svc.store(), slot.expect("a store"));
+    assert_eq!(store_digest(&replayed), store_digest(&live));
+    let identity = |s: &Store| (s.catalog().stats_epoch(), s.catalog().index_set_hash());
+    assert_eq!(identity(&replayed), identity(&live));
+    assert_eq!(
+        live.catalog().indexes().count(),
+        1,
+        "two indexes were dropped"
+    );
+    assert_eq!(query_rows(replayed), query_rows(Store::clone(&live)));
 }
 
 /// An object is as large as its values: a 600-member set and a 5 000-byte

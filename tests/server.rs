@@ -117,6 +117,51 @@ fn smoke_every_endpoint() {
     server.shutdown();
 }
 
+/// A served process reports where its requests' time went: the stage
+/// histograms record with nobody having switched anything on.
+#[test]
+fn one_query_shows_in_the_stage_histograms() {
+    let server = start(ServerConfig::default());
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    c.query(QUERIES[1], Default::default()).unwrap();
+    let metrics = c.metrics().unwrap();
+    assert!(
+        metrics.contains("oodb_stage_latency_ns_count{stage=\"execute\"} 1\n"),
+        "{metrics}"
+    );
+    drop(c);
+    server.shutdown();
+}
+
+/// `POST /prepare` of a new statement into a full registry is a shed like
+/// any other: 429 with `Retry-After`; a registered one still answers.
+#[test]
+fn prepare_into_a_full_registry_maps_to_429_with_retry_after() {
+    let server = start(ServerConfig::default());
+    let text = |i: i64| format!("SELECT t FROM Task t IN Tasks WHERE t.time() == {i}");
+    let mut filled = 0;
+    while server.service().prepare(&text(filled)).is_ok() {
+        filled += 1;
+    }
+    assert_eq!(filled, 4096, "the registry's bound");
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    match c.prepare(&text(-1)) {
+        Err(ClientError::Service {
+            status: 429,
+            error,
+            retry_after_s,
+        }) => {
+            let reason = ShedReason::QueueFull;
+            assert_eq!(error, ServiceError::Overloaded { reason });
+            assert!(retry_after_s.unwrap_or(0) >= 1, "429 carries Retry-After");
+        }
+        other => panic!("a full registry sheds: {other:?}"),
+    }
+    assert!(!c.prepare(&text(7)).expect("registered").1);
+    drop(c);
+    server.shutdown();
+}
+
 #[test]
 fn concurrent_pipelined_replay_reconciles_every_counter() {
     const CLIENTS: usize = 4;

@@ -67,7 +67,6 @@ fn root_trace_rows_equal_result_cardinality() {
 #[test]
 fn histogram_counts_sum_to_observation_count() {
     let svc = service();
-    svc.set_profiling(true);
     let n = 17;
     for i in 0..n {
         let q = format!("SELECT t FROM Task t IN Tasks WHERE t.time() == {}", i * 10);
