@@ -89,7 +89,9 @@ pub struct OpCounts {
     pub tuples: u64,
     /// Predicate terms evaluated.
     pub preds: u64,
-    /// Hash-table builds + probes.
+    /// Join-table builds + probes, one per row on either side. An
+    /// oid-addressed table hashes nothing and still counts: this is the
+    /// observed side of the cost model's per-hash-op term.
     pub hash_ops: u64,
     /// Reference dereferences (assembly / pointer join).
     pub derefs: u64,
@@ -275,6 +277,10 @@ pub struct Executor<'a> {
     leaf_rows: u64,
     /// Rows the last run delivered at its root.
     root_rows: u64,
+    /// The oracle of the engine's tests: every join table hashed, as all
+    /// were before one could be addressed by oid.
+    #[cfg(test)]
+    hashed_only: bool,
 }
 
 impl<'a> Executor<'a> {
@@ -299,6 +305,8 @@ impl<'a> Executor<'a> {
             spilled_partitions: 0,
             leaf_rows: 0,
             root_rows: 0,
+            #[cfg(test)]
+            hashed_only: false,
         }
     }
 

@@ -97,7 +97,7 @@ impl<'a> Executor<'a> {
             JoinSpec::resolve(self.env, pred, &build_cols, &probe.cols, "hash join")?;
         let need = (build.len() as u64 * self.hash_entry_bytes()).max(1);
         if self.grant.try_reserve(need) {
-            let table = self.build_table(&spec, &build.data)?;
+            let table = self.build_table(&spec, &build.data, need)?;
             self.charge(id, since, 0);
             probe.stages.push((id, Stage::Probe { spec, table, build }));
             probe.cols = cols;
@@ -111,10 +111,27 @@ impl<'a> Executor<'a> {
         Ok(Pipeline::rows((out, cols)))
     }
 
-    /// Hashes the join key of every build row (of `spec.build_width`
-    /// bindings) into a table.
-    fn build_table(&mut self, spec: &JoinSpec<'a>, build: &[Oid]) -> Result<JoinTable, ExecError> {
-        let mut keys = Vec::with_capacity(build.len() / spec.build_width);
+    /// The table over the join key of every build row (of
+    /// `spec.build_width` bindings), `need` bytes reserved for it:
+    /// addressed by oid where the keys allow, hashed otherwise.
+    fn build_table(
+        &mut self,
+        spec: &JoinSpec<'a>,
+        build: &[Oid],
+        need: u64,
+    ) -> Result<JoinTable, ExecError> {
+        let rows = build.chunks_exact(spec.build_width);
+        let oids = spec
+            .build_oids
+            .map(|col| rows.clone().map(move |row| row[col]));
+        #[cfg(test)]
+        let oids = oids.filter(|_| !self.hashed_only);
+        if let Some(table) = oids.and_then(|oids| JoinTable::addressed(oids, need)) {
+            self.checkpoint()?;
+            self.counts.hash_ops += rows.len() as u64;
+            return Ok(table);
+        }
+        let mut keys = Vec::with_capacity(rows.len());
         for rows in build.chunks(BATCH_ROWS * spec.build_width) {
             self.checkpoint()?;
             let rows = rows.chunks_exact(spec.build_width);
@@ -127,14 +144,15 @@ impl<'a> Executor<'a> {
     }
 
     /// Classic build + probe over the whole build side; callers have
-    /// already reserved the table's bytes.
-    fn join_in_memory(
+    /// already reserved `need` bytes for the table.
+    pub(super) fn join_in_memory(
         &mut self,
         spec: &JoinSpec<'a>,
         left: &[Oid],
         right: &[Oid],
+        need: u64,
     ) -> Result<Batch, ExecError> {
-        let table = self.build_table(spec, left)?;
+        let table = self.build_table(spec, left, need)?;
         let mut out = Batch::new(spec.width());
         for rows in right.chunks(BATCH_ROWS * spec.probe_width) {
             self.checkpoint()?;
@@ -154,7 +172,7 @@ impl<'a> Executor<'a> {
     ) -> Result<Batch, ExecError> {
         let need = (left.len() as u64 * self.hash_entry_bytes()).max(1);
         if self.grant.try_reserve(need) {
-            let out = self.join_in_memory(spec, &left.data, &right.data);
+            let out = self.join_in_memory(spec, &left.data, &right.data, need);
             self.grant.release(need);
             return out;
         }
@@ -251,7 +269,7 @@ impl<'a> Executor<'a> {
                 self.charge_spill_read(probe_pages);
             }
             let rows = &left.data[i * left.width..(i + chunk) * left.width];
-            let joined = self.join_in_memory(spec, rows, &right.data);
+            let joined = self.join_in_memory(spec, rows, &right.data, need);
             self.grant.release(need);
             out.data.extend_from_slice(&joined?.data);
             i += chunk;
@@ -481,7 +499,7 @@ impl<'a> Executor<'a> {
                     let j_end = j + rkeys[j..].iter().take_while(|k| **k == rkeys[j]).count();
                     for l in &lrows[i..i_end] {
                         for r in &rrows[j..j_end] {
-                            spec.emit(store, l, r, &mut out, &mut self.counts)?;
+                            spec.emit(store, l, r, 0, &mut out, &mut self.counts)?;
                         }
                     }
                     (i, j) = (i_end, j_end);
@@ -520,21 +538,19 @@ impl<'a> Executor<'a> {
         }
         let onto = |side: Batch, from: &[VarId]| {
             if from == cols {
-                return side;
+                return Ok(side);
             }
-            let pick: Vec<usize> = cols
-                .iter()
-                .map(|v| from.iter().position(|f| f == v).expect("common column"))
-                .collect();
-            Batch {
+            let pick = cols.iter().map(|v| col_of(from, *v));
+            let pick = pick.collect::<Result<Vec<usize>, ExecError>>()?;
+            Ok(Batch {
                 width: cols.len(),
                 data: side
                     .rows()
                     .flat_map(|row| pick.iter().map(|&c| row[c]))
                     .collect(),
-            }
+            })
         };
-        let (left, right) = (onto(left, &left_cols), onto(right, &right_cols));
+        let (left, right) = (onto(left, &left_cols)?, onto(right, &right_cols)?);
         let need = ((left.len() + right.len()) as u64 * self.set_entry_bytes()).max(1);
         let out = if self.grant.try_reserve(need) {
             let out = self.set_op_hashed(kind, &left, &right);

@@ -5,8 +5,9 @@ use super::{ExecError, OpCounts};
 use crate::batch::{Batch, JoinTable};
 use crate::eval::{Pred, Slot};
 use oodb_algebra::{CmpOp, Operand, PhysicalOp, PhysicalPlan, PredId, QueryEnv, VarId};
-use oodb_object::{CollectionId, FieldId, Oid};
+use oodb_object::{CollectionId, FieldId, Oid, Value};
 use oodb_storage::Store;
+use std::borrow::Cow;
 
 /// A batch with its layout: which variable each column binds.
 pub(super) type Bound = (Batch, Vec<VarId>);
@@ -108,6 +109,11 @@ impl Pipeline<'_> {
 pub(super) struct JoinSpec<'a> {
     pub(super) build_key: Slot<'a>,
     pub(super) probe_key: Slot<'a>,
+    /// The build column whose oids are the build keys, when the key term
+    /// is the link predicate: such a build side can be addressed by oid.
+    pub(super) build_oids: Option<usize>,
+    /// Whether the key term is the predicate's first.
+    key_first: bool,
     pred: Pred<'a>,
     keep: Vec<usize>,
     pub(super) build_width: usize,
@@ -126,13 +132,12 @@ impl<'a> JoinSpec<'a> {
         probe: &[VarId],
         what: &str,
     ) -> Result<(Self, Vec<VarId>), ExecError> {
-        let eq = env
-            .preds
-            .pred(pred)
-            .terms
+        let terms = &env.preds.pred(pred).terms;
+        let at = terms
             .iter()
-            .find(|t| t.op == CmpOp::Eq)
+            .position(|t| t.op == CmpOp::Eq)
             .ok_or_else(|| malformed(format!("{what} needs an equality term")))?;
+        let eq = &terms[at];
         let binds = |cols: &[VarId], op: &Operand| op.var().is_some_and(|v| cols.contains(&v));
         let (build_op, probe_op) = if binds(build, &eq.left) || binds(probe, &eq.right) {
             (&eq.left, &eq.right)
@@ -147,9 +152,15 @@ impl<'a> JoinSpec<'a> {
                 keep.push(c);
             }
         }
+        let build_key = Slot::resolve(build_op, build)?;
         let spec = JoinSpec {
-            build_key: Slot::resolve(build_op, build)?,
+            build_oids: match build_key {
+                Slot::Oid(col) if eq.as_ref_eq().is_some() => Some(col),
+                _ => None,
+            },
+            build_key,
             probe_key: Slot::resolve(probe_op, probe)?,
+            key_first: at == 0,
             pred: Pred::resolve(env, pred, &cols)?,
             keep,
             build_width: build.len(),
@@ -163,12 +174,14 @@ impl<'a> JoinSpec<'a> {
     }
 
     /// Appends the join of `build` row and `probe` row to `out` when the
-    /// full predicate holds on it (hash collisions, residual conjuncts).
+    /// full predicate holds on it (hash collisions, residual conjuncts);
+    /// its first `decided` terms are counted, not evaluated.
     pub(super) fn emit(
         &self,
         store: &'a Store,
         build: &[Oid],
         probe: &[Oid],
+        decided: usize,
         out: &mut Batch,
         counts: &mut OpCounts,
     ) -> Result<bool, ExecError> {
@@ -177,7 +190,7 @@ impl<'a> JoinSpec<'a> {
         out.data.extend(self.keep.iter().map(|&c| probe[c]));
         let (ok, n) = self
             .pred
-            .test(store, &out.data[start..])
+            .test(store, &out.data[start..], decided)
             .map_err(ExecError::Corrupt)?;
         counts.preds += n;
         if !ok {
@@ -200,6 +213,37 @@ impl<'a> JoinSpec<'a> {
         let bw = self.build_width;
         let rows = input.chunks_exact(self.probe_width);
         counts.hash_ops += rows.len() as u64;
+        if table.by_oid() {
+            // The batch's keys are read before its first row is joined, as
+            // below, but only (probe row, key) of those that meet a build
+            // row are kept. The operand is taken apart by value: borrowed
+            // as a `&Value`, it would go through memory on every row.
+            let (mut hits, mut r) = (Vec::with_capacity(rows.len()), 0);
+            let read = self.probe_key.eval_each(store, rows, |key| {
+                if let Cow::Borrowed(&Value::Ref(oid)) | Cow::Owned(Value::Ref(oid)) = key {
+                    let key = oid.as_u64();
+                    if table.matches(key).next().is_some() {
+                        hits.push((r, key));
+                    }
+                }
+                r += 1;
+            });
+            read.map_err(ExecError::Corrupt)?;
+            out.data.reserve(hits.len() * self.width());
+            // An oid has no collisions to rule out: a key that is the
+            // predicate's first term is counted as a short-circuiting test
+            // would count it, and only the terms after it are evaluated.
+            let (decided, pw) = (usize::from(self.key_first), self.probe_width);
+            for (r, key) in hits {
+                let row = &input[r * pw..(r + 1) * pw];
+                for i in table.matches(key) {
+                    let build = &build[i * bw..(i + 1) * bw];
+                    let joined = self.emit(store, build, row, decided, out, counts)?;
+                    counts.tuples += u64::from(joined);
+                }
+            }
+            return Ok(());
+        }
         let mut keys = Vec::with_capacity(rows.len());
         self.probe_key
             .hash_keys(store, rows.clone(), &mut keys)
@@ -207,7 +251,7 @@ impl<'a> JoinSpec<'a> {
         for (row, key) in rows.zip(keys) {
             let Some(key) = key else { continue };
             for i in table.matches(key) {
-                if self.emit(store, &build[i * bw..(i + 1) * bw], row, out, counts)? {
+                if self.emit(store, &build[i * bw..(i + 1) * bw], row, 0, out, counts)? {
                     counts.tuples += 1;
                 }
             }

@@ -1,7 +1,8 @@
 //! Engine tests over the paper database.
 
+use super::pipeline::JoinSpec;
 use super::*;
-use oodb_algebra::{CmpOp, Operand, PlanEst, QueryBuilder, SetOpKind};
+use oodb_algebra::{CmpOp, Operand, PlanEst, QueryBuilder, SetOpKind, Term, VarId};
 use oodb_storage::{generate_paper_db, GenConfig};
 use std::collections::HashSet;
 
@@ -664,5 +665,186 @@ fn spill_partitions_share_sequential_keys_evenly() {
                 "{what} at depth {depth}: {parts:?}"
             );
         }
+    }
+}
+
+/// Joins over the mixed store of `eval.rs` — `Base`, `Derived: Base`, and
+/// a collection interleaving them — run once as the engine would and once
+/// with every table hashed, the form all joins took before one could be
+/// addressed by oid. Build rows bind `b`; probe rows bind `p` and `q`.
+struct MixedJoin {
+    m: crate::eval::tests::Mixed,
+    env: QueryEnv,
+    derived: oodb_object::TypeId,
+}
+
+/// The build side's variable, and the probe side's two.
+fn bpq() -> [VarId; 3] {
+    [0, 1, 2].map(VarId::from_index)
+}
+
+impl MixedJoin {
+    fn new() -> Self {
+        let m = crate::eval::tests::mixed();
+        let env = QueryEnv::new(m.store.schema().clone(), m.store.catalog().clone());
+        let derived = m.store.schema().type_by_name("Derived").expect("Derived");
+        MixedJoin { m, env, derived }
+    }
+
+    fn field(&self, ty: oodb_object::TypeId, name: &str) -> oodb_object::FieldId {
+        let field = self.m.store.schema().field_by_name(ty, name);
+        field.unwrap_or_else(|| panic!("{name} is a field"))
+    }
+
+    /// `probe == b.self` (or flipped), alone, before, or after the
+    /// residual `p.n >= b.n`: the link predicate onto the build side.
+    fn spec(&self, probe: Operand, shape: usize, flipped: bool) -> JoinSpec<'_> {
+        let [b, p, q] = bpq();
+        let n = self.field(self.m.base, "n");
+        let attr = |var| Operand::Attr { var, field: n };
+        let residual = Term {
+            left: attr(p),
+            op: CmpOp::Ge,
+            right: attr(b),
+        };
+        let (left, right) = match flipped {
+            false => (probe, Operand::VarOid(b)),
+            true => (Operand::VarOid(b), probe),
+        };
+        let key = Term {
+            left,
+            op: CmpOp::Eq,
+            right,
+        };
+        assert!(key.as_ref_eq().is_some(), "the link predicate");
+        let terms = match shape {
+            0 => vec![key],
+            1 => vec![key, residual],
+            _ => vec![residual, key],
+        };
+        let pred = self.env.preds.intern(oodb_algebra::Pred { terms });
+        let (spec, cols) = JoinSpec::resolve(&self.env, pred, &[b], &[p, q], "join").unwrap();
+        assert_eq!(cols, [b, p, q]);
+        spec
+    }
+
+    /// The joined rows and what they cost to make, or the error.
+    fn join(
+        &self,
+        spec: &JoinSpec,
+        build: &[Oid],
+        probe: &[Oid],
+        need: u64,
+        hashed_only: bool,
+    ) -> Result<(Vec<Oid>, OpCounts), ExecError> {
+        let mut ex = Executor::new(&self.m.store, &self.env);
+        ex.hashed_only = hashed_only;
+        let joined = ex.join_in_memory(spec, build, probe, need)?;
+        Ok((joined.data, ex.counts))
+    }
+}
+
+/// A dangling oid, an oid of a type the store never heard of, and an
+/// object whose type lacks the key field, each in the middle of a probe
+/// batch: the oid-addressed table reports what the hashed one does.
+#[test]
+fn a_bad_probe_key_mid_batch_is_the_same_error_from_either_table() {
+    use oodb_storage::StoreError;
+    let j = MixedJoin::new();
+    let ([_, p, _], base, derived) = (bpq(), j.m.base, j.derived);
+    let build: Vec<Oid> = (0..10).map(|i| Oid::new(derived, i)).collect();
+    let need = build.len() as u64 * 80;
+    let addressed = crate::batch::JoinTable::addressed(build.iter().copied(), need);
+    assert!(addressed.is_some_and(|t| t.by_oid()), "a dense build side");
+    let peer = Operand::RefField {
+        var: p,
+        field: j.field(base, "peer"),
+    };
+    // On `Derived` only.
+    let extra = Operand::RefField {
+        var: p,
+        field: j.field(derived, "extra"),
+    };
+    let unknown = oodb_object::TypeId::from_index(9);
+    let cases = [
+        (
+            &peer,
+            Oid::new(base, 40),
+            StoreError::UnknownOid(Oid::new(base, 40)),
+        ),
+        (
+            &peer,
+            Oid::new(unknown, 0),
+            StoreError::UnknownOid(Oid::new(unknown, 0)),
+        ),
+        (
+            &extra,
+            Oid::new(base, 3),
+            StoreError::UnknownField {
+                ty: base,
+                field: j.field(derived, "extra"),
+            },
+        ),
+    ];
+    for (key, bad, want) in cases {
+        let spec = j.spec(key.clone(), 0, false);
+        let mut probe: Vec<Oid> = (0..25).flat_map(|i| [Oid::new(derived, i); 2]).collect();
+        let clean = j.join(&spec, &build, &probe, need, false);
+        assert_eq!(clean, j.join(&spec, &build, &probe, need, true));
+        assert!(clean.is_ok(), "{clean:?}");
+        probe[2 * 12] = bad;
+        let direct = j.join(&spec, &build, &probe, need, false);
+        assert_eq!(direct, Err(ExecError::Corrupt(want)), "{bad:?}");
+        assert_eq!(direct, j.join(&spec, &build, &probe, need, true));
+    }
+}
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+    /// Duplicate, subtype-mixed, sparse and empty build sides; probe keys
+    /// that are references of either type, `Null`, ints and floats, sets,
+    /// and the probe row's own oid — below, inside and above the build
+    /// side's span, or of a type it does not hold; at most one bad oid
+    /// among the probe rows; a reservation from too small for any
+    /// oid-addressed table to roomy. Same rows, same counts, same error.
+    #[test]
+    fn oid_addressed_join_equals_the_hashed_one(
+        build in proptest::collection::vec((0usize..2, 0u32..40), 0..24),
+        sizing in (0usize..3, 1u64..120),
+        pred in (0usize..4, 0usize..3, 0usize..2),
+        probe in proptest::collection::vec((0usize..60, 0usize..60), 0..100),
+        ghost in (0usize..4, 0usize..200),
+    ) {
+        let j = MixedJoin::new();
+        let (base, derived) = (j.m.base, j.derived);
+        let ((one_type, per_row), (key, shape, flipped)) = (sizing, pred);
+        let build: Vec<Oid> = build.iter().map(|&(ty, seq)| match (one_type, ty) {
+            (0, _) | (2, 0) => Oid::new(base, seq),
+            _ => Oid::new(derived, seq % 25),
+        }).collect();
+        let mut probe: Vec<Oid> =
+            probe.iter().flat_map(|&(p, q)| [j.m.members[p], j.m.members[q]]).collect();
+        let (kind, at) = ghost;
+        if !probe.is_empty() && kind > 0 {
+            let at = at % probe.len();
+            probe[at] = match kind {
+                1 => Oid::new(base, 40),
+                2 => Oid::new(base, u32::MAX >> 8),
+                _ => Oid::new(oodb_object::TypeId::from_index(9), 0),
+            };
+        }
+        let [_, p, q] = bpq();
+        let field = |name| Operand::RefField { var: p, field: j.field(base, name) };
+        let key = match key {
+            0 => field("peer"),
+            1 => field("n"),
+            2 => field("set"),
+            _ => Operand::VarRef(q),
+        };
+        let spec = j.spec(key, shape, flipped == 1);
+        let need = (build.len() as u64 * per_row).max(1);
+        let engine = j.join(&spec, &build, &probe, need, false);
+        proptest::prop_assert_eq!(engine, j.join(&spec, &build, &probe, need, true));
     }
 }

@@ -71,19 +71,21 @@ impl<'a> Slot<'a> {
     /// The operand's value on each of `rows` in turn, handed to `each`:
     /// what [`Slot::eval`] returns row by row, first error included. A
     /// batch column may mix a type with its subtypes, so a field's store
-    /// column is looked up once per run of same-typed objects.
+    /// column is looked up once per run of same-typed objects. One loop
+    /// with one call of `each` for all three kinds of operand: called from
+    /// a loop per kind, a consumer's closure is not inlined into any.
     pub fn eval_each<'r>(
         &self,
         store: &'a Store,
         rows: impl Iterator<Item = &'r [Oid]>,
         mut each: impl FnMut(Cow<'a, Value>),
     ) -> Result<(), StoreError> {
-        match *self {
-            Slot::Const(v) => rows.for_each(|_| each(Cow::Borrowed(v))),
-            Slot::Oid(col) => rows.for_each(|row| each(Cow::Owned(Value::Ref(row[col])))),
-            Slot::Field { col, field } => {
-                let mut run: Option<(TypeId, &'a [Value])> = None;
-                for row in rows {
+        let mut run: Option<(TypeId, &'a [Value])> = None;
+        for row in rows {
+            each(match *self {
+                Slot::Const(v) => Cow::Borrowed(v),
+                Slot::Oid(col) => Cow::Owned(Value::Ref(row[col])),
+                Slot::Field { col, field } => {
                     let oid = row[col];
                     let column = match run {
                         Some((ty, column)) if ty == oid.type_id() => column,
@@ -98,9 +100,9 @@ impl<'a> Slot<'a> {
                         }
                     };
                     let value = column.get(oid.seq() as usize);
-                    each(Cow::Borrowed(value.ok_or(StoreError::UnknownOid(oid))?));
+                    Cow::Borrowed(value.ok_or(StoreError::UnknownOid(oid))?)
                 }
-            }
+            });
         }
         Ok(())
     }
@@ -149,11 +151,17 @@ impl<'a> Pred<'a> {
         })
     }
 
-    /// Evaluates the conjunction on one row. Returns `(result,
-    /// terms_evaluated)` — the count feeds CPU accounting.
-    pub fn test(&self, store: &'a Store, row: &[Oid]) -> Result<(bool, u64), StoreError> {
-        let mut evaluated = 0;
-        for (left, op, right) in &self.terms {
+    /// Evaluates the conjunction on one row, its first `decided` terms
+    /// taken as found true already. Returns `(result, terms_evaluated)`,
+    /// those included — the count feeds CPU accounting.
+    pub fn test(
+        &self,
+        store: &'a Store,
+        row: &[Oid],
+        decided: usize,
+    ) -> Result<(bool, u64), StoreError> {
+        let mut evaluated = decided as u64;
+        for (left, op, right) in &self.terms[decided..] {
             evaluated += 1;
             let (l, r) = (left.eval(store, row)?, right.eval(store, row)?);
             // Incomparable (NULL-ish) ⇒ the term fails.
@@ -195,7 +203,7 @@ impl<'a> Pred<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use oodb_algebra::QueryBuilder;
     use oodb_storage::{generate_paper_db, GenConfig};
@@ -225,7 +233,7 @@ mod tests {
             Operand::VarOid(cm),
         );
         let resolved = Pred::resolve(&env, pred, &cols).unwrap();
-        assert_eq!(resolved.test(&store, &row), Ok((true, 1)));
+        assert_eq!(resolved.test(&store, &row, 0), Ok((true, 1)));
 
         // Attribute read matches direct store access, borrowed not cloned.
         let name = Operand::Attr {
@@ -280,7 +288,7 @@ mod tests {
         ) -> Result<(Vec<Oid>, u64), StoreError> {
             let (mut kept, mut evaluated) = (Vec::new(), 0);
             for row in b.rows() {
-                let (ok, n) = pred.test(store, row)?;
+                let (ok, n) = pred.test(store, row, 0)?;
                 evaluated += n;
                 if ok {
                     kept.extend_from_slice(row);
@@ -317,15 +325,15 @@ mod tests {
     /// `Base { n, tag, peer, set }` and `Derived: Base { extra }`, 40 and
     /// 25 objects, in one collection that interleaves them. `n` runs
     /// through ints, the floats equal to them, other floats and `Null`.
-    struct Mixed {
-        store: Store,
-        members: Vec<Oid>,
+    pub(crate) struct Mixed {
+        pub store: Store,
+        pub members: Vec<Oid>,
         slots: Vec<Slot<'static>>,
         preds: Vec<Pred<'static>>,
-        base: TypeId,
+        pub base: TypeId,
     }
 
-    fn mixed() -> Mixed {
+    pub(crate) fn mixed() -> Mixed {
         use oodb_object::{AttrType, Catalog, FieldKind, Schema};
         use oodb_storage::datagen::columns;
         const TWO: Value = Value::Int(2);

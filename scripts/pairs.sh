@@ -13,7 +13,9 @@
 # pairs each side won (a tie counts for neither). Last, one `--trace 1` run
 # per side and every gate of benchmark/src/derive.rs it failed: the
 # benchmark reports a failed gate but never exits on one, so this is where
-# a PR sees it.
+# a PR sees it. Then the exact counters of those two runs side by side —
+# what the engine did, not how fast — and `counters: identical` or the
+# names that differ: a change that only claims speed must not move one.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -117,3 +119,14 @@ for side in parent change; do
     sed -n 's/^ *{"name": "\(.*\)", "value": \(.*\), "min": \(.*\), "max": \(.*\), "passed": false}.*/'"$side"': \1 = \2, allowed \3..\4/p' \
         "${!side}/benchmark/out/$workload-trace1.json" | grep . || echo "$side: none"
 done
+
+echo
+echo "exact counters of those runs, parent / change:"
+awk '/^ *"(exec\.(preds|hash_ops|derefs|tuples_per_row|mem_peak_bytes)|storage\.(pages_read|sim_io_ms|buffer_hit_ratio)|volcano\.[a-z_]*)": / {
+        name = $1; gsub(/[":]/, "", name); value = $3; sub(/,$/, "", value)
+        if (FNR == NR) { parent[name] = value; next }
+        printf "%-26s %s / %s\n", name, parent[name], value
+        if (parent[name] != value) differ = differ " " name
+    }
+    END { print (differ == "" ? "counters: identical" : "counters differ:" differ) }' \
+    "$parent/benchmark/out/$workload-trace1.json" "$change/benchmark/out/$workload-trace1.json"

@@ -485,3 +485,226 @@ fn hash_join_orients_its_keys_on_empty_inputs() {
         assert_eq!(got, want, "n = {n}, swapped = {swapped}");
     }
 }
+
+/// The paper database, and the link joins over it whose build sides take
+/// each form a join table has. Which form a build side takes is not
+/// observable from outside — rows, order and every counter are the same —
+/// so each case asserts the side of the rule its build side is on, then
+/// compares the join with a nested loop over the same rows.
+mod link_joins {
+    use super::*;
+    use open_oodb::algebra::VarId;
+    use open_oodb::exec::Tuple;
+    use open_oodb::object::paper::PaperModel;
+
+    fn paper(scale_div: u64) -> (Store, PaperModel) {
+        generate_paper_db(GenConfig {
+            scale_div,
+            ..Default::default()
+        })
+    }
+
+    /// Whether a join of a query with `n_vars` variables addresses a
+    /// table over `build` keys by oid: they are of one type, and four
+    /// bytes a slot of their span and four a row fit in the reservation
+    /// (a row's 16 bytes a variable and 80 of overhead).
+    fn addressed(build: &[Oid], n_vars: u64) -> bool {
+        let seqs = || build.iter().map(|o| u64::from(o.seq()));
+        let span = seqs().max().unwrap_or(0) - seqs().min().unwrap_or(0) + 1;
+        let rows = build.len() as u64;
+        build.iter().all(|o| o.type_id() == build[0].type_id())
+            && 4 * (span + rows) <= rows * (16 * n_vars + 80)
+    }
+
+    /// `(probe, build)` of every pair with `probe.field == build`, probe
+    /// rows outermost: the rows of a hash join, in its order.
+    fn nested_loop(store: &Store, probe: &[Oid], field: FieldId, build: &[Oid]) -> Vec<(Oid, Oid)> {
+        let pairs = probe.iter().flat_map(|&p| {
+            let key = store.read_field(p, field).as_ref_oid();
+            build
+                .iter()
+                .filter(move |&&b| key == Some(b))
+                .map(move |&b| (p, b))
+        });
+        pairs.collect()
+    }
+
+    fn pairs(res: &ExecResult, probe: VarId, build: VarId) -> Vec<(Oid, Oid)> {
+        let pair = |t: &Tuple| (t.get(probe), t.get(build));
+        res.tuples().iter().map(pair).collect()
+    }
+
+    /// `probe_coll.field == build_coll`'s members, joined by the engine
+    /// and by the nested loop; `direct` is the form the build side takes.
+    fn check(
+        store: &Store,
+        m: &PaperModel,
+        probe: CollectionId,
+        field: FieldId,
+        build: CollectionId,
+        direct: bool,
+    ) {
+        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
+        let (_, p) = qb.get(probe, "p");
+        let (_, b) = qb.get(build, "b");
+        let pred = qb.ref_eq(p, field, b);
+        let env = qb.into_env();
+        let members = store.members(build);
+        assert_eq!(addressed(members, 2), direct, "{} rows", members.len());
+        let join = plan(
+            PhysicalOp::HybridHashJoin { pred },
+            vec![scan(build, b), scan(probe, p)],
+        );
+        let (res, stats) = try_execute(store, &env, &join, RunLimits::default()).expect("runs");
+        let want = nested_loop(store, store.members(probe), field, members);
+        assert!(!want.is_empty(), "a join that finds something");
+        assert_eq!(pairs(&res, p, b), want);
+        let rows = (members.len() + store.members(probe).len()) as u64;
+        assert_eq!(stats.counts.hash_ops, rows, "one op a row, either form");
+        assert_eq!(stats.counts.preds, want.len() as u64, "one term a pair");
+    }
+
+    #[test]
+    fn a_dense_extent_is_addressed_by_oid() {
+        let (store, m) = paper(100);
+        let ids = &m.ids;
+        check(&store, &m, ids.employees, ids.emp_job, ids.job_extent, true);
+    }
+
+    #[test]
+    fn a_collection_mixing_a_type_with_its_subtype_is_hashed() {
+        let (mut store, m) = paper(100);
+        let ids = &m.ids;
+        let (persons, employees) = (
+            store.members(ids.person_extent),
+            store.members(ids.employees),
+        );
+        let mixed = persons.iter().zip(employees).flat_map(|(&p, &e)| [p, e]);
+        let mixed: Vec<Oid> = mixed.collect();
+        assert!(mixed.len() > 100, "{} persons and employees", mixed.len());
+        store.set_members(ids.person_extent, mixed);
+        check(
+            &store,
+            &m,
+            ids.cities,
+            ids.city_mayor,
+            ids.person_extent,
+            false,
+        );
+    }
+
+    #[test]
+    fn two_rows_at_the_far_ends_of_an_extent_are_hashed() {
+        let (mut store, m) = paper(10);
+        let ids = &m.ids;
+        let depts = store.members(ids.department_extent);
+        let ends = vec![depts[0], depts[depts.len() - 1]];
+        assert!(ends[1].seq() >= 99, "a hundred departments");
+        store.set_members(ids.department_extent, ends);
+        check(
+            &store,
+            &m,
+            ids.employees,
+            ids.emp_dept,
+            ids.department_extent,
+            false,
+        );
+        // Neighbours, by the same rule, are addressed.
+        let depts = store.members(ids.job_extent)[3..5].to_vec();
+        store.set_members(ids.job_extent, depts);
+        check(&store, &m, ids.employees, ids.emp_job, ids.job_extent, true);
+    }
+
+    /// The build side is itself a join's output, each department once per
+    /// employee of it: an oid-addressed table with chains, which come back
+    /// in build order.
+    #[test]
+    fn a_join_result_with_repeated_oids_is_addressed_through_chains() {
+        let (store, m) = paper(100);
+        let ids = &m.ids;
+        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
+        let (_, d) = qb.get(ids.department_extent, "d");
+        let (_, e) = qb.get(ids.employees, "e");
+        let (_, f) = qb.get(ids.employees, "f");
+        let (works_in, also_in) = (qb.ref_eq(e, ids.emp_dept, d), qb.ref_eq(f, ids.emp_dept, d));
+        let env = qb.into_env();
+        let inner = plan(
+            PhysicalOp::HybridHashJoin { pred: works_in },
+            vec![scan(ids.department_extent, d), scan(ids.employees, e)],
+        );
+        let outer = plan(
+            PhysicalOp::HybridHashJoin { pred: also_in },
+            vec![inner, scan(ids.employees, f)],
+        );
+        let (res, _) = try_execute(&store, &env, &outer, RunLimits::default()).expect("runs");
+        let (depts, emps) = (
+            store.members(ids.department_extent),
+            store.members(ids.employees),
+        );
+        // The inner join's rows, in its order: the outer build side.
+        let built = nested_loop(&store, emps, ids.emp_dept, depts);
+        let keys: Vec<Oid> = built.iter().map(|&(_, d)| d).collect();
+        assert!(addressed(&keys, 3) && keys.len() > 10 * depts.len());
+        let want: Vec<(Oid, Oid, Oid)> = emps
+            .iter()
+            .flat_map(|&f| {
+                let key = store.read_field(f, ids.emp_dept).as_ref_oid();
+                let same = built.iter().filter(move |&&(_, d)| key == Some(d));
+                same.map(move |&(e, d)| (f, e, d))
+            })
+            .collect();
+        let got: Vec<_> = res
+            .tuples()
+            .iter()
+            .map(|t| (t.get(f), t.get(e), t.get(d)))
+            .collect();
+        assert_eq!(got.len(), want.len());
+        assert!(got == want, "probe order, then build order");
+    }
+
+    /// Query 1's join at a quarter of the memory it asks for: the build
+    /// side is refused, both sides are partitioned and spilled, and every
+    /// partition pair builds a table of its own — addressed by oid where
+    /// its few departments lie close together, hashed where they do not.
+    #[test]
+    fn a_spilled_join_builds_a_table_per_partition() {
+        let (store, m) = paper(10);
+        let ids = &m.ids;
+        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
+        let (_, d) = qb.get(ids.department_extent, "d");
+        let (_, e) = qb.get(ids.employees, "e");
+        let third = qb.cmp_const(d, ids.dept_floor, CmpOp::Eq, Value::Int(3));
+        let pred = qb.ref_eq(e, ids.emp_dept, d);
+        let env = qb.into_env();
+        let on_third = plan(
+            PhysicalOp::Filter { pred: third },
+            vec![scan(ids.department_extent, d)],
+        );
+        let join = plan(
+            PhysicalOp::HybridHashJoin { pred },
+            vec![on_third, scan(ids.employees, e)],
+        );
+        let (whole, roomy) = try_execute(&store, &env, &join, RunLimits::default()).expect("runs");
+        let tight = RunLimits {
+            mem_budget: Some(roomy.mem.peak_bytes / 4),
+            ..Default::default()
+        };
+        let (parts, stats) = try_execute(&store, &env, &join, tight).expect("runs");
+        assert!(stats.mem.spilled_partitions > 1, "{:?}", stats.mem);
+        assert!(stats.mem.peak_bytes <= roomy.mem.peak_bytes / 4);
+        let depts: Vec<Oid> = (store.members(ids.department_extent).iter().copied())
+            .filter(|&d| store.read_field(d, ids.dept_floor) == &Value::Int(3))
+            .collect();
+        assert!(
+            depts.len() > 8,
+            "{} departments on the third floor",
+            depts.len()
+        );
+        let want = nested_loop(&store, store.members(ids.employees), ids.emp_dept, &depts);
+        assert_eq!(pairs(&whole, e, d), want);
+        let (mut got, mut want) = (pairs(&parts, e, d), want);
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "partition by partition, the same pairs");
+    }
+}
