@@ -2,7 +2,9 @@
 //!
 //! Each constructor returns the exact logical expression the corresponding
 //! figure shows as optimizer input, together with the environment and the
-//! result variables the query must deliver in memory.
+//! result variables the query must deliver in memory;
+//! [`canonical_queries`] is the same four as ZQL text, for tests that go
+//! through a service.
 
 use oodb_algebra::{LogicalPlan, QueryBuilder, QueryEnv, VarId, VarSet};
 use oodb_object::paper::PaperModel;
@@ -194,6 +196,24 @@ pub fn fig2_query(m: &PaperModel) -> PaperQuery {
             ("pres".into(), pres),
         ],
     }
+}
+
+/// Queries 1–4 as ZQL text, one canonical representative per shape,
+/// every constant present in the generated data.
+pub fn canonical_queries() -> [String; 4] {
+    [
+        "SELECT Newobject(e.name(), e.job().name(), e.dept().name()) \
+         FROM Employee e IN Employees \
+         WHERE e.dept().plant().location() == \"Dallas\""
+            .to_string(),
+        "SELECT c FROM City c IN Cities WHERE c.mayor().name() == \"Joe\"".to_string(),
+        "SELECT Newobject(c.mayor().age(), c.name()) \
+         FROM City c IN Cities WHERE c.mayor().name() == \"Joe\""
+            .to_string(),
+        "SELECT t FROM Task t IN Tasks WHERE t.time() == 100 \
+         && EXISTS (SELECT m FROM m IN t.team_members() WHERE m.name() == \"Fred\")"
+            .to_string(),
+    ]
 }
 
 #[cfg(test)]

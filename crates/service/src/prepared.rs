@@ -13,7 +13,7 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Most statements the registry holds. `POST /prepare` passes no
-/// admission gate and nothing on the wire deallocates, so without a bound
+/// admission gate and nothing frees a statement, so without a bound
 /// every distinct text would hold an environment and a plan for the life
 /// of the process; past it a *new* statement is refused like any other
 /// full queue.
@@ -50,8 +50,8 @@ impl QueryService {
     /// and whether this call created it (`false` = an equivalent statement
     /// — possibly a textual variant — was already registered; both callers
     /// share it). A new statement past [`MAX_PREPARED`] is refused with
-    /// [`ServiceError::Overloaded`]; [`QueryService::deallocate`] frees a
-    /// slot. Nothing is optimized or executed yet: the first
+    /// [`ServiceError::Overloaded`]: a statement stays registered for the
+    /// life of the service. Nothing is optimized or executed yet: the first
     /// [`QueryService::submit_prepared_with`] fills the plan cache, and
     /// every execution after that hits it by id.
     pub fn prepare(&self, zql_src: &str) -> Result<(Arc<PreparedQuery>, bool), ServiceError> {
@@ -112,17 +112,6 @@ impl QueryService {
     /// Every registered prepared statement, in id order.
     pub fn prepared_statements(&self) -> Vec<Arc<PreparedQuery>> {
         self.inner.prepared.load().values().cloned().collect()
-    }
-
-    /// Drops a prepared statement. Cached plans stay resident (they are
-    /// keyed by fingerprint, not by registration) but can no longer be
-    /// reached by id. Returns whether the id was registered.
-    pub fn deallocate(&self, id: u64) -> bool {
-        self.inner.prepared.update(|map| {
-            let mut next = map.clone();
-            let removed = next.remove(&id).is_some();
-            (next, removed)
-        })
     }
 
     /// Executes a prepared statement by id: no parse, no simplify, no

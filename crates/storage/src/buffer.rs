@@ -112,11 +112,6 @@ impl BufferPool {
         (self.hits, self.misses)
     }
 
-    /// Number of resident pages.
-    pub fn resident_pages(&self) -> usize {
-        self.resident.len()
-    }
-
     /// Drops all cached pages and statistics.
     pub fn reset(&mut self) {
         self.resident.clear();
@@ -234,11 +229,6 @@ impl Io {
         Ok(self.touch_elevator(pages))
     }
 
-    /// Number of pages resident in the pool.
-    pub fn resident_pages(&self) -> usize {
-        self.pool.resident_pages()
-    }
-
     /// Simulated elapsed I/O time in seconds.
     pub fn elapsed_s(&self) -> f64 {
         self.disk.stats().total_s
@@ -349,6 +339,6 @@ mod tests {
         for p in 0..100 {
             b.access(p);
         }
-        assert!(b.resident_pages() <= 3);
+        assert!(b.resident.len() <= 3);
     }
 }

@@ -12,7 +12,8 @@
 //!
 //! Buckets are fixed powers of two in nanoseconds so every process buckets
 //! identically: reports from different runs (or different worker counts)
-//! merge by summing counts, and quantiles are reproducible.
+//! merge by summing counts, and a bucket count means the same thing in
+//! every report.
 
 use oodb_sync::Snap;
 use std::collections::BTreeMap;
@@ -166,11 +167,6 @@ impl Histogram {
         self.0.sum_ns.load(Ordering::Relaxed)
     }
 
-    /// An interpolated quantile in nanoseconds (`q` in `[0, 1]`).
-    pub fn quantile(&self, q: f64) -> f64 {
-        self.snapshot().quantile(q)
-    }
-
     /// A consistent point-in-time copy of the cells.
     pub fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
@@ -212,34 +208,6 @@ impl HistogramSnapshot {
             sum_ns: self.sum_ns - base.sum_ns,
             count: self.count - base.count,
         }
-    }
-
-    /// An interpolated quantile in nanoseconds (`q` in `[0, 1]`): linear
-    /// within the containing bucket, saturating at the last finite bound
-    /// for observations in the overflow bucket.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let target = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            let lo = if i == 0 { 0 } else { BUCKET_BOUNDS_NS[i - 1] };
-            if i >= BUCKET_COUNT {
-                // Overflow: no upper bound to interpolate against.
-                return lo as f64;
-            }
-            let hi = BUCKET_BOUNDS_NS[i];
-            if seen + c >= target {
-                let frac = (target - seen) as f64 / c as f64;
-                return lo as f64 + frac * (hi - lo) as f64;
-            }
-            seen += c;
-        }
-        *BUCKET_BOUNDS_NS.last().unwrap() as f64
     }
 }
 
@@ -549,18 +517,18 @@ mod tests {
     }
 
     #[test]
-    fn histogram_counts_and_quantiles() {
+    fn histogram_counts_and_buckets() {
         let h = Histogram::new();
         for ns in [100u64, 300, 1000, 5000, 100_000] {
             h.record(ns);
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum_ns(), 106_400);
-        let p50 = h.quantile(0.5);
-        // Third of five observations: the 1000 ns one, bucket (512, 1024].
-        assert!(p50 > 512.0 && p50 <= 1024.0, "p50 = {p50}");
-        assert!(h.quantile(1.0) >= 65_536.0);
-        assert_eq!(h.quantile(0.0), h.quantile(1.0 / 5.0));
+        // (0, 256], (256, 512], (512, 1024], (4096, 8192], (65536, 131072].
+        let snap = h.snapshot();
+        let filled: Vec<usize> = (0..=BUCKET_COUNT).filter(|&i| snap.counts[i] > 0).collect();
+        assert_eq!(filled, [0, 1, 2, 5, 9]);
+        assert_eq!(snap.counts.iter().sum::<u64>(), 5);
     }
 
     #[test]

@@ -7,10 +7,18 @@
 //! pointer join), so results are canonicalized to a sorted multiset
 //! before the byte comparison; the queries have set semantics.
 //!
+//! The same runs face the cost model with the executor: each plan's
+//! observed cost is rebuilt from its exact counters, the Kendall τ of
+//! estimated vs observed cost is printed per query, and no plan may run
+//! cheaper than the winner by more than [`MAX_WINNER_INVERSION`] — the
+//! validation the paper put off "until the query plan executor becomes
+//! operational". `-- --nocapture` prints every inversion with the
+//! operator where the estimate and the run part.
+//!
 //! `OODB_AUDIT_QUICK=1` (the CI audit job) shrinks the store and the
 //! enumeration limits so the corpus runs in seconds.
 
-use oodb_exec::ExecResult;
+use oodb_exec::{ExecResult, ExecStats};
 use open_oodb::prelude::*;
 use open_oodb::volcano::EnumLimits;
 use open_oodb::zql;
@@ -61,8 +69,61 @@ fn canon(result: &ExecResult, vars: VarSet) -> String {
     lines.join("\n")
 }
 
+/// How much cheaper than the winner an enumerated plan may run. Not 1.0,
+/// because of one known cardinality error: Query 1's winner filters
+/// `e.age >= 32 and e.last_raise >= 1992-01-01`, estimated on two 1993
+/// range defaults (1/3 each) at 111 rows against 240 at 1/50, and each of
+/// those rows is a probe row priced at `cpu_hash_s`. Plans that probe less
+/// run up to 1.87× cheaper (1.96× at 1/10). Correcting that estimate is
+/// ROADMAP item 6's first target; this constant falls with it.
+const MAX_WINNER_INVERSION: f64 = 2.0;
+
+/// What a run cost, priced the way the model prices a plan: simulated
+/// disk seconds plus the executor's exact operation counts times the
+/// model's CPU constants.
+fn observed_cost(stats: &ExecStats) -> f64 {
+    let (p, c) = (CostParams::default(), stats.counts);
+    stats.disk.total_s
+        + c.tuples as f64 * p.cpu_tuple_s
+        + c.preds as f64 * p.cpu_pred_s
+        + c.hash_ops as f64 * p.cpu_hash_s
+        + c.derefs as f64 * p.cpu_deref_s
+}
+
+/// Kendall's τ over `(estimated, observed)` pairs: concordant minus
+/// discordant pairs over all pairs, a pair tied on either side counting
+/// for neither.
+fn kendall_tau(costs: &[(f64, f64)]) -> f64 {
+    let sign = |a: f64, b: f64| (a > b) as i64 - (a < b) as i64;
+    let (mut score, mut pairs) = (0i64, 0i64);
+    for (i, &(e1, o1)) in costs.iter().enumerate() {
+        for &(e2, o2) in &costs[i + 1..] {
+            score += sign(e1, e2) * sign(o1, o2);
+            pairs += 1;
+        }
+    }
+    score as f64 / pairs.max(1) as f64
+}
+
+/// The first operator, inputs before parents, whose estimated and actual
+/// row counts differ by more than 2×: where the estimate and the run part.
+/// Plan children the executor never ran (a pointer join's target scan)
+/// have no trace node and are skipped.
+fn divergence(plan: &PhysicalPlan, trace: &OpTrace) -> Option<String> {
+    let mut inputs = plan.children.iter().zip(&trace.children);
+    inputs.find_map(|(p, t)| divergence(p, t)).or_else(|| {
+        let (est, actual) = (plan.est.out_card, trace.actual_rows as f64);
+        (est.max(actual) > 2.0 * est.min(actual).max(1.0)).then(|| {
+            let rows = trace.actual_rows;
+            format!("{} (est {est:.0}, actual {rows})", trace.label)
+        })
+    })
+}
+
 /// Runs the full audit on one query: oracle assertions plus execution of
-/// every enumerated plan. Returns the number of plans exercised.
+/// every enumerated plan, each checked for the winner's answer and, by
+/// observed cost, against the winner. Returns the number of plans
+/// exercised.
 fn audit_query(src: &str, label: &str) -> usize {
     let (store, model) = db();
     let q = zql::compile(src, &model.schema, &model.catalog).expect("compiles");
@@ -99,10 +160,13 @@ fn audit_query(src: &str, label: &str) -> usize {
         report.interval_diags
     );
 
-    let (wres, _) = execute(&store, &q.env, &report.winner);
+    let (wres, wstats, wtrace) = execute_traced(&store, &q.env, &report.winner);
     let want = canon(&wres, q.result_vars);
+    let winner = observed_cost(&wstats);
+    let mut costs = Vec::with_capacity(report.plans.len());
+    let mut cheaper = Vec::new();
     for (i, plan) in report.plans.iter().enumerate() {
-        let (r, _) = execute(&store, &q.env, plan);
+        let (r, stats, trace) = execute_traced(&store, &q.env, plan);
         assert_eq!(
             canon(&r, q.result_vars),
             want,
@@ -110,7 +174,32 @@ fn audit_query(src: &str, label: &str) -> usize {
             report.plans.len(),
             render_physical(&q.env, plan)
         );
+        let observed = observed_cost(&stats);
+        costs.push((plan.total_s(), observed));
+        if observed < winner {
+            cheaper.push((winner / observed, i, divergence(plan, &trace)));
+        }
     }
+    eprintln!(
+        "{label}: Kendall tau(estimated, observed) {:.2}; {} of {} plans ran cheaper than \
+         the winner (observed {winner:.3}s), whose estimate parts at {}",
+        kendall_tau(&costs),
+        cheaper.len(),
+        costs.len(),
+        divergence(&report.winner, &wtrace)
+            .as_deref()
+            .unwrap_or("no operator")
+    );
+    cheaper.sort_by(|a, b| b.0.total_cmp(&a.0));
+    for (factor, i, at) in &cheaper {
+        let at = at.as_deref().unwrap_or("no operator");
+        eprintln!("  plan {i}: {factor:.2}x cheaper, estimate parts at {at}");
+    }
+    let worst = cheaper.first().map_or(1.0, |c| c.0);
+    assert!(
+        worst <= MAX_WINNER_INVERSION,
+        "{label}: a plan ran {worst:.2}x cheaper than the winner, past {MAX_WINNER_INVERSION}"
+    );
     report.plans.len()
 }
 

@@ -8,7 +8,7 @@
 //! ~50× drift that must trip the default 10× threshold. The honest
 //! fixture (same scale, no skew) must never trip it.
 
-use oodb_bench::workload::canonical_queries;
+use oodb_bench::queries::canonical_queries;
 use oodb_core::{drift_ratio, CostParams, OptimizerConfig, MAX_DRIFT};
 use oodb_service::{QueryService, SubmitOptions};
 use oodb_storage::{generate_paper_db, GenConfig};

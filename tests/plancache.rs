@@ -3,7 +3,9 @@
 //! query, rule configuration, statistics epoch, and index set all match,
 //! and concurrent submission is observationally identical to serial.
 
-use oodb_bench::workload::submit_concurrently;
+mod common;
+
+use common::submit_concurrently;
 use oodb_core::config::rule_names;
 use oodb_core::{CostParams, OptimizerConfig};
 use oodb_service::{QueryOutput, QueryService};

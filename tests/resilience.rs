@@ -7,7 +7,9 @@
 //! The fault stream is deterministic per seed. Failures print the seed;
 //! re-run with `OODB_CHAOS_SEED=<seed>` to reproduce.
 
-use oodb_bench::workload::submit_concurrently;
+mod common;
+
+use common::submit_concurrently;
 use oodb_core::{CostParams, OptimizerConfig};
 use oodb_service::{AdmissionConfig, QueryService, ServiceError, ShedReason, SubmitOptions};
 use oodb_storage::{generate_paper_db, FaultConfig, FaultInjector, GenConfig, MemoryGovernor};
