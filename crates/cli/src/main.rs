@@ -339,16 +339,26 @@ impl Shell {
                 ),
             },
             "\\stats" => {
-                // Logged before it is applied when durability is on; the
-                // epoch bump retires cached plans and stale feedback.
-                self.svc.refresh_statistics(32);
+                // Logged before it is applied when durability is on. Only
+                // a changed histogram bumps the epoch, which retires
+                // cached plans and stale feedback.
+                let moved = self.svc.refresh_statistics(32);
                 let store = self.svc.store();
-                println!(
-                    "collected {} histograms; selectivity estimation refined \
-                     (stats epoch {} — cached plans will re-optimize)",
+                let (count, epoch) = (
                     store.catalog().histogram_count(),
-                    store.catalog().stats_epoch()
+                    store.catalog().stats_epoch(),
                 );
+                if moved {
+                    println!(
+                        "collected {count} histograms; selectivity estimation refined \
+                         (stats epoch {epoch} — cached plans will re-optimize)"
+                    );
+                } else {
+                    println!(
+                        "collected {count} histograms; statistics unchanged, cached \
+                         plans kept (stats epoch {epoch})"
+                    );
+                }
             }
             "\\cache" => match parts.next() {
                 Some("clear") => {

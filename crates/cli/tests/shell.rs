@@ -122,13 +122,26 @@ SELECT c FROM c IN Cities WHERE c.name() == 3;
     );
 }
 
+/// The first `\stats` collects histograms the catalog lacked and moves the
+/// epoch; a second over the same data finds them equal, and the plan
+/// cached in between is served after it.
 #[test]
 fn stats_collection_reports() {
-    let out = run_shell("\\stats\n\\q\n");
-    assert!(
-        out.contains("histograms; selectivity estimation refined"),
-        "{out}"
-    );
+    let q = "SELECT t FROM Task t IN Tasks WHERE t.time() == 100;";
+    let out = run_shell(&format!("\\stats\n{q}\n\\stats\n{q}\n\\q\n"));
+    let mut at = 0;
+    for want in [
+        "histograms; selectivity estimation refined (stats epoch ",
+        "cached plans will re-optimize)",
+        "rows;",
+        "histograms; statistics unchanged, cached plans kept (stats epoch ",
+        "[plan cache hit]",
+    ] {
+        match out[at..].find(want) {
+            Some(i) => at += i + want.len(),
+            None => panic!("{want:?} expected after byte {at}:\n{out}"),
+        }
+    }
 }
 
 #[test]

@@ -8,14 +8,18 @@
 //! Design:
 //!
 //! * **Key** — `(query fingerprint, rule-config fingerprint, stats epoch,
-//!   index-set hash)`. The query fingerprint is the canonical structural
-//!   hash of [`oodb_algebra::fingerprint`]; the full structural key is
-//!   stored in the entry and compared on every hit, so a 64-bit collision
-//!   costs a spurious miss, never a wrong plan.
-//! * **Invalidation is lazy** — `Store::collect_statistics`,
-//!   `Store::build_indexes`, and `Store::set_catalog` bump the catalog's
-//!   monotonic `stats_epoch`; lookups under the new epoch simply miss, and
-//!   the stale entries age out of the LRU. Nothing walks the cache.
+//!   index-set hash, overlay fingerprint)`. The query fingerprint is the
+//!   canonical structural hash of [`oodb_algebra::fingerprint`]; the full
+//!   structural key is stored in the entry and compared on every hit, so
+//!   a 64-bit collision costs a spurious miss, never a wrong plan. The
+//!   overlay term is the feedback loop's selectivity corrections (0 for
+//!   none).
+//! * **Invalidation is lazy** — a statistics collection that changed a
+//!   histogram, `Store::build_indexes`, and `Store::set_catalog` bump the
+//!   catalog's monotonic `stats_epoch`; lookups under the new epoch simply
+//!   miss, and the stale entries age out of the LRU. Nothing walks the
+//!   cache. A refresh that collects the histograms the catalog already
+//!   holds keeps the epoch, so every entry stays servable.
 //! * **Sharding** — N independent `std::sync::Mutex` shards selected by
 //!   fingerprint, so concurrent workers rarely contend on one lock. No
 //!   external dependencies.

@@ -152,9 +152,10 @@ pub struct Catalog {
     /// lists as future work.
     histograms: HashMap<(CollectionId, Vec<FieldId>, FieldId), crate::stats::Histogram>,
     /// Monotonic statistics epoch. Bumped whenever the statistics or the
-    /// physical design behind this catalog change (histogram collection,
-    /// index rebuilds, catalog replacement), so cached plans keyed on the
-    /// epoch go stale *lazily* — no cache walk on invalidation.
+    /// physical design behind this catalog change (a collection that
+    /// changed a histogram, an epoch-bumping index build, catalog
+    /// replacement), so cached plans keyed on the epoch go stale *lazily*
+    /// — no cache walk on invalidation.
     stats_epoch: u64,
 }
 
@@ -362,13 +363,17 @@ impl Catalog {
 
     /// The current statistics epoch. Plan-cache keys include this value;
     /// any statistics or physical-design change bumps it, so entries
-    /// cached under an older epoch can never be served again.
+    /// cached under an older epoch can never be served again. It moves
+    /// only on a change: a statistics refresh that collects the
+    /// histograms the catalog already holds leaves it (and every cached
+    /// plan) where it was.
     pub fn stats_epoch(&self) -> u64 {
         self.stats_epoch
     }
 
-    /// Advances the statistics epoch. Called by the storage layer after
-    /// histogram collection, index (re)builds, and catalog replacement.
+    /// Advances the statistics epoch. Called by the storage layer when a
+    /// statistics collection changed a histogram, by epoch-bumping index
+    /// builds, and on catalog replacement.
     pub fn bump_stats_epoch(&mut self) {
         self.stats_epoch += 1;
     }

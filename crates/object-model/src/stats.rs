@@ -32,7 +32,9 @@ impl Histogram {
         if values.is_empty() {
             return None;
         }
-        values.sort_by(Value::total_cmp_val);
+        // Values the order calls equal are interchangeable as boundaries
+        // (see `PartialEq` below), so the sort need not be stable.
+        values.sort_unstable_by(Value::total_cmp_val);
         let total = values.len() as u64;
         let mut distinct = 1u64;
         for w in values.windows(2) {
@@ -124,6 +126,23 @@ impl Histogram {
     }
 }
 
+/// Equal histograms have equal counts and boundaries that
+/// [`Value::total_cmp_val`] cannot tell apart — the only way the estimators
+/// read them, so equal histograms give equal estimates. This is what makes
+/// a statistics refresh over unchanged data a no-op.
+impl PartialEq for Histogram {
+    fn eq(&self, other: &Histogram) -> bool {
+        self.total == other.total
+            && self.distinct == other.distinct
+            && self.bounds.len() == other.bounds.len()
+            && self
+                .bounds
+                .iter()
+                .zip(&other.bounds)
+                .all(|(a, b)| a.total_cmp_val(b) == Ordering::Equal)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,6 +190,21 @@ mod tests {
         let h = Histogram::build(vals, 5).unwrap();
         assert_eq!(h.distinct(), 10);
         assert!(h.fraction_le(&Value::str("k005")) > 0.4);
+    }
+
+    /// Equality is what the estimators can see: a rebuild over the same
+    /// values (in any order) is equal, a new bucket count or a `-0.0`
+    /// boundary where `0.0` was is not.
+    #[test]
+    fn equality_follows_the_estimates() {
+        let h = Histogram::build(ints(0..100), 8).unwrap();
+        assert_eq!(h, Histogram::build(ints((0..100).rev()), 8).unwrap());
+        assert_ne!(h, Histogram::build(ints(0..100), 9).unwrap());
+        assert_ne!(h, Histogram::build(ints(1..101), 8).unwrap());
+        let floats = |zero: f64| Histogram::build(vec![Value::Float(zero), Value::Float(1.0)], 1);
+        assert_eq!(floats(0.0), floats(0.0));
+        assert_ne!(floats(0.0), floats(-0.0));
+        assert_eq!(floats(f64::NAN), floats(f64::NAN));
     }
 
     #[test]

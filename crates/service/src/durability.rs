@@ -19,8 +19,9 @@ impl QueryService {
     /// Publishes a new snapshot: the current one with `change` applied.
     /// Serialized with every other mutator by the snapshot cell's writer
     /// lock, so concurrent reconfigurations never lose each other's
-    /// changes; a reader sees all of `change` or none of it.
-    pub(crate) fn mutate(&self, change: impl FnOnce(&mut ServiceState)) {
+    /// changes; a reader sees all of `change` or none of it. Returns
+    /// whether `change` moved the statistics epoch.
+    pub(crate) fn mutate(&self, change: impl FnOnce(&mut ServiceState)) -> bool {
         let (was, now) = self.inner.state.update(|s| {
             let mut next = s.clone();
             change(&mut next);
@@ -30,9 +31,11 @@ impl QueryService {
         // Feedback recorded under an older stats epoch described a
         // distribution that no longer exists; retire it (and its suspect
         // markers) the moment the epoch moves.
-        if now != was {
+        let moved = now != was;
+        if moved {
             self.inner.feedback.retire_older_than(now);
         }
+        moved
     }
 
     /// Log-then-apply: appends the records `describe` derives from the
@@ -44,12 +47,13 @@ impl QueryService {
     /// An append failure (injected write fault, full disk) poisons the
     /// session rather than blocking the mutation: the in-memory state
     /// moves on, the mutation is simply not acknowledged durable, and
-    /// [`DurabilityStats::poisoned`] reports the degradation.
+    /// [`DurabilityStats::poisoned`] reports the degradation. Returns
+    /// whether the statistics epoch moved.
     fn log_and_apply(
         &self,
         describe: impl FnOnce(&Store) -> Vec<WalRecord>,
         also: impl FnOnce(&mut ServiceState),
-    ) {
+    ) -> bool {
         let mut dur = self.durability_lock();
         let records = describe(&self.store());
         if let Some(session) = dur.as_mut() {
@@ -65,21 +69,25 @@ impl QueryService {
                     .unwrap_or_else(|e| panic!("logged {} did not apply: {e}", rec.kind()));
             }
             also(s);
-        });
+        })
     }
 
-    /// Collects histograms and swaps in a store whose catalog carries the
-    /// refined statistics and a bumped `stats_epoch`. With durability on,
-    /// the refresh is logged before it is applied; WAL replay runs the
+    /// Collects histograms at `buckets` buckets and publishes them. Only a
+    /// refresh that changes a histogram bumps the `stats_epoch` — once —
+    /// and so re-optimizes cached plans and retires feedback; over
+    /// unchanged data every cached plan and the feedback ledger stay.
+    /// Returns whether the epoch moved. With durability on, the refresh
+    /// is logged before it is applied, changed or not; WAL replay runs the
     /// same record through the same function, so the recovered catalog
-    /// matches bucket for bucket.
-    pub fn refresh_statistics(&self, buckets: usize) {
-        self.log_and_apply(|_| vec![stats_refresh(buckets)], |_| {});
+    /// matches bucket for bucket and lands on the same epoch.
+    pub fn refresh_statistics(&self, buckets: usize) -> bool {
+        self.log_and_apply(|_| vec![stats_refresh(buckets)], |_| {})
     }
 
     /// Replaces statistics *and* configuration in one snapshot swap: a
     /// reader either sees both changes or neither. This is the mutation
-    /// the concurrency proof drives while submissions race it.
+    /// the concurrency proof drives while submissions race it. The epoch
+    /// rule is [`QueryService::refresh_statistics`]'s.
     pub fn refresh_statistics_with_config(&self, buckets: usize, config: OptimizerConfig) {
         self.log_and_apply(|_| vec![stats_refresh(buckets)], |s| s.set_config(config));
     }

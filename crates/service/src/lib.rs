@@ -15,14 +15,16 @@
 //!   [`admission::Gate`] bounds and breaks the whole process.
 //! * Statistics and physical-design changes go through the service
 //!   ([`QueryService::refresh_statistics`], [`QueryService::restrict_indexes`]),
-//!   which swap in a new store snapshot whose catalog carries a bumped
+//!   which swap in a new store snapshot. When the statistics or the
+//!   physical design actually changed, its catalog carries a bumped
 //!   `stats_epoch` — cached plans go stale *by key*, never by cache walk.
+//!   A refresh over unchanged data keeps the epoch, and with it every plan.
 //!
 //! In-flight queries keep executing against the snapshot they started
 //! with (the `Arc<Store>` they cloned); new submissions see the new
-//! snapshot and miss the cache. Cached entries carry the `QueryEnv` they
-//! were optimized under, so interned `PredId`/`VarId` values never leak
-//! across parses.
+//! snapshot and, under a new epoch, miss the cache. Cached entries carry
+//! the `QueryEnv` they were optimized under, so interned `PredId`/`VarId`
+//! values never leak across parses.
 
 #![forbid(unsafe_code)]
 

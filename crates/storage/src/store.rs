@@ -103,6 +103,11 @@ pub struct Store {
     members: Vec<Vec<Oid>>,
     /// Built indexes, parallel to `catalog.indexes()`.
     indexes: Vec<BuiltIndex>,
+    /// Whether `indexes` describe the data: set by an index build, cleared
+    /// by every change an index could see (`insert_columns`,
+    /// `set_members`, `set_catalog`). A statistics refresh rebuilds the
+    /// indexes only when this is false.
+    indexes_current: bool,
     /// Dense `[type][field] -> slot` table ([`NO_SLOT`] where the field
     /// is not on the type): a field read is two indexed loads, no hashing.
     slots: Vec<Vec<u32>>,
@@ -146,6 +151,7 @@ impl Store {
             regions: vec![None; n_types],
             members: vec![Vec::new(); n_colls],
             indexes: Vec::new(),
+            indexes_current: false,
             slots,
             next_page: 0,
             fault_injector: None,
@@ -205,6 +211,7 @@ impl Store {
         self.catalog = catalog;
         self.catalog.raise_stats_epoch_to(floor);
         self.indexes.clear();
+        self.indexes_current = false;
     }
 
     /// Bulk-inserts the `population` instances of one type, accounting
@@ -244,6 +251,7 @@ impl Store {
             population,
             by_slot,
         };
+        self.indexes_current = false;
     }
 
     /// Whether a type already owns a storage region (a second
@@ -283,6 +291,7 @@ impl Store {
     /// Sets a collection's membership (storage order).
     pub fn set_members(&mut self, coll: CollectionId, oids: Vec<Oid>) {
         self.members[coll.index()] = oids;
+        self.indexes_current = false;
     }
 
     /// Members of a collection, in storage order.
@@ -417,7 +426,8 @@ impl Store {
 
     /// Index build with typed errors and a controllable epoch bump.
     /// WAL replay uses `bump_epoch = false` when re-materializing a
-    /// checkpoint whose catalog already carries the final epoch, and the
+    /// checkpoint whose catalog already carries the final epoch, as does a
+    /// statistics refresh that finds the indexes stale, and the
     /// typed error path means a corrupt log record surfaces as a recovery
     /// error instead of aborting the process. All-or-nothing: on error the
     /// store is unchanged.
@@ -445,6 +455,7 @@ impl Store {
             self.next_page = leaf_first + leaves.max(1);
             self.indexes.push(BuiltIndex::build(pairs, leaf_first));
         }
+        self.indexes_current = true;
         Ok(())
     }
 
@@ -465,9 +476,11 @@ impl Store {
     /// path, key)` plus any extra attribute paths given, attaching them to
     /// a copy of the catalog. This is the statistics-gathering pass behind
     /// the paper's future-work item "refine ... selectivity and cost
-    /// estimation"; rerun it after data changes. The returned catalog
-    /// carries a bumped statistics epoch so plan caches re-optimize under
-    /// the refined estimates.
+    /// estimation"; rerun it after data changes. The returned catalog's
+    /// statistics epoch is one past this store's when a collected
+    /// histogram differs from the one the catalog holds, so plan caches
+    /// re-optimize under the refined estimates — and the same epoch when
+    /// every histogram came out equal, so they keep every plan.
     pub fn collect_statistics(
         &self,
         extra: &[(CollectionId, Vec<FieldId>, FieldId)],
@@ -479,6 +492,7 @@ impl Store {
 
     /// Statistics collection with typed errors, for WAL replay: a corrupt
     /// log record surfaces as a recovery error, never a process abort.
+    /// The epoch rule is [`Store::collect_statistics`]'s.
     pub fn try_collect_statistics(
         &self,
         extra: &[(CollectionId, Vec<FieldId>, FieldId)],
@@ -493,17 +507,46 @@ impl Store {
         targets.extend_from_slice(extra);
         targets.sort();
         targets.dedup();
+        let mut changed = false;
         for (coll, path, key) in targets {
             let mut values: Vec<Value> = Vec::new();
             for &oid in self.members(coll) {
                 values.push(self.try_eval_path(oid, &path, key)?);
             }
-            if let Some(h) = oodb_object::Histogram::build(values, buckets) {
+            let Some(h) = oodb_object::Histogram::build(values, buckets) else {
+                continue;
+            };
+            if catalog.histogram(coll, &path, key) != Some(&h) {
                 catalog.set_histogram(coll, path, key, h);
+                changed = true;
             }
         }
-        catalog.bump_stats_epoch();
+        if changed {
+            catalog.bump_stats_epoch();
+        }
         Ok(catalog)
+    }
+
+    /// A statistics refresh in place — what a logged `StatsRefresh`
+    /// does, live and in replay. It collects histograms over the indexed
+    /// paths at `buckets` buckets, swaps them in only if one changed (the
+    /// epoch then moves by exactly one), and rebuilds the indexes only if
+    /// the data changed since they were built: indexes depend on the data,
+    /// not on the histograms. Over unchanged data it changes nothing, so
+    /// every cached plan stays servable. Returns whether the epoch moved.
+    /// All-or-nothing: on error the store is unchanged.
+    pub fn try_refresh_statistics(&mut self, buckets: usize) -> Result<bool, StoreError> {
+        let catalog = self.try_collect_statistics(&[], buckets)?;
+        if !self.indexes_current {
+            self.try_rebuild_indexes(false)?;
+        }
+        let moved = catalog.stats_epoch() != self.catalog.stats_epoch();
+        if moved {
+            // A copy of this catalog with new histograms: same index set,
+            // so the built indexes stay valid.
+            self.catalog = catalog;
+        }
+        Ok(moved)
     }
 
     /// Pages covering members `[0, n)` of a collection — the dense-prefix

@@ -16,6 +16,9 @@
 # a PR sees it. Then the exact counters of those two runs side by side —
 # what the engine did, not how fast — and `counters: identical` or the
 # names that differ: a change that only claims speed must not move one.
+# Among them `core.cache_hit_ratio`, `wal.replayed_records` and
+# `wal.bytes_per_mutation`, so a change that moves the plan cache or the
+# log on purpose shows that move beside what stayed put.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -122,7 +125,7 @@ done
 
 echo
 echo "exact counters of those runs, parent / change:"
-awk '/^ *"(exec\.(preds|hash_ops|derefs|tuples_per_row|mem_peak_bytes)|storage\.(pages_read|sim_io_ms|buffer_hit_ratio)|volcano\.[a-z_]*)": / {
+awk '/^ *"(exec\.(preds|hash_ops|derefs|tuples_per_row|mem_peak_bytes)|storage\.(pages_read|sim_io_ms|buffer_hit_ratio)|volcano\.[a-z_]*|core\.cache_hit_ratio|wal\.(replayed_records|bytes_per_mutation))": / {
         name = $1; gsub(/[":]/, "", name); value = $3; sub(/,$/, "", value)
         if (FNR == NR) { parent[name] = value; next }
         printf "%-26s %s / %s\n", name, parent[name], value

@@ -520,9 +520,14 @@ fn service_mutators_apply_exactly_what_they_log() {
     let svc = QueryService::new(start.clone(), CostParams::default(), config, 64, 4);
     svc.enable_durability(dir.path(), FlushPolicy::EveryRecord)
         .expect("durability on");
-    svc.refresh_statistics(16);
+    assert!(svc.refresh_statistics(16));
     let merge_join = oodb_core::config::rule_names::MERGE_JOIN;
     svc.refresh_statistics_with_config(24, OptimizerConfig::without(&[merge_join]));
+    // The same refresh again: logged, but over unchanged data it keeps
+    // the epoch — and replay must keep it too.
+    let epoch = svc.store().catalog().stats_epoch();
+    assert!(!svc.refresh_statistics(24));
+    assert_eq!(svc.store().catalog().stats_epoch(), epoch);
     let (_, kept) = start.catalog().indexes().next().expect("an index");
     svc.restrict_indexes(&[&kept.name]);
     assert!(!svc.durability_stats().expect("durability on").poisoned);
@@ -536,6 +541,7 @@ fn service_mutators_apply_exactly_what_they_log() {
         kinds.push(rec.kind());
     }
     let logged = [
+        "stats-refresh",
         "stats-refresh",
         "stats-refresh",
         "set-catalog",
@@ -552,6 +558,53 @@ fn service_mutators_apply_exactly_what_they_log() {
         "two indexes were dropped"
     );
     assert_eq!(query_rows(replayed), query_rows(Store::clone(&live)));
+}
+
+/// A membership change no histogram can see — one `Tasks` member swapped
+/// for a task outside the set with the same `time` — leaves the epoch
+/// where it was, but the indexes still follow the data: after the refresh
+/// `Tasks_time` returns the new member and not the old one.
+#[test]
+fn unchanged_histograms_still_rebuild_stale_indexes() {
+    let mut store = fresh_store();
+    apply_to(&mut store, &WalRecord::StatsRefresh { buckets: 16 }).expect("refresh");
+    let epoch = store.catalog().stats_epoch();
+    let cat = store.catalog();
+    let tasks = cat.collection_by_name("Tasks").expect("Tasks");
+    let index = cat.index_by_name("Tasks_time").expect("Tasks_time");
+    let time = cat.index(index).key;
+    let task_type = cat.collection(tasks).elem_type;
+    let mut members = store.members(tasks).to_vec();
+    let time_of = |oid| store.read_field(oid, time).clone();
+    let outside = (members.len()..store.population(task_type))
+        .map(|seq| oodb_object::Oid::new(task_type, seq as u32))
+        .find_map(|out| {
+            let at = members.iter().position(|&m| time_of(m) == time_of(out))?;
+            Some((at, out))
+        });
+    let (at, newcomer) = outside.expect("a task outside Tasks shares a member's time");
+    let (leaver, key) = (members[at], time_of(newcomer));
+    members[at] = newcomer;
+
+    apply_to(
+        &mut store,
+        &WalRecord::SetMembers {
+            coll: tasks,
+            oids: members,
+        },
+    )
+    .expect("membership");
+    apply_to(&mut store, &WalRecord::StatsRefresh { buckets: 16 }).expect("refresh");
+    assert_eq!(
+        store.catalog().stats_epoch(),
+        epoch,
+        "every histogram equal"
+    );
+    let found = store
+        .index(index)
+        .lookup_cmp(oodb_object::value::CmpLike::Eq, &key);
+    assert!(found.contains(&newcomer), "the index missed the new member");
+    assert!(!found.contains(&leaver), "the index kept the old member");
 }
 
 /// An object is as large as its values: a 600-member set and a 5 000-byte

@@ -178,8 +178,11 @@ proptest! {
 /// Satellite: feedback recording racing epoch bumps and cache clears.
 /// Submitters hammer the skewed query (tripping the ladder over and
 /// over) and honest queries; a mutator interleaves statistics refreshes
-/// and cache clears. Afterward: no stale suspect markers survive the
-/// final refresh, and cache accounting reconciles exactly.
+/// (each at a bucket count of its own, so each changes a histogram and
+/// bumps the epoch) and cache clears. Afterward: no stale suspect markers
+/// survive the final, changing refresh; a repeat of it, over unchanged
+/// data, keeps what the ladder learned since; and cache accounting
+/// reconciles exactly.
 #[test]
 fn feedback_survives_racing_epoch_bumps_and_cache_clears() {
     const SUBMITTERS: usize = 4;
@@ -198,7 +201,7 @@ fn feedback_survives_racing_epoch_bumps_and_cache_clears() {
         let mutator = s.spawn(move || {
             for i in 0..MUTATIONS {
                 if i % 2 == 0 {
-                    svc_ref.refresh_statistics(8);
+                    assert!(svc_ref.refresh_statistics(8 + i), "a new bucket count");
                 } else {
                     svc_ref.cache().clear();
                 }
@@ -245,9 +248,11 @@ fn feedback_survives_racing_epoch_bumps_and_cache_clears() {
         "hit counter must reconcile"
     );
 
-    // A final refresh retires everything the race left behind: no stale
+    // A final refresh at a bucket count the race never used changes a
+    // histogram and retires everything the race left behind: no stale
     // suspect markers or overrides may survive an epoch bump.
-    svc.refresh_statistics(8);
+    const FINAL_BUCKETS: usize = 8 + MUTATIONS;
+    assert!(svc.refresh_statistics(FINAL_BUCKETS), "the epoch must move");
     let fb = svc.feedback_stats();
     assert_eq!(
         (fb.tracked, fb.suspect, fb.overridden),
@@ -259,5 +264,15 @@ fn feedback_survives_racing_epoch_bumps_and_cache_clears() {
     for _ in 0..5 {
         svc.submit(Q_FRED).expect("query failed");
     }
-    assert!(svc.feedback_stats().suspect >= 1);
+    let learned = svc.feedback_stats();
+    assert!(learned.tracked >= 1 && learned.suspect >= 1, "{learned:?}");
+    // The same refresh again finds every histogram equal: the epoch stays,
+    // so the ledger keeps what it learned under it.
+    assert!(!svc.refresh_statistics(FINAL_BUCKETS), "nothing changed");
+    let kept = svc.feedback_stats();
+    assert_eq!(
+        (kept.tracked, kept.suspect, kept.overridden),
+        (learned.tracked, learned.suspect, learned.overridden),
+        "an unchanged refresh retired feedback"
+    );
 }

@@ -70,6 +70,59 @@ fn stats_epoch_bump_forces_reoptimization() {
     assert!(svc.submit(Q_TIME).unwrap().cache_hit);
 }
 
+/// Submits every query once and reports which were cache hits.
+fn hits(svc: &QueryService, queries: &[&str]) -> Vec<bool> {
+    queries
+        .iter()
+        .map(|q| svc.submit(q).expect("query runs").cache_hit)
+        .collect()
+}
+
+/// A refresh over unchanged data collects the histograms the catalog
+/// already holds: the epoch stays, cached plans are served, and the
+/// feedback ledger keeps what it recorded.
+#[test]
+fn unchanged_refresh_keeps_every_cached_plan() {
+    let svc = service();
+    let queries = [Q_MAYOR, Q_TIME];
+    assert!(
+        svc.refresh_statistics(16),
+        "the first collection adds histograms"
+    );
+    let epoch = svc.store().catalog().stats_epoch();
+    assert_eq!(hits(&svc, &queries), [false, false]);
+    let tracked = svc.feedback_stats().tracked;
+    assert!(tracked >= 1, "submissions feed the ledger");
+
+    assert!(!svc.refresh_statistics(16), "same data, same histograms");
+    assert_eq!(svc.store().catalog().stats_epoch(), epoch);
+    assert_eq!(hits(&svc, &queries), [true, true]);
+    assert_eq!(svc.feedback_stats().tracked, tracked, "ledger retired");
+}
+
+/// A refresh that changes a histogram (here: a new bucket count) moves the
+/// epoch by exactly one, makes every cached plan miss, and retires the
+/// feedback ledger. Red if the epoch rule over-reaches.
+#[test]
+fn changing_refresh_misses_every_cached_plan() {
+    let svc = service();
+    let queries = [Q_MAYOR, Q_TIME];
+    svc.refresh_statistics(16);
+    let epoch = svc.store().catalog().stats_epoch();
+    assert_eq!(hits(&svc, &queries), [false, false]);
+    assert_eq!(hits(&svc, &queries), [true, true]);
+    assert!(svc.feedback_stats().tracked >= 1);
+
+    assert!(svc.refresh_statistics(24), "a new bucket count");
+    assert_eq!(svc.store().catalog().stats_epoch(), epoch + 1);
+    assert_eq!(
+        svc.feedback_stats().tracked,
+        0,
+        "feedback outlived its epoch"
+    );
+    assert_eq!(hits(&svc, &queries), [false, false]);
+}
+
 #[test]
 fn rule_config_toggle_never_serves_foreign_plan() {
     let svc = service();

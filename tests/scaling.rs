@@ -86,7 +86,10 @@ fn concurrent_submissions_never_observe_torn_snapshots() {
         let mutator = s.spawn(move || {
             let cfgs = configs();
             for i in 0..SWAPS {
-                svc_ref.refresh_statistics_with_config(8, cfgs[i % cfgs.len()].clone());
+                // A bucket count of its own per swap: every swap changes a
+                // histogram, so every swap moves the epoch (a refresh that
+                // collects what the catalog holds would not).
+                svc_ref.refresh_statistics_with_config(8 + i, cfgs[i % cfgs.len()].clone());
                 published_ref
                     .lock()
                     .unwrap()
