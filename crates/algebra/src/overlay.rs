@@ -12,7 +12,7 @@
 //! respellings: variables are identified by their *origin chain* (the
 //! collection they scan, or the reference path that materialized them),
 //! not by [`crate::VarId`] interning order, and terms are canonicalized
-//! exactly like [`crate::fingerprint`] does (symmetric comparisons
+//! exactly like [`crate::fingerprint()`] does (symmetric comparisons
 //! sorted, `>`/`>=` flipped, conjuncts sorted). The key for the
 //! single-term predicate on an index scan therefore equals the key the
 //! same term gets inside a larger filter conjunction.
@@ -147,7 +147,7 @@ fn operand_key(env: &QueryEnv, o: &Operand) -> String {
 
 /// The canonical key of one comparison term: operands by origin-chain
 /// path, symmetric comparators operand-sorted, `>`/`>=` rewritten as
-/// `<`/`<=` — the same normalizations [`crate::fingerprint`] applies, so
+/// `<`/`<=` — the same normalizations [`crate::fingerprint()`] applies, so
 /// respellings of a term share a key.
 pub fn term_key(env: &QueryEnv, term: &crate::pred::Term) -> String {
     let mut left = operand_key(env, &term.left);

@@ -181,8 +181,8 @@ impl Shell {
                      Prefix with EXPLAIN to see the optimal (and greedy) plan instead,\n\
                      EXPLAIN ANALYZE to run it and annotate each operator with\n\
                      actual rows, wall time, and buffer I/O, EXPLAIN VERIFY to\n\
-                     statically check the winning plan (and, with verify-search on,\n\
-                     every expression the transformation rules generated), or\n\
+                     statically check the winning plan and every expression the\n\
+                     transformation rules generated, or\n\
                      EXPLAIN AUDIT to enumerate the full plan space and prove the\n\
                      winner cost-minimal over it, or EXPLAIN FEEDBACK to compare\n\
                      catalog selectivities against feedback-derived overrides.\n\
@@ -197,7 +197,6 @@ impl Shell {
                      \\feedback [stats|clear] actual-vs-estimated drift per query\n\
                      \\trace QUERY;        show the goal-directed search trace\n\
                      \\verify QUERY;       statically verify the query's winning plan\n\
-                     \\verify search on|off   also lint every memo expression (slow)\n\
                      \\audit QUERY;        enumeration oracle + interval + rule-graph audit\n\
                      \\serve ADDR          serve this database over HTTP (\\serve stop)\n\
                      \\connect ADDR        run statements against a remote server\n\
@@ -318,25 +317,9 @@ impl Shell {
                 Some((_, src)) => self.audit_stmt(src),
                 None => println!("usage: \\audit SELECT ... ;"),
             },
-            "\\verify" => match line.split_once(' ').map(|(_, rest)| rest.trim()) {
-                Some("search on") => {
-                    self.update_config(|c| c.verify_search = true);
-                    println!("verify-search on — every memo expression is linted");
-                }
-                Some("search off") => {
-                    self.update_config(|c| c.verify_search = false);
-                    println!("verify-search off");
-                }
-                Some(src) if !src.is_empty() => self.verify_stmt(src),
-                _ => println!(
-                    "usage: \\verify SELECT ... ;  or  \\verify search on|off \
-                     (currently {})",
-                    if self.svc.config().verify_search {
-                        "on"
-                    } else {
-                        "off"
-                    }
-                ),
+            "\\verify" => match line.split_once(' ') {
+                Some((_, src)) => self.verify_stmt(src),
+                None => println!("usage: \\verify SELECT ... ;"),
             },
             "\\stats" => {
                 // Logged before it is applied when durability is on. Only
@@ -710,9 +693,9 @@ impl Shell {
         was_on
     }
 
-    /// Statically verifies a query's winning plan (always under
-    /// verify-search, regardless of the session toggle): lints the logical
-    /// algebra, optimizes, and reports every diagnostic — or a clean bill.
+    /// Statically verifies a query's winning plan and every memo expression
+    /// (`verify_search`): lints the logical algebra, optimizes, and reports
+    /// every diagnostic — or a clean bill.
     fn verify_stmt(&self, src: &str) {
         let Some(q) = self.compile(src) else { return };
         let mut diags = oodb_core::verify::lint_logical(&q.env, &q.plan);

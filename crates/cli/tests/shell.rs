@@ -105,6 +105,22 @@ EXPLAIN SELECT c FROM City c IN Cities WHERE c.mayor().name() == "Joe";
     assert!(enabled < plan && plan < reset, "{out}");
 }
 
+/// Queries 1–4 through `EXPLAIN VERIFY`: the winning plan and every memo
+/// expression lint clean.
+#[test]
+fn explain_verify_reports_the_paper_corpus_clean() {
+    let out = run_shell(
+        r#"EXPLAIN VERIFY SELECT Newobject(e.name(), e.job().name(), e.dept().name()) FROM Employee e IN Employees WHERE e.dept().plant().location() == "Dallas";
+EXPLAIN VERIFY SELECT c FROM City c IN Cities WHERE c.mayor().name() == "Joe";
+EXPLAIN VERIFY SELECT Newobject(c.mayor().age(), c.name()) FROM City c IN Cities WHERE c.mayor().name() == "Joe";
+EXPLAIN VERIFY SELECT t FROM Task t IN Tasks WHERE t.time() == 100 && EXISTS (SELECT m FROM m IN t.team_members() WHERE m.name() == "Fred");
+\q
+"#,
+    );
+    assert_eq!(out.matches("verify: OK").count(), 4, "{out}");
+    assert!(!out.contains("diagnostic(s)"), "{out}");
+}
+
 #[test]
 fn catalog_and_error_reporting() {
     let out = run_shell(

@@ -1,17 +1,17 @@
 //! Execution-feedback accumulation and the re-optimization ladder's state.
 //!
 //! The optimizer's estimates come from catalog statistics that nothing
-//! refreshes from observed behavior; PR 8's interval checks *detect* the
-//! resulting drift (`oodb_actual_card_violations_total`) but nothing
-//! consumed the signal. This module closes the loop:
+//! refreshes from observed behavior; the interval audit *detects* the
+//! resulting drift (`oodb_actual_card_violations_total`). This module
+//! consumes the signal:
 //!
 //! 1. **Observe.** Every execution reports its root row count
 //!    ([`FeedbackStore::observe_root`]) — including the untraced hot
 //!    path, so feedback is not silently disabled when profiling is off.
-//!    Traced executions additionally walk the plan and its
-//!    [`OpTrace`](oodb_telemetry::OpTrace) in lockstep
-//!    ([`FeedbackStore::observe_trace`]) and attribute observed
-//!    selectivities to individual predicates.
+//!    Traced executions additionally hand over the nodes of
+//!    [`walk_actual`](oodb_verify::walk_actual), the one walk pairing
+//!    plan and trace ([`FeedbackStore::observe_trace`]), which attribute
+//!    observed selectivities to individual predicates.
 //! 2. **Suspect.** When a fingerprint's drift ratio
 //!    ([`drift_ratio`]) exceeds the configured threshold (default
 //!    [`DEFAULT_DRIFT_THRESHOLD`]), the entry is marked *suspect*. The
@@ -28,8 +28,8 @@
 //! them ([`FeedbackStore::retire_older_than`]) because observations of
 //! the old data distribution say nothing about the new one.
 
-use oodb_algebra::{PhysicalOp, PhysicalPlan, QueryEnv, StatsOverlay};
-use oodb_telemetry::OpTrace;
+use oodb_algebra::{PhysicalOp, QueryEnv, StatsOverlay};
+use oodb_verify::{drift_ratio, ActualNode};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -37,32 +37,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// Default drift threshold: estimates off by ≥ 10× in either direction
 /// mark the plan suspect (the ratio the ROADMAP item names).
 pub const DEFAULT_DRIFT_THRESHOLD: f64 = 10.0;
-
-/// Ceiling on reported drift ratios. A zero-row estimate against observed
-/// rows is *maximal* drift, not infinity — the cap keeps every downstream
-/// comparison and export finite.
-pub const MAX_DRIFT: f64 = 1e12;
-
-/// The error ratio between an estimated and an observed cardinality:
-/// `max(est/actual, actual/est)`, clamped to `[1.0, MAX_DRIFT]` and
-/// always finite.
-///
-/// Zero-row edge cases are part of the contract, not an afterthought:
-/// an estimate of 0 (or a non-finite estimate) against observed rows is
-/// maximal drift; 0 estimated and 0 observed is perfect agreement; both
-/// sides are floored at one row so sub-row estimates (`1e-6` from the
-/// cost model) cannot manufacture drift against an actual of 0 or 1.
-pub fn drift_ratio(estimated: f64, actual: u64) -> f64 {
-    if !estimated.is_finite() {
-        return MAX_DRIFT;
-    }
-    if estimated <= 0.0 && actual > 0 {
-        return MAX_DRIFT;
-    }
-    let e = estimated.max(1.0);
-    let a = (actual as f64).max(1.0);
-    (e / a).max(a / e).min(MAX_DRIFT)
-}
 
 /// What [`FeedbackStore::observe_root`] concluded about one execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -265,19 +239,17 @@ impl FeedbackStore {
     }
 
     /// Records per-predicate observed selectivities from a traced
-    /// execution by walking the plan and its [`OpTrace`] in lockstep (the
-    /// executor's trace tree mirrors the plan tree; plan children without
-    /// a trace node — a pointer join's target scan — are skipped).
-    /// Only suspect (or already-corrected) fingerprints record overrides;
-    /// traces of in-bounds queries are diagnostics, not probes.
-    /// Returns the number of overrides now recorded for the fingerprint.
+    /// execution, given the nodes [`walk_actual`](oodb_verify::walk_actual)
+    /// paired for it. Only suspect (or already-corrected) fingerprints
+    /// record overrides; traces of in-bounds queries are diagnostics, not
+    /// probes. Returns the number of overrides now recorded for the
+    /// fingerprint.
     pub fn observe_trace(
         &self,
         fp: u64,
         epoch: u64,
         env: &QueryEnv,
-        plan: &PhysicalPlan,
-        trace: &OpTrace,
+        nodes: &[ActualNode<'_>],
     ) -> usize {
         if !self.is_enabled() {
             return 0;
@@ -300,7 +272,9 @@ impl FeedbackStore {
             return 0;
         }
         let mut overlay = StatsOverlay::new();
-        collect_observed(env, plan, trace, &mut overlay);
+        for (key, sel) in nodes.iter().filter_map(|n| observed(env, n)) {
+            overlay.set(key, sel);
+        }
         if !overlay.is_empty() {
             e.overlay = Some(Arc::new(overlay));
         }
@@ -404,81 +378,33 @@ impl FeedbackStore {
     }
 }
 
-/// Walks plan and trace in lockstep, attributing observed selectivities
-/// to the predicates of filters, index scans, and joins. Mirrors
-/// `oodb_verify`'s actual-cardinality walk: children are zipped
-/// positionally and plan children beyond the trace's children (operators
-/// the executor never materialized as separate trace nodes) contribute
-/// nothing.
-fn collect_observed(
-    env: &QueryEnv,
-    plan: &PhysicalPlan,
-    trace: &OpTrace,
-    overlay: &mut StatsOverlay,
-) {
-    for (p, t) in plan.children.iter().zip(trace.children.iter()) {
-        collect_observed(env, p, t, overlay);
-    }
-    let actual = trace.actual_rows as f64;
-    let key_of = |pred| oodb_algebra::overlay::pred_key(env, env.preds.pred(pred));
-    match &plan.op {
-        PhysicalOp::Filter { pred } => {
-            // Observed fraction of the input that survived the filter.
-            if let Some(t) = trace.children.first() {
-                if t.actual_rows > 0 {
-                    overlay.set(key_of(*pred), actual / t.actual_rows as f64);
-                }
-            }
-        }
-        PhysicalOp::IndexScan { index, pred, .. } => {
-            if env.preds.pred(*pred).terms.is_empty() {
-                return;
-            }
+/// The observed selectivity of one operator's predicate, keyed for the
+/// overlay: rows out over rows in, for filters, index scans and joins.
+fn observed(env: &QueryEnv, node: &ActualNode<'_>) -> Option<(String, f64)> {
+    let rows = |i: usize| node.trace.children.get(i).map(|t| t.actual_rows as f64);
+    let (pred, input) = match &node.plan.op {
+        PhysicalOp::Filter { pred } => (*pred, rows(0)?),
+        PhysicalOp::IndexScan { index, pred, .. } if !env.preds.pred(*pred).terms.is_empty() => {
             let coll = env.catalog.index(*index).collection;
-            let card = env.catalog.collection(coll).cardinality;
-            if card > 0 {
-                overlay.set(key_of(*pred), actual / card as f64);
-            }
+            (*pred, env.catalog.collection(coll).cardinality as f64)
         }
+        // Relative to the cross product, the convention `join_card` consumes.
         PhysicalOp::HybridHashJoin { pred } | PhysicalOp::MergeJoin { pred } => {
-            // Observed selectivity relative to the cross product, the
-            // same convention `join_card` consumes.
-            if let (Some(l), Some(r)) = (trace.children.first(), trace.children.get(1)) {
-                let cross = l.actual_rows as f64 * r.actual_rows as f64;
-                if cross > 0.0 {
-                    overlay.set(key_of(*pred), actual / cross);
-                }
-            }
+            (*pred, rows(0)? * rows(1)?)
         }
         // A pointer join's target side has no trace child (references are
         // resolved inline), so its cross product is unknowable here; its
         // reference-equality estimate is domain-driven, not
         // selectivity-driven, and is left to the catalog.
-        _ => {}
-    }
+        _ => return None,
+    };
+    let key = || oodb_algebra::overlay::pred_key(env, env.preds.pred(pred));
+    (input > 0.0).then(|| (key(), node.trace.actual_rows as f64 / input))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn drift_ratio_zero_row_contract() {
-        // 0 estimated, >0 actual: maximal drift, not NaN/inf.
-        assert_eq!(drift_ratio(0.0, 5), MAX_DRIFT);
-        assert_eq!(drift_ratio(-1.0, 5), MAX_DRIFT);
-        assert_eq!(drift_ratio(f64::NAN, 0), MAX_DRIFT);
-        assert_eq!(drift_ratio(f64::INFINITY, 10), MAX_DRIFT);
-        // Agreement (including the all-zero case) is ratio 1.
-        assert_eq!(drift_ratio(0.0, 0), 1.0);
-        assert_eq!(drift_ratio(1e-6, 0), 1.0);
-        assert_eq!(drift_ratio(7.0, 7), 1.0);
-        // Symmetric 10x drift either way.
-        assert_eq!(drift_ratio(10.0, 100), 10.0);
-        assert_eq!(drift_ratio(100.0, 10), 10.0);
-        // Huge actuals stay finite and capped.
-        assert_eq!(drift_ratio(1.0, u64::MAX), MAX_DRIFT);
-    }
 
     #[test]
     fn suspect_ladder_fires_once_per_epoch() {

@@ -52,13 +52,13 @@ pub use audit::{
 pub use config::OptimizerConfig;
 pub use cost::{Cost, CostParams};
 pub use feedback::{
-    drift_ratio, FeedbackEntry, FeedbackStats, FeedbackStore, Observation, DEFAULT_DRIFT_THRESHOLD,
-    MAX_DRIFT,
+    FeedbackEntry, FeedbackStats, FeedbackStore, Observation, DEFAULT_DRIFT_THRESHOLD,
 };
 pub use greedy::greedy_plan;
 pub use model::OodbModel;
 /// The static plan verifier, re-exported so downstream crates reach the
 /// linter and property checker without a separate dependency.
 pub use oodb_verify as verify;
+pub use oodb_verify::{drift_ratio, MAX_DRIFT};
 pub use optimizer::{greedy_fallback, BoundedOutcome, OpenOodb, OptimizeOutcome};
 pub use plancache::{CacheKey, CacheStats, CachedBody, CachedPlan, PlanCache};

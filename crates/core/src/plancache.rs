@@ -9,7 +9,7 @@
 //!
 //! * **Key** — `(query fingerprint, rule-config fingerprint, stats epoch,
 //!   index-set hash, overlay fingerprint)`. The query fingerprint is the
-//!   canonical structural hash of [`oodb_algebra::fingerprint`]; the full
+//!   canonical structural hash of [`oodb_algebra::fingerprint()`]; the full
 //!   structural key is stored in the entry and compared on every hit, so
 //!   a 64-bit collision costs a spurious miss, never a wrong plan. The
 //!   overlay term is the feedback loop's selectivity corrections (0 for
@@ -39,7 +39,7 @@ use std::sync::{Arc, Mutex};
 /// valid for a lookup.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct CacheKey {
-    /// Canonical query fingerprint hash ([`oodb_algebra::fingerprint`]).
+    /// Canonical query fingerprint hash ([`oodb_algebra::fingerprint()`]).
     pub fingerprint: u64,
     /// [`crate::OptimizerConfig::fingerprint`] of the rule configuration.
     pub config: u64,

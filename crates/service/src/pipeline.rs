@@ -8,7 +8,7 @@ use crate::{
 };
 use oodb_algebra::{PhysicalOp, PhysicalPlan, QueryEnv, StatsOverlay};
 use oodb_core::plancache::{CacheKey, CachedBody, CachedPlan};
-use oodb_core::verify::{check_actual_cards, checks, Diagnostic};
+use oodb_core::verify::{checks, walk_actual, Diagnostic};
 use oodb_core::{BoundedOutcome, Observation, OpenOodb};
 use oodb_exec::{ExecError, ExecStats, Executor, RootRow};
 use oodb_fault::{CancelToken, FaultClass, RunLimits};
@@ -418,9 +418,10 @@ impl QueryService {
         // Execute-time half of the interval audit: measured row counts
         // against the catalog-derived bounds. An escape here with a clean
         // verify pass means the statistics are stale, not the cost model.
-        if let Some(t) = &ran.trace {
-            m.actual_card_violations
-                .add(check_actual_cards(env, plan, t).len() as u64);
+        let nodes = ran.trace.as_ref().map(|t| walk_actual(env, plan, t));
+        if let Some(nodes) = &nodes {
+            let escapes = nodes.iter().filter(|n| n.escapes()).count();
+            m.actual_card_violations.add(escapes as u64);
         }
         if planned.degraded {
             return None;
@@ -433,15 +434,15 @@ impl QueryService {
             // probed, re-optimizes under the overlay).
             self.inner.cache.remove(&planned.key);
         }
-        if let Some(t) = &ran.trace {
-            if fb.observe_trace(fp_hash, epoch, env, plan, t) > 0 && !planned.overlaid {
+        if let Some(nodes) = &nodes {
+            if fb.observe_trace(fp_hash, epoch, env, nodes) > 0 && !planned.overlaid {
                 // Per-predicate overrides are now recorded: retire the
                 // catalog-only plan — the next probe keys on the overlay
                 // fingerprint and re-optimizes.
                 self.inner.cache.remove(&planned.key);
             }
         } else if obs != Observation::InBounds {
-            // Untraced counterpart of `check_actual_cards`: the root
+            // Untraced counterpart of the interval escapes: the root
             // estimate drifted past the threshold.
             m.actual_card_violations.inc();
         }

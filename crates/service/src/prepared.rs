@@ -49,7 +49,7 @@ impl QueryService {
     /// result under its canonical fingerprint hash. Returns the statement
     /// and whether this call created it (`false` = an equivalent statement
     /// — possibly a textual variant — was already registered; both callers
-    /// share it). A new statement past [`MAX_PREPARED`] is refused with
+    /// share it). A new statement past `MAX_PREPARED` (4,096) is refused with
     /// [`ServiceError::Overloaded`]: a statement stays registered for the
     /// life of the service. Nothing is optimized or executed yet: the first
     /// [`QueryService::submit_prepared_with`] fills the plan cache, and

@@ -25,12 +25,11 @@
 //!   monotone-non-decreasing cumulative cost up the tree, and cardinality
 //!   estimates within bounds derivable from the operator semantics.
 //! * **Interval cardinality audit** ([`check_card_intervals`],
-//!   [`check_actual_cards`]) — propagates sound `[lo, hi]` row-count
-//!   intervals ([`oodb_algebra::CardInterval`]) bottom-up through logical
-//!   and physical plans (exact scans, predicate relaxation, reference
-//!   equi-join containment, set-op bounds), flagging any *estimate*
-//!   outside its interval at verify time and any *measured*
-//!   [`OpTrace`] row count outside it at execute time.
+//!   [`walk_actual`]) — propagates sound `[lo, hi]` row-count intervals
+//!   ([`oodb_algebra::CardInterval`]) bottom-up (exact scans, predicate
+//!   relaxation, reference equi-join containment, set-op bounds), flagging
+//!   any *estimate* outside its interval; the one walk pairing a plan with
+//!   its trace bounds each operator that ran by its inputs' measured rows.
 //!
 //! [`verify_physical`] composes the plan-level passes for a winning plan.
 
@@ -41,8 +40,10 @@ use oodb_algebra::{
     QueryEnv, SortSpec, VarId, VarOrigin, VarSet,
 };
 use oodb_object::{FieldId, FieldKind, TypeId};
-use oodb_telemetry::OpTrace;
 use std::fmt;
+
+pub mod actual;
+pub use actual::{drift_ratio, walk_actual, ActualNode, MAX_DRIFT};
 
 /// Stable names of the invariants the verifier checks. Diagnostics carry
 /// one of these in [`Diagnostic::check`]; tests and telemetry key on them.
@@ -109,9 +110,6 @@ pub mod checks {
     /// A cardinality estimate escapes its derivable `[lo, hi]` interval —
     /// the cost model produced an infeasible estimate.
     pub const CARD_INTERVAL: &str = "card/interval";
-    /// A measured operator row count escapes its derivable interval —
-    /// catalog statistics are stale (or an operator is miscounting).
-    pub const ACTUAL_CARD: &str = "card/actual";
 }
 
 /// One verifier finding: which invariant fired, where in the plan, and
@@ -221,20 +219,6 @@ pub fn check_costs(env: &QueryEnv, plan: &PhysicalPlan) -> Vec<Diagnostic> {
 pub fn check_card_intervals(env: &QueryEnv, plan: &PhysicalPlan) -> Vec<Diagnostic> {
     let mut cx = Cx::new(env);
     cx.walk_interval(plan);
-    cx.diags
-}
-
-/// Audits *measured* row counts against derivable intervals: walks the
-/// plan and its [`OpTrace`] in lockstep (the executor's trace tree mirrors
-/// the plan, except for children it never runs, e.g. a pointer join's
-/// target scan) and flags every operator whose `actual_rows` escapes the
-/// interval derived from its children's measured counts
-/// ([`checks::ACTUAL_CARD`]). With fresh catalog statistics this is
-/// violation-free; a scan outside its interval means the statistics are
-/// stale — the static half of feedback-driven re-optimization.
-pub fn check_actual_cards(env: &QueryEnv, plan: &PhysicalPlan, trace: &OpTrace) -> Vec<Diagnostic> {
-    let mut cx = Cx::new(env);
-    cx.walk_actual(plan, trace);
     cx.diags
 }
 
@@ -1447,33 +1431,6 @@ impl<'e> Cx<'e> {
         iv
     }
 
-    /// Walks plan and trace in lockstep, checking each operator's measured
-    /// row count against the interval derived from its children's measured
-    /// counts. Plan children without a trace node (the executor never ran
-    /// them — a pointer join's target scan) keep a vacuous interval.
-    fn walk_actual(&mut self, plan: &PhysicalPlan, trace: &OpTrace) -> CardInterval {
-        let mut kids = Vec::with_capacity(plan.children.len());
-        for (i, (pc, tc)) in plan.children.iter().zip(trace.children.iter()).enumerate() {
-            self.path.push(i);
-            kids.push(self.walk_actual(pc, tc));
-            self.path.pop();
-        }
-        kids.resize(plan.children.len(), CardInterval::UNBOUNDED);
-        let iv = self.phys_interval(plan, &kids);
-        let actual = trace.actual_rows as f64;
-        if !iv.contains(actual) {
-            self.emit(
-                checks::ACTUAL_CARD,
-                plan.op.name(),
-                format!("actual rows within {iv}"),
-                format!("{}", trace.actual_rows),
-            );
-        }
-        // Parents bound themselves by what this operator *measurably*
-        // produced, not by what it could have.
-        CardInterval::exact(actual)
-    }
-
     /// The `[lo, hi]` row-count interval of one physical operator given
     /// its children's intervals. Sound w.r.t. executor semantics: scans
     /// are pinned to catalog cardinality, predicates drop the lower bound,
@@ -1790,7 +1747,7 @@ mod tests {
     }
 
     /// Filter-over-scan with parameterized estimates, for interval tests.
-    fn scan_filter_plan(
+    pub(super) fn scan_filter_plan(
         m: &oodb_object::paper::PaperModel,
         pred: PredId,
         c: VarId,
@@ -1816,19 +1773,6 @@ mod tests {
                 io_s: 0.0,
                 cpu_s: 0.1,
             },
-        }
-    }
-
-    fn trace(rows: u64, children: Vec<OpTrace>) -> OpTrace {
-        OpTrace {
-            label: String::new(),
-            actual_rows: rows,
-            elapsed_ns: 0,
-            buffer_hits: 0,
-            buffer_misses: 0,
-            sim_io_s: 0.0,
-            spill_pages: 0,
-            children,
         }
     }
 
@@ -1862,38 +1806,6 @@ mod tests {
             diags
                 .iter()
                 .any(|d| d.check == checks::CARD_INTERVAL && d.path.is_empty()),
-            "{diags:?}"
-        );
-    }
-
-    #[test]
-    fn actual_rows_outside_interval_detected() {
-        let m = paper_model();
-        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-        let (_, c) = qb.get(m.ids.cities, "c");
-        let pred = qb.eq_const(c, m.ids.city_name, Value::str("Lima"));
-        let env = qb.into_env();
-        let n = m.catalog.collection(m.ids.cities).cardinality;
-        let plan = scan_filter_plan(&m, pred, c, n as f64, 1.0);
-        // Fresh statistics: scan sees exactly n, filter keeps a subset.
-        let ok = trace(1, vec![trace(n, vec![])]);
-        assert_eq!(check_actual_cards(&env, &plan, &ok), vec![]);
-        // Stale statistics: the scan no longer matches the catalog.
-        let stale = trace(1, vec![trace(n - 2, vec![])]);
-        let diags = check_actual_cards(&env, &plan, &stale);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.check == checks::ACTUAL_CARD && d.path == vec![0]),
-            "{diags:?}"
-        );
-        // A filter emitting more rows than its input is miscounting.
-        let grew = trace(n + 5, vec![trace(n, vec![])]);
-        let diags = check_actual_cards(&env, &plan, &grew);
-        assert!(
-            diags
-                .iter()
-                .any(|d| d.check == checks::ACTUAL_CARD && d.path.is_empty()),
             "{diags:?}"
         );
     }

@@ -12,6 +12,12 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo test -q"
 cargo test -q --workspace
 
+# Intra-doc links of first-party crates (default members, so the vendored
+# third_party/ stand-ins are not documented): a moved or deleted item
+# must not leave a dangling link behind.
+echo "==> cargo doc -D warnings"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
+
 # The workspace run above already holds the chaos replay at its fixed
 # seed (tests/resilience.rs), the concurrency proof (tests/scaling.rs),
 # the serving, durability and feedback gates, the executor golden file

@@ -12,13 +12,15 @@
 //! estimated vs observed cost is printed per query, and no plan may run
 //! cheaper than the winner by more than [`MAX_WINNER_INVERSION`] — the
 //! validation the paper put off "until the query plan executor becomes
-//! operational". `-- --nocapture` prints every inversion with the
-//! operator where the estimate and the run part.
+//! operational". Every inversion must name the operator where the
+//! estimate and the run part (a cardinality error); one that cannot is a
+//! cost-model error and fails. `-- --nocapture` prints them all.
 //!
 //! `OODB_AUDIT_QUICK=1` (the CI audit job) shrinks the store and the
 //! enumeration limits so the corpus runs in seconds.
 
 use oodb_exec::{ExecResult, ExecStats};
+use open_oodb::core::verify::walk_actual;
 use open_oodb::prelude::*;
 use open_oodb::volcano::EnumLimits;
 use open_oodb::zql;
@@ -107,17 +109,11 @@ fn kendall_tau(costs: &[(f64, f64)]) -> f64 {
 
 /// The first operator, inputs before parents, whose estimated and actual
 /// row counts differ by more than 2×: where the estimate and the run part.
-/// Plan children the executor never ran (a pointer join's target scan)
-/// have no trace node and are skipped.
-fn divergence(plan: &PhysicalPlan, trace: &OpTrace) -> Option<String> {
-    let mut inputs = plan.children.iter().zip(&trace.children);
-    inputs.find_map(|(p, t)| divergence(p, t)).or_else(|| {
-        let (est, actual) = (plan.est.out_card, trace.actual_rows as f64);
-        (est.max(actual) > 2.0 * est.min(actual).max(1.0)).then(|| {
-            let rows = trace.actual_rows;
-            format!("{} (est {est:.0}, actual {rows})", trace.label)
-        })
-    })
+fn divergence(env: &QueryEnv, plan: &PhysicalPlan, trace: &OpTrace) -> Option<String> {
+    let nodes = walk_actual(env, plan, trace);
+    let at = nodes.iter().find(|n| n.drift > 2.0)?;
+    let (est, rows) = (at.plan.est.out_card, at.trace.actual_rows);
+    Some(format!("{} (est {est:.0}, actual {rows})", at.trace.label))
 }
 
 /// Runs the full audit on one query: oracle assertions plus execution of
@@ -177,7 +173,7 @@ fn audit_query(src: &str, label: &str) -> usize {
         let observed = observed_cost(&stats);
         costs.push((plan.total_s(), observed));
         if observed < winner {
-            cheaper.push((winner / observed, i, divergence(plan, &trace)));
+            cheaper.push((winner / observed, i, divergence(&q.env, plan, &trace)));
         }
     }
     eprintln!(
@@ -186,13 +182,18 @@ fn audit_query(src: &str, label: &str) -> usize {
         kendall_tau(&costs),
         cheaper.len(),
         costs.len(),
-        divergence(&report.winner, &wtrace)
+        divergence(&q.env, &report.winner, &wtrace)
             .as_deref()
             .unwrap_or("no operator")
     );
     cheaper.sort_by(|a, b| b.0.total_cmp(&a.0));
     for (factor, i, at) in &cheaper {
-        let at = at.as_deref().unwrap_or("no operator");
+        let at = at.as_deref().unwrap_or_else(|| {
+            panic!(
+                "{label}: plan {i} ran {factor:.2}x cheaper than the winner with every \
+                 estimate within 2x of its run: a cost-model error, not a cardinality error"
+            )
+        });
         eprintln!("  plan {i}: {factor:.2}x cheaper, estimate parts at {at}");
     }
     let worst = cheaper.first().map_or(1.0, |c| c.0);
@@ -272,7 +273,16 @@ fn traced_actuals_stay_inside_intervals_on_seed_corpus() {
             .optimize(&q.plan, q.result_vars)
             .expect("plan");
         let (_, _, trace) = execute_traced(&store, &q.env, &out.plan);
-        let diags = open_oodb::core::verify::check_actual_cards(&q.env, &out.plan, &trace);
-        assert!(diags.is_empty(), "{src}: {diags:?}");
+        let escaped: Vec<String> = walk_actual(&q.env, &out.plan, &trace)
+            .iter()
+            .filter(|n| n.escapes())
+            .map(|n| {
+                format!(
+                    "{}: {} rows outside {}",
+                    n.trace.label, n.trace.actual_rows, n.interval
+                )
+            })
+            .collect();
+        assert!(escaped.is_empty(), "{src}: {escaped:?}");
     }
 }
