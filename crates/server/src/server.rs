@@ -506,6 +506,7 @@ fn stats_json(shared: &Shared) -> String {
          \"responses\":{{\"2xx\":{},\"4xx\":{},\"5xx\":{}}},\
          \"executed\":{{\"ok\":{},\"error\":{}}},\
          \"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{}}},\
+         \"soft_parses\":{},\"memoized_texts\":{},\
          \"prepared_statements\":{},\"tenants\":[",
         shared.started.elapsed().as_millis(),
         m.connections.get(),
@@ -524,6 +525,8 @@ fn stats_json(shared: &Shared) -> String {
         cache.hits,
         cache.misses,
         cache.evictions,
+        shared.service.soft_parses(),
+        shared.service.memoized_texts(),
         shared.service.prepared_statements().len(),
     );
     for (i, t) in shared.tenants.snapshot().iter().enumerate() {

@@ -25,6 +25,7 @@ impl QueryService {
         let (was, now) = self.inner.state.update(|s| {
             let mut next = s.clone();
             change(&mut next);
+            next.index_set = next.store.catalog().index_set_hash();
             let epochs = (s.epoch(), next.epoch());
             (next, epochs)
         });

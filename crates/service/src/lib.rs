@@ -31,12 +31,14 @@
 pub mod admission;
 mod durability;
 mod error;
+mod memo;
 mod metrics;
 mod pipeline;
 mod prepared;
 
 pub use admission::{AdmissionConfig, Gate, GateMetrics, Permit, Shed, ShedReason};
 pub use error::ServiceError;
+use memo::{Stamp, TextMemo};
 use metrics::ServiceMetrics;
 use oodb_algebra::fingerprint::QueryFingerprint;
 use oodb_algebra::{LogicalPlan, QueryEnv, SortSpec, VarSet};
@@ -82,9 +84,12 @@ pub struct SubmitOptions {
 }
 
 /// Wall-clock nanoseconds each pipeline stage of one submission took.
-/// Every submission pays parse → simplify → fingerprint → cache probe;
-/// `optimize` is the Volcano search plus cache insert (≈0 on a hit);
-/// `execute` is the plan run.
+/// A first submission of a text pays parse → simplify → fingerprint →
+/// cache probe; a repeat that hits the plan cache under the same catalog
+/// (a soft parse) and a prepared execution pay no parse or simplify, and
+/// `fingerprint` is the memo lookup and key build. `optimize` is the
+/// Volcano search plus cache insert (≈0 on a hit); `execute` is the plan
+/// run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct StageBreakdown {
     /// ZQL parse.
@@ -106,7 +111,7 @@ pub struct StageBreakdown {
 /// per request. The environment travels beside it because a cache miss
 /// *moves* a text submission's into the cache entry and *clones* a
 /// prepared statement's.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Compiled {
     fp: QueryFingerprint,
     plan: LogicalPlan,
@@ -127,6 +132,9 @@ pub struct PreparedQuery {
     pub zql: String,
     env: QueryEnv,
     query: Compiled,
+    /// The catalog `env` was compiled against: an execution under another
+    /// one recompiles `zql` before it searches.
+    stamp: Stamp,
 }
 
 impl PreparedQuery {
@@ -233,12 +241,23 @@ struct ServiceState {
     /// more than the cache probe it keys.
     config: Arc<OptimizerConfig>,
     config_fp: u64,
+    /// The catalog's index-set hash, computed once per publish
+    /// ([`QueryService::mutate`]) rather than per request.
+    index_set: u64,
     admission: AdmissionConfig,
 }
 
 impl ServiceState {
     fn epoch(&self) -> u64 {
         self.store.catalog().stats_epoch()
+    }
+
+    /// The catalog this snapshot compiles against.
+    fn stamp(&self) -> Stamp {
+        Stamp {
+            epoch: self.epoch(),
+            index_set: self.index_set,
+        }
     }
 
     /// The store of a snapshot under construction ([`QueryService::mutate`]).
@@ -258,6 +277,9 @@ struct Inner {
     state: Snap<ServiceState>,
     params: CostParams,
     cache: Arc<PlanCache>,
+    /// Exact text → fingerprint, stamped; as many entries as the plan
+    /// cache holds.
+    memo: TextMemo,
     /// Prepared-statement registry, keyed by canonical fingerprint hash.
     /// Reads (the execute hot path) are lock-free snapshot loads; only
     /// `prepare` of a *new* statement pays the copy-on-write clone.
@@ -292,7 +314,6 @@ impl QueryService {
         cache_capacity: usize,
         cache_shards: usize,
     ) -> Self {
-        let config_fp = config.fingerprint();
         let telemetry = Arc::new(MetricsRegistry::new());
         let metrics = ServiceMetrics::register(&telemetry);
         let gate = Gate::new(GateMetrics {
@@ -305,13 +326,15 @@ impl QueryService {
         QueryService {
             inner: Arc::new(Inner {
                 state: Snap::new(ServiceState {
+                    index_set: store.catalog().index_set_hash(),
                     store: Arc::new(store),
+                    config_fp: config.fingerprint(),
                     config: Arc::new(config),
-                    config_fp,
                     admission: AdmissionConfig::default(),
                 }),
                 params,
                 cache: Arc::new(PlanCache::new(cache_capacity, cache_shards)),
+                memo: TextMemo::new(cache_capacity, cache_shards),
                 prepared: Snap::new(BTreeMap::new()),
                 telemetry,
                 metrics,
@@ -335,6 +358,19 @@ impl QueryService {
     /// The plan cache (shared).
     pub fn cache(&self) -> &PlanCache {
         &self.inner.cache
+    }
+
+    /// Text submissions that skipped parse, simplify and fingerprint: the
+    /// exact text was memoized under the request's catalog and its plan
+    /// was cached (`oodb_soft_parses_total`).
+    pub fn soft_parses(&self) -> u64 {
+        self.inner.metrics.soft_parses.get()
+    }
+
+    /// Texts the compiled-query memo holds (at most the plan cache's
+    /// capacity).
+    pub fn memoized_texts(&self) -> usize {
+        self.inner.memo.len()
     }
 
     /// The feedback store accumulating actual-vs-estimated root

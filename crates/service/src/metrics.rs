@@ -24,6 +24,9 @@ pub(crate) struct ServiceMetrics {
     /// Currently registered prepared statements (refreshed at export
     /// time, like the cache mirrors).
     pub(crate) prepared_statements: Gauge,
+    /// Text submissions served by the compiled-query memo and the plan
+    /// cache without a compile.
+    pub(crate) soft_parses: Counter,
     pub(crate) optimizer_runs: Counter,
     pub(crate) transform_firings: Counter,
     pub(crate) plans_costed: Counter,
@@ -107,6 +110,7 @@ impl ServiceMetrics {
             prepares: reg.counter("oodb_prepares_total", &[]),
             prepared_executes: reg.counter("oodb_prepared_executes_total", &[]),
             prepared_statements: reg.gauge("oodb_prepared_statements", &[]),
+            soft_parses: reg.counter("oodb_soft_parses_total", &[]),
             optimizer_runs: reg.counter("oodb_optimizer_runs_total", &[]),
             transform_firings: reg.counter("oodb_optimizer_transform_firings_total", &[]),
             plans_costed: reg.counter("oodb_optimizer_plans_costed_total", &[]),

@@ -1,11 +1,14 @@
 //! A submission's path: one exit ([`QueryService::submit_guarded`]),
-//! admission, then compile → plan → run → close feedback.
+//! admission, then compile → plan → run → close feedback. A text seen
+//! before under the same catalog skips the compile unless the plan cache
+//! misses.
 
 use crate::error::panic_message;
 use crate::{
     Compiled, QueryOutput, QueryService, ServiceError, ServiceState, ShedReason, StageBreakdown,
     SubmitOptions,
 };
+use oodb_algebra::fingerprint::QueryFingerprint;
 use oodb_algebra::{PhysicalOp, PhysicalPlan, QueryEnv, StatsOverlay};
 use oodb_core::plancache::{CacheKey, CachedBody, CachedPlan};
 use oodb_core::verify::{checks, walk_actual, Diagnostic};
@@ -48,6 +51,10 @@ struct Planned {
     overlaid: bool,
 }
 
+/// What a cache miss searches: the environment and the query compiled in
+/// it.
+pub(crate) type Front<'e> = (Cow<'e, QueryEnv>, Cow<'e, Compiled>);
+
 /// The run stage's result.
 struct Ran {
     rows: Vec<String>,
@@ -87,9 +94,10 @@ impl QueryService {
         self.submit_text(zql_src, opts, Some(cancel))
     }
 
-    /// A textual submission pays the front end per request and has no
-    /// further use for the environment it compiled: a cache miss moves it
-    /// into the entry.
+    /// A textual submission: the exact text memoized under the request's
+    /// catalog goes straight to the plan-cache probe and compiles only on
+    /// a miss; any other compiles first. Every compile refreshes the memo,
+    /// and a cache miss moves the environment it made into the entry.
     fn submit_text(
         &self,
         zql_src: &str,
@@ -98,9 +106,29 @@ impl QueryService {
     ) -> Result<QueryOutput, ServiceError> {
         self.submit_guarded(|| {
             self.admitted(opts, cancel, |mut req| {
-                let (env, query) =
-                    self.compile(zql_src, &req.state.store, &mut req.timer, &mut req.stages)?;
-                self.submit_pipeline(req, Cow::Owned(env), &query)
+                let (memo, stamp) = (&self.inner.memo, req.state.stamp());
+                let compile = |req: &mut Request<'_>| {
+                    let (env, query) =
+                        self.compile(zql_src, &req.state.store, &mut req.timer, &mut req.stages)?;
+                    memo.insert(zql_src, &query.fp, stamp);
+                    Ok((env, query))
+                };
+                let Some(fp) = memo.get(zql_src, stamp) else {
+                    let (env, query) = compile(&mut req)?;
+                    return self.submit_pipeline(req, &query.fp, |_| {
+                        Ok((Cow::Owned(env), Cow::Borrowed(&query)))
+                    });
+                };
+                let mut compiled = false;
+                let out = self.submit_pipeline(req, &fp, |req| {
+                    compiled = true;
+                    let (env, query) = compile(req)?;
+                    Ok((Cow::Owned(env), Cow::Owned(query)))
+                });
+                if !compiled {
+                    self.inner.metrics.soft_parses.inc();
+                }
+                out
             })
         })
     }
@@ -160,16 +188,18 @@ impl QueryService {
         result
     }
 
-    /// Plan → run → close feedback, for a compiled query. `env` is owned
-    /// when the submission compiled it and borrowed from the registry
-    /// when a prepared statement did: a cache miss takes it either way.
-    pub(crate) fn submit_pipeline(
+    /// Plan → run → close feedback, for a query whose fingerprint is
+    /// `fp`. `compile` is called on a cache miss only, for the environment
+    /// and query to search: owned when it compiled them, borrowed from the
+    /// registry when a prepared statement's still apply. The entry takes
+    /// the environment either way.
+    pub(crate) fn submit_pipeline<'e>(
         &self,
         mut req: Request<'_>,
-        env: Cow<'_, QueryEnv>,
-        query: &Compiled,
+        fp: &QueryFingerprint,
+        compile: impl FnOnce(&mut Request<'_>) -> Result<Front<'e>, ServiceError>,
     ) -> Result<QueryOutput, ServiceError> {
-        let planned = self.plan(&mut req, env, query)?;
+        let planned = self.plan(&mut req, fp, compile)?;
         let CachedBody::Static { plan, cost } = &planned.entry.body;
         let mut ran = self.run(&mut req, &planned, plan)?;
         let drift = self.close_feedback(&req, &planned, plan, &ran);
@@ -199,16 +229,15 @@ impl QueryService {
         })
     }
 
-    /// Plan stage: build the cache key, probe, and on a miss search (or
-    /// step down the greedy ladder) and insert.
-    fn plan(
+    /// Plan stage: build the cache key, probe, and on a miss compile,
+    /// search (or step down the greedy ladder) and insert.
+    fn plan<'e>(
         &self,
         req: &mut Request<'_>,
-        env: Cow<'_, QueryEnv>,
-        query: &Compiled,
+        fp: &QueryFingerprint,
+        compile: impl FnOnce(&mut Request<'_>) -> Result<Front<'e>, ServiceError>,
     ) -> Result<Planned, ServiceError> {
         let m = &self.inner.metrics;
-        let (store, fp) = (&req.state.store, &query.fp);
         let epoch = req.state.epoch();
         // Corrective selectivity overrides recorded for this fingerprint
         // under the current epoch, if drift feedback produced any. The
@@ -220,7 +249,7 @@ impl QueryService {
             fp,
             req.state.config_fp,
             epoch,
-            store.catalog().index_set_hash(),
+            req.state.index_set,
             overlay_fp,
         );
         req.stages.fingerprint_ns = req.timer.lap_into(&m.stage_fingerprint);
@@ -238,7 +267,8 @@ impl QueryService {
         let (entry, cache_hit, degraded) = match probed {
             Some(entry) => (entry, true, false),
             None => {
-                let (body, degraded) = self.search(req, &env, query, overlay)?;
+                let (env, query) = compile(req)?;
+                let (body, degraded) = self.search(req, &env, &query, overlay)?;
                 let entry = Arc::new(CachedPlan {
                     structural: fp.key.clone(),
                     env: env.into_owned(),

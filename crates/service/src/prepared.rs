@@ -64,9 +64,9 @@ impl QueryService {
     }
 
     fn register(&self, zql_src: &str) -> Result<(Arc<PreparedQuery>, bool), ServiceError> {
-        let store = self.store();
+        let state = self.inner.state.load();
         let (mut timer, mut stages) = (StageTimer::start(), StageBreakdown::default());
-        let (env, query) = self.compile(zql_src, &store, &mut timer, &mut stages)?;
+        let (env, query) = self.compile(zql_src, &state.store, &mut timer, &mut stages)?;
         let id = query.fp.hash;
         let full = ServiceError::Overloaded {
             reason: ShedReason::QueueFull,
@@ -83,6 +83,7 @@ impl QueryService {
             zql: zql_src.to_string(),
             env,
             query,
+            stamp: state.stamp(),
         });
         let entry = self.inner.prepared.update(|map| {
             // Re-checked under the writer lock: two racing prepares of
@@ -115,7 +116,11 @@ impl QueryService {
     }
 
     /// Executes a prepared statement by id: no parse, no simplify, no
-    /// fingerprint — straight to the plan-cache probe. Equivalent to
+    /// fingerprint — straight to the plan-cache probe. A miss searches the
+    /// registered query if the request's catalog is the one it was
+    /// prepared under, and recompiles its text against the request's
+    /// store otherwise: a statement prepared before a statistics change
+    /// or an index drop must not plan from the old catalog. Equivalent to
     /// [`QueryService::submit_with`] for the statement's query otherwise
     /// (same admission control, same error surface).
     pub fn submit_prepared_with(
@@ -129,7 +134,14 @@ impl QueryService {
                 .prepared(id)
                 .ok_or(ServiceError::UnknownStatement { id })?;
             self.admitted(opts, None, |req| {
-                self.submit_pipeline(req, Cow::Borrowed(&stmt.env), &stmt.query)
+                self.submit_pipeline(req, &stmt.query.fp, |req| {
+                    if req.state.stamp() == stmt.stamp {
+                        return Ok((Cow::Borrowed(&stmt.env), Cow::Borrowed(&stmt.query)));
+                    }
+                    let (env, query) =
+                        self.compile(&stmt.zql, &req.state.store, &mut req.timer, &mut req.stages)?;
+                    Ok((Cow::Owned(env), Cow::Owned(query)))
+                })
             })
         })
     }

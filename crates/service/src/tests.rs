@@ -623,6 +623,44 @@ fn prepared_execution_survives_stats_epoch_bumps() {
 }
 
 #[test]
+fn prepared_execution_replans_against_the_current_catalog() {
+    let svc = small_service();
+    let (stmt, _) = svc
+        .prepare(r#"SELECT c FROM City c IN Cities WHERE c.mayor().name() == "Joe""#)
+        .unwrap();
+    let before = svc
+        .submit_prepared_with(stmt.id, SubmitOptions::default())
+        .unwrap();
+    assert_eq!(before.indexes_used, ["Cities_mayor_name"]);
+    // The statement's environment names an index the new catalog does
+    // not have: the miss must plan from the request's catalog.
+    svc.restrict_indexes(&[]);
+    let after = svc
+        .submit_prepared_with(stmt.id, SubmitOptions::default())
+        .unwrap();
+    assert!(after.indexes_used.is_empty(), "{:?}", after.indexes_used);
+    assert_eq!(before.rows, after.rows);
+}
+
+#[test]
+fn snapshot_caches_the_index_set_hash() {
+    let svc = small_service();
+    svc.restrict_indexes(&["Cities_mayor_name"]);
+    let state = svc.inner.state.load();
+    assert_eq!(state.index_set, svc.store().catalog().index_set_hash());
+    assert_ne!(
+        state.index_set,
+        generate_paper_db(GenConfig {
+            scale_div: 100,
+            ..Default::default()
+        })
+        .0
+        .catalog()
+        .index_set_hash()
+    );
+}
+
+#[test]
 fn panicking_mutator_does_not_wedge_snapshot_state() {
     let svc = small_service();
     // Panic *inside* a snapshot update closure: the writer mutex is

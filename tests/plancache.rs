@@ -184,6 +184,95 @@ fn dropped_index_is_never_served() {
     assert_eq!(with_index.rows, partial.rows);
 }
 
+/// A repeated text whose plan is cached skips the front end — a soft
+/// parse — and answers exactly as the first submission did.
+#[test]
+fn repeated_text_is_a_soft_parse() {
+    let svc = service();
+    let first = svc.submit(Q_MAYOR).unwrap();
+    assert!(first.stages.parse_ns > 0 && first.stages.simplify_ns > 0);
+    assert_eq!(svc.soft_parses(), 0);
+    let again = svc.submit(Q_MAYOR).unwrap();
+    assert!(again.cache_hit);
+    assert_eq!((again.stages.parse_ns, again.stages.simplify_ns), (0, 0));
+    assert_eq!(again.rows, first.rows);
+    assert_eq!(again.est_cost_s, first.est_cost_s);
+    assert_eq!(svc.soft_parses(), 1);
+    assert!(svc
+        .metrics_prometheus()
+        .contains("oodb_soft_parses_total 1"));
+}
+
+/// The memo keys on the exact text: a whitespace variant compiles, and
+/// its fingerprint finds the plan the original cached.
+#[test]
+fn whitespace_variant_compiles_and_shares_the_plan() {
+    let svc = service();
+    let first = svc.submit(Q_MAYOR).unwrap();
+    let spaced = svc.submit(&format!("  {Q_MAYOR} ")).unwrap();
+    assert!(spaced.stages.parse_ns > 0, "a new text parses");
+    assert!(spaced.cache_hit, "one fingerprint, one plan");
+    assert_eq!(spaced.rows, first.rows);
+    assert_eq!(svc.soft_parses(), 0);
+}
+
+/// A memoized text stamped under another catalog recompiles: after a
+/// histogram-changing refresh and after an index drop, the repeat parses
+/// again, and a dropped index is never planned over.
+#[test]
+fn catalog_change_forces_a_recompile() {
+    let svc = service();
+    svc.refresh_statistics(16);
+    let first = svc.submit(Q_MAYOR).unwrap();
+    assert!(first
+        .indexes_used
+        .contains(&"Cities_mayor_name".to_string()));
+    assert!(svc.submit(Q_MAYOR).unwrap().stages.parse_ns == 0);
+
+    assert!(svc.refresh_statistics(24), "a new bucket count");
+    let refreshed = svc.submit(Q_MAYOR).unwrap();
+    assert!(!refreshed.cache_hit && refreshed.stages.parse_ns > 0);
+    assert_eq!(refreshed.rows, first.rows);
+
+    svc.restrict_indexes(&[]);
+    let dropped = svc.submit(Q_MAYOR).unwrap();
+    assert!(!dropped.cache_hit && dropped.stages.parse_ns > 0);
+    let again = svc.submit(Q_MAYOR).unwrap();
+    assert!(again.cache_hit && again.stages.parse_ns == 0);
+    for out in [&dropped, &again] {
+        assert!(out.indexes_used.is_empty(), "{:?}", out.indexes_used);
+        assert_eq!(out.rows, first.rows);
+    }
+}
+
+/// The memo holds no more texts than the plan cache holds plans.
+#[test]
+fn memo_is_bounded_by_the_cache_capacity() {
+    let svc = service();
+    let capacity = 128;
+    for pad in 0..2 * capacity {
+        let text = format!("{Q_TIME}{}", " ".repeat(pad));
+        assert!(svc.submit(&text).is_ok());
+    }
+    let held = svc.memoized_texts();
+    assert!(held > 0 && held <= capacity, "{held} texts memoized");
+}
+
+/// A text that fails to compile is never memoized: every submission of it
+/// fails, and is counted, again.
+#[test]
+fn failing_text_is_an_error_every_time() {
+    let svc = service();
+    for _ in 0..3 {
+        assert!(svc.submit("SELECT FROM WHERE").is_err());
+    }
+    assert_eq!(svc.memoized_texts(), 0);
+    assert_eq!(svc.soft_parses(), 0);
+    assert!(svc
+        .metrics_prometheus()
+        .contains("oodb_submission_errors_total 3"));
+}
+
 #[test]
 fn concurrent_submit_is_byte_identical_to_serial() {
     // One Zipf-ish workload, three queries, interleaved; serial reference

@@ -65,7 +65,7 @@ fn smoke_every_endpoint() {
     let remote = c.query(QUERIES[1], Default::default()).unwrap();
     assert_eq!(remote.rows, expect.rows);
     assert!(remote.cache_hit, "in-process warmed the cache");
-    assert!(remote.stages.parse_ns > 0, "ad-hoc queries parse");
+    assert_eq!(remote.stages.parse_ns, 0, "a repeated text is a soft parse");
 
     // Prepare is idempotent; execute skips the front end entirely.
     let (id, created) = c.prepare(QUERIES[1]).unwrap();
@@ -95,6 +95,9 @@ fn smoke_every_endpoint() {
         Some(1)
     );
     assert_eq!(stats.get("prepared_statements").unwrap().as_u64(), Some(1));
+    // The one remote ad-hoc query repeated the in-process text.
+    assert_eq!(stats.get("soft_parses").unwrap().as_u64(), Some(1));
+    assert_eq!(stats.get("memoized_texts").unwrap().as_u64(), Some(1));
 
     // The feedback section reflects the drift detector: these queries run
     // against honest statistics, so they are tracked but never suspect.
