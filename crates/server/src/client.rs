@@ -3,8 +3,9 @@
 //! tests. One [`Client`] owns one keep-alive connection; the
 //! `pipeline_*` methods write a batch of requests back-to-back before
 //! reading any response, exercising the server's pipelining path.
+//! Requests are framed into one reused buffer and leave in one write.
 
-use crate::http::{read_response, RawResponse, ReadError};
+use crate::http::{frame_request, read_response, RawResponse, ReadError};
 use crate::json::{self, Json};
 use oodb_service::{ServiceError, StageBreakdown};
 use std::io::{self, BufReader, Write};
@@ -56,7 +57,7 @@ impl From<ReadError> for ClientError {
             ReadError::Eof => ClientError::Protocol("connection closed before response".into()),
             ReadError::Malformed(m) => ClientError::Protocol(m),
             ReadError::TooLarge { declared } => {
-                ClientError::Protocol(format!("response body of {declared} bytes"))
+                ClientError::Protocol(format!("response body of {declared} bytes is over the cap"))
             }
         }
     }
@@ -120,7 +121,13 @@ impl RequestOptions<'_> {
 /// One keep-alive connection to an `oodb-server`.
 pub struct Client {
     reader: BufReader<TcpStream>,
-    writer: TcpStream,
+    /// The socket's write half, boxed so a test can count the writes.
+    writer: Box<dyn Write + Send>,
+    /// Framed requests not yet written; empty between sends.
+    out: Vec<u8>,
+    /// A response read failed part-way, so the stream position is lost:
+    /// the next write dials a new connection first.
+    desynced: bool,
     host: String,
 }
 
@@ -134,7 +141,9 @@ impl Client {
         stream.set_write_timeout(Some(Duration::from_secs(30)))?;
         Ok(Client {
             reader: BufReader::new(stream.try_clone()?),
-            writer: stream,
+            writer: Box::new(stream),
+            out: Vec::with_capacity(256),
+            desynced: false,
             host,
         })
     }
@@ -147,19 +156,35 @@ impl Client {
     /// Writes one request; does not read the response (pipelining
     /// building block).
     pub fn send(&mut self, method: &str, path: &str, body: Option<&str>) -> io::Result<()> {
-        let body = body.unwrap_or("");
-        write!(
-            self.writer,
-            "{method} {path} HTTP/1.1\r\nhost: {}\r\ncontent-length: {}\r\n\r\n{body}",
-            self.host,
-            body.len()
-        )?;
-        self.writer.flush()
+        frame_request(&mut self.out, method, path, &self.host, body.unwrap_or(""));
+        self.write_out()
     }
 
-    /// Reads one response (pairs with [`Client::send`]).
+    /// Writes every framed request in one write and empties the buffer.
+    fn write_out(&mut self) -> io::Result<()> {
+        let written = match self.redial_if_desynced() {
+            Ok(()) => self.writer.write_all(&self.out),
+            Err(e) => Err(e),
+        };
+        self.out.clear();
+        written
+    }
+
+    fn redial_if_desynced(&mut self) -> io::Result<()> {
+        if self.desynced {
+            let fresh = Client::connect(self.host.clone())?;
+            (self.reader, self.writer, self.desynced) = (fresh.reader, fresh.writer, false);
+        }
+        Ok(())
+    }
+
+    /// Reads one response (pairs with [`Client::send`]). After a failed
+    /// read the next request goes out on a new connection.
     pub fn recv(&mut self) -> Result<RawResponse, ClientError> {
-        Ok(read_response(&mut self.reader)?)
+        read_response(&mut self.reader).map_err(|e| {
+            self.desynced = true;
+            e.into()
+        })
     }
 
     /// One full request/response exchange.
@@ -198,8 +223,7 @@ impl Client {
         if resp.status != 200 {
             return Err(service_error(resp));
         }
-        let v = json::parse(&resp.body_str())
-            .map_err(|e| ClientError::Protocol(format!("bad response body: {e}")))?;
+        let v = body_json(resp)?;
         let rows = v
             .get("rows")
             .and_then(Json::as_arr)
@@ -267,8 +291,7 @@ impl Client {
         if resp.status != 200 {
             return Err(service_error(&resp));
         }
-        let v = json::parse(&resp.body_str())
-            .map_err(|e| ClientError::Protocol(format!("bad prepare body: {e}")))?;
+        let v = body_json(&resp)?;
         let id = v
             .get("id")
             .and_then(Json::as_str)
@@ -291,22 +314,18 @@ impl Client {
         Self::decode_output(&resp)
     }
 
-    /// Writes one `/execute/{id}` request without reading the response.
-    pub fn send_execute(&mut self, id: u64, opts: RequestOptions<'_>) -> io::Result<()> {
-        let (path, body) = execute_request(id, opts);
-        self.send("POST", &path, Some(&body))
-    }
-
-    /// Pipelines a batch of prepared executions: writes every request,
-    /// then reads every response in order.
+    /// Pipelines a batch of prepared executions: writes every request
+    /// in one write, then reads every response in order.
     pub fn pipeline_execute(
         &mut self,
         ids: &[u64],
         opts: RequestOptions<'_>,
     ) -> Result<Vec<Result<RemoteOutput, ClientError>>, ClientError> {
         for &id in ids {
-            self.send_execute(id, opts)?;
+            let (path, body) = execute_request(id, opts);
+            frame_request(&mut self.out, "POST", &path, &self.host, &body);
         }
+        self.write_out()?;
         let mut out = Vec::with_capacity(ids.len());
         for _ in ids {
             let resp = self.recv()?;
@@ -321,7 +340,7 @@ impl Client {
         if resp.status != 200 {
             return Err(service_error(&resp));
         }
-        Ok(resp.body_str())
+        Ok(body_text(&resp)?.to_string())
     }
 
     /// Fetches the `/stats` JSON document, parsed.
@@ -330,7 +349,7 @@ impl Client {
         if resp.status != 200 {
             return Err(service_error(&resp));
         }
-        json::parse(&resp.body_str()).map_err(ClientError::Protocol)
+        body_json(&resp)
     }
 
     /// Liveness probe; `Ok(())` iff the server answered 200.
@@ -376,10 +395,29 @@ fn stale_connection(e: &ClientError) -> bool {
     }
 }
 
-/// Builds the typed error for a non-200 response.
+/// The body as UTF-8. An invalid byte is a broken contract, never a
+/// replacement character in an answer.
+fn body_text(resp: &RawResponse) -> Result<&str, ClientError> {
+    std::str::from_utf8(&resp.body)
+        .map_err(|e| ClientError::Protocol(format!("response body is not utf-8: {e}")))
+}
+
+/// The body as JSON.
+fn body_json(resp: &RawResponse) -> Result<Json, ClientError> {
+    json::parse(body_text(resp)?)
+        .map_err(|e| ClientError::Protocol(format!("bad response body: {e}")))
+}
+
+/// Builds the typed error for a non-200 response: the service error its
+/// body carries, `Exec("HTTP <status>")` when it carries none, and a
+/// protocol error when the body is not UTF-8.
 fn service_error(resp: &RawResponse) -> ClientError {
     let retry_after_s = resp.header("retry-after").and_then(|v| v.parse().ok());
-    let error = json::parse(&resp.body_str())
+    let text = match body_text(resp) {
+        Ok(t) => t,
+        Err(e) => return e,
+    };
+    let error = json::parse(text)
         .ok()
         .and_then(|v| v.get("error").cloned())
         .map(|e| json::decode_error(&e))
@@ -388,5 +426,126 @@ fn service_error(resp: &RawResponse) -> ClientError {
         status: resp.status,
         error,
         retry_after_s,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::tests::Writes;
+    use crate::http::{read_request, Response};
+    use std::net::TcpListener;
+    use std::thread::JoinHandle;
+
+    /// A client whose writes land in the returned record; the returned
+    /// thread, on the other end of its socket, answers with `answers`.
+    fn recorded_client(answers: Vec<Response>) -> (Client, Writes, JoinHandle<()>) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            let (mut peer, _) = listener.accept().unwrap();
+            for resp in answers {
+                resp.write_to(&mut peer).unwrap();
+            }
+        });
+        let mut client = Client::connect(addr).unwrap();
+        let writes = Writes::default();
+        client.writer = Box::new(writes.clone());
+        (client, writes, peer)
+    }
+
+    #[test]
+    fn a_request_is_one_write() {
+        let (mut client, writes, peer) = recorded_client(Vec::new());
+        peer.join().unwrap();
+        client
+            .send("POST", "/query", Some("{\"query\":\"x\"}"))
+            .unwrap();
+        client.send("GET", "/healthz", None).unwrap();
+        let segments = writes.take();
+        assert_eq!(segments.len(), 2);
+        let host = client.host().to_string();
+        for (seg, expected) in segments.iter().zip([
+            format!("POST /query HTTP/1.1\r\nhost: {host}\r\ncontent-length: 13\r\n\r\n{{\"query\":\"x\"}}"),
+            format!("GET /healthz HTTP/1.1\r\nhost: {host}\r\ncontent-length: 0\r\n\r\n"),
+        ]) {
+            assert_eq!(std::str::from_utf8(seg).unwrap(), expected);
+        }
+    }
+
+    #[test]
+    fn a_pipeline_is_one_write() {
+        let ids = [1, 2, 3, 4];
+        let answers = ids
+            .iter()
+            .map(|_| Response::json(200, "{\"rows\":[\"r\"],\"row_count\":1}".into()))
+            .collect();
+        let (mut client, writes, peer) = recorded_client(answers);
+        let out = client
+            .pipeline_execute(&ids, RequestOptions::default())
+            .unwrap();
+        peer.join().unwrap();
+        assert!(out.iter().all(|r| matches!(r, Ok(o) if o.rows == ["r"])));
+        let segments = writes.take();
+        assert_eq!(segments.len(), 1, "one write for the whole batch");
+        let wire = segments.concat();
+        let mut r = BufReader::new(&wire[..]);
+        for &id in &ids {
+            let req = read_request(&mut r, 1024).unwrap();
+            assert_eq!(req.path, format!("/execute/{}", json::hex_id(id)));
+            assert_eq!(req.body, b"{}");
+        }
+    }
+
+    #[test]
+    fn a_row_that_is_not_utf8_is_a_protocol_error() {
+        let resp = RawResponse {
+            status: 200,
+            headers: Vec::new(),
+            body: b"{\"rows\":[\"Jo\xffe\"],\"row_count\":1}".to_vec(),
+        };
+        assert!(matches!(
+            Client::decode_output(&resp),
+            Err(ClientError::Protocol(m)) if m.contains("utf-8")
+        ));
+        let refused = RawResponse {
+            status: 500,
+            ..resp
+        };
+        assert!(matches!(service_error(&refused), ClientError::Protocol(_)));
+    }
+
+    #[test]
+    fn an_untrusted_response_head_is_a_protocol_error() {
+        let wire = b"HTTP/1.1 200 OK\r\ncontent-length: 99999999999999\r\n\r\n";
+        let err = ClientError::from(read_response(&mut BufReader::new(&wire[..])).unwrap_err());
+        assert!(matches!(err, ClientError::Protocol(_)), "{err}");
+    }
+
+    #[test]
+    fn a_refused_answer_does_not_break_the_next_request() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let peer = std::thread::spawn(move || {
+            // The refused head is followed by bytes a desynced client
+            // would read as its next status line.
+            let (mut first, _) = listener.accept().unwrap();
+            read_request(&mut BufReader::new(&first), 1024).unwrap();
+            first
+                .write_all(
+                    b"HTTP/1.1 200 OK\r\ncontent-length: 99999999999999\r\n\r\nHTTP/1.1 200 OK\r\n",
+                )
+                .unwrap();
+            drop(first);
+            let (mut second, _) = listener.accept().unwrap();
+            read_request(&mut BufReader::new(&second), 1024).unwrap();
+            Response::json(200, "{\"status\":\"ok\"}".into())
+                .write_to(&mut second)
+                .unwrap();
+        });
+        let mut client = Client::connect(addr).unwrap();
+        assert!(matches!(client.healthz(), Err(ClientError::Protocol(_))));
+        client.healthz().unwrap();
+        peer.join().unwrap();
     }
 }

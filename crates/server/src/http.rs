@@ -4,14 +4,22 @@
 //! read sequentially off one `BufRead`, responses written in order).
 //! No chunked encoding, no TLS, no multipart — those belong to a real
 //! proxy in front, not to a reproduction's serving layer.
+//!
+//! Every message is framed whole into one buffer and leaves in one
+//! write: both ends set `TCP_NODELAY`, so each write is its own segment
+//! and a wakeup of the peer's reader.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, IoSlice, Write};
 
-/// Hard ceilings on request framing, independent of the configurable
-/// body cap: one header line and the total header block. Oversized
-/// framing is a malformed request, not a negotiation.
+/// Hard ceilings on framing, in both directions and independent of the
+/// server's configurable body cap: one header line and the total header
+/// block. Oversized framing is a malformed message, not a negotiation.
 const MAX_LINE_BYTES: usize = 8 * 1024;
 const MAX_HEADERS: usize = 64;
+/// The largest response body, on both ends: the server answers a larger
+/// one with a typed error instead, and a client refuses a head declaring
+/// more before anything is allocated for it.
+pub(crate) const MAX_RESPONSE_BYTES: usize = 64 << 20;
 
 /// One parsed request.
 #[derive(Debug)]
@@ -50,7 +58,7 @@ pub enum ReadError {
     /// Syntactically invalid framing → `400`, then close (the stream
     /// position is unrecoverable).
     Malformed(String),
-    /// `Content-Length` above the server's cap → `413`, then close
+    /// `Content-Length` above the reader's cap → `413`, then close
     /// (the body was never read).
     TooLarge {
         /// The declared length that broke the cap.
@@ -58,33 +66,88 @@ pub enum ReadError {
     },
 }
 
+/// One line without its `\n` (and `\r`), taken from the reader's buffer
+/// a fill at a time. At most `MAX_LINE_BYTES` before the `\n`.
 fn read_line(r: &mut impl BufRead) -> Result<String, ReadError> {
     let mut buf = Vec::with_capacity(128);
     loop {
-        let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                if buf.is_empty() {
-                    return Err(ReadError::Eof);
-                }
-                return Err(ReadError::Malformed("eof mid-line".into()));
+        let chunk = r.fill_buf().map_err(ReadError::Io)?;
+        if chunk.is_empty() {
+            return Err(if buf.is_empty() {
+                ReadError::Eof
+            } else {
+                ReadError::Malformed("eof mid-line".into())
+            });
+        }
+        let (newline, len) = (chunk.iter().position(|&b| b == b'\n'), chunk.len());
+        buf.extend_from_slice(&chunk[..newline.unwrap_or(len)]);
+        r.consume(newline.map_or(len, |i| i + 1));
+        if buf.len() > MAX_LINE_BYTES {
+            return Err(ReadError::Malformed("header line too long".into()));
+        }
+        if newline.is_some() {
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
             }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    if buf.last() == Some(&b'\r') {
-                        buf.pop();
-                    }
-                    return String::from_utf8(buf)
-                        .map_err(|_| ReadError::Malformed("non-utf8 header line".into()));
-                }
-                buf.push(byte[0]);
-                if buf.len() > MAX_LINE_BYTES {
-                    return Err(ReadError::Malformed("header line too long".into()));
-                }
-            }
-            Err(e) => return Err(ReadError::Io(e)),
+            return String::from_utf8(buf)
+                .map_err(|_| ReadError::Malformed("non-utf8 header line".into()));
         }
     }
+}
+
+/// The header block up to its blank line: names lowercased, at most
+/// `MAX_HEADERS` of them.
+fn read_headers(r: &mut impl BufRead) -> Result<Vec<(String, String)>, ReadError> {
+    let mut headers = Vec::new();
+    loop {
+        let line = match read_line(r) {
+            Ok(l) => l,
+            Err(ReadError::Eof) => return Err(ReadError::Malformed("eof in headers".into())),
+            Err(e) => return Err(e),
+        };
+        if line.is_empty() {
+            return Ok(headers);
+        }
+        let (name, value) = line
+            .split_once(':')
+            .ok_or_else(|| ReadError::Malformed(format!("bad header line {line:?}")))?;
+        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
+        if headers.len() > MAX_HEADERS {
+            return Err(ReadError::Malformed("too many headers".into()));
+        }
+    }
+}
+
+/// The body `Content-Length` declares (none: empty). A length that does
+/// not parse is malformed; one over `max_body` is refused unread.
+fn read_body(
+    r: &mut impl BufRead,
+    headers: &[(String, String)],
+    max_body: usize,
+) -> Result<Vec<u8>, ReadError> {
+    let len = match headers.iter().find(|(n, _)| n == "content-length") {
+        Some((_, v)) => v
+            .parse::<usize>()
+            .map_err(|_| ReadError::Malformed(format!("bad content-length {v:?}")))?,
+        None => 0,
+    };
+    if len > max_body {
+        return Err(ReadError::TooLarge { declared: len });
+    }
+    let mut body = vec![0u8; len];
+    r.read_exact(&mut body).map_err(ReadError::Io)?;
+    Ok(body)
+}
+
+/// Appends one request, framed the way [`crate::Client`] sends it, to
+/// `out`: request line, `host`, `content-length`, blank line, body.
+pub(crate) fn frame_request(out: &mut Vec<u8>, method: &str, path: &str, host: &str, body: &str) {
+    let _ = write!(
+        out,
+        "{method} {path} HTTP/1.1\r\nhost: {host}\r\ncontent-length: {}\r\n\r\n",
+        body.len()
+    );
+    out.extend_from_slice(body.as_bytes());
 }
 
 /// Reads one request off the stream. `max_body` caps the declared
@@ -109,38 +172,8 @@ pub fn read_request(r: &mut impl BufRead, max_body: usize) -> Result<Request, Re
         )));
     }
 
-    let mut headers = Vec::new();
-    loop {
-        let line = match read_line(r) {
-            Ok(l) => l,
-            Err(ReadError::Eof) => return Err(ReadError::Malformed("eof in headers".into())),
-            Err(e) => return Err(e),
-        };
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| ReadError::Malformed(format!("bad header line {line:?}")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-        if headers.len() > MAX_HEADERS {
-            return Err(ReadError::Malformed("too many headers".into()));
-        }
-    }
-
-    let content_length = match headers.iter().find(|(n, _)| n == "content-length") {
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| ReadError::Malformed(format!("bad content-length {v:?}")))?,
-        None => 0,
-    };
-    if content_length > max_body {
-        return Err(ReadError::TooLarge {
-            declared: content_length,
-        });
-    }
-    let mut body = vec![0u8; content_length];
-    r.read_exact(&mut body).map_err(ReadError::Io)?;
+    let headers = read_headers(r)?;
+    let body = read_body(r, &headers, max_body)?;
 
     let conn = headers
         .iter()
@@ -201,24 +234,36 @@ impl Response {
         }
     }
 
-    /// Serializes onto the wire.
+    /// Serializes onto the wire: the head is framed into its own small
+    /// buffer and leaves with the body in one vectored write, so the
+    /// body is never copied.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        write!(
-            w,
+        let mut head = Vec::with_capacity(128);
+        let _ = write!(
+            head,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
             self.status,
             reason(self.status),
             self.content_type,
             self.body.len()
-        )?;
+        );
         if let Some(s) = self.retry_after_s {
-            write!(w, "retry-after: {s}\r\n")?;
+            let _ = write!(head, "retry-after: {s}\r\n");
         }
         if self.close {
-            w.write_all(b"connection: close\r\n")?;
+            head.extend_from_slice(b"connection: close\r\n");
         }
-        w.write_all(b"\r\n")?;
-        w.write_all(&self.body)?;
+        head.extend_from_slice(b"\r\n");
+        let mut slices = [IoSlice::new(&head), IoSlice::new(&self.body)];
+        let mut unsent = &mut slices[..];
+        while !unsent.is_empty() {
+            match w.write_vectored(unsent) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut unsent, n),
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
         w.flush()
     }
 }
@@ -268,7 +313,8 @@ impl RawResponse {
     }
 }
 
-/// Reads one response off a stream (client side).
+/// Reads one response off a stream (client side), under the same
+/// framing caps as a request and a body cap of `MAX_RESPONSE_BYTES`.
 pub fn read_response(r: &mut impl BufRead) -> Result<RawResponse, ReadError> {
     let line = read_line(r)?;
     let mut parts = line.splitn(3, ' ');
@@ -278,28 +324,8 @@ pub fn read_response(r: &mut impl BufRead) -> Result<RawResponse, ReadError> {
             .map_err(|_| ReadError::Malformed(format!("bad status line {line:?}")))?,
         _ => return Err(ReadError::Malformed(format!("bad status line {line:?}"))),
     };
-    let mut headers = Vec::new();
-    loop {
-        let line = match read_line(r) {
-            Ok(l) => l,
-            Err(ReadError::Eof) => return Err(ReadError::Malformed("eof in headers".into())),
-            Err(e) => return Err(e),
-        };
-        if line.is_empty() {
-            break;
-        }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| ReadError::Malformed(format!("bad header line {line:?}")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
-    }
-    let len = headers
-        .iter()
-        .find(|(n, _)| n == "content-length")
-        .and_then(|(_, v)| v.parse::<usize>().ok())
-        .unwrap_or(0);
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body).map_err(ReadError::Io)?;
+    let headers = read_headers(r)?;
+    let body = read_body(r, &headers, MAX_RESPONSE_BYTES)?;
     Ok(RawResponse {
         status,
         headers,
@@ -308,9 +334,236 @@ pub fn read_response(r: &mut impl BufRead) -> Result<RawResponse, ReadError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::io::BufReader;
+    use std::collections::VecDeque;
+    use std::io::{BufReader, Read};
+    use std::sync::{Arc, Mutex};
+
+    /// A `Write` that records every call it gets, as the segments a
+    /// `TCP_NODELAY` socket would send. Clones share one record.
+    #[derive(Clone, Default)]
+    pub(crate) struct Writes(Arc<Mutex<Vec<Vec<u8>>>>);
+
+    impl Writes {
+        pub(crate) fn take(&self) -> Vec<Vec<u8>> {
+            std::mem::take(&mut *self.0.lock().unwrap())
+        }
+    }
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        /// One `writev`: every slice lands in one segment.
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let segment = joined(bufs);
+            let n = segment.len();
+            self.0.lock().unwrap().push(segment);
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn joined(bufs: &[IoSlice<'_>]) -> Vec<u8> {
+        bufs.iter().flat_map(|b| b.iter().copied()).collect()
+    }
+
+    /// A `Write` that takes at most `step` bytes per call, as a socket
+    /// with a full send buffer does.
+    struct Trickle {
+        wire: Vec<u8>,
+        step: usize,
+        calls: usize,
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let take = joined(bufs).into_iter().take(self.step);
+            let before = self.wire.len();
+            self.wire.extend(take);
+            Ok(self.wire.len() - before)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A `Read` that hands out one recorded segment per call, as a
+    /// socket does when each segment lands after the reader drained the
+    /// last; counts the calls.
+    struct Segments {
+        segments: VecDeque<Vec<u8>>,
+        reads: usize,
+    }
+
+    impl Read for Segments {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            let Some(seg) = self.segments.front_mut() else {
+                return Ok(0);
+            };
+            let n = buf.len().min(seg.len());
+            buf[..n].copy_from_slice(&seg[..n]);
+            seg.drain(..n);
+            if seg.is_empty() {
+                self.segments.pop_front();
+            }
+            Ok(n)
+        }
+    }
+
+    const QUERY_BODY: &str = "{\"query\":\"SELECT c FROM City c IN Cities;\"}";
+
+    #[test]
+    fn a_framed_request_is_the_bytes_the_client_always_sent() {
+        let mut out = Vec::new();
+        frame_request(&mut out, "POST", "/query", "127.0.0.1:7070", QUERY_BODY);
+        let expected = "POST /query HTTP/1.1\r\nhost: 127.0.0.1:7070\r\ncontent-length: 43\r\n\r\n\
+                        {\"query\":\"SELECT c FROM City c IN Cities;\"}";
+        assert_eq!(String::from_utf8(out).unwrap(), expected);
+    }
+
+    #[test]
+    fn a_response_is_the_bytes_the_server_always_sent() {
+        let mut resp = Response::json(429, "{\"error\":{}}".into());
+        resp.retry_after_s = Some(2);
+        resp.close = true;
+        let mut wire = Vec::new();
+        resp.write_to(&mut wire).unwrap();
+        let expected = "HTTP/1.1 429 Too Many Requests\r\ncontent-type: application/json\r\n\
+                        content-length: 12\r\nretry-after: 2\r\nconnection: close\r\n\r\n\
+                        {\"error\":{}}";
+        assert_eq!(String::from_utf8(wire).unwrap(), expected);
+    }
+
+    #[test]
+    fn a_response_is_one_write_at_any_body_size() {
+        for len in [400, 9 * 1024, 40 * 1024] {
+            let resp = Response::json(200, "x".repeat(len));
+            let writes = Writes::default();
+            resp.write_to(&mut writes.clone()).unwrap();
+            let segments = writes.take();
+            assert_eq!(segments.len(), 1, "{len}-byte body");
+            let parsed = read_response(&mut BufReader::new(&segments[0][..])).unwrap();
+            assert_eq!(parsed.body.len(), len);
+        }
+    }
+
+    #[test]
+    fn a_partial_write_resumes_where_it_stopped() {
+        let resp = Response::json(200, "x".repeat(1000));
+        let mut whole = Vec::new();
+        resp.write_to(&mut whole).unwrap();
+        for step in [1, 7, 100, whole.len() - 1000] {
+            let mut wire = Trickle {
+                wire: Vec::new(),
+                step,
+                calls: 0,
+            };
+            resp.write_to(&mut wire).unwrap();
+            assert_eq!(wire.wire, whole, "{step}-byte steps");
+            assert_eq!(wire.calls, whole.len().div_ceil(step));
+        }
+    }
+
+    #[test]
+    fn a_framed_request_costs_the_server_one_read() {
+        let mut writes = Writes::default();
+        let mut out = Vec::new();
+        frame_request(&mut out, "POST", "/query", "127.0.0.1:7070", QUERY_BODY);
+        writes.write_all(&out).unwrap();
+        let mut wire = Segments {
+            segments: writes.take().into(),
+            reads: 0,
+        };
+        let req = read_request(&mut BufReader::new(&mut wire), 1024).unwrap();
+        assert_eq!(req.body, QUERY_BODY.as_bytes());
+        assert_eq!(wire.reads, 1);
+    }
+
+    #[test]
+    fn lines_split_across_fills_parse_the_same() {
+        let wire = b"POST /query?x=1 HTTP/1.1\r\nHost: a\r\nContent-Length: 4\r\n\r\nabcdGET / HTTP/1.0\r\n\r\n";
+        let mut whole = BufReader::new(&wire[..]);
+        let mut bytewise = BufReader::with_capacity(1, &wire[..]);
+        for _ in 0..2 {
+            let a = read_request(&mut whole, 1024).unwrap();
+            let b = read_request(&mut bytewise, 1024).unwrap();
+            assert_eq!(
+                (a.method, a.path, a.headers, a.body, a.close),
+                (b.method, b.path, b.headers, b.body, b.close)
+            );
+        }
+        assert!(matches!(
+            read_request(&mut bytewise, 1024),
+            Err(ReadError::Eof)
+        ));
+    }
+
+    #[test]
+    fn line_ends_and_lengths_keep_their_errors() {
+        let at_cap = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE_BYTES - 15));
+        assert_eq!(at_cap.find('\r'), Some(MAX_LINE_BYTES - 1));
+        assert!(read_request(&mut BufReader::new(at_cap.as_bytes()), 0).is_ok());
+        let over = format!("GET /{} HTTP/1.1\r\n\r\n", "a".repeat(MAX_LINE_BYTES - 14));
+        for cap in [1, 8 * 1024] {
+            let mut r = BufReader::with_capacity(cap, over.as_bytes());
+            assert!(matches!(
+                read_request(&mut r, 0),
+                Err(ReadError::Malformed(m)) if m == "header line too long"
+            ));
+        }
+        for (wire, eof) in [(&b""[..], true), (b"GET / HT", false)] {
+            let mut r = BufReader::new(wire);
+            match read_request(&mut r, 0) {
+                Err(ReadError::Eof) => assert!(eof),
+                Err(ReadError::Malformed(m)) => assert!(!eof && m == "eof mid-line"),
+                other => panic!("{other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_client_refuses_a_response_head_it_cannot_trust() {
+        let many_headers = format!(
+            "HTTP/1.1 200 OK\r\n{}\r\n",
+            "x: y\r\n".repeat(MAX_HEADERS + 1)
+        );
+        let cases: [(&[u8], &str); 4] = [
+            (
+                b"HTTP/1.1 200 OK\r\ncontent-length: 99999999999999\r\n\r\n",
+                "too large",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\ncontent-length: 67108865\r\n\r\n",
+                "too large",
+            ),
+            (
+                b"HTTP/1.1 200 OK\r\ncontent-length: 12abc\r\n\r\n{}",
+                "bad content-length",
+            ),
+            (many_headers.as_bytes(), "too many headers"),
+        ];
+        for (wire, why) in cases {
+            match read_response(&mut BufReader::new(wire)) {
+                Err(ReadError::TooLarge { .. }) => assert_eq!(why, "too large"),
+                Err(ReadError::Malformed(m)) => assert!(m.contains(why), "{m}"),
+                other => panic!("{why}: {other:?}"),
+            }
+        }
+    }
 
     #[test]
     fn parses_pipelined_requests_off_one_stream() {

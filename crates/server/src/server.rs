@@ -11,14 +11,14 @@
 //! cooperative-cancellation primitive executions use, applied to
 //! connections.
 
-use crate::http::{read_request, ReadError, Request, Response};
+use crate::http::{read_request, ReadError, Request, Response, MAX_RESPONSE_BYTES};
 use crate::json::{self, Json};
 use crate::tenant::TenantRegistry;
 use oodb_fault::CancelToken;
 use oodb_service::{AdmissionConfig, QueryService, ServiceError, ShedReason, SubmitOptions};
 use oodb_telemetry::metrics::{Counter, Gauge};
 use std::fmt::Write as _;
-use std::io::{self, BufReader, BufWriter};
+use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
@@ -211,7 +211,7 @@ fn accept_loop(
             resp.retry_after_s = Some(1);
             resp.close = true;
             let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
-            let _ = resp.write_to(&mut BufWriter::new(&stream));
+            let _ = resp.write_to(&mut &stream);
             continue;
         }
         shared.m.connections_total.inc();
@@ -250,7 +250,7 @@ fn accept_loop(
     }
 }
 
-fn connection_loop(stream: &TcpStream, shared: &Shared) {
+fn connection_loop(mut stream: &TcpStream, shared: &Shared) {
     let _ = stream.set_read_timeout(Some(shared.config.io_timeout));
     let _ = stream.set_write_timeout(Some(shared.config.io_timeout));
     let _ = stream.set_nodelay(true);
@@ -258,7 +258,6 @@ fn connection_loop(stream: &TcpStream, shared: &Shared) {
         Ok(s) => s,
         Err(_) => return,
     });
-    let mut writer = BufWriter::new(stream);
     loop {
         // Between requests is the graceful-shutdown point: a request
         // already being read or executed always gets its response.
@@ -274,7 +273,7 @@ fn connection_loop(stream: &TcpStream, shared: &Shared) {
                 let mut resp = protocol_error_response(400, "bad_request", &msg);
                 resp.close = true;
                 count_response(shared, resp.status);
-                let _ = resp.write_to(&mut writer);
+                let _ = resp.write_to(&mut stream);
                 return;
             }
             Err(ReadError::TooLarge { declared }) => {
@@ -289,18 +288,21 @@ fn connection_loop(stream: &TcpStream, shared: &Shared) {
                 );
                 resp.close = true; // the body was never consumed
                 count_response(shared, resp.status);
-                let _ = resp.write_to(&mut writer);
+                let _ = resp.write_to(&mut stream);
                 return;
             }
         };
         let client_close = req.close;
         let mut resp = handle_request(shared, &req);
+        if resp.body.len() > MAX_RESPONSE_BYTES {
+            resp = too_large_response(resp.body.len());
+        }
         // Once shutdown begins, finish this exchange and tell the peer.
         if shared.shutdown.is_cancelled() || client_close {
             resp.close = true;
         }
         count_response(shared, resp.status);
-        if resp.write_to(&mut writer).is_err() {
+        if resp.write_to(&mut stream).is_err() {
             return;
         }
         if resp.close {
@@ -324,6 +326,19 @@ fn protocol_error_response(status: u16, kind: &str, msg: &str) -> Response {
     json::push_escaped(&mut body, msg);
     body.push_str("}}");
     Response::json(status, body)
+}
+
+/// The answer in place of one no client would accept: over the shared
+/// response cap.
+fn too_large_response(len: usize) -> Response {
+    protocol_error_response(
+        500,
+        "response_too_large",
+        &format!(
+            "answer of {len} bytes exceeds the {MAX_RESPONSE_BYTES}-byte response cap; \
+             narrow the query or set row_budget"
+        ),
+    )
 }
 
 /// Maps a typed [`ServiceError`] to its HTTP status.
@@ -579,4 +594,25 @@ fn stats_json(shared: &Shared) -> String {
     }
     out.push('}');
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn an_answer_over_the_cap_is_a_typed_error_a_client_decodes() {
+        let resp = too_large_response(MAX_RESPONSE_BYTES + 1);
+        assert_eq!(resp.status, 500);
+        let body = json::parse(std::str::from_utf8(&resp.body).unwrap()).unwrap();
+        let error = body.get("error").unwrap();
+        assert_eq!(
+            error.get("kind").and_then(Json::as_str),
+            Some("response_too_large")
+        );
+        match json::decode_error(error) {
+            ServiceError::Exec(m) => assert!(m.contains("row_budget"), "{m}"),
+            other => panic!("{other:?}"),
+        }
+    }
 }

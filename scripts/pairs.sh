@@ -18,7 +18,11 @@
 # names that differ: a change that only claims speed must not move one.
 # Among them `core.cache_hit_ratio`, `wal.replayed_records` and
 # `wal.bytes_per_mutation`, so a change that moves the plan cache or the
-# log on purpose shows that move beside what stayed put.
+# log on purpose shows that move beside what stayed put. Before them,
+# four timings of the same two runs, parent beside change and not judged
+# (one run a side): `service.submit_us` (the query in-process) and
+# `server.rtt_us`, `server.transport_us`, `server.http_read_us` (the
+# wire around it), so a saving shows on which side of the socket it sits.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -122,6 +126,15 @@ for side in parent change; do
     sed -n 's/^ *{"name": "\(.*\)", "value": \(.*\), "min": \(.*\), "max": \(.*\), "passed": false}.*/'"$side"': \1 = \2, allowed \3..\4/p' \
         "${!side}/benchmark/out/$workload-trace1.json" | grep . || echo "$side: none"
 done
+
+echo
+echo "timings of those runs, parent / change (one run a side, not judged):"
+awk '/^ *"(service\.submit_us|server\.(rtt_us|transport_us|http_read_us))": / {
+        name = $1; gsub(/[":]/, "", name); value = $3; sub(/,$/, "", value)
+        if (FNR == NR) { parent[name] = value; next }
+        printf "%-26s %s / %s\n", name, parent[name], value
+    }' \
+    "$parent/benchmark/out/$workload-trace1.json" "$change/benchmark/out/$workload-trace1.json"
 
 echo
 echo "exact counters of those runs, parent / change:"
