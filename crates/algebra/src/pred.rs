@@ -13,6 +13,7 @@
 //! equality.
 
 use crate::scope::VarId;
+use oodb_object::fx::FxBuild;
 use oodb_object::{FieldId, Value};
 use oodb_sync::AppendVec;
 use std::collections::HashMap;
@@ -232,8 +233,11 @@ impl Pred {
 pub struct PredArena {
     /// Published predicates, indexed by [`PredId`]; addresses are stable.
     preds: AppendVec<Pred>,
-    /// Dedup table guarding appends (structure → existing id).
-    interned: Mutex<HashMap<Pred, PredId>>,
+    /// Dedup table guarding appends (structure → existing id). Hashed
+    /// with the unkeyed [`FxBuild`]: the arena is one query's, so a text
+    /// crafted to collide slows only its own compile, by no more than
+    /// the search over the same conjuncts already costs.
+    interned: Mutex<HashMap<Pred, PredId, FxBuild>>,
 }
 
 impl Clone for PredArena {

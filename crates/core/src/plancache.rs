@@ -27,7 +27,11 @@
 //!   `VarId` values are indices into the [`QueryEnv`] that existed when it
 //!   was optimized; a fresh parse of the same text may intern differently.
 //!   Every entry therefore carries its own `QueryEnv`, and hits execute
-//!   against the *stored* environment, never the caller's.
+//!   against the *stored* environment, never the caller's. The entry owns
+//!   that env's scopes and predicates; its schema and catalog are shared
+//!   copy-on-write handles onto the snapshot the plan was optimized
+//!   under, so evicting an entry frees only what it owns, and a later
+//!   statistics refresh or catalog swap never reaches into it.
 
 use crate::cost::Cost;
 use oodb_algebra::{PhysicalPlan, QueryEnv, QueryFingerprint, VarSet};
@@ -108,9 +112,11 @@ pub struct CachedPlan {
 
 impl CachedPlan {
     /// Approximate resident bytes of this entry: the structural key, the
-    /// captured environment (scope + predicate arenas), and every plan
-    /// node. The constants are coarse — the point is that a cache full
-    /// of `QueryEnv` clones has byte-proportional growth the entry-count
+    /// scope and predicate arenas it owns, and every plan node. The
+    /// schema and catalog are not counted: they are shared with the store
+    /// and every other entry planned under the same snapshot. The
+    /// constants are coarse — the point is that entries differ in size by
+    /// their query's scopes, predicates and plan, which the entry-count
     /// LRU alone cannot see, so the byte cap must track the same shape.
     pub fn approx_bytes(&self) -> usize {
         const BASE: usize = 256;

@@ -11,9 +11,12 @@
 //!   collapse-to-index-scan implementation rule fires only when a matching
 //!   [`IndexDef`] exists, and Table 3 sweeps index availability.
 
+use crate::fx::FxBuild;
 use crate::schema::{FieldId, Schema, TypeId};
+use crate::stats::Histogram;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a collection (user-defined set or type extent).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -133,30 +136,44 @@ impl IndexDef {
 }
 
 /// The catalog: collections, extents, indexes, and their statistics.
+///
+/// A cheap handle: the body sits behind one `Arc`, so `clone` bumps a
+/// reference count and every query environment, cached plan and prepared
+/// statement shares the store's snapshot. Every mutator copies the body
+/// on write when it is shared, so a clone taken before a change keeps
+/// the catalog it was taken from. The statistics epoch lives beside the
+/// `Arc`, so moving it never copies.
 #[derive(Clone, Debug, Default)]
 pub struct Catalog {
-    collections: Vec<CollectionDef>,
-    by_name: HashMap<String, CollectionId>,
-    extent_by_type: HashMap<TypeId, CollectionId>,
-    indexes: Vec<IndexDef>,
-    index_by_name: HashMap<String, IndexId>,
-    /// Integrity constraints: all referents of a `Ref`/`RefSet` field are
-    /// known to lie in the given collection. Lets the Mat→Join rule scan a
-    /// (smaller) user set instead of the type extent.
-    ref_domains: HashMap<FieldId, CollectionId>,
-    /// Average number of elements in a `RefSet` field — the fan-out used
-    /// by Unnest cardinality estimation.
-    fanouts: HashMap<FieldId, f64>,
-    /// Collected attribute statistics, keyed by `(collection, reference
-    /// path, terminal attribute)` — the selectivity refinement the paper
-    /// lists as future work.
-    histograms: HashMap<(CollectionId, Vec<FieldId>, FieldId), crate::stats::Histogram>,
+    body: Arc<CatalogBody>,
     /// Monotonic statistics epoch. Bumped whenever the statistics or the
     /// physical design behind this catalog change (a collection that
     /// changed a histogram, an epoch-bumping index build, catalog
     /// replacement), so cached plans keyed on the epoch go stale *lazily*
     /// — no cache walk on invalidation.
     stats_epoch: u64,
+}
+
+#[derive(Clone, Debug, Default)]
+struct CatalogBody {
+    collections: Vec<CollectionDef>,
+    by_name: HashMap<String, CollectionId>,
+    extent_by_type: HashMap<TypeId, CollectionId, FxBuild>,
+    indexes: Vec<IndexDef>,
+    index_by_name: HashMap<String, IndexId>,
+    /// Integrity constraints: all referents of a `Ref`/`RefSet` field are
+    /// known to lie in the given collection. Lets the Mat→Join rule scan a
+    /// (smaller) user set instead of the type extent.
+    ref_domains: HashMap<FieldId, CollectionId, FxBuild>,
+    /// Average number of elements in a `RefSet` field — the fan-out used
+    /// by Unnest cardinality estimation.
+    fanouts: HashMap<FieldId, f64, FxBuild>,
+    /// Collected attribute statistics, keyed by `(collection, terminal
+    /// attribute)` and then by reference path — the selectivity
+    /// refinement the paper lists as future work. The two levels let a
+    /// lookup borrow its path (`Vec<FieldId>: Borrow<[FieldId]>`) instead
+    /// of building an owned key.
+    histograms: HashMap<(CollectionId, FieldId), HashMap<Vec<FieldId>, Histogram>>,
 }
 
 impl Catalog {
@@ -168,47 +185,50 @@ impl Catalog {
     /// Registers a collection. Extents are also recorded in the
     /// type → extent map (at most one extent per type).
     pub fn add_collection(&mut self, def: CollectionDef) -> CollectionId {
+        let body = Arc::make_mut(&mut self.body);
         assert!(
-            !self.by_name.contains_key(&def.name),
+            !body.by_name.contains_key(&def.name),
             "duplicate collection {:?}",
             def.name
         );
-        let id = CollectionId::from_index(self.collections.len());
+        let id = CollectionId::from_index(body.collections.len());
         if def.kind == CollectionKind::Extent {
-            let prev = self.extent_by_type.insert(def.elem_type, id);
+            let prev = body.extent_by_type.insert(def.elem_type, id);
             assert!(prev.is_none(), "type already has an extent");
         }
-        self.by_name.insert(def.name.clone(), id);
-        self.collections.push(def);
+        body.by_name.insert(def.name.clone(), id);
+        body.collections.push(def);
         id
     }
 
     /// Registers an index.
     pub fn add_index(&mut self, def: IndexDef) -> IndexId {
+        let body = Arc::make_mut(&mut self.body);
         assert!(
-            !self.index_by_name.contains_key(&def.name),
+            !body.index_by_name.contains_key(&def.name),
             "duplicate index {:?}",
             def.name
         );
-        let id = IndexId::from_index(self.indexes.len());
-        self.index_by_name.insert(def.name.clone(), id);
-        self.indexes.push(def);
+        let id = IndexId::from_index(body.indexes.len());
+        body.index_by_name.insert(def.name.clone(), id);
+        body.indexes.push(def);
         id
     }
 
     /// Collection definition.
     pub fn collection(&self, id: CollectionId) -> &CollectionDef {
-        &self.collections[id.index()]
+        &self.body.collections[id.index()]
     }
 
     /// Looks a collection up by name.
     pub fn collection_by_name(&self, name: &str) -> Option<CollectionId> {
-        self.by_name.get(name).copied()
+        self.body.by_name.get(name).copied()
     }
 
     /// All collections.
     pub fn collections(&self) -> impl Iterator<Item = (CollectionId, &CollectionDef)> {
-        self.collections
+        self.body
+            .collections
             .iter()
             .enumerate()
             .map(|(i, c)| (CollectionId::from_index(i), c))
@@ -218,23 +238,24 @@ impl Catalog {
     /// this is the only way the optimizer learns the population size of a
     /// type; types without extents (e.g. `Plant`) are cardinality-blind.
     pub fn extent_of(&self, ty: TypeId) -> Option<CollectionId> {
-        self.extent_by_type.get(&ty).copied()
+        self.body.extent_by_type.get(&ty).copied()
     }
 
     /// Index definition.
     #[allow(clippy::should_implement_trait)]
     pub fn index(&self, id: IndexId) -> &IndexDef {
-        &self.indexes[id.index()]
+        &self.body.indexes[id.index()]
     }
 
     /// Looks an index up by name.
     pub fn index_by_name(&self, name: &str) -> Option<IndexId> {
-        self.index_by_name.get(name).copied()
+        self.body.index_by_name.get(name).copied()
     }
 
     /// All indexes.
     pub fn indexes(&self) -> impl Iterator<Item = (IndexId, &IndexDef)> {
-        self.indexes
+        self.body
+            .indexes
             .iter()
             .enumerate()
             .map(|(i, d)| (IndexId::from_index(i), d))
@@ -250,7 +271,8 @@ impl Catalog {
         coll: CollectionId,
         f: F,
     ) -> impl Iterator<Item = (IndexId, &IndexDef)> {
-        self.indexes
+        self.body
+            .indexes
             .iter()
             .enumerate()
             .filter(move |(_, d)| d.collection == coll && f(d))
@@ -272,24 +294,26 @@ impl Catalog {
     /// Declares that every referent of `field` lies in `coll` (an
     /// integrity constraint the generator upholds).
     pub fn set_ref_domain(&mut self, field: FieldId, coll: CollectionId) {
-        self.ref_domains.insert(field, coll);
+        Arc::make_mut(&mut self.body)
+            .ref_domains
+            .insert(field, coll);
     }
 
     /// The declared referent domain of a reference field, if any.
     pub fn ref_domain(&self, field: FieldId) -> Option<CollectionId> {
-        self.ref_domains.get(&field).copied()
+        self.body.ref_domains.get(&field).copied()
     }
 
     /// Records the average cardinality of a set-valued field.
     pub fn set_fanout(&mut self, field: FieldId, avg: f64) {
-        self.fanouts.insert(field, avg);
+        Arc::make_mut(&mut self.body).fanouts.insert(field, avg);
     }
 
     /// Average cardinality of a set-valued field. Without a recorded
     /// statistic the optimizer assumes a fan-out of 5 (in the same naïve
     /// spirit as the paper's 10% default selectivity).
     pub fn fanout(&self, field: FieldId) -> f64 {
-        self.fanouts.get(&field).copied().unwrap_or(5.0)
+        self.body.fanouts.get(&field).copied().unwrap_or(5.0)
     }
 
     /// Attaches a collected histogram for `(coll, path, key)`.
@@ -298,9 +322,13 @@ impl Catalog {
         coll: CollectionId,
         path: Vec<FieldId>,
         key: FieldId,
-        h: crate::stats::Histogram,
+        h: Histogram,
     ) {
-        self.histograms.insert((coll, path, key), h);
+        Arc::make_mut(&mut self.body)
+            .histograms
+            .entry((coll, key))
+            .or_default()
+            .insert(path, h);
     }
 
     /// Collected statistics for an attribute path, if any.
@@ -309,13 +337,13 @@ impl Catalog {
         coll: CollectionId,
         path: &[FieldId],
         key: FieldId,
-    ) -> Option<&crate::stats::Histogram> {
-        self.histograms.get(&(coll, path.to_vec(), key))
+    ) -> Option<&Histogram> {
+        self.body.histograms.get(&(coll, key))?.get(path)
     }
 
     /// Number of collected histograms.
     pub fn histogram_count(&self) -> usize {
-        self.histograms.len()
+        self.body.histograms.values().map(HashMap::len).sum()
     }
 
     /// Every collected histogram with its `(collection, path, key)` key.
@@ -323,36 +351,32 @@ impl Catalog {
     /// the durability checkpoint codec.
     pub fn histograms(
         &self,
-    ) -> impl Iterator<
-        Item = (
-            (CollectionId, &[FieldId], FieldId),
-            &crate::stats::Histogram,
-        ),
-    > {
-        self.histograms
-            .iter()
-            .map(|((c, p, k), h)| ((*c, p.as_slice(), *k), h))
+    ) -> impl Iterator<Item = ((CollectionId, &[FieldId], FieldId), &Histogram)> {
+        self.body.histograms.iter().flat_map(|(&(c, k), by_path)| {
+            by_path.iter().map(move |(p, h)| ((c, p.as_slice(), k), h))
+        })
     }
 
     /// Every declared referent-domain constraint. Iteration order is
     /// unspecified (serializers must sort).
     pub fn ref_domains(&self) -> impl Iterator<Item = (FieldId, CollectionId)> + '_ {
-        self.ref_domains.iter().map(|(&f, &c)| (f, c))
+        self.body.ref_domains.iter().map(|(&f, &c)| (f, c))
     }
 
     /// Every recorded set-valued fan-out. Iteration order is unspecified
     /// (serializers must sort).
     pub fn fanouts(&self) -> impl Iterator<Item = (FieldId, f64)> + '_ {
-        self.fanouts.iter().map(|(&f, &v)| (f, v))
+        self.body.fanouts.iter().map(|(&f, &v)| (f, v))
     }
 
     /// Returns a copy of this catalog with only the named indexes retained —
     /// the index-availability sweep of Table 3.
     pub fn with_only_indexes(&self, keep: &[&str]) -> Catalog {
         let mut out = self.clone();
-        out.indexes.clear();
-        out.index_by_name.clear();
-        for d in &self.indexes {
+        let body = Arc::make_mut(&mut out.body);
+        body.indexes.clear();
+        body.index_by_name.clear();
+        for d in &self.body.indexes {
             if keep.contains(&d.name.as_str()) {
                 out.add_index(d.clone());
             }
@@ -396,7 +420,7 @@ impl Catalog {
                 h = h.wrapping_mul(0x0000_0100_0000_01b3);
             }
         };
-        for d in &self.indexes {
+        for d in &self.body.indexes {
             eat(d.name.as_bytes());
             eat(&(d.collection.0).to_le_bytes());
             for f in &d.path {
@@ -569,10 +593,154 @@ mod tests {
             distinct_keys: 10,
             clustered: false,
         });
+        let hash = cat.index_set_hash();
         let only = cat.with_only_indexes(&["i2"]);
         assert_eq!(only.indexes().count(), 1);
         assert!(only.index_by_name("i2").is_some());
         assert!(only.index_by_name("i1").is_none());
+        assert_eq!(only.stats_epoch(), cat.stats_epoch() + 1);
+        // The source keeps its own indexes.
+        assert_eq!(cat.indexes().count(), 2);
+        assert!(cat.index_by_name("i1").is_some());
+        assert_eq!(cat.index_set_hash(), hash);
+    }
+
+    fn hist(values: std::ops::Range<i64>) -> Histogram {
+        Histogram::build(values.map(crate::Value::Int).collect(), 4).unwrap()
+    }
+
+    /// A `Cities` collection and three field ids: `City.mayor` and
+    /// `Person.boss` (references to `Person`) and `Person.name`, so
+    /// `mayor.boss.name` is a two-link path. The catalog does not check
+    /// ids against a schema.
+    fn setup_paths() -> (Catalog, CollectionId, FieldId, FieldId, FieldId) {
+        let mut cat = Catalog::new();
+        let cities = cat.add_collection(CollectionDef {
+            name: "Cities".into(),
+            elem_type: TypeId::from_index(1),
+            kind: CollectionKind::UserSet,
+            cardinality: 10,
+            obj_bytes: 100,
+        });
+        let [mayor, boss, name] = [0, 1, 2].map(FieldId::from_index);
+        (cat, cities, mayor, boss, name)
+    }
+
+    #[test]
+    fn histogram_on_a_two_link_path_resolves() {
+        let (mut cat, cities, mayor, boss, name) = setup_paths();
+        cat.set_histogram(cities, vec![mayor, boss], name, hist(0..100));
+        cat.set_histogram(cities, vec![mayor], name, hist(0..10));
+        assert_eq!(
+            cat.histogram(cities, &[mayor, boss], name),
+            Some(&hist(0..100))
+        );
+        assert_eq!(cat.histogram(cities, &[mayor], name), Some(&hist(0..10)));
+        assert_eq!(cat.histogram(cities, &[boss, mayor], name), None);
+        assert_eq!(cat.histogram(cities, &[], name), None);
+        // A second histogram on the same path replaces the first.
+        cat.set_histogram(cities, vec![mayor, boss], name, hist(0..50));
+        assert_eq!(
+            cat.histogram(cities, &[mayor, boss], name),
+            Some(&hist(0..50))
+        );
+        assert_eq!(cat.histogram_count(), 2);
+        let mut keys: Vec<_> = cat.histograms().map(|(k, _)| k).collect();
+        keys.sort();
+        assert_eq!(
+            keys,
+            [
+                (cities, &[mayor][..], name),
+                (cities, &[mayor, boss][..], name)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_clone_is_shared_until_written() {
+        let (_, cat) = setup();
+        let copy = cat.clone();
+        assert!(Arc::ptr_eq(&cat.body, &copy.body));
+        let mut written = cat.clone();
+        written.set_fanout(FieldId::from_index(0), 3.0);
+        assert!(!Arc::ptr_eq(&cat.body, &written.body));
+        assert!(Arc::ptr_eq(&cat.body, &copy.body));
+    }
+
+    #[test]
+    fn every_mutator_leaves_an_earlier_clone_alone() {
+        let (mut cat, cities, mayor, boss, name) = setup_paths();
+        let before = cat.clone();
+
+        let people = cat.add_collection(CollectionDef {
+            name: "extent(Person)".into(),
+            elem_type: TypeId::from_index(0),
+            kind: CollectionKind::Extent,
+            cardinality: 100,
+            obj_bytes: 50,
+        });
+        cat.add_index(IndexDef {
+            name: "Cities_mayor_name".into(),
+            collection: cities,
+            path: vec![mayor],
+            key: name,
+            distinct_keys: 10,
+            clustered: false,
+        });
+        cat.set_ref_domain(mayor, people);
+        cat.set_fanout(boss, 2.0);
+        cat.set_histogram(cities, vec![mayor], name, hist(0..10));
+
+        assert_eq!(cat.collections().count(), 2);
+        assert_eq!(cat.extent_of(TypeId::from_index(0)), Some(people));
+        assert!(cat.index_by_name("Cities_mayor_name").is_some());
+        assert_eq!(cat.ref_domain(mayor), Some(people));
+        assert_eq!(cat.fanout(boss), 2.0);
+        assert!(cat.histogram(cities, &[mayor], name).is_some());
+
+        assert_eq!(before.collections().count(), 1);
+        assert_eq!(before.collection_by_name("extent(Person)"), None);
+        assert_eq!(before.extent_of(TypeId::from_index(0)), None);
+        assert_eq!(before.indexes().count(), 0);
+        assert_eq!(before.ref_domain(mayor), None);
+        assert_eq!(before.fanout(boss), 5.0, "the default fan-out");
+        assert_eq!(before.histogram_count(), 0);
+
+        // One mutator at a time, each against a clone taken just before.
+        let snap = cat.clone();
+        cat.set_fanout(boss, 7.0);
+        assert_eq!((snap.fanout(boss), cat.fanout(boss)), (2.0, 7.0));
+        let snap = cat.clone();
+        cat.set_ref_domain(mayor, cities);
+        assert_eq!(snap.ref_domain(mayor), Some(people));
+        assert_eq!(cat.ref_domain(mayor), Some(cities));
+        let snap = cat.clone();
+        cat.set_histogram(cities, vec![mayor], name, hist(0..20));
+        assert_eq!(snap.histogram(cities, &[mayor], name), Some(&hist(0..10)));
+        assert_eq!(cat.histogram(cities, &[mayor], name), Some(&hist(0..20)));
+        let snap = cat.clone();
+        cat.add_index(IndexDef {
+            name: "Cities_name".into(),
+            collection: cities,
+            path: vec![],
+            key: name,
+            distinct_keys: 10,
+            clustered: true,
+        });
+        assert_eq!((snap.indexes().count(), cat.indexes().count()), (1, 2));
+        assert_ne!(snap.index_set_hash(), cat.index_set_hash());
+    }
+
+    #[test]
+    fn an_epoch_bump_on_a_clone_does_not_move_the_original() {
+        let (_, mut cat) = setup();
+        cat.bump_stats_epoch();
+        let mut copy = cat.clone();
+        copy.bump_stats_epoch();
+        copy.raise_stats_epoch_to(9);
+        assert_eq!((cat.stats_epoch(), copy.stats_epoch()), (1, 9));
+        // Moving the epoch never copies the body.
+        assert!(Arc::ptr_eq(&cat.body, &copy.body));
     }
 
     #[test]

@@ -16,12 +16,20 @@
 //! A faithful reconstruction of the paper's Table 1 schema and catalog is
 //! provided by [`paper::paper_schema`] and [`paper::paper_model`].
 //!
+//! [`Schema`] and [`Catalog`] are cheap handles: the body sits behind one
+//! `Arc`, `clone` shares it, and every mutator copies on write. Each
+//! query's environment, each plan-cache entry and each prepared statement
+//! therefore shares the store's snapshot instead of owning a copy, while a
+//! statistics refresh or a catalog replacement still leaves them on the
+//! snapshot they were planned under.
+//!
 //! Everything downstream — storage, algebra, optimizer, executor, and the
 //! ZQL front end — consumes this crate.
 
 #![forbid(unsafe_code)]
 
 pub mod catalog;
+pub mod fx;
 pub mod oid;
 pub mod paper;
 pub mod schema;

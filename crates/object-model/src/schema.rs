@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Index of a type within a [`Schema`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -127,13 +128,22 @@ pub struct TypeDef {
 ///
 /// Construction goes through [`SchemaBuilder`] so that every name lookup
 /// after `build` is O(1) and infallible `TypeId`/`FieldId` indexing is safe.
+/// A built schema is immutable and shared: `clone` bumps a reference
+/// count.
 #[derive(Clone, Debug, Default)]
 pub struct Schema {
+    body: Arc<SchemaBody>,
+}
+
+#[derive(Debug, Default)]
+struct SchemaBody {
     types: Vec<TypeDef>,
     fields: Vec<FieldDef>,
     type_by_name: HashMap<String, TypeId>,
-    /// `(owner, field-name) -> FieldId`, including inherited fields.
-    field_by_name: HashMap<(TypeId, String), FieldId>,
+    /// Per type, parallel to `types`: the name of each field declared
+    /// directly on it -> its `FieldId`. Inherited fields are found by
+    /// walking the supertype chain.
+    field_by_name: Vec<HashMap<String, FieldId>>,
 }
 
 impl Schema {
@@ -144,7 +154,8 @@ impl Schema {
 
     /// All types.
     pub fn types(&self) -> impl Iterator<Item = (TypeId, &TypeDef)> {
-        self.types
+        self.body
+            .types
             .iter()
             .enumerate()
             .map(|(i, t)| (TypeId::from_index(i), t))
@@ -152,29 +163,29 @@ impl Schema {
 
     /// Number of types.
     pub fn type_count(&self) -> usize {
-        self.types.len()
+        self.body.types.len()
     }
 
     /// Definition of a type.
     pub fn ty(&self, id: TypeId) -> &TypeDef {
-        &self.types[id.index()]
+        &self.body.types[id.index()]
     }
 
     /// Definition of a field.
     pub fn field(&self, id: FieldId) -> &FieldDef {
-        &self.fields[id.index()]
+        &self.body.fields[id.index()]
     }
 
     /// Number of fields across all types. `FieldId`s are dense in
     /// `0..field_count()`, in declaration order — the invariant the
     /// durability schema codec round-trips on.
     pub fn field_count(&self) -> usize {
-        self.fields.len()
+        self.body.fields.len()
     }
 
     /// Looks a type up by name.
     pub fn type_by_name(&self, name: &str) -> Option<TypeId> {
-        self.type_by_name.get(name).copied()
+        self.body.type_by_name.get(name).copied()
     }
 
     /// Resolves a field by name on a type, walking up the inheritance
@@ -182,10 +193,10 @@ impl Schema {
     pub fn field_by_name(&self, ty: TypeId, name: &str) -> Option<FieldId> {
         let mut cur = Some(ty);
         while let Some(t) = cur {
-            if let Some(&f) = self.field_by_name.get(&(t, name.to_string())) {
+            if let Some(&f) = self.body.field_by_name[t.index()].get(name) {
                 return Some(f);
             }
-            cur = self.types[t.index()].supertype;
+            cur = self.body.types[t.index()].supertype;
         }
         None
     }
@@ -197,11 +208,11 @@ impl Schema {
         let mut cur = Some(ty);
         while let Some(t) = cur {
             chain.push(t);
-            cur = self.types[t.index()].supertype;
+            cur = self.body.types[t.index()].supertype;
         }
         let mut out = Vec::new();
         for t in chain.into_iter().rev() {
-            out.extend(self.types[t.index()].fields.iter().copied());
+            out.extend(self.body.types[t.index()].fields.iter().copied());
         }
         out
     }
@@ -213,7 +224,7 @@ impl Schema {
             if t == sup {
                 return true;
             }
-            cur = self.types[t.index()].supertype;
+            cur = self.body.types[t.index()].supertype;
         }
         false
     }
@@ -223,48 +234,52 @@ impl Schema {
 /// mutually-referencing types can be declared in any order.
 #[derive(Default)]
 pub struct SchemaBuilder {
-    schema: Schema,
+    body: SchemaBody,
 }
 
 impl SchemaBuilder {
     /// Declares a type (fields are added separately).
     pub fn add_type(&mut self, name: &str, supertype: Option<TypeId>) -> TypeId {
+        let body = &mut self.body;
         assert!(
-            !self.schema.type_by_name.contains_key(name),
+            !body.type_by_name.contains_key(name),
             "duplicate type name {name:?}"
         );
-        let id = TypeId::from_index(self.schema.types.len());
-        self.schema.types.push(TypeDef {
+        let id = TypeId::from_index(body.types.len());
+        body.types.push(TypeDef {
             name: name.to_string(),
             supertype,
             fields: Vec::new(),
         });
-        self.schema.type_by_name.insert(name.to_string(), id);
+        body.field_by_name.push(HashMap::new());
+        body.type_by_name.insert(name.to_string(), id);
         id
     }
 
     /// Adds a field to a previously declared type.
     pub fn add_field(&mut self, owner: TypeId, name: &str, kind: FieldKind) -> FieldId {
-        let key = (owner, name.to_string());
+        let body = &mut self.body;
         assert!(
-            !self.schema.field_by_name.contains_key(&key),
+            !body.field_by_name[owner.index()].contains_key(name),
             "duplicate field {name:?} on type {}",
-            self.schema.ty(owner).name
+            body.types[owner.index()].name
         );
-        let id = FieldId::from_index(self.schema.fields.len());
-        self.schema.fields.push(FieldDef {
+        let id = FieldId::from_index(body.fields.len());
+        body.fields.push(FieldDef {
             name: name.to_string(),
             owner,
             kind,
         });
-        self.schema.types[owner.index()].fields.push(id);
-        self.schema.field_by_name.insert(key, id);
+        body.types[owner.index()].fields.push(id);
+        body.field_by_name[owner.index()].insert(name.to_string(), id);
         id
     }
 
     /// Finalizes the schema.
     pub fn build(self) -> Schema {
-        self.schema
+        Schema {
+            body: Arc::new(self.body),
+        }
     }
 }
 
@@ -289,6 +304,29 @@ mod tests {
         assert_eq!(s.field(f).name, "name");
         assert!(s.field_by_name(emp, "salary").is_some());
         assert!(s.field_by_name(emp, "nonexistent").is_none());
+    }
+
+    #[test]
+    fn field_lookup_walks_a_two_step_chain() {
+        let mut b = Schema::builder();
+        let person = b.add_type("Person", None);
+        let name = b.add_field(person, "name", FieldKind::Attr(AttrType::Str));
+        let emp = b.add_type("Employee", Some(person));
+        let mgr = b.add_type("Manager", Some(emp));
+        let salary = b.add_field(emp, "salary", FieldKind::Attr(AttrType::Int));
+        let s = b.build();
+        assert_eq!(s.field_by_name(mgr, "name"), Some(name));
+        assert_eq!(s.field_by_name(mgr, "salary"), Some(salary));
+        assert_eq!(s.field_by_name(person, "salary"), None);
+        assert_eq!(s.field_by_name(mgr, "bonus"), None);
+    }
+
+    #[test]
+    fn a_clone_shares_the_built_schema() {
+        let (s, _, emp) = toy();
+        let copy = s.clone();
+        assert!(Arc::ptr_eq(&s.body, &copy.body));
+        assert_eq!(copy.field_by_name(emp, "age"), s.field_by_name(emp, "age"));
     }
 
     #[test]

@@ -642,6 +642,64 @@ fn prepared_execution_replans_against_the_current_catalog() {
     assert_eq!(before.rows, after.rows);
 }
 
+/// Every histogram of a catalog, in key order.
+fn histograms_of(c: &oodb_object::Catalog) -> Vec<String> {
+    let mut out: Vec<String> = c.histograms().map(|k| format!("{k:?}")).collect();
+    out.sort();
+    out
+}
+
+/// A cached entry shares the catalog snapshot it was planned under. A
+/// statistics refresh that changes a histogram, and then an index drop,
+/// replace the store's catalog; the entry taken out of the cache before
+/// them still reads the histograms and the index set it was planned with.
+#[test]
+fn a_cached_plan_keeps_the_catalog_it_was_planned_under() {
+    let svc = small_service();
+    svc.refresh_statistics(8);
+    let (stmt, _) = svc
+        .prepare(r#"SELECT c FROM City c IN Cities WHERE c.mayor().name() == "Joe""#)
+        .unwrap();
+    let out = svc
+        .submit_prepared_with(stmt.id, SubmitOptions::default())
+        .unwrap();
+    let before = svc.store();
+    let key = oodb_core::CacheKey {
+        fingerprint: stmt.id,
+        config: out.config_fp,
+        stats_epoch: out.stats_epoch,
+        index_set: before.catalog().index_set_hash(),
+        overlay: 0,
+    };
+    let entry = svc
+        .cache()
+        .get(&key, stmt.structural_key())
+        .expect("the execution cached its plan");
+    let planned = histograms_of(before.catalog());
+    assert!(!planned.is_empty());
+    assert_eq!(histograms_of(&entry.env.catalog), planned);
+    let index_set = entry.env.catalog.index_set_hash();
+    assert_eq!(index_set, before.catalog().index_set_hash());
+
+    assert!(
+        svc.refresh_statistics(3),
+        "a 3-bucket refresh moves the epoch"
+    );
+    svc.restrict_indexes(&[]);
+    let now = svc.store();
+    assert_ne!(histograms_of(now.catalog()), planned);
+    assert_eq!(now.catalog().indexes().count(), 0);
+
+    assert_eq!(histograms_of(&entry.env.catalog), planned);
+    assert_eq!(entry.env.catalog.index_set_hash(), index_set);
+    assert!(entry
+        .env
+        .catalog
+        .index_by_name("Cities_mayor_name")
+        .is_some());
+    assert_eq!(entry.env.catalog.stats_epoch(), out.stats_epoch);
+}
+
 #[test]
 fn snapshot_caches_the_index_set_hash() {
     let svc = small_service();

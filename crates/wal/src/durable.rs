@@ -567,6 +567,30 @@ mod tests {
         assert_eq!(store.indexes_built(), rebuilt.indexes_built());
     }
 
+    /// The checkpoint of a refreshed paper store (histograms on attribute
+    /// and path indexes, the model's referent domains and fan-outs) is
+    /// pinned by an FNV-1a hash of its bytes: a catalog representation
+    /// change must not move one byte, whatever order its maps iterate in.
+    #[test]
+    fn checkpoint_bytes_are_pinned() {
+        let mut store = small_store();
+        apply_to(&mut store, &WalRecord::StatsRefresh { buckets: 16 }).unwrap();
+        assert!(store.catalog().histogram_count() > 0);
+        assert!(store.catalog().ref_domains().count() > 0);
+        assert!(store.catalog().fanouts().count() > 0);
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut len = 0;
+        for rec in checkpoint_records(&store) {
+            let bytes = rec.encode();
+            len += bytes.len();
+            for b in bytes {
+                h ^= u64::from(b);
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!((len, h), (85_621, 0x200c_b963_7dc7_d0cc));
+    }
+
     #[test]
     fn session_logs_and_recovers_mutations() {
         let dir = ScratchDir::new("session").unwrap();

@@ -738,6 +738,47 @@ mod tests {
         );
     }
 
+    /// Ids the decoder reads with no schema in hand (a referent domain's
+    /// or fan-out's field, an extent's type) are map keys, never table
+    /// sizes: ids at the top of the `u32` range decode to the catalog they
+    /// encode, without a panic or an allocation sized by the id.
+    #[test]
+    fn hostile_ids_decode_without_tables_sized_by_them() {
+        let m = paper_model();
+        let top = FieldId::from_index(u32::MAX as usize);
+        let near_top = TypeId::from_index(u32::MAX as usize - 1);
+        let mut cat = m.catalog.clone();
+        let coll = cat.add_collection(CollectionDef {
+            name: "extent(hostile)".into(),
+            elem_type: near_top,
+            kind: CollectionKind::Extent,
+            cardinality: 1,
+            obj_bytes: 1,
+        });
+        cat.set_ref_domain(top, coll);
+        cat.set_fanout(top, 3.5);
+        for rec in [
+            WalRecord::SetCatalog {
+                catalog: cat.clone(),
+            },
+            WalRecord::Genesis {
+                schema: m.schema.clone(),
+                catalog: cat.clone(),
+            },
+        ] {
+            let bytes = rec.encode();
+            let back = WalRecord::decode(&bytes).unwrap_or_else(|e| panic!("{e}"));
+            let (WalRecord::SetCatalog { catalog } | WalRecord::Genesis { catalog, .. }) = &back
+            else {
+                panic!("wrong variant");
+            };
+            assert_eq!(catalog.ref_domain(top), Some(coll));
+            assert_eq!(catalog.fanout(top), 3.5);
+            assert_eq!(catalog.extent_of(near_top), Some(coll));
+            assert_eq!(back.encode(), bytes);
+        }
+    }
+
     #[test]
     fn hostile_lengths_do_not_allocate() {
         // SetMembers claiming u64::MAX members over a 4-byte body.

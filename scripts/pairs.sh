@@ -19,10 +19,12 @@
 # Among them `core.cache_hit_ratio`, `wal.replayed_records` and
 # `wal.bytes_per_mutation`, so a change that moves the plan cache or the
 # log on purpose shows that move beside what stayed put. Before them,
-# four timings of the same two runs, parent beside change and not judged
-# (one run a side): `service.submit_us` (the query in-process) and
-# `server.rtt_us`, `server.transport_us`, `server.http_read_us` (the
-# wire around it), so a saving shows on which side of the socket it sits.
+# seven timings of the same two runs, parent beside change and not judged
+# (one run a side): `zql.simplify_us`, `core.optimize_us` and
+# `core.cache_insert_us` (the layers of a cache miss), `service.submit_us`
+# (the query in-process) and `server.rtt_us`, `server.transport_us`,
+# `server.http_read_us` (the wire around it), so a saving shows in which
+# layer, and on which side of the socket, it sits.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -129,7 +131,7 @@ done
 
 echo
 echo "timings of those runs, parent / change (one run a side, not judged):"
-awk '/^ *"(service\.submit_us|server\.(rtt_us|transport_us|http_read_us))": / {
+awk '/^ *"(zql\.simplify_us|core\.(optimize_us|cache_insert_us)|service\.submit_us|server\.(rtt_us|transport_us|http_read_us))": / {
         name = $1; gsub(/[":]/, "", name); value = $3; sub(/,$/, "", value)
         if (FNR == NR) { parent[name] = value; next }
         printf "%-26s %s / %s\n", name, parent[name], value
