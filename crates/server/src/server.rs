@@ -39,14 +39,8 @@ pub struct ServerConfig {
     /// Socket read/write deadline. Bounds a stalled peer and sets the
     /// cadence at which idle keep-alive connections notice shutdown.
     pub io_timeout: Duration,
-    /// Execution deadline applied to requests that do not set their own
-    /// `deadline_ms` (flows into the executor's `RunLimits`). `None`
-    /// leaves them unbounded.
-    pub default_deadline: Option<Duration>,
-    /// Per-tenant admission policy (every tenant without an override).
+    /// Per-tenant admission policy, the same for every tenant.
     pub tenant_admission: AdmissionConfig,
-    /// Named tenants with their own policy.
-    pub tenant_overrides: Vec<(String, AdmissionConfig)>,
 }
 
 impl Default for ServerConfig {
@@ -55,9 +49,7 @@ impl Default for ServerConfig {
             max_connections: 64,
             max_body_bytes: 1 << 20,
             io_timeout: Duration::from_secs(5),
-            default_deadline: None,
             tenant_admission: AdmissionConfig::default(),
-            tenant_overrides: Vec::new(),
         }
     }
 }
@@ -125,11 +117,7 @@ impl Server {
             connections_total: reg.counter("oodb_server_connections_total", &[]),
             connections: reg.gauge("oodb_server_connections", &[]),
         };
-        let tenants = TenantRegistry::new(
-            config.tenant_admission,
-            config.tenant_overrides.clone(),
-            Arc::clone(reg),
-        );
+        let tenants = TenantRegistry::new(config.tenant_admission, Arc::clone(reg));
         let shared = Arc::new(Shared {
             service,
             tenants,
@@ -375,13 +363,11 @@ fn error_response(e: &ServiceError, retry_after: Duration) -> Response {
 }
 
 /// Extracts [`SubmitOptions`] from a request body object.
-fn submit_options(body: &Json, default_deadline: Option<Duration>) -> SubmitOptions {
+fn submit_options(body: &Json) -> SubmitOptions {
     let u = |k: &str| body.get(k).and_then(Json::as_u64);
     SubmitOptions {
         trace: false,
-        deadline: u("deadline_ms")
-            .map(Duration::from_millis)
-            .or(default_deadline),
+        deadline: u("deadline_ms").map(Duration::from_millis),
         row_budget: u("row_budget"),
         retries: u("retries").unwrap_or(0) as u32,
         mem_budget: u("mem_budget"),
@@ -455,7 +441,7 @@ fn handle_submission(shared: &Shared, req: &Request, prepared: Option<u64>) -> R
             return protocol_error_response(400, "bad_request", "missing required field \"query\"")
         }
     };
-    let opts = submit_options(&body, shared.config.default_deadline);
+    let opts = submit_options(&body);
     let tenant = shared
         .tenants
         .tenant(body.get("tenant").and_then(Json::as_str));

@@ -84,27 +84,21 @@ impl TenantState {
     }
 }
 
-/// The registry of tenants: default policy plus per-name overrides,
-/// states created lazily on first request.
+/// The registry of tenants: one policy, states created lazily on first
+/// request.
 pub struct TenantRegistry {
-    default_admission: AdmissionConfig,
-    overrides: HashMap<String, AdmissionConfig>,
+    admission: AdmissionConfig,
     tenants: Mutex<HashMap<String, Arc<TenantState>>>,
     registry: Arc<MetricsRegistry>,
 }
 
 impl TenantRegistry {
-    /// `default_admission` applies to every tenant without an override.
+    /// `admission` applies to every tenant, each through its own gate.
     /// `AdmissionConfig::default()` (everything disabled) makes tenant
     /// QoS a no-op, matching the service's own opt-in posture.
-    pub fn new(
-        default_admission: AdmissionConfig,
-        overrides: Vec<(String, AdmissionConfig)>,
-        registry: Arc<MetricsRegistry>,
-    ) -> Self {
+    pub fn new(admission: AdmissionConfig, registry: Arc<MetricsRegistry>) -> Self {
         TenantRegistry {
-            default_admission,
-            overrides: overrides.into_iter().collect(),
+            admission,
             tenants: Mutex::new(HashMap::new()),
             registry,
         }
@@ -122,12 +116,7 @@ impl TenantRegistry {
         if let Some(t) = map.get(name) {
             return Arc::clone(t);
         }
-        let admission = self
-            .overrides
-            .get(name)
-            .copied()
-            .unwrap_or(self.default_admission);
-        let t = Arc::new(TenantState::new(name, admission, &self.registry));
+        let t = Arc::new(TenantState::new(name, self.admission, &self.registry));
         map.insert(name.to_string(), Arc::clone(&t));
         t
     }
@@ -153,25 +142,19 @@ mod tests {
                 max_inflight: 2,
                 ..Default::default()
             },
-            vec![("vip".into(), AdmissionConfig::default())],
             Arc::new(MetricsRegistry::new()),
         );
-        let (a, b, vip) = (
-            reg.tenant(Some("a")),
-            reg.tenant(Some("b")),
-            reg.tenant(Some("vip")),
-        );
+        let (a, b) = (reg.tenant(Some("a")), reg.tenant(Some("b")));
         let a1 = a.admit().unwrap();
         let _a2 = a.admit().unwrap();
         assert_eq!(a.admit().unwrap_err().reason, ShedReason::QueueFull);
-        // Tenant b is untouched by a's saturation; vip has no cap at all.
+        // Tenant b is untouched by a's saturation.
         let _b1 = b.admit().unwrap();
-        let _vips: Vec<_> = (0..3).map(|_| vip.admit().unwrap()).collect();
         // Releasing a slot re-opens tenant a.
         a1.settle(Ok(()));
         let _a3 = a.admit().unwrap();
         assert_eq!(a.counts(), (3, 1, 0, 0));
-        assert_eq!((a.inflight(), b.inflight(), vip.inflight()), (2, 1, 3));
+        assert_eq!((a.inflight(), b.inflight()), (2, 1));
         assert!(
             Arc::ptr_eq(&a, &reg.tenant(Some("a"))),
             "one state per name"
