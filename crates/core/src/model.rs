@@ -261,12 +261,20 @@ impl<'e> OodbModel<'e> {
     /// present on the target side; value joins use a conservative
     /// 1/max-input estimate.
     pub fn join_card(&self, pred: PredId, l: &LogicalProps, r: &LogicalProps) -> f64 {
-        // Feedback override: observed selectivity relative to the cross
-        // product of the inputs.
-        if let Some(s) = self.overlay_sel(pred) {
-            return (l.card * r.card * s).max(1e-6);
-        }
         let p = self.env.preds.pred(pred);
+        // Feedback override: observed selectivity relative to the cross
+        // product of the inputs. It was observed over some plan's inputs,
+        // not these, so a reference equality keeps its bound: at most one
+        // match per referencing tuple.
+        if let Some(s) = self.overlay_sel(pred) {
+            let card = l.card * r.card * s;
+            let refs = match p.terms.first().and_then(|t| t.as_ref_eq()) {
+                Some((_, target)) if l.vars.contains(target) => r.card,
+                Some(_) => l.card,
+                None => card,
+            };
+            return card.min(refs).max(1e-6);
+        }
         let mut card = None;
         let mut extra = 1.0;
         for t in &p.terms {

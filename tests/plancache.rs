@@ -307,3 +307,73 @@ fn concurrent_submit_is_byte_identical_to_serial() {
     let stats = par_svc.cache().stats();
     assert!(stats.hits >= stream.len() as u64 - 2 * queries.len() as u64);
 }
+
+/// The paper's Figure 1 query.
+const Q_FIGURE_1: &str = r#"SELECT Newobject(e.name(), d.name())
+FROM Employee e IN Employees, Department d IN Department
+WHERE d.floor() == 3 && e.age() >= 32 && e.last_raise() >= Date(1992,1,1)
+  && e.dept() == d"#;
+
+/// A plan re-optimized under feedback overrides is one the cache admits.
+/// Query 1's overlay, recorded from its winner's traced run, carries the
+/// selectivity of the department-to-plant reference join as observed over
+/// the hash join's filtered inputs. The corrected search prices that join
+/// as a pointer join over unfiltered employees, where the selectivity
+/// alone would estimate more rows than the input holds: the verifier's
+/// `card/bound` check would refuse the plan and every submission would
+/// re-optimize.
+#[test]
+fn overlay_corrected_plan_passes_the_cache_verifier() {
+    use oodb_core::{verify::walk_actual, CacheKey, CachedBody, CachedPlan, FeedbackStore};
+    use oodb_core::{Observation, OpenOodb, PlanCache};
+    use std::sync::Arc;
+
+    let (store, model) = generate_paper_db(GenConfig {
+        scale_div: 10,
+        ..Default::default()
+    });
+    let q = zql::compile(Q_FIGURE_1, &model.schema, &model.catalog).unwrap();
+    let config = OptimizerConfig::all_rules();
+    let winner = OpenOodb::new(&q.env, CostParams::default(), config.clone())
+        .optimize(&q.plan, q.result_vars)
+        .unwrap();
+    let (_, _, trace) = oodb_exec::execute_traced(&store, &q.env, &winner.plan);
+
+    // Query 1's root drift stays under the threshold, so an observation
+    // past it marks the fingerprint suspect and makes the trace a probe.
+    let (fp, epoch) = (1, model.catalog.stats_epoch());
+    let feedback = FeedbackStore::default();
+    let observation = feedback.observe_root(fp, epoch, 1.0, 1_000_000, false);
+    assert_eq!(observation, Observation::NewlySuspect);
+    let nodes = walk_actual(&q.env, &winner.plan, &trace);
+    assert!(feedback.observe_trace(fp, epoch, &q.env, &nodes) > 0);
+    let overlay = feedback.overlay_for(fp, epoch).unwrap();
+
+    let corrected = OpenOodb::new(&q.env, CostParams::default(), config)
+        .with_overlay(Arc::clone(&overlay))
+        .optimize(&q.plan, q.result_vars)
+        .unwrap();
+    assert!(
+        corrected.diagnostics.is_empty(),
+        "{:?}",
+        corrected.diagnostics
+    );
+    let key = CacheKey {
+        fingerprint: fp,
+        config: 0,
+        stats_epoch: epoch,
+        index_set: model.catalog.index_set_hash(),
+        overlay: overlay.fingerprint(),
+    };
+    let entry = CachedPlan {
+        structural: Q_FIGURE_1.to_string(),
+        env: q.env.clone(),
+        result_vars: q.result_vars,
+        body: CachedBody::Static {
+            plan: corrected.plan,
+            cost: corrected.cost,
+        },
+    };
+    let cache = PlanCache::new(8, 1);
+    assert!(cache.insert(key, Arc::new(entry)), "{:?}", cache.stats());
+}
