@@ -21,20 +21,16 @@
 //!   path) built from catalog [`oodb_object::IndexDef`]s.
 //! * [`datagen`] — synthetic database generator reproducing the paper's
 //!   Table 1 population (with a scale-down knob for fast tests).
-//! * [`codec`] — the binary encoding of a field value, which the
-//!   write-ahead log writes columns and histogram bounds in.
 
 #![forbid(unsafe_code)]
 
 pub mod buffer;
-pub mod codec;
 pub mod datagen;
 pub mod disk;
 pub mod index;
 pub mod store;
 
 pub use buffer::{BufferPool, Io};
-pub use codec::CodecError;
 pub use datagen::{generate_paper_db, GenConfig};
 pub use disk::{Disk, DiskParams, DiskStats, PageId};
 pub use index::{BuiltIndex, OrdValue};

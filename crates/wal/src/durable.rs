@@ -215,7 +215,7 @@ pub fn store_digest(store: &Store) -> u64 {
         eat(&(store.population(ty) as u64).to_le_bytes());
         for value in store.columns_of(ty).iter().flat_map(|column| column.iter()) {
             scratch.clear();
-            oodb_storage::codec::encode_value(value, &mut scratch);
+            crate::codec::encode_value(value, &mut scratch);
             eat(&scratch);
         }
     }

@@ -14,6 +14,7 @@
 //!   error, never a panic — the proptest suite drives this at every
 //!   truncation point and under random corruption.
 
+use crate::codec::Reader;
 use crate::crc::crc32;
 
 /// Bytes of framing overhead per record (`len` + `crc`).
@@ -63,28 +64,21 @@ pub fn write_frame(out: &mut Vec<u8>, payload: &[u8]) {
 /// Returns `Ok(None)` when `*pos` sits exactly at the end of the buffer
 /// (a clean log end). Errors do not advance `*pos`.
 pub fn read_frame<'a>(buf: &'a [u8], pos: &mut usize) -> Result<Option<&'a [u8]>, FrameError> {
-    let at = *pos;
-    if at == buf.len() {
+    let mut r = Reader::new(buf.get(*pos..).ok_or(FrameError::Truncated)?);
+    if r.remaining() == 0 {
         return Ok(None);
     }
-    if at + FRAME_HEADER > buf.len() {
-        return Err(FrameError::Truncated);
-    }
-    let len = u32::from_le_bytes(buf[at..at + 4].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(buf[at + 4..at + 8].try_into().expect("4 bytes"));
+    let torn = |_| FrameError::Truncated;
+    let len = r.u32().map_err(torn)?;
+    let crc = r.u32().map_err(torn)?;
     if len as usize > MAX_FRAME_PAYLOAD {
         return Err(FrameError::Oversized(len));
     }
-    let start = at + FRAME_HEADER;
-    let end = start + len as usize;
-    if end > buf.len() {
-        return Err(FrameError::Truncated);
-    }
-    let payload = &buf[start..end];
+    let payload = r.take(len as usize).map_err(torn)?;
     if crc32(payload) != crc {
         return Err(FrameError::BadCrc);
     }
-    *pos = end;
+    *pos = buf.len() - r.remaining();
     Ok(Some(payload))
 }
 

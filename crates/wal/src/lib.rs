@@ -4,6 +4,8 @@
 //! gives the reproduction the durability layer the paper's system left to
 //! its Exodus storage manager. The design is deliberately small:
 //!
+//! * **One byte codec** ([`codec`]): a single bounds-checked reader for
+//!   values, records, frame headers and file headers.
 //! * **Typed logical records** ([`record::WalRecord`]) mirror the store's
 //!   mutation surface — `Genesis`, `InsertColumns` (one value vector per
 //!   field, as the store holds them), `SetMembers`, `SetCatalog`,
@@ -27,6 +29,7 @@
 #![forbid(unsafe_code)]
 
 pub mod checkpoint;
+pub mod codec;
 pub mod crc;
 pub mod durable;
 pub mod frame;
@@ -37,6 +40,7 @@ pub mod util;
 pub use checkpoint::{
     load_checkpoint, write_checkpoint, CheckpointError, CheckpointStats, CHECKPOINT_MAGIC,
 };
+pub use codec::DecodeError;
 pub use crc::crc32;
 pub use durable::{
     apply_record, apply_to, checkpoint_records, recover, store_digest, ApplyError, RecoverError,
@@ -44,5 +48,5 @@ pub use durable::{
 };
 pub use frame::{frame_boundaries, read_frame, write_frame, FrameError, FRAME_HEADER};
 pub use log::{FlushPolicy, Wal, WalError, WalLogStats, WalScan, WAL_HEADER, WAL_MAGIC};
-pub use record::{DecodeError, WalRecord};
+pub use record::WalRecord;
 pub use util::ScratchDir;

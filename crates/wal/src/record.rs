@@ -9,7 +9,7 @@
 //!
 //! Objects are logged the way the store holds them: an `InsertColumns`
 //! record carries one value vector per field of the type's layout, each
-//! value in the storage crate's value codec. A checkpoint's record shares
+//! value in the [`crate::codec`] value encoding. A checkpoint's record shares
 //! the store's columns, and replay hands the decoded ones to
 //! [`oodb_storage::Store::insert_columns`] as they are.
 //!
@@ -18,54 +18,12 @@
 //! structures (duplicate names, dangling ids, malformed histograms) are
 //! typed errors, and nothing panics on arbitrary input.
 
+use crate::codec::{encode_value, put_str, DecodeError, Reader};
 use oodb_object::{
     AttrType, Catalog, CollectionDef, CollectionId, CollectionKind, FieldId, FieldKind, Histogram,
     IndexDef, Oid, Schema, TypeId, Value,
 };
-use oodb_storage::codec::{decode_value, encode_value};
-use oodb_storage::CodecError;
 use std::sync::Arc;
-
-/// Why a record failed to decode.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum DecodeError {
-    /// Input ended before the structure was complete.
-    UnexpectedEof,
-    /// Unknown record or enum tag.
-    BadTag(u8),
-    /// A length prefix exceeds the remaining input (corrupt, possibly
-    /// adversarial — rejected before allocating).
-    BadLength,
-    /// A string payload was not UTF-8.
-    BadUtf8,
-    /// An id referenced a type/collection/field that the same record's
-    /// context does not define.
-    DanglingId,
-    /// A schema or catalog carried duplicate names (would panic the
-    /// builders if replayed).
-    Duplicate,
-    /// Histogram parts violate `Histogram::from_parts` invariants.
-    BadHistogram,
-    /// Trailing bytes after a complete record.
-    TrailingBytes,
-}
-
-impl std::fmt::Display for DecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DecodeError::UnexpectedEof => write!(f, "record truncated"),
-            DecodeError::BadTag(t) => write!(f, "unknown tag {t:#x}"),
-            DecodeError::BadLength => write!(f, "length prefix exceeds input"),
-            DecodeError::BadUtf8 => write!(f, "invalid utf-8 in name"),
-            DecodeError::DanglingId => write!(f, "id references an undefined entity"),
-            DecodeError::Duplicate => write!(f, "duplicate name in schema/catalog"),
-            DecodeError::BadHistogram => write!(f, "histogram parts violate invariants"),
-            DecodeError::TrailingBytes => write!(f, "trailing bytes after record"),
-        }
-    }
-}
-
-impl std::error::Error for DecodeError {}
 
 /// One logged store mutation. The live write path appends these *before*
 /// applying them; recovery replays the same records through the same
@@ -134,88 +92,6 @@ const TAG_SET_CATALOG: u8 = 0x04;
 const TAG_BUILD_INDEXES: u8 = 0x05;
 const TAG_STATS_REFRESH: u8 = 0x06;
 const TAG_INSERT_COLUMNS: u8 = 0x07;
-
-// ---- primitive readers ----------------------------------------------------
-
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        let end = self.pos.checked_add(n).ok_or(DecodeError::UnexpectedEof)?;
-        if end > self.buf.len() {
-            return Err(DecodeError::UnexpectedEof);
-        }
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
-    }
-
-    fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    fn f64(&mut self) -> Result<f64, DecodeError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    /// A count prefix that the remaining input must be able to satisfy at
-    /// `min_item_bytes` each — rejects corrupt lengths before `Vec`
-    /// allocation can amplify them.
-    fn count(&mut self, min_item_bytes: usize) -> Result<usize, DecodeError> {
-        let n = self.u32()? as usize;
-        if n.saturating_mul(min_item_bytes.max(1)) > self.buf.len() - self.pos {
-            return Err(DecodeError::BadLength);
-        }
-        Ok(n)
-    }
-
-    fn str(&mut self) -> Result<String, DecodeError> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() - self.pos {
-            return Err(DecodeError::BadLength);
-        }
-        let bytes = self.take(n)?;
-        std::str::from_utf8(bytes)
-            .map(str::to_string)
-            .map_err(|_| DecodeError::BadUtf8)
-    }
-
-    fn value(&mut self) -> Result<Value, DecodeError> {
-        decode_value(self.buf, &mut self.pos).map_err(|e| match e {
-            CodecError::UnexpectedEof => DecodeError::UnexpectedEof,
-            CodecError::BadTag(t) => DecodeError::BadTag(t),
-            CodecError::BadUtf8 => DecodeError::BadUtf8,
-        })
-    }
-
-    fn finish(self) -> Result<(), DecodeError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(DecodeError::TrailingBytes)
-        }
-    }
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
 
 // ---- schema codec ---------------------------------------------------------
 
@@ -600,7 +476,7 @@ impl WalRecord {
             TAG_SET_MEMBERS => {
                 let coll = CollectionId::from_index(r.u32()? as usize);
                 let n = r.u64()?;
-                if n.saturating_mul(8) > (buf.len() - r.pos) as u64 {
+                if n.saturating_mul(8) > r.remaining() as u64 {
                     return Err(DecodeError::BadLength);
                 }
                 let mut oids = Vec::with_capacity(n as usize);
