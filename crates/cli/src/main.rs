@@ -379,7 +379,7 @@ impl Shell {
                         s.overridden,
                         s.overrides,
                         s.worst_drift,
-                        self.svc.feedback().threshold()
+                        oodb_core::DRIFT_THRESHOLD
                     );
                     for e in self.svc.feedback_snapshot() {
                         println!(

@@ -13,8 +13,8 @@
 //!    plan and trace ([`FeedbackStore::observe_trace`]), which attribute
 //!    observed selectivities to individual predicates.
 //! 2. **Suspect.** When a fingerprint's drift ratio
-//!    ([`drift_ratio`]) exceeds the configured threshold (default
-//!    [`DEFAULT_DRIFT_THRESHOLD`]), the entry is marked *suspect*. The
+//!    ([`drift_ratio`]) reaches [`DRIFT_THRESHOLD`], the entry is marked
+//!    *suspect*. The
 //!    service evicts the cached plan and auto-traces the next execution
 //!    ([`FeedbackStore::wants_probe`]) to gather per-predicate actuals.
 //! 3. **Re-optimize.** Once per-predicate overrides exist,
@@ -31,12 +31,12 @@
 use oodb_algebra::{PhysicalOp, QueryEnv, StatsOverlay};
 use oodb_verify::{drift_ratio, ActualNode};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Default drift threshold: estimates off by ≥ 10× in either direction
-/// mark the plan suspect (the ratio the ROADMAP item names).
-pub const DEFAULT_DRIFT_THRESHOLD: f64 = 10.0;
+/// The drift threshold: estimates off by ≥ 10× in either direction mark
+/// the plan suspect (the ratio the ROADMAP item names).
+pub const DRIFT_THRESHOLD: f64 = 10.0;
 
 /// What [`FeedbackStore::observe_root`] concluded about one execution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -133,55 +133,21 @@ pub struct FeedbackStats {
 #[derive(Debug)]
 pub struct FeedbackStore {
     shards: Vec<Mutex<HashMap<u64, FpEntry>>>,
-    threshold: f64,
     /// High-water stats epoch; observations older than it are ignored so
     /// a slow executor cannot resurrect retired feedback.
     latest_epoch: AtomicU64,
-    /// Kill switch: when off, the store observes nothing and hands out no
-    /// overlays. Exists so benchmarks can measure the loop's overhead
-    /// against a true baseline and operators can disable it in the field.
-    enabled: AtomicBool,
 }
 
 impl Default for FeedbackStore {
     fn default() -> Self {
-        Self::new(DEFAULT_DRIFT_THRESHOLD)
+        FeedbackStore {
+            shards: (0..8).map(|_| Mutex::new(HashMap::new())).collect(),
+            latest_epoch: AtomicU64::new(0),
+        }
     }
 }
 
 impl FeedbackStore {
-    /// Creates a store with the given drift threshold (ratios at or above
-    /// it mark a fingerprint suspect). Thresholds below 1 are clamped.
-    pub fn new(threshold: f64) -> Self {
-        let threshold = if threshold.is_finite() {
-            threshold.max(1.0)
-        } else {
-            DEFAULT_DRIFT_THRESHOLD
-        };
-        FeedbackStore {
-            shards: (0..8).map(|_| Mutex::new(HashMap::new())).collect(),
-            threshold,
-            latest_epoch: AtomicU64::new(0),
-            enabled: AtomicBool::new(true),
-        }
-    }
-
-    /// The configured drift threshold.
-    pub fn threshold(&self) -> f64 {
-        self.threshold
-    }
-
-    /// Turns the feedback loop on or off. Disabling does not drop already
-    /// accumulated state; re-enabling resumes from it.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Release);
-    }
-
-    /// Whether the loop is currently observing and correcting.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Acquire)
-    }
-
     fn shard(&self, fp: u64) -> &Mutex<HashMap<u64, FpEntry>> {
         &self.shards[(fp as usize) % self.shards.len()]
     }
@@ -205,9 +171,6 @@ impl FeedbackStore {
         actual: u64,
         corrected: bool,
     ) -> Observation {
-        if !self.is_enabled() {
-            return Observation::InBounds;
-        }
         if epoch < self.latest_epoch.fetch_max(epoch, Ordering::AcqRel) {
             return Observation::InBounds;
         }
@@ -227,7 +190,7 @@ impl FeedbackStore {
             e.corrected_execs += 1;
             return Observation::InBounds;
         }
-        if drift < self.threshold {
+        if drift < DRIFT_THRESHOLD {
             return Observation::InBounds;
         }
         if e.suspect || e.overlay.is_some() {
@@ -251,9 +214,6 @@ impl FeedbackStore {
         env: &QueryEnv,
         nodes: &[ActualNode<'_>],
     ) -> usize {
-        if !self.is_enabled() {
-            return 0;
-        }
         if epoch < self.latest_epoch.fetch_max(epoch, Ordering::AcqRel) {
             return 0;
         }
@@ -284,9 +244,6 @@ impl FeedbackStore {
     /// The selectivity overlay to re-optimize a suspect fingerprint with,
     /// if per-predicate observations exist at this epoch.
     pub fn overlay_for(&self, fp: u64, epoch: u64) -> Option<Arc<StatsOverlay>> {
-        if !self.is_enabled() {
-            return None;
-        }
         let shard = self.lock(fp);
         let e = shard.get(&fp)?;
         if e.stats_epoch != epoch {
@@ -299,9 +256,6 @@ impl FeedbackStore {
     /// even though the caller didn't ask for profiling: the plan is
     /// suspect and no per-predicate observations exist yet.
     pub fn wants_probe(&self, fp: u64) -> bool {
-        if !self.is_enabled() {
-            return false;
-        }
         let shard = self.lock(fp);
         shard
             .get(&fp)
@@ -408,7 +362,7 @@ mod tests {
 
     #[test]
     fn suspect_ladder_fires_once_per_epoch() {
-        let fb = FeedbackStore::new(10.0);
+        let fb = FeedbackStore::default();
         assert_eq!(
             fb.observe_root(1, 0, 100.0, 120, false),
             Observation::InBounds
@@ -453,29 +407,8 @@ mod tests {
     }
 
     #[test]
-    fn kill_switch_silences_the_store_without_dropping_state() {
-        let fb = FeedbackStore::new(10.0);
-        assert_eq!(
-            fb.observe_root(4, 0, 1.0, 500, false),
-            Observation::NewlySuspect
-        );
-        fb.set_enabled(false);
-        assert!(!fb.is_enabled());
-        assert_eq!(
-            fb.observe_root(4, 0, 1.0, 500, false),
-            Observation::InBounds
-        );
-        assert!(!fb.wants_probe(4));
-        assert!(fb.overlay_for(4, 0).is_none());
-        // State survives: re-enabling resumes the ladder where it was.
-        fb.set_enabled(true);
-        assert!(fb.wants_probe(4));
-        assert_eq!(fb.snapshot()[0].execs, 1);
-    }
-
-    #[test]
     fn corrected_executions_do_not_retrip_the_ladder() {
-        let fb = FeedbackStore::new(10.0);
+        let fb = FeedbackStore::default();
         assert_eq!(
             fb.observe_root(3, 0, 1.0, 500, false),
             Observation::NewlySuspect

@@ -51,9 +51,7 @@ pub use audit::{
 };
 pub use config::OptimizerConfig;
 pub use cost::{Cost, CostParams};
-pub use feedback::{
-    FeedbackEntry, FeedbackStats, FeedbackStore, Observation, DEFAULT_DRIFT_THRESHOLD,
-};
+pub use feedback::{FeedbackEntry, FeedbackStats, FeedbackStore, Observation, DRIFT_THRESHOLD};
 pub use greedy::greedy_plan;
 pub use model::OodbModel;
 /// The static plan verifier, re-exported so downstream crates reach the
