@@ -45,7 +45,7 @@ impl Parser {
         }
     }
 
-    fn expect(&mut self, t: &Token, what: &str) -> Result<(), ZqlError> {
+    fn expect_token(&mut self, t: &Token, what: &str) -> Result<(), ZqlError> {
         if !self.eat_if(t) {
             return Err(ZqlError::new(
                 format!("expected {what}, found {:?}", self.peek()),
@@ -122,7 +122,7 @@ impl Parser {
             while self.eat_if(&Token::Dot) {
                 steps.push(self.ident("path step")?);
                 if self.eat_if(&Token::LParen) {
-                    self.expect(&Token::RParen, "')'")?;
+                    self.expect_token(&Token::RParen, "')'")?;
                 }
             }
             if steps.is_empty() {
@@ -146,12 +146,12 @@ impl Parser {
 
     fn select_list(&mut self) -> Result<(Vec<AstExpr>, bool), ZqlError> {
         if self.eat_kw("Newobject") {
-            self.expect(&Token::LParen, "'('")?;
+            self.expect_token(&Token::LParen, "'('")?;
             let mut items = vec![self.expr()?];
             while self.eat_if(&Token::Comma) {
                 items.push(self.expr()?);
             }
-            self.expect(&Token::RParen, "')'")?;
+            self.expect_token(&Token::RParen, "')'")?;
             return Ok((items, true));
         }
         let mut items = vec![self.expr()?];
@@ -180,7 +180,7 @@ impl Parser {
         while self.eat_if(&Token::Dot) {
             steps.push(self.ident("path step")?);
             if self.eat_if(&Token::LParen) {
-                self.expect(&Token::RParen, "')'")?;
+                self.expect_token(&Token::RParen, "')'")?;
             }
         }
         let source = if steps.is_empty() {
@@ -224,21 +224,21 @@ impl Parser {
         // EXISTS ( subquery )
         if self.at_kw("EXISTS") {
             self.bump();
-            self.expect(&Token::LParen, "'('")?;
+            self.expect_token(&Token::LParen, "'('")?;
             let q = self.query()?;
-            self.expect(&Token::RParen, "')'")?;
+            self.expect_token(&Token::RParen, "')'")?;
             return Ok(AstExpr::Exists(Box::new(q)));
         }
         // Date(y, m, d)
         if self.at_kw("Date") {
             self.bump();
-            self.expect(&Token::LParen, "'('")?;
+            self.expect_token(&Token::LParen, "'('")?;
             let y = self.int_lit()?;
-            self.expect(&Token::Comma, "','")?;
+            self.expect_token(&Token::Comma, "','")?;
             let m = self.int_lit()?;
-            self.expect(&Token::Comma, "','")?;
+            self.expect_token(&Token::Comma, "','")?;
             let d = self.int_lit()?;
-            self.expect(&Token::RParen, "')'")?;
+            self.expect_token(&Token::RParen, "')'")?;
             return Ok(AstExpr::Lit(AstLit::Date(y as i32, m as u32, d as u32)));
         }
         if self.at_kw("true") {
@@ -265,7 +265,7 @@ impl Parser {
             Token::LParen => {
                 self.bump();
                 let e = self.expr()?;
-                self.expect(&Token::RParen, "')'")?;
+                self.expect_token(&Token::RParen, "')'")?;
                 Ok(e)
             }
             Token::Ident(base) => {
@@ -274,7 +274,7 @@ impl Parser {
                 while self.eat_if(&Token::Dot) {
                     steps.push(self.ident("path step")?);
                     if self.eat_if(&Token::LParen) {
-                        self.expect(&Token::RParen, "')'")?;
+                        self.expect_token(&Token::RParen, "')'")?;
                     }
                 }
                 Ok(AstExpr::Path { base, steps })
