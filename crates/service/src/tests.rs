@@ -319,6 +319,20 @@ fn parse_errors_surface() {
     ));
 }
 
+/// A query binding more range variables than a scope arena holds is
+/// refused by the front end (HTTP 400), not caught as a panic (HTTP 500).
+#[test]
+fn a_65th_range_variable_is_a_front_end_error() {
+    let svc = small_service();
+    let from: Vec<String> = (0..65).map(|i| format!("City c{i} IN Cities")).collect();
+    let src = format!(
+        r#"SELECT c0 FROM {} WHERE c0.name() == "x""#,
+        from.join(", ")
+    );
+    let err = svc.submit(&src).unwrap_err();
+    assert!(matches!(err, ServiceError::Zql(_)), "{err:?}");
+}
+
 #[test]
 fn stage_breakdown_and_counters_populate() {
     let svc = small_service();
