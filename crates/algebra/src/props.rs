@@ -14,9 +14,17 @@ use crate::scope::VarId;
 use std::fmt;
 
 /// A set of scope variables, as a 64-bit bitset (queries are limited to 64
-/// variables by [`crate::ScopeArena`]).
+/// variables by [`crate::ScopeArena`]). A variable id past those 64, which
+/// only a hand-built plan can name, is in no set: inserting it changes
+/// nothing, and no set contains it.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct VarSet(u64);
+
+/// `v`'s bit, or none for an id past the 64 a [`VarSet`] holds. (A
+/// [`VarId`] is a `u32`, so the cast is exact.)
+fn bit(v: VarId) -> u64 {
+    1u64.checked_shl(v.index() as u32).unwrap_or(0)
+}
 
 impl VarSet {
     /// The empty set.
@@ -24,7 +32,7 @@ impl VarSet {
 
     /// Singleton set.
     pub fn single(v: VarId) -> Self {
-        VarSet(1u64 << v.index())
+        VarSet(bit(v))
     }
 
     /// Builds from an iterator of variables. (Not the trait method: this
@@ -41,18 +49,18 @@ impl VarSet {
     /// Set with `v` added.
     #[must_use]
     pub fn insert(self, v: VarId) -> Self {
-        VarSet(self.0 | (1u64 << v.index()))
+        VarSet(self.0 | bit(v))
     }
 
     /// Set with `v` removed.
     #[must_use]
     pub fn remove(self, v: VarId) -> Self {
-        VarSet(self.0 & !(1u64 << v.index()))
+        VarSet(self.0 & !bit(v))
     }
 
     /// Membership test.
     pub fn contains(self, v: VarId) -> bool {
-        self.0 & (1u64 << v.index()) != 0
+        self.0 & bit(v) != 0
     }
 
     /// Union.

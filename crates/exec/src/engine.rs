@@ -11,7 +11,7 @@ use oodb_algebra::{PhysicalOp, PhysicalPlan, QueryEnv, VarOrigin};
 use oodb_fault::{Fault, RunLimits};
 use oodb_mem::MemoryGrant;
 use oodb_object::{Oid, Value};
-use oodb_storage::{DiskStats, Io, PageId, Store};
+use oodb_storage::{DiskStats, Io, PageId, Store, PAGE_BYTES};
 use oodb_telemetry::OpTrace;
 use pipeline::{bind, child, malformed, nodes, Bound, Pipeline, Source, Stage};
 use std::borrow::Cow;
@@ -97,18 +97,6 @@ pub struct OpCounts {
     pub derefs: u64,
 }
 
-impl OpCounts {
-    /// Counts accumulated since `base` was captured.
-    fn delta(&self, base: &OpCounts) -> OpCounts {
-        OpCounts {
-            tuples: self.tuples - base.tuples,
-            preds: self.preds - base.preds,
-            hash_ops: self.hash_ops - base.hash_ops,
-            derefs: self.derefs - base.derefs,
-        }
-    }
-}
-
 /// Memory-governance effort for one run: what the grant held at peak and
 /// what overflow work the governed operators performed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -181,28 +169,16 @@ impl ExecResult {
     }
 }
 
-/// Per-run accounting baseline: every counter the executor accumulates,
-/// captured at the start of each `run*` call so [`Executor::stats`]
-/// reports that run alone even when the executor (and its warm buffer
-/// pool) is reused across queries.
-#[derive(Clone, Copy, Debug, Default)]
-struct RunBase {
-    disk: DiskStats,
-    counts: OpCounts,
-    hits: u64,
-    misses: u64,
-    spilled_partitions: u64,
-    leaf_rows: u64,
-}
-
 /// Wall clock and I/O counters at one instant, for per-operator trace
 /// deltas.
 struct Mark {
     at: Instant,
-    hits: u64,
-    misses: u64,
-    io_s: f64,
-    spill_pages: u64,
+    buffer: (u64, u64),
+    disk: DiskStats,
+}
+
+fn trace_lost() -> ExecError {
+    ExecError::MalformedTrace("trace lost a plan node".into())
 }
 
 /// One zeroed trace node per plan node, in preorder.
@@ -232,9 +208,11 @@ fn fold_trace(plan: &PhysicalPlan, slots: &mut impl Iterator<Item = OpTrace>) ->
     Some(node)
 }
 
-/// The plan executor. One per query run, or reused across runs to model a
-/// warm buffer pool — statistics are attributed per run either way (see
-/// [`Executor::stats`]).
+/// The plan executor: one run of one plan. [`Executor::new`] takes the
+/// run's [`RunLimits`]; the run consumes the executor and returns its
+/// [`ExecStats`] beside the outcome, failed runs included. Every counter,
+/// its private buffer pool's hits and misses among them, starts at zero,
+/// so the statistics are that run's alone.
 ///
 /// A plan runs as **pipelines** of flat binding batches: a file scan
 /// streams ≤1024-row batches through the filters, unnests and in-memory
@@ -244,38 +222,31 @@ fn fold_trace(plan: &PhysicalPlan, slots: &mut impl Iterator<Item = OpTrace>) ->
 /// an operator drains its child pipeline into one batch, runs, and is the
 /// source of the next pipeline.
 ///
-/// Buffer hits and misses are tallied from each access's outcome, which
-/// is also what attributes them to the operator that made the access.
+/// Buffer hits and misses are the pool's own counts; a traced run reads
+/// them around each operator's work to attribute them to it.
 pub struct Executor<'a> {
-    /// The database.
-    pub store: &'a Store,
-    /// The query context.
-    pub env: &'a QueryEnv,
+    store: &'a Store,
+    env: &'a QueryEnv,
     /// The I/O stack (buffer pool + simulated disk).
-    pub io: Io,
+    io: Io,
     counts: OpCounts,
-    /// This executor's buffer outcomes.
-    hits: u64,
-    misses: u64,
-    run_base: RunBase,
     /// During a traced run, one slot per plan node in preorder, holding
     /// the operator's own rows, time and I/O; empty otherwise.
     trace: Vec<OpTrace>,
     /// Cooperative run limits (deadline, cancellation, row budget),
     /// checked at every batch boundary.
     limits: RunLimits,
-    /// This run's memory grant, recreated at every `begin_run` from the
-    /// store's governor (when attached) and `RunLimits::mem_budget`.
+    /// This run's memory grant, drawn from the store's governor (when
+    /// attached) under `RunLimits::mem_budget`.
     /// Operators reserve against it in coarse units (a hash table, a
     /// partition, an assembly window) — never per row — and at most one
     /// reservation is live at a time.
     grant: MemoryGrant,
-    /// Hash-join partitions spilled to simulated disk, cumulative.
+    /// Hash-join partitions spilled to simulated disk.
     spilled_partitions: u64,
-    /// Rows produced by leaf scans (file + index), cumulative; reported
-    /// per run via [`RunBase`] deltas like every other counter.
+    /// Rows produced by leaf scans (file + index).
     leaf_rows: u64,
-    /// Rows the last run delivered at its root.
+    /// Rows the run delivered at its root.
     root_rows: u64,
     /// The oracle of the engine's tests: every join table hashed, as all
     /// were before one could be addressed by oid.
@@ -284,38 +255,34 @@ pub struct Executor<'a> {
 }
 
 impl<'a> Executor<'a> {
-    /// Creates an executor with a private buffer pool sized for the
-    /// paper's DECstation.
-    pub fn new(store: &'a Store, env: &'a QueryEnv) -> Self {
+    /// Creates the executor of one run under `limits`, with a private
+    /// buffer pool sized for the paper's DECstation. The limits are checked
+    /// at every batch boundary, inside streaming pipelines and inside the
+    /// loops of operators that hold their whole input, so a runaway
+    /// operator is interrupted mid-flight.
+    pub fn new(store: &'a Store, env: &'a QueryEnv, limits: RunLimits) -> Self {
         let mut io = Io::decstation();
         // Route page access through the store's fault injector when one is
         // attached — the executor is where injected read faults surface.
         io.set_fault_injector(store.fault_injector().cloned());
+        let grant = match store.memory_governor() {
+            Some(gov) => gov.grant(limits.mem_budget),
+            None => MemoryGrant::detached(limits.mem_budget),
+        };
         Executor {
             store,
             env,
             io,
             counts: OpCounts::default(),
-            hits: 0,
-            misses: 0,
-            run_base: RunBase::default(),
             trace: Vec::new(),
-            limits: RunLimits::default(),
-            grant: MemoryGrant::detached(None),
+            limits,
+            grant,
             spilled_partitions: 0,
             leaf_rows: 0,
             root_rows: 0,
             #[cfg(test)]
             hashed_only: false,
         }
-    }
-
-    /// Installs cooperative run limits for subsequent `run*` calls. The
-    /// limits are checked at every batch boundary, inside streaming
-    /// pipelines and inside the loops of operators that hold their whole
-    /// input, so a runaway operator is interrupted mid-flight.
-    pub fn set_limits(&mut self, limits: RunLimits) {
-        self.limits = limits;
     }
 
     /// Checks cancellation, deadline, and row budget. Cheap when the run
@@ -332,84 +299,46 @@ impl<'a> Executor<'a> {
             }
         }
         if let Some(budget) = self.limits.row_budget {
-            if self.counts.tuples - self.run_base.counts.tuples > budget {
+            if self.counts.tuples > budget {
                 return Err(ExecError::RowBudgetExceeded { budget });
             }
         }
         Ok(())
     }
 
-    /// Statistics for the current run: counters accumulated since the last
-    /// `run*` call began (equivalently, since creation for a fresh
-    /// executor). A reused executor keeps its warm buffer pool but never
-    /// smears one run's I/O into the next run's numbers.
-    pub fn stats(&self) -> ExecStats {
-        let base = &self.run_base;
-        let disk = self.io.disk_stats().delta(&base.disk);
+    /// The run's statistics.
+    fn stats(&self) -> ExecStats {
+        let disk = self.io.disk_stats();
+        let (buffer_hits, buffer_misses) = self.io.buffer_stats();
         ExecStats {
             disk,
-            counts: self.counts.delta(&base.counts),
-            buffer_hits: self.hits - base.hits,
-            buffer_misses: self.misses - base.misses,
+            counts: self.counts,
+            buffer_hits,
+            buffer_misses,
             mem: MemEffort {
                 peak_bytes: self.grant.peak(),
                 spill_pages_written: disk.spill_writes,
                 spill_pages_read: disk.spill_reads,
-                spilled_partitions: self.spilled_partitions - base.spilled_partitions,
+                spilled_partitions: self.spilled_partitions,
                 grant_denials: self.grant.denials(),
             },
             root_rows: self.root_rows,
-            leaf_rows: self.leaf_rows - base.leaf_rows,
+            leaf_rows: self.leaf_rows,
         }
     }
 
-    /// Marks the start of a run: subsequent [`Executor::stats`] reads
-    /// report deltas from here. Draws a fresh memory grant from the
-    /// store's governor (when attached) under this run's `mem_budget`;
-    /// dropping the previous grant returns any stragglers, so governor
-    /// ledgers reconcile across reuse.
-    fn begin_run(&mut self) {
-        self.run_base = RunBase {
-            disk: self.io.disk_stats(),
-            counts: self.counts,
-            hits: self.hits,
-            misses: self.misses,
-            spilled_partitions: self.spilled_partitions,
-            leaf_rows: self.leaf_rows,
-        };
-        self.root_rows = 0;
-        self.grant = match self.store.memory_governor() {
-            Some(gov) => gov.grant(self.limits.mem_budget),
-            None => MemoryGrant::detached(self.limits.mem_budget),
-        };
-    }
-
-    /// Runs a plan to completion, panicking on failure. Prefer
-    /// [`Executor::try_run`] in code that can propagate errors; this
-    /// wrapper exists for the many callers (tests, experiments) that run
-    /// trusted plans against fault-free stores.
-    pub fn run(&mut self, plan: &PhysicalPlan) -> ExecResult {
-        self.try_run(plan)
-            .unwrap_or_else(|e| panic!("execution failed: {e}"))
-    }
-
-    /// Runs a plan to completion, surfacing faults, cancellation, and
-    /// limit expiry as [`ExecError`]s.
-    pub fn try_run(&mut self, plan: &PhysicalPlan) -> Result<ExecResult, ExecError> {
-        Ok(self.run_root(plan, false, |ex| ex.collect_root(plan))?.0)
-    }
-
-    /// Runs a plan to completion while recording a per-operator
-    /// [`OpTrace`]: actual rows, wall-clock time, and buffer/disk traffic
-    /// for every node of the plan tree, operators fused into one pipeline
-    /// included. This is `EXPLAIN ANALYZE`. On error the executor leaves
-    /// traced mode cleanly, so it can be reused for further runs.
-    pub fn try_run_traced(
-        &mut self,
+    /// Runs a plan to completion, collecting its rows, and records a
+    /// per-operator [`OpTrace`] when `traced`: actual rows, wall-clock
+    /// time, and buffer/disk traffic for every node of the plan tree,
+    /// operators fused into one pipeline included. This is `EXPLAIN
+    /// ANALYZE`. Faults, cancellation, and limit expiry surface as
+    /// [`ExecError`]s.
+    pub fn try_run(
+        self,
         plan: &PhysicalPlan,
-    ) -> Result<(ExecResult, OpTrace), ExecError> {
-        let (result, trace) = self.run_root(plan, true, |ex| ex.collect_root(plan))?;
-        Ok((result, trace.expect("a traced run returns its trace")))
+        traced: bool,
+    ) -> (Result<(ExecResult, Option<OpTrace>), ExecError>, ExecStats) {
+        self.run_root(plan, traced, |ex| ex.collect_root(plan))
     }
 
     /// Runs a plan to completion, handing every result row to `emit` as
@@ -417,32 +346,30 @@ impl<'a> Executor<'a> {
     /// or collected — in result order. `emit`'s time is the root's in the
     /// [`OpTrace`] of a `traced` run.
     pub fn try_run_rows(
-        &mut self,
+        self,
         plan: &PhysicalPlan,
         traced: bool,
         emit: &mut dyn FnMut(RootRow<'_>),
-    ) -> Result<Option<OpTrace>, ExecError> {
-        let ((), trace) = self.run_root(plan, traced, |ex| ex.exec_root(plan, emit))?;
-        Ok(trace)
+    ) -> (Result<Option<OpTrace>, ExecError>, ExecStats) {
+        let (run, stats) = self.run_root(plan, traced, |ex| ex.exec_root(plan, emit));
+        (run.map(|((), trace)| trace), stats)
     }
 
-    /// One run of `plan`, `root` doing the work, traced when asked.
+    /// The run of `plan`, `root` doing the work, traced when asked.
     fn run_root<R>(
-        &mut self,
+        mut self,
         plan: &PhysicalPlan,
         traced: bool,
         root: impl FnOnce(&mut Self) -> Result<R, ExecError>,
-    ) -> Result<(R, Option<OpTrace>), ExecError> {
-        self.begin_run();
-        self.trace.clear();
+    ) -> (Result<(R, Option<OpTrace>), ExecError>, ExecStats) {
         if traced {
             trace_slots(self.env, plan, &mut self.trace);
         }
-        let result = self.checkpoint().and_then(|()| root(self));
+        let result = self.checkpoint().and_then(|()| root(&mut self));
         let mut slots = std::mem::take(&mut self.trace).into_iter();
-        let lost = || ExecError::MalformedTrace("trace lost a plan node".into());
-        let trace = traced.then(|| fold_trace(plan, &mut slots).ok_or_else(lost));
-        Ok((result?, trace.transpose()?))
+        let trace = traced.then(|| fold_trace(plan, &mut slots).ok_or_else(trace_lost));
+        let run = result.and_then(|r| Ok((r, trace.transpose()?)));
+        (run, self.stats())
     }
 
     /// The root with the collecting consumer: every row owned, as an
@@ -696,12 +623,10 @@ impl<'a> Executor<'a> {
         self.env.scopes.len()
     }
 
-    /// Touches one page `n` times in a row, attributing the hit/miss
-    /// outcomes to this executor. Surfaces injected storage faults.
+    /// Touches one page `n` times in a row. Surfaces injected storage
+    /// faults.
     fn touch_run(&mut self, page: PageId, n: u64) -> Result<(), ExecError> {
-        let hit = self.io.try_touch_run(page, n).map_err(ExecError::Fault)?;
-        self.hits += n - u64::from(!hit);
-        self.misses += u64::from(!hit);
+        self.io.try_touch_run(page, n).map_err(ExecError::Fault)?;
         Ok(())
     }
 
@@ -720,16 +645,13 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    /// Touches a batch in elevator order, attributing hits/misses. A
-    /// fault aborts before any page of the batch is charged.
+    /// Touches a batch in elevator order. A fault aborts before any page
+    /// of the batch is charged.
     fn touch_elevator(&mut self, pages: &[PageId]) -> Result<(), ExecError> {
         self.checkpoint()?;
-        let (hits, misses) = self
-            .io
+        self.io
             .try_touch_elevator(pages)
             .map_err(ExecError::Fault)?;
-        self.hits += hits;
-        self.misses += misses;
         Ok(())
     }
 
@@ -755,9 +677,8 @@ impl<'a> Executor<'a> {
 
     /// Pages a run of `rows` tuples occupies when spilled.
     fn spill_pages_for(&self, rows: usize) -> u64 {
-        let page_bytes = u64::from(self.io.disk.params().page_bytes).max(1);
         (rows as u64 * self.tuple_bytes())
-            .div_ceil(page_bytes)
+            .div_ceil(u64::from(PAGE_BYTES))
             .max(1)
     }
 
@@ -765,26 +686,22 @@ impl<'a> Executor<'a> {
     /// governor's byte ledger.
     fn charge_spill_write(&mut self, pages: u64) {
         self.io.disk.spill_write(pages);
-        let page_bytes = u64::from(self.io.disk.params().page_bytes);
-        self.grant.note_spill(pages * page_bytes, 0);
+        self.grant.note_spill(pages * u64::from(PAGE_BYTES), 0);
     }
 
     /// Charges a spill-partition re-read; pairs one-for-one with
     /// [`Executor::charge_spill_write`] so written == read at quiesce.
     fn charge_spill_read(&mut self, pages: u64) {
         self.io.disk.spill_read(pages);
-        let page_bytes = u64::from(self.io.disk.params().page_bytes);
-        self.grant.note_spill(0, pages * page_bytes);
+        self.grant.note_spill(0, pages * u64::from(PAGE_BYTES));
     }
 
     /// The instant an operator's own work starts, when tracing.
     fn mark(&self) -> Option<Mark> {
         (!self.trace.is_empty()).then(|| Mark {
             at: Instant::now(),
-            hits: self.hits,
-            misses: self.misses,
-            io_s: self.io.elapsed_s(),
-            spill_pages: self.io.disk_stats().spill_pages(),
+            buffer: self.io.buffer_stats(),
+            disk: self.io.disk_stats(),
         })
     }
 
@@ -799,10 +716,10 @@ impl<'a> Executor<'a> {
         slot.actual_rows += rows as u64;
         if let (Some(m), Some(now)) = (since, now) {
             slot.elapsed_ns += (now.at - m.at).as_nanos() as u64;
-            slot.buffer_hits += now.hits - m.hits;
-            slot.buffer_misses += now.misses - m.misses;
-            slot.sim_io_s += now.io_s - m.io_s;
-            slot.spill_pages += now.spill_pages - m.spill_pages;
+            slot.buffer_hits += now.buffer.0 - m.buffer.0;
+            slot.buffer_misses += now.buffer.1 - m.buffer.1;
+            slot.sim_io_s += now.disk.total_s - m.disk.total_s;
+            slot.spill_pages += now.disk.spill_pages() - m.disk.spill_pages();
         }
     }
 }
@@ -824,10 +741,8 @@ pub fn try_execute(
     plan: &PhysicalPlan,
     limits: RunLimits,
 ) -> Result<(ExecResult, ExecStats), ExecError> {
-    let mut ex = Executor::new(store, env);
-    ex.set_limits(limits);
-    let result = ex.try_run(plan)?;
-    Ok((result, ex.stats()))
+    let (run, stats) = Executor::new(store, env, limits).try_run(plan, false);
+    run.map(|(result, _)| (result, stats))
 }
 
 /// One-shot `EXPLAIN ANALYZE`: fresh executor, traced run, return result,
@@ -849,10 +764,8 @@ pub fn try_execute_traced(
     plan: &PhysicalPlan,
     limits: RunLimits,
 ) -> Result<(ExecResult, ExecStats, OpTrace), ExecError> {
-    let mut ex = Executor::new(store, env);
-    ex.set_limits(limits);
-    let (result, trace) = ex.try_run_traced(plan)?;
-    Ok((result, ex.stats(), trace))
+    let (run, stats) = Executor::new(store, env, limits).try_run(plan, true);
+    run.and_then(|(result, trace)| Ok((result, stats, trace.ok_or_else(trace_lost)?)))
 }
 
 #[cfg(test)]

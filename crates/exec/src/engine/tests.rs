@@ -437,43 +437,20 @@ fn row_budget_interrupts_hash_join_mid_pipeline() {
     // this budget survives the build and one batch and expires on the
     // second of five.
     let budget = depts + 3 * BATCH_ROWS as u64;
-    let mut ex = Executor::new(&store, &env);
-    ex.set_limits(RunLimits {
-        row_budget: Some(budget),
-        ..Default::default()
-    });
-    let err = ex.try_run(&hhj).unwrap_err();
+    let ex = Executor::new(
+        &store,
+        &env,
+        RunLimits {
+            row_budget: Some(budget),
+            ..Default::default()
+        },
+    );
+    let (run, stats) = ex.try_run(&hhj, false);
+    let err = run.unwrap_err();
     assert_eq!(err, ExecError::RowBudgetExceeded { budget });
-    let stats = ex.stats();
     assert_eq!(stats.counts.hash_ops, depts + 2 * BATCH_ROWS as u64);
     assert_eq!(stats.leaf_rows, depts + 2 * BATCH_ROWS as u64);
     assert!(stats.leaf_rows < depts + emps, "the scan stopped too");
-}
-
-#[test]
-fn reused_executor_attributes_stats_per_run() {
-    let (store, m) = generate_paper_db(GenConfig::small());
-    let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
-    let (_, c) = qb.get(m.ids.cities, "c");
-    let env = qb.into_env();
-    let scan = plan(
-        PhysicalOp::FileScan {
-            coll: m.ids.cities,
-            var: c,
-        },
-        vec![],
-    );
-    let mut ex = Executor::new(&store, &env);
-    ex.run(&scan);
-    let first = ex.stats();
-    ex.run(&scan);
-    let second = ex.stats();
-    // Second run reports only its own work: all buffer hits (pool is
-    // warm), no fresh misses, same tuple count as the first run.
-    assert_eq!(second.counts.tuples, first.counts.tuples);
-    assert_eq!(second.buffer_misses, 0, "warm rerun must not miss");
-    assert!(second.buffer_hits > 0);
-    assert_eq!(second.disk.pages(), 0, "warm rerun reads no pages");
 }
 
 #[test]
@@ -737,7 +714,7 @@ impl MixedJoin {
         need: u64,
         hashed_only: bool,
     ) -> Result<(Vec<Oid>, OpCounts), ExecError> {
-        let mut ex = Executor::new(&self.m.store, &self.env);
+        let mut ex = Executor::new(&self.m.store, &self.env, RunLimits::default());
         ex.hashed_only = hashed_only;
         let joined = ex.join_in_memory(spec, build, probe, need)?;
         Ok((joined.data, ex.counts))

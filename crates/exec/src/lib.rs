@@ -23,7 +23,10 @@
 //!
 //! I/O is charged through [`oodb_storage::Io`] (buffer pool + seek-aware
 //! disk); CPU-ish work is reported as operation counts ([`OpCounts`]) so
-//! callers can convert with whatever cost constants they calibrate.
+//! callers can convert with whatever cost constants they calibrate. An
+//! [`Executor`] is one run: it is built with its [`RunLimits`], and the run
+//! consumes it and returns its [`ExecStats`], the private buffer pool's
+//! hits and misses among them, whether the run succeeded or not.
 
 #![forbid(unsafe_code)]
 

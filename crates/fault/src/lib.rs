@@ -206,19 +206,6 @@ impl FaultInjector {
         }
     }
 
-    /// Clears counters and healing state (faulty pages fault afresh).
-    pub fn reset(&self) {
-        let i = &self.inner;
-        i.injected.store(0, Ordering::Relaxed);
-        i.transient.store(0, Ordering::Relaxed);
-        i.permanent.store(0, Ordering::Relaxed);
-        i.panics.store(0, Ordering::Relaxed);
-        i.healed_accesses.store(0, Ordering::Relaxed);
-        i.latency_events.store(0, Ordering::Relaxed);
-        lock_recovering(&i.transient_hits).clear();
-        lock_recovering(&i.panicked).clear();
-    }
-
     /// How `(seed, page)` classifies: `None` = healthy page.
     fn classify(&self, page: u64) -> Option<FaultClass> {
         let cfg = &self.inner.config;
@@ -713,14 +700,5 @@ mod tests {
         assert!(inj.check_flush(0, 10).is_ok());
         assert!(inj.check_sync(0).is_ok());
         assert_eq!(inj.stats(), WriteFaultStats::default());
-    }
-
-    #[test]
-    fn reset_clears_healing_state() {
-        let inj = injector(1.0, 0.0, 2);
-        assert!(inj.check_read(4).is_err());
-        assert!(inj.check_read(4).is_ok());
-        inj.reset();
-        assert!(inj.check_read(4).is_err(), "faults afresh after reset");
     }
 }

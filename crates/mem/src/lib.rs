@@ -66,7 +66,7 @@ pub struct MemStats {
     pub capacity: u64,
     /// Bytes currently reserved across all live grants.
     pub reserved: u64,
-    /// High-water mark of `reserved` since creation/reset.
+    /// High-water mark of `reserved` since creation.
     pub peak_reserved: u64,
     /// Cumulative bytes ever reserved.
     pub reserved_total: u64,
@@ -78,7 +78,7 @@ pub struct MemStats {
     pub spill_bytes_written: u64,
     /// Bytes charged as spill-partition reads.
     pub spill_bytes_read: u64,
-    /// Grants issued since creation/reset.
+    /// Grants issued since creation.
     pub grants_issued: u64,
 }
 
@@ -172,19 +172,6 @@ impl MemoryGovernor {
             spill_bytes_read: g.spill_read.load(Relaxed),
             grants_issued: g.grants.load(Relaxed),
         }
-    }
-
-    /// Clears cumulative counters (peak, totals, denials, spill bytes,
-    /// grants). Live reservations are left untouched.
-    pub fn reset(&self) {
-        let g = &self.inner;
-        g.peak.store(g.reserved.load(Relaxed), Relaxed);
-        g.reserved_total.store(0, Relaxed);
-        g.released_total.store(0, Relaxed);
-        g.denials.store(0, Relaxed);
-        g.spill_written.store(0, Relaxed);
-        g.spill_read.store(0, Relaxed);
-        g.grants.store(0, Relaxed);
     }
 
     fn try_reserve(&self, bytes: u64) -> bool {
@@ -446,22 +433,5 @@ mod tests {
         g.note_spill(0, 4096);
         let s = gov.stats();
         assert_eq!(s.spill_bytes_written, s.spill_bytes_read);
-    }
-
-    #[test]
-    fn reset_clears_cumulative_counters() {
-        let gov = MemoryGovernor::new(100);
-        let g = gov.grant(Some(10));
-        assert!(g.try_reserve(10));
-        assert!(!g.try_reserve(10));
-        g.note_spill(5, 5);
-        gov.reset();
-        let s = gov.stats();
-        assert_eq!(s.reserved, 10, "live reservations survive reset");
-        assert_eq!(s.peak_reserved, 10);
-        assert_eq!(
-            (s.reserved_total, s.grant_denials, s.spill_bytes_written),
-            (0, 0, 0)
-        );
     }
 }

@@ -442,9 +442,15 @@ fn handle_submission(shared: &Shared, req: &Request, prepared: Option<u64>) -> R
         }
     };
     let opts = submit_options(&body);
-    let tenant = shared
+    let Some(tenant) = shared
         .tenants
-        .tenant(body.get("tenant").and_then(Json::as_str));
+        .tenant(body.get("tenant").and_then(Json::as_str))
+    else {
+        let e = ServiceError::Overloaded {
+            reason: ShedReason::QueueFull,
+        };
+        return error_response(&e, shared.service.retry_after());
+    };
     let permit = match tenant.admit() {
         Ok(p) => p,
         Err(shed) => {

@@ -19,6 +19,13 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// The name requests without an explicit tenant land under.
 pub const DEFAULT_TENANT: &str = "default";
 
+/// Most tenants the registry holds besides [`DEFAULT_TENANT`]. A tenant
+/// name comes off the wire and nothing frees one, so without a bound
+/// every distinct name would keep a gate and five metric series for the
+/// life of the server; past it a *new* name is refused like any other
+/// full queue.
+pub const MAX_TENANTS: usize = 256;
+
 /// One tenant's gate + counters.
 pub struct TenantState {
     /// Tenant namespace.
@@ -109,16 +116,21 @@ impl TenantRegistry {
     }
 
     /// The state for `tenant` (or [`DEFAULT_TENANT`]), created on first
-    /// sight.
-    pub fn tenant(&self, tenant: Option<&str>) -> Arc<TenantState> {
+    /// sight; `None` for a new name once [`MAX_TENANTS`] others are held.
+    /// Known tenants and the default one are always served.
+    pub fn tenant(&self, tenant: Option<&str>) -> Option<Arc<TenantState>> {
         let name = tenant.unwrap_or(DEFAULT_TENANT);
         let mut map = self.lock();
         if let Some(t) = map.get(name) {
-            return Arc::clone(t);
+            return Some(Arc::clone(t));
+        }
+        let named = map.len() - usize::from(map.contains_key(DEFAULT_TENANT));
+        if name != DEFAULT_TENANT && named >= MAX_TENANTS {
+            return None;
         }
         let t = Arc::new(TenantState::new(name, self.admission, &self.registry));
         map.insert(name.to_string(), Arc::clone(&t));
-        t
+        Some(t)
     }
 
     /// Snapshot of every tenant seen so far, sorted by name.
@@ -144,7 +156,10 @@ mod tests {
             },
             Arc::new(MetricsRegistry::new()),
         );
-        let (a, b) = (reg.tenant(Some("a")), reg.tenant(Some("b")));
+        let (a, b) = (
+            reg.tenant(Some("a")).unwrap(),
+            reg.tenant(Some("b")).unwrap(),
+        );
         let a1 = a.admit().unwrap();
         let _a2 = a.admit().unwrap();
         assert_eq!(a.admit().unwrap_err().reason, ShedReason::QueueFull);
@@ -156,9 +171,29 @@ mod tests {
         assert_eq!(a.counts(), (3, 1, 0, 0));
         assert_eq!((a.inflight(), b.inflight()), (2, 1));
         assert!(
-            Arc::ptr_eq(&a, &reg.tenant(Some("a"))),
+            Arc::ptr_eq(&a, &reg.tenant(Some("a")).unwrap()),
             "one state per name"
         );
-        assert_eq!(reg.tenant(None).name, DEFAULT_TENANT);
+        assert_eq!(reg.tenant(None).unwrap().name, DEFAULT_TENANT);
+    }
+
+    /// New names stop at the bound; known ones and the default do not.
+    #[test]
+    fn the_registry_refuses_new_names_past_its_bound() {
+        let metrics = Arc::new(MetricsRegistry::new());
+        let reg = TenantRegistry::new(AdmissionConfig::default(), Arc::clone(&metrics));
+        for i in 0..MAX_TENANTS {
+            assert!(reg.tenant(Some(&format!("t{i}"))).is_some());
+        }
+        assert!(reg.tenant(Some("one-too-many")).is_none());
+        assert!(reg.tenant(Some("t0")).is_some(), "a known tenant");
+        assert_eq!(reg.tenant(None).unwrap().name, DEFAULT_TENANT);
+        assert!(reg.tenant(Some("one-too-many")).is_none());
+        assert_eq!(reg.snapshot().len(), MAX_TENANTS + 1);
+        let series = metrics.render_prometheus();
+        assert!(
+            !series.contains("one-too-many"),
+            "no series for a refused name"
+        );
     }
 }

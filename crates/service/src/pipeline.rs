@@ -393,16 +393,19 @@ impl QueryService {
             // bound — so a large answer does not regrow row by row. Made
             // per attempt: a retried fault starts an empty answer.
             let mut rows = Vec::with_capacity((plan.est.out_card as usize).min(4096));
-            let mut ex = Executor::new(store, &entry.env);
-            ex.set_limits(RunLimits {
-                deadline,
-                cancel: req.cancel.cloned(),
-                row_budget: opts.row_budget,
-                mem_budget,
-            });
+            let ex = Executor::new(
+                store,
+                &entry.env,
+                RunLimits {
+                    deadline,
+                    cancel: req.cancel.cloned(),
+                    row_budget: opts.row_budget,
+                    mem_budget,
+                },
+            );
             match ex.try_run_rows(plan, want_trace, &mut |row| render(&mut rows, row)) {
-                Ok(trace) => break (rows, trace, ex.stats()),
-                Err(ExecError::Fault(f))
+                (Ok(trace), stats) => break (rows, trace, stats),
+                (Err(ExecError::Fault(f)), _)
                     if f.class == FaultClass::Transient
                         && retries < opts.retries
                         && deadline.is_none_or(|d| Instant::now() < d) =>
@@ -418,7 +421,7 @@ impl QueryService {
                     }
                     thread::sleep(backoff);
                 }
-                Err(e) => return Err(ServiceError::from_exec(e, retries)),
+                (Err(e), _) => return Err(ServiceError::from_exec(e, retries)),
             }
         };
         req.stages.execute_ns = req.timer.lap_into(&m.stage_execute);

@@ -7,7 +7,7 @@
 //! access through [`Io`], so buffer hits are free and misses are charged by
 //! the [`crate::disk::Disk`].
 
-use crate::disk::{Disk, DiskParams, DiskStats, PageId};
+use crate::disk::{Disk, DiskStats, PageId, PAGE_BYTES};
 use oodb_fault::{Fault, FaultInjector};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -69,11 +69,6 @@ impl BufferPool {
         }
     }
 
-    /// Pool sized for the paper's DECstation (32 MB at the given page size).
-    pub fn decstation(page_bytes: u32) -> Self {
-        BufferPool::new((32 * 1024 * 1024 / page_bytes as usize).max(1))
-    }
-
     /// Records an access. Returns `true` on a buffer hit. On a miss the
     /// page becomes resident, evicting the least-recently-used page if the
     /// pool is full.
@@ -111,20 +106,12 @@ impl BufferPool {
     pub fn stats(&self) -> (u64, u64) {
         (self.hits, self.misses)
     }
-
-    /// Drops all cached pages and statistics.
-    pub fn reset(&mut self) {
-        self.resident.clear();
-        self.clock = 0;
-        self.hits = 0;
-        self.misses = 0;
-    }
 }
 
 /// The I/O facade the executor charges all page access through:
-/// buffer-pool check first, disk on miss. [`Io::touch`] and
-/// [`Io::touch_elevator`] report per-access hit/miss outcomes so callers
-/// can attribute I/O to the operator that performed it.
+/// buffer-pool check first, disk on miss. The pool's and the disk's
+/// counters are the one record of what was touched; a caller attributes
+/// I/O to an operator by reading them before and after it.
 #[derive(Clone, Debug)]
 pub struct Io {
     pool: BufferPool,
@@ -136,23 +123,19 @@ pub struct Io {
 }
 
 impl Io {
-    /// Creates an I/O stack with the given pool capacity and disk timing.
-    pub fn new(pool_pages: usize, params: DiskParams) -> Self {
+    /// Creates an I/O stack with a pool of `pool_pages` pages in front of
+    /// a fresh disk.
+    pub fn new(pool_pages: usize) -> Self {
         Io {
             pool: BufferPool::new(pool_pages),
-            disk: Disk::new(params),
+            disk: Disk::default(),
             injector: None,
         }
     }
 
-    /// The paper's evaluation machine: 32 MB buffer, default disk.
+    /// The paper's evaluation machine: a 32 MB buffer pool.
     pub fn decstation() -> Self {
-        let params = DiskParams::default();
-        Io {
-            pool: BufferPool::decstation(params.page_bytes),
-            disk: Disk::new(params),
-            injector: None,
-        }
+        Io::new(32 * 1024 * 1024 / PAGE_BYTES as usize)
     }
 
     /// Touches one page (sequential/random classification by the disk).
@@ -229,20 +212,14 @@ impl Io {
         Ok(self.touch_elevator(pages))
     }
 
-    /// Simulated elapsed I/O time in seconds.
-    pub fn elapsed_s(&self) -> f64 {
-        self.disk.stats().total_s
-    }
-
     /// Disk statistics.
     pub fn disk_stats(&self) -> DiskStats {
         self.disk.stats()
     }
 
-    /// Clears both the pool and the disk counters.
-    pub fn reset(&mut self) {
-        self.pool.reset();
-        self.disk.reset();
+    /// Buffer-pool (hits, misses) so far.
+    pub fn buffer_stats(&self) -> (u64, u64) {
+        self.pool.stats()
     }
 }
 
@@ -271,7 +248,7 @@ mod tests {
 
     #[test]
     fn io_charges_only_misses() {
-        let mut io = Io::new(8, DiskParams::default());
+        let mut io = Io::new(8);
         io.touch(10);
         io.touch(10);
         io.touch(10);
@@ -282,7 +259,7 @@ mod tests {
 
     #[test]
     fn elevator_batch_skips_resident_pages() {
-        let mut io = Io::new(8, DiskParams::default());
+        let mut io = Io::new(8);
         io.touch(5);
         let (hits, misses) = io.touch_elevator(&[5, 6, 7]);
         // Page 5 was resident; only 6 and 7 hit the disk.
@@ -292,7 +269,7 @@ mod tests {
 
     #[test]
     fn touch_reports_per_access_outcome() {
-        let mut io = Io::new(8, DiskParams::default());
+        let mut io = Io::new(8);
         assert!(!io.touch(9), "first access misses");
         assert!(io.touch(9), "second access hits");
     }
@@ -302,8 +279,8 @@ mod tests {
     /// an eviction in between.
     #[test]
     fn touch_run_matches_single_touches() {
-        let mut one = Io::new(2, DiskParams::default());
-        let mut run = Io::new(2, DiskParams::default());
+        let mut one = Io::new(2);
+        let mut run = Io::new(2);
         for (page, n) in [(7u64, 3u64), (8, 1), (7, 2), (9, 4), (8, 2), (7, 1)] {
             let mut first = None;
             for _ in 0..n {
@@ -324,7 +301,7 @@ mod tests {
             read_fault_rate: 1.0,
             ..Default::default()
         });
-        let mut io = Io::new(4, DiskParams::default());
+        let mut io = Io::new(4);
         io.set_fault_injector(Some(inj.clone()));
         assert!(io.try_touch_run(3, 5).is_err());
         assert_eq!(io.pool.stats(), (0, 0), "a faulted read charges nothing");

@@ -12,33 +12,20 @@
 /// seek distance is proportional to page-number distance.
 pub type PageId = u64;
 
-/// Device timing parameters (DECstation-era defaults).
-#[derive(Clone, Copy, Debug)]
-pub struct DiskParams {
-    /// Transfer time for a sequentially-next page, in seconds.
-    pub seq_s: f64,
-    /// Seek + rotation + transfer for a random page, in seconds.
-    pub rand_s: f64,
-    /// Fraction of `rand_s` charged per page of an elevator-ordered batch —
-    /// the discount a large assembly window earns by sweeping the arm in
-    /// one direction.
-    pub elevator_factor: f64,
-    /// Page size in bytes (used by layout computations elsewhere).
-    pub page_bytes: u32,
-}
+// The paper's DECstation, the one device every cost estimate and every
+// simulated read is priced on.
 
-impl Default for DiskParams {
-    /// Era-appropriate constants: 4 KB pages, 2 ms sequential transfer,
-    /// 20 ms random access, elevator sweeps at 55% of random cost.
-    fn default() -> Self {
-        DiskParams {
-            seq_s: 0.002,
-            rand_s: 0.020,
-            elevator_factor: 0.55,
-            page_bytes: 4096,
-        }
-    }
-}
+/// Page size in bytes: the unit of the store's layout, the buffer pool and
+/// spill accounting.
+pub const PAGE_BYTES: u32 = 4096;
+/// Transfer time for a sequentially-next page, in seconds.
+pub const SEQ_S: f64 = 0.002;
+/// Seek + rotation + transfer for a random page, in seconds.
+pub const RAND_S: f64 = 0.020;
+/// Fraction of [`RAND_S`] charged per page of an elevator-ordered batch —
+/// the discount a large assembly window earns by sweeping the arm in one
+/// direction.
+pub const ELEVATOR_FACTOR: f64 = 0.55;
 
 /// Cumulative I/O statistics.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -70,53 +57,20 @@ impl DiskStats {
     pub fn spill_pages(&self) -> u64 {
         self.spill_writes + self.spill_reads
     }
-
-    /// Counters accumulated since `base` was captured (for per-run
-    /// attribution on a reused disk/executor).
-    pub fn delta(&self, base: &DiskStats) -> DiskStats {
-        DiskStats {
-            seq_reads: self.seq_reads - base.seq_reads,
-            rand_reads: self.rand_reads - base.rand_reads,
-            elevator_reads: self.elevator_reads - base.elevator_reads,
-            spill_writes: self.spill_writes - base.spill_writes,
-            spill_reads: self.spill_reads - base.spill_reads,
-            total_s: self.total_s - base.total_s,
-        }
-    }
 }
 
-/// The simulated disk.
-#[derive(Clone, Debug)]
+/// The simulated disk: a fresh one has read nothing and its arm is
+/// nowhere.
+#[derive(Clone, Debug, Default)]
 pub struct Disk {
-    params: DiskParams,
     head: Option<PageId>,
     stats: DiskStats,
 }
 
 impl Disk {
-    /// Creates a disk with the given parameters.
-    pub fn new(params: DiskParams) -> Self {
-        Disk {
-            params,
-            head: None,
-            stats: DiskStats::default(),
-        }
-    }
-
-    /// The device parameters.
-    pub fn params(&self) -> DiskParams {
-        self.params
-    }
-
     /// Statistics so far.
     pub fn stats(&self) -> DiskStats {
         self.stats
-    }
-
-    /// Clears statistics and head position.
-    pub fn reset(&mut self) {
-        self.head = None;
-        self.stats = DiskStats::default();
     }
 
     /// Reads one page. Sequential if it directly follows the previous read;
@@ -125,10 +79,10 @@ impl Disk {
         let sequential = matches!(self.head, Some(h) if page == h + 1);
         if sequential {
             self.stats.seq_reads += 1;
-            self.stats.total_s += self.params.seq_s;
+            self.stats.total_s += SEQ_S;
         } else {
             self.stats.rand_reads += 1;
-            self.stats.total_s += self.params.rand_s;
+            self.stats.total_s += RAND_S;
         }
         self.head = Some(page);
     }
@@ -148,11 +102,11 @@ impl Disk {
             match prev {
                 Some(q) if p == q + 1 => {
                     self.stats.seq_reads += 1;
-                    self.stats.total_s += self.params.seq_s;
+                    self.stats.total_s += SEQ_S;
                 }
                 _ => {
                     self.stats.elevator_reads += 1;
-                    self.stats.total_s += self.params.rand_s * self.params.elevator_factor;
+                    self.stats.total_s += RAND_S * ELEVATOR_FACTOR;
                 }
             }
             prev = Some(p);
@@ -168,7 +122,7 @@ impl Disk {
     /// write-then-reread formula for an overflowing hash join.
     pub fn spill_write(&mut self, pages: u64) {
         self.stats.spill_writes += pages;
-        self.stats.total_s += pages as f64 * self.params.seq_s;
+        self.stats.total_s += pages as f64 * SEQ_S;
         self.head = None;
     }
 
@@ -176,7 +130,7 @@ impl Disk {
     /// rate; the arm ends off the base data.
     pub fn spill_read(&mut self, pages: u64) {
         self.stats.spill_reads += pages;
-        self.stats.total_s += pages as f64 * self.params.seq_s;
+        self.stats.total_s += pages as f64 * SEQ_S;
         self.head = None;
     }
 }
@@ -186,7 +140,7 @@ mod tests {
     use super::*;
 
     fn disk() -> Disk {
-        Disk::new(DiskParams::default())
+        Disk::default()
     }
 
     #[test]
@@ -268,15 +222,5 @@ mod tests {
             2,
             "spilling moved the arm; page 8 is no longer sequential"
         );
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut d = disk();
-        d.read(1);
-        d.reset();
-        assert_eq!(d.stats(), DiskStats::default());
-        d.read(2);
-        assert_eq!(d.stats().rand_reads, 1, "head forgotten after reset");
     }
 }

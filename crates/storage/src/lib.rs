@@ -10,7 +10,9 @@
 //!
 //! Components:
 //!
-//! * [`disk`] — [`disk::Disk`]: simulated disk with seek accounting.
+//! * [`disk`] — [`disk::Disk`]: simulated disk with seek accounting, and
+//!   the one description of the paper's device ([`PAGE_BYTES`], [`SEQ_S`],
+//!   [`RAND_S`], [`ELEVATOR_FACTOR`]) that the cost model repeats.
 //! * [`buffer`] — [`buffer::BufferPool`]: LRU page cache;
 //!   [`buffer::Io`] bundles pool + disk into the single I/O facade the
 //!   executor charges against.
@@ -32,7 +34,7 @@ pub mod store;
 
 pub use buffer::{BufferPool, Io};
 pub use datagen::{generate_paper_db, GenConfig};
-pub use disk::{Disk, DiskParams, DiskStats, PageId};
+pub use disk::{Disk, DiskStats, PageId, ELEVATOR_FACTOR, PAGE_BYTES, RAND_S, SEQ_S};
 pub use index::{BuiltIndex, OrdValue};
 /// Fault-injection types, re-exported so storage users reach the injector
 /// without a separate dependency.

@@ -14,7 +14,7 @@
 //! form an object has from [`Store::insert_columns`] to the write-ahead
 //! log ([`Store::columns_of`]).
 
-use crate::disk::PageId;
+use crate::disk::{PageId, PAGE_BYTES};
 use crate::index::BuiltIndex;
 use oodb_object::{Catalog, CollectionId, FieldId, IndexId, Oid, Schema, TypeId, Value};
 use std::sync::Arc;
@@ -239,7 +239,7 @@ impl Store {
             by_slot.iter().all(|c| c.len() == population),
             "every column holds the whole population"
         );
-        let per_page = (4096 / obj_bytes.max(1)).max(1);
+        let per_page = (PAGE_BYTES / obj_bytes.max(1)).max(1);
         let pages = (population as u64).div_ceil(per_page as u64);
         self.regions[ty.index()] = Some(Region {
             first_page: self.next_page,
@@ -591,7 +591,7 @@ mod tests {
     #[test]
     fn dense_packing_page_math() {
         let (store, t, _) = tiny();
-        // 4096/400 = 10 objects per page.
+        // PAGE_BYTES / 400 = 10 objects per page.
         assert_eq!(store.page_of(Oid::new(t, 0)), 0);
         assert_eq!(store.page_of(Oid::new(t, 9)), 0);
         assert_eq!(store.page_of(Oid::new(t, 10)), 1);

@@ -62,7 +62,7 @@ done
 # is gone from release builds), counted the way scripts/loc.sh counts
 # lines (up to a file's first `#[cfg(test)]`, comment lines aside). The
 # number only goes down: lower it here when a PR removes a site.
-panic_sites=50
+panic_sites=48
 echo "==> panic sites do not rise above $panic_sites"
 found=$(find crates/*/src -name '*.rs' ! -name tests.rs ! -path 'crates/bench/*' -print0 |
     xargs -0 awk 'FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
@@ -76,7 +76,7 @@ found=$(find crates/*/src -name '*.rs' ! -name tests.rs ! -path 'crates/bench/*'
 # grows past the largest one recorded here, crates/exec/src/engine.rs.
 # Split a file rather than raise the number; lower it when the largest
 # shrinks.
-largest_file=857
+largest_file=770
 echo "==> no source file above $largest_file non-test lines"
 over=$(find crates/*/src -name '*.rs' ! -name tests.rs -print0 |
     xargs -0 awk -v max="$largest_file" '

@@ -204,6 +204,19 @@ fn audit_query(src: &str, label: &str) -> usize {
     report.plans.len()
 }
 
+/// The cost model and the simulated disk describe one device: observed
+/// cost is only comparable with the estimate while the model's page size
+/// and per-page times are the ones the executor's reads are charged at.
+#[test]
+fn cost_model_and_simulated_disk_share_the_device() {
+    use open_oodb::storage::{ELEVATOR_FACTOR, PAGE_BYTES, RAND_S, SEQ_S};
+    let p = CostParams::default();
+    assert_eq!(p.page_bytes, PAGE_BYTES);
+    assert_eq!(p.seq_s, SEQ_S);
+    assert_eq!(p.rand_s, RAND_S);
+    assert_eq!(p.elevator_factor, ELEVATOR_FACTOR);
+}
+
 /// Query 1 (Figure 1): employees × departments with a three-way
 /// conjunction and a projection root.
 #[test]

@@ -244,8 +244,8 @@ fn root_consumer_runs_on_the_calling_thread_in_produced_order() {
     for plan in [join, project] {
         let lines = Rc::new(RefCell::new(Vec::new()));
         let sink = Rc::clone(&lines);
-        let mut ex = Executor::new(&f.store, &env);
-        ex.try_run_rows(&plan, false, &mut |row| {
+        let ex = Executor::new(&f.store, &env, RunLimits::default());
+        let (outcome, stats) = ex.try_run_rows(&plan, false, &mut |row| {
             sink.borrow_mut().push(match row {
                 RootRow::Cells(cells) => format!("{cells:?}"),
                 RootRow::Bound(cols, oids) => {
@@ -253,8 +253,8 @@ fn root_consumer_runs_on_the_calling_thread_in_produced_order() {
                     format!("{:?} {:?}", oids[at(p)], oids[at(g)])
                 }
             })
-        })
-        .expect("runs");
+        });
+        outcome.expect("runs");
         let want: Vec<String> = match run(&f, &env, &plan).0 {
             ExecResult::Rows(rows) => rows.iter().map(|r| format!("{r:?}")).collect(),
             ExecResult::Tuples(ts) => ts
@@ -264,7 +264,7 @@ fn root_consumer_runs_on_the_calling_thread_in_produced_order() {
         };
         assert_eq!(want.len(), 4097);
         assert_eq!(*lines.borrow(), want);
-        assert_eq!(ex.stats().root_rows, 4097);
+        assert_eq!(stats.root_rows, 4097);
     }
 }
 
@@ -320,17 +320,18 @@ fn row_budget_trips_between_two_batches_of_one_pipeline() {
     );
     // Each probe batch costs 1024 scanned + 1024 joined tuples.
     let budget = u64::from(GROUPS) + 3 * BATCH;
-    let mut ex = Executor::new(&f.store, &env);
-    ex.set_limits(RunLimits {
-        row_budget: Some(budget),
-        ..Default::default()
-    });
-    assert_eq!(
-        ex.try_run(&join).unwrap_err(),
-        ExecError::RowBudgetExceeded { budget }
+    let ex = Executor::new(
+        &f.store,
+        &env,
+        RunLimits {
+            row_budget: Some(budget),
+            ..Default::default()
+        },
     );
-    assert_eq!(ex.stats().leaf_rows, u64::from(GROUPS) + 2 * BATCH);
-    assert_eq!(ex.stats().counts.hash_ops, u64::from(GROUPS) + 2 * BATCH);
+    let (run, stats) = ex.try_run(&join, false);
+    assert_eq!(run.unwrap_err(), ExecError::RowBudgetExceeded { budget });
+    assert_eq!(stats.leaf_rows, u64::from(GROUPS) + 2 * BATCH);
+    assert_eq!(stats.counts.hash_ops, u64::from(GROUPS) + 2 * BATCH);
 }
 
 /// Injected read latency makes a batch take longer than the deadline, so
@@ -349,17 +350,18 @@ fn deadline_trips_between_two_batches_of_one_pipeline() {
     let pred = qb.cmp_const(p, f.k, CmpOp::Ge, Value::Int(0));
     let env = qb.into_env();
     let filter = plan(PhysicalOp::Filter { pred }, vec![scan(f.ps, p)]);
-    let mut ex = Executor::new(&f.store, &env);
-    ex.set_limits(RunLimits {
-        deadline: Some(Instant::now() + Duration::from_millis(250)),
-        ..Default::default()
-    });
-    assert_eq!(
-        ex.try_run(&filter).unwrap_err(),
-        ExecError::DeadlineExceeded
+    let ex = Executor::new(
+        &f.store,
+        &env,
+        RunLimits {
+            deadline: Some(Instant::now() + Duration::from_millis(250)),
+            ..Default::default()
+        },
     );
-    assert_eq!(ex.stats().leaf_rows, BATCH, "stopped after the first batch");
-    assert_eq!(ex.stats().counts.preds, BATCH);
+    let (run, stats) = ex.try_run(&filter, false);
+    assert_eq!(run.unwrap_err(), ExecError::DeadlineExceeded);
+    assert_eq!(stats.leaf_rows, BATCH, "stopped after the first batch");
+    assert_eq!(stats.counts.preds, BATCH);
 }
 
 /// A token cancelled once the run is under way (the watcher waits for the
@@ -376,22 +378,25 @@ fn cancellation_trips_between_two_batches_of_one_pipeline() {
     let (_, p) = qb.get(f.ps, "p");
     let env = qb.into_env();
     let cancel = CancelToken::new();
-    let mut ex = Executor::new(&f.store, &env);
-    ex.set_limits(RunLimits {
-        cancel: Some(cancel.clone()),
-        ..Default::default()
-    });
-    let err = std::thread::scope(|s| {
+    let ex = Executor::new(
+        &f.store,
+        &env,
+        RunLimits {
+            cancel: Some(cancel.clone()),
+            ..Default::default()
+        },
+    );
+    let (run, stats) = std::thread::scope(|s| {
         s.spawn(|| {
             while injector.stats().latency_events < 8 {
                 std::thread::yield_now();
             }
             cancel.cancel();
         });
-        ex.try_run(&scan(f.ps, p)).unwrap_err()
+        ex.try_run(&scan(f.ps, p), false)
     });
-    assert_eq!(err, ExecError::Cancelled);
-    let read = ex.stats().leaf_rows;
+    assert_eq!(run.unwrap_err(), ExecError::Cancelled);
+    let read = stats.leaf_rows;
     assert!(
         (BATCH..4097).contains(&read),
         "stopped mid-scan, at {read} rows"

@@ -706,3 +706,44 @@ fn service_inflight_cap_sheds_across_connections() {
     drop(c);
     server.shutdown();
 }
+
+/// Tenant names come off the wire, so the registry is bounded: past
+/// `MAX_TENANTS` a request naming a new tenant is shed like a `/prepare`
+/// into a full registry — 429 with `Retry-After` — and adds no series,
+/// while known tenants and the default one are still served.
+#[test]
+fn a_new_tenant_past_the_bound_maps_to_429_with_retry_after() {
+    use open_oodb::server::tenant::MAX_TENANTS;
+    let server = start(ServerConfig::default());
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let mut query = |tenant: Option<&str>| {
+        let opts = open_oodb::server::RequestOptions {
+            tenant,
+            ..Default::default()
+        };
+        c.query(QUERIES[1], opts)
+    };
+    for i in 0..MAX_TENANTS {
+        query(Some(&format!("tenant-{i}"))).expect("a tenant under the bound");
+    }
+    match query(Some("one-too-many")) {
+        Err(ClientError::Service {
+            status: 429,
+            error,
+            retry_after_s,
+        }) => {
+            let reason = ShedReason::QueueFull;
+            assert_eq!(error, ServiceError::Overloaded { reason });
+            assert!(retry_after_s.unwrap_or(0) >= 1, "429 carries Retry-After");
+        }
+        other => panic!("a full tenant registry sheds: {other:?}"),
+    }
+    query(Some("tenant-0")).expect("a known tenant is served");
+    query(None).expect("the default tenant is served");
+    assert!(!c.metrics().unwrap().contains("one-too-many"));
+    let stats = c.stats().unwrap();
+    let tenants = stats.get("tenants").unwrap().as_arr().unwrap();
+    assert_eq!(tenants.len(), MAX_TENANTS + 1, "the bound plus the default");
+    drop(c);
+    server.shutdown();
+}

@@ -62,7 +62,7 @@ fn ablated_configs_verify_clean() {
 use oodb_algebra::{
     LogicalOp, LogicalPlan, Operand, PhysProps, PhysicalOp, PhysicalPlan, PredId, SortSpec, VarId,
 };
-use oodb_core::verify::{lint_logical, verify_physical, Diagnostic};
+use oodb_core::verify::{checks, lint_logical, verify_physical, Diagnostic};
 use oodb_object::{CollectionId, IndexId};
 
 /// Every mutant's diagnostics, one `Display` line each behind its label.
@@ -539,5 +539,41 @@ fn verifier_mutation_golden() {
         got.lines().count(),
         want.lines().count(),
         differing.join("\n")
+    );
+}
+
+/// A variable id past the 64 a `VarSet` holds dangles like any other: the
+/// verifier names it instead of overflowing a shift (or, in a release
+/// build, reading it as `v0`).
+#[test]
+fn a_variable_past_the_varset_is_dangling_not_a_panic() {
+    let m = paper_model();
+    let q = queries::query2(&m);
+    let opt = OpenOodb::with_config(&q.env, OptimizerConfig::all_rules());
+    let winner = opt
+        .optimize(&q.plan, q.result_vars)
+        .expect("query2 plans")
+        .plan;
+    let mut ps = Vec::new();
+    paths(&winner, &mut Vec::new(), &mut ps);
+    let scan = ps
+        .iter()
+        .find(|p| matches!(node(&winner, p).op, PhysicalOp::IndexScan { .. }))
+        .expect("Query 2's winner scans an index");
+    let mutant = mutate(&winner, scan, |n| {
+        if let PhysicalOp::IndexScan { var, .. } = &mut n.op {
+            *var = VarId::from_index(64);
+        }
+    });
+    let required = PhysProps {
+        in_memory: opt.model().objify(q.result_vars),
+        order: None,
+    };
+    let diags = verify_physical(&q.env, &mutant, required);
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.check == checks::DANGLING_VAR && d.actual.contains("v64")),
+        "{diags:?}"
     );
 }
