@@ -20,9 +20,9 @@
 //!   miss, and the stale entries age out of the LRU. Nothing walks the
 //!   cache. A refresh that collects the histograms the catalog already
 //!   holds keeps the epoch, so every entry stays servable.
-//! * **Sharding** — N independent `std::sync::Mutex` shards selected by
-//!   fingerprint, so concurrent workers rarely contend on one lock. No
-//!   external dependencies.
+//! * **Sharding** — an evict-LRU [`BoundedMap`] whose shards are selected
+//!   by fingerprint, so concurrent workers rarely contend on one lock,
+//!   and whose per-shard shares sum to exactly the capacity.
 //! * **Self-contained entries** — a cached [`PhysicalPlan`]'s `PredId` /
 //!   `VarId` values are indices into the [`QueryEnv`] that existed when it
 //!   was optimized; a fresh parse of the same text may intern differently.
@@ -35,9 +35,9 @@
 
 use crate::cost::Cost;
 use oodb_algebra::{PhysicalPlan, QueryEnv, QueryFingerprint, VarSet};
-use std::collections::HashMap;
+use oodb_sync::BoundedMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// Full cache key: everything that must match for a cached plan to be
 /// valid for a lookup.
@@ -166,30 +166,12 @@ impl CacheStats {
     }
 }
 
-struct Shard {
-    map: HashMap<CacheKey, Slot>,
-    capacity: usize,
-    /// Approximate resident bytes in this shard.
-    bytes: usize,
-    /// Byte budget for this shard; eviction runs until under it.
-    max_bytes: usize,
-}
-
-struct Slot {
-    entry: Arc<CachedPlan>,
-    last_used: u64,
-    /// `entry.approx_bytes()`, captured at insert so eviction accounting
-    /// never recomputes.
-    bytes: usize,
-}
-
 /// The sharded LRU plan cache. Cheap to share: clone an `Arc<PlanCache>`.
+#[derive(Debug)]
 pub struct PlanCache {
-    shards: Vec<Mutex<Shard>>,
-    tick: AtomicU64,
+    map: BoundedMap<CacheKey, Arc<CachedPlan>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    evictions: AtomicU64,
     /// Highest statistics epoch this cache has ever observed (from lookup
     /// keys and [`PlanCache::note_epoch`]). Inserts under an older epoch
     /// are refused: such entries could only ever miss, and would pin a
@@ -197,21 +179,6 @@ pub struct PlanCache {
     latest_epoch: AtomicU64,
     stale_rejects: AtomicU64,
     verify_rejects: AtomicU64,
-}
-
-impl std::fmt::Debug for PlanCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlanCache")
-            .field("shards", &self.shards.len())
-            .field("stats", &self.stats())
-            .finish()
-    }
-}
-
-impl Default for PlanCache {
-    fn default() -> Self {
-        PlanCache::new(1024, 8)
-    }
 }
 
 impl PlanCache {
@@ -222,8 +189,8 @@ impl PlanCache {
     pub const DEFAULT_BYTE_CAP: usize = 16 << 20;
 
     /// A cache holding at most `capacity` entries across `shards` shards
-    /// (both floored at 1; per-shard capacity is the ceiling division),
-    /// with the default [`PlanCache::DEFAULT_BYTE_CAP`] byte budget.
+    /// (an evict-LRU [`BoundedMap`]), with the default
+    /// [`PlanCache::DEFAULT_BYTE_CAP`] byte budget.
     pub fn new(capacity: usize, shards: usize) -> Self {
         PlanCache::with_byte_cap(capacity, shards, PlanCache::DEFAULT_BYTE_CAP)
     }
@@ -233,34 +200,16 @@ impl PlanCache {
     /// binds first — entry count or approximate bytes — drives LRU
     /// eviction.
     pub fn with_byte_cap(capacity: usize, shards: usize, max_bytes: usize) -> Self {
-        let shards = shards.max(1);
-        let per_shard = capacity.max(1).div_ceil(shards);
-        let bytes_per_shard = max_bytes.max(1).div_ceil(shards);
         PlanCache {
-            shards: (0..shards)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        map: HashMap::new(),
-                        capacity: per_shard,
-                        bytes: 0,
-                        max_bytes: bytes_per_shard,
-                    })
-                })
-                .collect(),
-            tick: AtomicU64::new(0),
+            // Fingerprints are FNV-hashed already; low bits are well mixed.
+            map: BoundedMap::evict_lru(capacity, shards, |k: &CacheKey| k.fingerprint)
+                .with_weight_cap(max_bytes, |e| e.approx_bytes()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             latest_epoch: AtomicU64::new(0),
             stale_rejects: AtomicU64::new(0),
             verify_rejects: AtomicU64::new(0),
         }
-    }
-
-    /// Locks the shard `key` maps to.
-    fn shard(&self, key: &CacheKey) -> MutexGuard<'_, Shard> {
-        // Fingerprints are FNV-hashed already; low bits are well mixed.
-        lock(&self.shards[(key.fingerprint as usize) % self.shards.len()])
     }
 
     /// Looks up an entry. `structural` is the full canonical key of the
@@ -269,15 +218,9 @@ impl PlanCache {
     pub fn get(&self, key: &CacheKey, structural: &str) -> Option<Arc<CachedPlan>> {
         self.latest_epoch
             .fetch_max(key.stats_epoch, Ordering::Relaxed);
-        let mut shard = self.shard(key);
-        let found = match shard.map.get_mut(key) {
-            Some(slot) if slot.entry.structural == structural => {
-                slot.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                Some(Arc::clone(&slot.entry))
-            }
-            _ => None,
-        };
-        drop(shard);
+        let found = self
+            .map
+            .get(key, |e| (e.structural == structural).then(|| Arc::clone(e)));
         match &found {
             Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
             None => self.misses.fetch_add(1, Ordering::Relaxed),
@@ -294,7 +237,8 @@ impl PlanCache {
     }
 
     /// Inserts (or replaces) an entry, evicting least-recently-used slots
-    /// of the shard while it is over its entry or byte limit. Returns
+    /// of the shard while it is over its entry or byte limit (a single
+    /// entry over the whole shard budget still lands alone). Returns
     /// `false` (and counts the rejection) when the entry is refused:
     ///
     /// * its `stats_epoch` is older than the newest epoch the cache has
@@ -313,42 +257,7 @@ impl PlanCache {
             self.verify_rejects.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
-        let entry_bytes = entry.approx_bytes();
-        let mut shard = self.shard(&key);
-        // Replacement first, so the old entry's bytes don't count against
-        // the budget its successor is admitted under.
-        if let Some(old) = shard.map.remove(&key) {
-            shard.bytes -= old.bytes;
-        }
-        // Evict LRU victims until both limits admit the new entry. A
-        // single entry larger than the whole shard budget still lands
-        // (floor of one resident entry, matching the entry-count floor).
-        while !shard.map.is_empty()
-            && (shard.map.len() >= shard.capacity || shard.bytes + entry_bytes > shard.max_bytes)
-        {
-            if let Some(victim) = shard
-                .map
-                .iter()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(k, _)| *k)
-            {
-                if let Some(gone) = shard.map.remove(&victim) {
-                    shard.bytes -= gone.bytes;
-                }
-                self.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        shard.bytes += entry_bytes;
-        shard.map.insert(
-            key,
-            Slot {
-                entry,
-                last_used: tick,
-                bytes: entry_bytes,
-            },
-        );
-        true
+        self.map.insert(key, entry)
     }
 
     /// Removes one entry — the feedback ladder's *suspect eviction*: a
@@ -356,37 +265,27 @@ impl PlanCache {
     /// served immediately, not age out of the LRU. Returns `true` when an
     /// entry was resident under the key.
     pub fn remove(&self, key: &CacheKey) -> bool {
-        let mut shard = self.shard(key);
-        if let Some(gone) = shard.map.remove(key) {
-            shard.bytes -= gone.bytes;
-            true
-        } else {
-            false
-        }
+        self.map.remove(key)
     }
 
     /// Drops every entry (counters are preserved).
     pub fn clear(&self) {
-        for shard in &self.shards {
-            let mut shard = lock(shard);
-            shard.map.clear();
-            shard.bytes = 0;
-        }
+        self.map.clear();
     }
 
     /// Resident entry count.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).map.len()).sum()
+        self.map.len()
     }
 
     /// True when no entries are resident.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.map.is_empty()
     }
 
     /// Approximate resident bytes across all shards.
     pub fn resident_bytes(&self) -> usize {
-        self.shards.iter().map(|s| lock(s).bytes).sum()
+        self.map.weight()
     }
 
     /// Counter snapshot.
@@ -394,20 +293,13 @@ impl PlanCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
+            evictions: self.map.evictions(),
             stale_rejects: self.stale_rejects.load(Ordering::Relaxed),
             verify_rejects: self.verify_rejects.load(Ordering::Relaxed),
             entries: self.len(),
             bytes: self.resident_bytes(),
         }
     }
-}
-
-/// Locks a shard. A holder that panicked leaves at worst a byte ledger a
-/// slot off, never a torn entry, so a poisoned shard keeps serving — the
-/// discipline of the other sharded stores.
-fn lock(shard: &Mutex<Shard>) -> MutexGuard<'_, Shard> {
-    shard.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Static verification of an entry against its own captured environment.
@@ -619,17 +511,35 @@ mod tests {
         let cache = PlanCache::new(16, 1);
         assert!(cache.insert(key(1, 0), dummy_entry("a")));
         let held = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _shard = lock(&cache.shards[0]);
-            panic!("a holder of the shard lock panics");
+            cache.map.get(&key(1, 0), |_| -> Option<()> {
+                panic!("a holder of the shard lock panics")
+            })
         }));
         assert!(held.is_err());
-        assert!(cache.shards[0].is_poisoned());
         assert!(cache.get(&key(1, 0), "a").is_some());
         assert!(cache.insert(key(2, 0), dummy_entry("b")));
         assert_eq!(cache.len(), 2);
         let s = cache.stats();
         assert_eq!((s.hits, s.entries), (1, 2));
         assert!(s.bytes > 0);
+    }
+
+    /// More distinct keys than the capacity never leave more than the
+    /// capacity resident, however it divides over the shards.
+    #[test]
+    fn resident_entries_never_exceed_the_capacity() {
+        let entry = dummy_entry("q");
+        for (capacity, shards) in [(10, 4), (2, 8)] {
+            let cache = PlanCache::new(capacity, shards);
+            for fp in 0..1_000 {
+                assert!(cache.insert(key(fp, 0), Arc::clone(&entry)));
+            }
+            let entries = cache.stats().entries;
+            assert!(
+                entries <= capacity,
+                "({capacity}, {shards}) holds {entries}"
+            );
+        }
     }
 
     #[test]

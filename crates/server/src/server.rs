@@ -16,11 +16,12 @@ use crate::json::{self, Json};
 use crate::tenant::TenantRegistry;
 use oodb_fault::CancelToken;
 use oodb_service::{AdmissionConfig, QueryService, ServiceError, ShedReason, SubmitOptions};
+use oodb_sync::lock;
 use oodb_telemetry::metrics::{Counter, Gauge};
 use std::fmt::Write as _;
 use std::io::{self, BufReader};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -77,10 +78,6 @@ struct Shared {
     m: ServerMetrics,
     shutdown: CancelToken,
     started: Instant,
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A running server. Dropping it without [`Server::shutdown`] aborts

@@ -21,9 +21,10 @@
 //!   [`Permit::settle`] (a panic unwound through it) counts as a failure.
 
 use crate::ServiceError;
+use oodb_sync::lock;
 use oodb_telemetry::{Counter, Gauge};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Why an overloaded service refused a submission without running it.
@@ -113,16 +114,12 @@ pub struct GateMetrics {
     pub open: Gauge,
 }
 
+/// Locked poison-recovering ([`lock`]): it is valid after every single
+/// store, and [`Permit`]'s `Drop` must not panic while another unwinds.
 #[derive(Debug, Default)]
 struct Breaker {
     consecutive_failures: u32,
     open_until: Option<Instant>,
-}
-
-/// Poison-recovering lock: the breaker is valid after every single store,
-/// and [`Permit`]'s `Drop` must not panic while another panic unwinds.
-fn lock(m: &Mutex<Breaker>) -> MutexGuard<'_, Breaker> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// See the module documentation for the policy.

@@ -13,7 +13,7 @@ use oodb_wal::{
     CheckpointStats, FlushPolicy, RecoverError, RecoveryReport, SessionError, WalRecord, WalSession,
 };
 use std::path::Path;
-use std::sync::{MutexGuard, PoisonError};
+use std::sync::MutexGuard;
 
 impl QueryService {
     /// Publishes a new snapshot: the current one with `change` applied.
@@ -108,10 +108,7 @@ impl QueryService {
     }
 
     pub(crate) fn durability_lock(&self) -> MutexGuard<'_, Option<WalSession>> {
-        self.inner
-            .durability
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+        oodb_sync::lock(&self.inner.durability)
     }
 
     /// Rebuilds a service from a durability directory — checkpoint, then

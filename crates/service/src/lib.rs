@@ -46,13 +46,13 @@ use oodb_core::plancache::PlanCache;
 use oodb_core::{CostParams, FeedbackEntry, FeedbackStats, FeedbackStore, OptimizerConfig};
 use oodb_fault::FaultInjector;
 use oodb_storage::{MemoryGovernor, Store};
-use oodb_sync::Snap;
+use oodb_sync::{BoundedMap, Snap};
 use oodb_telemetry::{Counter, MetricsRegistry, OpTrace};
 use oodb_wal::WalSession;
 pub use oodb_wal::{
     CheckpointStats, FlushPolicy, RecoverError, RecoveryReport, SessionError, WalRecord,
 };
-use std::collections::BTreeMap;
+pub use prepared::MAX_PREPARED;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -280,10 +280,9 @@ struct Inner {
     /// Exact text → fingerprint, stamped; as many entries as the plan
     /// cache holds.
     memo: TextMemo,
-    /// Prepared-statement registry, keyed by canonical fingerprint hash.
-    /// Reads (the execute hot path) are lock-free snapshot loads; only
-    /// `prepare` of a *new* statement pays the copy-on-write clone.
-    prepared: Snap<BTreeMap<u64, Arc<PreparedQuery>>>,
+    /// Prepared-statement registry, keyed by canonical fingerprint hash;
+    /// refuses a new statement past `MAX_PREPARED`.
+    prepared: BoundedMap<u64, Arc<PreparedQuery>>,
     telemetry: Arc<MetricsRegistry>,
     metrics: ServiceMetrics,
     /// The process-wide admission gate.
@@ -335,7 +334,7 @@ impl QueryService {
                 params,
                 cache: Arc::new(PlanCache::new(cache_capacity, cache_shards)),
                 memo: TextMemo::new(cache_capacity, cache_shards),
-                prepared: Snap::new(BTreeMap::new()),
+                prepared: BoundedMap::refuse_new(prepared::MAX_PREPARED, cache_shards, |&id| id),
                 telemetry,
                 metrics,
                 gate,

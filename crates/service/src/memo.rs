@@ -9,9 +9,9 @@
 //! compiles in full, as a first submission does.
 
 use oodb_algebra::fingerprint::QueryFingerprint;
-use std::collections::HashMap;
+use oodb_sync::BoundedMap;
 use std::hash::{BuildHasher, RandomState};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::Arc;
 
 /// What a compile depends on besides the text: the catalog's statistics
 /// epoch and index set. A memoized fingerprint — and a prepared
@@ -22,85 +22,48 @@ pub(crate) struct Stamp {
     pub(crate) index_set: u64,
 }
 
-struct Slot {
+struct Memoized {
     text: Box<str>,
     fp: Arc<QueryFingerprint>,
     stamp: Stamp,
-    last_used: u64,
 }
 
-#[derive(Default)]
-struct Shard {
-    /// Keyed by the text's hash; the text itself is compared on a hit, so
-    /// a collision costs a recompile, never a wrong fingerprint.
-    map: HashMap<u64, Slot>,
-    tick: u64,
-}
-
-/// Sharded like the plan cache, so concurrent submissions of different
-/// texts rarely meet on one lock; each shard evicts its least recently
-/// used entry when full.
+/// An evict-LRU [`BoundedMap`] shaped like the plan cache, keyed by the
+/// text's hash; the text itself is compared on a hit, so a collision
+/// costs a recompile, never a wrong fingerprint.
 pub(crate) struct TextMemo {
-    shards: Vec<Mutex<Shard>>,
-    per_shard: usize,
+    map: BoundedMap<u64, Memoized>,
     hasher: RandomState,
 }
 
 impl TextMemo {
     /// At most `capacity` entries in at most `shards` shards.
     pub(crate) fn new(capacity: usize, shards: usize) -> Self {
-        let capacity = capacity.max(1);
-        let shards = shards.clamp(1, capacity);
         TextMemo {
-            shards: (0..shards).map(|_| Mutex::default()).collect(),
-            per_shard: capacity / shards,
+            map: BoundedMap::evict_lru(capacity, shards, |&hash| hash),
             hasher: RandomState::new(),
         }
     }
 
-    fn shard(&self, hash: u64) -> MutexGuard<'_, Shard> {
-        let shard = &self.shards[(hash as usize) % self.shards.len()];
-        shard.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
     /// The fingerprint `text` compiled to under `stamp`, if memoized.
     pub(crate) fn get(&self, text: &str, stamp: Stamp) -> Option<Arc<QueryFingerprint>> {
-        let hash = self.hasher.hash_one(text);
-        let mut shard = self.shard(hash);
-        shard.tick += 1;
-        let tick = shard.tick;
-        let slot = shard.map.get_mut(&hash)?;
-        if *slot.text != *text || slot.stamp != stamp {
-            return None;
-        }
-        slot.last_used = tick;
-        Some(Arc::clone(&slot.fp))
+        let hit =
+            |m: &mut Memoized| (*m.text == *text && m.stamp == stamp).then(|| Arc::clone(&m.fp));
+        self.map.get(&self.hasher.hash_one(text), hit)
     }
 
     /// Memoizes (or re-stamps) what `text` just compiled to.
     pub(crate) fn insert(&self, text: &str, fp: &QueryFingerprint, stamp: Stamp) {
-        let hash = self.hasher.hash_one(text);
-        let mut shard = self.shard(hash);
-        shard.tick += 1;
-        let last_used = shard.tick;
-        if shard.map.len() >= self.per_shard && !shard.map.contains_key(&hash) {
-            let lru = shard.map.iter().min_by_key(|(_, s)| s.last_used);
-            if let Some(victim) = lru.map(|(&h, _)| h) {
-                shard.map.remove(&victim);
-            }
-        }
-        let slot = Slot {
+        let memoized = Memoized {
             text: text.into(),
             fp: Arc::new(fp.clone()),
             stamp,
-            last_used,
         };
-        shard.map.insert(hash, slot);
+        self.map.insert(self.hasher.hash_one(text), memoized);
     }
 
     /// Resident entries.
     pub(crate) fn len(&self) -> usize {
-        let len = |s: &Mutex<Shard>| s.lock().unwrap_or_else(PoisonError::into_inner).map.len();
-        self.shards.iter().map(len).sum()
+        self.map.len()
     }
 }

@@ -194,8 +194,7 @@ impl QueryService {
         m.cache_verify_rejects.store(s.verify_rejects);
         m.cache_entries.set(s.entries as i64);
         m.cache_bytes.set(s.bytes as i64);
-        m.prepared_statements
-            .set(self.inner.prepared.load().len() as i64);
+        m.prepared_statements.set(self.inner.prepared.len() as i64);
         m.feedback_overrides
             .set(self.inner.feedback.stats().overrides.min(i64::MAX as u64) as i64);
         let store = self.store();

@@ -16,8 +16,8 @@ use std::sync::Arc;
 /// admission gate and nothing frees a statement, so without a bound
 /// every distinct text would hold an environment and a plan for the life
 /// of the process; past it a *new* statement is refused like any other
-/// full queue.
-pub(crate) const MAX_PREPARED: usize = 4096;
+/// full queue (a refuse-new [`oodb_sync::BoundedMap`]).
+pub const MAX_PREPARED: usize = 4096;
 
 impl QueryService {
     /// Parse → simplify → fingerprint against `store`'s schema and
@@ -68,36 +68,21 @@ impl QueryService {
         let (mut timer, mut stages) = (StageTimer::start(), StageBreakdown::default());
         let (env, query) = self.compile(zql_src, &state.store, &mut timer, &mut stages)?;
         let id = query.fp.hash;
-        let full = ServiceError::Overloaded {
-            reason: ShedReason::QueueFull,
+        let make = || {
+            Arc::new(PreparedQuery {
+                id,
+                zql: zql_src.to_string(),
+                env,
+                query,
+                stamp: state.stamp(),
+            })
         };
-        let registry = self.inner.prepared.load();
-        if let Some(existing) = registry.get(&id) {
-            return Ok((Arc::clone(existing), false));
-        }
-        if registry.len() >= MAX_PREPARED {
-            return Err(full);
-        }
-        let stmt = Arc::new(PreparedQuery {
-            id,
-            zql: zql_src.to_string(),
-            env,
-            query,
-            stamp: state.stamp(),
-        });
-        let entry = self.inner.prepared.update(|map| {
-            // Re-checked under the writer lock: two racing prepares of
-            // one query agree on a statement, and of two new ones at the
-            // bound one is refused.
-            if let Some(existing) = map.get(&id) {
-                return (map.clone(), Ok((Arc::clone(existing), false)));
-            }
-            if map.len() >= MAX_PREPARED {
-                return (map.clone(), Err(full));
-            }
-            let mut next = map.clone();
-            next.insert(id, Arc::clone(&stmt));
-            (next, Ok((stmt, true)))
+        let entry = self
+            .inner
+            .prepared
+            .get_or_insert_with(id, make, |stmt, created| (Arc::clone(stmt), created));
+        let entry = entry.ok_or(ServiceError::Overloaded {
+            reason: ShedReason::QueueFull,
         })?;
         if entry.1 {
             self.inner.metrics.prepares.inc();
@@ -107,12 +92,17 @@ impl QueryService {
 
     /// Looks up a registered prepared statement by id.
     pub fn prepared(&self, id: u64) -> Option<Arc<PreparedQuery>> {
-        self.inner.prepared.load().get(&id).cloned()
+        self.inner.prepared.get(&id, |stmt| Some(Arc::clone(stmt)))
     }
 
     /// Every registered prepared statement, in id order.
     pub fn prepared_statements(&self) -> Vec<Arc<PreparedQuery>> {
-        self.inner.prepared.load().values().cloned().collect()
+        let mut all = Vec::new();
+        self.inner
+            .prepared
+            .for_each(|_, stmt| all.push(Arc::clone(stmt)));
+        all.sort_by_key(|stmt| stmt.id);
+        all
     }
 
     /// Executes a prepared statement by id: no parse, no simplify, no

@@ -16,7 +16,7 @@
 //! than a clone while pushes continue concurrently.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Mutex, OnceLock};
 
 /// log2 of the first chunk's capacity.
 const BASE_BITS: u32 = 6;
@@ -89,7 +89,7 @@ impl<T> AppendVec<T> {
     /// Appends `value`, returning its index. Writers serialize on an
     /// internal mutex; readers are never blocked.
     pub fn push(&self, value: T) -> usize {
-        let _guard = self.write.lock().unwrap_or_else(PoisonError::into_inner);
+        let _guard = crate::lock(&self.write);
         let i = self.len.load(Ordering::Relaxed);
         let (c, off) = locate(i);
         let chunk = self.chunks[c].get_or_init(|| {

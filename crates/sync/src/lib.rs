@@ -1,7 +1,8 @@
 //! # `oodb-sync` — contention-free shared-state primitives
 //!
 //! The multicore scaling work replaced every hot-path `RwLock` in the
-//! system with one of two structures from this crate:
+//! system with one of the first two structures from this crate; the
+//! third bounds every registry filled from wire input:
 //!
 //! * [`Snap`] — an epoch-snapshot cell in the spirit of `arc-swap`:
 //!   writers build a complete new value and swap it in under a mutex;
@@ -12,15 +13,18 @@
 //!   lock-free (three atomic loads) and returns a **stable reference**:
 //!   slots never move once published, so `&T` stays valid for the life
 //!   of the vector while concurrent pushes proceed.
+//! * [`BoundedMap`] — a sharded, capped map: the plan cache, text memo,
+//!   feedback ledger, prepared statements and tenants.
 //!
-//! Both structures recover from poisoning (a panicking writer never
-//! wedges readers), matching the panic-tolerance discipline of the
-//! service layer.
+//! All three recover from poisoning ([`lock`]): a panicking writer never
+//! wedges readers, the service layer's panic-tolerance discipline.
 
 #![forbid(unsafe_code)]
 
 pub mod append_vec;
+pub mod bounded;
 pub mod snap;
 
 pub use append_vec::AppendVec;
+pub use bounded::{lock, BoundedMap};
 pub use snap::Snap;

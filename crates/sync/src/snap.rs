@@ -21,11 +21,12 @@
 //! version with `Release` ordering so the fast path's `Acquire` load
 //! observes a fully initialized snapshot.
 
+use crate::lock;
 use std::any::Any;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 
 /// Process-wide allocator of unique cell ids (keys for the thread-local
 /// snapshot cache).
@@ -50,8 +51,7 @@ thread_local! {
 /// An atomically swappable `Arc<T>` with load-only steady-state reads.
 ///
 /// Readers call [`Snap::load`] and get a consistent snapshot; writers
-/// call [`Snap::store`] / [`Snap::swap`] / [`Snap::update`] to publish a
-/// complete replacement. There is no partial mutation: every published
+/// call [`Snap::update`] to publish a complete replacement. There is no partial mutation: every published
 /// value is a whole, internally consistent `T`, which is what makes
 /// torn reads impossible by construction.
 pub struct Snap<T: Send + Sync + 'static> {
@@ -63,15 +63,10 @@ pub struct Snap<T: Send + Sync + 'static> {
 impl<T: Send + Sync + 'static> Snap<T> {
     /// Creates a cell holding `value`.
     pub fn new(value: T) -> Self {
-        Self::from_arc(Arc::new(value))
-    }
-
-    /// Creates a cell holding an existing `Arc`.
-    pub fn from_arc(arc: Arc<T>) -> Self {
         Snap {
             id: NEXT_CELL_ID.fetch_add(1, Ordering::Relaxed),
             version: AtomicU64::new(1),
-            slow: Mutex::new(arc),
+            slow: Mutex::new(Arc::new(value)),
         }
     }
 
@@ -96,7 +91,7 @@ impl<T: Send + Sync + 'static> Snap<T> {
             // Miss: refresh under the lock. The version is re-read while
             // the lock is held (writers bump it under the same lock), so
             // the cached (version, Arc) pair is consistent.
-            let guard = self.slow.lock().unwrap_or_else(PoisonError::into_inner);
+            let guard = lock(&self.slow);
             let arc = Arc::clone(&guard);
             let v = self.version.load(Ordering::Acquire);
             drop(guard);
@@ -108,45 +103,21 @@ impl<T: Send + Sync + 'static> Snap<T> {
         })
     }
 
-    /// Publishes `value` as the new current snapshot.
-    pub fn store(&self, value: T) {
-        self.swap(Arc::new(value));
-    }
-
-    /// Publishes an existing `Arc` as the new current snapshot.
-    pub fn swap(&self, arc: Arc<T>) {
-        let mut guard = self.slow.lock().unwrap_or_else(PoisonError::into_inner);
-        *guard = arc;
-        self.version.fetch_add(1, Ordering::Release);
-    }
-
     /// Read-modify-publish: builds a replacement from the current value
     /// under the writer lock (so concurrent updates serialize and none
     /// is lost) and publishes it.
     pub fn update<R>(&self, f: impl FnOnce(&T) -> (T, R)) -> R {
-        let mut guard = self.slow.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut guard = lock(&self.slow);
         let (next, out) = f(&guard);
         *guard = Arc::new(next);
         self.version.fetch_add(1, Ordering::Release);
         out
-    }
-
-    /// The number of swaps published so far (starts at 1); useful for
-    /// tests asserting that readers observed a quiescent cell.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
     }
 }
 
 impl<T: Send + Sync + 'static + std::fmt::Debug> std::fmt::Debug for Snap<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Snap").field("value", &self.load()).finish()
-    }
-}
-
-impl<T: Send + Sync + 'static + Default> Default for Snap<T> {
-    fn default() -> Self {
-        Snap::new(T::default())
     }
 }
 
@@ -159,11 +130,11 @@ mod tests {
     fn load_sees_latest_store() {
         let s = Snap::new(1u64);
         assert_eq!(*s.load(), 1);
-        s.store(2);
+        s.update(|_| (2, ()));
         assert_eq!(*s.load(), 2);
         // Repeated loads hit the thread-local cache and stay correct.
         assert_eq!(*s.load(), 2);
-        s.swap(Arc::new(3));
+        s.update(|_| (3, ()));
         assert_eq!(*s.load(), 3);
     }
 
@@ -199,7 +170,7 @@ mod tests {
                 let mut i = 0u64;
                 while stop.load(Ordering::Relaxed) == 0 {
                     i += 1;
-                    s.store((i, i));
+                    s.update(|_| ((i, i), ()));
                 }
             })
         };

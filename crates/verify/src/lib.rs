@@ -4,8 +4,8 @@
 //! correct as rules, properties, and algorithms are added. This crate is
 //! the machine-checked notion of "a valid plan" backing that claim: a
 //! static analyzer over both logical algebra expressions and physical
-//! plans, usable as a library pass, from the CLI (`EXPLAIN VERIFY` /
-//! `\verify`), and as a debug-mode optimizer hook (`verify_search`).
+//! plans, usable as a library pass, from the CLI (`EXPLAIN VERIFY`), and
+//! as a debug-mode optimizer hook (`verify_search`).
 //!
 //! Four passes, one module each, all producing structured [`Diagnostic`]s
 //! — never panics:
