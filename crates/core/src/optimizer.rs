@@ -415,7 +415,8 @@ fn annotate_tree<T>(
         .iter()
         .map(|c| annotate_tree(model, c, parts))
         .unzip();
-    let (props, cost) = model.phys_estimate(op, &input_props);
+    let props = model.phys_props(op, &input_props);
+    let cost = model.phys_cost(op, &input_props);
     let est = PlanEst {
         out_card: props.card,
         io_s: cost.io_s,

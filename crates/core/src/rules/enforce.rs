@@ -42,15 +42,15 @@ impl<'e> Enforcer<M<'e>> for SortEnforcer {
         if !props.vars.contains(key.var) {
             return vec![];
         }
-        let card = props.card.max(1.0);
         let input = PhysProps {
             in_memory: required.in_memory.insert(key.var),
             order: None,
         };
+        let op = PhysicalOp::Sort { key };
         vec![EnforceCandidate {
-            op: PhysicalOp::Sort { key },
+            cost: model.phys_cost(&op, &[*props]),
+            op,
             input_props: input,
-            cost: crate::cost::Cost::cpu(card * card.log2().max(1.0) * model.params.cpu_tuple_s),
             delivers: PhysProps {
                 in_memory: input.in_memory,
                 order: Some(key),
@@ -75,7 +75,6 @@ impl<'e> Enforcer<M<'e>> for AssemblyEnforcer {
         required: &PhysProps,
     ) -> Vec<EnforceCandidate<M<'e>>> {
         let props = memo.props(group);
-        let card = props.card;
         let mut out = Vec::new();
         for v in required.in_memory.iter() {
             if !props.vars.contains(v) {
@@ -88,14 +87,14 @@ impl<'e> Enforcer<M<'e>> for AssemblyEnforcer {
             if field.is_some() {
                 input = input.insert(src);
             }
-            let window = model.config.assembly_window;
+            let op = PhysicalOp::Assembly {
+                targets: vec![v],
+                window: model.config.assembly_window,
+            };
             out.push(EnforceCandidate {
-                op: PhysicalOp::Assembly {
-                    targets: vec![v],
-                    window,
-                },
+                cost: model.phys_cost(&op, &[*props]),
+                op,
                 input_props: PhysProps::in_memory(input),
-                cost: model.assembly_cost(v, card, window),
                 delivers: PhysProps::in_memory(input.insert(v)),
             });
         }

@@ -31,7 +31,7 @@ impl<'e> ImplRule<M<'e>> for FileScanImpl {
             return vec![];
         };
         let op = PhysicalOp::FileScan { coll, var };
-        let (_, cost) = model.phys_estimate(&op, &[]);
+        let cost = model.phys_cost(&op, &[]);
         vec![Candidate {
             op,
             inputs: vec![],
@@ -101,7 +101,7 @@ impl<'e> ImplRule<M<'e>> for CollapseToIndexScanImpl {
             var: base,
             pred,
         };
-        let (_, cost) = model.phys_estimate(&op, &[]);
+        let cost = model.phys_cost(&op, &[]);
         vec![Candidate {
             op,
             inputs: vec![],
@@ -173,7 +173,7 @@ impl<'e> ImplRule<M<'e>> for FilterImpl {
         let child = *memo.props(expr.children[0]);
         let order = pass_order(required, child.vars);
         let op = PhysicalOp::Filter { pred };
-        let (_, cost) = model.phys_estimate(&op, &[child]);
+        let cost = model.phys_cost(&op, &[child]);
         let props = PhysProps {
             in_memory: input,
             order,
@@ -234,7 +234,7 @@ impl<'e> ImplRule<M<'e>> for HybridHashJoinImpl {
             .intersect(rp.vars)
             .union(mem.intersect(rp.vars));
         let op = PhysicalOp::HybridHashJoin { pred };
-        let (_, cost) = model.phys_estimate(&op, &[lp, rp]);
+        let cost = model.phys_cost(&op, &[lp, rp]);
         vec![Candidate {
             op,
             inputs: vec![
@@ -302,7 +302,7 @@ impl<'e> ImplRule<M<'e>> for PointerJoinImpl {
             .union(mem.intersect(lp.vars));
         let order = pass_order(required, lp.vars);
         let op = PhysicalOp::PointerJoin { pred };
-        let (_, cost) = model.phys_estimate(&op, &[lp]);
+        let cost = model.phys_cost(&op, &[lp]);
         vec![Candidate {
             op,
             inputs: vec![(
@@ -354,7 +354,7 @@ impl<'e> ImplRule<M<'e>> for AssemblyMatImpl {
             targets: vec![out],
             window,
         };
-        let (_, cost) = model.phys_estimate(&op, &[child]);
+        let cost = model.phys_cost(&op, &[child]);
         vec![Candidate {
             op,
             inputs: vec![(
@@ -424,7 +424,7 @@ impl<'e> ImplRule<M<'e>> for MergeJoinImpl {
             .intersect(rp.vars)
             .union(mem.intersect(rp.vars));
         let op = PhysicalOp::MergeJoin { pred };
-        let (_, cost) = model.phys_estimate(&op, &[lp, rp]);
+        let cost = model.phys_cost(&op, &[lp, rp]);
         let l_order = oodb_algebra::SortSpec {
             var: lkey_var,
             field: lkey_field,
@@ -495,7 +495,7 @@ impl<'e> ImplRule<M<'e>> for WarmAssemblyImpl {
         let child = *memo.props(expr.children[0]);
         let order = pass_order(required, child.vars);
         let op = PhysicalOp::WarmAssembly { target: out };
-        let (_, cost) = model.phys_estimate(&op, &[child]);
+        let cost = model.phys_cost(&op, &[child]);
         vec![Candidate {
             op,
             inputs: vec![(
@@ -538,7 +538,7 @@ impl<'e> ImplRule<M<'e>> for AlgUnnestImpl {
         let child = *memo.props(expr.children[0]);
         let order = pass_order(required, child.vars);
         let op = PhysicalOp::AlgUnnest { out };
-        let (_, cost) = model.phys_estimate(&op, &[child]);
+        let cost = model.phys_cost(&op, &[child]);
         let props = PhysProps {
             in_memory: input,
             order,
@@ -577,7 +577,7 @@ impl<'e> ImplRule<M<'e>> for AlgProjectImpl {
         let op = PhysicalOp::AlgProject {
             items: items.clone(),
         };
-        let (_, cost) = model.phys_estimate(&op, &[child]);
+        let cost = model.phys_cost(&op, &[child]);
         let props = PhysProps {
             in_memory: input,
             order,
@@ -633,7 +633,7 @@ impl<'e> ImplRule<M<'e>> for OrderedIndexScanImpl {
             var,
             pred,
         };
-        let (_, cost) = model.phys_estimate(&op, &[]);
+        let cost = model.phys_cost(&op, &[]);
         vec![Candidate {
             op,
             inputs: vec![],
@@ -665,7 +665,7 @@ impl<'e> ImplRule<M<'e>> for HashSetOpImpl {
         };
         let (lg, rg) = (expr.children[0], expr.children[1]);
         let op = PhysicalOp::HashSetOp { kind };
-        let (_, cost) = model.phys_estimate(&op, &[*memo.props(lg), *memo.props(rg)]);
+        let cost = model.phys_cost(&op, &[*memo.props(lg), *memo.props(rg)]);
         vec![Candidate {
             op,
             inputs: vec![(lg, *required), (rg, *required)],
