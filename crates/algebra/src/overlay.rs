@@ -8,17 +8,14 @@
 //! sound because the catalog they see is unchanged; only the estimates of
 //! the one re-optimization run are corrected.
 //!
-//! Predicate keys ([`pred_key`]) are stable across plan shapes and query
-//! respellings: variables are identified by their *origin chain* (the
-//! collection they scan, or the reference path that materialized them),
-//! not by [`crate::VarId`] interning order, and terms are canonicalized
-//! exactly like [`crate::fingerprint()`] does (symmetric comparisons
-//! sorted, `>`/`>=` flipped, conjuncts sorted). The key for the
-//! single-term predicate on an index scan therefore equals the key the
-//! same term gets inside a larger filter conjunction.
+//! Predicate keys ([`pred_key`]) are [`crate::fingerprint()`]'s predicate
+//! encoding with each variable named by its *origin chain* (the
+//! collection it scans, or the reference path that materialized it)
+//! instead of a plan-shape number, so they are stable across plan shapes
+//! and query respellings.
 
-use crate::fingerprint::fnv1a;
-use crate::pred::{CmpOp, Operand, Pred};
+use crate::fingerprint::{fnv1a, push_terms_key};
+use crate::pred::{Pred, Term};
 use crate::scope::{VarId, VarOrigin};
 use crate::QueryEnv;
 use std::collections::BTreeMap;
@@ -100,90 +97,57 @@ impl StatsOverlay {
 /// after optimization matches the key computed from the logical predicate
 /// before it.
 pub fn var_path(env: &QueryEnv, v: VarId) -> String {
+    let mut path = String::new();
+    push_var_path(env, v, &mut path);
+    path
+}
+
+fn push_var_path(env: &QueryEnv, v: VarId, out: &mut String) {
     match env.scopes.var(v).origin {
-        VarOrigin::Get(coll) => env.catalog.collection(coll).name.clone(),
+        VarOrigin::Get(coll) => out.push_str(&env.catalog.collection(coll).name),
         VarOrigin::Mat { src, field } => {
-            let mut p = var_path(env, src);
+            push_var_path(env, src, out);
             match field {
                 Some(f) => {
-                    p.push('.');
-                    p.push_str(&env.schema.field(f).name);
+                    out.push('.');
+                    out.push_str(&env.schema.field(f).name);
                 }
-                None => p.push_str(".*"),
+                None => out.push_str(".*"),
             }
-            p
         }
         VarOrigin::Unnest { src, field } => {
-            let mut p = var_path(env, src);
-            p.push('[');
-            p.push_str(&env.schema.field(field).name);
-            p.push(']');
-            p
+            push_var_path(env, src, out);
+            out.push('[');
+            out.push_str(&env.schema.field(field).name);
+            out.push(']');
         }
     }
 }
 
-fn operand_key(env: &QueryEnv, o: &Operand) -> String {
-    match o {
-        Operand::Const(v) => format!("c:{v:?}"),
-        Operand::Attr { var, field } => {
-            format!(
-                "a:{}.{}",
-                var_path(env, *var),
-                env.schema.field(*field).name
-            )
-        }
-        Operand::VarOid(v) => format!("o:{}", var_path(env, *v)),
-        Operand::RefField { var, field } => {
-            format!(
-                "r:{}.{}",
-                var_path(env, *var),
-                env.schema.field(*field).name
-            )
-        }
-        Operand::VarRef(v) => format!("v:{}", var_path(env, *v)),
-    }
+/// The canonical key of one comparison term: [`pred_key`] of the term
+/// alone.
+pub fn term_key(env: &QueryEnv, term: &Term) -> String {
+    terms_key(env, std::slice::from_ref(term))
 }
 
-/// The canonical key of one comparison term: operands by origin-chain
-/// path, symmetric comparators operand-sorted, `>`/`>=` rewritten as
-/// `<`/`<=` — the same normalizations [`crate::fingerprint()`] applies, so
-/// respellings of a term share a key.
-pub fn term_key(env: &QueryEnv, term: &crate::pred::Term) -> String {
-    let mut left = operand_key(env, &term.left);
-    let mut right = operand_key(env, &term.right);
-    let mut op = term.op;
-    match op {
-        CmpOp::Eq | CmpOp::Ne => {
-            if left > right {
-                std::mem::swap(&mut left, &mut right);
-            }
-        }
-        CmpOp::Gt | CmpOp::Ge => {
-            op = op.flipped();
-            std::mem::swap(&mut left, &mut right);
-        }
-        CmpOp::Lt | CmpOp::Le => {}
-    }
-    left.push_str(op.symbol());
-    left.push_str(&right);
-    left
-}
-
-/// The canonical key of a conjunction: each term's [`term_key`], sorted
-/// and `&`-joined. A single-term predicate's key equals its term key, so
-/// an index-scan residual and the same term inside a filter share one
-/// override.
+/// The canonical key of a conjunction: the fingerprint's encoding with
+/// variables named by [`var_path`]. A single-term predicate's key equals
+/// its term key, so an index-scan residual and the same term inside a
+/// filter share one override.
 pub fn pred_key(env: &QueryEnv, pred: &Pred) -> String {
-    let mut terms: Vec<String> = pred.terms.iter().map(|t| term_key(env, t)).collect();
-    terms.sort_unstable();
-    terms.join("&")
+    terms_key(env, &pred.terms)
+}
+
+fn terms_key(env: &QueryEnv, terms: &[Term]) -> String {
+    let mut key = String::new();
+    push_terms_key(env, terms, &mut key, |v, out| push_var_path(env, v, out));
+    key
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pred::{Operand, Term};
+    use crate::pred::{CmpOp, Operand};
     use crate::QueryBuilder;
     use oodb_object::paper::paper_model;
     use oodb_object::Value;
