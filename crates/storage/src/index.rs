@@ -12,40 +12,16 @@ use oodb_object::{Oid, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-/// Total-ordering wrapper over [`Value`] so values can key a `BTreeMap`.
-/// Values of different variants order by variant tag; floats use
-/// `total_cmp`. `Null` sorts first; `RefSet` cannot be a key and panics.
+/// Total-ordering wrapper over [`Value`] so values can key a `BTreeMap`:
+/// the order of [`Value::total_cmp_val`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct OrdValue(pub Value);
 
 impl Eq for OrdValue {}
 
-fn tag(v: &Value) -> u8 {
-    match v {
-        Value::Null => 0,
-        Value::Bool(_) => 1,
-        Value::Int(_) => 2,
-        Value::Float(_) => 3,
-        Value::Date(_) => 4,
-        Value::Str(_) => 5,
-        Value::Ref(_) => 6,
-        Value::RefSet(_) => panic!("RefSet cannot be an index key"),
-    }
-}
-
 impl Ord for OrdValue {
     fn cmp(&self, other: &Self) -> Ordering {
-        use Value::*;
-        match (&self.0, &other.0) {
-            (Null, Null) => Ordering::Equal,
-            (Bool(a), Bool(b)) => a.cmp(b),
-            (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.total_cmp(b),
-            (Date(a), Date(b)) => a.cmp(b),
-            (Str(a), Str(b)) => a.cmp(b),
-            (Ref(a), Ref(b)) => a.cmp(b),
-            (a, b) => tag(a).cmp(&tag(b)),
-        }
+        self.0.total_cmp_val(&other.0)
     }
 }
 
