@@ -10,14 +10,15 @@
 //! Get Cities: c
 //! ```
 //!
-//! Binary operators indent their inputs with tree connectors.
+//! Binary operators indent their inputs with tree connectors
+//! ([`oodb_telemetry::render_tree`], the layout traces use too).
 
 use crate::ops::{LogicalOp, PhysicalOp};
 use crate::plan::{LogicalPlan, PhysicalPlan};
 use crate::pred::{Operand, PredId};
 use crate::scope::{VarId, VarOrigin};
 use crate::QueryEnv;
-use std::fmt::Write as _;
+use oodb_telemetry::render_tree;
 
 /// Renders an operand (`c.mayor.name`, `"Joe"`, `d.self`).
 pub fn render_operand(env: &QueryEnv, o: &Operand) -> String {
@@ -155,70 +156,19 @@ pub fn render_physical_op(env: &QueryEnv, op: &PhysicalOp) -> String {
     }
 }
 
-fn render_tree<T>(
-    out: &mut String,
-    node: &T,
-    line: &dyn Fn(&T) -> String,
-    children: &dyn Fn(&T) -> &[T],
-    indent: &str,
-) {
-    let _ = writeln!(out, "{}", line(node));
-    let kids = children(node);
-    match kids.len() {
-        0 => {}
-        1 => {
-            let _ = writeln!(out, "{indent}|");
-            let mut sub = String::new();
-            render_tree(&mut sub, &kids[0], line, children, indent);
-            for l in sub.lines() {
-                let _ = writeln!(out, "{indent}{l}");
-            }
-        }
-        _ => {
-            for (i, k) in kids.iter().enumerate() {
-                let last = i == kids.len() - 1;
-                let (hook, pad) = if last {
-                    ("`-- ", "    ")
-                } else {
-                    ("|-- ", "|   ")
-                };
-                let mut sub = String::new();
-                render_tree(&mut sub, k, line, children, indent);
-                for (j, l) in sub.lines().enumerate() {
-                    if j == 0 {
-                        let _ = writeln!(out, "{indent}{hook}{l}");
-                    } else {
-                        let _ = writeln!(out, "{indent}{pad}{l}");
-                    }
-                }
-            }
-        }
-    }
-}
-
 /// Renders a logical plan in figure style.
 pub fn render_logical(env: &QueryEnv, plan: &LogicalPlan) -> String {
     let mut out = String::new();
-    render_tree(
-        &mut out,
-        plan,
-        &|p: &LogicalPlan| render_logical_op(env, &p.op),
-        &|p: &LogicalPlan| &p.children,
-        "",
-    );
+    let line = |p: &LogicalPlan, out: &mut String| out.push_str(&render_logical_op(env, &p.op));
+    render_tree(&mut out, plan, &line, &|p: &LogicalPlan| &p.children);
     out
 }
 
 /// Renders a physical plan in figure style.
 pub fn render_physical(env: &QueryEnv, plan: &PhysicalPlan) -> String {
     let mut out = String::new();
-    render_tree(
-        &mut out,
-        plan,
-        &|p: &PhysicalPlan| render_physical_op(env, &p.op),
-        &|p: &PhysicalPlan| &p.children,
-        "",
-    );
+    let line = |p: &PhysicalPlan, out: &mut String| out.push_str(&render_physical_op(env, &p.op));
+    render_tree(&mut out, plan, &line, &|p: &PhysicalPlan| &p.children);
     out
 }
 

@@ -27,4 +27,4 @@ pub mod trace;
 pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry, StageTimer, BUCKET_BOUNDS_NS,
 };
-pub use trace::{fmt_ns, OpTrace};
+pub use trace::{fmt_ns, render_tree, OpTrace};

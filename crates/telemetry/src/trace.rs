@@ -47,12 +47,16 @@ impl OpTrace {
         out
     }
 
-    /// Renders the annotated tree in the repo's figure style: unary chains
-    /// stack vertically with `|`, binary inputs indent with `|--`/`` `-- ``
-    /// hooks, and every line carries the measured numbers.
+    /// Renders the annotated tree in the repo's figure style
+    /// ([`render_tree`]), every line carrying the measured numbers.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        let line = |t: &OpTrace, out: &mut String| {
+            out.push_str(&t.label);
+            out.push_str("  ");
+            out.push_str(&t.annotation());
+        };
+        render_tree(&mut out, self, &line, &|t: &OpTrace| &t.children);
         out
     }
 
@@ -72,33 +76,39 @@ impl OpTrace {
         s.push(')');
         s
     }
+}
 
-    fn render_into(&self, out: &mut String) {
-        out.push_str(&self.label);
-        out.push_str("  ");
-        out.push_str(&self.annotation());
-        out.push('\n');
-        match self.children.len() {
-            0 => {}
-            1 => {
-                out.push_str("|\n");
-                self.children[0].render_into(out);
-            }
-            _ => {
-                for (i, child) in self.children.iter().enumerate() {
-                    let last = i == self.children.len() - 1;
-                    let (hook, pad) = if last {
-                        ("`-- ", "    ")
-                    } else {
-                        ("|-- ", "|   ")
-                    };
-                    let mut sub = String::new();
-                    child.render_into(&mut sub);
-                    for (j, line) in sub.lines().enumerate() {
-                        out.push_str(if j == 0 { hook } else { pad });
-                        out.push_str(line);
-                        out.push('\n');
-                    }
+/// Draws a tree in the figure style plans and traces share: a node's
+/// line, then a lone input stacked under a `|`, or several inputs each
+/// hooked with `|-- ` (the last with `` `-- ``) and their further lines
+/// padded to match.
+pub fn render_tree<T>(
+    out: &mut String,
+    node: &T,
+    line: &dyn Fn(&T, &mut String),
+    children: &dyn Fn(&T) -> &[T],
+) {
+    line(node, out);
+    out.push('\n');
+    match children(node) {
+        [] => {}
+        [only] => {
+            out.push_str("|\n");
+            render_tree(out, only, line, children);
+        }
+        kids => {
+            for (i, kid) in kids.iter().enumerate() {
+                let (hook, pad) = if i + 1 == kids.len() {
+                    ("`-- ", "    ")
+                } else {
+                    ("|-- ", "|   ")
+                };
+                let mut sub = String::new();
+                render_tree(&mut sub, kid, line, children);
+                for (j, l) in sub.lines().enumerate() {
+                    out.push_str(if j == 0 { hook } else { pad });
+                    out.push_str(l);
+                    out.push('\n');
                 }
             }
         }
