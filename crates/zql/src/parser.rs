@@ -102,6 +102,19 @@ impl Parser {
         }
     }
 
+    /// The steps of a path after its base: `.ident`, each optionally
+    /// followed by `()`.
+    fn path_steps(&mut self) -> Result<Vec<String>, ZqlError> {
+        let mut steps = Vec::new();
+        while self.eat_if(&Token::Dot) {
+            steps.push(self.ident("path step")?);
+            if self.eat_if(&Token::LParen) {
+                self.expect_token(&Token::RParen, "')'")?;
+            }
+        }
+        Ok(steps)
+    }
+
     fn query(&mut self) -> Result<AstQuery, ZqlError> {
         self.expect_kw("SELECT")?;
         let (select, new_object) = self.select_list()?;
@@ -118,13 +131,7 @@ impl Parser {
         let order_by = if self.eat_kw("ORDER") {
             self.expect_kw("BY")?;
             let base = self.ident("order-by path")?;
-            let mut steps = Vec::new();
-            while self.eat_if(&Token::Dot) {
-                steps.push(self.ident("path step")?);
-                if self.eat_if(&Token::LParen) {
-                    self.expect_token(&Token::RParen, "')'")?;
-                }
-            }
+            let steps = self.path_steps()?;
             if steps.is_empty() {
                 return Err(ZqlError::new(
                     "ORDER BY needs an attribute path (e.g. c.population())",
@@ -176,13 +183,7 @@ impl Parser {
         self.expect_kw("IN")?;
         // Source: identifier, optionally followed by a path.
         let base = self.ident("collection or path")?;
-        let mut steps = Vec::new();
-        while self.eat_if(&Token::Dot) {
-            steps.push(self.ident("path step")?);
-            if self.eat_if(&Token::LParen) {
-                self.expect_token(&Token::RParen, "')'")?;
-            }
-        }
+        let steps = self.path_steps()?;
         let source = if steps.is_empty() {
             AstSource::Collection(base)
         } else {
@@ -270,13 +271,7 @@ impl Parser {
             }
             Token::Ident(base) => {
                 self.bump();
-                let mut steps = Vec::new();
-                while self.eat_if(&Token::Dot) {
-                    steps.push(self.ident("path step")?);
-                    if self.eat_if(&Token::LParen) {
-                        self.expect_token(&Token::RParen, "')'")?;
-                    }
-                }
+                let steps = self.path_steps()?;
                 Ok(AstExpr::Path { base, steps })
             }
             other => Err(ZqlError::new(
