@@ -22,7 +22,7 @@ impl Shell {
         let store = self.svc.store();
         let (schema, catalog) = (store.schema(), store.catalog());
         match parts.next().unwrap_or("") {
-            "\\q" | "\\quit" => return false,
+            "\\q" => return false,
             "\\help" => {
                 println!(
                     "Statements: any ZQL query ending in ';' — executed and printed.\n\

@@ -132,7 +132,7 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects (with the given I/O timeout applied to reads and writes).
+    /// Connects, with a 30 s timeout on every read and write.
     pub fn connect(addr: impl ToSocketAddrs + std::fmt::Display) -> io::Result<Client> {
         let host = addr.to_string();
         let stream = TcpStream::connect(addr)?;
