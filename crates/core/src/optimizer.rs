@@ -11,7 +11,7 @@ use crate::rules::rule_set;
 use oodb_algebra::{
     LogicalPlan, LogicalProps, PhysProps, PhysicalOp, PhysicalPlan, PlanEst, QueryEnv, VarSet,
 };
-use volcano::{GroupId, Memo, Optimizer, PlanNode, RuleSet, SearchConfig, SearchStats};
+use volcano::{GroupId, Memo, OptModel, Optimizer, PlanNode, RuleSet, SearchConfig, SearchStats};
 
 /// Result of one optimization run.
 #[derive(Clone, Debug)]
@@ -415,8 +415,9 @@ fn annotate_tree<T>(
         .iter()
         .map(|c| annotate_tree(model, c, parts))
         .unzip();
+    let input_props: Vec<&LogicalProps> = input_props.iter().collect();
     let props = model.phys_props(op, &input_props);
-    let cost = model.phys_cost(op, &input_props);
+    let cost = model.cost(op, &input_props);
     let est = PlanEst {
         out_card: props.card,
         io_s: cost.io_s,

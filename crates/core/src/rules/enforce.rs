@@ -13,7 +13,7 @@
 //! components are assembled — the paper's three-orders-of-magnitude win.
 
 use crate::model::OodbModel;
-use oodb_algebra::{PhysProps, PhysicalOp, VarOrigin};
+use oodb_algebra::{PhysProps, PhysicalOp};
 use volcano::{EnforceCandidate, Enforcer, GroupId, Memo};
 
 type M<'e> = OodbModel<'e>;
@@ -30,7 +30,7 @@ impl<'e> Enforcer<M<'e>> for SortEnforcer {
 
     fn enforce(
         &self,
-        model: &M<'e>,
+        _model: &M<'e>,
         memo: &Memo<M<'e>>,
         group: GroupId,
         required: &PhysProps,
@@ -38,18 +38,15 @@ impl<'e> Enforcer<M<'e>> for SortEnforcer {
         let Some(key) = required.order else {
             return vec![];
         };
-        let props = memo.props(group);
-        if !props.vars.contains(key.var) {
+        if !memo.props(group).vars.contains(key.var) {
             return vec![];
         }
         let input = PhysProps {
             in_memory: required.in_memory.insert(key.var),
             order: None,
         };
-        let op = PhysicalOp::Sort { key };
         vec![EnforceCandidate {
-            cost: model.phys_cost(&op, &[*props]),
-            op,
+            op: PhysicalOp::Sort { key },
             input_props: input,
             delivers: PhysProps {
                 in_memory: input.in_memory,
@@ -74,30 +71,21 @@ impl<'e> Enforcer<M<'e>> for AssemblyEnforcer {
         group: GroupId,
         required: &PhysProps,
     ) -> Vec<EnforceCandidate<M<'e>>> {
-        let props = memo.props(group);
-        let mut out = Vec::new();
-        for v in required.in_memory.iter() {
-            if !props.vars.contains(v) {
-                continue; // not in scope here: nothing to enforce
-            }
-            let VarOrigin::Mat { src, field } = model.env.scopes.var(v).origin else {
-                continue; // scanned variables come from scans, not enforcers
-            };
-            let mut input = required.in_memory.remove(v);
-            if field.is_some() {
-                input = input.insert(src);
-            }
-            let op = PhysicalOp::Assembly {
-                targets: vec![v],
-                window: model.config.assembly_window,
-            };
-            out.push(EnforceCandidate {
-                cost: model.phys_cost(&op, &[*props]),
-                op,
+        let scope = memo.props(group).vars;
+        // A variable out of scope here has nothing to enforce; a scanned
+        // one comes from a scan, not an enforcer.
+        let targets = required.in_memory.iter().filter(|&v| scope.contains(v));
+        let enforce = |v| {
+            let input = model.mat_input(v, required.in_memory)?;
+            Some(EnforceCandidate {
+                op: PhysicalOp::Assembly {
+                    targets: vec![v],
+                    window: model.config.assembly_window,
+                },
                 input_props: PhysProps::in_memory(input),
                 delivers: PhysProps::in_memory(input.insert(v)),
-            });
-        }
-        out
+            })
+        };
+        targets.filter_map(enforce).collect()
     }
 }

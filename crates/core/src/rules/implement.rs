@@ -8,7 +8,7 @@
 //! memory is what routes Query 3 through the assembly enforcer.
 
 use crate::model::OodbModel;
-use oodb_algebra::{CmpOp, LogicalOp, Operand, PhysProps, PhysicalOp, VarOrigin, VarSet};
+use oodb_algebra::{CmpOp, LogicalOp, Operand, PhysProps, PhysicalOp, PredId, VarOrigin, VarSet};
 use volcano::{Candidate, Expr, ImplRule, Memo};
 
 type M<'e> = OodbModel<'e>;
@@ -22,7 +22,7 @@ impl<'e> ImplRule<M<'e>> for FileScanImpl {
     }
     fn implementations(
         &self,
-        model: &M<'e>,
+        _model: &M<'e>,
         _memo: &Memo<M<'e>>,
         expr: &Expr<M<'e>>,
         _required: &PhysProps,
@@ -30,12 +30,9 @@ impl<'e> ImplRule<M<'e>> for FileScanImpl {
         let LogicalOp::Get { coll, var } = expr.op else {
             return vec![];
         };
-        let op = PhysicalOp::FileScan { coll, var };
-        let cost = model.phys_cost(&op, &[]);
         vec![Candidate {
-            op,
+            op: PhysicalOp::FileScan { coll, var },
             inputs: vec![],
-            cost,
             delivers: PhysProps::in_memory(VarSet::single(var)),
         }]
     }
@@ -69,7 +66,6 @@ impl<'e> ImplRule<M<'e>> for CollapseToIndexScanImpl {
         };
         // Equality uses a point lookup; ordered comparisons use a B-tree
         // range scan (an extension beyond the paper's equality-only rule).
-        let _ = CmpOp::Eq; // (all operators accepted)
         let (var, field) = match (&term.left, &term.right) {
             (Operand::Attr { var, field }, Operand::Const(_))
             | (Operand::Const(_), Operand::Attr { var, field }) => (*var, *field),
@@ -78,7 +74,7 @@ impl<'e> ImplRule<M<'e>> for CollapseToIndexScanImpl {
         let Some((coll, base, links)) = model.index_path_of(var) else {
             return vec![];
         };
-        let Some((index_id, idx)) = model.env.catalog.find_index(coll, &links, field) else {
+        let Some((index, _)) = model.env.catalog.find_index(coll, &links, field) else {
             return vec![];
         };
         // The collapsed scan reproduces the *entire* group only if the
@@ -95,17 +91,13 @@ impl<'e> ImplRule<M<'e>> for CollapseToIndexScanImpl {
         if !pure_mat_chain(memo, expr.children[0], base) {
             return vec![];
         }
-        let _ = idx;
-        let op = PhysicalOp::IndexScan {
-            index: index_id,
-            var: base,
-            pred,
-        };
-        let cost = model.phys_cost(&op, &[]);
         vec![Candidate {
-            op,
+            op: PhysicalOp::IndexScan {
+                index,
+                var: base,
+                pred,
+            },
             inputs: vec![],
-            cost,
             delivers: PhysProps::in_memory(VarSet::single(base)),
         }]
     }
@@ -145,11 +137,51 @@ fn pure_mat_chain(
 
 /// Threads a required sort order down to an input that can preserve it
 /// (the order's variable must be in the input's scope).
-fn pass_order(
-    required: &PhysProps,
-    child_vars: oodb_algebra::VarSet,
-) -> Option<oodb_algebra::SortSpec> {
+fn pass_order(required: &PhysProps, child_vars: VarSet) -> Option<oodb_algebra::SortSpec> {
     required.order.filter(|o| child_vars.contains(o.var))
+}
+
+/// A one-input algorithm over the expression's first input that keeps any
+/// required order that input can keep: the input must hold `input` in
+/// memory, and `op` delivers that plus `adds`.
+fn unary<'e>(
+    op: PhysicalOp,
+    memo: &Memo<M<'e>>,
+    expr: &Expr<M<'e>>,
+    required: &PhysProps,
+    input: VarSet,
+    adds: VarSet,
+) -> Vec<Candidate<M<'e>>> {
+    let child = expr.children[0];
+    let order = pass_order(required, memo.props(child).vars);
+    vec![Candidate {
+        op,
+        inputs: vec![(
+            child,
+            PhysProps {
+                in_memory: input,
+                order,
+            },
+        )],
+        delivers: PhysProps {
+            in_memory: input.union(adds),
+            order,
+        },
+    }]
+}
+
+/// What each input of a join must hold in memory: the required variables
+/// and those the predicate reads, each on the side whose scope binds it.
+fn join_sides(
+    model: &M<'_>,
+    memo: &Memo<M<'_>>,
+    expr: &Expr<M<'_>>,
+    required: &PhysProps,
+    pred: PredId,
+) -> (VarSet, VarSet) {
+    let need = required.in_memory.union(model.pred_mem_vars(pred));
+    let side = |i: usize| need.intersect(memo.props(expr.children[i]).vars);
+    (side(0), side(1))
 }
 
 /// `Select` → `Filter` over in-memory objects.
@@ -170,20 +202,8 @@ impl<'e> ImplRule<M<'e>> for FilterImpl {
             return vec![];
         };
         let input = required.in_memory.union(model.pred_mem_vars(pred));
-        let child = *memo.props(expr.children[0]);
-        let order = pass_order(required, child.vars);
         let op = PhysicalOp::Filter { pred };
-        let cost = model.phys_cost(&op, &[child]);
-        let props = PhysProps {
-            in_memory: input,
-            order,
-        };
-        vec![Candidate {
-            op,
-            inputs: vec![(expr.children[0], props)],
-            cost,
-            delivers: props,
-        }]
+        unary(op, memo, expr, required, input, VarSet::EMPTY)
     }
 }
 
@@ -211,7 +231,6 @@ impl<'e> ImplRule<M<'e>> for HybridHashJoinImpl {
             return vec![];
         };
         let (lg, rg) = (expr.children[0], expr.children[1]);
-        let (lp, rp) = (*memo.props(lg), *memo.props(rg));
         let p = model.env.preds.pred(pred);
         // Hashing needs at least one equality term.
         let Some(eq) = p.terms.iter().find(|t| t.op == CmpOp::Eq) else {
@@ -220,28 +239,17 @@ impl<'e> ImplRule<M<'e>> for HybridHashJoinImpl {
         // Reference equi-join: the build (left) side must hold the
         // referenced objects.
         if let Some((_, target)) = eq.as_ref_eq() {
-            if !lp.vars.contains(target) {
+            if !memo.props(lg).vars.contains(target) {
                 return vec![];
             }
         }
-        let mem = model.pred_mem_vars(pred);
-        let l_req = required
-            .in_memory
-            .intersect(lp.vars)
-            .union(mem.intersect(lp.vars));
-        let r_req = required
-            .in_memory
-            .intersect(rp.vars)
-            .union(mem.intersect(rp.vars));
-        let op = PhysicalOp::HybridHashJoin { pred };
-        let cost = model.phys_cost(&op, &[lp, rp]);
+        let (l_req, r_req) = join_sides(model, memo, expr, required, pred);
         vec![Candidate {
-            op,
+            op: PhysicalOp::HybridHashJoin { pred },
             inputs: vec![
                 (lg, PhysProps::in_memory(l_req)),
                 (rg, PhysProps::in_memory(r_req)),
             ],
-            cost,
             delivers: PhysProps::in_memory(l_req.union(r_req)),
         }]
     }
@@ -274,8 +282,8 @@ impl<'e> ImplRule<M<'e>> for PointerJoinImpl {
         let Some((_, target)) = term.as_ref_eq() else {
             return vec![];
         };
-        let (lg, rg) = (expr.children[0], expr.children[1]);
-        let (lp, rp) = (*memo.props(lg), *memo.props(rg));
+        let rg = expr.children[1];
+        let (lp, rp) = (memo.props(expr.children[0]), memo.props(rg));
         // Right side must be exactly the unfiltered domain scan of the
         // target variable (the shape Mat→Join produces).
         if !rp.vars.contains(target) || lp.vars.contains(target) {
@@ -294,30 +302,11 @@ impl<'e> ImplRule<M<'e>> for PointerJoinImpl {
         if !is_pure_get || (rp.card - dc.cardinality as f64).abs() > 0.5 {
             return vec![];
         }
-        let mem = model.pred_mem_vars(pred);
-        let l_req = required
-            .in_memory
-            .remove(target)
-            .intersect(lp.vars)
-            .union(mem.intersect(lp.vars));
-        let order = pass_order(required, lp.vars);
+        // The target is bound on the right only, so the left's share of
+        // the requirement never names it; the right input is not read.
+        let (l_req, _) = join_sides(model, memo, expr, required, pred);
         let op = PhysicalOp::PointerJoin { pred };
-        let cost = model.phys_cost(&op, &[lp]);
-        vec![Candidate {
-            op,
-            inputs: vec![(
-                lg,
-                PhysProps {
-                    in_memory: l_req,
-                    order,
-                },
-            )],
-            cost,
-            delivers: PhysProps {
-                in_memory: l_req.insert(target),
-                order,
-            },
-        }]
+        unary(op, memo, expr, required, l_req, VarSet::single(target))
     }
 }
 
@@ -338,38 +327,14 @@ impl<'e> ImplRule<M<'e>> for AssemblyMatImpl {
         let LogicalOp::Mat { out } = expr.op else {
             return vec![];
         };
-        let VarOrigin::Mat { src, field } = model.env.scopes.var(out).origin else {
+        let Some(input) = model.mat_input(out, required.in_memory) else {
             return vec![];
         };
-        let mut input = required.in_memory.remove(out);
-        // Reading src's reference field needs src in memory; a dereference
-        // of an unnested reference value does not.
-        if field.is_some() {
-            input = input.insert(src);
-        }
-        let window = model.config.assembly_window;
-        let child = *memo.props(expr.children[0]);
-        let order = pass_order(required, child.vars);
         let op = PhysicalOp::Assembly {
             targets: vec![out],
-            window,
+            window: model.config.assembly_window,
         };
-        let cost = model.phys_cost(&op, &[child]);
-        vec![Candidate {
-            op,
-            inputs: vec![(
-                expr.children[0],
-                PhysProps {
-                    in_memory: input,
-                    order,
-                },
-            )],
-            cost,
-            delivers: PhysProps {
-                in_memory: input.insert(out),
-                order,
-            },
-        }]
+        unary(op, memo, expr, required, input, VarSet::single(out))
     }
 }
 
@@ -404,57 +369,28 @@ impl<'e> ImplRule<M<'e>> for MergeJoinImpl {
             return vec![];
         };
         let (lg, rg) = (expr.children[0], expr.children[1]);
-        let (lp, rp) = (*memo.props(lg), *memo.props(rg));
+        let (lp, rp) = (memo.props(lg), memo.props(rg));
         // Assign each attribute to the side holding its variable.
-        let ((lkey_var, lkey_field), (rkey_var, rkey_field)) =
-            if lp.vars.contains(*lv) && rp.vars.contains(*rv) {
-                ((*lv, *lf), (*rv, *rf))
-            } else if lp.vars.contains(*rv) && rp.vars.contains(*lv) {
-                ((*rv, *rf), (*lv, *lf))
-            } else {
-                return vec![];
-            };
-        let mem = model.pred_mem_vars(pred);
-        let l_req = required
-            .in_memory
-            .intersect(lp.vars)
-            .union(mem.intersect(lp.vars));
-        let r_req = required
-            .in_memory
-            .intersect(rp.vars)
-            .union(mem.intersect(rp.vars));
-        let op = PhysicalOp::MergeJoin { pred };
-        let cost = model.phys_cost(&op, &[lp, rp]);
-        let l_order = oodb_algebra::SortSpec {
-            var: lkey_var,
-            field: lkey_field,
+        let (lkey, rkey) = if lp.vars.contains(*lv) && rp.vars.contains(*rv) {
+            ((*lv, *lf), (*rv, *rf))
+        } else if lp.vars.contains(*rv) && rp.vars.contains(*lv) {
+            ((*rv, *rf), (*lv, *lf))
+        } else {
+            return vec![];
         };
+        let (l_req, r_req) = join_sides(model, memo, expr, required, pred);
+        let sorted = |in_memory, (var, field)| PhysProps {
+            in_memory,
+            order: Some(oodb_algebra::SortSpec { var, field }),
+        };
+        let (l_props, r_props) = (sorted(l_req, lkey), sorted(r_req, rkey));
         vec![Candidate {
-            op,
-            inputs: vec![
-                (
-                    lg,
-                    PhysProps {
-                        in_memory: l_req,
-                        order: Some(l_order),
-                    },
-                ),
-                (
-                    rg,
-                    PhysProps {
-                        in_memory: r_req,
-                        order: Some(oodb_algebra::SortSpec {
-                            var: rkey_var,
-                            field: rkey_field,
-                        }),
-                    },
-                ),
-            ],
-            cost,
+            op: PhysicalOp::MergeJoin { pred },
+            inputs: vec![(lg, l_props), (rg, r_props)],
             // Output inherits the left (outer) order on the join key.
             delivers: PhysProps {
                 in_memory: l_req.union(r_req),
-                order: Some(l_order),
+                order: l_props.order,
             },
         }]
     }
@@ -485,32 +421,11 @@ impl<'e> ImplRule<M<'e>> for WarmAssemblyImpl {
         if model.var_domain(out).is_none() {
             return vec![]; // nothing scannable (the paper's Plant)
         }
-        let VarOrigin::Mat { src, field } = model.env.scopes.var(out).origin else {
+        let Some(input) = model.mat_input(out, required.in_memory) else {
             return vec![];
         };
-        let mut input = required.in_memory.remove(out);
-        if field.is_some() {
-            input = input.insert(src);
-        }
-        let child = *memo.props(expr.children[0]);
-        let order = pass_order(required, child.vars);
         let op = PhysicalOp::WarmAssembly { target: out };
-        let cost = model.phys_cost(&op, &[child]);
-        vec![Candidate {
-            op,
-            inputs: vec![(
-                expr.children[0],
-                PhysProps {
-                    in_memory: input,
-                    order,
-                },
-            )],
-            cost,
-            delivers: PhysProps {
-                in_memory: input.insert(out),
-                order,
-            },
-        }]
+        unary(op, memo, expr, required, input, VarSet::single(out))
     }
 }
 
@@ -535,20 +450,8 @@ impl<'e> ImplRule<M<'e>> for AlgUnnestImpl {
             return vec![];
         };
         let input = required.in_memory.remove(out).insert(src);
-        let child = *memo.props(expr.children[0]);
-        let order = pass_order(required, child.vars);
         let op = PhysicalOp::AlgUnnest { out };
-        let cost = model.phys_cost(&op, &[child]);
-        let props = PhysProps {
-            in_memory: input,
-            order,
-        };
-        vec![Candidate {
-            op,
-            inputs: vec![(expr.children[0], props)],
-            cost,
-            delivers: props,
-        }]
+        unary(op, memo, expr, required, input, VarSet::EMPTY)
     }
 }
 
@@ -572,22 +475,10 @@ impl<'e> ImplRule<M<'e>> for AlgProjectImpl {
             return vec![];
         };
         let input = required.in_memory.union(model.items_mem_vars(items));
-        let child = *memo.props(expr.children[0]);
-        let order = pass_order(required, child.vars);
         let op = PhysicalOp::AlgProject {
             items: items.clone(),
         };
-        let cost = model.phys_cost(&op, &[child]);
-        let props = PhysProps {
-            in_memory: input,
-            order,
-        };
-        vec![Candidate {
-            op,
-            inputs: vec![(expr.children[0], props)],
-            cost,
-            delivers: props,
-        }]
+        unary(op, memo, expr, required, input, VarSet::EMPTY)
     }
 }
 
@@ -624,20 +515,13 @@ impl<'e> ImplRule<M<'e>> for OrderedIndexScanImpl {
         if icoll != coll || base != var {
             return vec![];
         }
-        let Some((index_id, _)) = model.env.catalog.find_index(coll, &links, key.field) else {
+        let Some((index, _)) = model.env.catalog.find_index(coll, &links, key.field) else {
             return vec![];
         };
         let pred = model.env.preds.intern(oodb_algebra::Pred::default());
-        let op = PhysicalOp::IndexScan {
-            index: index_id,
-            var,
-            pred,
-        };
-        let cost = model.phys_cost(&op, &[]);
         vec![Candidate {
-            op,
+            op: PhysicalOp::IndexScan { index, var, pred },
             inputs: vec![],
-            cost,
             delivers: PhysProps {
                 in_memory: VarSet::single(var),
                 order: Some(key),
@@ -655,8 +539,8 @@ impl<'e> ImplRule<M<'e>> for HashSetOpImpl {
     }
     fn implementations(
         &self,
-        model: &M<'e>,
-        memo: &Memo<M<'e>>,
+        _model: &M<'e>,
+        _memo: &Memo<M<'e>>,
         expr: &Expr<M<'e>>,
         required: &PhysProps,
     ) -> Vec<Candidate<M<'e>>> {
@@ -664,12 +548,9 @@ impl<'e> ImplRule<M<'e>> for HashSetOpImpl {
             return vec![];
         };
         let (lg, rg) = (expr.children[0], expr.children[1]);
-        let op = PhysicalOp::HashSetOp { kind };
-        let cost = model.phys_cost(&op, &[*memo.props(lg), *memo.props(rg)]);
         vec![Candidate {
-            op,
+            op: PhysicalOp::HashSetOp { kind },
             inputs: vec![(lg, *required), (rg, *required)],
-            cost,
             delivers: *required,
         }]
     }

@@ -5,8 +5,8 @@
 //! transformation and implementation rules, property and cost functions —
 //! together with a fixed search engine into an optimizer in C. This crate
 //! plays the same role with Rust generics: the DBMS implementor supplies an
-//! [`OptModel`] (the model description) and a [`RuleSet`] (the rules), and
-//! gets back the full search machinery:
+//! [`OptModel`] (the model description, pricing through [`OptModel::cost`])
+//! and a [`RuleSet`] (the rules), and gets back the full search machinery:
 //!
 //! * a **memo** ([`Memo`]) — arena-allocated groups of logically
 //!   equivalent expressions with hash-based duplicate elimination (which is

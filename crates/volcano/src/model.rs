@@ -3,7 +3,7 @@
 //! This is the Rust analogue of Volcano's model description file plus
 //! support functions. An [`OptModel`] defines the vocabularies (logical and
 //! physical operators), the property types, the cost type, and the property
-//! derivation function; [`TransformRule`]s, [`ImplRule`]s, and
+//! derivation and cost functions; [`TransformRule`]s, [`ImplRule`]s, and
 //! [`Enforcer`]s populate a [`RuleSet`].
 
 use crate::memo::{Expr, GroupId, Memo, Rewrite};
@@ -56,6 +56,10 @@ pub trait OptModel: Sized {
     /// encapsulate schema manipulation, statistical descriptions of
     /// intermediate results, and selectivity estimation").
     fn derive_props(&self, op: &Self::LOp, inputs: &[&Self::LProps]) -> Self::LProps;
+
+    /// An algorithm's local cost (inputs excluded), given its inputs' logical
+    /// properties in order: the engine prices every candidate through it.
+    fn cost(&self, op: &Self::POp, inputs: &[&Self::LProps]) -> Self::Cost;
 
     /// Whether a delivered property vector satisfies a required one.
     fn satisfies(&self, required: &Self::PProps, delivered: &Self::PProps) -> bool;
@@ -128,8 +132,6 @@ pub struct Candidate<M: OptModel> {
     /// collapsing rule — e.g. select-materialize-get to index scan — may
     /// produce none).
     pub inputs: Vec<(GroupId, M::PProps)>,
-    /// Local cost of this operator (inputs excluded).
-    pub cost: M::Cost,
     /// Physical properties the operator delivers, assuming inputs deliver
     /// exactly their required properties.
     pub delivers: M::PProps,
@@ -162,8 +164,6 @@ pub struct EnforceCandidate<M: OptModel> {
     /// The weakened requirement passed to the input (must differ from the
     /// original requirement, or the search would not terminate).
     pub input_props: M::PProps,
-    /// Local cost of enforcement.
-    pub cost: M::Cost,
     /// Properties delivered after enforcement.
     pub delivers: M::PProps,
 }

@@ -1,9 +1,9 @@
 //! A minimal complete optimizer model.
 //!
 //! Serves two purposes: it exercises every framework feature in this
-//! crate's unit tests (memo deduplication and merging, exhaustive
-//! transformation, goal-directed search, enforcers, pruning), and it is a
-//! template showing a new implementor exactly what must be supplied.
+//! crate's unit tests (memo, exhaustive transformation, goal-directed
+//! search, enforcers, pruning), and it is a template of what an implementor
+//! supplies: property and cost functions ([`OptModel::cost`]) and rules.
 //!
 //! The model is a caricature of relational join ordering: `Table(t)`
 //! leaves with catalog cardinalities, a commutative/associative `Join`,
@@ -86,6 +86,18 @@ impl OptModel for Toy {
                 card: inputs[0].card * inputs[1].card / 10.0,
                 tables: inputs[0].tables | inputs[1].tables,
             },
+        }
+    }
+
+    fn cost(&self, op: &ToyPOp, inputs: &[&ToyProps]) -> f64 {
+        match op {
+            ToyPOp::Scan(t) => self.cards[*t as usize],
+            ToyPOp::SortedScan(t) => self.cards[*t as usize] * 1.2,
+            // Build on the smaller side: 2× build + 1× probe.
+            ToyPOp::HashJoin => {
+                2.0 * inputs[0].card.min(inputs[1].card) + inputs[0].card.max(inputs[1].card)
+            }
+            ToyPOp::Sort => inputs[0].card * 3.0,
         }
     }
 
@@ -174,7 +186,7 @@ impl ImplRule<Toy> for ScanImpl {
     }
     fn implementations(
         &self,
-        model: &Toy,
+        _model: &Toy,
         _memo: &Memo<Toy>,
         expr: &Expr<Toy>,
         _required: &ToySort,
@@ -182,20 +194,14 @@ impl ImplRule<Toy> for ScanImpl {
         let ToyOp::Table(t) = expr.op else {
             return vec![];
         };
-        let card = model.cards[t as usize];
-        let mut out = vec![Candidate {
-            op: ToyPOp::Scan(t),
+        let scan = |op, sorted| Candidate {
+            op,
             inputs: vec![],
-            cost: card,
-            delivers: ToySort { sorted: false },
-        }];
+            delivers: ToySort { sorted },
+        };
+        let mut out = vec![scan(ToyPOp::Scan(t), false)];
         if t == 0 {
-            out.push(Candidate {
-                op: ToyPOp::SortedScan(t),
-                inputs: vec![],
-                cost: card * 1.2,
-                delivers: ToySort { sorted: true },
-            });
+            out.push(scan(ToyPOp::SortedScan(t), true));
         }
         out
     }
@@ -211,23 +217,19 @@ impl ImplRule<Toy> for HashJoinImpl {
     fn implementations(
         &self,
         _model: &Toy,
-        memo: &Memo<Toy>,
+        _memo: &Memo<Toy>,
         expr: &Expr<Toy>,
         _required: &ToySort,
     ) -> Vec<Candidate<Toy>> {
         if expr.op != ToyOp::Join {
             return vec![];
         }
-        let l = memo.props(expr.children[0]).card;
-        let r = memo.props(expr.children[1]).card;
         vec![Candidate {
             op: ToyPOp::HashJoin,
             inputs: vec![
                 (expr.children[0], ToySort::default()),
                 (expr.children[1], ToySort::default()),
             ],
-            // Build on the smaller side: 2× build + 1× probe.
-            cost: 2.0 * l.min(r) + l.max(r),
             delivers: ToySort { sorted: false },
         }]
     }
@@ -243,18 +245,16 @@ impl Enforcer<Toy> for SortEnforcer {
     fn enforce(
         &self,
         _model: &Toy,
-        memo: &Memo<Toy>,
-        group: GroupId,
+        _memo: &Memo<Toy>,
+        _group: GroupId,
         required: &ToySort,
     ) -> Vec<EnforceCandidate<Toy>> {
         if !required.sorted {
             return vec![];
         }
-        let card = memo.props(group).card;
         vec![EnforceCandidate {
             op: ToyPOp::Sort,
             input_props: ToySort { sorted: false },
-            cost: card * 3.0,
             delivers: ToySort { sorted: true },
         }]
     }
