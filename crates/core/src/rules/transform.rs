@@ -24,7 +24,7 @@
 //! duplicate elimination bounds every rewrite cycle they can form.
 
 use crate::model::OodbModel;
-use oodb_algebra::{LogicalOp, Operand, Pred, VarOrigin};
+use oodb_algebra::{LogicalOp, Operand, Pred, VarId, VarOrigin, VarSet};
 use volcano::{Expr, Memo, Rewrite, RuleSignature, TransformRule};
 
 type M<'e> = OodbModel<'e>;
@@ -35,6 +35,81 @@ fn op(o: LogicalOp, children: Vec<Rw>) -> Rw {
 }
 fn grp(g: volcano::GroupId) -> Rw {
     Rewrite::Group(g)
+}
+
+/// The body [`SelectMatSwap`] and [`SelectUnnestSwap`] share: commutes
+/// `Select` with the scope operator `scope` recognises (returning the
+/// variable it binds) in both directions — down when the predicate ignores
+/// that variable, up always.
+fn select_scope_swap(
+    model: &M<'_>,
+    memo: &Memo<M<'_>>,
+    expr: &Expr<M<'_>>,
+    scope: fn(&LogicalOp) -> Option<VarId>,
+) -> Vec<Rw> {
+    let used = match &expr.op {
+        LogicalOp::Select { pred } => Some(model.pred_vars(*pred)),
+        o if scope(o).is_some() => None,
+        _ => return vec![],
+    };
+    // What moves above `expr`: below a selection, a scope operator whose
+    // variable it ignores; below a scope operator, any selection.
+    let moves_up = |child: &LogicalOp| match used {
+        Some(used) => scope(child).is_some_and(|v| !used.contains(v)),
+        None => matches!(child, LogicalOp::Select { .. }),
+    };
+    memo.group_exprs(expr.children[0])
+        .iter()
+        .map(|&ce| memo.expr(ce))
+        .filter(|child| moves_up(&child.op))
+        .map(|child| {
+            let moved = op(expr.op.clone(), vec![grp(child.children[0])]);
+            op(child.op.clone(), vec![moved])
+        })
+        .collect()
+}
+
+/// `U(Join(L, R))` → `Join(U(L), R)` and `Join(L, U(R))` for the unary
+/// operator `U` at `expr` and every join beneath it, onto each side whose
+/// scope binds all of `needs`.
+fn push_into_join_sides(memo: &Memo<M<'_>>, expr: &Expr<M<'_>>, needs: VarSet) -> Vec<Rw> {
+    let mut out = Vec::new();
+    for &ce in memo.group_exprs(expr.children[0]) {
+        let join = memo.expr(ce);
+        if !matches!(join.op, LogicalOp::Join { .. }) {
+            continue;
+        }
+        for side in 0..2 {
+            if needs.is_subset(memo.props(join.children[side]).vars) {
+                let mut inputs = vec![grp(join.children[0]), grp(join.children[1])];
+                inputs[side] = op(expr.op.clone(), vec![grp(join.children[side])]);
+                out.push(op(join.op.clone(), inputs));
+            }
+        }
+    }
+    out
+}
+
+/// `Join(U(X), R)` → `U(Join(X, R))`, and the same from the right, for the
+/// join at `expr` and every unary operator `U` beneath it that `lift`
+/// accepts.
+fn pull_out_of_join_sides(
+    memo: &Memo<M<'_>>,
+    expr: &Expr<M<'_>>,
+    lift: impl Fn(&LogicalOp) -> bool,
+) -> Vec<Rw> {
+    let mut out = Vec::new();
+    for side in 0..2 {
+        for &ce in memo.group_exprs(expr.children[side]) {
+            let child = memo.expr(ce);
+            if lift(&child.op) {
+                let mut inputs = vec![grp(expr.children[0]), grp(expr.children[1])];
+                inputs[side] = grp(child.children[0]);
+                out.push(op(child.op.clone(), vec![op(expr.op.clone(), inputs)]));
+            }
+        }
+    }
+    out
 }
 
 /// `Select[t1 ∧ … ∧ tn](X)` → `Select[ti](Select[rest](X))` for each `i`.
@@ -102,42 +177,10 @@ impl<'e> TransformRule<M<'e>> for SelectMatSwap {
         }
     }
     fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>) -> Vec<Rw> {
-        let mut out = Vec::new();
-        match &expr.op {
-            LogicalOp::Select { pred } => {
-                let used = model.pred_vars(*pred);
-                for &ce in memo.group_exprs(expr.children[0]) {
-                    let child = memo.expr(ce);
-                    if let LogicalOp::Mat { out: mat_out } = child.op {
-                        if !used.contains(mat_out) {
-                            out.push(op(
-                                LogicalOp::Mat { out: mat_out },
-                                vec![op(
-                                    LogicalOp::Select { pred: *pred },
-                                    vec![grp(child.children[0])],
-                                )],
-                            ));
-                        }
-                    }
-                }
-            }
-            LogicalOp::Mat { out: mat_out } => {
-                for &ce in memo.group_exprs(expr.children[0]) {
-                    let child = memo.expr(ce);
-                    if let LogicalOp::Select { pred } = child.op {
-                        out.push(op(
-                            LogicalOp::Select { pred },
-                            vec![op(
-                                LogicalOp::Mat { out: *mat_out },
-                                vec![grp(child.children[0])],
-                            )],
-                        ));
-                    }
-                }
-            }
-            _ => {}
-        }
-        out
+        select_scope_swap(model, memo, expr, |o| match o {
+            LogicalOp::Mat { out } => Some(*out),
+            _ => None,
+        })
     }
 }
 
@@ -157,42 +200,10 @@ impl<'e> TransformRule<M<'e>> for SelectUnnestSwap {
         }
     }
     fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>) -> Vec<Rw> {
-        let mut out = Vec::new();
-        match &expr.op {
-            LogicalOp::Select { pred } => {
-                let used = model.pred_vars(*pred);
-                for &ce in memo.group_exprs(expr.children[0]) {
-                    let child = memo.expr(ce);
-                    if let LogicalOp::Unnest { out: u } = child.op {
-                        if !used.contains(u) {
-                            out.push(op(
-                                LogicalOp::Unnest { out: u },
-                                vec![op(
-                                    LogicalOp::Select { pred: *pred },
-                                    vec![grp(child.children[0])],
-                                )],
-                            ));
-                        }
-                    }
-                }
-            }
-            LogicalOp::Unnest { out: u } => {
-                for &ce in memo.group_exprs(expr.children[0]) {
-                    let child = memo.expr(ce);
-                    if let LogicalOp::Select { pred } = child.op {
-                        out.push(op(
-                            LogicalOp::Select { pred },
-                            vec![op(
-                                LogicalOp::Unnest { out: *u },
-                                vec![grp(child.children[0])],
-                            )],
-                        ));
-                    }
-                }
-            }
-            _ => {}
-        }
-        out
+        select_scope_swap(model, memo, expr, |o| match o {
+            LogicalOp::Unnest { out } => Some(*out),
+            _ => None,
+        })
     }
 }
 
@@ -212,48 +223,13 @@ impl<'e> TransformRule<M<'e>> for SelectJoinPush {
         }
     }
     fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>) -> Vec<Rw> {
-        let mut out = Vec::new();
-        match &expr.op {
-            LogicalOp::Select { pred } => {
-                let used = model.pred_vars(*pred);
-                for &ce in memo.group_exprs(expr.children[0]) {
-                    let child = memo.expr(ce);
-                    if let LogicalOp::Join { pred: jp } = child.op {
-                        let (l, r) = (child.children[0], child.children[1]);
-                        if used.is_subset(memo.props(l).vars) {
-                            out.push(op(
-                                LogicalOp::Join { pred: jp },
-                                vec![op(LogicalOp::Select { pred: *pred }, vec![grp(l)]), grp(r)],
-                            ));
-                        }
-                        if used.is_subset(memo.props(r).vars) {
-                            out.push(op(
-                                LogicalOp::Join { pred: jp },
-                                vec![grp(l), op(LogicalOp::Select { pred: *pred }, vec![grp(r)])],
-                            ));
-                        }
-                    }
-                }
+        match expr.op {
+            LogicalOp::Select { pred } => push_into_join_sides(memo, expr, model.pred_vars(pred)),
+            LogicalOp::Join { .. } => {
+                pull_out_of_join_sides(memo, expr, |o| matches!(o, LogicalOp::Select { .. }))
             }
-            LogicalOp::Join { pred: jp } => {
-                // Pull a selection out of either input.
-                for side in 0..2 {
-                    for &ce in memo.group_exprs(expr.children[side]) {
-                        let child = memo.expr(ce);
-                        if let LogicalOp::Select { pred } = child.op {
-                            let mut inputs = vec![grp(expr.children[0]), grp(expr.children[1])];
-                            inputs[side] = grp(child.children[0]);
-                            out.push(op(
-                                LogicalOp::Select { pred },
-                                vec![op(LogicalOp::Join { pred: *jp }, inputs)],
-                            ));
-                        }
-                    }
-                }
-            }
-            _ => {}
+            _ => vec![],
         }
-        out
     }
 }
 
@@ -574,54 +550,21 @@ impl<'e> TransformRule<M<'e>> for MatJoinPush {
         }
     }
     fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>) -> Vec<Rw> {
-        let mut out = Vec::new();
         match expr.op {
-            LogicalOp::Mat { out: o } => {
-                let src = match model.env.scopes.var(o).origin {
-                    VarOrigin::Mat { src, .. } => src,
-                    _ => return vec![],
-                };
-                for &ce in memo.group_exprs(expr.children[0]) {
-                    let child = memo.expr(ce);
-                    if let LogicalOp::Join { pred } = child.op {
-                        let (l, r) = (child.children[0], child.children[1]);
-                        if memo.props(l).vars.contains(src) {
-                            out.push(op(
-                                LogicalOp::Join { pred },
-                                vec![op(LogicalOp::Mat { out: o }, vec![grp(l)]), grp(r)],
-                            ));
-                        }
-                        if memo.props(r).vars.contains(src) {
-                            out.push(op(
-                                LogicalOp::Join { pred },
-                                vec![grp(l), op(LogicalOp::Mat { out: o }, vec![grp(r)])],
-                            ));
-                        }
-                    }
-                }
-            }
+            LogicalOp::Mat { out } => match model.env.scopes.var(out).origin {
+                VarOrigin::Mat { src, .. } => push_into_join_sides(memo, expr, VarSet::single(src)),
+                _ => vec![],
+            },
             LogicalOp::Join { pred } => {
-                // Pull: Join(Mat(X), R) → Mat(Join(X, R)) when the join
-                // predicate ignores the materialized component.
+                // Pull only a Mat the join predicate ignores.
                 let used = model.pred_vars(pred);
-                for side in 0..2 {
-                    for &ce in memo.group_exprs(expr.children[side]) {
-                        let child = memo.expr(ce);
-                        if let LogicalOp::Mat { out: o } = child.op {
-                            if !used.contains(o) {
-                                let mut inputs = vec![grp(expr.children[0]), grp(expr.children[1])];
-                                inputs[side] = grp(child.children[0]);
-                                out.push(op(
-                                    LogicalOp::Mat { out: o },
-                                    vec![op(LogicalOp::Join { pred }, inputs)],
-                                ));
-                            }
-                        }
-                    }
-                }
+                pull_out_of_join_sides(
+                    memo,
+                    expr,
+                    |o| matches!(o, LogicalOp::Mat { out } if !used.contains(*out)),
+                )
             }
-            _ => {}
+            _ => vec![],
         }
-        out
     }
 }
