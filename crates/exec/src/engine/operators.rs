@@ -422,7 +422,7 @@ impl<'a> Executor<'a> {
             .var_domain(target)
             .ok_or_else(|| malformed("warm assembly needs a known domain"))?;
         let target = bind(&mut cols, target);
-        for page in self.store.scan_pages(domain) {
+        for page in self.store.scan_pages(domain).map_err(ExecError::Corrupt)? {
             self.touch(page)?;
         }
         let mut out = Batch::new(cols.len());
