@@ -363,14 +363,17 @@ impl Shell {
                 }
             },
             "\\durability" => match parts.next() {
-                Some("on") => match parts.next() {
-                    Some(dir) => {
-                        let policy = match (parts.next(), parts.next()) {
-                            (Some("batch"), Some(n)) => FlushPolicy::Batch(n.parse().unwrap_or(8)),
-                            (Some("manual"), _) => FlushPolicy::Manual,
-                            _ => FlushPolicy::EveryRecord,
-                        };
-                        match self
+                Some("on") => {
+                    let dir = parts.next();
+                    let policy = match (parts.next(), parts.next().map(str::parse)) {
+                        (Some("batch"), Some(Ok(n))) if n > 0 => Some(FlushPolicy::Batch(n)),
+                        // A batch of zero, or of no number, enables nothing.
+                        (Some("batch"), _) => None,
+                        (Some("manual"), _) => Some(FlushPolicy::Manual),
+                        _ => Some(FlushPolicy::EveryRecord),
+                    };
+                    match (dir, policy) {
+                        (Some(dir), Some(policy)) => match self
                             .svc
                             .enable_durability(std::path::Path::new(dir), policy)
                         {
@@ -382,10 +385,10 @@ impl Shell {
                                     .map_or(0, |s| s.checkpoint_records)
                             ),
                             Err(e) => println!("cannot start durability: {e}"),
-                        }
+                        },
+                        _ => println!("\\durability on DIR [batch N | manual]"),
                     }
-                    None => println!("\\durability on DIR [batch N | manual]"),
-                },
+                }
                 Some("off") => {
                     if !self.end_durability() {
                         println!("durability is already off");

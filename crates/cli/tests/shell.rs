@@ -381,6 +381,15 @@ fn remaining_commands_smoke() {
             "audit: winner is cost-minimal",
         ),
         (
+            format!("\\durability on {} batch x", wal.display()),
+            "\\durability on DIR [batch N | manual]",
+        ),
+        (
+            format!("\\durability on {} batch 0", wal.display()),
+            "\\durability on DIR [batch N | manual]",
+        ),
+        ("\\durability".into(), "durability is off"),
+        (
             format!("\\durability on {} batch 4", wal.display()),
             "(Batch(4) flushes)",
         ),
