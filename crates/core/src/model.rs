@@ -4,11 +4,13 @@
 use crate::config::OptimizerConfig;
 use crate::cost::{Cost, CostParams};
 use oodb_algebra::{
-    CmpOp, LogicalOp, LogicalProps, Operand, PhysProps, PhysicalOp, PredId, QueryEnv, VarId,
+    CmpOp, LogicalOp, LogicalProps, Operand, PhysProps, PhysicalOp, Pred, PredId, QueryEnv, VarId,
     VarOrigin, VarSet,
 };
+use oodb_object::fx::FxBuild;
 use oodb_object::{CollectionId, FieldId, IndexId};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use volcano::OptModel;
 
 /// What the rules ask about a predicate, over and over, for as long as a
@@ -20,6 +22,20 @@ struct PredFacts {
     /// Variables whose object state is read (reference-valued ones dropped).
     mem_vars: VarSet,
     selectivity: f64,
+}
+
+/// How a transformation rule derives a predicate, from what: the key of
+/// [`OodbModel::derived_pred`]'s cache.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub(crate) enum Derivation {
+    /// Conjunct `i` of a predicate, alone.
+    Conjunct(PredId, usize),
+    /// A predicate without its conjunct `i`.
+    WithoutConjunct(PredId, usize),
+    /// A join predicate conjoined with a selection's predicate.
+    Merged(PredId, PredId),
+    /// The reference equality that joins a `Mat`'s output to its source.
+    MatJoin(VarId),
 }
 
 /// The model handed to the Volcano framework: query environment + cost
@@ -40,6 +56,10 @@ pub struct OodbModel<'e> {
     /// Valid for this model's environment, configuration and overlay
     /// only, and gone with the model.
     facts: RefCell<Vec<Option<PredFacts>>>,
+    /// Predicates the rules derived, by [`Derivation`]: a rule that fires
+    /// again finds its predicate here rather than rebuilding and
+    /// re-interning it. Valid for this model's environment only.
+    derived: RefCell<HashMap<Derivation, PredId, FxBuild>>,
 }
 
 impl<'e> OodbModel<'e> {
@@ -51,6 +71,7 @@ impl<'e> OodbModel<'e> {
             config,
             overlay: None,
             facts: RefCell::default(),
+            derived: RefCell::default(),
         }
     }
 
@@ -114,6 +135,18 @@ impl<'e> OodbModel<'e> {
         }
         table[pred.index()] = Some(facts);
         facts
+    }
+
+    /// The predicate `how` names, interned from `build()` the first time
+    /// it is asked for. The arena returns one id per structure, so caching
+    /// the id changes no id, only how often the predicate is rebuilt.
+    pub(crate) fn derived_pred(&self, how: Derivation, build: impl FnOnce() -> Pred) -> PredId {
+        if let Some(&id) = self.derived.borrow().get(&how) {
+            return id;
+        }
+        let id = self.env.preds.intern(build());
+        self.derived.borrow_mut().insert(how, id);
+        id
     }
 
     /// Variables whose object state a predicate reads, as a set.

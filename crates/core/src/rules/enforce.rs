@@ -34,25 +34,26 @@ impl<'e> Enforcer<M<'e>> for SortEnforcer {
         memo: &Memo<M<'e>>,
         group: GroupId,
         required: &PhysProps,
-    ) -> Vec<EnforceCandidate<M<'e>>> {
+        out: &mut Vec<EnforceCandidate<M<'e>>>,
+    ) {
         let Some(key) = required.order else {
-            return vec![];
+            return;
         };
         if !memo.props(group).vars.contains(key.var) {
-            return vec![];
+            return;
         }
         let input = PhysProps {
             in_memory: required.in_memory.insert(key.var),
             order: None,
         };
-        vec![EnforceCandidate {
+        out.push(EnforceCandidate {
             op: PhysicalOp::Sort { key },
             input_props: input,
             delivers: PhysProps {
                 in_memory: input.in_memory,
                 order: Some(key),
             },
-        }]
+        });
     }
 }
 
@@ -70,7 +71,8 @@ impl<'e> Enforcer<M<'e>> for AssemblyEnforcer {
         memo: &Memo<M<'e>>,
         group: GroupId,
         required: &PhysProps,
-    ) -> Vec<EnforceCandidate<M<'e>>> {
+        out: &mut Vec<EnforceCandidate<M<'e>>>,
+    ) {
         let scope = memo.props(group).vars;
         // A variable out of scope here has nothing to enforce; a scanned
         // one comes from a scan, not an enforcer.
@@ -86,6 +88,6 @@ impl<'e> Enforcer<M<'e>> for AssemblyEnforcer {
                 delivers: PhysProps::in_memory(input.insert(v)),
             })
         };
-        targets.filter_map(enforce).collect()
+        out.extend(targets.filter_map(enforce));
     }
 }

@@ -9,7 +9,7 @@
 
 use crate::model::OodbModel;
 use oodb_algebra::{CmpOp, LogicalOp, Operand, PhysProps, PhysicalOp, PredId, VarOrigin, VarSet};
-use volcano::{Candidate, Expr, ImplRule, Memo};
+use volcano::{Candidate, Expr, ImplRule, Inputs, Memo};
 
 type M<'e> = OodbModel<'e>;
 
@@ -26,15 +26,16 @@ impl<'e> ImplRule<M<'e>> for FileScanImpl {
         _memo: &Memo<M<'e>>,
         expr: &Expr<M<'e>>,
         _required: &PhysProps,
-    ) -> Vec<Candidate<M<'e>>> {
+        out: &mut Vec<Candidate<M<'e>>>,
+    ) {
         let LogicalOp::Get { coll, var } = expr.op else {
-            return vec![];
+            return;
         };
-        vec![Candidate {
+        out.push(Candidate {
             op: PhysicalOp::FileScan { coll, var },
-            inputs: vec![],
+            inputs: Inputs::none(),
             delivers: PhysProps::in_memory(VarSet::single(var)),
-        }]
+        });
     }
 }
 
@@ -56,50 +57,51 @@ impl<'e> ImplRule<M<'e>> for CollapseToIndexScanImpl {
         memo: &Memo<M<'e>>,
         expr: &Expr<M<'e>>,
         _required: &PhysProps,
-    ) -> Vec<Candidate<M<'e>>> {
+        out: &mut Vec<Candidate<M<'e>>>,
+    ) {
         let LogicalOp::Select { pred } = expr.op else {
-            return vec![];
+            return;
         };
         let p = model.env.preds.pred(pred);
         let [term] = p.terms.as_slice() else {
-            return vec![];
+            return;
         };
         // Equality uses a point lookup; ordered comparisons use a B-tree
         // range scan (an extension beyond the paper's equality-only rule).
         let (var, field) = match (&term.left, &term.right) {
             (Operand::Attr { var, field }, Operand::Const(_))
             | (Operand::Const(_), Operand::Attr { var, field }) => (*var, *field),
-            _ => return vec![],
+            _ => return,
         };
         let Some((coll, base, links)) = model.index_path_of(var) else {
-            return vec![];
+            return;
         };
         let Some((index, _)) = model.env.catalog.find_index(coll, &links, field) else {
-            return vec![];
+            return;
         };
         // The collapsed scan reproduces the *entire* group only if the
         // group's scope is exactly the materialization chain — a join
         // partner's bindings cannot come out of an index.
         let group_vars = memo.props(expr.group).vars;
         if !group_vars.is_subset(model.chain_vars(var)) {
-            return vec![];
+            return;
         }
         // And the input must BE the unfiltered chain: the child group must
         // hold a pure `Mat*(Get)` witness. Without this check, a
         // conjunct-split sibling selection sitting between the Select and
         // the Get would be silently discarded.
         if !pure_mat_chain(memo, expr.children[0], base) {
-            return vec![];
+            return;
         }
-        vec![Candidate {
+        out.push(Candidate {
             op: PhysicalOp::IndexScan {
                 index,
                 var: base,
                 pred,
             },
-            inputs: vec![],
+            inputs: Inputs::none(),
             delivers: PhysProps::in_memory(VarSet::single(base)),
-        }]
+        });
     }
 }
 
@@ -151,23 +153,23 @@ fn unary<'e>(
     required: &PhysProps,
     input: VarSet,
     adds: VarSet,
-) -> Vec<Candidate<M<'e>>> {
+) -> Candidate<M<'e>> {
     let child = expr.children[0];
     let order = pass_order(required, memo.props(child).vars);
-    vec![Candidate {
+    Candidate {
         op,
-        inputs: vec![(
+        inputs: Inputs::one((
             child,
             PhysProps {
                 in_memory: input,
                 order,
             },
-        )],
+        )),
         delivers: PhysProps {
             in_memory: input.union(adds),
             order,
         },
-    }]
+    }
 }
 
 /// What each input of a join must hold in memory: the required variables
@@ -197,13 +199,14 @@ impl<'e> ImplRule<M<'e>> for FilterImpl {
         memo: &Memo<M<'e>>,
         expr: &Expr<M<'e>>,
         required: &PhysProps,
-    ) -> Vec<Candidate<M<'e>>> {
+        out: &mut Vec<Candidate<M<'e>>>,
+    ) {
         let LogicalOp::Select { pred } = expr.op else {
-            return vec![];
+            return;
         };
         let input = required.in_memory.union(model.pred_mem_vars(pred));
         let op = PhysicalOp::Filter { pred };
-        unary(op, memo, expr, required, input, VarSet::EMPTY)
+        out.push(unary(op, memo, expr, required, input, VarSet::EMPTY));
     }
 }
 
@@ -226,32 +229,33 @@ impl<'e> ImplRule<M<'e>> for HybridHashJoinImpl {
         memo: &Memo<M<'e>>,
         expr: &Expr<M<'e>>,
         required: &PhysProps,
-    ) -> Vec<Candidate<M<'e>>> {
+        out: &mut Vec<Candidate<M<'e>>>,
+    ) {
         let LogicalOp::Join { pred } = expr.op else {
-            return vec![];
+            return;
         };
         let (lg, rg) = (expr.children[0], expr.children[1]);
         let p = model.env.preds.pred(pred);
         // Hashing needs at least one equality term.
         let Some(eq) = p.terms.iter().find(|t| t.op == CmpOp::Eq) else {
-            return vec![];
+            return;
         };
         // Reference equi-join: the build (left) side must hold the
         // referenced objects.
         if let Some((_, target)) = eq.as_ref_eq() {
             if !memo.props(lg).vars.contains(target) {
-                return vec![];
+                return;
             }
         }
         let (l_req, r_req) = join_sides(model, memo, expr, required, pred);
-        vec![Candidate {
+        out.push(Candidate {
             op: PhysicalOp::HybridHashJoin { pred },
-            inputs: vec![
+            inputs: Inputs::two(
                 (lg, PhysProps::in_memory(l_req)),
                 (rg, PhysProps::in_memory(r_req)),
-            ],
+            ),
             delivers: PhysProps::in_memory(l_req.union(r_req)),
-        }]
+        });
     }
 }
 
@@ -271,26 +275,27 @@ impl<'e> ImplRule<M<'e>> for PointerJoinImpl {
         memo: &Memo<M<'e>>,
         expr: &Expr<M<'e>>,
         required: &PhysProps,
-    ) -> Vec<Candidate<M<'e>>> {
+        out: &mut Vec<Candidate<M<'e>>>,
+    ) {
         let LogicalOp::Join { pred } = expr.op else {
-            return vec![];
+            return;
         };
         let p = model.env.preds.pred(pred);
         let [term] = p.terms.as_slice() else {
-            return vec![];
+            return;
         };
         let Some((_, target)) = term.as_ref_eq() else {
-            return vec![];
+            return;
         };
         let rg = expr.children[1];
         let (lp, rp) = (memo.props(expr.children[0]), memo.props(rg));
         // Right side must be exactly the unfiltered domain scan of the
         // target variable (the shape Mat→Join produces).
         if !rp.vars.contains(target) || lp.vars.contains(target) {
-            return vec![];
+            return;
         }
         let Some(domain) = model.var_domain(target) else {
-            return vec![];
+            return;
         };
         let is_pure_get = memo.group_exprs(rg).iter().any(|&e| {
             matches!(
@@ -300,13 +305,20 @@ impl<'e> ImplRule<M<'e>> for PointerJoinImpl {
         });
         let dc = model.env.catalog.collection(domain);
         if !is_pure_get || (rp.card - dc.cardinality as f64).abs() > 0.5 {
-            return vec![];
+            return;
         }
         // The target is bound on the right only, so the left's share of
         // the requirement never names it; the right input is not read.
         let (l_req, _) = join_sides(model, memo, expr, required, pred);
         let op = PhysicalOp::PointerJoin { pred };
-        unary(op, memo, expr, required, l_req, VarSet::single(target))
+        out.push(unary(
+            op,
+            memo,
+            expr,
+            required,
+            l_req,
+            VarSet::single(target),
+        ));
     }
 }
 
@@ -323,18 +335,26 @@ impl<'e> ImplRule<M<'e>> for AssemblyMatImpl {
         memo: &Memo<M<'e>>,
         expr: &Expr<M<'e>>,
         required: &PhysProps,
-    ) -> Vec<Candidate<M<'e>>> {
-        let LogicalOp::Mat { out } = expr.op else {
-            return vec![];
+        out: &mut Vec<Candidate<M<'e>>>,
+    ) {
+        let LogicalOp::Mat { out: target } = expr.op else {
+            return;
         };
-        let Some(input) = model.mat_input(out, required.in_memory) else {
-            return vec![];
+        let Some(input) = model.mat_input(target, required.in_memory) else {
+            return;
         };
         let op = PhysicalOp::Assembly {
-            targets: vec![out],
+            targets: vec![target],
             window: model.config.assembly_window,
         };
-        unary(op, memo, expr, required, input, VarSet::single(out))
+        out.push(unary(
+            op,
+            memo,
+            expr,
+            required,
+            input,
+            VarSet::single(target),
+        ));
     }
 }
 
@@ -354,19 +374,20 @@ impl<'e> ImplRule<M<'e>> for MergeJoinImpl {
         memo: &Memo<M<'e>>,
         expr: &Expr<M<'e>>,
         required: &PhysProps,
-    ) -> Vec<Candidate<M<'e>>> {
+        out: &mut Vec<Candidate<M<'e>>>,
+    ) {
         let LogicalOp::Join { pred } = expr.op else {
-            return vec![];
+            return;
         };
         let p = model.env.preds.pred(pred);
         // First equality term must compare two attributes.
         let Some(eq) = p.terms.iter().find(|t| t.op == CmpOp::Eq) else {
-            return vec![];
+            return;
         };
         let (Operand::Attr { var: lv, field: lf }, Operand::Attr { var: rv, field: rf }) =
             (&eq.left, &eq.right)
         else {
-            return vec![];
+            return;
         };
         let (lg, rg) = (expr.children[0], expr.children[1]);
         let (lp, rp) = (memo.props(lg), memo.props(rg));
@@ -376,7 +397,7 @@ impl<'e> ImplRule<M<'e>> for MergeJoinImpl {
         } else if lp.vars.contains(*rv) && rp.vars.contains(*lv) {
             ((*rv, *rf), (*lv, *lf))
         } else {
-            return vec![];
+            return;
         };
         let (l_req, r_req) = join_sides(model, memo, expr, required, pred);
         let sorted = |in_memory, (var, field)| PhysProps {
@@ -384,15 +405,15 @@ impl<'e> ImplRule<M<'e>> for MergeJoinImpl {
             order: Some(oodb_algebra::SortSpec { var, field }),
         };
         let (l_props, r_props) = (sorted(l_req, lkey), sorted(r_req, rkey));
-        vec![Candidate {
+        out.push(Candidate {
             op: PhysicalOp::MergeJoin { pred },
-            inputs: vec![(lg, l_props), (rg, r_props)],
+            inputs: Inputs::two((lg, l_props), (rg, r_props)),
             // Output inherits the left (outer) order on the join key.
             delivers: PhysProps {
                 in_memory: l_req.union(r_req),
                 order: l_props.order,
             },
-        }]
+        });
     }
 }
 
@@ -414,18 +435,26 @@ impl<'e> ImplRule<M<'e>> for WarmAssemblyImpl {
         memo: &Memo<M<'e>>,
         expr: &Expr<M<'e>>,
         required: &PhysProps,
-    ) -> Vec<Candidate<M<'e>>> {
-        let LogicalOp::Mat { out } = expr.op else {
-            return vec![];
+        out: &mut Vec<Candidate<M<'e>>>,
+    ) {
+        let LogicalOp::Mat { out: target } = expr.op else {
+            return;
         };
-        if model.var_domain(out).is_none() {
-            return vec![]; // nothing scannable (the paper's Plant)
+        if model.var_domain(target).is_none() {
+            return; // nothing scannable (the paper's Plant)
         }
-        let Some(input) = model.mat_input(out, required.in_memory) else {
-            return vec![];
+        let Some(input) = model.mat_input(target, required.in_memory) else {
+            return;
         };
-        let op = PhysicalOp::WarmAssembly { target: out };
-        unary(op, memo, expr, required, input, VarSet::single(out))
+        let op = PhysicalOp::WarmAssembly { target };
+        out.push(unary(
+            op,
+            memo,
+            expr,
+            required,
+            input,
+            VarSet::single(target),
+        ));
     }
 }
 
@@ -442,16 +471,17 @@ impl<'e> ImplRule<M<'e>> for AlgUnnestImpl {
         memo: &Memo<M<'e>>,
         expr: &Expr<M<'e>>,
         required: &PhysProps,
-    ) -> Vec<Candidate<M<'e>>> {
-        let LogicalOp::Unnest { out } = expr.op else {
-            return vec![];
+        out: &mut Vec<Candidate<M<'e>>>,
+    ) {
+        let LogicalOp::Unnest { out: unnested } = expr.op else {
+            return;
         };
-        let VarOrigin::Unnest { src, .. } = model.env.scopes.var(out).origin else {
-            return vec![];
+        let VarOrigin::Unnest { src, .. } = model.env.scopes.var(unnested).origin else {
+            return;
         };
-        let input = required.in_memory.remove(out).insert(src);
-        let op = PhysicalOp::AlgUnnest { out };
-        unary(op, memo, expr, required, input, VarSet::EMPTY)
+        let input = required.in_memory.remove(unnested).insert(src);
+        let op = PhysicalOp::AlgUnnest { out: unnested };
+        out.push(unary(op, memo, expr, required, input, VarSet::EMPTY));
     }
 }
 
@@ -470,15 +500,16 @@ impl<'e> ImplRule<M<'e>> for AlgProjectImpl {
         memo: &Memo<M<'e>>,
         expr: &Expr<M<'e>>,
         required: &PhysProps,
-    ) -> Vec<Candidate<M<'e>>> {
+        out: &mut Vec<Candidate<M<'e>>>,
+    ) {
         let LogicalOp::Project { items } = &expr.op else {
-            return vec![];
+            return;
         };
         let input = required.in_memory.union(model.items_mem_vars(items));
         let op = PhysicalOp::AlgProject {
             items: items.clone(),
         };
-        unary(op, memo, expr, required, input, VarSet::EMPTY)
+        out.push(unary(op, memo, expr, required, input, VarSet::EMPTY));
     }
 }
 
@@ -500,33 +531,34 @@ impl<'e> ImplRule<M<'e>> for OrderedIndexScanImpl {
         _memo: &Memo<M<'e>>,
         expr: &Expr<M<'e>>,
         required: &PhysProps,
-    ) -> Vec<Candidate<M<'e>>> {
+        out: &mut Vec<Candidate<M<'e>>>,
+    ) {
         let LogicalOp::Get { coll, var } = expr.op else {
-            return vec![];
+            return;
         };
         let Some(key) = required.order else {
-            return vec![];
+            return;
         };
         // The ordering attribute must be reachable from this scan's
         // variable through an index on this collection.
         let Some((icoll, base, links)) = model.index_path_of(key.var) else {
-            return vec![];
+            return;
         };
         if icoll != coll || base != var {
-            return vec![];
+            return;
         }
         let Some((index, _)) = model.env.catalog.find_index(coll, &links, key.field) else {
-            return vec![];
+            return;
         };
         let pred = model.env.preds.intern(oodb_algebra::Pred::default());
-        vec![Candidate {
+        out.push(Candidate {
             op: PhysicalOp::IndexScan { index, var, pred },
-            inputs: vec![],
+            inputs: Inputs::none(),
             delivers: PhysProps {
                 in_memory: VarSet::single(var),
                 order: Some(key),
             },
-        }]
+        });
     }
 }
 
@@ -543,15 +575,16 @@ impl<'e> ImplRule<M<'e>> for HashSetOpImpl {
         _memo: &Memo<M<'e>>,
         expr: &Expr<M<'e>>,
         required: &PhysProps,
-    ) -> Vec<Candidate<M<'e>>> {
+        out: &mut Vec<Candidate<M<'e>>>,
+    ) {
         let LogicalOp::SetOp { kind } = expr.op else {
-            return vec![];
+            return;
         };
         let (lg, rg) = (expr.children[0], expr.children[1]);
-        vec![Candidate {
+        out.push(Candidate {
             op: PhysicalOp::HashSetOp { kind },
-            inputs: vec![(lg, *required), (rg, *required)],
+            inputs: Inputs::two((lg, *required), (rg, *required)),
             delivers: *required,
-        }]
+        });
     }
 }

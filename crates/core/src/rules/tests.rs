@@ -33,7 +33,7 @@ fn alternatives<'e>(
         enforcers: vec![],
     };
     let mut opt = Optimizer::new(&m, &rules, SearchConfig::default());
-    let root = seed(&mut opt.memo, &m, plan);
+    let root = seed(&mut opt.memo, &m, plan).expect("at most two inputs");
     opt.explore_all();
     let memo = &opt.memo;
     memo.group_exprs(root)
@@ -315,18 +315,20 @@ fn probe_impl<'e>(
     let m = OodbModel::new(env, CostParams::default(), OptimizerConfig::all_rules());
     let rules = RuleSet::new();
     let mut opt = Optimizer::new(&m, &rules, SearchConfig::default());
-    let root = seed(&mut opt.memo, &m, plan);
+    let root = seed(&mut opt.memo, &m, plan).expect("at most two inputs");
     let memo = &opt.memo;
     let e = memo.group_exprs(root)[0];
     let expr_clone = {
         let ex = memo.expr(e);
         volcano::Expr {
             op: ex.op.clone(),
-            children: ex.children.clone(),
+            children: ex.children,
             group: ex.group,
         }
     };
-    rule.implementations(&m, memo, &expr_clone, &required).len()
+    let mut out = Vec::new();
+    rule.implementations(&m, memo, &expr_clone, &required, &mut out);
+    out.len()
 }
 
 #[test]
@@ -460,23 +462,27 @@ fn assembly_enforcer_only_offers_materializable_variables() {
     let om = OodbModel::new(&env, CostParams::default(), OptimizerConfig::all_rules());
     let rules = RuleSet::new();
     let mut opt = Optimizer::new(&om, &rules, SearchConfig::default());
-    let root = seed(&mut opt.memo, &om, &plan);
+    let root = seed(&mut opt.memo, &om, &plan).expect("at most two inputs");
 
     let enf = enforce::AssemblyEnforcer;
     // Requiring the Mat output: enforceable.
-    let cands = enf.enforce(
+    let mut cands = Vec::new();
+    enf.enforce(
         &om,
         &opt.memo,
         root,
         &PhysProps::in_memory(VarSet::single(cm)),
+        &mut cands,
     );
     assert_eq!(cands.len(), 1);
     // Requiring only the scanned base: scans deliver it, enforcers don't.
-    let cands = enf.enforce(
+    let mut cands = Vec::new();
+    enf.enforce(
         &om,
         &opt.memo,
         root,
         &PhysProps::in_memory(VarSet::single(c)),
+        &mut cands,
     );
     assert!(cands.is_empty());
 }

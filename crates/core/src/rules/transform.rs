@@ -23,19 +23,12 @@
 //! one canonical equality per materialized variable — so the memo's
 //! duplicate elimination bounds every rewrite cycle they can form.
 
-use crate::model::OodbModel;
+use crate::model::{Derivation, OodbModel};
 use oodb_algebra::{LogicalOp, Operand, Pred, VarId, VarOrigin, VarSet};
-use volcano::{Expr, Memo, Rewrite, RuleSignature, TransformRule};
+use volcano::{Expr, Memo, RuleSignature, TransformRule};
 
 type M<'e> = OodbModel<'e>;
-type Rw = Rewrite<LogicalOp>;
-
-fn op(o: LogicalOp, children: Vec<Rw>) -> Rw {
-    Rewrite::Op(o, children)
-}
-fn grp(g: volcano::GroupId) -> Rw {
-    Rewrite::Group(g)
-}
+type Rw = volcano::Rewrites<LogicalOp>;
 
 /// The body [`SelectMatSwap`] and [`SelectUnnestSwap`] share: commutes
 /// `Select` with the scope operator `scope` recognises (returning the
@@ -46,11 +39,12 @@ fn select_scope_swap(
     memo: &Memo<M<'_>>,
     expr: &Expr<M<'_>>,
     scope: fn(&LogicalOp) -> Option<VarId>,
-) -> Vec<Rw> {
+    out: &mut Rw,
+) {
     let used = match &expr.op {
         LogicalOp::Select { pred } => Some(model.pred_vars(*pred)),
         o if scope(o).is_some() => None,
-        _ => return vec![],
+        _ => return,
     };
     // What moves above `expr`: below a selection, a scope operator whose
     // variable it ignores; below a scope operator, any selection.
@@ -58,22 +52,21 @@ fn select_scope_swap(
         Some(used) => scope(child).is_some_and(|v| !used.contains(v)),
         None => matches!(child, LogicalOp::Select { .. }),
     };
-    memo.group_exprs(expr.children[0])
-        .iter()
-        .map(|&ce| memo.expr(ce))
-        .filter(|child| moves_up(&child.op))
-        .map(|child| {
-            let moved = op(expr.op.clone(), vec![grp(child.children[0])]);
-            op(child.op.clone(), vec![moved])
-        })
-        .collect()
+    for &ce in memo.group_exprs(expr.children[0]) {
+        let child = memo.expr(ce);
+        if moves_up(&child.op) {
+            let below = out.group(child.children[0]);
+            let moved = out.op(expr.op.clone(), [below]);
+            let root = out.op(child.op.clone(), [moved]);
+            out.emit(root);
+        }
+    }
 }
 
 /// `U(Join(L, R))` → `Join(U(L), R)` and `Join(L, U(R))` for the unary
 /// operator `U` at `expr` and every join beneath it, onto each side whose
 /// scope binds all of `needs`.
-fn push_into_join_sides(memo: &Memo<M<'_>>, expr: &Expr<M<'_>>, needs: VarSet) -> Vec<Rw> {
-    let mut out = Vec::new();
+fn push_into_join_sides(memo: &Memo<M<'_>>, expr: &Expr<M<'_>>, needs: VarSet, out: &mut Rw) {
     for &ce in memo.group_exprs(expr.children[0]) {
         let join = memo.expr(ce);
         if !matches!(join.op, LogicalOp::Join { .. }) {
@@ -81,13 +74,13 @@ fn push_into_join_sides(memo: &Memo<M<'_>>, expr: &Expr<M<'_>>, needs: VarSet) -
         }
         for side in 0..2 {
             if needs.is_subset(memo.props(join.children[side]).vars) {
-                let mut inputs = vec![grp(join.children[0]), grp(join.children[1])];
-                inputs[side] = op(expr.op.clone(), vec![grp(join.children[side])]);
-                out.push(op(join.op.clone(), inputs));
+                let mut inputs = join.children.map(|g| out.group(g));
+                inputs[side] = out.op(expr.op.clone(), [inputs[side]]);
+                let root = out.op(join.op.clone(), inputs);
+                out.emit(root);
             }
         }
     }
-    out
 }
 
 /// `Join(U(X), R)` → `U(Join(X, R))`, and the same from the right, for the
@@ -97,19 +90,21 @@ fn pull_out_of_join_sides(
     memo: &Memo<M<'_>>,
     expr: &Expr<M<'_>>,
     lift: impl Fn(&LogicalOp) -> bool,
-) -> Vec<Rw> {
-    let mut out = Vec::new();
+    out: &mut Rw,
+) {
     for side in 0..2 {
         for &ce in memo.group_exprs(expr.children[side]) {
             let child = memo.expr(ce);
             if lift(&child.op) {
-                let mut inputs = vec![grp(expr.children[0]), grp(expr.children[1])];
-                inputs[side] = grp(child.children[0]);
-                out.push(op(child.op.clone(), vec![op(expr.op.clone(), inputs)]));
+                let mut inputs = expr.children;
+                inputs[side] = child.children[0];
+                let inputs = inputs.map(|g| out.group(g));
+                let join = out.op(expr.op.clone(), inputs);
+                let root = out.op(child.op.clone(), [join]);
+                out.emit(root);
             }
         }
     }
-    out
 }
 
 /// `Select[t1 ∧ … ∧ tn](X)` → `Select[ti](Select[rest](X))` for each `i`.
@@ -130,34 +125,28 @@ impl<'e> TransformRule<M<'e>> for SelectSplit {
             generative: false,
         }
     }
-    fn apply(&self, model: &M<'e>, _memo: &Memo<M<'e>>, expr: &Expr<M<'e>>) -> Vec<Rw> {
-        let LogicalOp::Select { pred } = &expr.op else {
-            return vec![];
+    fn apply(&self, model: &M<'e>, _memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
+        let LogicalOp::Select { pred } = expr.op else {
+            return;
         };
-        let p = model.env.preds.pred(*pred);
-        if p.terms.len() < 2 {
-            return vec![];
+        let terms = &model.env.preds.pred(pred).terms;
+        if terms.len() < 2 {
+            return;
         }
-        let mut out = Vec::new();
-        for i in 0..p.terms.len() {
-            let rest: Vec<_> = p
-                .terms
-                .iter()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, t)| t.clone())
-                .collect();
-            let one = model.env.preds.intern(Pred::term(p.terms[i].clone()));
-            let rest = model.env.preds.intern(Pred { terms: rest });
-            out.push(op(
-                LogicalOp::Select { pred: one },
-                vec![op(
-                    LogicalOp::Select { pred: rest },
-                    vec![grp(expr.children[0])],
-                )],
-            ));
+        for i in 0..terms.len() {
+            let one = model.derived_pred(Derivation::Conjunct(pred, i), || {
+                Pred::term(terms[i].clone())
+            });
+            let rest = model.derived_pred(Derivation::WithoutConjunct(pred, i), || {
+                let mut rest = terms.clone();
+                rest.remove(i);
+                Pred { terms: rest }
+            });
+            let input = out.group(expr.children[0]);
+            let below = out.op(LogicalOp::Select { pred: rest }, [input]);
+            let root = out.op(LogicalOp::Select { pred: one }, [below]);
+            out.emit(root);
         }
-        out
     }
 }
 
@@ -176,11 +165,12 @@ impl<'e> TransformRule<M<'e>> for SelectMatSwap {
             generative: false,
         }
     }
-    fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>) -> Vec<Rw> {
-        select_scope_swap(model, memo, expr, |o| match o {
+    fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
+        let scope = |o: &LogicalOp| match o {
             LogicalOp::Mat { out } => Some(*out),
             _ => None,
-        })
+        };
+        select_scope_swap(model, memo, expr, scope, out)
     }
 }
 
@@ -199,11 +189,12 @@ impl<'e> TransformRule<M<'e>> for SelectUnnestSwap {
             generative: false,
         }
     }
-    fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>) -> Vec<Rw> {
-        select_scope_swap(model, memo, expr, |o| match o {
+    fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
+        let scope = |o: &LogicalOp| match o {
             LogicalOp::Unnest { out } => Some(*out),
             _ => None,
-        })
+        };
+        select_scope_swap(model, memo, expr, scope, out)
     }
 }
 
@@ -222,13 +213,16 @@ impl<'e> TransformRule<M<'e>> for SelectJoinPush {
             generative: false,
         }
     }
-    fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>) -> Vec<Rw> {
+    fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
         match expr.op {
-            LogicalOp::Select { pred } => push_into_join_sides(memo, expr, model.pred_vars(pred)),
-            LogicalOp::Join { .. } => {
-                pull_out_of_join_sides(memo, expr, |o| matches!(o, LogicalOp::Select { .. }))
+            LogicalOp::Select { pred } => {
+                push_into_join_sides(memo, expr, model.pred_vars(pred), out)
             }
-            _ => vec![],
+            LogicalOp::Join { .. } => {
+                let select = |o: &LogicalOp| matches!(o, LogicalOp::Select { .. });
+                pull_out_of_join_sides(memo, expr, select, out)
+            }
+            _ => {}
         }
     }
 }
@@ -252,12 +246,11 @@ impl<'e> TransformRule<M<'e>> for SelectIntoJoin {
             generative: false,
         }
     }
-    fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>) -> Vec<Rw> {
+    fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
         let LogicalOp::Select { pred } = expr.op else {
-            return vec![];
+            return;
         };
         let used = model.pred_vars(pred);
-        let mut out = Vec::new();
         for &ce in memo.group_exprs(expr.children[0]) {
             let child = memo.expr(ce);
             let LogicalOp::Join { pred: jp } = child.op else {
@@ -271,13 +264,16 @@ impl<'e> TransformRule<M<'e>> for SelectIntoJoin {
             if used.is_subset(lv) || used.is_subset(rv) {
                 continue;
             }
-            let mut terms = model.env.preds.pred(jp).terms.clone();
-            terms.extend(model.env.preds.pred(pred).terms.iter().cloned());
-            terms.sort_by_key(|t| t.op != oodb_algebra::CmpOp::Eq);
-            let merged = model.env.preds.intern(oodb_algebra::Pred { terms });
-            out.push(op(LogicalOp::Join { pred: merged }, vec![grp(l), grp(r)]));
+            let merged = model.derived_pred(Derivation::Merged(jp, pred), || {
+                let mut terms = model.env.preds.pred(jp).terms.clone();
+                terms.extend(model.env.preds.pred(pred).terms.iter().cloned());
+                terms.sort_by_key(|t| t.op != oodb_algebra::CmpOp::Eq);
+                Pred { terms }
+            });
+            let inputs = child.children.map(|g| out.group(g));
+            let root = out.op(LogicalOp::Join { pred: merged }, inputs);
+            out.emit(root);
         }
-        out
     }
 }
 
@@ -302,32 +298,31 @@ impl<'e> TransformRule<M<'e>> for MatToJoin {
             generative: false,
         }
     }
-    fn apply(&self, model: &M<'e>, _memo: &Memo<M<'e>>, expr: &Expr<M<'e>>) -> Vec<Rw> {
+    fn apply(&self, model: &M<'e>, _memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
         let LogicalOp::Mat { out: mat_out } = expr.op else {
-            return vec![];
+            return;
         };
         let Some(coll) = model.var_domain(mat_out) else {
-            return vec![];
+            return;
         };
         let VarOrigin::Mat { src, field } = model.env.scopes.var(mat_out).origin else {
-            return vec![];
+            return;
         };
-        let ref_operand = match field {
-            Some(f) => Operand::RefField { var: src, field: f },
-            None => Operand::VarRef(src),
-        };
-        let pred = model.env.preds.cmp(
-            ref_operand,
-            oodb_algebra::CmpOp::Eq,
-            Operand::VarOid(mat_out),
-        );
-        vec![op(
-            LogicalOp::Join { pred },
-            vec![
-                grp(expr.children[0]),
-                op(LogicalOp::Get { coll, var: mat_out }, vec![]),
-            ],
-        )]
+        let pred = model.derived_pred(Derivation::MatJoin(mat_out), || {
+            let ref_operand = match field {
+                Some(f) => Operand::RefField { var: src, field: f },
+                None => Operand::VarRef(src),
+            };
+            Pred::term(oodb_algebra::Term {
+                left: ref_operand,
+                op: oodb_algebra::CmpOp::Eq,
+                right: Operand::VarOid(mat_out),
+            })
+        });
+        let input = out.group(expr.children[0]);
+        let scan = out.op(LogicalOp::Get { coll, var: mat_out }, []);
+        let root = out.op(LogicalOp::Join { pred }, [input, scan]);
+        out.emit(root);
     }
 }
 
@@ -350,14 +345,13 @@ impl<'e> TransformRule<M<'e>> for JoinCommute {
             generative: false,
         }
     }
-    fn apply(&self, _model: &M<'e>, _memo: &Memo<M<'e>>, expr: &Expr<M<'e>>) -> Vec<Rw> {
+    fn apply(&self, _model: &M<'e>, _memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
         let LogicalOp::Join { pred } = expr.op else {
-            return vec![];
+            return;
         };
-        vec![op(
-            LogicalOp::Join { pred },
-            vec![grp(expr.children[1]), grp(expr.children[0])],
-        )]
+        let [r, l] = [1, 0].map(|side| out.group(expr.children[side]));
+        let root = out.op(LogicalOp::Join { pred }, [r, l]);
+        out.emit(root);
     }
 }
 
@@ -378,11 +372,10 @@ impl<'e> TransformRule<M<'e>> for JoinAssoc {
             generative: false,
         }
     }
-    fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>) -> Vec<Rw> {
+    fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
         let LogicalOp::Join { pred: p2 } = expr.op else {
-            return vec![];
+            return;
         };
-        let mut out = Vec::new();
         let c = expr.children[1];
         for &le in memo.group_exprs(expr.children[0]) {
             let lexpr = memo.expr(le);
@@ -390,17 +383,13 @@ impl<'e> TransformRule<M<'e>> for JoinAssoc {
                 let (a, b) = (lexpr.children[0], lexpr.children[1]);
                 let p2_vars = model.pred_vars(p2);
                 if p2_vars.is_subset(memo.props(b).vars.union(memo.props(c).vars)) {
-                    out.push(op(
-                        LogicalOp::Join { pred: p1 },
-                        vec![
-                            grp(a),
-                            op(LogicalOp::Join { pred: p2 }, vec![grp(b), grp(c)]),
-                        ],
-                    ));
+                    let [a, b, c] = [a, b, c].map(|g| out.group(g));
+                    let bc = out.op(LogicalOp::Join { pred: p2 }, [b, c]);
+                    let root = out.op(LogicalOp::Join { pred: p1 }, [a, bc]);
+                    out.emit(root);
                 }
             }
         }
-        out
     }
 }
 
@@ -421,28 +410,26 @@ impl<'e> TransformRule<M<'e>> for MatMatSwap {
             generative: false,
         }
     }
-    fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>) -> Vec<Rw> {
+    fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
         let LogicalOp::Mat { out: o1 } = expr.op else {
-            return vec![];
+            return;
         };
         let VarOrigin::Mat { src: s1, .. } = model.env.scopes.var(o1).origin else {
-            return vec![];
+            return;
         };
-        let mut out = Vec::new();
         for &ce in memo.group_exprs(expr.children[0]) {
             let child = memo.expr(ce);
             if let LogicalOp::Mat { out: o2 } = child.op {
                 // o1 must not depend on o2, and o1's source must already be
                 // in scope beneath o2.
                 if s1 != o2 && memo.props(child.children[0]).vars.contains(s1) {
-                    out.push(op(
-                        LogicalOp::Mat { out: o2 },
-                        vec![op(LogicalOp::Mat { out: o1 }, vec![grp(child.children[0])])],
-                    ));
+                    let below = out.group(child.children[0]);
+                    let inner = out.op(LogicalOp::Mat { out: o1 }, [below]);
+                    let root = out.op(LogicalOp::Mat { out: o2 }, [inner]);
+                    out.emit(root);
                 }
             }
         }
-        out
     }
 }
 
@@ -464,37 +451,37 @@ impl<'e> TransformRule<M<'e>> for SelectSetOpPush {
             generative: false,
         }
     }
-    fn apply(&self, _model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>) -> Vec<Rw> {
+    fn apply(&self, _model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
         let LogicalOp::Select { pred } = expr.op else {
-            return vec![];
+            return;
         };
-        let mut out = Vec::new();
         for &ce in memo.group_exprs(expr.children[0]) {
             let child = memo.expr(ce);
             let LogicalOp::SetOp { kind } = child.op else {
                 continue;
             };
-            let (l, r) = (child.children[0], child.children[1]);
-            let sel = |g| op(LogicalOp::Select { pred }, vec![grp(g)]);
-            match kind {
-                oodb_algebra::SetOpKind::Union => {
-                    // σ(A ∪ B) = σA ∪ σB
-                    out.push(op(LogicalOp::SetOp { kind }, vec![sel(l), sel(r)]));
+            // Which inputs get the selection, as one rewrite each.
+            let sides: &[[bool; 2]] = match kind {
+                // σ(A ∪ B) = σA ∪ σB
+                oodb_algebra::SetOpKind::Union => &[[true, true]],
+                // σ(A ∩ B) = σA ∩ B = A ∩ σB — push to the (likely
+                // smaller after filtering) left; exploration plus
+                // commutativity-by-hand covers the right.
+                oodb_algebra::SetOpKind::Intersect => &[[true, false], [false, true]],
+                // σ(A \ B) = σA \ B  (NOT distributable into B).
+                oodb_algebra::SetOpKind::Difference => &[[true, false]],
+            };
+            for &[left, right] in sides {
+                let mut inputs = child.children.map(|g| out.group(g));
+                for (input, selected) in inputs.iter_mut().zip([left, right]) {
+                    if selected {
+                        *input = out.op(LogicalOp::Select { pred }, [*input]);
+                    }
                 }
-                oodb_algebra::SetOpKind::Intersect => {
-                    // σ(A ∩ B) = σA ∩ B = A ∩ σB — push to the (likely
-                    // smaller after filtering) left; exploration plus
-                    // commutativity-by-hand covers the right.
-                    out.push(op(LogicalOp::SetOp { kind }, vec![sel(l), grp(r)]));
-                    out.push(op(LogicalOp::SetOp { kind }, vec![grp(l), sel(r)]));
-                }
-                oodb_algebra::SetOpKind::Difference => {
-                    // σ(A \ B) = σA \ B  (NOT distributable into B).
-                    out.push(op(LogicalOp::SetOp { kind }, vec![sel(l), grp(r)]));
-                }
+                let root = out.op(LogicalOp::SetOp { kind }, inputs);
+                out.emit(root);
             }
         }
-        out
     }
 }
 
@@ -514,23 +501,24 @@ impl<'e> TransformRule<M<'e>> for MatSetOpPush {
             generative: false,
         }
     }
-    fn apply(&self, _model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>) -> Vec<Rw> {
+    fn apply(&self, _model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
         let LogicalOp::Mat { out: o } = expr.op else {
-            return vec![];
+            return;
         };
-        let mut out = Vec::new();
         for &ce in memo.group_exprs(expr.children[0]) {
             let child = memo.expr(ce);
             let LogicalOp::SetOp { kind } = child.op else {
                 continue;
             };
-            let (l, r) = (child.children[0], child.children[1]);
-            let mat = |g| op(LogicalOp::Mat { out: o }, vec![grp(g)]);
             // Mat(A op B) = Mat(A) op Mat(B): set matching is on identity,
             // which Mat preserves.
-            out.push(op(LogicalOp::SetOp { kind }, vec![mat(l), mat(r)]));
+            let inputs = child.children.map(|g| {
+                let input = out.group(g);
+                out.op(LogicalOp::Mat { out: o }, [input])
+            });
+            let root = out.op(LogicalOp::SetOp { kind }, inputs);
+            out.emit(root);
         }
-        out
     }
 }
 
@@ -549,22 +537,21 @@ impl<'e> TransformRule<M<'e>> for MatJoinPush {
             generative: false,
         }
     }
-    fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>) -> Vec<Rw> {
+    fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
         match expr.op {
-            LogicalOp::Mat { out } => match model.env.scopes.var(out).origin {
-                VarOrigin::Mat { src, .. } => push_into_join_sides(memo, expr, VarSet::single(src)),
-                _ => vec![],
-            },
+            LogicalOp::Mat { out: o } => {
+                if let VarOrigin::Mat { src, .. } = model.env.scopes.var(o).origin {
+                    push_into_join_sides(memo, expr, VarSet::single(src), out)
+                }
+            }
             LogicalOp::Join { pred } => {
                 // Pull only a Mat the join predicate ignores.
                 let used = model.pred_vars(pred);
-                pull_out_of_join_sides(
-                    memo,
-                    expr,
-                    |o| matches!(o, LogicalOp::Mat { out } if !used.contains(*out)),
-                )
+                let mat =
+                    |o: &LogicalOp| matches!(o, LogicalOp::Mat { out: v } if !used.contains(*v));
+                pull_out_of_join_sides(memo, expr, mat, out)
             }
-            _ => vec![],
+            _ => {}
         }
     }
 }

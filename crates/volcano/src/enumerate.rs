@@ -17,9 +17,10 @@
 //! goal's set for the other would silently drop plans. The limits keep
 //! the repeated work affordable.
 
+use crate::inputs::Inputs;
 use crate::memo::GroupId;
 use crate::model::{OptModel, RuleSet};
-use crate::search::{GoalKey, Optimizer, PlanNode};
+use crate::search::{Candidates, GoalKey, Optimizer, PlanNode};
 
 /// Bounds on the enumeration. Exceeding any of them stops the walk and
 /// marks the result [`Enumeration::truncated`] — an oracle that silently
@@ -124,26 +125,43 @@ impl<M: OptModel> Optimizer<'_, M> {
             return Vec::new();
         }
         stack.push(key);
+        let mut buf = self.take_candidates();
+        let plans = self.enum_candidates(group, &props, stack, state, &mut buf);
+        self.put_candidates(buf);
+        stack.pop();
+        plans
+    }
+
+    /// The body of [`Self::enum_goal`], with the goal's candidate buffers.
+    /// Stops at the first truncation: what it has built so far is all the
+    /// walk returns.
+    fn enum_candidates(
+        &mut self,
+        group: GroupId,
+        props: &M::PProps,
+        stack: &mut Vec<GoalKey>,
+        state: &mut EnumState,
+        buf: &mut Candidates<M>,
+    ) -> Vec<PlanNode<M>> {
         let mut plans: Vec<PlanNode<M>> = Vec::new();
 
         let rules: &RuleSet<M> = self.rules();
         for member in 0..self.memo.group_exprs(group).len() {
             let e = self.memo.group_exprs(group)[member];
             for rule in &rules.impls {
-                let cands =
-                    rule.implementations(self.model(), &self.memo, self.memo.expr(e), &props);
-                'cands: for cand in cands {
-                    if !self.model().satisfies(&props, &cand.delivers) {
+                let expr = self.memo.expr(e);
+                rule.implementations(self.model(), &self.memo, expr, props, &mut buf.implemented);
+                'cands: for cand in buf.implemented.drain(..) {
+                    if !self.model().satisfies(props, &cand.delivers) {
                         continue;
                     }
-                    let local = self.price(&cand.op, cand.inputs.iter().map(|(g, _)| *g));
+                    let local = self.price(&cand.op, cand.inputs.each_ref().map(|(g, _)| *g));
                     // Child plan sets; any empty set kills the candidate.
                     let mut child_sets: Vec<Vec<PlanNode<M>>> =
                         Vec::with_capacity(cand.inputs.len());
                     for (cg, cp) in &cand.inputs {
                         let set = self.enum_goal(*cg, cp.clone(), stack, state);
                         if state.truncated {
-                            stack.pop();
                             return plans;
                         }
                         if set.is_empty() {
@@ -155,7 +173,6 @@ impl<M: OptModel> Optimizer<'_, M> {
                     let mut idx = vec![0usize; child_sets.len()];
                     loop {
                         if !state.charge() {
-                            stack.pop();
                             return plans;
                         }
                         plans.push(PlanNode {
@@ -188,19 +205,24 @@ impl<M: OptModel> Optimizer<'_, M> {
 
         // Enforcers: every plan for the weaker goal, wrapped.
         for enf in &rules.enforcers {
-            let cands = enf.enforce(self.model(), &self.memo, group, &props);
-            for ec in cands {
-                if ec.input_props == props {
+            enf.enforce(self.model(), &self.memo, group, props, &mut buf.enforced);
+            for ec in buf.enforced.drain(..) {
+                if ec.input_props == *props {
                     continue; // no progress: the search skips these too
                 }
-                if !self.model().satisfies(&props, &ec.delivers) {
+                if !self.model().satisfies(props, &ec.delivers) {
                     continue;
                 }
                 let inner = self.enum_goal(group, ec.input_props.clone(), stack, state);
-                let local = self.price(&ec.op, [group]);
+                if state.truncated {
+                    return plans;
+                }
+                if inner.is_empty() {
+                    continue;
+                }
+                let local = self.price(&ec.op, Inputs::one(group));
                 for p in inner {
                     if !state.charge() {
-                        stack.pop();
                         return plans;
                     }
                     plans.push(PlanNode {
@@ -212,8 +234,6 @@ impl<M: OptModel> Optimizer<'_, M> {
                 }
             }
         }
-
-        stack.pop();
         plans
     }
 }
@@ -301,6 +321,42 @@ mod tests {
         );
         assert!(en.truncated, "cut walks must say so");
         assert!(en.plans.len() <= 3);
+    }
+
+    #[test]
+    fn enforcers_price_nothing_past_truncation_or_over_an_empty_walk() {
+        use crate::search::tests::{Counted, Resort, Unordered};
+        use crate::toy::ToyPOp;
+        let sorted = ToySort { sorted: true };
+        let model = Counted::default();
+        let rules = RuleSet {
+            transforms: vec![],
+            impls: vec![Box::new(Unordered) as Box<dyn crate::ImplRule<Counted>>],
+            enforcers: vec![Box::new(Resort), Box::new(Resort)],
+        };
+        let mut opt = Optimizer::new(&model, &rules, SearchConfig::default());
+        let t = opt.memo.insert(&model, ToyOp::Table(0), []).0;
+        let budget = EnumLimits {
+            max_plans: 0,
+            ..Default::default()
+        };
+        let en = opt.enumerate_bounded(t, sorted, budget);
+        assert!(en.truncated && en.plans.is_empty());
+        // The scan under the first Sort is priced, then its plan node is
+        // over budget: neither that Sort nor the second enforcer's walk
+        // is priced after.
+        assert_eq!(model.priced.take(), [ToyPOp::Scan(0)]);
+
+        // Without implementation rules the inner walk is empty, untruncated.
+        let rules = RuleSet {
+            impls: vec![],
+            ..rules
+        };
+        let mut opt = Optimizer::new(&model, &rules, SearchConfig::default());
+        let t = opt.memo.insert(&model, ToyOp::Table(0), []).0;
+        let en = opt.enumerate_bounded(t, sorted, EnumLimits::default());
+        assert!(!en.truncated && en.plans.is_empty());
+        assert_eq!(model.priced.take(), []);
     }
 
     #[test]

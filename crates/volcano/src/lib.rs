@@ -26,7 +26,56 @@
 //!
 //! The memo is index-based (`GroupId`/`ExprId` into arenas) precisely
 //! because plan-graph rewriting under shared ownership is where naive
-//! `Rc<RefCell<...>>` designs collapse; see DESIGN.md.
+//! `Rc<RefCell<...>>` designs collapse; see DESIGN.md. An expression's
+//! inputs are stored inline ([`Inputs`]: at most two), and rules write
+//! into buffers the engine owns and reuses, so a search allocates per
+//! query rather than per rewrite or candidate:
+//!
+//! ```
+//! use volcano::toy::{Toy, ToyOp, ToyPOp, ToySort};
+//! use volcano::{Candidate, Expr, ImplRule, Memo, Rewrites, TransformRule};
+//!
+//! /// `Join(A, B)` → `Join(B, A)`.
+//! struct Commute;
+//!
+//! impl TransformRule<Toy> for Commute {
+//!     fn name(&self) -> &'static str {
+//!         "commute"
+//!     }
+//!     fn apply(&self, _: &Toy, _: &Memo<Toy>, expr: &Expr<Toy>, out: &mut Rewrites<ToyOp>) {
+//!         if expr.op == ToyOp::Join {
+//!             let [a, b] = [0, 1].map(|i| out.group(expr.children[i]));
+//!             let swapped = out.op(ToyOp::Join, [b, a]);
+//!             out.emit(swapped);
+//!         }
+//!     }
+//! }
+//!
+//! /// A join as a hash join over unordered inputs.
+//! struct HashJoin;
+//!
+//! impl ImplRule<Toy> for HashJoin {
+//!     fn name(&self) -> &'static str {
+//!         "hash-join"
+//!     }
+//!     fn implementations(
+//!         &self,
+//!         _: &Toy,
+//!         _: &Memo<Toy>,
+//!         expr: &Expr<Toy>,
+//!         _required: &ToySort,
+//!         out: &mut Vec<Candidate<Toy>>,
+//!     ) {
+//!         if expr.op == ToyOp::Join {
+//!             out.push(Candidate {
+//!                 op: ToyPOp::HashJoin,
+//!                 inputs: expr.children.map(|g| (g, ToySort::default())),
+//!                 delivers: ToySort::default(),
+//!             });
+//!         }
+//!     }
+//! }
+//! ```
 //!
 //! The [`toy`] module contains a minimal complete model used by the unit
 //! tests and as a template for new optimizers.
@@ -35,6 +84,7 @@
 
 pub mod enumerate;
 mod fx;
+pub mod inputs;
 pub mod memo;
 pub mod model;
 pub mod rulegraph;
@@ -43,7 +93,8 @@ pub mod stats;
 pub mod toy;
 
 pub use enumerate::{EnumLimits, Enumeration};
-pub use memo::{Expr, ExprId, GroupId, Memo, Rewrite};
+pub use inputs::{Inputs, TooManyInputs};
+pub use memo::{Expr, ExprId, GroupId, Memo, RewriteNode, RewritePart, Rewrites};
 pub use model::{
     Candidate, CostValue, EnforceCandidate, Enforcer, ImplRule, OptModel, RuleSet, RuleSignature,
     TransformRule,

@@ -6,7 +6,8 @@
 //! derivation and cost functions; [`TransformRule`]s, [`ImplRule`]s, and
 //! [`Enforcer`]s populate a [`RuleSet`].
 
-use crate::memo::{Expr, GroupId, Memo, Rewrite};
+use crate::inputs::Inputs;
+use crate::memo::{Expr, GroupId, Memo, Rewrites};
 use std::fmt;
 use std::hash::Hash;
 
@@ -111,9 +112,10 @@ impl RuleSignature {
 pub trait TransformRule<M: OptModel> {
     /// Rule name (display, configuration, statistics).
     fn name(&self) -> &'static str;
-    /// Applies the rule, returning zero or more equivalent expressions as
-    /// [`Rewrite`] templates over existing groups.
-    fn apply(&self, model: &M, memo: &Memo<M>, expr: &Expr<M>) -> Vec<Rewrite<M::LOp>>;
+    /// Applies the rule: emits zero or more expressions equivalent to
+    /// `expr` into `out`, a buffer the engine owns, as nodes over existing
+    /// groups.
+    fn apply(&self, model: &M, memo: &Memo<M>, expr: &Expr<M>, out: &mut Rewrites<M::LOp>);
     /// Static rewrite-shape metadata for rule-graph termination analysis.
     /// The default is [`RuleSignature::UNSIGNED`], which that analysis
     /// rejects — implementors are expected to describe every rule.
@@ -131,7 +133,7 @@ pub struct Candidate<M: OptModel> {
     /// required to deliver (usually the expression's children, but a
     /// collapsing rule — e.g. select-materialize-get to index scan — may
     /// produce none).
-    pub inputs: Vec<(GroupId, M::PProps)>,
+    pub inputs: Inputs<(GroupId, M::PProps)>,
     /// Physical properties the operator delivers, assuming inputs deliver
     /// exactly their required properties.
     pub delivers: M::PProps,
@@ -143,16 +145,18 @@ pub struct Candidate<M: OptModel> {
 pub trait ImplRule<M: OptModel> {
     /// Rule name.
     fn name(&self) -> &'static str;
-    /// Proposes algorithms for `expr` under `required` properties. Return
-    /// an empty vector when the rule cannot deliver them (e.g. an index
-    /// scan cannot deliver referenced components in memory).
+    /// Proposes algorithms for `expr` under `required` properties, pushing
+    /// them onto `out`, a buffer the engine owns. Push nothing when the
+    /// rule cannot deliver them (e.g. an index scan cannot deliver
+    /// referenced components in memory).
     fn implementations(
         &self,
         model: &M,
         memo: &Memo<M>,
         expr: &Expr<M>,
         required: &M::PProps,
-    ) -> Vec<Candidate<M>>;
+        out: &mut Vec<Candidate<M>>,
+    );
 }
 
 /// An enforcer candidate: a physical operator layered on the *same* group
@@ -172,14 +176,16 @@ pub struct EnforceCandidate<M: OptModel> {
 pub trait Enforcer<M: OptModel> {
     /// Enforcer name.
     fn name(&self) -> &'static str;
-    /// Proposes enforcement alternatives for a group under `required`.
+    /// Proposes enforcement alternatives for a group under `required`,
+    /// pushing them onto `out`, a buffer the engine owns.
     fn enforce(
         &self,
         model: &M,
         memo: &Memo<M>,
         group: GroupId,
         required: &M::PProps,
-    ) -> Vec<EnforceCandidate<M>>;
+        out: &mut Vec<EnforceCandidate<M>>,
+    );
 }
 
 /// The complete rule set of a generated optimizer.

@@ -196,7 +196,7 @@ pub fn prove_termination<M: OptModel>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::memo::{Expr, Memo, Rewrite};
+    use crate::memo::{Expr, Memo, Rewrites};
     use crate::model::TransformRule;
     use crate::toy::{toy_rules, Toy, ToyOp};
 
@@ -217,9 +217,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "inflate"
         }
-        fn apply(&self, _m: &Toy, _memo: &Memo<Toy>, _e: &Expr<Toy>) -> Vec<Rewrite<ToyOp>> {
-            vec![]
-        }
+        fn apply(&self, _m: &Toy, _memo: &Memo<Toy>, _e: &Expr<Toy>, _: &mut Rewrites<ToyOp>) {}
         fn signature(&self) -> crate::model::RuleSignature {
             crate::model::RuleSignature {
                 consumes: &["Join"],
@@ -250,9 +248,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "one-shot"
         }
-        fn apply(&self, _m: &Toy, _memo: &Memo<Toy>, _e: &Expr<Toy>) -> Vec<Rewrite<ToyOp>> {
-            vec![]
-        }
+        fn apply(&self, _m: &Toy, _memo: &Memo<Toy>, _e: &Expr<Toy>, _: &mut Rewrites<ToyOp>) {}
         fn signature(&self) -> crate::model::RuleSignature {
             crate::model::RuleSignature {
                 consumes: &["Select"],
@@ -275,9 +271,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "anonymous"
         }
-        fn apply(&self, _m: &Toy, _memo: &Memo<Toy>, _e: &Expr<Toy>) -> Vec<Rewrite<ToyOp>> {
-            vec![]
-        }
+        fn apply(&self, _m: &Toy, _memo: &Memo<Toy>, _e: &Expr<Toy>, _: &mut Rewrites<ToyOp>) {}
         // No signature override: UNSIGNED.
     }
 

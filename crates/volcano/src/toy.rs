@@ -4,13 +4,27 @@
 //! crate's unit tests (memo, exhaustive transformation, goal-directed
 //! search, enforcers, pruning), and it is a template of what an implementor
 //! supplies: property and cost functions ([`OptModel::cost`]) and rules.
+//! Rules write into buffers the engine owns and reuses:
+//!
+//! ```text
+//! fn apply(&self, model, memo, expr, out: &mut Rewrites<LOp>)
+//! fn implementations(&self, model, memo, expr, required, out: &mut Vec<Candidate<M>>)
+//! fn enforce(&self, model, memo, group, required, out: &mut Vec<EnforceCandidate<M>>)
+//! ```
+//!
+//! A transformation rule builds each rewrite from nodes — `out.group(g)`
+//! for an existing group, `out.op(op, [inputs])` for an operator — and
+//! emits its root with `out.emit(root)` ([`Commute`], [`Assoc`]); an
+//! implementation rule or enforcer pushes its candidates ([`ScanImpl`],
+//! [`HashJoinImpl`], [`SortEnforcer`]).
 //!
 //! The model is a caricature of relational join ordering: `Table(t)`
 //! leaves with catalog cardinalities, a commutative/associative `Join`,
 //! hash-join and scan algorithms, a `sorted` physical property deliverable
 //! only by an index scan on table 0 or by an explicit `Sort` enforcer.
 
-use crate::memo::{Expr, GroupId, Memo, Rewrite};
+use crate::inputs::Inputs;
+use crate::memo::{Expr, GroupId, Memo, Rewrites};
 use crate::model::{
     Candidate, EnforceCandidate, Enforcer, ImplRule, OptModel, RuleSet, RuleSignature,
     TransformRule,
@@ -113,17 +127,13 @@ impl TransformRule<Toy> for Commute {
     fn name(&self) -> &'static str {
         "join-commute"
     }
-    fn apply(&self, _m: &Toy, _memo: &Memo<Toy>, expr: &Expr<Toy>) -> Vec<Rewrite<ToyOp>> {
+    fn apply(&self, _m: &Toy, _memo: &Memo<Toy>, expr: &Expr<Toy>, out: &mut Rewrites<ToyOp>) {
         if expr.op != ToyOp::Join {
-            return vec![];
+            return;
         }
-        vec![Rewrite::Op(
-            ToyOp::Join,
-            vec![
-                Rewrite::Group(expr.children[1]),
-                Rewrite::Group(expr.children[0]),
-            ],
-        )]
+        let (b, a) = (out.group(expr.children[1]), out.group(expr.children[0]));
+        let root = out.op(ToyOp::Join, [b, a]);
+        out.emit(root);
     }
     fn signature(&self) -> RuleSignature {
         RuleSignature {
@@ -142,31 +152,21 @@ impl TransformRule<Toy> for Assoc {
     fn name(&self) -> &'static str {
         "join-assoc"
     }
-    fn apply(&self, _m: &Toy, memo: &Memo<Toy>, expr: &Expr<Toy>) -> Vec<Rewrite<ToyOp>> {
+    fn apply(&self, _m: &Toy, memo: &Memo<Toy>, expr: &Expr<Toy>, out: &mut Rewrites<ToyOp>) {
         if expr.op != ToyOp::Join {
-            return vec![];
+            return;
         }
-        let mut out = Vec::new();
         for &le in memo.group_exprs(expr.children[0]) {
             let lexpr = memo.expr(le);
             if lexpr.op == ToyOp::Join {
                 // (A ⋈ B) ⋈ C  →  A ⋈ (B ⋈ C)
-                out.push(Rewrite::Op(
-                    ToyOp::Join,
-                    vec![
-                        Rewrite::Group(lexpr.children[0]),
-                        Rewrite::Op(
-                            ToyOp::Join,
-                            vec![
-                                Rewrite::Group(lexpr.children[1]),
-                                Rewrite::Group(expr.children[1]),
-                            ],
-                        ),
-                    ],
-                ));
+                let [a, b] = [0, 1].map(|i| out.group(lexpr.children[i]));
+                let c = out.group(expr.children[1]);
+                let bc = out.op(ToyOp::Join, [b, c]);
+                let root = out.op(ToyOp::Join, [a, bc]);
+                out.emit(root);
             }
         }
-        out
     }
     fn signature(&self) -> RuleSignature {
         RuleSignature {
@@ -190,20 +190,20 @@ impl ImplRule<Toy> for ScanImpl {
         _memo: &Memo<Toy>,
         expr: &Expr<Toy>,
         _required: &ToySort,
-    ) -> Vec<Candidate<Toy>> {
+        out: &mut Vec<Candidate<Toy>>,
+    ) {
         let ToyOp::Table(t) = expr.op else {
-            return vec![];
+            return;
         };
         let scan = |op, sorted| Candidate {
             op,
-            inputs: vec![],
+            inputs: Inputs::none(),
             delivers: ToySort { sorted },
         };
-        let mut out = vec![scan(ToyPOp::Scan(t), false)];
+        out.push(scan(ToyPOp::Scan(t), false));
         if t == 0 {
             out.push(scan(ToyPOp::SortedScan(t), true));
         }
-        out
     }
 }
 
@@ -220,18 +220,16 @@ impl ImplRule<Toy> for HashJoinImpl {
         _memo: &Memo<Toy>,
         expr: &Expr<Toy>,
         _required: &ToySort,
-    ) -> Vec<Candidate<Toy>> {
+        out: &mut Vec<Candidate<Toy>>,
+    ) {
         if expr.op != ToyOp::Join {
-            return vec![];
+            return;
         }
-        vec![Candidate {
+        out.push(Candidate {
             op: ToyPOp::HashJoin,
-            inputs: vec![
-                (expr.children[0], ToySort::default()),
-                (expr.children[1], ToySort::default()),
-            ],
+            inputs: expr.children.map(|g| (g, ToySort::default())),
             delivers: ToySort { sorted: false },
-        }]
+        });
     }
 }
 
@@ -248,15 +246,15 @@ impl Enforcer<Toy> for SortEnforcer {
         _memo: &Memo<Toy>,
         _group: GroupId,
         required: &ToySort,
-    ) -> Vec<EnforceCandidate<Toy>> {
-        if !required.sorted {
-            return vec![];
+        out: &mut Vec<EnforceCandidate<Toy>>,
+    ) {
+        if required.sorted {
+            out.push(EnforceCandidate {
+                op: ToyPOp::Sort,
+                input_props: ToySort { sorted: false },
+                delivers: ToySort { sorted: true },
+            });
         }
-        vec![EnforceCandidate {
-            op: ToyPOp::Sort,
-            input_props: ToySort { sorted: false },
-            delivers: ToySort { sorted: true },
-        }]
     }
 }
 

@@ -29,11 +29,11 @@ fn tree_over(tables: Vec<u32>) -> BoxedStrategy<Tree> {
 
 fn seed_tree(memo: &mut Memo<Toy>, model: &Toy, t: &Tree) -> GroupId {
     match t {
-        Tree::Leaf(i) => memo.insert(model, ToyOp::Table(*i), vec![]).0,
+        Tree::Leaf(i) => memo.insert(model, ToyOp::Table(*i), []).0,
         Tree::Join(a, b) => {
             let l = seed_tree(memo, model, a);
             let r = seed_tree(memo, model, b);
-            memo.insert(model, ToyOp::Join, vec![l, r]).0
+            memo.insert(model, ToyOp::Join, [l, r]).0
         }
     }
 }

@@ -20,7 +20,7 @@ use open_oodb::core::config::rule_names;
 use open_oodb::core::model::OodbModel;
 use open_oodb::core::rules::rule_set;
 use open_oodb::prelude::*;
-use open_oodb::volcano::{Expr, Memo, Rewrite, TransformRule};
+use open_oodb::volcano::{Expr, Memo, Rewrites, TransformRule};
 
 /// A (deliberately simple) custom rule: eliminate selections whose
 /// predicate is the empty conjunction (`true`). Nothing in the standard
@@ -36,14 +36,15 @@ impl<'e> TransformRule<OodbModel<'e>> for TrueSelectElim {
         model: &OodbModel<'e>,
         _memo: &Memo<OodbModel<'e>>,
         expr: &Expr<OodbModel<'e>>,
-    ) -> Vec<Rewrite<LogicalOp>> {
+        out: &mut Rewrites<LogicalOp>,
+    ) {
         if let LogicalOp::Select { pred } = &expr.op {
             if model.env.preds.pred(*pred).terms.is_empty() {
                 // Select[true](X) ≡ X: assert group equivalence.
-                return vec![Rewrite::Group(expr.children[0])];
+                let input = out.group(expr.children[0]);
+                out.emit(input);
             }
         }
-        vec![]
     }
 }
 

@@ -377,10 +377,10 @@ fn memo_join_enumeration_invariants() {
         };
         let rules = toy_rules();
         let mut opt = Optimizer::new(&model, &rules, SearchConfig::default());
-        let mut g = opt.memo.insert(&model, ToyOp::Table(0), vec![]).0;
+        let mut g = opt.memo.insert(&model, ToyOp::Table(0), []).0;
         for t in 1..n {
-            let leaf = opt.memo.insert(&model, ToyOp::Table(t), vec![]).0;
-            g = opt.memo.insert(&model, ToyOp::Join, vec![g, leaf]).0;
+            let leaf = opt.memo.insert(&model, ToyOp::Table(t), []).0;
+            g = opt.memo.insert(&model, ToyOp::Join, [g, leaf]).0;
         }
         opt.explore_all();
         assert_eq!(opt.memo.group_exprs(g).len(), expected[idx], "n = {n}");

@@ -23,7 +23,7 @@ use oodb_object::Value;
 use oodb_storage::{generate_paper_db, GenConfig, Store};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::OnceLock;
-use volcano::{Memo, Optimizer, Rewrite, SearchConfig};
+use volcano::{Memo, Optimizer, RewriteNode, RewritePart, Rewrites, SearchConfig};
 
 fn db() -> &'static (Store, PaperModel) {
     static DB: OnceLock<(Store, PaperModel)> = OnceLock::new();
@@ -80,18 +80,19 @@ fn setop_seed(m: &PaperModel) -> queries::PaperQuery {
     }
 }
 
-/// Converts a rewrite template back into a logical tree, resolving
+/// Converts an emitted rewrite back into a logical tree, resolving
 /// untouched groups through their anchor expression.
 fn rewrite_to_plan(
     memo: &Memo<OodbModel<'_>>,
-    rw: &Rewrite<oodb_algebra::LogicalOp>,
+    rw: &Rewrites<oodb_algebra::LogicalOp>,
+    node: RewriteNode,
 ) -> LogicalPlan {
-    match rw {
-        Rewrite::Op(op, subs) => LogicalPlan {
+    match rw.part(node) {
+        RewritePart::Op(op, subs) => LogicalPlan {
             op: op.clone(),
-            children: subs.iter().map(|s| rewrite_to_plan(memo, s)).collect(),
+            children: subs.iter().map(|&s| rewrite_to_plan(memo, rw, s)).collect(),
         },
-        Rewrite::Group(g) => {
+        RewritePart::Group(g) => {
             let anchor = memo.group_exprs(*g)[0];
             extract_anchored(memo, anchor)
         }
@@ -158,7 +159,7 @@ fn every_transformation_rule_is_sound_on_the_corpus() {
     for (seed_name, q) in &seeds {
         let model = OodbModel::new(&q.env, CostParams::default(), config.clone());
         let mut opt = Optimizer::new(&model, &rules, SearchConfig::default());
-        let root = seed(&mut opt.memo, &model, &q.plan);
+        let root = seed(&mut opt.memo, &model, &q.plan).expect("at most two inputs");
         opt.explore_all();
         let _ = root;
         let memo = &opt.memo;
@@ -166,6 +167,7 @@ fn every_transformation_rule_is_sound_on_the_corpus() {
         // don't re-execute it.
         let mut original_results: BTreeMap<usize, (VarSet, Vec<String>)> = BTreeMap::new();
         let mut seen_rewrites: HashSet<String> = HashSet::new();
+        let mut rewrites = Rewrites::default();
 
         for e in memo.live_exprs() {
             let expr = memo.expr(e);
@@ -174,8 +176,10 @@ fn every_transformation_rule_is_sound_on_the_corpus() {
                 if samples_by_rule[rule.name()] >= SAMPLES_PER_RULE_PER_SEED * seeds.len() {
                     continue;
                 }
-                for rw in rule.apply(&model, memo, expr) {
-                    let rewritten = rewrite_to_plan(memo, &rw);
+                rewrites.clear();
+                rule.apply(&model, memo, expr, &mut rewrites);
+                for &rw in rewrites.emitted() {
+                    let rewritten = rewrite_to_plan(memo, &rewrites, rw);
                     if rewritten == original {
                         continue;
                     }
