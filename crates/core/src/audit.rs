@@ -318,6 +318,7 @@ mod tests {
                 consumes: &["Join"],
                 produces: &["Join"],
                 generative: true,
+                reads_inputs: true,
             }
         }
     }

@@ -599,6 +599,20 @@ impl<'e> OptModel for OodbModel<'e> {
     fn satisfies(&self, required: &PhysProps, delivered: &PhysProps) -> bool {
         required.satisfied_by(*delivered)
     }
+
+    /// The rule graph's vocabulary: one tag per operator, whatever its
+    /// arguments (every set operation is `SetOp`).
+    fn tag(&self, op: &LogicalOp) -> &'static str {
+        match op {
+            LogicalOp::Get { .. } => "Get",
+            LogicalOp::Select { .. } => "Select",
+            LogicalOp::Project { .. } => "Project",
+            LogicalOp::Join { .. } => "Join",
+            LogicalOp::Mat { .. } => "Mat",
+            LogicalOp::Unnest { .. } => "Unnest",
+            LogicalOp::SetOp { .. } => "SetOp",
+        }
+    }
 }
 
 #[cfg(test)]

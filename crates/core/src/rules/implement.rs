@@ -20,6 +20,9 @@ impl<'e> ImplRule<M<'e>> for FileScanImpl {
     fn name(&self) -> &'static str {
         crate::config::rule_names::FILE_SCAN
     }
+    fn consumes(&self) -> &'static [&'static str] {
+        &["Get"]
+    }
     fn implementations(
         &self,
         _model: &M<'e>,
@@ -50,6 +53,9 @@ pub struct CollapseToIndexScanImpl;
 impl<'e> ImplRule<M<'e>> for CollapseToIndexScanImpl {
     fn name(&self) -> &'static str {
         crate::config::rule_names::COLLAPSE_TO_INDEX_SCAN
+    }
+    fn consumes(&self) -> &'static [&'static str] {
+        &["Select"]
     }
     fn implementations(
         &self,
@@ -193,6 +199,9 @@ impl<'e> ImplRule<M<'e>> for FilterImpl {
     fn name(&self) -> &'static str {
         crate::config::rule_names::FILTER
     }
+    fn consumes(&self) -> &'static [&'static str] {
+        &["Select"]
+    }
     fn implementations(
         &self,
         model: &M<'e>,
@@ -222,6 +231,9 @@ pub struct HybridHashJoinImpl;
 impl<'e> ImplRule<M<'e>> for HybridHashJoinImpl {
     fn name(&self) -> &'static str {
         crate::config::rule_names::HYBRID_HASH_JOIN
+    }
+    fn consumes(&self) -> &'static [&'static str] {
+        &["Join"]
     }
     fn implementations(
         &self,
@@ -268,6 +280,9 @@ pub struct PointerJoinImpl;
 impl<'e> ImplRule<M<'e>> for PointerJoinImpl {
     fn name(&self) -> &'static str {
         crate::config::rule_names::POINTER_JOIN
+    }
+    fn consumes(&self) -> &'static [&'static str] {
+        &["Join"]
     }
     fn implementations(
         &self,
@@ -329,6 +344,9 @@ impl<'e> ImplRule<M<'e>> for AssemblyMatImpl {
     fn name(&self) -> &'static str {
         crate::config::rule_names::ASSEMBLY_MAT
     }
+    fn consumes(&self) -> &'static [&'static str] {
+        &["Mat"]
+    }
     fn implementations(
         &self,
         model: &M<'e>,
@@ -367,6 +385,9 @@ pub struct MergeJoinImpl;
 impl<'e> ImplRule<M<'e>> for MergeJoinImpl {
     fn name(&self) -> &'static str {
         crate::config::rule_names::MERGE_JOIN
+    }
+    fn consumes(&self) -> &'static [&'static str] {
+        &["Join"]
     }
     fn implementations(
         &self,
@@ -429,6 +450,9 @@ impl<'e> ImplRule<M<'e>> for WarmAssemblyImpl {
     fn name(&self) -> &'static str {
         crate::config::rule_names::WARM_ASSEMBLY
     }
+    fn consumes(&self) -> &'static [&'static str] {
+        &["Mat"]
+    }
     fn implementations(
         &self,
         model: &M<'e>,
@@ -465,6 +489,9 @@ impl<'e> ImplRule<M<'e>> for AlgUnnestImpl {
     fn name(&self) -> &'static str {
         crate::config::rule_names::ALG_UNNEST
     }
+    fn consumes(&self) -> &'static [&'static str] {
+        &["Unnest"]
+    }
     fn implementations(
         &self,
         model: &M<'e>,
@@ -493,6 +520,9 @@ pub struct AlgProjectImpl;
 impl<'e> ImplRule<M<'e>> for AlgProjectImpl {
     fn name(&self) -> &'static str {
         crate::config::rule_names::ALG_PROJECT
+    }
+    fn consumes(&self) -> &'static [&'static str] {
+        &["Project"]
     }
     fn implementations(
         &self,
@@ -524,6 +554,9 @@ pub struct OrderedIndexScanImpl;
 impl<'e> ImplRule<M<'e>> for OrderedIndexScanImpl {
     fn name(&self) -> &'static str {
         crate::config::rule_names::ORDERED_INDEX_SCAN
+    }
+    fn consumes(&self) -> &'static [&'static str] {
+        &["Get"]
     }
     fn implementations(
         &self,
@@ -568,6 +601,9 @@ pub struct HashSetOpImpl;
 impl<'e> ImplRule<M<'e>> for HashSetOpImpl {
     fn name(&self) -> &'static str {
         crate::config::rule_names::HASH_SET_OP
+    }
+    fn consumes(&self) -> &'static [&'static str] {
+        &["SetOp"]
     }
     fn implementations(
         &self,

@@ -9,14 +9,17 @@
 //!
 //! Multi-level patterns (anything that needs to see below the immediate
 //! operator) match by enumerating the child group's expressions in the
-//! memo; the engine re-fires rules when child groups grow, so exploration
-//! is exhaustive.
+//! memo; the engine re-fires such rules when child groups grow, so
+//! exploration is exhaustive.
 
 //! ## Rule signatures
 //!
-//! Every rule declares a [`RuleSignature`] — the operator shapes it
-//! consumes and produces — feeding the rule-graph termination analysis
-//! ([`volcano::rulegraph`]). All twelve rules are *non-generative*: the
+//! Every rule declares a [`RuleSignature`]: the operator shapes it
+//! consumes and produces, and whether it reads its input groups. The
+//! engine fires a rule only on the roots it consumes, re-fires only the
+//! rules that read their inputs (all but `SelectSplit`, `MatToJoin` and
+//! `JoinCommute`), and feeds the shapes to the rule-graph termination
+//! analysis ([`volcano::rulegraph`]). All twelve rules are *non-generative*: the
 //! predicates they intern (split conjuncts, merged join predicates, the
 //! Mat→Join reference equality) are drawn from the finite closure of the
 //! query's own terms — subsets and unions of the original conjuncts, or
@@ -123,6 +126,7 @@ impl<'e> TransformRule<M<'e>> for SelectSplit {
             consumes: &["Select"],
             produces: &["Select"],
             generative: false,
+            reads_inputs: false,
         }
     }
     fn apply(&self, model: &M<'e>, _memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
@@ -163,6 +167,7 @@ impl<'e> TransformRule<M<'e>> for SelectMatSwap {
             consumes: &["Select", "Mat"],
             produces: &["Select", "Mat"],
             generative: false,
+            reads_inputs: true,
         }
     }
     fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
@@ -187,6 +192,7 @@ impl<'e> TransformRule<M<'e>> for SelectUnnestSwap {
             consumes: &["Select", "Unnest"],
             produces: &["Select", "Unnest"],
             generative: false,
+            reads_inputs: true,
         }
     }
     fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
@@ -211,6 +217,7 @@ impl<'e> TransformRule<M<'e>> for SelectJoinPush {
             consumes: &["Select", "Join"],
             produces: &["Select", "Join"],
             generative: false,
+            reads_inputs: true,
         }
     }
     fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
@@ -244,6 +251,7 @@ impl<'e> TransformRule<M<'e>> for SelectIntoJoin {
             consumes: &["Select"],
             produces: &["Join"],
             generative: false,
+            reads_inputs: true,
         }
     }
     fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
@@ -296,6 +304,7 @@ impl<'e> TransformRule<M<'e>> for MatToJoin {
             consumes: &["Mat"],
             produces: &["Join", "Get"],
             generative: false,
+            reads_inputs: false,
         }
     }
     fn apply(&self, model: &M<'e>, _memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
@@ -343,6 +352,7 @@ impl<'e> TransformRule<M<'e>> for JoinCommute {
             consumes: &["Join"],
             produces: &["Join"],
             generative: false,
+            reads_inputs: false,
         }
     }
     fn apply(&self, _model: &M<'e>, _memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
@@ -370,6 +380,7 @@ impl<'e> TransformRule<M<'e>> for JoinAssoc {
             consumes: &["Join"],
             produces: &["Join"],
             generative: false,
+            reads_inputs: true,
         }
     }
     fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
@@ -408,6 +419,7 @@ impl<'e> TransformRule<M<'e>> for MatMatSwap {
             consumes: &["Mat"],
             produces: &["Mat"],
             generative: false,
+            reads_inputs: true,
         }
     }
     fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
@@ -449,6 +461,7 @@ impl<'e> TransformRule<M<'e>> for SelectSetOpPush {
             consumes: &["Select"],
             produces: &["SetOp", "Select"],
             generative: false,
+            reads_inputs: true,
         }
     }
     fn apply(&self, _model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
@@ -499,6 +512,7 @@ impl<'e> TransformRule<M<'e>> for MatSetOpPush {
             consumes: &["Mat"],
             produces: &["SetOp", "Mat"],
             generative: false,
+            reads_inputs: true,
         }
     }
     fn apply(&self, _model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {
@@ -535,6 +549,7 @@ impl<'e> TransformRule<M<'e>> for MatJoinPush {
             consumes: &["Mat", "Join"],
             produces: &["Join", "Mat"],
             generative: false,
+            reads_inputs: true,
         }
     }
     fn apply(&self, model: &M<'e>, memo: &Memo<M<'e>>, expr: &Expr<M<'e>>, out: &mut Rw) {

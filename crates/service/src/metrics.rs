@@ -28,6 +28,9 @@ pub(crate) struct ServiceMetrics {
     /// cache without a compile.
     pub(crate) soft_parses: Counter,
     pub(crate) optimizer_runs: Counter,
+    /// `oodb_optimizer_transform_firings_total`: dispatched firings (a
+    /// rule is fired only on roots it consumes), summed over searches
+    /// from `SearchStats::transform_firings` of `volcano`.
     pub(crate) transform_firings: Counter,
     pub(crate) plans_costed: Counter,
     pub(crate) exec_buffer_hits: Counter,

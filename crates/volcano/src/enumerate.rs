@@ -19,7 +19,7 @@
 
 use crate::inputs::Inputs;
 use crate::memo::GroupId;
-use crate::model::{OptModel, RuleSet};
+use crate::model::OptModel;
 use crate::search::{Candidates, GoalKey, Optimizer, PlanNode};
 
 /// Bounds on the enumeration. Exceeding any of them stops the walk and
@@ -145,10 +145,10 @@ impl<M: OptModel> Optimizer<'_, M> {
     ) -> Vec<PlanNode<M>> {
         let mut plans: Vec<PlanNode<M>> = Vec::new();
 
-        let rules: &RuleSet<M> = self.rules();
         for member in 0..self.memo.group_exprs(group).len() {
             let e = self.memo.group_exprs(group)[member];
-            for rule in &rules.impls {
+            for k in self.impl_rules(e) {
+                let rule = self.impl_rule(k);
                 let expr = self.memo.expr(e);
                 rule.implementations(self.model(), &self.memo, expr, props, &mut buf.implemented);
                 'cands: for cand in buf.implemented.drain(..) {
@@ -204,7 +204,7 @@ impl<M: OptModel> Optimizer<'_, M> {
         }
 
         // Enforcers: every plan for the weaker goal, wrapped.
-        for enf in &rules.enforcers {
+        for enf in &self.rules().enforcers {
             enf.enforce(self.model(), &self.memo, group, props, &mut buf.enforced);
             for ec in buf.enforced.drain(..) {
                 if ec.input_props == *props {
@@ -241,7 +241,7 @@ impl<M: OptModel> Optimizer<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::CostValue;
+    use crate::model::{CostValue, RuleSet};
     use crate::search::SearchConfig;
     use crate::toy::{toy_rules, Toy, ToyOp, ToySort};
 

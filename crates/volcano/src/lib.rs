@@ -29,11 +29,13 @@
 //! `Rc<RefCell<...>>` designs collapse; see DESIGN.md. An expression's
 //! inputs are stored inline ([`Inputs`]: at most two), and rules write
 //! into buffers the engine owns and reuses, so a search allocates per
-//! query rather than per rewrite or candidate:
+//! query rather than per rewrite or candidate. Each rule declares the
+//! operator tags ([`OptModel::tag`]) it consumes, and the engine offers
+//! it only expressions with such a root:
 //!
 //! ```
 //! use volcano::toy::{Toy, ToyOp, ToyPOp, ToySort};
-//! use volcano::{Candidate, Expr, ImplRule, Memo, Rewrites, TransformRule};
+//! use volcano::{Candidate, Expr, ImplRule, Memo, Rewrites, RuleSignature, TransformRule};
 //!
 //! /// `Join(A, B)` → `Join(B, A)`.
 //! struct Commute;
@@ -49,6 +51,15 @@
 //!             out.emit(swapped);
 //!         }
 //!     }
+//!     fn signature(&self) -> RuleSignature {
+//!         RuleSignature {
+//!             consumes: &["Join"],
+//!             produces: &["Join"],
+//!             generative: false,
+//!             // Swaps input groups without looking inside them.
+//!             reads_inputs: false,
+//!         }
+//!     }
 //! }
 //!
 //! /// A join as a hash join over unordered inputs.
@@ -57,6 +68,9 @@
 //! impl ImplRule<Toy> for HashJoin {
 //!     fn name(&self) -> &'static str {
 //!         "hash-join"
+//!     }
+//!     fn consumes(&self) -> &'static [&'static str] {
+//!         &["Join"]
 //!     }
 //!     fn implementations(
 //!         &self,
@@ -82,6 +96,7 @@
 
 #![forbid(unsafe_code)]
 
+mod dispatch;
 pub mod enumerate;
 mod fx;
 pub mod inputs;

@@ -862,6 +862,9 @@ mod tests {
         fn satisfies(&self, _required: &(), _delivered: &()) -> bool {
             true
         }
+        fn tag(&self, _op: &u8) -> &'static str {
+            "Bag"
+        }
     }
 
     #[test]

@@ -64,16 +64,24 @@ pub trait OptModel: Sized {
 
     /// Whether a delivered property vector satisfies a required one.
     fn satisfies(&self, required: &Self::PProps, delivered: &Self::PProps) -> bool;
+
+    /// The operator's tag (a display-level name like `"Join"`): the
+    /// vocabulary [`RuleSignature`]s and [`ImplRule::consumes`] are written
+    /// in. The engine fires a rule only on expressions whose root tag the
+    /// rule consumes.
+    fn tag(&self, op: &Self::LOp) -> &'static str;
 }
 
-/// Static metadata describing a transformation rule's rewrite shape, used
-/// by [`crate::rulegraph`] to prove the rule set terminates. The shapes
-/// are operator *tags* (display-level names like `"Join"`), not full
-/// patterns: what matters for termination is which rules can feed which,
-/// not the exact bindings.
+/// Static metadata describing a transformation rule's rewrite shape. The
+/// shapes are operator tags ([`OptModel::tag`]), not full patterns. The
+/// engine dispatches on them: a rule fires only on roots it consumes, and
+/// a debug build checks that every root it emits is one it produces.
+/// [`crate::rulegraph`] reads them to prove the rule set terminates, which
+/// needs only which rules can feed which, not the exact bindings.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RuleSignature {
-    /// Operator tags at the root of patterns this rule matches.
+    /// Operator tags at the root of patterns this rule matches. Empty
+    /// means unsigned: the rule fires on every root.
     pub consumes: &'static [&'static str],
     /// Operator tags at the root of expressions this rule can produce.
     pub produces: &'static [&'static str],
@@ -84,6 +92,12 @@ pub struct RuleSignature {
     /// form; a *generative* rule inside a produce/consume cycle can mint
     /// fresh expressions forever.
     pub generative: bool,
+    /// Whether the rule's pattern reads its input groups' expressions
+    /// (join associativity looks at the left input's joins). A rule that
+    /// only rearranges the root and its input group ids emits the same
+    /// rewrites however those groups grow, so the engine fires it once
+    /// per expression instead of again after every child growth.
+    pub reads_inputs: bool,
 }
 
 impl RuleSignature {
@@ -94,6 +108,7 @@ impl RuleSignature {
         consumes: &[],
         produces: &[],
         generative: true,
+        reads_inputs: true,
     };
 
     /// Whether the rule declared any shape information.
@@ -106,9 +121,10 @@ impl RuleSignature {
 ///
 /// Rules receive one expression plus read access to the memo, so
 /// multi-level patterns (join associativity, select-past-mat) match by
-/// enumerating the child groups' expressions. The engine re-fires a rule on
-/// an expression whenever the child groups have grown, so exhaustive
-/// exploration reaches a fixpoint.
+/// enumerating the child groups' expressions. The engine fires a rule only
+/// on expressions whose root it consumes, and re-fires a rule that
+/// [reads its inputs](RuleSignature::reads_inputs) whenever the child
+/// groups have grown, so exhaustive exploration reaches a fixpoint.
 pub trait TransformRule<M: OptModel> {
     /// Rule name (display, configuration, statistics).
     fn name(&self) -> &'static str;
@@ -116,9 +132,11 @@ pub trait TransformRule<M: OptModel> {
     /// `expr` into `out`, a buffer the engine owns, as nodes over existing
     /// groups.
     fn apply(&self, model: &M, memo: &Memo<M>, expr: &Expr<M>, out: &mut Rewrites<M::LOp>);
-    /// Static rewrite-shape metadata for rule-graph termination analysis.
-    /// The default is [`RuleSignature::UNSIGNED`], which that analysis
-    /// rejects — implementors are expected to describe every rule.
+    /// Static rewrite-shape metadata: the engine's dispatch and the
+    /// rule-graph termination analysis. The default is
+    /// [`RuleSignature::UNSIGNED`], which fires on every root and
+    /// which that analysis rejects — implementors are expected to describe
+    /// every rule.
     fn signature(&self) -> RuleSignature {
         RuleSignature::UNSIGNED
     }
@@ -145,6 +163,12 @@ pub struct Candidate<M: OptModel> {
 pub trait ImplRule<M: OptModel> {
     /// Rule name.
     fn name(&self) -> &'static str;
+    /// Operator tags ([`OptModel::tag`]) of the roots this rule
+    /// implements: the engine offers it only those expressions. The
+    /// default, empty, is offered every expression.
+    fn consumes(&self) -> &'static [&'static str] {
+        &[]
+    }
     /// Proposes algorithms for `expr` under `required` properties, pushing
     /// them onto `out`, a buffer the engine owns. Push nothing when the
     /// rule cannot deliver them (e.g. an index scan cannot deliver

@@ -223,6 +223,7 @@ mod tests {
                 consumes: &["Join"],
                 produces: &["Join"],
                 generative: true,
+                reads_inputs: true,
             }
         }
     }
@@ -254,6 +255,7 @@ mod tests {
                 consumes: &["Select"],
                 produces: &["IndexScanShape"],
                 generative: true,
+                reads_inputs: true,
             }
         }
     }

@@ -9,13 +9,17 @@
 //! those subplans that can deliver the physical properties that are
 //! required by the algorithm of the containing plan").
 
+use crate::dispatch::Dispatch;
 use crate::fx::FxBuild;
 use crate::inputs::Inputs;
-use crate::memo::{ExprId, GroupId, Memo, Rewrites};
-use crate::model::{Candidate, CostValue, EnforceCandidate, OptModel, RuleSet};
+use crate::memo::{ExprId, GroupId, Memo, RewritePart, Rewrites};
+use crate::model::{
+    Candidate, CostValue, EnforceCandidate, ImplRule, OptModel, RuleSet, RuleSignature,
+};
 use crate::stats::SearchStats;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::ops::Range;
 use std::time::Instant;
 
 /// Engine configuration.
@@ -160,6 +164,12 @@ pub struct Optimizer<'a, M: OptModel> {
     /// inspect it).
     pub memo: Memo<M>,
     config: SearchConfig,
+    /// The transformation rules' signatures, by rule-set position.
+    signatures: Vec<RuleSignature>,
+    /// The transformation rules by the root tag they consume.
+    transforms: Dispatch,
+    /// The implementation rules by the root tag they consume.
+    impls: Dispatch,
     /// Dense `expression × transformation rule` table: the children
     /// version (see [`Self::children_version`]) the rule last fired at on
     /// the expression, `None` if it never did.
@@ -187,11 +197,16 @@ pub struct Optimizer<'a, M: OptModel> {
 impl<'a, M: OptModel> Optimizer<'a, M> {
     /// Creates an optimizer over a model and rule set.
     pub fn new(model: &'a M, rules: &'a RuleSet<M>, config: SearchConfig) -> Self {
+        let signatures: Vec<RuleSignature> =
+            rules.transforms.iter().map(|r| r.signature()).collect();
         Optimizer {
             model,
             rules,
             memo: Memo::new(),
             config,
+            transforms: Dispatch::new(signatures.iter().map(|s| s.consumes)),
+            impls: Dispatch::new(rules.impls.iter().map(|r| r.consumes())),
+            signatures,
             fired: Vec::new(),
             goal_props: Vec::new(),
             goals: HashMap::default(),
@@ -231,6 +246,36 @@ impl<'a, M: OptModel> Optimizer<'a, M> {
     /// The model's price of `op` over its input groups' logical properties.
     pub(crate) fn price(&self, op: &M::POp, inputs: Inputs) -> M::Cost {
         self.model.cost(op, &inputs.map(|g| self.memo.props(g)))
+    }
+
+    /// The implementation rules offered expression `e`: those consuming its
+    /// root's tag and the unsigned ones, in rule-set order, as positions
+    /// for [`Self::impl_rule`]. The search and the enumeration oracle walk
+    /// a goal's candidates through it, so both fire the same rules.
+    pub(crate) fn impl_rules(&self, e: ExprId) -> Range<usize> {
+        self.impls.run(self.model.tag(&self.memo.expr(e).op))
+    }
+
+    /// The implementation rule at position `k` of an [`Self::impl_rules`]
+    /// run.
+    pub(crate) fn impl_rule(&self, k: usize) -> &'a dyn ImplRule<M> {
+        &*self.rules.impls[self.impls.rule(k)]
+    }
+
+    /// Whether every root the transformation rule at `ri` just emitted
+    /// carries a tag its signature produces. A bare group is no new root
+    /// and passes, as does everything an unsigned rule emits.
+    fn emitted_as_declared(&self, ri: usize) -> bool {
+        let produces = self.signatures[ri].produces;
+        !self.signatures[ri].is_signed()
+            || self
+                .rewrites
+                .emitted()
+                .iter()
+                .all(|&root| match self.rewrites.part(root) {
+                    RewritePart::Op(op, _) => produces.contains(&self.model.tag(op)),
+                    RewritePart::Group(_) => true,
+                })
     }
 
     /// A candidate buffer for a goal being opened: empty, and allocated
@@ -280,9 +325,11 @@ impl<'a, M: OptModel> Optimizer<'a, M> {
         v
     }
 
-    /// Applies transformation rules to a global fixpoint. Rules are
-    /// re-fired on an expression whenever its child groups have grown
-    /// since the last firing, so multi-level patterns are fully explored.
+    /// Applies transformation rules to a global fixpoint. An expression is
+    /// offered the rules that consume its root's tag. A rule that reads its
+    /// inputs is re-fired whenever the expression's child groups have grown
+    /// since its last firing, so multi-level patterns are fully explored;
+    /// any other rule fires once per expression.
     pub fn explore_all(&mut self) {
         let t0 = Instant::now();
         let rules = self.rules.transforms.len();
@@ -299,11 +346,17 @@ impl<'a, M: OptModel> Optimizer<'a, M> {
                 if self.deadline_expired() {
                     break 'sweep;
                 }
+                let run = self.transforms.run(self.model.tag(&self.memo.expr(e).op));
+                if run.is_empty() {
+                    continue;
+                }
                 // Only a rewrite that changed the memo can move the version.
                 let mut ver = self.children_version(e);
-                for ri in 0..rules {
+                for k in run {
+                    let ri = self.transforms.rule(k);
+                    let reads_inputs = self.signatures[ri].reads_inputs;
                     let last = &mut self.fired[e.index() * rules + ri];
-                    if *last == Some(ver) {
+                    if last.is_some() && (!reads_inputs || *last == Some(ver)) {
                         continue;
                     }
                     *last = Some(ver);
@@ -313,6 +366,11 @@ impl<'a, M: OptModel> Optimizer<'a, M> {
                     let rule = &self.rules.transforms[ri];
                     rule.apply(self.model, &self.memo, expr, &mut self.rewrites);
                     self.stats.transform_firings += 1;
+                    debug_assert!(
+                        self.emitted_as_declared(ri),
+                        "rule {} emitted a root its signature does not produce",
+                        rule.name()
+                    );
                     let mut grew = false;
                     for &root in self.rewrites.emitted() {
                         self.stats.exprs_generated += 1;
@@ -373,7 +431,8 @@ impl<'a, M: OptModel> Optimizer<'a, M> {
         let rules: &'a RuleSet<M> = self.rules;
         for member in 0..self.memo.group_exprs(group).len() {
             let e = self.memo.group_exprs(group)[member];
-            for rule in &rules.impls {
+            for k in self.impl_rules(e) {
+                let rule = self.impl_rule(k);
                 let expr = self.memo.expr(e);
                 rule.implementations(self.model, &self.memo, expr, props, &mut buf.implemented);
                 'cands: for mut cand in buf.implemented.drain(..) {
@@ -628,6 +687,189 @@ pub(crate) mod tests {
         assert_ne!(seen[0], seen[1]);
     }
 
+    /// A root a transformation rule is fired on: operator and inputs.
+    type Root = (ToyOp, Vec<GroupId>);
+
+    /// Every root a transformation rule is fired on.
+    type Fired = std::rc::Rc<std::cell::RefCell<Vec<Root>>>;
+
+    /// A transformation rule under a given signature that emits nothing
+    /// and records the roots it is fired on.
+    struct Recorder(RuleSignature, Fired);
+
+    impl crate::TransformRule<Toy> for Recorder {
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+        fn apply(&self, _: &Toy, _: &Memo<Toy>, e: &crate::Expr<Toy>, _: &mut Rewrites<ToyOp>) {
+            self.1
+                .borrow_mut()
+                .push((e.op.clone(), e.children.to_vec()));
+        }
+        fn signature(&self) -> RuleSignature {
+            self.0
+        }
+    }
+
+    /// A join-only signature that reads its inputs or not.
+    fn joins(reads_inputs: bool) -> RuleSignature {
+        RuleSignature {
+            consumes: &["Join"],
+            produces: &["Join"],
+            generative: false,
+            reads_inputs,
+        }
+    }
+
+    /// The toy rules plus one recorder per signature, explored over three
+    /// tables: what each recorder was fired on, and the live expressions.
+    fn record(signatures: &[RuleSignature]) -> (Vec<Vec<Root>>, usize) {
+        let model = Toy::default();
+        let mut rules = toy_rules();
+        let logs: Vec<Fired> = signatures.iter().map(|_| Fired::default()).collect();
+        for (&sig, log) in signatures.iter().zip(&logs) {
+            rules
+                .transforms
+                .push(Box::new(Recorder(sig, Fired::clone(log))));
+        }
+        let (mut opt, _) = setup(&model, &rules, SearchConfig::default());
+        opt.explore_all();
+        let logs = logs.iter().map(|l| l.take()).collect();
+        (logs, opt.memo.live_exprs().count())
+    }
+
+    #[test]
+    fn a_rule_fires_only_on_the_roots_it_consumes() {
+        let tables = RuleSignature {
+            consumes: &["Table"],
+            ..joins(true)
+        };
+        let (logs, _) = record(&[joins(true), tables]);
+        let only = |log: &Vec<Root>, join: bool| {
+            !log.is_empty() && log.iter().all(|(op, _)| (*op == ToyOp::Join) == join)
+        };
+        assert!(only(&logs[0], true), "{:?}", logs[0]);
+        assert!(only(&logs[1], false), "{:?}", logs[1]);
+
+        // Implementation rules likewise, beside an unsigned one that
+        // implements everything.
+        struct Offered(
+            &'static [&'static str],
+            std::rc::Rc<std::cell::RefCell<Vec<ToyOp>>>,
+        );
+        impl crate::ImplRule<Counted> for Offered {
+            fn name(&self) -> &'static str {
+                "offered"
+            }
+            fn consumes(&self) -> &'static [&'static str] {
+                self.0
+            }
+            fn implementations(
+                &self,
+                _: &Counted,
+                _: &Memo<Counted>,
+                expr: &crate::Expr<Counted>,
+                _: &ToySort,
+                _: &mut Vec<crate::Candidate<Counted>>,
+            ) {
+                self.1.borrow_mut().push(expr.op.clone());
+            }
+        }
+        let model = Counted::default();
+        let [joined, scanned] = [(); 2].map(|_| std::rc::Rc::new(std::cell::RefCell::new(vec![])));
+        let rules = RuleSet {
+            transforms: vec![],
+            impls: vec![
+                Box::new(Unordered) as Box<dyn crate::ImplRule<Counted>>,
+                Box::new(Offered(&["Join"], std::rc::Rc::clone(&joined))),
+                Box::new(Offered(&["Table"], std::rc::Rc::clone(&scanned))),
+            ],
+            enforcers: vec![],
+        };
+        let mut opt = Optimizer::new(&model, &rules, SearchConfig::default());
+        let [a, b] = [0, 1].map(|t| opt.memo.insert(&model, ToyOp::Table(t), vec![]).0);
+        let root = opt.memo.insert(&model, ToyOp::Join, vec![a, b]).0;
+        opt.run(root, ToySort::default()).expect("plan");
+        assert_eq!(*joined.borrow(), [ToyOp::Join]);
+        assert_eq!(*scanned.borrow(), [ToyOp::Table(0), ToyOp::Table(1)]);
+        assert_eq!(model.priced.take().len(), 3, "the unsigned rule: all three");
+    }
+
+    #[test]
+    fn an_unsigned_rule_fires_on_every_root() {
+        let (logs, live) = record(&[RuleSignature::UNSIGNED]);
+        let roots: std::collections::HashSet<_> = logs[0].iter().cloned().collect();
+        assert_eq!(roots.len(), live, "every live expression, tables included");
+        assert!(roots.iter().any(|(op, _)| matches!(op, ToyOp::Table(_))));
+    }
+
+    #[test]
+    fn only_a_rule_that_reads_its_inputs_refires_after_they_grow() {
+        let (logs, _) = record(&[joins(false), joins(true)]);
+        let distinct = |log: &Vec<_>| log.iter().collect::<std::collections::HashSet<_>>().len();
+        assert_eq!(distinct(&logs[0]), logs[0].len(), "once per expression");
+        assert_eq!(distinct(&logs[1]), distinct(&logs[0]), "on the same roots");
+
+        // Grow a child group of an explored join: the reader sees it again.
+        let model = Toy::default();
+        let [once, reader] = [Fired::default(), Fired::default()];
+        let rules = RuleSet {
+            transforms: vec![
+                Box::new(Recorder(joins(false), Fired::clone(&once)))
+                    as Box<dyn crate::TransformRule<Toy>>,
+                Box::new(Recorder(joins(true), Fired::clone(&reader))),
+            ],
+            impls: vec![],
+            enforcers: vec![],
+        };
+        let mut opt = Optimizer::new(&model, &rules, SearchConfig::default());
+        let [a, b] = [0, 1].map(|t| opt.memo.insert(&model, ToyOp::Table(t), vec![]).0);
+        opt.memo.insert(&model, ToyOp::Join, vec![a, b]);
+        opt.explore_all();
+        opt.memo.insert_into(&model, a, ToyOp::Table(2), vec![]);
+        opt.explore_all();
+        assert_eq!(once.borrow().len(), 1);
+        assert_eq!(reader.borrow().len(), 2);
+    }
+
+    #[cfg(debug_assertions)]
+    #[test]
+    #[should_panic(expected = "does not produce")]
+    fn a_debug_build_refuses_a_root_outside_produces() {
+        struct Liar;
+        impl crate::TransformRule<Toy> for Liar {
+            fn name(&self) -> &'static str {
+                "liar"
+            }
+            fn apply(
+                &self,
+                _: &Toy,
+                _: &Memo<Toy>,
+                e: &crate::Expr<Toy>,
+                out: &mut Rewrites<ToyOp>,
+            ) {
+                let [a, b] = [0, 1].map(|i| out.group(e.children[i]));
+                let root = out.op(ToyOp::Join, [b, a]);
+                out.emit(root);
+            }
+            fn signature(&self) -> RuleSignature {
+                RuleSignature {
+                    produces: &["Table"],
+                    ..joins(false)
+                }
+            }
+        }
+        let model = Toy::default();
+        let rules = RuleSet {
+            transforms: vec![Box::new(Liar) as Box<dyn crate::TransformRule<Toy>>],
+            impls: vec![],
+            enforcers: vec![],
+        };
+        setup(&model, &rules, SearchConfig::default())
+            .0
+            .explore_all();
+    }
+
     #[test]
     fn finds_cheapest_join_order() {
         let model = Toy::default(); // cards 100, 1000, 10
@@ -775,6 +1017,9 @@ pub(crate) mod tests {
         }
         fn satisfies(&self, required: &ToySort, delivered: &ToySort) -> bool {
             self.toy.satisfies(required, delivered)
+        }
+        fn tag(&self, op: &ToyOp) -> &'static str {
+            self.toy.tag(op)
         }
     }
 

@@ -3,7 +3,9 @@
 //! Serves two purposes: it exercises every framework feature in this
 //! crate's unit tests (memo, exhaustive transformation, goal-directed
 //! search, enforcers, pruning), and it is a template of what an implementor
-//! supplies: property and cost functions ([`OptModel::cost`]) and rules.
+//! supplies: property and cost functions ([`OptModel::cost`]), operator
+//! tags ([`OptModel::tag`]) and rules that declare the tags they consume
+//! ([`RuleSignature`], [`ImplRule::consumes`]).
 //! Rules write into buffers the engine owns and reuses:
 //!
 //! ```text
@@ -118,6 +120,13 @@ impl OptModel for Toy {
     fn satisfies(&self, required: &ToySort, delivered: &ToySort) -> bool {
         !required.sorted || delivered.sorted
     }
+
+    fn tag(&self, op: &ToyOp) -> &'static str {
+        match op {
+            ToyOp::Table(_) => "Table",
+            ToyOp::Join => "Join",
+        }
+    }
 }
 
 /// Join commutativity.
@@ -140,6 +149,7 @@ impl TransformRule<Toy> for Commute {
             consumes: &["Join"],
             produces: &["Join"],
             generative: false,
+            reads_inputs: false,
         }
     }
 }
@@ -173,6 +183,7 @@ impl TransformRule<Toy> for Assoc {
             consumes: &["Join"],
             produces: &["Join"],
             generative: false,
+            reads_inputs: true,
         }
     }
 }
@@ -183,6 +194,9 @@ pub struct ScanImpl;
 impl ImplRule<Toy> for ScanImpl {
     fn name(&self) -> &'static str {
         "scan"
+    }
+    fn consumes(&self) -> &'static [&'static str] {
+        &["Table"]
     }
     fn implementations(
         &self,
@@ -213,6 +227,9 @@ pub struct HashJoinImpl;
 impl ImplRule<Toy> for HashJoinImpl {
     fn name(&self) -> &'static str {
         "hash-join"
+    }
+    fn consumes(&self) -> &'static [&'static str] {
+        &["Join"]
     }
     fn implementations(
         &self,

@@ -20,7 +20,7 @@ use open_oodb::core::config::rule_names;
 use open_oodb::core::model::OodbModel;
 use open_oodb::core::rules::rule_set;
 use open_oodb::prelude::*;
-use open_oodb::volcano::{Expr, Memo, Rewrites, TransformRule};
+use open_oodb::volcano::{Expr, Memo, Rewrites, RuleSignature, TransformRule};
 
 /// A (deliberately simple) custom rule: eliminate selections whose
 /// predicate is the empty conjunction (`true`). Nothing in the standard
@@ -30,6 +30,17 @@ struct TrueSelectElim;
 impl<'e> TransformRule<OodbModel<'e>> for TrueSelectElim {
     fn name(&self) -> &'static str {
         "true-select-elimination"
+    }
+    /// The engine offers the rule selections only, once each: it reads
+    /// the predicate, not the input group. It emits that group itself,
+    /// which is no new operator, so it produces no tag.
+    fn signature(&self) -> RuleSignature {
+        RuleSignature {
+            consumes: &["Select"],
+            produces: &[],
+            generative: false,
+            reads_inputs: false,
+        }
     }
     fn apply(
         &self,

@@ -32,6 +32,11 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 echo "==> plan-space audit (enumeration oracle + observed cost, quick corpus)"
 OODB_AUDIT_QUICK=1 cargo test -q --test audit
 
+# The documented extension path, run in a debug build: a custom rule
+# whose signature lies about the roots it emits fails a debug assertion.
+echo "==> extension example runs under the debug signature checks"
+cargo run -q --example extending_the_optimizer >/dev/null
+
 # The benchmark is its own workspace, so nothing above compiles it: a
 # facade or oodb-exec API change that breaks it must fail here, not in
 # the perf pipeline.

@@ -10,8 +10,13 @@
 //! This is the machine check behind the paper's extensibility claim: a
 //! rule added to the generated optimizer is independently auditable for
 //! soundness, not just for whether its plans happen to win.
+//!
+//! The same corpus checks each rule's declared signature, which the engine
+//! dispatches on: a rule emits nothing off the roots it consumes, emits
+//! only roots it produces, and, when it reads no input group, emits the
+//! same rewrites however its input groups grow.
 
-use oodb_algebra::{LogicalPlan, QueryEnv, SetOpKind, VarSet};
+use oodb_algebra::{LogicalOp, LogicalPlan, PhysProps, QueryEnv, SetOpKind, VarSet};
 use oodb_bench::queries;
 use oodb_core::optimizer::{extract_anchored, seed};
 use oodb_core::rules::rule_set;
@@ -23,7 +28,7 @@ use oodb_object::Value;
 use oodb_storage::{generate_paper_db, GenConfig, Store};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::OnceLock;
-use volcano::{Memo, Optimizer, RewriteNode, RewritePart, Rewrites, SearchConfig};
+use volcano::{Memo, OptModel, Optimizer, RewriteNode, RewritePart, Rewrites, SearchConfig};
 
 fn db() -> &'static (Store, PaperModel) {
     static DB: OnceLock<(Store, PaperModel)> = OnceLock::new();
@@ -139,16 +144,21 @@ fn run_tree(store: &Store, env: &QueryEnv, tree: &LogicalPlan, vars: VarSet) -> 
     canonical_rows(env, vars, &result)
 }
 
-#[test]
-fn every_transformation_rule_is_sound_on_the_corpus() {
-    let (store, m) = db();
-    let seeds: Vec<(&str, queries::PaperQuery)> = vec![
+/// The seed queries both harnesses explore.
+fn corpus(m: &PaperModel) -> Vec<(&'static str, queries::PaperQuery)> {
+    vec![
         ("query1", queries::query1(m)),
         ("query2", queries::query2(m)),
         ("query4", queries::query4(m)),
         ("fig2", queries::fig2_query(m)),
         ("setop", setop_seed(m)),
-    ];
+    ]
+}
+
+#[test]
+fn every_transformation_rule_is_sound_on_the_corpus() {
+    let (store, m) = db();
+    let seeds = corpus(m);
     let config = OptimizerConfig::all_rules();
     let rules = rule_set(&config);
     let mut samples_by_rule: BTreeMap<&'static str, usize> = BTreeMap::new();
@@ -236,5 +246,98 @@ fn every_transformation_rule_is_sound_on_the_corpus() {
         unexercised.is_empty(),
         "transformation rules never exercised by the corpus: {unexercised:?}\n\
          samples: {samples_by_rule:?}"
+    );
+}
+
+/// Every rewrite a firing emitted, as logical trees, in order.
+fn emitted_plans(memo: &Memo<OodbModel<'_>>, rw: &Rewrites<LogicalOp>) -> Vec<LogicalPlan> {
+    rw.emitted()
+        .iter()
+        .map(|&r| rewrite_to_plan(memo, rw, r))
+        .collect()
+}
+
+#[test]
+fn every_rule_signature_holds_on_the_corpus() {
+    let (_, m) = db();
+    let seeds = corpus(m);
+    let config = OptimizerConfig::all_rules();
+    let rules = rule_set(&config);
+    let mut compared_over_grown_inputs = 0;
+    for (seed_name, q) in &seeds {
+        let model = OodbModel::new(&q.env, CostParams::default(), config.clone());
+        let mut opt = Optimizer::new(&model, &rules, SearchConfig::default());
+        seed(&mut opt.memo, &model, &q.plan).expect("at most two inputs");
+        opt.explore_all();
+        let memo = &opt.memo;
+        let mut rw = Rewrites::default();
+
+        for e in memo.live_exprs() {
+            let expr = memo.expr(e);
+            let tag = model.tag(&expr.op);
+            for rule in &rules.transforms {
+                let sig = rule.signature();
+                rw.clear();
+                rule.apply(&model, memo, expr, &mut rw);
+                // A rule fired off the roots it consumes emits nothing,
+                if !sig.consumes.contains(&tag) {
+                    assert!(
+                        rw.emitted().is_empty(),
+                        "[{seed_name}] {} emitted on a {tag}, which it does not consume",
+                        rule.name()
+                    );
+                }
+                // and each root it emits is one it produces.
+                for &root in rw.emitted() {
+                    let RewritePart::Op(op, _) = rw.part(root) else {
+                        panic!("[{seed_name}] {} emitted a bare group", rule.name());
+                    };
+                    assert!(
+                        sig.produces.contains(&model.tag(op)),
+                        "[{seed_name}] {} emitted a {}, which it does not produce",
+                        rule.name(),
+                        model.tag(op)
+                    );
+                }
+                // A rule that declares it reads no input group emits over
+                // the explored groups what it emits over the same
+                // expression with one member per input group.
+                if !sig.reads_inputs {
+                    let grown = emitted_plans(memo, &rw);
+                    let mut fresh = Memo::new();
+                    let root = seed(&mut fresh, &model, &extract_anchored(memo, e))
+                        .expect("at most two inputs");
+                    rw.clear();
+                    let anchor = fresh.expr(fresh.group_exprs(root)[0]);
+                    rule.apply(&model, &fresh, anchor, &mut rw);
+                    assert_eq!(
+                        emitted_plans(&fresh, &rw),
+                        grown,
+                        "[{seed_name}] {} reads its inputs but declares it does not",
+                        rule.name()
+                    );
+                    if expr.children.iter().any(|&g| memo.group_exprs(g).len() > 1) {
+                        compared_over_grown_inputs += 1;
+                    }
+                }
+            }
+            // An implementation rule proposes nothing off its roots either.
+            let vars = memo.props(expr.group).vars;
+            for rule in rules.impls.iter().filter(|r| !r.consumes().contains(&tag)) {
+                for required in [PhysProps::NONE, PhysProps::in_memory(vars)] {
+                    let mut out = Vec::new();
+                    rule.implementations(&model, memo, expr, &required, &mut out);
+                    assert!(
+                        out.is_empty(),
+                        "[{seed_name}] {} proposed a plan for a {tag}, which it does not consume",
+                        rule.name()
+                    );
+                }
+            }
+        }
+    }
+    assert!(
+        compared_over_grown_inputs > 0,
+        "no input group grew under a rule that reads none: the check proved nothing"
     );
 }
