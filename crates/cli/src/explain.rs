@@ -99,17 +99,17 @@ impl Shell {
         }) else {
             return;
         };
-        println!(
-            "enumerated {} plan(s){}; winner estimated {:.6} s, space minimum {:.6} s",
-            report.plans_enumerated(),
-            if report.truncated {
-                " (TRUNCATED at the enumeration limits — verdict void)"
-            } else {
-                ""
-            },
-            report.winner_cost,
-            report.best_cost
-        );
+        if report.truncated {
+            println!(
+                "{} plan(s), over the enumeration bound: none built — verdict void",
+                report.plan_count
+            );
+        } else {
+            println!(
+                "enumerated {} plan(s); winner estimated {:.6} s, space minimum {:.6} s",
+                report.plan_count, report.winner_cost, report.best_cost
+            );
+        }
         println!("{}", render_physical(&q.env, &report.winner));
         if report.cost_minimal {
             println!("audit: winner is cost-minimal over the enumerated space");

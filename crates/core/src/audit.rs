@@ -6,9 +6,9 @@
 //! regressions in the rule set or the cost model *observable* instead of
 //! silently producing worse plans:
 //!
-//! * **Enumeration oracle** ([`OpenOodb::audit`]): exhaustively
-//!   enumerates every physical plan the memo encodes for a (small) query
-//!   via [`volcano::enumerate`], re-costs each through the shared
+//! * **Enumeration oracle** ([`OpenOodb::audit`]): counts the physical
+//!   plans the memo encodes for a query and, up to a bound, enumerates
+//!   every one via [`volcano::enumerate`], re-costs each through the shared
 //!   estimator, and reports whether the search's winner is cost-minimal
 //!   over the whole space. Callers additionally execute every enumerated
 //!   plan and compare result bytes (see `tests/audit.rs` at the
@@ -54,10 +54,13 @@ pub struct AuditReport {
     /// (`f64::INFINITY` when no plan was enumerated).
     pub best_cost: f64,
     /// Whether the winner is cost-minimal over the *complete* space:
-    /// false when the enumeration was truncated — a partial oracle
+    /// false when the space was over the bound — an oracle over no plan
     /// proves nothing.
     pub cost_minimal: bool,
-    /// Whether a limit cut the enumeration short.
+    /// How many plans the space holds (saturating).
+    pub plan_count: u64,
+    /// Whether the space held more plans than the bound, so none was
+    /// built.
     pub truncated: bool,
     /// Interval-cardinality diagnostics over every enumerated plan
     /// (empty on a sound cost model).
@@ -65,11 +68,6 @@ pub struct AuditReport {
 }
 
 impl AuditReport {
-    /// Number of plans the oracle enumerated.
-    pub fn plans_enumerated(&self) -> usize {
-        self.plans.len()
-    }
-
     /// The audit passed outright: complete space, minimal winner, no
     /// interval escapes.
     pub fn sound(&self) -> bool {
@@ -79,8 +77,8 @@ impl AuditReport {
 
 impl<'e> OpenOodb<'e> {
     /// Runs the enumeration oracle on a query: optimizes as
-    /// [`OpenOodb::optimize`] would, then exhaustively enumerates the
-    /// plan space within `limits` and re-costs every member. Pruning is
+    /// [`OpenOodb::optimize`] would, then counts the plan space and, if it
+    /// is within `limits`, enumerates and re-costs every member. Pruning is
     /// disabled for the run — the oracle audits the exhaustive search
     /// the paper describes, and branch-and-bound shortcuts would leave
     /// goals unexplored.
@@ -126,6 +124,7 @@ impl<'e> OpenOodb<'e> {
             winner_cost,
             best_cost,
             cost_minimal,
+            plan_count: en.count,
             truncated: en.truncated,
             interval_diags,
         })
@@ -223,7 +222,7 @@ pub fn check_confluence(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oodb_algebra::QueryBuilder;
+    use oodb_algebra::{CmpOp, Operand, QueryBuilder};
     use oodb_object::paper::paper_model;
     use oodb_object::Value;
     use volcano::{Expr, Memo, Rewrites, RuleSignature, TransformRule};
@@ -238,6 +237,37 @@ mod tests {
         let pred = qb.eq_const(cm, m.ids.person_name, Value::str("Joe"));
         let q = qb.select(matd, pred);
         (qb.into_env(), q, VarSet::single(c))
+    }
+
+    /// Figure 2 as the ZQL front end builds it: cities whose mayor shares
+    /// their country's president's name, population over 1,500,000.
+    fn figure2() -> (QueryEnv, LogicalPlan, VarSet) {
+        let m = paper_model();
+        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
+        let (cities, c) = qb.get(m.ids.cities, "c");
+        let (p, cm) = qb.mat(cities, c, m.ids.city_mayor, "cm");
+        let (p, cc) = qb.mat(p, c, m.ids.city_country, "cc");
+        let (p, pres) = qb.mat(p, cc, m.ids.country_president, "pres");
+        let name = |v| qb.attr(v, m.ids.person_name);
+        let same_name = qb.term(name(cm), CmpOp::Eq, name(pres));
+        let population = qb.attr(c, m.ids.city_population);
+        let big = qb.term(population, CmpOp::Gt, Operand::Const(Value::Int(1_500_000)));
+        let pred = qb.conj(vec![same_name, big]);
+        let q = qb.select(p, pred);
+        (qb.into_env(), q, VarSet::single(c))
+    }
+
+    #[test]
+    fn figure2_space_is_counted_and_refused_unbuilt() {
+        let (env, q, vars) = figure2();
+        let opt = OpenOodb::with_config(&env, OptimizerConfig::all_rules());
+        let report = opt
+            .audit(&q, vars, None, EnumLimits::default())
+            .expect("feasible");
+        assert_eq!(report.plan_count, 27_408);
+        assert!(report.truncated, "over the default bound");
+        assert!(report.plans.is_empty(), "nothing built");
+        assert!(!report.sound());
     }
 
     #[test]
@@ -260,9 +290,9 @@ mod tests {
             .expect("feasible");
         assert!(!report.truncated, "query 2 space fits default limits");
         assert!(
-            report.plans_enumerated() >= 2,
+            report.plan_count >= 2,
             "collapse + at least one assembly-family plan, got {}",
-            report.plans_enumerated()
+            report.plan_count
         );
         assert!(
             report.cost_minimal,
@@ -282,17 +312,11 @@ mod tests {
         let (env, q, vars) = query2();
         let opt = OpenOodb::with_config(&env, OptimizerConfig::all_rules());
         let report = opt
-            .audit(
-                &q,
-                vars,
-                None,
-                EnumLimits {
-                    max_plans: 1,
-                    ..Default::default()
-                },
-            )
+            .audit(&q, vars, None, EnumLimits { max_plans: 1 })
             .expect("feasible");
         assert!(report.truncated);
+        assert_eq!(report.plan_count, 8, "counted, not built");
+        assert!(report.plans.is_empty());
         assert!(!report.cost_minimal, "a cut space proves nothing");
         assert!(!report.sound());
     }

@@ -115,5 +115,5 @@ pub use model::{
     TransformRule,
 };
 pub use rulegraph::{prove_termination, CycleWitness, RuleGraph, TerminationProof};
-pub use search::{Optimizer, PlanNode, SearchConfig, TraceEvent, Winner};
+pub use search::{Alternative, Optimizer, PlanNode, SearchConfig, TraceEvent, Winner};
 pub use stats::SearchStats;

@@ -26,9 +26,9 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q
 # Only the legs that change an input run again; CI's own jobs add
 # randomized seeds and release builds on top.
 
-# Plan-space audit in quick mode: a smaller store and tighter
-# enumeration limits than the run above. It also gates estimated vs
-# observed cost: no plan runs over 2x cheaper than the winner.
+# Plan-space audit in quick mode: a smaller store than the run above.
+# It also gates estimated vs observed cost: no plan runs over 2x cheaper
+# than the winner.
 echo "==> plan-space audit (enumeration oracle + observed cost, quick corpus)"
 OODB_AUDIT_QUICK=1 cargo test -q --test audit
 

@@ -16,8 +16,8 @@
 //! estimate and the run part (a cardinality error); one that cannot is a
 //! cost-model error and fails. `-- --nocapture` prints them all.
 //!
-//! `OODB_AUDIT_QUICK=1` (the CI audit job) shrinks the store and the
-//! enumeration limits so the corpus runs in seconds.
+//! `OODB_AUDIT_QUICK=1` (set by `scripts/check.sh`) shrinks the store so
+//! the corpus runs in seconds.
 
 use oodb_exec::{ExecResult, ExecStats};
 use open_oodb::core::verify::walk_actual;
@@ -27,18 +27,6 @@ use open_oodb::zql;
 
 fn quick() -> bool {
     std::env::var("OODB_AUDIT_QUICK").is_ok_and(|v| v != "0")
-}
-
-fn limits() -> EnumLimits {
-    if quick() {
-        EnumLimits {
-            max_groups: 128,
-            max_exprs: 1024,
-            max_plans: 2_000,
-        }
-    } else {
-        EnumLimits::default()
-    }
 }
 
 fn db() -> (Store, open_oodb::object::paper::PaperModel) {
@@ -131,12 +119,12 @@ fn audit_query(src: &str, label: &str) -> usize {
     let optimize = t0.elapsed();
     let t1 = std::time::Instant::now();
     let report = opt
-        .audit(&q.plan, q.result_vars, None, limits())
+        .audit(&q.plan, q.result_vars, None, EnumLimits::default())
         .expect("feasible plan");
     let audit = t1.elapsed();
     eprintln!(
         "{label}: {} plans; optimize {:?}, audit {:?} ({:.1}x)",
-        report.plans_enumerated(),
+        report.plan_count,
         optimize,
         audit,
         audit.as_secs_f64() / optimize.as_secs_f64().max(1e-9)
