@@ -108,6 +108,12 @@ pub struct Store {
     /// `set_members`, `set_catalog`). A statistics refresh rebuilds the
     /// indexes only when this is false.
     indexes_current: bool,
+    /// The bucket count of the last statistics collection over the
+    /// current data and index set: cleared wherever `indexes_current` is,
+    /// set by a refresh. A refresh at the stamped count over current
+    /// indexes would collect the histograms the catalog already holds, so
+    /// it collects nothing.
+    stats_current: Option<usize>,
     /// Dense `[type][field] -> slot` table ([`NO_SLOT`] where the field
     /// is not on the type): a field read is two indexed loads, no hashing.
     slots: Vec<Vec<u32>>,
@@ -152,6 +158,7 @@ impl Store {
             members: vec![Vec::new(); n_colls],
             indexes: Vec::new(),
             indexes_current: false,
+            stats_current: None,
             slots,
             next_page: 0,
             fault_injector: None,
@@ -212,6 +219,7 @@ impl Store {
         self.catalog.raise_stats_epoch_to(floor);
         self.indexes.clear();
         self.indexes_current = false;
+        self.stats_current = None;
     }
 
     /// Bulk-inserts the `population` instances of one type, accounting
@@ -252,6 +260,7 @@ impl Store {
             by_slot,
         };
         self.indexes_current = false;
+        self.stats_current = None;
     }
 
     /// Whether a type already owns a storage region (a second
@@ -292,6 +301,7 @@ impl Store {
     pub fn set_members(&mut self, coll: CollectionId, oids: Vec<Oid>) {
         self.members[coll.index()] = oids;
         self.indexes_current = false;
+        self.stats_current = None;
     }
 
     /// Members of a collection, in storage order.
@@ -526,9 +536,19 @@ impl Store {
     /// epoch then moves by exactly one), and rebuilds the indexes only if
     /// the data changed since they were built: indexes depend on the data,
     /// not on the histograms. Over unchanged data it changes nothing, so
-    /// every cached plan stays servable. Returns whether the epoch moved.
-    /// All-or-nothing: on error the store is unchanged.
+    /// every cached plan stays servable; a repeat at the bucket count of
+    /// the last refresh, with nothing changed since, does not even
+    /// collect. Returns whether the epoch moved. All-or-nothing: on error
+    /// the store is unchanged.
     pub fn try_refresh_statistics(&mut self, buckets: usize) -> Result<bool, StoreError> {
+        if self.indexes_current && self.stats_current == Some(buckets) {
+            debug_assert!(
+                matches!(self.try_collect_statistics(&[], buckets),
+                    Ok(c) if c.stats_epoch() == self.catalog.stats_epoch()),
+                "a skipped refresh would have moved the epoch"
+            );
+            return Ok(false);
+        }
         let catalog = self.try_collect_statistics(&[], buckets)?;
         if !self.indexes_current {
             self.try_rebuild_indexes(false)?;
@@ -539,6 +559,7 @@ impl Store {
             // so the built indexes stay valid.
             self.catalog = catalog;
         }
+        self.stats_current = Some(buckets);
         Ok(moved)
     }
 
@@ -741,6 +762,54 @@ mod tests {
         assert!(hits
             .iter()
             .all(|&o| o == Oid::new(t, o.seq()) && store.read_field(o, x) == &Value::Int(3)));
+    }
+
+    /// Each change an index could see clears the statistics stamp, so the
+    /// refresh after it collects; a repeat with nothing changed does not.
+    #[test]
+    fn every_clearing_site_makes_the_next_refresh_collect() {
+        let mut b = Schema::builder();
+        let t = b.add_type("T", None);
+        let x = b.add_field(t, "x", FieldKind::Attr(AttrType::Int));
+        let u = b.add_type("U", None);
+        b.add_field(u, "z", FieldKind::Attr(AttrType::Int));
+        let mut cat = Catalog::new();
+        let coll = cat.add_collection(CollectionDef {
+            name: "Ts".into(),
+            elem_type: t,
+            kind: CollectionKind::Extent,
+            cardinality: 100,
+            obj_bytes: 400,
+        });
+        cat.add_index(oodb_object::IndexDef {
+            name: "Ts_x".into(),
+            collection: coll,
+            path: vec![],
+            key: x,
+            distinct_keys: 7,
+            clustered: false,
+        });
+        let mut store = Store::new(b.build(), cat);
+        store.insert_columns(t, 100, columns(100, |i| [Value::Int(i as i64 % 7)]), 400);
+        let oids: Vec<Oid> = (0..100).map(|i| Oid::new(t, i)).collect();
+        store.set_members(coll, oids.clone());
+        assert_eq!(store.try_refresh_statistics(8), Ok(true));
+        assert_eq!(store.stats_current, Some(8));
+        assert_eq!(store.try_refresh_statistics(8), Ok(false), "a repeat");
+        assert_eq!(store.try_refresh_statistics(4), Ok(true), "new buckets");
+        // Each site clears the stamp; the refresh after it collects and
+        // stamps again, moving the epoch only where a histogram changed.
+        let after = |store: &mut Store, moved: bool| {
+            assert_eq!(store.stats_current, None);
+            assert_eq!(store.try_refresh_statistics(4), Ok(moved));
+            assert_eq!(store.stats_current, Some(4));
+        };
+        store.insert_columns(u, 3, columns(3, |i| [Value::Int(i as i64)]), 100);
+        after(&mut store, false);
+        store.set_members(coll, oids[..50].to_vec());
+        after(&mut store, true);
+        store.set_catalog(store.catalog().clone());
+        after(&mut store, false);
     }
 
     #[test]
