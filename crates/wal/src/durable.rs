@@ -199,9 +199,12 @@ pub fn checkpoint_records(store: &Store) -> Vec<WalRecord> {
 }
 
 /// A content fingerprint of the store's logical state: objects, members,
-/// catalog epoch, and whether indexes are materialized. Page numbers and
-/// buffer-pool state are deliberately excluded — two stores with equal
-/// digests answer every query identically.
+/// the whole catalog in its log encoding (statistics epoch, index set and
+/// every histogram), and whether indexes are materialized. Page numbers
+/// and buffer-pool state are deliberately excluded — two stores with
+/// equal digests answer every query identically and estimate every plan
+/// alike, so a statistics collection skipped where it would have changed
+/// a histogram shows as a digest mismatch after recovery.
 pub fn store_digest(store: &Store) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let mut eat = |bytes: &[u8]| {
@@ -225,8 +228,9 @@ pub fn store_digest(store: &Store) -> u64 {
             eat(&o.as_u64().to_le_bytes());
         }
     }
-    eat(&store.catalog().stats_epoch().to_le_bytes());
-    eat(&store.catalog().index_set_hash().to_le_bytes());
+    scratch.clear();
+    crate::record::encode_catalog(store.catalog(), &mut scratch);
+    eat(&scratch);
     eat(&[store.indexes_built() as u8]);
     h
 }
@@ -589,6 +593,42 @@ mod tests {
             }
         }
         assert_eq!((len, h), (85_621, 0x200c_b963_7dc7_d0cc));
+    }
+
+    /// A checkpoint encodes its frames in place; the log frames a record
+    /// it encoded first. Both write the same bytes, so either reader reads
+    /// what the other wrote.
+    #[test]
+    fn checkpoint_file_is_the_log_framing_of_its_records() {
+        let dir = ScratchDir::new("ckpt-framing").unwrap();
+        let mut store = small_store();
+        apply_to(&mut store, &WalRecord::StatsRefresh { buckets: 16 }).unwrap();
+        let recs = checkpoint_records(&store);
+        let path = dir.path().join(CHECKPOINT_FILE);
+        let stats = write_checkpoint(&path, 42, &recs).unwrap();
+        let mut framed = Vec::new();
+        crate::codec::put_header(&mut framed, crate::CHECKPOINT_MAGIC, 42);
+        for rec in &recs {
+            crate::frame::write_frame(&mut framed, &rec.encode());
+        }
+        let written = std::fs::read(&path).unwrap();
+        assert_eq!(written.len() as u64, stats.bytes);
+        assert!(
+            written == framed,
+            "checkpoint bytes differ from the log framing"
+        );
+    }
+
+    /// Two stores that differ only in their histograms — one refresh each,
+    /// at different bucket counts, so the same epoch and index set — have
+    /// different digests.
+    #[test]
+    fn the_digest_covers_the_histograms() {
+        let (mut coarse, mut fine) = (small_store(), small_store());
+        apply_to(&mut coarse, &WalRecord::StatsRefresh { buckets: 4 }).unwrap();
+        apply_to(&mut fine, &WalRecord::StatsRefresh { buckets: 16 }).unwrap();
+        assert_eq!(coarse.catalog().stats_epoch(), fine.catalog().stats_epoch());
+        assert_ne!(store_digest(&coarse), store_digest(&fine));
     }
 
     #[test]

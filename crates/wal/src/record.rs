@@ -207,7 +207,7 @@ fn decode_schema(r: &mut Reader<'_>) -> Result<Schema, DecodeError> {
 
 // ---- catalog codec --------------------------------------------------------
 
-fn encode_catalog(catalog: &Catalog, out: &mut Vec<u8>) {
+pub(crate) fn encode_catalog(catalog: &Catalog, out: &mut Vec<u8>) {
     out.extend_from_slice(&catalog.stats_epoch().to_le_bytes());
 
     let colls: Vec<_> = catalog.collections().collect();
@@ -393,11 +393,17 @@ impl WalRecord {
     /// Encodes the record to its canonical byte form.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the record's canonical byte form to `out`.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             WalRecord::Genesis { schema, catalog } => {
                 out.push(TAG_GENESIS);
-                encode_schema(schema, &mut out);
-                encode_catalog(catalog, &mut out);
+                encode_schema(schema, out);
+                encode_catalog(catalog, out);
             }
             WalRecord::InsertColumns {
                 ty,
@@ -413,7 +419,7 @@ impl WalRecord {
                 for column in columns {
                     out.extend_from_slice(&(column.len() as u32).to_le_bytes());
                     for v in column.iter() {
-                        encode_value(v, &mut out);
+                        encode_value(v, out);
                     }
                 }
             }
@@ -427,7 +433,7 @@ impl WalRecord {
             }
             WalRecord::SetCatalog { catalog } => {
                 out.push(TAG_SET_CATALOG);
-                encode_catalog(catalog, &mut out);
+                encode_catalog(catalog, out);
             }
             WalRecord::BuildIndexes { bump_epoch } => {
                 out.push(TAG_BUILD_INDEXES);
@@ -438,7 +444,6 @@ impl WalRecord {
                 out.extend_from_slice(&buckets.to_le_bytes());
             }
         }
-        out
     }
 
     /// Decodes a record from its byte form. Total: arbitrary input yields
