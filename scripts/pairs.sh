@@ -19,12 +19,13 @@
 # Among them `core.cache_hit_ratio`, `wal.replayed_records` and
 # `wal.bytes_per_mutation`, so a change that moves the plan cache or the
 # log on purpose shows that move beside what stayed put. Before them,
-# seven timings of the same two runs, parent beside change and not judged
+# ten timings of the same two runs, parent beside change and not judged
 # (one run a side): `zql.simplify_us`, `core.optimize_us` and
 # `core.cache_insert_us` (the layers of a cache miss), `service.submit_us`
-# (the query in-process) and `server.rtt_us`, `server.transport_us`,
-# `server.http_read_us` (the wire around it), so a saving shows in which
-# layer, and on which side of the socket, it sits.
+# (the query in-process), `server.rtt_us`, `server.transport_us`,
+# `server.http_read_us` (the wire around it) and `service.refresh_us`,
+# `wal.checkpoint_ms`, `wal.recover_ms` (the durability path), so a saving
+# shows in which layer, and on which side of the socket, it sits.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -131,7 +132,7 @@ done
 
 echo
 echo "timings of those runs, parent / change (one run a side, not judged):"
-awk '/^ *"(zql\.simplify_us|core\.(optimize_us|cache_insert_us)|service\.submit_us|server\.(rtt_us|transport_us|http_read_us))": / {
+awk '/^ *"(zql\.simplify_us|core\.(optimize_us|cache_insert_us)|service\.(submit_us|refresh_us)|server\.(rtt_us|transport_us|http_read_us)|wal\.(checkpoint_ms|recover_ms))": / {
         name = $1; gsub(/[":]/, "", name); value = $3; sub(/,$/, "", value)
         if (FNR == NR) { parent[name] = value; next }
         printf "%-26s %s / %s\n", name, parent[name], value
