@@ -98,14 +98,7 @@ pub fn fingerprint(
 
 /// FNV-1a over a byte string — deterministic across processes and builds,
 /// unlike `std`'s `DefaultHasher` which is only stable within one process.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
+pub use oodb_object::fnv::fnv1a;
 
 /// Writes the canonical key of a conjunction to `out`: operands tagged
 /// `c:`/`a:`/`o:`/`r:`/`v:`, symmetric comparisons operand-sorted,

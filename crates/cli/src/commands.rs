@@ -3,10 +3,11 @@
 
 use crate::{arg, service_over, Shell};
 use oodb_core::OptimizerConfig;
+use oodb_mem::MemoryGovernor;
 use oodb_object::FieldKind;
 use oodb_server::{Client, Server};
 use oodb_service::FlushPolicy;
-use oodb_storage::{FaultConfig, FaultInjector, MemoryGovernor};
+use oodb_storage::{FaultConfig, FaultInjector};
 
 impl Shell {
     /// Edits the service's optimizer configuration in place.
@@ -305,7 +306,7 @@ impl Shell {
                     self.svc.detach_fault_injector();
                     println!("fault injection off");
                 }
-                None | Some("stats") => match store.fault_injector() {
+                None | Some("stats") => match self.svc.fault_injector() {
                     Some(inj) => {
                         let s = inj.stats();
                         println!(
@@ -339,7 +340,7 @@ impl Shell {
                     self.svc.detach_memory_governor();
                     println!("memory governor off");
                 }
-                None | Some("stats") => match store.memory_governor() {
+                None | Some("stats") => match self.svc.memory_governor() {
                     Some(gov) => {
                         let s = gov.stats();
                         println!(

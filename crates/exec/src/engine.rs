@@ -236,8 +236,8 @@ pub struct Executor<'a> {
     /// Cooperative run limits (deadline, cancellation, row budget),
     /// checked at every batch boundary.
     limits: RunLimits,
-    /// This run's memory grant, drawn from the store's governor (when
-    /// attached) under `RunLimits::mem_budget`.
+    /// This run's memory grant, drawn from the run's governor (when it
+    /// has one) under `RunLimits::mem_budget`.
     /// Operators reserve against it in coarse units (a hash table, a
     /// partition, an assembly window) — never per row — and at most one
     /// reservation is live at a time.
@@ -262,10 +262,10 @@ impl<'a> Executor<'a> {
     /// operator is interrupted mid-flight.
     pub fn new(store: &'a Store, env: &'a QueryEnv, limits: RunLimits) -> Self {
         let mut io = Io::decstation();
-        // Route page access through the store's fault injector when one is
-        // attached — the executor is where injected read faults surface.
-        io.set_fault_injector(store.fault_injector().cloned());
-        let grant = match store.memory_governor() {
+        // Route page access through the run's fault injector when it has
+        // one — the executor is where injected read faults surface.
+        io.set_fault_injector(limits.injector.clone());
+        let grant = match &limits.governor {
             Some(gov) => gov.grant(limits.mem_budget),
             None => MemoryGrant::detached(limits.mem_budget),
         };

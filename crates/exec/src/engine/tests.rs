@@ -198,7 +198,7 @@ fn set_ops_behave() {
 #[test]
 fn spilling_hash_join_matches_in_memory() {
     use oodb_mem::MemoryGovernor;
-    let (mut store, m) = generate_paper_db(GenConfig::small());
+    let (store, m) = generate_paper_db(GenConfig::small());
     let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
     let (emp, e) = qb.get(m.ids.employees, "e");
     let (_, d) = qb.mat(emp, e, m.ids.emp_dept, "d");
@@ -231,7 +231,6 @@ fn spilling_hash_join_matches_in_memory() {
     // Govern at a fraction of the 500-row build side; every budget
     // must still produce the identical result multiset.
     let gov = MemoryGovernor::new(u64::MAX);
-    store.attach_memory_governor(gov.clone());
     for budget in [8192u64, 1024, 256] {
         let (res, stats) = try_execute(
             &store,
@@ -239,6 +238,7 @@ fn spilling_hash_join_matches_in_memory() {
             &hhj,
             RunLimits {
                 mem_budget: Some(budget),
+                governor: Some(gov.clone()),
                 ..Default::default()
             },
         )
@@ -568,13 +568,15 @@ fn row_budget_interrupts_a_scan() {
 
 #[test]
 fn injected_faults_surface_as_typed_errors() {
-    let (mut store, m) = generate_paper_db(GenConfig::small());
-    store.attach_fault_injector(oodb_storage::FaultInjector::new(
-        oodb_storage::FaultConfig {
-            read_fault_rate: 1.0,
-            ..Default::default()
-        },
-    ));
+    let (store, m) = generate_paper_db(GenConfig::small());
+    let injector = oodb_storage::FaultInjector::new(oodb_storage::FaultConfig {
+        read_fault_rate: 1.0,
+        ..Default::default()
+    });
+    let faulty = || RunLimits {
+        injector: Some(injector.clone()),
+        ..Default::default()
+    };
     let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
     let (_, c) = qb.get(m.ids.cities, "c");
     let env = qb.into_env();
@@ -585,11 +587,11 @@ fn injected_faults_surface_as_typed_errors() {
         },
         vec![],
     );
-    let err = try_execute(&store, &env, &scan, RunLimits::default()).unwrap_err();
+    let err = try_execute(&store, &env, &scan, faulty()).unwrap_err();
     assert!(matches!(err, ExecError::Fault(_)), "{err:?}");
     // Disabling the injector restores infallible execution.
-    store.fault_injector().unwrap().set_enabled(false);
-    assert!(try_execute(&store, &env, &scan, RunLimits::default()).is_ok());
+    injector.set_enabled(false);
+    assert!(try_execute(&store, &env, &scan, faulty()).is_ok());
 }
 
 #[test]

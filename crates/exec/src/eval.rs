@@ -364,12 +364,13 @@ pub(crate) mod tests {
                 Value::RefSet((0..i % 3).map(|k| Oid::new(ty, k)).collect()),
             ]
         };
-        store.insert_columns(base, 40, columns(40, |i| row(base, i as u32)), 100);
+        let bases = columns(40, |i| row(base, i as u32));
+        store.insert_columns(base, 40, bases, 100).unwrap();
         let deriveds = columns(25, |i| {
             let [n, tag, peer, set] = row(derived, i as u32 + 1);
             [n, tag, peer, set, Value::Int(i as i64)]
         });
-        store.insert_columns(derived, 25, deriveds, 100);
+        store.insert_columns(derived, 25, deriveds, 100).unwrap();
         let members = (0..60).map(|i| match i % 3 {
             0 => Oid::new(derived, i / 3),
             _ => Oid::new(base, i - i / 3 - 1),

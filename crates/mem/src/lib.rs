@@ -95,9 +95,8 @@ struct GovInner {
     grants: AtomicU64,
 }
 
-/// Process-wide memory ledger. Attach one to a `Store` (see
-/// `oodb_storage::Store::attach_memory_governor`) and every executor
-/// created against that store draws its per-run [`MemoryGrant`] from it.
+/// Process-wide memory ledger. A run that carries one (the `governor`
+/// of `oodb_fault::RunLimits`) draws its per-run [`MemoryGrant`] from it.
 #[derive(Clone, Debug)]
 pub struct MemoryGovernor {
     inner: Arc<GovInner>,

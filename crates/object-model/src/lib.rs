@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 
 pub mod catalog;
+pub mod fnv;
 pub mod fx;
 pub mod oid;
 pub mod paper;

@@ -54,7 +54,7 @@ impl std::fmt::Display for ShedReason {
 /// tenant policy per tenant).
 ///
 /// The overload ladder runs *degrade → shed → fail*: under
-/// [`oodb_storage::PressureLevel::High`] submissions degrade (greedy
+/// [`oodb_exec::PressureLevel::High`] submissions degrade (greedy
 /// plan, halved grant) before anything is refused; at `Critical` they
 /// shed with [`ServiceError::Overloaded`] so in-flight work can finish;
 /// only an execution whose grant cannot cover its smallest working unit

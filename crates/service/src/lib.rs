@@ -44,8 +44,9 @@ use oodb_algebra::fingerprint::QueryFingerprint;
 use oodb_algebra::{LogicalPlan, QueryEnv, SortSpec, VarSet};
 use oodb_core::plancache::PlanCache;
 use oodb_core::{CostParams, FeedbackEntry, FeedbackStats, FeedbackStore, OptimizerConfig};
+use oodb_exec::MemoryGovernor;
 use oodb_fault::FaultInjector;
-use oodb_storage::{MemoryGovernor, Store};
+use oodb_storage::Store;
 use oodb_sync::{BoundedMap, Snap};
 use oodb_telemetry::{Counter, MetricsRegistry, OpTrace};
 use oodb_wal::WalSession;
@@ -245,6 +246,12 @@ struct ServiceState {
     /// ([`QueryService::mutate`]) rather than per request.
     index_set: u64,
     admission: AdmissionConfig,
+    /// The fault injector every execution's page reads consult, when
+    /// attached. Clones share counters and healing state.
+    injector: Option<FaultInjector>,
+    /// The process-wide ledger every execution draws its memory grant
+    /// from, when attached.
+    governor: Option<MemoryGovernor>,
 }
 
 impl ServiceState {
@@ -330,6 +337,8 @@ impl QueryService {
                     config_fp: config.fingerprint(),
                     config: Arc::new(config),
                     admission: AdmissionConfig::default(),
+                    injector: None,
+                    governor: None,
                 }),
                 params,
                 cache: Arc::new(PlanCache::new(cache_capacity, cache_shards)),
@@ -409,40 +418,41 @@ impl QueryService {
         self.mutate(|s| s.set_config(config));
     }
 
-    /// Routes subsequent executions through a fault injector by swapping
-    /// in a store snapshot that carries it. No epoch bump: injected faults
-    /// do not invalidate cached plans, only their executions.
+    /// Routes subsequent executions through a fault injector: each run
+    /// carries it in its [`oodb_fault::RunLimits`]. The store is not
+    /// copied, and the epoch does not move: injected faults do not
+    /// invalidate cached plans, only their executions.
     pub fn attach_fault_injector(&self, injector: FaultInjector) {
-        self.mutate(|s| s.store_mut().attach_fault_injector(injector));
+        self.mutate(|s| s.injector = Some(injector));
     }
 
-    /// Removes the fault injector (fresh snapshots execute fault-free).
+    /// Removes the fault injector (later executions run fault-free).
     pub fn detach_fault_injector(&self) {
-        self.mutate(|s| s.store_mut().detach_fault_injector());
+        self.mutate(|s| s.injector = None);
     }
 
-    /// The fault injector on the current store snapshot, if any.
+    /// The attached fault injector, if any.
     pub fn fault_injector(&self) -> Option<FaultInjector> {
-        self.store().fault_injector().cloned()
+        self.inner.state.load().injector.clone()
     }
 
     /// Routes subsequent executions through a process-wide
-    /// [`MemoryGovernor`] by swapping in a store snapshot that carries
-    /// it. Executions draw byte grants from the governor; operators
-    /// whose grant runs out spill to simulated disk instead of growing.
-    /// No epoch bump: governance changes execution, not plans.
+    /// [`MemoryGovernor`], carried by each run like the fault injector.
+    /// Executions draw byte grants from the governor; operators whose
+    /// grant runs out spill to simulated disk instead of growing. No
+    /// epoch bump: governance changes execution, not plans.
     pub fn attach_memory_governor(&self, governor: MemoryGovernor) {
-        self.mutate(|s| s.store_mut().attach_memory_governor(governor));
+        self.mutate(|s| s.governor = Some(governor));
     }
 
-    /// Removes the memory governor (fresh snapshots execute ungoverned).
+    /// Removes the memory governor (later executions run ungoverned).
     pub fn detach_memory_governor(&self) {
-        self.mutate(|s| s.store_mut().detach_memory_governor());
+        self.mutate(|s| s.governor = None);
     }
 
-    /// The memory governor on the current store snapshot, if any.
+    /// The attached memory governor, if any.
     pub fn memory_governor(&self) -> Option<MemoryGovernor> {
-        self.store().memory_governor().cloned()
+        self.inner.state.load().governor.clone()
     }
 
     /// Replaces the admission-control policy (applies to the next

@@ -200,11 +200,11 @@ impl QueryService {
         m.prepared_statements.set(self.inner.prepared.len() as i64);
         m.feedback_overrides
             .set(self.inner.feedback.stats().overrides.min(i64::MAX as u64) as i64);
-        let store = self.store();
-        if let Some(inj) = store.fault_injector() {
+        let state = self.inner.state.load();
+        if let Some(inj) = &state.injector {
             m.injected_faults.store(inj.stats().injected);
         }
-        if let Some(gov) = store.memory_governor() {
+        if let Some(gov) = &state.governor {
             let gs = gov.stats();
             m.mem_reserved_bytes
                 .set(gs.reserved.min(i64::MAX as u64) as i64);

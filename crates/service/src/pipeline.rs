@@ -13,9 +13,8 @@ use oodb_algebra::{PhysicalOp, PhysicalPlan, QueryEnv, StatsOverlay};
 use oodb_core::plancache::{CacheKey, CachedBody, CachedPlan};
 use oodb_core::verify::{checks, walk_actual, Diagnostic};
 use oodb_core::{BoundedOutcome, Observation, OpenOodb};
-use oodb_exec::{ExecError, ExecStats, Executor, RootRow};
+use oodb_exec::{ExecError, ExecStats, Executor, MemoryGovernor, PressureLevel, RootRow};
 use oodb_fault::{CancelToken, FaultClass, RunLimits};
-use oodb_storage::{MemoryGovernor, PressureLevel};
 use oodb_telemetry::{OpTrace, StageTimer};
 use std::borrow::Cow;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -170,7 +169,7 @@ impl QueryService {
         // Pressure ladder: degrade before shedding, shed before failing.
         let pressure = adm
             .degrade_under_pressure
-            .then(|| state.store.memory_governor().map(MemoryGovernor::pressure))
+            .then(|| state.governor.as_ref().map(MemoryGovernor::pressure))
             .flatten();
         let result = match pressure {
             Some(PressureLevel::Critical) => Err(shed(ShedReason::MemoryPressure)),
@@ -373,11 +372,10 @@ impl QueryService {
         // capacity so four queries can always progress concurrently. A
         // pressure-degraded run gets half of either — smaller footprint
         // now beats optimal hash tables later.
-        let mut mem_budget = opts.mem_budget.or_else(|| {
-            store
-                .memory_governor()
-                .map(|gov| (gov.capacity() / 4).max(1))
-        });
+        let governor = &req.state.governor;
+        let mut mem_budget = opts
+            .mem_budget
+            .or_else(|| governor.as_ref().map(|gov| (gov.capacity() / 4).max(1)));
         if req.pressure_degraded {
             mem_budget = mem_budget.map(|b| (b / 2).max(1));
         }
@@ -401,6 +399,8 @@ impl QueryService {
                     cancel: req.cancel.cloned(),
                     row_budget: opts.row_budget,
                     mem_budget,
+                    injector: req.state.injector.clone(),
+                    governor: governor.clone(),
                 },
             );
             match ex.try_run_rows(plan, want_trace, &mut |row| render(&mut rows, row)) {

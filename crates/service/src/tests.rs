@@ -830,6 +830,24 @@ fn row_budget_zero_is_rejected_with_budget_in_error() {
     );
 }
 
+/// Attaching or detaching run policy publishes a snapshot with the same
+/// store: the injector and the governor ride on each run, not on the
+/// store, so neither copies it.
+#[test]
+fn attaching_run_policy_keeps_the_store() {
+    let svc = small_service();
+    let store = svc.store();
+    svc.attach_memory_governor(MemoryGovernor::new(64 << 20));
+    assert!(Arc::ptr_eq(&store, &svc.store()));
+    svc.attach_fault_injector(FaultInjector::new(FaultConfig::default()));
+    assert!(Arc::ptr_eq(&store, &svc.store()));
+    assert!(svc.memory_governor().is_some() && svc.fault_injector().is_some());
+    svc.detach_fault_injector();
+    svc.detach_memory_governor();
+    assert!(Arc::ptr_eq(&store, &svc.store()));
+    assert!(svc.memory_governor().is_none() && svc.fault_injector().is_none());
+}
+
 #[test]
 fn tight_memory_budget_spills_and_still_answers() {
     let svc = hash_join_service();

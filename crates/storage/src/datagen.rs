@@ -17,7 +17,7 @@
 //! Pass a [`GenConfig`] with `scale_div > 1` to generate a proportionally
 //! shrunken database for fast tests.
 
-use crate::store::Store;
+use crate::store::{Store, StoreError};
 use oodb_object::paper::{paper_model_scaled, PaperModel, AVG_TEAM_MEMBERS};
 use oodb_object::{Date, Oid, TypeId, Value};
 use rand::rngs::SmallRng;
@@ -100,7 +100,13 @@ pub const DISTINCT_PLANT_LOCATIONS: u64 = 10;
 /// populated store (indexes built) and the matching scaled model.
 pub fn generate_paper_db(cfg: GenConfig) -> (Store, PaperModel) {
     let model = paper_model_scaled(cfg.scale_div);
-    let m = &model;
+    let store = populate(&model, cfg).expect("the generated columns fit the paper schema");
+    (store, model)
+}
+
+/// The store [`generate_paper_db`] returns, every mutation checked by the
+/// store itself.
+fn populate(m: &PaperModel, cfg: GenConfig) -> Result<Store, StoreError> {
     let ids = &m.ids;
     let mut rng = SmallRng::seed_from_u64(cfg.seed);
     let card = |c| m.catalog.collection(c).cardinality;
@@ -120,12 +126,12 @@ pub fn generate_paper_db(cfg: GenConfig) -> (Store, PaperModel) {
             Value::Int(rng.gen_range(18..90)),
         ]
     });
-    store.insert_columns(ids.person, n_person as usize, persons, 100);
+    store.insert_columns(ids.person, n_person as usize, persons, 100)?;
 
     // --- Information --------------------------------------------------
     let n_info = card(ids.information_extent);
     let infos = columns(n_info, |i| [Value::str(&format!("subject-{i}"))]);
-    store.insert_columns(ids.information, n_info as usize, infos, 400);
+    store.insert_columns(ids.information, n_info as usize, infos, 400)?;
 
     // --- Countries -----------------------------------------------------
     let n_country = card(ids.country_extent);
@@ -136,7 +142,7 @@ pub fn generate_paper_db(cfg: GenConfig) -> (Store, PaperModel) {
             Value::Ref(Oid::new(ids.information, rng.gen_range(0..n_info) as u32)),
         ]
     });
-    store.insert_columns(ids.country, n_country as usize, countries, 300);
+    store.insert_columns(ids.country, n_country as usize, countries, 300)?;
 
     // --- Plants (population invisible to the catalog) -------------------
     let n_plant = (PLANT_POPULATION / cfg.scale_div.max(1)).max(20.min(PLANT_POPULATION));
@@ -149,7 +155,7 @@ pub fn generate_paper_db(cfg: GenConfig) -> (Store, PaperModel) {
             Value::Str(locations[(i % DISTINCT_PLANT_LOCATIONS) as usize].clone()),
         ]
     });
-    store.insert_columns(ids.plant, n_plant as usize, plants, 1000);
+    store.insert_columns(ids.plant, n_plant as usize, plants, 1000)?;
 
     // --- Cities ----------------------------------------------------------
     let n_city = card(ids.cities);
@@ -161,7 +167,7 @@ pub fn generate_paper_db(cfg: GenConfig) -> (Store, PaperModel) {
             Value::Ref(Oid::new(ids.country, rng.gen_range(0..n_country) as u32)),
         ]
     });
-    store.insert_columns(ids.city, n_city as usize, cities, 200);
+    store.insert_columns(ids.city, n_city as usize, cities, 200)?;
 
     // --- Capitals (own type; City layout + `since`) ----------------------
     let n_capital = card(ids.capitals);
@@ -174,7 +180,7 @@ pub fn generate_paper_db(cfg: GenConfig) -> (Store, PaperModel) {
             Value::Date(Date::from_ymd(rng.gen_range(1800..1993), 1, 1)),
         ]
     });
-    store.insert_columns(ids.capital, n_capital as usize, capitals, 400);
+    store.insert_columns(ids.capital, n_capital as usize, capitals, 400)?;
 
     // --- Jobs -------------------------------------------------------------
     let n_job = card(ids.job_extent);
@@ -184,7 +190,7 @@ pub fn generate_paper_db(cfg: GenConfig) -> (Store, PaperModel) {
             Value::Int(rng.gen_range(1..16)),
         ]
     });
-    store.insert_columns(ids.job, n_job as usize, jobs, 250);
+    store.insert_columns(ids.job, n_job as usize, jobs, 250)?;
 
     // --- Departments -------------------------------------------------------
     let n_dept = card(ids.department_extent);
@@ -195,7 +201,7 @@ pub fn generate_paper_db(cfg: GenConfig) -> (Store, PaperModel) {
             Value::Ref(Oid::new(ids.plant, rng.gen_range(0..n_plant) as u32)),
         ]
     });
-    store.insert_columns(ids.department, n_dept as usize, depts, 400);
+    store.insert_columns(ids.department, n_dept as usize, depts, 400)?;
 
     // --- Employees ----------------------------------------------------------
     // Layout (Person fields first): name, age, salary, last_raise, dept, job.
@@ -230,7 +236,7 @@ pub fn generate_paper_db(cfg: GenConfig) -> (Store, PaperModel) {
             Value::Ref(Oid::new(ids.job, rng.gen_range(0..n_job) as u32)),
         ]
     });
-    store.insert_columns(ids.employee, n_emp_extent as usize, emps, 250);
+    store.insert_columns(ids.employee, n_emp_extent as usize, emps, 250)?;
 
     // --- Tasks -----------------------------------------------------------------
     let n_task_extent = card(ids.task_extent);
@@ -248,25 +254,25 @@ pub fn generate_paper_db(cfg: GenConfig) -> (Store, PaperModel) {
             Value::RefSet(team.into()),
         ]
     });
-    store.insert_columns(ids.task, n_task_extent as usize, tasks, 120);
+    store.insert_columns(ids.task, n_task_extent as usize, tasks, 120)?;
 
     // --- Collection membership (dense prefixes) ----------------------------------
     let dense =
         |ty: TypeId, n: u64| -> Vec<Oid> { (0..n).map(|i| Oid::new(ty, i as u32)).collect() };
-    store.set_members(ids.capitals, dense(ids.capital, n_capital));
-    store.set_members(ids.cities, dense(ids.city, n_city));
-    store.set_members(ids.employees, dense(ids.employee, n_emp_set));
-    store.set_members(ids.tasks, dense(ids.task, card(ids.tasks)));
-    store.set_members(ids.country_extent, dense(ids.country, n_country));
-    store.set_members(ids.department_extent, dense(ids.department, n_dept));
-    store.set_members(ids.employee_extent, dense(ids.employee, n_emp_extent));
-    store.set_members(ids.information_extent, dense(ids.information, n_info));
-    store.set_members(ids.job_extent, dense(ids.job, n_job));
-    store.set_members(ids.person_extent, dense(ids.person, n_person));
-    store.set_members(ids.task_extent, dense(ids.task, n_task_extent));
+    store.set_members(ids.capitals, dense(ids.capital, n_capital))?;
+    store.set_members(ids.cities, dense(ids.city, n_city))?;
+    store.set_members(ids.employees, dense(ids.employee, n_emp_set))?;
+    store.set_members(ids.tasks, dense(ids.task, card(ids.tasks)))?;
+    store.set_members(ids.country_extent, dense(ids.country, n_country))?;
+    store.set_members(ids.department_extent, dense(ids.department, n_dept))?;
+    store.set_members(ids.employee_extent, dense(ids.employee, n_emp_extent))?;
+    store.set_members(ids.information_extent, dense(ids.information, n_info))?;
+    store.set_members(ids.job_extent, dense(ids.job, n_job))?;
+    store.set_members(ids.person_extent, dense(ids.person, n_person))?;
+    store.set_members(ids.task_extent, dense(ids.task, n_task_extent))?;
 
-    store.build_indexes();
-    (store, model)
+    store.try_rebuild_indexes(true)?;
+    Ok(store)
 }
 
 #[cfg(test)]
@@ -306,7 +312,8 @@ mod tests {
         let idx = store.index(ids.idx_cities_mayor_name);
         // Every indexed hit must satisfy the path predicate...
         for &oid in store.members(ids.cities) {
-            let name = store.eval_path(oid, &[ids.city_mayor], ids.person_name);
+            let name = store.try_eval_path(oid, &[ids.city_mayor], ids.person_name);
+            let name = name.unwrap();
             let hits = idx.lookup_cmp(oodb_object::value::CmpLike::Eq, &name);
             assert!(hits.contains(&oid));
         }
@@ -362,7 +369,8 @@ mod tests {
             .members(ids.department_extent)
             .iter()
             .filter(|&&d| {
-                store.eval_path(d, &[ids.dept_plant], ids.plant_location) == Value::str("Dallas")
+                store.try_eval_path(d, &[ids.dept_plant], ids.plant_location)
+                    == Ok(Value::str("Dallas"))
             })
             .count() as f64;
         let total = store.members(ids.department_extent).len() as f64;

@@ -39,5 +39,4 @@ pub use index::{BuiltIndex, OrdValue};
 /// Fault-injection types, re-exported so storage users reach the injector
 /// without a separate dependency.
 pub use oodb_fault::{Fault, FaultClass, FaultConfig, FaultInjector, FaultStats};
-pub use oodb_mem::{MemStats, MemoryGovernor, MemoryGrant, PressureLevel};
 pub use store::{Store, StoreError};

@@ -3,11 +3,12 @@
 //! Property: after any sequence of membership changes, index builds,
 //! index restrictions and refreshes, each refresh leaves the store holding
 //! exactly the histograms and epoch a fresh collection at its bucket count
-//! gives.
+//! gives, and every histogram it holds, indexed or not, is the one a
+//! fresh build over its path gives.
 
 use oodb_object::{
-    AttrType, Catalog, CollectionDef, CollectionId, CollectionKind, FieldKind, IndexDef, Oid,
-    Schema, Value,
+    AttrType, Catalog, CollectionDef, CollectionId, CollectionKind, FieldKind, Histogram, IndexDef,
+    Oid, Schema, Value,
 };
 use oodb_storage::datagen::columns;
 use oodb_storage::Store;
@@ -21,7 +22,7 @@ enum Step {
     /// `set_members` of the extent (false) or the user set (true) to the
     /// objects whose flag is set.
     Members(bool, Vec<bool>),
-    /// `build_indexes`: the indexes are current again, with no refresh
+    /// `try_rebuild_indexes`: the indexes are current again, with no refresh
     /// since the change that made them stale.
     Build,
     /// `set_catalog` keeping the indexes whose bit is set, from the
@@ -93,10 +94,10 @@ fn small_store() -> (Store, [CollectionId; 2], Vec<Oid>) {
     let values = columns(OBJECTS as u64, |i| {
         [Value::Int(i as i64 % 5), Value::Int((i * 7 % 13) as i64)]
     });
-    store.insert_columns(t, OBJECTS, values, 200);
+    store.insert_columns(t, OBJECTS, values, 200).unwrap();
     let oids: Vec<Oid> = (0..OBJECTS as u32).map(|i| Oid::new(t, i)).collect();
     for coll in colls {
-        store.set_members(coll, oids.clone());
+        store.set_members(coll, oids.clone()).unwrap();
     }
     (store, colls, oids)
 }
@@ -125,9 +126,9 @@ proptest! {
                 Step::Members(set, pick) => {
                     let members = oids.iter().zip(pick).filter(|(_, &p)| p);
                     let members = members.map(|(&o, _)| o).collect();
-                    store.set_members(colls[usize::from(*set)], members);
+                    store.set_members(colls[usize::from(*set)], members).unwrap();
                 }
-                Step::Build => store.build_indexes(),
+                Step::Build => store.try_rebuild_indexes(true).unwrap(),
                 Step::Restrict { keep, from_current, build } => {
                     let keep: Vec<&str> = INDEXES
                         .iter()
@@ -136,9 +137,9 @@ proptest! {
                         .map(|(_, &name)| name)
                         .collect();
                     let from = if *from_current { store.catalog() } else { &start };
-                    store.set_catalog(from.with_only_indexes(&keep));
+                    store.set_catalog(from.with_only_indexes(&keep)).unwrap();
                     if *build {
-                        store.build_indexes();
+                        store.try_rebuild_indexes(true).unwrap();
                     }
                 }
                 Step::Refresh(buckets) => {
@@ -149,6 +150,13 @@ proptest! {
                     let fresh = store.try_collect_statistics(&[], *buckets).unwrap();
                     prop_assert_eq!(fresh.stats_epoch(), store.catalog().stats_epoch());
                     prop_assert_eq!(histograms(&fresh), histograms(store.catalog()));
+                    for ((coll, path, key), held) in store.catalog().histograms() {
+                        let values = store.members(coll).iter();
+                        let values = values.map(|&o| store.try_eval_path(o, path, key));
+                        let values = values.collect::<Result<Vec<_>, _>>().unwrap();
+                        let built = Histogram::build(values, *buckets);
+                        prop_assert_eq!(Some(held), built.as_ref());
+                    }
                 }
             }
         }

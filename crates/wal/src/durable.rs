@@ -19,7 +19,7 @@ use crate::frame::FrameError;
 use crate::log::{FlushPolicy, Wal, WalError, WalLogStats};
 use crate::record::WalRecord;
 use oodb_fault::WriteFaultInjector;
-use oodb_object::TypeId;
+use oodb_object::fnv::Fnv1a;
 use oodb_storage::{Store, StoreError};
 use std::path::{Path, PathBuf};
 
@@ -35,25 +35,8 @@ pub enum ApplyError {
     MissingGenesis,
     /// A `Genesis` arrived for an already-initialized store.
     UnexpectedGenesis,
-    /// `InsertColumns` named a type outside the schema.
-    UnknownType(TypeId),
-    /// `InsertColumns` for a type that already owns a region.
-    TypeAlreadyPopulated(TypeId),
-    /// `InsertColumns` did not hold one column per field of the type's
-    /// layout, each as long as the population.
-    ColumnShape(TypeId),
-    /// `SetMembers` named a collection outside the catalog.
-    UnknownCollection(u32),
-    /// `SetCatalog` changed the collection count (the store's membership
-    /// arrays are sized at birth; a reshaping catalog cannot replay).
-    CatalogShape {
-        /// Collections in the store's current catalog.
-        have: usize,
-        /// Collections in the arriving catalog.
-        got: usize,
-    },
-    /// The store rejected the mutation (dangling reference during index
-    /// rebuild or statistics collection over inconsistent data).
+    /// The store refused the mutation: a precondition of its own, or a
+    /// dangling reference during index rebuild or statistics collection.
     Store(StoreError),
 }
 
@@ -62,13 +45,6 @@ impl std::fmt::Display for ApplyError {
         match self {
             ApplyError::MissingGenesis => write!(f, "record precedes genesis"),
             ApplyError::UnexpectedGenesis => write!(f, "second genesis record"),
-            ApplyError::UnknownType(t) => write!(f, "insert for unknown type {t:?}"),
-            ApplyError::TypeAlreadyPopulated(t) => write!(f, "type {t:?} already populated"),
-            ApplyError::ColumnShape(t) => write!(f, "columns do not fit the layout of {t:?}"),
-            ApplyError::UnknownCollection(c) => write!(f, "unknown collection index {c}"),
-            ApplyError::CatalogShape { have, got } => {
-                write!(f, "catalog reshapes collections ({have} -> {got})")
-            }
             ApplyError::Store(e) => write!(f, "store rejected replay: {e}"),
         }
     }
@@ -83,9 +59,8 @@ impl From<StoreError> for ApplyError {
 }
 
 /// Applies one record to an optional store slot (`None` until `Genesis`).
-/// Every precondition the underlying `Store` would assert is checked here
-/// first and surfaced as a typed error — corrupt or out-of-order records
-/// must not abort the process.
+/// Corrupt or out-of-order records are typed errors, never a process
+/// abort.
 pub fn apply_record(slot: &mut Option<Store>, rec: &WalRecord) -> Result<(), ApplyError> {
     match rec {
         WalRecord::Genesis { schema, catalog } => {
@@ -102,61 +77,30 @@ pub fn apply_record(slot: &mut Option<Store>, rec: &WalRecord) -> Result<(), App
     }
 }
 
-/// Applies a non-`Genesis` record to a live store. The service's durable
-/// write path calls this after logging; replay calls it via
+/// Applies a non-`Genesis` record to a live store: each record is one
+/// store mutation, which checks its own preconditions. The service's
+/// durable write path calls this after logging; replay calls it via
 /// [`apply_record`].
 pub fn apply_to(store: &mut Store, rec: &WalRecord) -> Result<(), ApplyError> {
     match rec {
-        WalRecord::Genesis { .. } => Err(ApplyError::UnexpectedGenesis),
+        WalRecord::Genesis { .. } => return Err(ApplyError::UnexpectedGenesis),
         WalRecord::InsertColumns {
             ty,
             obj_bytes,
             population,
             columns,
-        } => {
-            if ty.index() >= store.schema().type_count() {
-                return Err(ApplyError::UnknownType(*ty));
-            }
-            if store.has_region(*ty) {
-                return Err(ApplyError::TypeAlreadyPopulated(*ty));
-            }
-            let population = *population as usize;
-            if columns.len() != store.schema().fields_of(*ty).len()
-                || columns.iter().any(|c| c.len() != population)
-            {
-                return Err(ApplyError::ColumnShape(*ty));
-            }
-            store.insert_columns(*ty, population, columns.clone(), *obj_bytes);
-            Ok(())
-        }
-        WalRecord::SetMembers { coll, oids } => {
-            if coll.index() >= store.catalog().collections().count() {
-                return Err(ApplyError::UnknownCollection(coll.index() as u32));
-            }
-            store.set_members(*coll, oids.clone());
-            Ok(())
-        }
-        WalRecord::SetCatalog { catalog } => {
-            let have = store.catalog().collections().count();
-            let got = catalog.collections().count();
-            if have != got {
-                return Err(ApplyError::CatalogShape { have, got });
-            }
-            store.set_catalog(catalog.clone());
-            Ok(())
-        }
-        WalRecord::BuildIndexes { bump_epoch } => {
-            store.try_rebuild_indexes(*bump_epoch)?;
-            Ok(())
-        }
+        } => store.insert_columns(*ty, *population as usize, columns.clone(), *obj_bytes)?,
+        WalRecord::SetMembers { coll, oids } => store.set_members(*coll, oids.clone())?,
+        WalRecord::SetCatalog { catalog } => store.set_catalog(catalog.clone())?,
+        WalRecord::BuildIndexes { bump_epoch } => store.try_rebuild_indexes(*bump_epoch)?,
+        // The epoch moves only if a histogram changed. That depends on
+        // nothing but the store the record meets, so replay lands on the
+        // epoch the live apply did.
         WalRecord::StatsRefresh { buckets } => {
-            // The epoch moves only if a histogram changed. That depends on
-            // nothing but the store the record meets, so replay lands on
-            // the epoch the live apply did.
             store.try_refresh_statistics(*buckets as usize)?;
-            Ok(())
         }
     }
+    Ok(())
 }
 
 /// The compacted record stream that rebuilds `store` exactly: genesis at
@@ -168,17 +112,10 @@ pub fn checkpoint_records(store: &Store) -> Vec<WalRecord> {
         schema: store.schema().clone(),
         catalog: store.catalog().clone(),
     }];
-    let mut populated: Vec<TypeId> = store
-        .schema()
-        .types()
-        .map(|(id, _)| id)
-        .filter(|&t| store.has_region(t))
-        .collect();
-    populated.sort_by_key(|&t| store.region_first_page(t).expect("has_region"));
-    for ty in populated {
+    for (ty, obj_bytes) in store.regions() {
         recs.push(WalRecord::InsertColumns {
             ty,
-            obj_bytes: store.region_obj_bytes(ty).expect("has_region"),
+            obj_bytes,
             population: u32::try_from(store.population(ty)).expect("oid sequences are u32"),
             columns: store.columns_of(ty).to_vec(),
         });
@@ -206,33 +143,27 @@ pub fn checkpoint_records(store: &Store) -> Vec<WalRecord> {
 /// alike, so a statistics collection skipped where it would have changed
 /// a histogram shows as a digest mismatch after recovery.
 pub fn store_digest(store: &Store) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = Fnv1a::default();
     let mut scratch = Vec::new();
     for (ty, _) in store.schema().types() {
-        eat(&(store.population(ty) as u64).to_le_bytes());
+        h.eat(&(store.population(ty) as u64).to_le_bytes());
         for value in store.columns_of(ty).iter().flat_map(|column| column.iter()) {
             scratch.clear();
             crate::codec::encode_value(value, &mut scratch);
-            eat(&scratch);
+            h.eat(&scratch);
         }
     }
     for (coll, _) in store.catalog().collections() {
-        eat(&(store.members(coll).len() as u64).to_le_bytes());
+        h.eat(&(store.members(coll).len() as u64).to_le_bytes());
         for o in store.members(coll) {
-            eat(&o.as_u64().to_le_bytes());
+            h.eat(&o.as_u64().to_le_bytes());
         }
     }
     scratch.clear();
     crate::record::encode_catalog(store.catalog(), &mut scratch);
-    eat(&scratch);
-    eat(&[store.indexes_built() as u8]);
-    h
+    h.eat(&scratch);
+    h.eat(&[store.indexes_built() as u8]);
+    h.finish()
 }
 
 /// Errors establishing or operating a durable session (distinct from
@@ -543,7 +474,7 @@ mod tests {
             scale_div: 200,
             ..GenConfig::small()
         });
-        store.build_indexes();
+        store.try_rebuild_indexes(true).unwrap();
         store
     }
 
@@ -565,8 +496,10 @@ mod tests {
         // Index pages may sit at different page numbers (the original
         // store can have rebuilt indexes more than once), but every data
         // region must land exactly where it was.
-        for (ty, _) in store.schema().types() {
-            assert_eq!(store.region_first_page(ty), rebuilt.region_first_page(ty));
+        assert!(store.regions().eq(rebuilt.regions()));
+        for (ty, _) in store.regions() {
+            let first = oodb_object::Oid::new(ty, 0);
+            assert_eq!(store.try_page_of(first), rebuilt.try_page_of(first));
         }
         assert_eq!(store.indexes_built(), rebuilt.indexes_built());
     }
@@ -582,17 +515,13 @@ mod tests {
         assert!(store.catalog().histogram_count() > 0);
         assert!(store.catalog().ref_domains().count() > 0);
         assert!(store.catalog().fanouts().count() > 0);
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut len = 0;
+        let (mut h, mut len) = (Fnv1a::default(), 0);
         for rec in checkpoint_records(&store) {
             let bytes = rec.encode();
             len += bytes.len();
-            for b in bytes {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            h.eat(&bytes);
         }
-        assert_eq!((len, h), (85_621, 0x200c_b963_7dc7_d0cc));
+        assert_eq!((len, h.finish()), (85_621, 0x200c_b963_7dc7_d0cc));
     }
 
     /// A checkpoint encodes its frames in place; the log frames a record
@@ -687,10 +616,10 @@ mod tests {
         apply_record(&mut slot, &recs[1]).unwrap();
         assert!(matches!(
             apply_record(&mut slot, &recs[1]).unwrap_err(),
-            ApplyError::TypeAlreadyPopulated(_)
+            ApplyError::Store(StoreError::TypeAlreadyPopulated(_))
         ));
         // So are a column missing and a column shorter than the
-        // population: the store asserts both.
+        // population: the store refuses both.
         let WalRecord::InsertColumns {
             ty,
             obj_bytes,
@@ -710,9 +639,39 @@ mod tests {
             };
             assert_eq!(
                 apply_record(&mut slot, &rec).unwrap_err(),
-                ApplyError::ColumnShape(ty)
+                ApplyError::Store(StoreError::ColumnShape(ty))
             );
         }
+        // A type, a collection or a collection count the store does not
+        // have.
+        let ghost = oodb_object::TypeId::from_index(store.schema().type_count());
+        let rec = WalRecord::InsertColumns {
+            ty: ghost,
+            obj_bytes,
+            population: 0,
+            columns: vec![],
+        };
+        assert_eq!(
+            apply_record(&mut slot, &rec).unwrap_err(),
+            ApplyError::Store(StoreError::UnknownType(ghost))
+        );
+        let outside = oodb_object::CollectionId::from_index(store.catalog().collections().count());
+        let rec = WalRecord::SetMembers {
+            coll: outside,
+            oids: vec![],
+        };
+        assert_eq!(
+            apply_record(&mut slot, &rec).unwrap_err(),
+            ApplyError::Store(StoreError::UnknownCollection(outside))
+        );
+        let rec = WalRecord::SetCatalog {
+            catalog: oodb_object::Catalog::new(),
+        };
+        let have = store.catalog().collections().count();
+        assert_eq!(
+            apply_record(&mut slot, &rec).unwrap_err(),
+            ApplyError::Store(StoreError::CatalogShape { have, got: 0 })
+        );
     }
 
     #[test]

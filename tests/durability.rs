@@ -626,7 +626,7 @@ fn objects_larger_than_a_page_are_logged_and_recovered() {
         ],
         _ => [Value::RefSet([].into()), Value::str(&"x".repeat(5_000))],
     });
-    store.insert_columns(t, 2, wide, 6_000);
+    store.insert_columns(t, 2, wide, 6_000).unwrap();
     let digest = store_digest(&store);
 
     let mut slot = None;

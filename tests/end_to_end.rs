@@ -40,7 +40,8 @@ fn query2_all_plans_agree_with_oracle() {
         .members(model.ids.cities)
         .iter()
         .filter(|&&c| {
-            store.eval_path(c, &[model.ids.city_mayor], model.ids.person_name) == Value::str("Joe")
+            store.try_eval_path(c, &[model.ids.city_mayor], model.ids.person_name)
+                == Ok(Value::str("Joe"))
         })
         .count();
 
@@ -201,7 +202,8 @@ FROM City c IN Cities WHERE c.mayor().name() == "Joe""#;
         .members(model.ids.cities)
         .iter()
         .filter(|&&c| {
-            store.eval_path(c, &[model.ids.city_mayor], model.ids.person_name) == Value::str("Joe")
+            store.try_eval_path(c, &[model.ids.city_mayor], model.ids.person_name)
+                == Ok(Value::str("Joe"))
         })
         .count();
     assert_eq!(rows.len(), oracle);
@@ -474,7 +476,7 @@ fn histograms_change_range_estimates() {
         let matched = members
             .iter()
             .filter(|&&o| {
-                let v = store.eval_path(o, path, *key);
+                let v = store.try_eval_path(o, path, *key).unwrap();
                 v.partial_cmp_val(constant).is_some_and(|ord| op.test(ord))
             })
             .count();

@@ -80,7 +80,9 @@ impl Fixture {
         let (gs, ps) = (extent("Gs", g, GROUPS), extent("Ps", p, n));
         let mut store = Store::new(b.build(), catalog);
         let groups = columns(GROUPS.into(), |i| [Value::Int(i as i64)]);
-        store.insert_columns(g, GROUPS as usize, groups, 100);
+        store
+            .insert_columns(g, GROUPS as usize, groups, 100)
+            .unwrap();
         let objects = columns(n.into(), |i| {
             let i = i as u32;
             let set = members(i).into_iter().map(|m| Oid::new(g, m));
@@ -91,9 +93,13 @@ impl Fixture {
                 Value::RefSet(set.collect()),
             ]
         });
-        store.insert_columns(p, n as usize, objects, 100);
-        store.set_members(gs, (0..GROUPS).map(|i| Oid::new(g, i)).collect());
-        store.set_members(ps, (0..n).map(|i| Oid::new(p, i)).collect());
+        store.insert_columns(p, n as usize, objects, 100).unwrap();
+        store
+            .set_members(gs, (0..GROUPS).map(|i| Oid::new(g, i)).collect())
+            .unwrap();
+        store
+            .set_members(ps, (0..n).map(|i| Oid::new(p, i)).collect())
+            .unwrap();
         Fixture {
             store,
             ps,
@@ -339,12 +345,11 @@ fn row_budget_trips_between_two_batches_of_one_pipeline() {
 /// end, with three batches of the scan unread.
 #[test]
 fn deadline_trips_between_two_batches_of_one_pipeline() {
-    let mut f = Fixture::new(4097);
-    f.store
-        .attach_fault_injector(FaultInjector::new(FaultConfig {
-            latency_ns: 300_000,
-            ..Default::default()
-        }));
+    let f = Fixture::new(4097);
+    let injector = FaultInjector::new(FaultConfig {
+        latency_ns: 300_000,
+        ..Default::default()
+    });
     let mut qb = f.builder();
     let (_, p) = qb.get(f.ps, "p");
     let pred = qb.cmp_const(p, f.k, CmpOp::Ge, Value::Int(0));
@@ -355,6 +360,7 @@ fn deadline_trips_between_two_batches_of_one_pipeline() {
         &env,
         RunLimits {
             deadline: Some(Instant::now() + Duration::from_millis(250)),
+            injector: Some(injector),
             ..Default::default()
         },
     );
@@ -368,12 +374,11 @@ fn deadline_trips_between_two_batches_of_one_pipeline() {
 /// scan's first page reads) stops it at a batch boundary.
 #[test]
 fn cancellation_trips_between_two_batches_of_one_pipeline() {
-    let mut f = Fixture::new(4097);
+    let f = Fixture::new(4097);
     let injector = FaultInjector::new(FaultConfig {
         latency_ns: 100_000,
         ..Default::default()
     });
-    f.store.attach_fault_injector(injector.clone());
     let mut qb = f.builder();
     let (_, p) = qb.get(f.ps, "p");
     let env = qb.into_env();
@@ -383,6 +388,7 @@ fn cancellation_trips_between_two_batches_of_one_pipeline() {
         &env,
         RunLimits {
             cancel: Some(cancel.clone()),
+            injector: Some(injector.clone()),
             ..Default::default()
         },
     );
@@ -587,7 +593,7 @@ mod link_joins {
         let mixed = persons.iter().zip(employees).flat_map(|(&p, &e)| [p, e]);
         let mixed: Vec<Oid> = mixed.collect();
         assert!(mixed.len() > 100, "{} persons and employees", mixed.len());
-        store.set_members(ids.person_extent, mixed);
+        store.set_members(ids.person_extent, mixed).unwrap();
         check(
             &store,
             &m,
@@ -605,7 +611,7 @@ mod link_joins {
         let depts = store.members(ids.department_extent);
         let ends = vec![depts[0], depts[depts.len() - 1]];
         assert!(ends[1].seq() >= 99, "a hundred departments");
-        store.set_members(ids.department_extent, ends);
+        store.set_members(ids.department_extent, ends).unwrap();
         check(
             &store,
             &m,
@@ -616,7 +622,7 @@ mod link_joins {
         );
         // Neighbours, by the same rule, are addressed.
         let depts = store.members(ids.job_extent)[3..5].to_vec();
-        store.set_members(ids.job_extent, depts);
+        store.set_members(ids.job_extent, depts).unwrap();
         check(&store, &m, ids.employees, ids.emp_job, ids.job_extent, true);
     }
 

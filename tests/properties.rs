@@ -62,14 +62,15 @@ fn oracle_holds(store: &Store, m: &PaperModel, e: oodb_object::Oid, c: &Cond) ->
         Cond::SalaryLt(k) => store.read_field(e, ids.emp_salary).as_int().unwrap() < *k,
         Cond::NameEq(i) => store.read_field(e, ids.person_name) == &Value::str(&emp_name(*i)),
         Cond::DeptFloorEq(k) => {
-            store.eval_path(e, &[ids.emp_dept], ids.dept_floor) == Value::Int(*k)
+            store.try_eval_path(e, &[ids.emp_dept], ids.dept_floor) == Ok(Value::Int(*k))
         }
         Cond::PlantLocDallas => {
-            store.eval_path(e, &[ids.emp_dept, ids.dept_plant], ids.plant_location)
-                == Value::str("Dallas")
+            store.try_eval_path(e, &[ids.emp_dept, ids.dept_plant], ids.plant_location)
+                == Ok(Value::str("Dallas"))
         }
         Cond::JobGradeGe(k) => store
-            .eval_path(e, &[ids.emp_job], ids.job_pay_grade)
+            .try_eval_path(e, &[ids.emp_job], ids.job_pay_grade)
+            .unwrap()
             .partial_cmp_val(&Value::Int(*k))
             .is_some_and(|o| o != std::cmp::Ordering::Less),
     }

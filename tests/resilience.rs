@@ -11,8 +11,9 @@ mod common;
 
 use common::submit_concurrently;
 use oodb_core::{CostParams, OptimizerConfig};
+use oodb_mem::MemoryGovernor;
 use oodb_service::{AdmissionConfig, QueryService, ServiceError, ShedReason, SubmitOptions};
-use oodb_storage::{generate_paper_db, FaultConfig, FaultInjector, GenConfig, MemoryGovernor};
+use oodb_storage::{generate_paper_db, FaultConfig, FaultInjector, GenConfig};
 use open_oodb::fault::CancelToken;
 use std::time::Duration;
 
