@@ -9,6 +9,7 @@
 //! The store is scale 1/10: 5000-row employee scans, five batches each.
 //! `OODB_GOLDEN_BLESS=1` rewrites the file.
 
+use open_oodb::algebra::fingerprint::fnv1a;
 use open_oodb::exec::ExecResult;
 use open_oodb::prelude::*;
 use open_oodb::volcano::EnumLimits;
@@ -41,12 +42,6 @@ WHERE t.time() == 100
   && EXISTS (SELECT m FROM m IN t.team_members() WHERE m.name() == "Fred")"#,
     ),
 ];
-
-fn fnv1a(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// One rendered line per result row, in the order the executor produced
 /// them; tuples are restricted to the query's result variables.
