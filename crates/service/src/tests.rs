@@ -1015,3 +1015,47 @@ fn durable_mutations_recover_to_identical_query_results() {
     let rtext = back.metrics_prometheus();
     assert!(rtext.contains("oodb_recovery_replayed_total 1"), "{rtext}");
 }
+
+#[test]
+fn a_dropped_service_frees_its_store() {
+    let dir = oodb_wal::ScratchDir::new("svc-retention").unwrap();
+    let svc = small_service();
+    svc.enable_durability(dir.path(), FlushPolicy::EveryRecord)
+        .unwrap();
+    svc.submit(Q_TIME).expect("first submit");
+    let first = Arc::downgrade(&svc.store());
+    svc.refresh_statistics(24);
+    svc.submit(Q_TIME).expect("after the refresh");
+    svc.restrict_indexes(&[]);
+    svc.submit(Q_TIME).expect("after the restriction");
+    svc.checkpoint_wal()
+        .expect("durability on")
+        .expect("checkpoint");
+    assert!(
+        first.upgrade().is_none(),
+        "a superseded store outlived its publish"
+    );
+    let last = Arc::downgrade(&svc.store());
+    drop(svc);
+    assert!(
+        last.upgrade().is_none(),
+        "the dropped service's store is alive"
+    );
+
+    let (back, _) = QueryService::recover(
+        dir.path(),
+        CostParams::default(),
+        OptimizerConfig::all_rules(),
+        64,
+        4,
+        FlushPolicy::EveryRecord,
+    )
+    .expect("recovery");
+    back.submit(Q_TIME).expect("recovered query");
+    let recovered = Arc::downgrade(&back.store());
+    drop(back);
+    assert!(
+        recovered.upgrade().is_none(),
+        "the recovered service's store is alive"
+    );
+}

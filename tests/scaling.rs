@@ -13,6 +13,9 @@
 //!   one plan-cache probe, so hits + misses across the race must equal
 //!   the number of submissions, and the hit counter must equal the
 //!   number of outputs that claim `cache_hit`.
+//! * **Superseded stores are freed.** Every swap publishes a new store;
+//!   once the submitters join, only the current one is alive — no
+//!   thread that read an older snapshot keeps it.
 //!
 //! This file also runs under the thread-sanitizer CI job, where the
 //! snapshot cell's unsynchronized fast path would light up if the
@@ -21,10 +24,10 @@
 use oodb_core::config::rule_names;
 use oodb_core::{CostParams, OptimizerConfig};
 use oodb_service::QueryService;
-use oodb_storage::{generate_paper_db, GenConfig};
+use oodb_storage::{generate_paper_db, GenConfig, Store};
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, Weak};
 use std::time::Duration;
 
 fn service() -> QueryService {
@@ -74,6 +77,7 @@ fn concurrent_submissions_never_observe_torn_snapshots() {
     // published.
     let published: Mutex<HashSet<(u64, u64)>> = Mutex::new(HashSet::new());
     published.lock().unwrap().insert(svc.snapshot_identity());
+    let stores: Mutex<Vec<Weak<Store>>> = Mutex::new(vec![Arc::downgrade(&svc.store())]);
 
     let done = AtomicBool::new(false);
     let outputs: Mutex<Vec<(u64, u64, bool)>> = Mutex::new(Vec::new());
@@ -83,6 +87,7 @@ fn concurrent_submissions_never_observe_torn_snapshots() {
         let published_ref = &published;
         let outputs_ref = &outputs;
         let done_ref = &done;
+        let stores_ref = &stores;
         let mutator = s.spawn(move || {
             let cfgs = configs();
             for i in 0..SWAPS {
@@ -94,6 +99,10 @@ fn concurrent_submissions_never_observe_torn_snapshots() {
                     .lock()
                     .unwrap()
                     .insert(svc_ref.snapshot_identity());
+                stores_ref
+                    .lock()
+                    .unwrap()
+                    .push(Arc::downgrade(&svc_ref.store()));
                 std::thread::sleep(Duration::from_millis(2));
             }
             done_ref.store(true, Ordering::Release);
@@ -144,4 +153,12 @@ fn concurrent_submissions_never_observe_torn_snapshots() {
     );
     let claimed_hits = outputs.iter().filter(|(_, _, hit)| *hit).count();
     assert_eq!(hits as usize, claimed_hits, "hit counter must reconcile");
+
+    // Retention: the submitters have joined, so of the SWAPS + 1 stores
+    // only the one the service publishes now may be alive.
+    let stores = stores.lock().unwrap();
+    let (current, superseded) = stores.split_last().unwrap();
+    assert!(current.upgrade().is_some());
+    let alive = superseded.iter().filter(|w| w.upgrade().is_some()).count();
+    assert_eq!(alive, 0, "{alive} superseded stores still alive");
 }

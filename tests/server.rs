@@ -13,15 +13,17 @@
 //!   still gets its response.
 //! * **Back-pressure contract** — `Overloaded` surfaces as 429/503
 //!   with a `Retry-After` header and a typed, decodable error body.
+//! * **Drop stops** — a server dropped without `shutdown` refuses new
+//!   connections, closes idle ones and frees the service's store.
 
 use open_oodb::prelude::*;
 use open_oodb::server::{json, Client, ClientError, Server, ServerConfig};
 use open_oodb::service::{AdmissionConfig, QueryService, ServiceError, ShedReason};
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use std::sync::Barrier;
+use std::sync::{Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn service() -> QueryService {
     let (store, _model) = generate_paper_db(GenConfig {
@@ -746,4 +748,31 @@ fn a_new_tenant_past_the_bound_maps_to_429_with_retry_after() {
     assert_eq!(tenants.len(), MAX_TENANTS + 1, "the bound plus the default");
     drop(c);
     server.shutdown();
+}
+
+#[test]
+fn dropping_the_server_stops_it_and_frees_the_store() {
+    let svc = service();
+    let store = Arc::downgrade(&svc.store());
+    let config = ServerConfig::default();
+    let idle_timeout = config.io_timeout;
+    let server = Server::start(svc, "127.0.0.1:0", config).expect("bind loopback");
+    let addr = server.local_addr();
+    // A keep-alive connection left idle on its connection thread.
+    let mut idle = Client::connect(addr).unwrap();
+    idle.query(QUERIES[1], Default::default()).unwrap();
+
+    let begun = Instant::now();
+    drop(server);
+    assert!(
+        begun.elapsed() < idle_timeout,
+        "drop waited {:?} for the idle connection",
+        begun.elapsed()
+    );
+    assert!(TcpStream::connect(addr).is_err(), "the port still accepts");
+    assert!(idle.healthz().is_err(), "the idle connection still answers");
+    assert!(
+        store.upgrade().is_none(),
+        "the dropped server's store is alive"
+    );
 }
