@@ -6,9 +6,11 @@
 //!
 //! * [`Snap`] — an epoch-snapshot cell in the spirit of `arc-swap`:
 //!   writers build a complete new value and swap it in under a mutex;
-//!   readers take a consistent `Arc` snapshot with, in the steady state,
-//!   a single atomic *load* (no read-modify-write on shared cache lines)
-//!   thanks to a per-thread version-keyed cache. Built only on `std`.
+//!   readers take a consistent `Arc` snapshot without a lock: in the
+//!   steady state one version load, a thread-local probe and a
+//!   reference-count update on the snapshot, thanks to a per-thread
+//!   version-keyed cache of `Weak` handles. A cell keeps only its current
+//!   value. Built only on `std`.
 //! * [`AppendVec`] — an append-only chunked vector whose `get` is
 //!   lock-free (three atomic loads) and returns a **stable reference**:
 //!   slots never move once published, so `&T` stays valid for the life
