@@ -233,7 +233,8 @@ pub struct DurabilityStats {
 /// reconfiguration and a config (or admission policy) from another —
 /// torn reads are impossible by construction, not by locking. Mutators
 /// build a complete replacement and swap it in ([`Snap`]); the read
-/// side is a single atomic load with no shared-cache-line writes.
+/// side takes no lock, and a superseded snapshot is freed once its last
+/// reader drops it.
 #[derive(Clone, Debug)]
 struct ServiceState {
     store: Arc<Store>,
