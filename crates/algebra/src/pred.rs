@@ -15,10 +15,10 @@
 use crate::scope::VarId;
 use oodb_object::fx::FxBuild;
 use oodb_object::{FieldId, Value};
-use oodb_sync::AppendVec;
+use oodb_sync::{lock, AppendVec};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 
 /// Identifier of an interned predicate.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -244,7 +244,7 @@ impl Clone for PredArena {
     fn clone(&self) -> Self {
         // Holding the intern lock pins the (map, preds) pair: appends
         // also run under it, so the clone is a consistent snapshot.
-        let interned = self.interned.lock().unwrap_or_else(PoisonError::into_inner);
+        let interned = lock(&self.interned);
         PredArena {
             preds: self.preds.clone(),
             interned: Mutex::new(interned.clone()),
@@ -255,7 +255,7 @@ impl Clone for PredArena {
 impl PredArena {
     /// Interns a predicate, returning the shared id for its structure.
     pub fn intern(&self, p: Pred) -> PredId {
-        let mut interned = self.interned.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut interned = lock(&self.interned);
         if let Some(&id) = interned.get(&p) {
             return id;
         }

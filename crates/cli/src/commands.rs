@@ -11,7 +11,7 @@ use oodb_storage::{FaultConfig, FaultInjector};
 
 impl Shell {
     /// Edits the service's optimizer configuration in place.
-    fn update_config(&self, edit: impl FnOnce(&mut OptimizerConfig)) {
+    fn update_config<R>(&self, edit: impl FnOnce(&mut OptimizerConfig) -> R) {
         let mut config = self.svc.config();
         edit(&mut config);
         self.svc.set_config(config);
@@ -116,31 +116,26 @@ impl Shell {
                 }
             }
             "\\rules" => match (parts.next(), parts.next()) {
-                (Some("off"), Some(name)) => match oodb_core::config::rule_name_by_str(name) {
-                    Some(stable) => {
-                        self.update_config(|c| {
-                            c.disabled_rules.insert(stable);
-                        });
-                        println!("disabled {stable}");
+                (Some(verb @ ("off" | "on")), Some(name)) => {
+                    match oodb_core::config::rule_name_by_str(name) {
+                        Some(rule) if verb == "off" => {
+                            self.update_config(|c| c.disabled_rules.insert(rule));
+                            println!("disabled {rule}");
+                        }
+                        Some(rule) => {
+                            self.update_config(|c| c.disabled_rules.remove(rule));
+                            println!("enabled {rule}");
+                        }
+                        None => println!("unknown rule {name:?} — see \\rules"),
                     }
-                    None => println!("unknown rule {name:?} — see \\rules"),
-                },
-                (Some("on"), Some(name)) => match oodb_core::config::rule_name_by_str(name) {
-                    Some(stable) => {
-                        self.update_config(|c| {
-                            c.disabled_rules.remove(stable);
-                        });
-                        println!("enabled {stable}");
-                    }
-                    None => println!("unknown rule {name:?}"),
-                },
+                }
                 (Some("reset"), _) => {
                     self.svc.set_config(OptimizerConfig::all_rules());
                     println!("rules reset to the default set");
                 }
                 _ => {
                     let config = self.svc.config();
-                    for name in oodb_core::config::ALL_RULE_NAMES {
+                    for name in oodb_core::rules::names() {
                         let state = if config.enabled(name) { "on " } else { "OFF" };
                         println!("{state} {name}");
                     }

@@ -345,6 +345,35 @@ EXPLAIN FEEDBACK SELECT e FROM Employee e IN Employees WHERE e.name() == "Fred";
     );
 }
 
+/// `EXPLAIN` searches with the optimizer a cache miss builds: once the
+/// feedback ladder has corrected the hot-key query's estimates, the plan
+/// it prints is the one `EXPLAIN ANALYZE` runs, operator for operator.
+#[test]
+fn explain_after_the_feedback_ladder_shows_the_plan_the_service_runs() {
+    let q = r#"SELECT e FROM Employee e IN Employees WHERE e.name() == "Fred";"#;
+    let script = format!("{q}\n{q}\n{q}\n{q}\nEXPLAIN ANALYZE {q}\nEXPLAIN {q}\n\\q\n");
+    let out = run_shell_with(&["--scale", "100", "--hot-names", "0.5"], &script);
+    // The operator lines under `header`, each cut before its annotation.
+    let plan_after = |header: &str| -> Vec<String> {
+        let at = out
+            .find(header)
+            .unwrap_or_else(|| panic!("{header:?} in:\n{out}"));
+        let body = out[at..].lines().skip(1);
+        // A plan ends at a blank line or at its summary ("276 rows ...").
+        let ops =
+            body.take_while(|l| !l.is_empty() && !l.starts_with(|c: char| c.is_ascii_digit()));
+        ops.filter(|l| *l != "|")
+            .map(|l| l.split("  (actual").next().unwrap_or(l).to_string())
+            .collect()
+    };
+    let ran = plan_after("Physical plan (analyzed):");
+    assert_eq!(plan_after("Optimal plan"), ran, "{out}");
+    assert_eq!(
+        ran.last().map(String::as_str),
+        Some("File Scan Employees: e")
+    );
+}
+
 /// A fresh scratch directory for one test (under cargo's target tmpdir).
 fn scratch(name: &str) -> std::path::PathBuf {
     let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
@@ -362,6 +391,31 @@ fn remaining_commands_smoke() {
                 c.country().president().name() && c.population() > 1500000;";
     // One command per row, with one stable substring of its answer.
     let table: Vec<(String, &str)> = vec![
+        ("\\help".into(), "\\rules [off NAME | on NAME | reset]"),
+        ("\\rules".into(), "OFF warm-assembly"),
+        ("\\rules off filter".into(), "disabled filter"),
+        ("\\rules on warm-assembly".into(), "enabled warm-assembly"),
+        ("\\rules".into(), "OFF filter"),
+        ("\\rules off bogus".into(), "unknown rule \"bogus\""),
+        ("\\rules reset".into(), "rules reset to the default set"),
+        ("\\rules".into(), "on  filter"),
+        ("\\feedback".into(), "feedback: 0 fingerprints tracked"),
+        ("\\feedback bogus".into(), "\\feedback [stats|clear]"),
+        ("\\metrics".into(), "oodb_submissions_total 0"),
+        ("\\faults".into(), "no fault injector attached"),
+        ("\\faults on 0 3".into(), "read fault rate 0, seed 3"),
+        (
+            "\\faults stats".into(),
+            "fault injector enabled: 0 injected",
+        ),
+        ("\\faults off".into(), "fault injection off"),
+        ("\\mem".into(), "no memory governor attached"),
+        ("\\mem on 4096".into(), "memory governor on: 4096 bytes"),
+        (
+            "\\mem stats".into(),
+            "memory governor: 0/4096 bytes reserved",
+        ),
+        ("\\mem off".into(), "memory governor off"),
         (
             "\\cache stats".into(),
             "plan cache: 0 entries, 0 hits, 0 misses",

@@ -6,7 +6,8 @@
 
 use std::collections::BTreeSet;
 
-/// Stable rule names (see `rules::transform` / `rules::implement`).
+/// Stable rule names: each rule's `name()` returns one, and
+/// [`crate::rules::library`] lists the rules in firing order.
 pub mod rule_names {
     /// Split a conjunctive selection.
     pub const SELECT_SPLIT: &str = "select-split";
@@ -65,40 +66,10 @@ pub mod rule_names {
     pub const MERGE_JOIN: &str = "merge-join";
 }
 
-/// Every stable rule name, for tooling (shells, sweeps).
-pub const ALL_RULE_NAMES: &[&str] = &[
-    rule_names::SELECT_SPLIT,
-    rule_names::SELECT_MAT_SWAP,
-    rule_names::SELECT_UNNEST_SWAP,
-    rule_names::SELECT_JOIN_PUSH,
-    rule_names::SELECT_INTO_JOIN,
-    rule_names::SELECT_SETOP_PUSH,
-    rule_names::MAT_TO_JOIN,
-    rule_names::JOIN_COMMUTE,
-    rule_names::JOIN_ASSOC,
-    rule_names::MAT_MAT_SWAP,
-    rule_names::MAT_JOIN_PUSH,
-    rule_names::MAT_SETOP_PUSH,
-    rule_names::COLLAPSE_TO_INDEX_SCAN,
-    rule_names::FILE_SCAN,
-    rule_names::FILTER,
-    rule_names::HYBRID_HASH_JOIN,
-    rule_names::POINTER_JOIN,
-    rule_names::ASSEMBLY_MAT,
-    rule_names::ALG_UNNEST,
-    rule_names::ALG_PROJECT,
-    rule_names::HASH_SET_OP,
-    rule_names::ASSEMBLY_ENFORCER,
-    rule_names::WARM_ASSEMBLY,
-    rule_names::SORT_ENFORCER,
-    rule_names::ORDERED_INDEX_SCAN,
-    rule_names::MERGE_JOIN,
-];
-
 /// Resolves a user-typed rule name to its stable `&'static str` (needed
 /// because [`OptimizerConfig::disabled_rules`] stores static strings).
 pub fn rule_name_by_str(name: &str) -> Option<&'static str> {
-    ALL_RULE_NAMES.iter().copied().find(|&n| n == name)
+    crate::rules::names().into_iter().find(|&n| n == name)
 }
 
 /// Optimizer configuration.

@@ -127,7 +127,7 @@ impl<'e> OodbModel<'e> {
             // conjunction; otherwise the terms are taken as independent.
             selectivity: self
                 .overlay_sel(pred)
-                .unwrap_or_else(|| terms.iter().map(|t| self.term_selectivity(t)).product()),
+                .unwrap_or_else(|| self.catalog_selectivity(pred)),
         };
         let mut table = self.facts.borrow_mut();
         if table.len() <= pred.index() {
@@ -304,6 +304,12 @@ impl<'e> OodbModel<'e> {
     /// conjunction — observed beats modeled.
     pub fn selectivity(&self, pred: PredId) -> f64 {
         self.pred_facts(pred).selectivity
+    }
+
+    /// Selectivity from the catalog alone, whatever the overlay says.
+    pub fn catalog_selectivity(&self, pred: PredId) -> f64 {
+        let terms = self.env.preds.pred(pred).terms.iter();
+        terms.map(|t| self.term_selectivity(t)).product()
     }
 
     /// Output cardinality of a join: reference equi-joins produce one
@@ -600,18 +606,9 @@ impl<'e> OptModel for OodbModel<'e> {
         required.satisfied_by(*delivered)
     }
 
-    /// The rule graph's vocabulary: one tag per operator, whatever its
-    /// arguments (every set operation is `SetOp`).
+    /// The rule graph's vocabulary: [`LogicalOp::tag`].
     fn tag(&self, op: &LogicalOp) -> &'static str {
-        match op {
-            LogicalOp::Get { .. } => "Get",
-            LogicalOp::Select { .. } => "Select",
-            LogicalOp::Project { .. } => "Project",
-            LogicalOp::Join { .. } => "Join",
-            LogicalOp::Mat { .. } => "Mat",
-            LogicalOp::Unnest { .. } => "Unnest",
-            LogicalOp::SetOp { .. } => "SetOp",
-        }
+        op.tag()
     }
 }
 

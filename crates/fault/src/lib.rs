@@ -31,9 +31,10 @@
 
 #![forbid(unsafe_code)]
 
+use oodb_sync::lock;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// How a storage fault behaves across retries.
@@ -252,7 +253,7 @@ impl FaultInjector {
             std::thread::sleep(Duration::from_nanos(i.config.latency_ns));
         }
         if self.classify_panic(page) {
-            let fire = lock_recovering(&i.panicked).insert(page, ()).is_none();
+            let fire = lock(&i.panicked).insert(page, ()).is_none();
             if fire {
                 i.panics.fetch_add(1, Ordering::Relaxed);
                 panic!("injected panic fault on page {page}");
@@ -270,7 +271,7 @@ impl FaultInjector {
             }
             Some(FaultClass::Transient) => {
                 let healed = {
-                    let mut hits = lock_recovering(&i.transient_hits);
+                    let mut hits = lock(&i.transient_hits);
                     let count = hits.entry(page).or_insert(0);
                     if *count >= FAULTS_PER_PAGE {
                         true
@@ -293,12 +294,6 @@ impl FaultInjector {
             }
         }
     }
-}
-
-/// Locks a mutex, recovering from poisoning — the resilience layer must
-/// keep working after a panic unwound through a guard holder.
-fn lock_recovering<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// splitmix64: the standard 64-bit finalizer-style mixer. Good enough to

@@ -9,8 +9,8 @@
 //! socket deadlines bound a stalled peer, and the shutdown signal is an
 //! `oodb-fault` [`CancelToken`] checked between requests — the same
 //! cooperative-cancellation primitive executions use, applied to
-//! connections. Dropping a [`Server`] takes the same stop path and also
-//! closes every connection's socket, so no thread waits out a deadline.
+//! connections. Stopping shuts each connection's read half, so an idle
+//! one ends at once; dropping a [`Server`] shuts the write half too.
 
 use crate::http::{read_request, ReadError, Request, Response, MAX_RESPONSE_BYTES};
 use crate::json::{self, Json};
@@ -38,8 +38,7 @@ pub struct ServerConfig {
     pub max_connections: usize,
     /// Request-body ceiling; larger declared bodies get `413`.
     pub max_body_bytes: usize,
-    /// Socket read/write deadline. Bounds a stalled peer and sets the
-    /// cadence at which idle keep-alive connections notice shutdown.
+    /// Socket read/write deadline: bounds a stalled peer.
     pub io_timeout: Duration,
     /// Per-tenant admission policy, the same for every tenant.
     pub tenant_admission: AdmissionConfig,
@@ -160,18 +159,19 @@ impl Server {
         &self.shared.service
     }
 
-    /// Graceful shutdown: stop accepting, let every connection finish
-    /// the request it is reading or running (responses are written
-    /// before close) and join its thread. Idle keep-alive connections
-    /// notice within one `io_timeout`.
+    /// Graceful shutdown: stop accepting, close every connection's read
+    /// half, let each finish the request it is running (its response is
+    /// written before close) and join its thread. An idle keep-alive
+    /// connection ends at once; a request still being received is cut off.
     pub fn shutdown(mut self) {
-        self.stop(false);
+        self.stop(Shutdown::Read);
     }
 
     /// The one stop path: stop accepting and release the port (the
-    /// acceptor owns the listener), then close every connection's socket
-    /// if `abort`, and join the connection threads.
-    fn stop(&mut self, abort: bool) {
+    /// acceptor owns the listener), shut `how` of every connection's
+    /// socket and join the connection threads. Shutting the write half
+    /// too means no thread waits on a client that stopped reading.
+    fn stop(&mut self, how: Shutdown) {
         self.shared.shutdown.cancel();
         if let Some(h) = self.acceptor.take() {
             // Unblock the acceptor's blocking accept() with a throwaway
@@ -180,10 +180,8 @@ impl Server {
             let _ = h.join();
         }
         let conns: Vec<_> = lock(&self.conns).drain(..).collect();
-        if abort {
-            for c in &conns {
-                let _ = c.socket.shutdown(Shutdown::Both);
-            }
+        for c in &conns {
+            let _ = c.socket.shutdown(how);
         }
         for c in conns {
             let _ = c.thread.join();
@@ -193,7 +191,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        self.stop(true);
+        self.stop(Shutdown::Both);
     }
 }
 

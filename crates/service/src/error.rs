@@ -18,8 +18,9 @@ pub enum ServiceError {
     },
     /// The submission's deadline expired in the named pipeline stage.
     DeadlineExceeded {
-        /// Which stage ran out of time (`"execute"` today; optimizer
-        /// expiry degrades to the greedy plan instead of erroring).
+        /// Which stage ran out of time: `"execute"`, or `"optimize"` for
+        /// a query the greedy fallback cannot plan (an explicit join or a
+        /// set operation). Any other expired search degrades to greedy.
         stage: &'static str,
     },
     /// The submission's [`oodb_fault::CancelToken`] was cancelled.

@@ -65,7 +65,8 @@ pub struct SubmitOptions {
     pub trace: bool,
     /// Per-submission wall-clock deadline. Bounds the Volcano search
     /// (expiry degrades to the greedy plan, flagged in
-    /// [`QueryOutput::degraded`]) and non-degraded execution (expiry is
+    /// [`QueryOutput::degraded`], or is [`ServiceError::DeadlineExceeded`]
+    /// where greedy has none) and non-degraded execution (expiry is
     /// [`ServiceError::DeadlineExceeded`]). A degraded plan executes
     /// *without* the deadline: a late best-effort answer beats an error.
     pub deadline: Option<Duration>,

@@ -8,11 +8,12 @@ use crate::{
     Compiled, QueryOutput, QueryService, ServiceError, ServiceState, ShedReason, StageBreakdown,
     SubmitOptions,
 };
+use oodb_algebra::fingerprint::fingerprint;
 use oodb_algebra::fingerprint::QueryFingerprint;
 use oodb_algebra::{PhysicalOp, PhysicalPlan, QueryEnv, StatsOverlay};
 use oodb_core::plancache::{CacheKey, CachedBody, CachedPlan};
 use oodb_core::verify::{checks, walk_actual, Diagnostic};
-use oodb_core::{BoundedOutcome, Observation, OpenOodb};
+use oodb_core::{BoundedOutcome, CostParams, Observation, OpenOodb, OptimizerConfig};
 use oodb_exec::{ExecError, ExecStats, Executor, MemoryGovernor, PressureLevel, RootRow};
 use oodb_fault::{CancelToken, FaultClass, RunLimits};
 use oodb_telemetry::{OpTrace, StageTimer};
@@ -21,6 +22,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
+use zql::SimplifiedQuery;
 
 /// What one admitted submission carries from stage to stage. `state` is
 /// the ONE snapshot load that serves the whole submission: admission
@@ -31,8 +33,8 @@ pub(crate) struct Request<'a> {
     opts: SubmitOptions,
     cancel: Option<&'a CancelToken>,
     deadline: Option<Instant>,
-    /// Memory pressure is High: greedy plan, no cache traffic, halved
-    /// grant.
+    /// Memory pressure is High: no cache probe, the greedy plan where
+    /// there is one, halved grant.
     pressure_degraded: bool,
     pub(crate) timer: StageTimer,
     pub(crate) stages: StageBreakdown,
@@ -253,9 +255,9 @@ impl QueryService {
         );
         req.stages.fingerprint_ns = req.timer.lap_into(&m.stage_fingerprint);
 
-        // A pressure-degraded submission bypasses the cache entirely: its
-        // greedy plan is not worth caching, and a hit would be wasted on
-        // a query about to run with half a grant anyway.
+        // A pressure-degraded submission skips the probe: its greedy plan
+        // is not worth caching, and a hit would be wasted on a query about
+        // to run with half a grant anyway.
         let probed = if req.pressure_degraded {
             None
         } else {
@@ -301,8 +303,9 @@ impl QueryService {
 
     /// A cache miss: the Volcano search under the request's deadline, or
     /// the greedy rung both degradation ladders (memory pressure,
-    /// optimizer deadline) step down to. Returns the plan and whether it
-    /// is the degraded one.
+    /// optimizer deadline) step down to. Where greedy has no plan, memory
+    /// pressure searches in full and an expired deadline is an error.
+    /// Returns the plan and whether it is the degraded one.
     fn search(
         &self,
         req: &Request<'_>,
@@ -320,26 +323,26 @@ impl QueryService {
                 .add(diagnostics.iter().filter(interval).count() as u64);
         };
         // The greedy plan is still estimator-annotated and verifier-
-        // linted; it is just not optimal.
+        // linted; it is just not optimal, and there is none for a join.
         let greedy = || {
             let (plan, cost, diagnostics) =
-                oodb_core::greedy_fallback(env, self.inner.params, plan, result_vars)
-                    .ok_or(ServiceError::NoPlan)?;
+                oodb_core::greedy_fallback(env, self.inner.params, plan, result_vars)?;
             lint(&diagnostics);
-            Ok((CachedBody::Static { plan, cost }, true))
+            Some((CachedBody::Static { plan, cost }, true))
         };
         if req.pressure_degraded {
             m.pressure_degrades.inc();
-            return greedy();
+            if let Some(found) = greedy() {
+                return Ok(found);
+            }
+            // No greedy plan for this shape: the full search, still
+            // under the halved memory grant `run` gives this request.
         }
-        let mut optimizer = OpenOodb::new(env, self.inner.params, (*req.state.config).clone());
-        if let Some(ov) = overlay {
-            // Feedback-driven re-optimization: the search runs under
-            // corrected selectivities layered over the epoch snapshot —
-            // the catalog itself is never mutated.
-            m.reopt.inc();
-            optimizer = optimizer.with_overlay(ov);
-        }
+        // Feedback-driven re-optimization: the search runs under corrected
+        // selectivities layered over the epoch snapshot — the catalog
+        // itself is never mutated.
+        m.reopt.add(u64::from(overlay.is_some()));
+        let optimizer = miss_optimizer(env, self.inner.params, &req.state.config, overlay);
         match optimizer.optimize_within(plan, result_vars, query.order, req.deadline) {
             BoundedOutcome::Complete(out) => {
                 m.transform_firings.add(out.stats.transform_firings);
@@ -349,11 +352,33 @@ impl QueryService {
                 Ok((CachedBody::Static { plan, cost }, false))
             }
             BoundedOutcome::DeadlineExpired => {
+                let found = greedy().ok_or(ServiceError::DeadlineExceeded { stage: "optimize" })?;
                 m.fallback_plans.inc();
-                greedy()
+                Ok(found)
             }
             BoundedOutcome::Infeasible => Err(ServiceError::NoPlan),
         }
+    }
+
+    /// Compiles `zql_src` against the current snapshot and runs `search`
+    /// on it with the optimizer a cache miss would build, verifying every
+    /// memo expression too if `verify`. Nothing is cached or run; the
+    /// shell's `EXPLAIN` family and `\trace` go through it.
+    pub fn miss_search<T>(
+        &self,
+        zql_src: &str,
+        verify: bool,
+        search: impl FnOnce(&SimplifiedQuery, &OpenOodb<'_>) -> T,
+    ) -> Result<(SimplifiedQuery, T), ServiceError> {
+        let (state, params) = (self.inner.state.load(), self.inner.params);
+        let (schema, catalog) = (state.store.schema(), state.store.catalog());
+        let q = zql::compile(zql_src, schema, catalog).map_err(ServiceError::Zql)?;
+        let fp = fingerprint(&q.env, &q.plan, q.result_vars, q.order.as_ref()).hash;
+        let overlay = self.inner.feedback.overlay_for(fp, state.epoch());
+        let mut config = (*state.config).clone();
+        config.verify_search |= verify;
+        let found = search(&q, &miss_optimizer(&q.env, params, &config, overlay));
+        Ok((q, found))
     }
 
     /// Run stage: grant, execute, retry transient faults with backoff.
@@ -480,6 +505,22 @@ impl QueryService {
             m.actual_card_violations.inc();
         }
         (obs != Observation::InBounds).then_some((est, rows))
+    }
+}
+
+/// The one construction of the optimizer a cache miss searches with: the
+/// service's cost parameters, the snapshot's configuration and the query's
+/// feedback overlay.
+fn miss_optimizer<'e>(
+    env: &'e QueryEnv,
+    params: CostParams,
+    config: &OptimizerConfig,
+    overlay: Option<Arc<StatsOverlay>>,
+) -> OpenOodb<'e> {
+    let optimizer = OpenOodb::new(env, params, config.clone());
+    match overlay {
+        Some(ov) => optimizer.with_overlay(ov),
+        None => optimizer,
     }
 }
 

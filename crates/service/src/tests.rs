@@ -942,6 +942,54 @@ fn pressure_ladder_degrades_then_sheds() {
     assert!(text.contains("oodb_pressure_degrades_total 1"), "{text}");
 }
 
+/// Greedy plans no explicit join, so a join whose search ran out of
+/// deadline has no degraded rung: it fails as a timeout in the optimize
+/// stage, not as an infeasible query.
+#[test]
+fn an_expired_join_search_is_a_deadline_error() {
+    let svc = small_service();
+    let opts = SubmitOptions {
+        deadline: Some(Duration::from_nanos(1)),
+        ..Default::default()
+    };
+    assert_eq!(
+        svc.submit_with(Q_JOIN, opts).unwrap_err(),
+        ServiceError::DeadlineExceeded { stage: "optimize" }
+    );
+    assert!(svc.submit(Q_JOIN).unwrap().row_count > 0);
+    assert!(!svc
+        .metrics_prometheus()
+        .contains("oodb_fallback_plans_total 1"));
+}
+
+/// Under high memory pressure a join, which greedy cannot plan, gets the
+/// full search, and still runs under half its grant.
+#[test]
+fn a_pressure_degraded_join_searches_in_full_under_half_the_grant() {
+    let svc = hash_join_service();
+    let gov = MemoryGovernor::new(1 << 20);
+    svc.attach_memory_governor(gov.clone());
+    svc.set_admission(AdmissionConfig {
+        degrade_under_pressure: true,
+        ..Default::default()
+    });
+    let opts = SubmitOptions {
+        mem_budget: Some(512),
+        ..Default::default()
+    };
+    let calm = svc.submit_with(Q_JOIN, opts).unwrap();
+    assert!(calm.mem_peak_bytes > 256, "{}", calm.mem_peak_bytes);
+    // An outside tenant holds 80% of the governor: High pressure.
+    let hog = gov.grant(None);
+    assert!(hog.try_reserve(800 << 10));
+    let pressed = svc.submit_with(Q_JOIN, opts).unwrap();
+    assert_eq!(pressed.rows, calm.rows);
+    assert!(!pressed.degraded, "the full search ran");
+    assert!(pressed.mem_peak_bytes <= 256, "{}", pressed.mem_peak_bytes);
+    let text = svc.metrics_prometheus();
+    assert!(text.contains("oodb_pressure_degrades_total 1"), "{text}");
+}
+
 #[test]
 fn plancache_bytes_gauge_exports() {
     let svc = small_service();

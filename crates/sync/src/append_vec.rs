@@ -5,9 +5,8 @@
 //! mutex) while executors running cached plans on other threads resolve
 //! `PredId`s (reads). The old `RwLock<Vec<_>>` design made every
 //! predicate evaluation — once per tuple — take a read lock *and* clone
-//! the predicate; under eight threads that lock's cache line was the
-//! single hottest word in the process. Here a read is three atomic
-//! loads of read-mostly cache lines and hands back `&T` directly.
+//! the predicate. Here a read is three atomic loads of read-mostly
+//! cache lines and hands back `&T` directly.
 //!
 //! Layout: storage is a sequence of chunks with doubling capacities
 //! (64, 128, 256, …). Chunks are allocated on demand and never moved or

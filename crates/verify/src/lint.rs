@@ -13,7 +13,11 @@ impl Cx<'_> {
     /// Walks a logical expression, emitting diagnostics and returning the
     /// variables the expression binds in its output.
     pub(crate) fn walk_logical(&mut self, plan: &LogicalPlan) -> VarSet {
-        let op = logical_name(&plan.op);
+        // A set operation is named by its kind, not its tag.
+        let op = match &plan.op {
+            LogicalOp::SetOp { kind } => kind.name(),
+            other => other.tag(),
+        };
         let kids = self.lint_kids(op, plan.op.arity(), &plan.children, Self::walk_logical);
         let inherit = union(&kids);
         match &plan.op {
@@ -571,16 +575,4 @@ impl Cx<'_> {
 /// The variables any input binds.
 fn union(kids: &[VarSet]) -> VarSet {
     kids.iter().fold(VarSet::EMPTY, |a, &b| a.union(b))
-}
-
-fn logical_name(op: &LogicalOp) -> &'static str {
-    match op {
-        LogicalOp::Get { .. } => "Get",
-        LogicalOp::Select { .. } => "Select",
-        LogicalOp::Project { .. } => "Project",
-        LogicalOp::Join { .. } => "Join",
-        LogicalOp::Mat { .. } => "Mat",
-        LogicalOp::Unnest { .. } => "Unnest",
-        LogicalOp::SetOp { kind } => kind.name(),
-    }
 }

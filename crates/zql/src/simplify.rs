@@ -342,22 +342,7 @@ impl Simplifier {
                      of an outer variable",
                 );
             };
-            let mut cur = self.lookup_var(base)?;
-            let (last, links) = steps.split_last().expect("path has steps");
-            for step in links {
-                cur = self.deref_if_needed(cur)?;
-                let f = self.field_on(cur, step)?;
-                match self.env.schema.field(f).kind {
-                    FieldKind::Ref(_) => cur = self.mat_var(cur, Some(f))?,
-                    _ => {
-                        return self.err(format!(
-                            "path step {step:?} must be a single-valued reference"
-                        ))
-                    }
-                }
-            }
-            cur = self.deref_if_needed(cur)?;
-            let f = self.field_on(cur, last)?;
+            let (cur, f, last) = self.walk_path(base, steps)?;
             let FieldKind::RefSet(target) = self.env.schema.field(f).kind else {
                 return self.err(format!(
                     "EXISTS must range over a set-valued field; {last:?} is not"
@@ -382,6 +367,36 @@ impl Simplifier {
         Ok(())
     }
 
+    /// The one path walk: from range variable `base`, every step but the
+    /// last must be a single-valued reference and becomes a `Mat` (shared
+    /// with any earlier walk of the same link). Returns the variable the
+    /// last step is read on, that step's field and its name.
+    fn walk_path<'s>(
+        &mut self,
+        base: &str,
+        steps: &'s [String],
+    ) -> Result<(VarId, FieldId, &'s str), ZqlError> {
+        let mut cur = self.lookup_var(base)?;
+        let Some((last, links)) = steps.split_last() else {
+            return self.err(format!("path {base:?} has no steps"));
+        };
+        for step in links {
+            cur = self.deref_if_needed(cur)?;
+            let f = self.field_on(cur, step)?;
+            match self.env.schema.field(f).kind {
+                FieldKind::Ref(_) => cur = self.mat_var(cur, Some(f))?,
+                _ => {
+                    return self.err(format!(
+                        "path step {step:?} must be a single-valued reference; \
+                         a set-valued path needs EXISTS"
+                    ))
+                }
+            }
+        }
+        cur = self.deref_if_needed(cur)?;
+        Ok((cur, self.field_on(cur, last)?, last))
+    }
+
     fn field_on(&self, var: VarId, name: &str) -> Result<FieldId, ZqlError> {
         let ty = self.env.scopes.var(var).ty;
         self.env.schema.field_by_name(ty, name).ok_or_else(|| {
@@ -401,32 +416,15 @@ impl Simplifier {
         match e {
             AstExpr::Lit(l) => Ok(Operand::Const(lit_value(l))),
             AstExpr::Path { base, steps } => {
-                let mut cur = self.lookup_var(base)?;
                 if steps.is_empty() {
-                    return Ok(if self.env.scopes.var(cur).is_ref() {
-                        Operand::VarRef(cur)
+                    let v = self.lookup_var(base)?;
+                    return Ok(if self.env.scopes.var(v).is_ref() {
+                        Operand::VarRef(v)
                     } else {
-                        Operand::VarOid(cur)
+                        Operand::VarOid(v)
                     });
                 }
-                let (last, links) = steps.split_last().expect("non-empty");
-                for step in links {
-                    cur = self.deref_if_needed(cur)?;
-                    let f = self.field_on(cur, step)?;
-                    match self.env.schema.field(f).kind {
-                        FieldKind::Ref(_) => cur = self.mat_var(cur, Some(f))?,
-                        FieldKind::RefSet(_) => {
-                            return self
-                                .err(format!("set-valued field {step:?} in a path; use EXISTS"))
-                        }
-                        FieldKind::Attr(_) => {
-                            return self
-                                .err(format!("attribute {step:?} cannot be dereferenced further"))
-                        }
-                    }
-                }
-                cur = self.deref_if_needed(cur)?;
-                let f = self.field_on(cur, last)?;
+                let (cur, f, last) = self.walk_path(base, steps)?;
                 match self.env.schema.field(f).kind {
                     FieldKind::Attr(_) => Ok(Operand::Attr { var: cur, field: f }),
                     FieldKind::Ref(_) => Ok(Operand::RefField { var: cur, field: f }),

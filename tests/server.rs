@@ -10,7 +10,8 @@
 //!   oversized bodies are rejected with the right statuses and never
 //!   wedge the connection.
 //! * **Graceful shutdown** — a request in flight when shutdown begins
-//!   still gets its response.
+//!   still gets its response, and an idle connection does not hold the
+//!   drain up.
 //! * **Back-pressure contract** — `Overloaded` surfaces as 429/503
 //!   with a `Retry-After` header and a typed, decodable error body.
 //! * **Drop stops** — a server dropped without `shutdown` refuses new
@@ -443,6 +444,26 @@ fn graceful_shutdown_answers_inflight_requests() {
         Ok(mut c) => c.healthz().is_err(),
     };
     assert!(refused, "server still serving after shutdown");
+}
+
+/// A drain does not wait out an idle keep-alive connection's read
+/// deadline: shutting its read half ends it at once.
+#[test]
+fn shutdown_with_an_idle_keepalive_client_returns_well_under_io_timeout() {
+    let config = ServerConfig::default();
+    let idle_timeout = config.io_timeout;
+    let server = start(config);
+    let mut idle = Client::connect(server.local_addr()).unwrap();
+    idle.query(QUERIES[1], Default::default()).unwrap();
+
+    let begun = Instant::now();
+    server.shutdown();
+    assert!(
+        begun.elapsed() < idle_timeout / 10,
+        "shutdown waited {:?} for the idle connection",
+        begun.elapsed()
+    );
+    assert!(idle.healthz().is_err(), "the idle connection still answers");
 }
 
 #[test]
