@@ -6,7 +6,7 @@
 use oodb_algebra::display::{render_logical, render_physical};
 use oodb_bench::queries;
 use oodb_core::config::rule_names as rn;
-use oodb_core::{greedy_plan, CostParams, OpenOodb, OptimizerConfig};
+use oodb_core::{greedy_plan, CostParams, OodbModel, OpenOodb, OptimizerConfig};
 use oodb_object::paper::{paper_model, PaperModel};
 
 fn want(n: u32) -> bool {
@@ -175,7 +175,11 @@ WHERE EXISTS (SELECT m FROM m IN t.team_members() WHERE m.age() >= 0)"#;
     if want(13) {
         header(13, "Greedy Evaluation Plan for Query 4");
         let q = queries::query4(&m);
-        let plan = greedy_plan(&q.env, CostParams::default(), &q.plan).expect("greedy");
+        let plan = greedy_plan(
+            &OodbModel::new(&q.env, CostParams::default(), OptimizerConfig::default()),
+            &q.plan,
+        )
+        .expect("greedy");
         println!(
             "{}(estimated cost: {:.2} s)",
             render_physical(&q.env, &plan),

@@ -21,7 +21,7 @@
 //! correspond to the plans its optimizer reported.
 
 use oodb_bench::{queries, report::render_table};
-use oodb_core::{greedy_plan, CostParams, OpenOodb, OptimizerConfig};
+use oodb_core::{greedy_plan, CostParams, OodbModel, OpenOodb, OptimizerConfig};
 use oodb_object::paper::paper_model;
 
 fn main() {
@@ -42,7 +42,11 @@ fn main() {
         let (out, greedy, greedy_cost) = {
             let opt = OpenOodb::with_config(&q.env, OptimizerConfig::all_rules());
             let out = opt.optimize(&q.plan, q.result_vars).expect("plan");
-            let greedy = greedy_plan(&q.env, CostParams::default(), &q.plan).expect("greedy");
+            let greedy = greedy_plan(
+                &OodbModel::new(&q.env, CostParams::default(), OptimizerConfig::default()),
+                &q.plan,
+            )
+            .expect("greedy");
             let cost = greedy.total_io_s() + greedy.total_cpu_s();
             (out, greedy, cost)
         };

@@ -197,7 +197,7 @@ impl Shell {
     pub(crate) fn explain(&self, src: &str) {
         let Some((q, Some((out, greedy)))) = self.search(src, false, |q, optimizer| {
             let out = optimizer.optimize_ordered(&q.plan, q.result_vars, q.order)?;
-            Some((out, greedy_plan(&q.env, optimizer.model().params, &q.plan)))
+            Some((out, greedy_plan(optimizer.model(), &q.plan)))
         }) else {
             return;
         };

@@ -17,11 +17,10 @@
 //! 4. project on top.
 //!
 //! No costing happens during construction; costs are annotated afterwards
-//! through the same estimator as the real optimizer, so Table 3 compares
+//! through the model the caller hands in — the one its search prices with,
+//! feedback overlay included — so Table 3 and a degraded request compare
 //! like against like.
 
-use crate::config::OptimizerConfig;
-use crate::cost::CostParams;
 use crate::model::OodbModel;
 use crate::optimizer::annotate_physical;
 use oodb_algebra::{
@@ -40,8 +39,9 @@ enum ChainStep {
 /// (`Project? · Select* · (Mat|Unnest)* · Get`). Returns `None` for plan
 /// shapes outside the greedy strategy's repertoire (explicit joins, set
 /// operators) — the real ObjectStore optimizer had the same limitation.
-pub fn greedy_plan(env: &QueryEnv, params: CostParams, plan: &LogicalPlan) -> Option<PhysicalPlan> {
-    let model = OodbModel::new(env, params, OptimizerConfig::default());
+/// `model` prices the plan; its environment is the query's.
+pub fn greedy_plan(model: &OodbModel<'_>, plan: &LogicalPlan) -> Option<PhysicalPlan> {
+    let env = model.env;
 
     // ---- decompose -------------------------------------------------------
     let mut project: Option<Vec<Operand>> = None;
@@ -71,7 +71,7 @@ pub fn greedy_plan(env: &QueryEnv, params: CostParams, plan: &LogicalPlan) -> Op
             }
             LogicalOp::Get { coll, var } => {
                 chain.reverse(); // bottom-up order
-                return build(&model, env, *coll, *var, chain, terms, project);
+                return build(model, env, *coll, *var, chain, terms, project);
             }
             LogicalOp::Join { .. } | LogicalOp::SetOp { .. } => return None,
         }
@@ -223,8 +223,52 @@ fn build(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use oodb_algebra::QueryBuilder;
+    use crate::optimizer::{greedy_fallback, plan_cost};
+    use crate::{CostParams, OptimizerConfig};
+    use oodb_algebra::{QueryBuilder, StatsOverlay, VarSet};
     use oodb_object::paper::paper_model;
+    use std::sync::Arc;
+
+    fn default_model(env: &QueryEnv) -> OodbModel<'_> {
+        OodbModel::new(env, CostParams::default(), OptimizerConfig::default())
+    }
+
+    /// A degraded request is priced by the model its search would have
+    /// used: under a feedback overlay, the greedy plan's cost is the
+    /// overlay model's annotation of it, not the catalog's.
+    #[test]
+    fn greedy_fallback_prices_with_the_model_it_is_given() {
+        let m = paper_model();
+        let mut qb = QueryBuilder::new(m.schema.clone(), m.catalog.clone());
+        let (emps, e) = qb.get(m.ids.employees, "e");
+        let name = qb.term(
+            Operand::Attr {
+                var: e,
+                field: m.ids.person_name,
+            },
+            CmpOp::Eq,
+            Operand::Const(Value::str("Fred")),
+        );
+        let pred = qb.conj(vec![name]);
+        let q = qb.select(emps, pred);
+        let env = qb.into_env();
+        let mut overlay = StatsOverlay::new();
+        overlay.set(
+            oodb_algebra::overlay::pred_key(&env, env.preds.pred(pred)),
+            0.5,
+        );
+        let corrected = default_model(&env).with_overlay(Arc::new(overlay));
+
+        let (phys, cost, _) = greedy_fallback(&corrected, &q, VarSet::single(e)).unwrap();
+        let (repriced, _) = annotate_physical(&corrected, &phys);
+        assert_eq!(cost, plan_cost(&repriced));
+        let (_, catalog_cost, _) =
+            greedy_fallback(&default_model(&env), &q, VarSet::single(e)).unwrap();
+        assert!(
+            cost.total() > catalog_cost.total(),
+            "{cost:?} vs {catalog_cost:?}"
+        );
+    }
 
     /// Query 4 with both indexes: greedy uses both (Figure 13), pairing
     /// the time index scan with a hash join against the name index scan.
@@ -255,7 +299,7 @@ mod tests {
         let q = qb.select(matd, pred);
         let env = qb.into_env();
 
-        let plan = greedy_plan(&env, CostParams::default(), &q).expect("greedy plan");
+        let plan = greedy_plan(&default_model(&env), &q).expect("greedy plan");
         let rendered = oodb_algebra::display::render_physical(&env, &plan);
         // Both index scans present (time on Tasks, name on Employees).
         let index_scans = plan
@@ -305,7 +349,7 @@ mod tests {
         let q = qb.select(matd, pred);
         let env = qb.into_env();
 
-        let plan = greedy_plan(&env, CostParams::default(), &q).expect("greedy plan");
+        let plan = greedy_plan(&default_model(&env), &q).expect("greedy plan");
         assert!(matches!(plan.op, PhysicalOp::Filter { .. }));
         assert!(plan.contains_op(&|op| matches!(op, PhysicalOp::FileScan { .. })));
         assert!(plan.contains_op(&|op| matches!(op, PhysicalOp::Assembly { .. })));
@@ -322,6 +366,6 @@ mod tests {
         let pred = qb.ref_eq(e, m.ids.emp_dept, d);
         let q = qb.join(emp, dept, pred);
         let env = qb.into_env();
-        assert!(greedy_plan(&env, CostParams::default(), &q).is_none());
+        assert!(greedy_plan(&default_model(&env), &q).is_none());
     }
 }

@@ -385,21 +385,20 @@ pub fn plan_cost(plan: &PhysicalPlan) -> Cost {
 }
 
 /// The degradation path taken when the cost-based search runs out of
-/// deadline: the ObjectStore-style greedy plan, annotated through the same
-/// estimator and linted by the static verifier so a degraded answer is
-/// still a *checked* answer. Returns `None` for shapes outside the greedy
+/// deadline: the ObjectStore-style greedy plan, priced by `model` — the
+/// search's own, so a degraded plan and a searched one are priced alike —
+/// and linted by the static verifier so a degraded answer is still a
+/// *checked* answer. Returns `None` for shapes outside the greedy
 /// strategy's repertoire (explicit joins, set operators).
 pub fn greedy_fallback(
-    env: &QueryEnv,
-    params: CostParams,
+    model: &OodbModel<'_>,
     plan: &LogicalPlan,
     result_vars: VarSet,
 ) -> Option<(PhysicalPlan, Cost, Vec<oodb_verify::Diagnostic>)> {
-    let phys = crate::greedy::greedy_plan(env, params, plan)?;
+    let phys = crate::greedy::greedy_plan(model, plan)?;
     let cost = plan_cost(&phys);
-    let model = OodbModel::new(env, params, OptimizerConfig::default());
     let props = PhysProps::in_memory(model.objify(result_vars));
-    let diagnostics = oodb_verify::verify_physical(env, &phys, props);
+    let diagnostics = oodb_verify::verify_physical(model.env, &phys, props);
     Some((phys, cost, diagnostics))
 }
 

@@ -219,52 +219,65 @@ impl Client {
         self.recv()
     }
 
-    fn decode_output(resp: &RawResponse) -> Result<RemoteOutput, ClientError> {
+    /// Decodes the answer to a submission (pairs with [`Client::recv`]):
+    /// the typed service error of a non-200 answer, else the body, read
+    /// in one pass straight into the output — only the row and index
+    /// strings are allocated. As with any JSON object here, a duplicated
+    /// member's last occurrence wins.
+    pub fn decode_output(resp: &RawResponse) -> Result<RemoteOutput, ClientError> {
         if resp.status != 200 {
             return Err(service_error(resp));
         }
-        let v = body_json(resp)?;
-        let rows = v
-            .get("rows")
-            .and_then(Json::as_arr)
-            .map(|a| {
-                a.iter()
-                    .filter_map(Json::as_str)
-                    .map(str::to_string)
-                    .collect::<Vec<_>>()
+        let mut o = RemoteOutput {
+            rows: Vec::new(),
+            row_count: 0,
+            cache_hit: false,
+            degraded: false,
+            retries: 0,
+            stages: StageBreakdown::default(),
+            stats_epoch: 0,
+            config_fp: 0,
+            indexes_used: Vec::new(),
+        };
+        let (mut rows, mut row_count) = (None, None);
+        let mut r = json::Reader::new(body_text(resp)?);
+        let read = if r.peek() == Some(b'{') {
+            r.object(|r, key| {
+                match &*key {
+                    "rows" => rows = strings(r)?,
+                    "indexes_used" => {
+                        o.indexes_used = strings(r)?.map(|(s, _)| s).unwrap_or_default()
+                    }
+                    "row_count" => row_count = r.value()?.as_u64(),
+                    "cache_hit" => o.cache_hit = r.value()?.as_bool().unwrap_or(false),
+                    "degraded" => o.degraded = r.value()?.as_bool().unwrap_or(false),
+                    "retries" => o.retries = r.value()?.as_u64().unwrap_or(0),
+                    "stats_epoch" => o.stats_epoch = r.value()?.as_u64().unwrap_or(0),
+                    "config_fp" => {
+                        let v = r.value()?;
+                        o.config_fp = v.as_str().and_then(json::parse_hex_id).unwrap_or(0)
+                    }
+                    "stages" => o.stages = json::read_stages(r)?.unwrap_or_default(),
+                    _ => drop(r.value()?),
+                }
+                Ok(())
             })
-            .ok_or_else(|| ClientError::Protocol("response missing rows".into()))?;
-        let indexes_used = v
-            .get("indexes_used")
-            .and_then(Json::as_arr)
-            .map(|a| {
-                a.iter()
-                    .filter_map(Json::as_str)
-                    .map(str::to_string)
-                    .collect()
-            })
-            .unwrap_or_default();
-        Ok(RemoteOutput {
-            row_count: v
-                .get("row_count")
-                .and_then(Json::as_u64)
-                .unwrap_or(rows.len() as u64),
-            rows,
-            cache_hit: v.get("cache_hit").and_then(Json::as_bool).unwrap_or(false),
-            degraded: v.get("degraded").and_then(Json::as_bool).unwrap_or(false),
-            retries: v.get("retries").and_then(Json::as_u64).unwrap_or(0),
-            stages: v
-                .get("stages")
-                .and_then(json::decode_stages)
-                .unwrap_or_default(),
-            stats_epoch: v.get("stats_epoch").and_then(Json::as_u64).unwrap_or(0),
-            config_fp: v
-                .get("config_fp")
-                .and_then(Json::as_str)
-                .and_then(json::parse_hex_id)
-                .unwrap_or(0),
-            indexes_used,
-        })
+        } else {
+            r.value().map(drop)
+        };
+        read.and_then(|()| r.finish())
+            .map_err(|e| ClientError::Protocol(format!("bad response body: {e}")))?;
+        match rows {
+            None => Err(ClientError::Protocol("response missing rows".into())),
+            Some((_, false)) => Err(ClientError::Protocol(
+                "response rows holds a value that is not a string".into(),
+            )),
+            Some((rows, true)) => Ok(RemoteOutput {
+                row_count: row_count.unwrap_or(rows.len() as u64),
+                rows,
+                ..o
+            }),
+        }
     }
 
     /// Submits ad-hoc ZQL (`POST /query`).
@@ -344,12 +357,12 @@ impl Client {
     }
 
     /// Fetches the `/stats` JSON document, parsed.
-    pub fn stats(&mut self) -> Result<Json, ClientError> {
+    pub fn stats(&mut self) -> Result<Json<'static>, ClientError> {
         let resp = self.request("GET", "/stats", None)?;
         if resp.status != 200 {
             return Err(service_error(&resp));
         }
-        body_json(&resp)
+        body_json(&resp).map(Json::into_owned)
     }
 
     /// Liveness probe; `Ok(())` iff the server answered 200.
@@ -402,8 +415,27 @@ fn body_text(resp: &RawResponse) -> Result<&str, ClientError> {
         .map_err(|e| ClientError::Protocol(format!("response body is not utf-8: {e}")))
 }
 
+/// The string items of the array at the cursor, and whether every item
+/// was one; `None` for a value that is not an array.
+fn strings(r: &mut json::Reader<'_>) -> Result<Option<(Vec<String>, bool)>, String> {
+    if r.peek() != Some(b'[') {
+        return r.value().map(|_| None);
+    }
+    let (mut items, mut all) = (Vec::new(), true);
+    r.array(|r| {
+        if r.peek() == Some(b'"') {
+            items.push(r.string()?.into_owned());
+        } else {
+            r.value()?;
+            all = false;
+        }
+        Ok(())
+    })?;
+    Ok(Some((items, all)))
+}
+
 /// The body as JSON.
-fn body_json(resp: &RawResponse) -> Result<Json, ClientError> {
+fn body_json(resp: &RawResponse) -> Result<Json<'_>, ClientError> {
     json::parse(body_text(resp)?)
         .map_err(|e| ClientError::Protocol(format!("bad response body: {e}")))
 }
@@ -417,10 +449,11 @@ fn service_error(resp: &RawResponse) -> ClientError {
         Ok(t) => t,
         Err(e) => return e,
     };
-    let error = json::parse(text)
-        .ok()
-        .and_then(|v| v.get("error").cloned())
-        .map(|e| json::decode_error(&e))
+    let body = json::parse(text).ok();
+    let error = body
+        .as_ref()
+        .and_then(|v| v.get("error"))
+        .map(json::decode_error)
         .unwrap_or_else(|| ServiceError::Exec(format!("HTTP {}", resp.status)));
     ClientError::Service {
         status: resp.status,
@@ -494,6 +527,30 @@ mod tests {
             let req = read_request(&mut r, 1024).unwrap();
             assert_eq!(req.path, format!("/execute/{}", json::hex_id(id)));
             assert_eq!(req.body, b"{}");
+        }
+    }
+
+    #[test]
+    fn a_row_that_is_not_a_string_is_a_protocol_error() {
+        let answer = |body: &str| RawResponse {
+            status: 200,
+            headers: Vec::new(),
+            body: body.as_bytes().to_vec(),
+        };
+        let mixed = answer("{\"rows\":[1,\"a\"],\"row_count\":2}");
+        assert!(matches!(
+            Client::decode_output(&mixed),
+            Err(ClientError::Protocol(m)) if m.contains("not a string")
+        ));
+        // The last `rows` member is the one that counts.
+        let repeated = answer("{\"rows\":[1],\"rows\":[\"a\"]}");
+        let out = Client::decode_output(&repeated).unwrap();
+        assert_eq!((out.rows, out.row_count), (vec!["a".to_string()], 1));
+        for missing in ["{\"rows\":\"a\"}", "[\"a\"]", "{}"] {
+            assert!(matches!(
+                Client::decode_output(&answer(missing)),
+                Err(ClientError::Protocol(m)) if m == "response missing rows"
+            ));
         }
     }
 

@@ -66,52 +66,75 @@ pub enum ReadError {
     },
 }
 
-/// One line without its `\n` (and `\r`), taken from the reader's buffer
-/// a fill at a time. At most `MAX_LINE_BYTES` before the `\n`.
-fn read_line(r: &mut impl BufRead) -> Result<String, ReadError> {
-    let mut buf = Vec::with_capacity(128);
+/// Hands one line, without its `\n` (and `\r`), to `take`: straight out
+/// of the reader's buffer when the line sits whole in it, else gathered
+/// into `spill` across fills. At most `MAX_LINE_BYTES` before the `\n`.
+fn with_line<T>(
+    r: &mut impl BufRead,
+    spill: &mut Vec<u8>,
+    take: impl FnOnce(&str) -> Result<T, ReadError>,
+) -> Result<T, ReadError> {
+    spill.clear();
     loop {
         let chunk = r.fill_buf().map_err(ReadError::Io)?;
         if chunk.is_empty() {
-            return Err(if buf.is_empty() {
+            return Err(if spill.is_empty() {
                 ReadError::Eof
             } else {
                 ReadError::Malformed("eof mid-line".into())
             });
         }
-        let (newline, len) = (chunk.iter().position(|&b| b == b'\n'), chunk.len());
-        buf.extend_from_slice(&chunk[..newline.unwrap_or(len)]);
-        r.consume(newline.map_or(len, |i| i + 1));
-        if buf.len() > MAX_LINE_BYTES {
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let used = newline.unwrap_or(chunk.len());
+        if spill.len() + used > MAX_LINE_BYTES {
             return Err(ReadError::Malformed("header line too long".into()));
         }
-        if newline.is_some() {
-            if buf.last() == Some(&b'\r') {
-                buf.pop();
-            }
-            return String::from_utf8(buf)
-                .map_err(|_| ReadError::Malformed("non-utf8 header line".into()));
-        }
+        let Some(end) = newline else {
+            spill.extend_from_slice(chunk);
+            r.consume(used);
+            continue;
+        };
+        let line = if spill.is_empty() {
+            &chunk[..end]
+        } else {
+            spill.extend_from_slice(&chunk[..end]);
+            &spill[..]
+        };
+        let line = line.strip_suffix(b"\r").unwrap_or(line);
+        let taken = std::str::from_utf8(line)
+            .map_err(|_| ReadError::Malformed("non-utf8 header line".into()))
+            .and_then(take);
+        r.consume(end + 1);
+        return taken;
     }
 }
 
 /// The header block up to its blank line: names lowercased, at most
 /// `MAX_HEADERS` of them.
-fn read_headers(r: &mut impl BufRead) -> Result<Vec<(String, String)>, ReadError> {
-    let mut headers = Vec::new();
+fn read_headers(
+    r: &mut impl BufRead,
+    spill: &mut Vec<u8>,
+) -> Result<Vec<(String, String)>, ReadError> {
+    let mut headers = Vec::with_capacity(4);
     loop {
-        let line = match read_line(r) {
-            Ok(l) => l,
+        let header = with_line(r, spill, |line| {
+            if line.is_empty() {
+                return Ok(None);
+            }
+            let (name, value) = line
+                .split_once(':')
+                .ok_or_else(|| ReadError::Malformed(format!("bad header line {line:?}")))?;
+            Ok(Some((
+                name.trim().to_ascii_lowercase(),
+                value.trim().to_string(),
+            )))
+        });
+        match header {
+            Ok(Some(h)) => headers.push(h),
+            Ok(None) => return Ok(headers),
             Err(ReadError::Eof) => return Err(ReadError::Malformed("eof in headers".into())),
             Err(e) => return Err(e),
-        };
-        if line.is_empty() {
-            return Ok(headers);
         }
-        let (name, value) = line
-            .split_once(':')
-            .ok_or_else(|| ReadError::Malformed(format!("bad header line {line:?}")))?;
-        headers.push((name.trim().to_ascii_lowercase(), value.trim().to_string()));
         if headers.len() > MAX_HEADERS {
             return Err(ReadError::Malformed("too many headers".into()));
         }
@@ -153,40 +176,42 @@ pub(crate) fn frame_request(out: &mut Vec<u8>, method: &str, path: &str, host: &
 /// Reads one request off the stream. `max_body` caps the declared
 /// `Content-Length`; an over-cap body is rejected *without* reading it.
 pub fn read_request(r: &mut impl BufRead, max_body: usize) -> Result<Request, ReadError> {
-    let line = read_line(r)?;
-    let mut parts = line.split_whitespace();
-    let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
-        (Some(m), Some(t), Some(v)) if parts.next().is_none() => (m, t, v),
-        _ => return Err(ReadError::Malformed(format!("bad request line {line:?}"))),
-    };
-    if !version.starts_with("HTTP/1.") {
-        return Err(ReadError::Malformed(format!(
-            "unsupported version {version:?}"
-        )));
-    }
-    let http10 = version == "HTTP/1.0";
-    let path = target.split('?').next().unwrap_or(target).to_string();
-    if !path.starts_with('/') {
-        return Err(ReadError::Malformed(format!(
-            "bad request target {target:?}"
-        )));
-    }
+    let mut spill = Vec::new();
+    let (method, path, http10) = with_line(r, &mut spill, |line| {
+        let mut parts = line.split_whitespace();
+        let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
+            (Some(m), Some(t), Some(v)) if parts.next().is_none() => (m, t, v),
+            _ => return Err(ReadError::Malformed(format!("bad request line {line:?}"))),
+        };
+        if !version.starts_with("HTTP/1.") {
+            return Err(ReadError::Malformed(format!(
+                "unsupported version {version:?}"
+            )));
+        }
+        let path = target.split('?').next().unwrap_or(target);
+        if !path.starts_with('/') {
+            return Err(ReadError::Malformed(format!(
+                "bad request target {target:?}"
+            )));
+        }
+        Ok((method.to_string(), path.to_string(), version == "HTTP/1.0"))
+    })?;
 
-    let headers = read_headers(r)?;
+    let headers = read_headers(r, &mut spill)?;
     let body = read_body(r, &headers, max_body)?;
 
     let conn = headers
         .iter()
         .find(|(n, _)| n == "connection")
-        .map(|(_, v)| v.to_ascii_lowercase());
-    let close = match conn.as_deref() {
-        Some("close") => true,
-        Some("keep-alive") => false,
+        .map(|(_, v)| v.as_str());
+    let close = match conn {
+        Some(v) if v.eq_ignore_ascii_case("close") => true,
+        Some(v) if v.eq_ignore_ascii_case("keep-alive") => false,
         _ => http10,
     };
 
     Ok(Request {
-        method: method.to_string(),
+        method,
         path,
         headers,
         body,
@@ -234,27 +259,32 @@ impl Response {
         }
     }
 
-    /// Serializes onto the wire: the head is framed into its own small
-    /// buffer and leaves with the body in one vectored write, so the
-    /// body is never copied.
+    /// Serializes onto the wire: the head is framed into a buffer on the
+    /// stack and leaves with the body in one vectored write, so the body
+    /// is never copied and nothing is allocated.
     pub fn write_to(&self, w: &mut impl Write) -> io::Result<()> {
-        let mut head = Vec::with_capacity(128);
-        let _ = write!(
+        // The longest head this server frames is under 200 bytes; one
+        // that does not fit fails the write instead of being cut.
+        const FRAME: usize = 256;
+        let mut frame = [0u8; FRAME];
+        let mut head = &mut frame[..];
+        write!(
             head,
             "HTTP/1.1 {} {}\r\ncontent-type: {}\r\ncontent-length: {}\r\n",
             self.status,
             reason(self.status),
             self.content_type,
             self.body.len()
-        );
+        )?;
         if let Some(s) = self.retry_after_s {
-            let _ = write!(head, "retry-after: {s}\r\n");
+            write!(head, "retry-after: {s}\r\n")?;
         }
         if self.close {
-            head.extend_from_slice(b"connection: close\r\n");
+            head.write_all(b"connection: close\r\n")?;
         }
-        head.extend_from_slice(b"\r\n");
-        let mut slices = [IoSlice::new(&head), IoSlice::new(&self.body)];
+        head.write_all(b"\r\n")?;
+        let len = FRAME - head.len();
+        let mut slices = [IoSlice::new(&frame[..len]), IoSlice::new(&self.body)];
         let mut unsent = &mut slices[..];
         while !unsent.is_empty() {
             match w.write_vectored(unsent) {
@@ -316,15 +346,16 @@ impl RawResponse {
 /// Reads one response off a stream (client side), under the same
 /// framing caps as a request and a body cap of `MAX_RESPONSE_BYTES`.
 pub fn read_response(r: &mut impl BufRead) -> Result<RawResponse, ReadError> {
-    let line = read_line(r)?;
-    let mut parts = line.splitn(3, ' ');
-    let status = match (parts.next(), parts.next()) {
-        (Some(v), Some(code)) if v.starts_with("HTTP/1.") => code
-            .parse::<u16>()
-            .map_err(|_| ReadError::Malformed(format!("bad status line {line:?}")))?,
-        _ => return Err(ReadError::Malformed(format!("bad status line {line:?}"))),
-    };
-    let headers = read_headers(r)?;
+    let mut spill = Vec::new();
+    let status = with_line(r, &mut spill, |line| {
+        let mut parts = line.splitn(3, ' ');
+        match (parts.next(), parts.next()) {
+            (Some(v), Some(code)) if v.starts_with("HTTP/1.") => code.parse::<u16>().ok(),
+            _ => None,
+        }
+        .ok_or_else(|| ReadError::Malformed(format!("bad status line {line:?}")))
+    })?;
+    let headers = read_headers(r, &mut spill)?;
     let body = read_body(r, &headers, MAX_RESPONSE_BYTES)?;
     Ok(RawResponse {
         status,

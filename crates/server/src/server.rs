@@ -380,7 +380,7 @@ fn error_response(e: &ServiceError, retry_after: Duration) -> Response {
 }
 
 /// Extracts [`SubmitOptions`] from a request body object.
-fn submit_options(body: &Json) -> SubmitOptions {
+fn submit_options(body: &Json<'_>) -> SubmitOptions {
     let u = |k: &str| body.get(k).and_then(Json::as_u64);
     SubmitOptions {
         trace: false,
@@ -391,7 +391,7 @@ fn submit_options(body: &Json) -> SubmitOptions {
     }
 }
 
-fn parse_body(req: &Request) -> Result<Json, Response> {
+fn parse_body(req: &Request) -> Result<Json<'_>, Response> {
     let text = std::str::from_utf8(&req.body)
         .map_err(|_| protocol_error_response(400, "bad_request", "body is not utf-8"))?;
     json::parse(text)
@@ -507,9 +507,9 @@ fn handle_prepare(shared: &Shared, req: &Request) -> Response {
     };
     match shared.service.prepare(zql) {
         Ok((stmt, created)) => {
-            let mut out = String::from("{\"id\":");
-            json::push_escaped(&mut out, &json::hex_id(stmt.id));
-            let _ = write!(out, ",\"created\":{created},\"key\":");
+            let mut out = String::from("{\"id\":\"");
+            json::push_hex_id(&mut out, stmt.id);
+            let _ = write!(out, "\",\"created\":{created},\"key\":");
             json::push_escaped(&mut out, stmt.structural_key());
             out.push('}');
             Response::json(200, out)

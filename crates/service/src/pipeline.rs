@@ -322,11 +322,16 @@ impl QueryService {
             m.interval_violations
                 .add(diagnostics.iter().filter(interval).count() as u64);
         };
-        // The greedy plan is still estimator-annotated and verifier-
+        // Feedback-driven re-optimization: the search runs under corrected
+        // selectivities layered over the epoch snapshot — the catalog
+        // itself is never mutated.
+        let reopt = overlay.is_some();
+        let optimizer = miss_optimizer(env, self.inner.params, &req.state.config, overlay);
+        // The greedy plan is priced by the search's model and verifier-
         // linted; it is just not optimal, and there is none for a join.
         let greedy = || {
             let (plan, cost, diagnostics) =
-                oodb_core::greedy_fallback(env, self.inner.params, plan, result_vars)?;
+                oodb_core::greedy_fallback(optimizer.model(), plan, result_vars)?;
             lint(&diagnostics);
             Some((CachedBody::Static { plan, cost }, true))
         };
@@ -338,11 +343,7 @@ impl QueryService {
             // No greedy plan for this shape: the full search, still
             // under the halved memory grant `run` gives this request.
         }
-        // Feedback-driven re-optimization: the search runs under corrected
-        // selectivities layered over the epoch snapshot — the catalog
-        // itself is never mutated.
-        m.reopt.add(u64::from(overlay.is_some()));
-        let optimizer = miss_optimizer(env, self.inner.params, &req.state.config, overlay);
+        m.reopt.add(u64::from(reopt));
         match optimizer.optimize_within(plan, result_vars, query.order, req.deadline) {
             BoundedOutcome::Complete(out) => {
                 m.transform_firings.add(out.stats.transform_firings);

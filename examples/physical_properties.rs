@@ -11,6 +11,7 @@
 //! ```
 
 use open_oodb::core::config::rule_names as rn;
+use open_oodb::core::OodbModel;
 use open_oodb::prelude::*;
 
 fn compile(
@@ -103,8 +104,11 @@ WHERE t.time() == 100
     let out = OpenOodb::with_config(&q.env, OptimizerConfig::all_rules())
         .optimize(&q.plan, q.result_vars)
         .unwrap();
-    let greedy =
-        greedy_plan(&q.env, CostParams::default(), &q.plan).expect("greedy handles this shape");
+    let greedy = greedy_plan(
+        &OodbModel::new(&q.env, CostParams::default(), OptimizerConfig::default()),
+        &q.plan,
+    )
+    .expect("greedy handles this shape");
     let greedy_cost = greedy.total_io_s() + greedy.total_cpu_s();
     println!(
         "Cost-based ({:.2} s) uses ONLY the time index:\n{}",

@@ -3,6 +3,7 @@
 //! independent oracle, across competing rule configurations.
 
 use oodb_core::config::rule_names as rn;
+use oodb_core::OodbModel;
 use open_oodb::prelude::*;
 use open_oodb::zql;
 use std::collections::HashSet;
@@ -146,7 +147,11 @@ WHERE t.time() == 100
     let distinct: HashSet<_> = result.tuples().iter().map(|t| t.get(t_var)).collect();
     assert_eq!(distinct.len(), oracle);
 
-    let greedy = greedy_plan(&q.env, CostParams::default(), &q.plan).unwrap();
+    let greedy = greedy_plan(
+        &OodbModel::new(&q.env, CostParams::default(), OptimizerConfig::default()),
+        &q.plan,
+    )
+    .unwrap();
     let (gres, _) = execute(&store, &q.env, &greedy);
     let gdistinct: HashSet<_> = gres.tuples().iter().map(|t| t.get(t_var)).collect();
     assert_eq!(gdistinct, distinct, "greedy and optimal must agree");

@@ -4,7 +4,7 @@
 
 use oodb_bench::queries;
 use oodb_core::config::rule_names as rn;
-use oodb_core::{greedy_plan, CostParams, OpenOodb, OptimizerConfig};
+use oodb_core::{greedy_plan, CostParams, OodbModel, OpenOodb, OptimizerConfig};
 use oodb_object::paper::paper_model;
 use open_oodb::prelude::*;
 
@@ -127,7 +127,11 @@ fn table3_greedy_vs_cost_based() {
         let out = OpenOodb::with_config(&q.env, OptimizerConfig::all_rules())
             .optimize(&q.plan, q.result_vars)
             .unwrap();
-        let greedy = greedy_plan(&q.env, CostParams::default(), &q.plan).unwrap();
+        let greedy = greedy_plan(
+            &OodbModel::new(&q.env, CostParams::default(), OptimizerConfig::default()),
+            &q.plan,
+        )
+        .unwrap();
         (out.cost.total(), greedy.total_io_s() + greedy.total_cpu_s())
     };
 

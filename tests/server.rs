@@ -258,6 +258,30 @@ fn concurrent_pipelined_replay_reconciles_every_counter() {
     server.shutdown();
 }
 
+/// A body that names a key twice is read by its last occurrence, as a
+/// JSON object with duplicates has always been read here.
+#[test]
+fn a_duplicated_body_key_resolves_to_the_last() {
+    let server = start(ServerConfig::default());
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    let body = |first: &str, last: &str| format!("{{\"query\":{first:?},\"query\":{last:?}}}");
+    let resp = c
+        .request("POST", "/query", Some(&body("SELECT nonsense", QUERIES[1])))
+        .unwrap();
+    assert_eq!(resp.status, 200, "{}", resp.body_str());
+    let out = Client::decode_output(&resp).unwrap();
+    assert_eq!(
+        out.rows,
+        c.query(QUERIES[1], Default::default()).unwrap().rows
+    );
+    let resp = c
+        .request("POST", "/query", Some(&body(QUERIES[1], "SELECT nonsense")))
+        .unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body_str());
+    drop(c);
+    server.shutdown();
+}
+
 /// The retired worker-count key asked for that many executor threads per
 /// request (clamped to the machine's cores only since PR 17). It is now
 /// an unknown key like any other: `/query` and `/execute` answer a
@@ -271,8 +295,12 @@ fn retired_exec_workers_key_changes_nothing_on_query_or_execute() {
     let mut answer_to = |path: &str, body: String| {
         let resp = c.request("POST", path, Some(&body)).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body_str());
-        let reply = json::parse(&resp.body_str()).unwrap();
-        let field = |k| reply.get(k).cloned().unwrap_or_else(|| panic!("no {k}"));
+        let text = resp.body_str();
+        let reply = json::parse(&text).unwrap();
+        let field = |k| {
+            let v = reply.get(k).cloned().map(json::Json::into_owned);
+            v.unwrap_or_else(|| panic!("no {k}"))
+        };
         (field("rows"), field("row_count"), field("cache_hit"))
     };
     const WORKERS: &str = "\"exec_workers\":1099511627776";
@@ -324,9 +352,11 @@ fn malformed_and_oversized_requests_are_rejected() {
         let body = format!("{{\"query\":{:?}{extra}}}", QUERIES[1]);
         let resp = c.request("POST", "/query", Some(&body)).unwrap();
         assert_eq!(resp.status, 200, "{}", resp.body_str());
-        let reply = json::parse(&resp.body_str()).unwrap();
+        let text = resp.body_str();
+        let reply = json::parse(&text).unwrap();
         let hit = reply.get("cache_hit").and_then(json::Json::as_bool);
-        let rows = reply.get("rows").cloned().expect("a rows array");
+        let rows = reply.get("rows").cloned().map(json::Json::into_owned);
+        let rows = rows.expect("a rows array");
         (rows, hit.expect("a cache_hit flag"))
     };
     let (rows, _) = answer_to(",\"realize_io_scale\":1e300");
