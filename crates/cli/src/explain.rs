@@ -57,10 +57,7 @@ impl Shell {
             diags.extend(out.diagnostics);
             (out.stats.exprs, out.cost.total())
         });
-        self.svc
-            .telemetry()
-            .counter("oodb_verify_violations_total", &[])
-            .add(diags.len() as u64);
+        self.svc.count_findings(&diags);
         for d in &diags {
             print_diag(d);
         }

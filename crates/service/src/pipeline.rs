@@ -316,12 +316,6 @@ impl QueryService {
         let m = &self.inner.metrics;
         m.optimizer_runs.inc();
         let (plan, result_vars) = (&query.plan, query.result_vars);
-        let lint = |diagnostics: &[Diagnostic]| {
-            m.verify_violations.add(diagnostics.len() as u64);
-            let interval = |d: &&Diagnostic| d.check == checks::CARD_INTERVAL;
-            m.interval_violations
-                .add(diagnostics.iter().filter(interval).count() as u64);
-        };
         // Feedback-driven re-optimization: the search runs under corrected
         // selectivities layered over the epoch snapshot — the catalog
         // itself is never mutated.
@@ -332,7 +326,7 @@ impl QueryService {
         let greedy = || {
             let (plan, cost, diagnostics) =
                 oodb_core::greedy_fallback(optimizer.model(), plan, result_vars)?;
-            lint(&diagnostics);
+            self.count_findings(&diagnostics);
             Some((CachedBody::Static { plan, cost }, true))
         };
         if req.pressure_degraded {
@@ -348,7 +342,7 @@ impl QueryService {
             BoundedOutcome::Complete(out) => {
                 m.transform_firings.add(out.stats.transform_firings);
                 m.plans_costed.add(out.stats.plans_costed);
-                lint(&out.diagnostics);
+                self.count_findings(&out.diagnostics);
                 let (plan, cost) = (out.plan, out.cost);
                 Ok((CachedBody::Static { plan, cost }, false))
             }
@@ -359,6 +353,19 @@ impl QueryService {
             }
             BoundedOutcome::Infeasible => Err(ServiceError::NoPlan),
         }
+    }
+
+    /// Counts verifier findings: each in `oodb_verify_violations_total`,
+    /// the cardinality-interval ones in `oodb_interval_violations_total`
+    /// as well. A cache miss, its greedy rung and `EXPLAIN VERIFY` all
+    /// count through here.
+    pub fn count_findings(&self, diagnostics: &[Diagnostic]) {
+        let m = &self.inner.metrics;
+        m.verify_violations.add(diagnostics.len() as u64);
+        let interval = diagnostics
+            .iter()
+            .filter(|d| d.check == checks::CARD_INTERVAL);
+        m.interval_violations.add(interval.count() as u64);
     }
 
     /// Compiles `zql_src` against the current snapshot and runs `search`

@@ -195,6 +195,28 @@ const Q_FRED: &str = "SELECT e FROM Employee e IN Employees WHERE e.name() == \"
 /// executions never moved `oodb_actual_card_violations_total` and the
 /// feedback loop was silently disabled on the hot path.
 #[test]
+fn verifier_findings_move_both_counters() {
+    use oodb_core::verify::{checks, Diagnostic};
+    let svc = small_service();
+    let finding = |check| Diagnostic {
+        check,
+        path: Vec::new(),
+        op: "Filter".into(),
+        expected: String::new(),
+        actual: String::new(),
+    };
+    let m = &svc.inner.metrics;
+    let before = (m.verify_violations.get(), m.interval_violations.get());
+    svc.count_findings(&[
+        finding(checks::CARD_INTERVAL),
+        finding(checks::ARITY),
+        finding(checks::CARD_INTERVAL),
+    ]);
+    let after = (m.verify_violations.get(), m.interval_violations.get());
+    assert_eq!((after.0 - before.0, after.1 - before.1), (3, 2));
+}
+
+#[test]
 fn untraced_executions_feed_the_drift_detector() {
     let svc = skewed_service();
     let out = svc.submit(Q_FRED).unwrap();
