@@ -15,7 +15,8 @@ use std::io::{self, BufRead, IoSlice, Write};
 /// server's configurable body cap: one header line and the total header
 /// block. Oversized framing is a malformed message, not a negotiation.
 const MAX_LINE_BYTES: usize = 8 * 1024;
-const MAX_HEADERS: usize = 64;
+/// The most header lines a message head may carry, in both directions.
+pub const MAX_HEADERS: usize = 64;
 /// The largest response body, on both ends: the server answers a larger
 /// one with a typed error instead, and a client refuses a head declaring
 /// more before anything is allocated for it.
@@ -28,23 +29,11 @@ pub struct Request {
     pub method: String,
     /// Path component, query string stripped.
     pub path: String,
-    /// Header pairs, names lowercased.
-    pub headers: Vec<(String, String)>,
     /// The body (empty unless `Content-Length` said otherwise).
     pub body: Vec<u8>,
     /// True when the client asked to drop the connection after this
     /// exchange (`Connection: close`, or HTTP/1.0 without keep-alive).
     pub close: bool,
-}
-
-impl Request {
-    /// Case-insensitive header lookup.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
 }
 
 /// Why reading a request failed — each class maps to a different
@@ -109,51 +98,75 @@ fn with_line<T>(
     }
 }
 
-/// The header block up to its blank line: names lowercased, at most
-/// `MAX_HEADERS` of them.
-fn read_headers(
-    r: &mut impl BufRead,
-    spill: &mut Vec<u8>,
-) -> Result<Vec<(String, String)>, ReadError> {
-    let mut headers = Vec::with_capacity(4);
+/// What a message head says, read from the three headers the protocol
+/// acts on. Each field is `None` until its header is first seen, then
+/// holds that first occurrence's trimmed value as parsed; later
+/// occurrences are ignored.
+#[derive(Default)]
+struct Head {
+    /// `content-length`, or the message that refuses its value once the
+    /// head is read.
+    content_length: Option<Result<usize, String>>,
+    /// `connection`: `close` is `Some(true)`, `keep-alive` `Some(false)`,
+    /// any other value `None`.
+    close: Option<Option<bool>>,
+    /// `retry-after` in seconds; `None` where it does not parse.
+    retry_after_s: Option<Option<u64>>,
+}
+
+/// The header block up to its blank line, at most `MAX_HEADERS` lines.
+/// Every line is checked for syntax; only the three headers [`Head`]
+/// holds are kept, matched by name while the line is still in the
+/// reader's buffer.
+fn read_head(r: &mut impl BufRead, spill: &mut Vec<u8>) -> Result<Head, ReadError> {
+    let (mut head, mut lines) = (Head::default(), 0);
     loop {
-        let header = with_line(r, spill, |line| {
+        let more = with_line(r, spill, |line| {
             if line.is_empty() {
-                return Ok(None);
+                return Ok(false);
             }
             let (name, value) = line
                 .split_once(':')
                 .ok_or_else(|| ReadError::Malformed(format!("bad header line {line:?}")))?;
-            Ok(Some((
-                name.trim().to_ascii_lowercase(),
-                value.trim().to_string(),
-            )))
+            let (name, value) = (name.trim(), value.trim());
+            if name.eq_ignore_ascii_case("content-length") {
+                head.content_length.get_or_insert_with(|| {
+                    value
+                        .parse()
+                        .map_err(|_| format!("bad content-length {value:?}"))
+                });
+            } else if name.eq_ignore_ascii_case("connection") {
+                let is = |token: &str| value.eq_ignore_ascii_case(token);
+                head.close
+                    .get_or_insert_with(|| (is("close") || is("keep-alive")).then(|| is("close")));
+            } else if name.eq_ignore_ascii_case("retry-after") {
+                head.retry_after_s.get_or_insert_with(|| value.parse().ok());
+            }
+            Ok(true)
         });
-        match header {
-            Ok(Some(h)) => headers.push(h),
-            Ok(None) => return Ok(headers),
+        match more {
+            Ok(true) => {}
+            Ok(false) => return Ok(head),
             Err(ReadError::Eof) => return Err(ReadError::Malformed("eof in headers".into())),
             Err(e) => return Err(e),
         }
-        if headers.len() > MAX_HEADERS {
+        lines += 1;
+        if lines > MAX_HEADERS {
             return Err(ReadError::Malformed("too many headers".into()));
         }
     }
 }
 
-/// The body `Content-Length` declares (none: empty). A length that does
+/// The body `content-length` declares (none: empty). A length that does
 /// not parse is malformed; one over `max_body` is refused unread.
 fn read_body(
     r: &mut impl BufRead,
-    headers: &[(String, String)],
+    content_length: Option<Result<usize, String>>,
     max_body: usize,
 ) -> Result<Vec<u8>, ReadError> {
-    let len = match headers.iter().find(|(n, _)| n == "content-length") {
-        Some((_, v)) => v
-            .parse::<usize>()
-            .map_err(|_| ReadError::Malformed(format!("bad content-length {v:?}")))?,
-        None => 0,
-    };
+    let len = content_length
+        .unwrap_or(Ok(0))
+        .map_err(ReadError::Malformed)?;
     if len > max_body {
         return Err(ReadError::TooLarge { declared: len });
     }
@@ -197,25 +210,12 @@ pub fn read_request(r: &mut impl BufRead, max_body: usize) -> Result<Request, Re
         Ok((method.to_string(), path.to_string(), version == "HTTP/1.0"))
     })?;
 
-    let headers = read_headers(r, &mut spill)?;
-    let body = read_body(r, &headers, max_body)?;
-
-    let conn = headers
-        .iter()
-        .find(|(n, _)| n == "connection")
-        .map(|(_, v)| v.as_str());
-    let close = match conn {
-        Some(v) if v.eq_ignore_ascii_case("close") => true,
-        Some(v) if v.eq_ignore_ascii_case("keep-alive") => false,
-        _ => http10,
-    };
-
+    let head = read_head(r, &mut spill)?;
     Ok(Request {
         method,
         path,
-        headers,
-        body,
-        close,
+        body: read_body(r, head.content_length, max_body)?,
+        close: head.close.flatten().unwrap_or(http10),
     })
 }
 
@@ -316,27 +316,19 @@ pub fn reason(status: u16) -> &'static str {
     }
 }
 
-/// A client-side parsed response (status + headers + body). Reuses the
-/// same framing reader as the server side.
+/// A client-side parsed response. Reuses the same framing reader as the
+/// server side.
 #[derive(Debug)]
 pub struct RawResponse {
     /// HTTP status code.
     pub status: u16,
-    /// Header pairs, names lowercased.
-    pub headers: Vec<(String, String)>,
+    /// `Retry-After` seconds, when the head carried one that parses.
+    pub retry_after_s: Option<u64>,
     /// Body bytes.
     pub body: Vec<u8>,
 }
 
 impl RawResponse {
-    /// Case-insensitive header lookup.
-    pub fn header(&self, name: &str) -> Option<&str> {
-        self.headers
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_str())
-    }
-
     /// Body as UTF-8 (lossy — diagnostics only on the failure path).
     pub fn body_str(&self) -> String {
         String::from_utf8_lossy(&self.body).into_owned()
@@ -355,12 +347,11 @@ pub fn read_response(r: &mut impl BufRead) -> Result<RawResponse, ReadError> {
         }
         .ok_or_else(|| ReadError::Malformed(format!("bad status line {line:?}")))
     })?;
-    let headers = read_headers(r, &mut spill)?;
-    let body = read_body(r, &headers, MAX_RESPONSE_BYTES)?;
+    let head = read_head(r, &mut spill)?;
     Ok(RawResponse {
         status,
-        headers,
-        body,
+        retry_after_s: head.retry_after_s.flatten(),
+        body: read_body(r, head.content_length, MAX_RESPONSE_BYTES)?,
     })
 }
 
@@ -533,8 +524,8 @@ pub(crate) mod tests {
             let a = read_request(&mut whole, 1024).unwrap();
             let b = read_request(&mut bytewise, 1024).unwrap();
             assert_eq!(
-                (a.method, a.path, a.headers, a.body, a.close),
-                (b.method, b.path, b.headers, b.body, b.close)
+                (a.method, a.path, a.body, a.close),
+                (b.method, b.path, b.body, b.close)
             );
         }
         assert!(matches!(
@@ -658,7 +649,7 @@ pub(crate) mod tests {
         resp.write_to(&mut wire).unwrap();
         let parsed = read_response(&mut BufReader::new(&wire[..])).unwrap();
         assert_eq!(parsed.status, 429);
-        assert_eq!(parsed.header("retry-after"), Some("2"));
+        assert_eq!(parsed.retry_after_s, Some(2));
         assert_eq!(parsed.body, b"{\"error\":{}}");
     }
 }

@@ -319,10 +319,11 @@ impl<'a> Reader<'a> {
             .src
             .as_bytes()
             .get(self.pos..self.pos + 4)
-            .and_then(|c| std::str::from_utf8(c).ok())
             .ok_or("truncated \\u escape")?;
         self.pos += 4;
-        u32::from_str_radix(chunk, 16).map_err(|_| "invalid \\u escape".into())
+        hex_digits(chunk)
+            .and_then(|n| u32::try_from(n).ok())
+            .ok_or_else(|| "invalid \\u escape".into())
     }
 
     /// Walks the array at the cursor (the caller peeked its `[`); `item`
@@ -413,9 +414,16 @@ pub(crate) fn push_hex_id(out: &mut String, id: u64) {
 
 /// Parses a wire-form identifier ([`hex_id`]).
 pub fn parse_hex_id(s: &str) -> Option<u64> {
-    (s.len() == 16)
-        .then(|| u64::from_str_radix(s, 16).ok())
-        .flatten()
+    (s.len() == 16).then(|| hex_digits(s.as_bytes())).flatten()
+}
+
+/// The value of at most 16 hex digits; `None` if any byte is not one
+/// (`from_str_radix` would also take a leading `+`).
+fn hex_digits(digits: &[u8]) -> Option<u64> {
+    debug_assert!(digits.len() <= 16);
+    digits.iter().try_fold(0u64, |n, &d| {
+        Some(n << 4 | u64::from(char::from(d).to_digit(16)?))
+    })
 }
 
 /// The wire keys of a [`StageBreakdown`], in field order.
@@ -438,25 +446,8 @@ pub fn encode_stages(out: &mut String, s: &StageBreakdown) {
     );
 }
 
-/// A [`StageBreakdown`] from its six fields, in [`STAGE_KEYS`] order;
-/// `None` unless all six are there.
-fn stages_of(f: [Option<u64>; 6]) -> Option<StageBreakdown> {
-    Some(StageBreakdown {
-        parse_ns: f[0]?,
-        simplify_ns: f[1]?,
-        fingerprint_ns: f[2]?,
-        cache_probe_ns: f[3]?,
-        optimize_ns: f[4]?,
-        execute_ns: f[5]?,
-    })
-}
-
-/// Decodes a [`StageBreakdown`] from its wire object.
-pub fn decode_stages(v: &Json<'_>) -> Option<StageBreakdown> {
-    stages_of(STAGE_KEYS.map(|k| v.get(k).and_then(Json::as_u64)))
-}
-
-/// [`decode_stages`] of the value at the cursor, read in place.
+/// The [`StageBreakdown`] whose wire object is at the cursor, read in
+/// place; `None` unless it is an object holding all six fields.
 pub(crate) fn read_stages(r: &mut Reader<'_>) -> Result<Option<StageBreakdown>, String> {
     if r.peek() != Some(b'{') {
         return r.value().map(|_| None);
@@ -469,7 +460,17 @@ pub(crate) fn read_stages(r: &mut Reader<'_>) -> Result<Option<StageBreakdown>, 
         }
         Ok(())
     })?;
-    Ok(stages_of(fields))
+    let all_six = || {
+        Some(StageBreakdown {
+            parse_ns: fields[0]?,
+            simplify_ns: fields[1]?,
+            fingerprint_ns: fields[2]?,
+            cache_probe_ns: fields[3]?,
+            optimize_ns: fields[4]?,
+            execute_ns: fields[5]?,
+        })
+    };
+    Ok(all_six())
 }
 
 /// Encodes a successful [`QueryOutput`] as the `POST /query` /
@@ -733,6 +734,16 @@ mod tests {
     }
 
     #[test]
+    fn a_sign_is_not_a_hex_digit() {
+        assert!(parse("\"\\u+041\"").is_err());
+        assert_eq!(parse_hex_id("+123456789abcdef"), None);
+        assert_eq!(
+            parse_hex_id("0123456789ABCDEF"),
+            Some(0x0123_4567_89ab_cdef)
+        );
+    }
+
+    #[test]
     fn hex_ids_round_trip() {
         for id in [0u64, 1, u64::MAX, 0xdead_beef_cafe_f00d] {
             assert_eq!(parse_hex_id(&hex_id(id)), Some(id));
@@ -834,7 +845,15 @@ mod tests {
             Some(u64::MAX - 1),
             "config_fp must survive as a hex string, not an f64"
         );
-        assert_eq!(decode_stages(v.get("stages").unwrap()).unwrap(), out.stages);
+        let answer = crate::http::RawResponse {
+            status: 200,
+            retry_after_s: None,
+            body: wire.clone().into_bytes(),
+        };
+        assert_eq!(
+            crate::Client::decode_output(&answer).unwrap().stages,
+            out.stages
+        );
         assert!(v.get("drift").is_none(), "drift is in-process only");
     }
 }

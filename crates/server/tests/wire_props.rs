@@ -1,8 +1,11 @@
 //! Property tests of the wire codec as a whole: what the server encodes,
-//! the client decodes to the same answer whatever the row text holds, and
-//! no byte a peer can send panics a reader on either end.
+//! the client decodes to the same answer whatever the row text holds, a
+//! message head reads as a plain header reader would read it, and no
+//! byte a peer can send panics a reader on either end.
 
-use oodb_server::http::{read_request, read_response, RawResponse, Response};
+use oodb_server::http::{
+    read_request, read_response, RawResponse, ReadError, Response, MAX_HEADERS,
+};
 use oodb_server::json::{self, encode_output, Json};
 use oodb_server::Client;
 use oodb_service::{QueryOutput, StageBreakdown};
@@ -68,7 +71,7 @@ fn output() -> impl Strategy<Value = QueryOutput> {
 fn answer(status: u16, body: &[u8]) -> RawResponse {
     RawResponse {
         status,
-        headers: Vec::new(),
+        retry_after_s: None,
         body: body.to_vec(),
     }
 }
@@ -92,6 +95,121 @@ fn edits() -> impl Strategy<Value = (Vec<(usize, u8)>, Option<usize>)> {
         proptest::collection::vec((any::<usize>(), any::<u8>()), 1..6),
         prop_oneof![Just(None), any::<usize>().prop_map(Some)],
     )
+}
+
+/// Header names: the three the readers act on, a near miss, two they
+/// skip; the last slot draws a random name instead.
+const NAMES: [&str; 6] = [
+    "content-length",
+    "connection",
+    "retry-after",
+    "content-length-x",
+    "host",
+    "content-type",
+];
+/// Header values, each of which parses for some name and not for others.
+const VALUES: [&str; 14] = [
+    "0",
+    "4",
+    "8",
+    "9",
+    "+3",
+    "12abc",
+    "",
+    "close",
+    "Keep-Alive",
+    "CLOSE",
+    "upgrade",
+    "soon",
+    "2",
+    "18446744073709551616",
+];
+/// The body after every generated head: eight bytes, so a declared
+/// length of 9 runs off the end.
+const BODY: &[u8] = b"abcdefgh";
+
+/// One syntactically valid header line: a name in random letter case and
+/// a value, with optional blanks around each.
+fn header_line() -> impl Strategy<Value = String> {
+    (
+        (0..NAMES.len() + 1, "[a-z-]{1,14}", any::<u64>()),
+        0..VALUES.len(),
+        ("[ \t]{0,2}", "[ \t]{0,2}", "[ \t]{0,2}", "[ \t]{0,2}"),
+    )
+        .prop_map(|((n, random, case), v, (a, b, c, d))| {
+            let name: String = NAMES
+                .get(n)
+                .map_or(random.as_str(), |n| n)
+                .chars()
+                .enumerate()
+                .map(|(i, ch)| match case >> (i % 64) & 1 {
+                    1 => ch.to_ascii_uppercase(),
+                    _ => ch,
+                })
+                .collect();
+            format!("{a}{name}{b}:{c}{}{d}", VALUES[v])
+        })
+}
+
+/// How a read ended, as far as the tests below tell reads apart.
+fn class(e: ReadError) -> &'static str {
+    match e {
+        ReadError::Malformed(_) => "malformed",
+        ReadError::Io(_) => "io",
+        ReadError::Eof | ReadError::TooLarge { .. } => "other",
+    }
+}
+
+/// `lines` as a request head and as a response head, each followed by
+/// [`BODY`].
+fn messages(lines: &[String], version: &str) -> (Vec<u8>, Vec<u8>) {
+    let block: String = lines.iter().map(|l| format!("{l}\r\n")).collect();
+    let request = format!("POST /q {version}\r\n{block}\r\n");
+    let response = format!("HTTP/1.1 200 OK\r\n{block}\r\n");
+    (
+        [request.as_bytes(), BODY].concat(),
+        [response.as_bytes(), BODY].concat(),
+    )
+}
+
+#[test]
+fn the_first_content_length_wins() {
+    let (request, response) = messages(
+        &["content-length: 2".into(), "Content-Length: 4".into()],
+        "HTTP/1.1",
+    );
+    let req = read_request(&mut BufReader::new(&request[..]), 1024).unwrap();
+    assert_eq!(req.body, b"ab");
+    assert_eq!(
+        read_response(&mut BufReader::new(&response[..]))
+            .unwrap()
+            .body,
+        b"ab"
+    );
+}
+
+#[test]
+fn a_retry_after_that_does_not_parse_is_none() {
+    for (value, seconds) in [("soon", None), ("7", Some(7)), ("7, 8", None)] {
+        let (_, response) = messages(&[format!("Retry-After: {value}")], "HTTP/1.1");
+        let resp = read_response(&mut BufReader::new(&response[..])).unwrap();
+        assert_eq!(resp.retry_after_s, seconds, "{value}");
+    }
+}
+
+#[test]
+fn a_head_holds_at_most_max_headers_lines() {
+    let lines = vec![String::from("x: y"); MAX_HEADERS + 1];
+    let (request, response) = messages(&lines[..MAX_HEADERS], "HTTP/1.1");
+    assert!(read_request(&mut BufReader::new(&request[..]), 0).is_ok());
+    assert!(read_response(&mut BufReader::new(&response[..])).is_ok());
+    let (request, response) = messages(&lines, "HTTP/1.1");
+    for refused in [
+        read_request(&mut BufReader::new(&request[..]), 0).map(drop),
+        read_response(&mut BufReader::new(&response[..])).map(drop),
+    ] {
+        assert!(matches!(refused, Err(ReadError::Malformed(m)) if m == "too many headers"));
+    }
 }
 
 const QUERY_BODY: &str = "{\"query\":\"SELECT c FROM City c IN Cities \
@@ -129,6 +247,50 @@ proptest! {
             .collect();
         prop_assert_eq!(rows, o.rows.iter().map(String::as_str).collect::<Vec<_>>());
         prop_assert_eq!(json::hex_id(o.config_fp), format!("{:016x}", o.config_fp));
+    }
+
+    /// A message head reads as a plain reader of its header block reads
+    /// it: split the lines, lowercase the names, take each name's first
+    /// line; the value trimmed.
+    #[test]
+    fn a_typed_head_reads_what_a_plain_reader_reads(
+        lines in proptest::collection::vec(header_line(), 0..MAX_HEADERS + 1),
+        http10 in any::<bool>(),
+        capacity in 1usize..96,
+    ) {
+        let version = if http10 { "HTTP/1.0" } else { "HTTP/1.1" };
+        let (request, response) = messages(&lines, version);
+        let pairs: Vec<(String, &str)> = lines
+            .iter()
+            .map(|l| {
+                let (name, value) = l.split_once(':').unwrap();
+                (name.trim().to_ascii_lowercase(), value.trim())
+            })
+            .collect();
+        let first = |name: &str| pairs.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
+        let body = match first("content-length").map(str::parse::<usize>) {
+            None => Ok(Vec::new()),
+            Some(Err(_)) => Err("malformed"),
+            Some(Ok(n)) if n > BODY.len() => Err("io"),
+            Some(Ok(n)) => Ok(BODY[..n].to_vec()),
+        };
+        let close = match first("connection") {
+            Some(v) if v.eq_ignore_ascii_case("close") => true,
+            Some(v) if v.eq_ignore_ascii_case("keep-alive") => false,
+            _ => http10,
+        };
+        let retry_after_s = first("retry-after").and_then(|v| v.parse::<u64>().ok());
+
+        let req = read_request(&mut BufReader::with_capacity(capacity, &request[..]), 1 << 20);
+        prop_assert_eq!(
+            req.map(|r| (r.body, r.close)).map_err(class),
+            body.clone().map(|b| (b, close))
+        );
+        let resp = read_response(&mut BufReader::with_capacity(capacity, &response[..]));
+        prop_assert_eq!(
+            resp.map(|r| (r.body, r.retry_after_s)).map_err(class),
+            body.map(|b| (b, retry_after_s))
+        );
     }
 
     /// A digit-only integer reads as the float parser would read it.

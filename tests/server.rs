@@ -402,6 +402,19 @@ fn malformed_and_oversized_requests_are_rejected() {
 }
 
 #[test]
+fn a_statement_id_with_a_sign_is_a_bad_request() {
+    let server = start(ServerConfig::default());
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    // Sixteen characters, but `+` is not a hex digit.
+    let resp = c
+        .request("POST", "/execute/+123456789abcdef", Some("{}"))
+        .unwrap();
+    assert_eq!(resp.status, 400, "{}", resp.body_str());
+    drop(c);
+    server.shutdown();
+}
+
+#[test]
 fn idle_closed_keepalive_is_replayed_transparently() {
     // Aggressive idle timeout: the server closes the connection long
     // before the client's second statement.
