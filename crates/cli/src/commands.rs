@@ -440,8 +440,11 @@ impl Shell {
                     None,
                 ) {
                     Ok(session) => {
-                        let ck = session.last_checkpoint();
-                        println!("saved {} records ({} bytes) to {dir}", ck.records, ck.bytes)
+                        let s = session.stats();
+                        println!(
+                            "saved {} records ({} bytes) to {dir}",
+                            s.checkpoint_records, s.checkpoint_bytes
+                        )
                     }
                     Err(e) => println!("save failed: {e}"),
                 },

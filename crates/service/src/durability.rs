@@ -9,9 +9,7 @@
 use crate::{DurabilityStats, QueryService, ServiceState};
 use oodb_core::{CostParams, OptimizerConfig};
 use oodb_storage::Store;
-use oodb_wal::{
-    CheckpointStats, FlushPolicy, RecoverError, RecoveryReport, SessionError, WalRecord, WalSession,
-};
+use oodb_wal::{CheckpointStats, FlushPolicy, RecoveryReport, WalError, WalRecord, WalSession};
 use std::path::Path;
 use std::sync::MutexGuard;
 
@@ -122,7 +120,7 @@ impl QueryService {
         cache_capacity: usize,
         cache_shards: usize,
         policy: FlushPolicy,
-    ) -> Result<(QueryService, RecoveryReport), RecoverError> {
+    ) -> Result<(QueryService, RecoveryReport), WalError> {
         let (store, report) = oodb_wal::recover(dir)?;
         let svc = QueryService::new(store, params, config, cache_capacity, cache_shards);
         svc.inner
@@ -132,8 +130,7 @@ impl QueryService {
         if report.torn_tail_bytes > 0 {
             svc.inner.metrics.wal_torn_tails.inc();
         }
-        svc.enable_durability(dir, policy)
-            .map_err(|e| RecoverError::Io(std::io::Error::other(e.to_string())))?;
+        svc.enable_durability(dir, policy)?;
         Ok((svc, report))
     }
 
@@ -142,7 +139,7 @@ impl QueryService {
     /// physical-design mutations are logged before they are applied.
     /// Idempotent per directory — re-enabling replaces the session (the
     /// old one flushes on drop via its final checkpoint already on disk).
-    pub fn enable_durability(&self, dir: &Path, policy: FlushPolicy) -> Result<(), SessionError> {
+    pub fn enable_durability(&self, dir: &Path, policy: FlushPolicy) -> Result<(), WalError> {
         let mut dur = self.durability_lock();
         let session = WalSession::create(dir, &self.store(), policy, None)?;
         *dur = Some(session);
@@ -153,55 +150,32 @@ impl QueryService {
     /// whether a session was active.
     pub fn disable_durability(&self) -> bool {
         let mut dur = self.durability_lock();
-        match dur.take() {
-            Some(mut session) => {
-                let _ = session.flush();
-                true
-            }
-            None => false,
-        }
+        let Some(mut session) = dur.take() else {
+            return false;
+        };
+        let _ = session.flush();
+        true
     }
 
     /// Forces buffered WAL records to disk (`FlushPolicy::Batch`/`Manual`
     /// sessions; a no-op under `EveryRecord`).
-    pub fn flush_wal(&self) -> Option<Result<(), String>> {
-        let mut dur = self.durability_lock();
-        dur.as_mut().map(|s| s.flush().map_err(|e| e.to_string()))
+    pub fn flush_wal(&self) -> Option<Result<(), WalError>> {
+        self.durability_lock().as_mut().map(WalSession::flush)
     }
 
     /// Compacts the log into a fresh checkpoint of the current store.
     /// Mutators are blocked for the duration, so the checkpoint can never
     /// miss a logged-but-unapplied record.
-    pub fn checkpoint_wal(&self) -> Option<Result<CheckpointStats, String>> {
+    pub fn checkpoint_wal(&self) -> Option<Result<CheckpointStats, WalError>> {
         let mut dur = self.durability_lock();
         let store = self.store();
-        dur.as_mut()
-            .map(|s| s.checkpoint(&store).map_err(|e| e.to_string()))
+        dur.as_mut().map(|s| s.checkpoint(&store))
     }
 
     /// A snapshot of the WAL session's counters, or `None` with
     /// durability off.
     pub fn durability_stats(&self) -> Option<DurabilityStats> {
-        let dur = self.durability_lock();
-        dur.as_ref().map(|s| {
-            let ws = s.wal_stats();
-            let ck = s.last_checkpoint();
-            DurabilityStats {
-                dir: s.dir().display().to_string(),
-                policy: format!("{:?}", s.policy()),
-                records: ws.records,
-                bytes: ws.bytes,
-                flushes: ws.flushes,
-                syncs: ws.syncs,
-                faults: ws.faults,
-                buffered_records: s.buffered_records() as u64,
-                next_seq: s.next_seq(),
-                checkpoint_records: ck.records,
-                checkpoint_bytes: ck.bytes,
-                compacted_records: s.compacted_records(),
-                poisoned: s.poisoned(),
-            }
-        })
+        self.durability_lock().as_ref().map(WalSession::stats)
     }
 }
 

@@ -51,7 +51,7 @@ use oodb_sync::{BoundedMap, Snap};
 use oodb_telemetry::{Counter, MetricsRegistry, OpTrace};
 use oodb_wal::WalSession;
 pub use oodb_wal::{
-    CheckpointStats, FlushPolicy, RecoverError, RecoveryReport, SessionError, WalRecord,
+    CheckpointStats, DurabilityStats, FlushPolicy, RecoveryReport, WalError, WalRecord,
 };
 pub use prepared::MAX_PREPARED;
 use std::sync::{Arc, Mutex};
@@ -193,39 +193,6 @@ pub struct QueryOutput {
     /// this execution's estimate out of bounds. In-process only — the
     /// shell's drift note reads it; it never crosses the wire.
     pub drift: Option<(f64, u64)>,
-}
-
-/// Counters of the active WAL session, for the server's `/stats`
-/// `durability` object and the CLI's `\wal stats`.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct DurabilityStats {
-    /// Durability directory (checkpoint + log).
-    pub dir: String,
-    /// Flush policy, rendered (`EveryRecord`, `Batch(8)`, `Manual`).
-    pub policy: String,
-    /// Records accepted by the log this session.
-    pub records: u64,
-    /// Frame bytes accepted this session.
-    pub bytes: u64,
-    /// Flushes that reached the file.
-    pub flushes: u64,
-    /// Syncs that completed.
-    pub syncs: u64,
-    /// Injected write faults.
-    pub faults: u64,
-    /// Records appended but not yet flushed (the crash window).
-    pub buffered_records: u64,
-    /// Sequence number the next record will carry.
-    pub next_seq: u64,
-    /// Records in the most recent checkpoint.
-    pub checkpoint_records: u64,
-    /// Bytes in the most recent checkpoint.
-    pub checkpoint_bytes: u64,
-    /// Log records folded into checkpoints over this session.
-    pub compacted_records: u64,
-    /// Whether a write fault poisoned the session (mutations continue
-    /// in memory but are no longer acknowledged durable).
-    pub poisoned: bool,
 }
 
 /// Everything a submission reads from the service, published as ONE

@@ -212,9 +212,9 @@ impl QueryService {
                 .set(gs.capacity.min(i64::MAX as u64) as i64);
         }
         if let Some(session) = self.durability_lock().as_ref() {
-            let ws = session.wal_stats();
-            m.wal_records.store(ws.records);
-            m.wal_bytes.store(ws.bytes);
+            let stats = session.stats();
+            m.wal_records.store(stats.records);
+            m.wal_bytes.store(stats.bytes);
         }
     }
 

@@ -17,12 +17,13 @@
 //! and rename into place, so a crash leaves either the old checkpoint or
 //! the new one, never a torn hybrid.
 
-use crate::codec::{put_header, read_header, HEADER_BYTES};
-use crate::frame::{read_frame, write_frame_in_place, FRAME_HEADER};
+use crate::codec::{put_header, HEADER_BYTES};
+use crate::error::WalError;
+use crate::frame::{write_frame_in_place, FramedFile, FRAME_HEADER};
 use crate::record::WalRecord;
 use crate::util::sync_parent_dir;
-use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::fs::OpenOptions;
+use std::io::Write;
 use std::path::Path;
 
 /// Checkpoint file magic (8 bytes).
@@ -37,37 +38,6 @@ pub struct CheckpointStats {
     pub bytes: u64,
 }
 
-/// Why a checkpoint failed to load. Unlike WAL tails, a checkpoint has no
-/// benign torn state — it is written atomically, so any inconsistency is
-/// a hard error.
-#[derive(Debug)]
-pub enum CheckpointError {
-    /// Underlying filesystem error.
-    Io(std::io::Error),
-    /// Missing magic or truncated header.
-    BadHeader,
-    /// A frame or record inside the file failed validation.
-    Corrupt(String),
-}
-
-impl std::fmt::Display for CheckpointError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            CheckpointError::Io(e) => write!(f, "checkpoint i/o: {e}"),
-            CheckpointError::BadHeader => write!(f, "not a checkpoint file (bad header)"),
-            CheckpointError::Corrupt(why) => write!(f, "corrupt checkpoint: {why}"),
-        }
-    }
-}
-
-impl std::error::Error for CheckpointError {}
-
-impl From<std::io::Error> for CheckpointError {
-    fn from(e: std::io::Error) -> Self {
-        CheckpointError::Io(e)
-    }
-}
-
 /// Writes `records` as a checkpoint covering WAL sequences below
 /// `base_seq`, atomically: tmp file, content fsync, rename, then a
 /// parent-directory fsync so the rename itself survives power loss —
@@ -77,7 +47,7 @@ pub fn write_checkpoint(
     path: &Path,
     base_seq: u64,
     records: &[WalRecord],
-) -> Result<CheckpointStats, CheckpointError> {
+) -> Result<CheckpointStats, WalError> {
     let mut buf = Vec::with_capacity(HEADER_BYTES + records.iter().map(size_hint).sum::<usize>());
     put_header(&mut buf, CHECKPOINT_MAGIC, base_seq);
     for rec in records {
@@ -116,25 +86,19 @@ fn size_hint(rec: &WalRecord) -> usize {
 }
 
 /// Loads a checkpoint: `(base_seq, records)`. Total — corrupt inputs are
-/// typed errors, never panics.
-pub fn load_checkpoint(path: &Path) -> Result<(u64, Vec<WalRecord>), CheckpointError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    let base_seq = read_header(&bytes, CHECKPOINT_MAGIC).ok_or(CheckpointError::BadHeader)?;
-    let mut records = Vec::new();
-    let mut pos = HEADER_BYTES;
-    loop {
-        match read_frame(&bytes, &mut pos) {
-            Ok(None) => break,
-            Ok(Some(payload)) => {
-                let rec = WalRecord::decode(payload)
-                    .map_err(|e| CheckpointError::Corrupt(format!("record: {e}")))?;
-                records.push(rec);
-            }
-            Err(e) => return Err(CheckpointError::Corrupt(format!("frame: {e}"))),
-        }
+/// typed errors, never panics. A checkpoint is written atomically, so it
+/// has no benign torn state: any frame that fails is an error.
+pub fn load_checkpoint(path: &Path) -> Result<(u64, Vec<WalRecord>), WalError> {
+    let file = FramedFile::read(path, CHECKPOINT_MAGIC)?;
+    let records = file
+        .frames()
+        .map(|(payload, _)| WalRecord::decode(payload))
+        .collect::<Result<_, _>>()
+        .map_err(WalError::Decode)?;
+    match file.stop {
+        Some(e) => Err(WalError::Frame(e)),
+        None => Ok((file.base_seq, records)),
     }
-    Ok((base_seq, records))
 }
 
 #[cfg(test)]
@@ -172,17 +136,14 @@ mod tests {
         for cut in 0..header.len() {
             std::fs::write(&path, &header[..cut]).unwrap();
             assert!(
-                matches!(load_checkpoint(&path), Err(CheckpointError::BadHeader)),
+                matches!(load_checkpoint(&path), Err(WalError::BadHeader)),
                 "{cut}-byte header"
             );
         }
         let mut foreign = header.clone();
         foreign[..8].copy_from_slice(b"OODBWAL1");
         std::fs::write(&path, &foreign).unwrap();
-        assert!(matches!(
-            load_checkpoint(&path),
-            Err(CheckpointError::BadHeader)
-        ));
+        assert!(matches!(load_checkpoint(&path), Err(WalError::BadHeader)));
         std::fs::write(&path, &header).unwrap();
         assert_eq!(load_checkpoint(&path).unwrap().0, 3);
     }
@@ -196,9 +157,6 @@ mod tests {
         let last = bytes.len() - 1;
         bytes[last] ^= 0x01;
         std::fs::write(&path, &bytes).unwrap();
-        assert!(matches!(
-            load_checkpoint(&path),
-            Err(CheckpointError::Corrupt(_))
-        ));
+        assert!(matches!(load_checkpoint(&path), Err(WalError::Frame(_))));
     }
 }

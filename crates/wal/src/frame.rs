@@ -14,8 +14,11 @@
 //!   error, never a panic — the proptest suite drives this at every
 //!   truncation point and under random corruption.
 
-use crate::codec::Reader;
+use crate::codec::{read_header, Reader, HEADER_BYTES};
 use crate::crc::crc32;
+use crate::error::WalError;
+use std::ops::Range;
+use std::path::Path;
 
 /// Bytes of framing overhead per record (`len` + `crc`).
 pub const FRAME_HEADER: usize = 8;
@@ -102,6 +105,52 @@ pub fn frame_boundaries(buf: &[u8], start: usize) -> Vec<usize> {
         out.push(pos);
     }
     out
+}
+
+/// A header-plus-frames file (the log, a checkpoint) read whole: the
+/// header's base sequence, every frame up to the first that fails, and
+/// why the frames stopped before the end of the file, if they did.
+pub(crate) struct FramedFile {
+    bytes: Vec<u8>,
+    /// The header's base sequence.
+    pub(crate) base_seq: u64,
+    /// Each whole frame's payload, in file order.
+    payloads: Vec<Range<usize>>,
+    /// The failure the frames stopped at.
+    pub(crate) stop: Option<FrameError>,
+}
+
+impl FramedFile {
+    /// Reads the file at `path`, which must open with `magic`.
+    pub(crate) fn read(path: &Path, magic: &[u8; 8]) -> Result<FramedFile, WalError> {
+        let bytes = std::fs::read(path)?;
+        let base_seq = read_header(&bytes, magic).ok_or(WalError::BadHeader)?;
+        let (mut payloads, mut pos) = (Vec::new(), HEADER_BYTES);
+        let stop = loop {
+            match read_frame(&bytes, &mut pos) {
+                Ok(Some(payload)) => payloads.push(pos - payload.len()..pos),
+                Ok(None) => break None,
+                Err(e) => break Some(e),
+            }
+        };
+        Ok(FramedFile {
+            bytes,
+            base_seq,
+            payloads,
+            stop,
+        })
+    }
+
+    /// Each whole frame's payload and the file offset just past it.
+    pub(crate) fn frames(&self) -> impl Iterator<Item = (&[u8], usize)> {
+        let bytes = &self.bytes;
+        self.payloads.iter().map(|p| (&bytes[p.clone()], p.end))
+    }
+
+    /// The bytes of the file from `offset` on.
+    pub(crate) fn bytes_after(&self, offset: usize) -> u64 {
+        (self.bytes.len() - offset) as u64
+    }
 }
 
 #[cfg(test)]

@@ -19,13 +19,14 @@
 //! failure. All three *poison* the log — the next reopen runs torn-tail
 //! recovery just as a crash would.
 
-use crate::codec::{put_header, read_header, Reader, HEADER_BYTES};
-use crate::frame::{read_frame, write_frame, FrameError, FRAME_HEADER};
+use crate::codec::{put_header, Reader, HEADER_BYTES};
+use crate::error::WalError;
+use crate::frame::{write_frame_in_place, FrameError, FramedFile};
 use crate::util::sync_parent_dir;
 use oodb_fault::{WriteFault, WriteFaultInjector};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
-use std::path::{Path, PathBuf};
+use std::io::Write;
+use std::path::Path;
 
 /// Log file magic (8 bytes).
 pub const WAL_MAGIC: &[u8; 8] = b"OODBWAL1";
@@ -61,53 +62,10 @@ pub struct WalLogStats {
     pub faults: u64,
 }
 
-/// Log errors.
-#[derive(Debug)]
-pub enum WalError {
-    /// Underlying filesystem error.
-    Io(std::io::Error),
-    /// An injected write fault fired; the log is now poisoned.
-    Fault(WriteFault),
-    /// The log was poisoned by an earlier fault and must be reopened
-    /// (recovery truncates the torn tail).
-    Poisoned,
-    /// The file does not start with [`WAL_MAGIC`].
-    BadMagic,
-}
-
-impl std::fmt::Display for WalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WalError::Io(e) => write!(f, "wal i/o: {e}"),
-            WalError::Fault(WriteFault::TornWrite { kept }) => {
-                write!(f, "injected torn write ({kept} bytes persisted)")
-            }
-            WalError::Fault(WriteFault::PartialFlush { kept_records }) => {
-                write!(
-                    f,
-                    "injected partial flush ({kept_records} records persisted)"
-                )
-            }
-            WalError::Fault(WriteFault::SyncFailure) => write!(f, "injected sync failure"),
-            WalError::Poisoned => write!(f, "log poisoned by an earlier write fault"),
-            WalError::BadMagic => write!(f, "not a wal file (bad magic)"),
-        }
-    }
-}
-
-impl std::error::Error for WalError {}
-
-impl From<std::io::Error> for WalError {
-    fn from(e: std::io::Error) -> Self {
-        WalError::Io(e)
-    }
-}
-
 /// An open, appendable log.
 #[derive(Debug)]
 pub struct Wal {
     file: File,
-    path: PathBuf,
     /// Next sequence number to assign.
     next_seq: u64,
     policy: FlushPolicy,
@@ -131,8 +89,6 @@ pub struct WalScan {
     pub records: Vec<(u64, Vec<u8>)>,
     /// Bytes of torn/corrupt tail discarded after the valid prefix.
     pub torn_bytes: u64,
-    /// File offset where the valid prefix ends.
-    pub valid_len: u64,
     /// Why the scan stopped before a clean end, if it did.
     pub stop: Option<FrameError>,
 }
@@ -158,7 +114,6 @@ impl Wal {
         sync_parent_dir(path)?;
         Ok(Wal {
             file,
-            path: path.to_path_buf(),
             next_seq: base_seq,
             policy,
             buffer: Vec::new(),
@@ -174,50 +129,30 @@ impl Wal {
     /// prefix and the size of the discarded tail. Corrupt or torn bytes
     /// after the prefix are *reported*, never replayed.
     pub fn scan(path: &Path) -> Result<WalScan, WalError> {
-        let mut bytes = Vec::new();
-        File::open(path)?.read_to_end(&mut bytes)?;
-        let base_seq = read_header(&bytes, WAL_MAGIC).ok_or(WalError::BadMagic)?;
-        let mut records = Vec::new();
-        let mut pos = WAL_HEADER;
-        let mut valid = WAL_HEADER;
-        let mut stop = None;
-        loop {
-            match read_frame(&bytes, &mut pos) {
-                Ok(None) => break,
-                Ok(Some(payload)) => {
-                    let mut r = Reader::new(payload);
-                    match r.u64() {
-                        Ok(seq) if seq == base_seq + records.len() as u64 => {
-                            records.push((seq, r.rest().to_vec()));
-                            valid = pos;
-                        }
-                        // A payload too short for its sequence, or a
-                        // sequence gap, means these frames belong to a
-                        // different log generation; stop replaying.
-                        _ => {
-                            stop = Some(FrameError::BadCrc);
-                            break;
-                        }
-                    }
+        let file = FramedFile::read(path, WAL_MAGIC)?;
+        let (mut records, mut valid, mut stop) = (Vec::new(), WAL_HEADER, file.stop);
+        for (payload, end) in file.frames() {
+            let mut r = Reader::new(payload);
+            match r.u64() {
+                Ok(seq) if seq == file.base_seq + records.len() as u64 => {
+                    records.push((seq, r.rest().to_vec()));
+                    valid = end;
                 }
-                Err(e) => {
-                    stop = Some(e);
+                // A payload too short for its sequence, or a sequence
+                // gap, means these frames belong to a different log
+                // generation; stop replaying.
+                _ => {
+                    stop = Some(FrameError::BadCrc);
                     break;
                 }
             }
         }
         Ok(WalScan {
-            base_seq,
+            base_seq: file.base_seq,
             records,
-            torn_bytes: (bytes.len() - valid) as u64,
-            valid_len: valid as u64,
+            torn_bytes: file.bytes_after(valid),
             stop,
         })
-    }
-
-    /// The log file path.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// The sequence number the next appended record will carry.
@@ -247,13 +182,13 @@ impl Wal {
             return Err(WalError::Poisoned);
         }
         let seq = self.next_seq;
-        let mut payload = Vec::with_capacity(8 + record.len());
-        payload.extend_from_slice(&seq.to_le_bytes());
-        payload.extend_from_slice(record);
-        let frame_len = FRAME_HEADER + payload.len();
         let mark = self.buffer.len();
-        write_frame(&mut self.buffer, &payload);
-        self.buffered_records.push(self.buffer.len() - mark);
+        write_frame_in_place(&mut self.buffer, |out| {
+            out.extend_from_slice(&seq.to_le_bytes());
+            out.extend_from_slice(record);
+        });
+        let frame_len = self.buffer.len() - mark;
+        self.buffered_records.push(frame_len);
         self.next_seq += 1;
         self.stats.records += 1;
         self.stats.bytes += frame_len as u64;
@@ -281,22 +216,16 @@ impl Wal {
         self.ops += 1;
         let op = self.ops;
         if let Some(inj) = &self.injector {
-            if let Err(fault) = inj.check_flush(op, self.buffered_records.len()) {
+            let fault = inj
+                .check_flush(op, self.buffered_records.len())
+                .and_then(|()| inj.check_append(op, self.buffer.len()));
+            if let Err(fault) = fault {
                 let kept = match fault {
-                    WriteFault::PartialFlush { kept_records } => kept_records,
-                    _ => 0,
-                };
-                let kept_bytes: usize = self.buffered_records.iter().take(kept).sum();
-                self.stats.faults += 1;
-                self.poisoned = true;
-                let _ = self.file.write_all(&self.buffer[..kept_bytes]);
-                let _ = self.file.sync_all();
-                return Err(WalError::Fault(fault));
-            }
-            if let Err(fault) = inj.check_append(op, self.buffer.len()) {
-                let kept = match fault {
+                    WriteFault::PartialFlush { kept_records } => {
+                        self.buffered_records.iter().take(kept_records).sum()
+                    }
                     WriteFault::TornWrite { kept } => kept,
-                    _ => 0,
+                    WriteFault::SyncFailure => 0,
                 };
                 self.stats.faults += 1;
                 self.poisoned = true;
@@ -373,14 +302,14 @@ mod tests {
         for cut in 0..WAL_HEADER {
             std::fs::write(&path, &header[..cut]).unwrap();
             assert!(
-                matches!(Wal::scan(&path), Err(WalError::BadMagic)),
+                matches!(Wal::scan(&path), Err(WalError::BadHeader)),
                 "{cut}-byte header"
             );
         }
         let mut foreign = header.clone();
         foreign[..8].copy_from_slice(b"OODBCKP1");
         std::fs::write(&path, &foreign).unwrap();
-        assert!(matches!(Wal::scan(&path), Err(WalError::BadMagic)));
+        assert!(matches!(Wal::scan(&path), Err(WalError::BadHeader)));
         std::fs::write(&path, &header).unwrap();
         assert_eq!(Wal::scan(&path).unwrap().base_seq, 3);
     }

@@ -262,7 +262,7 @@ fn full_log_recovery_is_query_identical() {
     };
     let uncompacted = log_bytes();
     session.checkpoint(&store).expect("checkpoint succeeds");
-    assert_eq!(session.compacted_records(), 256);
+    assert_eq!(session.stats().compacted_records, 256);
     assert!(
         log_bytes() < uncompacted,
         "the checkpoint truncates the log"
@@ -343,7 +343,7 @@ fn torn_write_recovers_to_acknowledged_prefix() {
         .append(&WalRecord::StatsRefresh { buckets: 12 })
         .expect_err("every append tears");
     assert!(err.to_string().contains("torn"), "unexpected fault: {err}");
-    assert!(session.poisoned(), "fault must poison the handle");
+    assert!(session.stats().poisoned, "fault must poison the handle");
     assert_eq!(injector.stats().torn_writes, 1);
     // The live path would now run in degraded (unacknowledged) mode; the
     // on-disk state must still recover to the pre-append store.
@@ -388,7 +388,7 @@ fn sync_failure_is_durable_but_unacknowledged() {
     session
         .append(&WalRecord::StatsRefresh { buckets: 12 })
         .expect_err("sync fails");
-    assert!(session.poisoned());
+    assert!(session.stats().poisoned);
     assert_eq!(injector.stats().sync_failures, 1);
 
     let mut oracle = fresh_store();
@@ -432,9 +432,9 @@ fn partial_flush_keeps_a_whole_frame_prefix() {
     for rec in &script {
         session.append(rec).expect("manual policy buffers appends");
     }
-    assert_eq!(session.buffered_records(), script.len());
+    assert_eq!(session.stats().buffered_records, script.len() as u64);
     session.flush().expect_err("flush is partial");
-    assert!(session.poisoned());
+    assert!(session.stats().poisoned);
     assert_eq!(injector.stats().partial_flushes, 1);
 
     let (recovered, report) = recover(dir.path()).expect("recovery succeeds");
