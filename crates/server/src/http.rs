@@ -99,14 +99,12 @@ fn with_line<T>(
 }
 
 /// What a message head says, read from the three headers the protocol
-/// acts on. Each field is `None` until its header is first seen, then
-/// holds that first occurrence's trimmed value as parsed; later
-/// occurrences are ignored.
+/// acts on. `connection` and `retry-after` hold their first occurrence's
+/// trimmed value as parsed; later occurrences are ignored.
 #[derive(Default)]
 struct Head {
-    /// `content-length`, or the message that refuses its value once the
-    /// head is read.
-    content_length: Option<Result<usize, String>>,
+    /// `content-length`: all digits, one value however often it repeats.
+    content_length: Option<usize>,
     /// `connection`: `close` is `Some(true)`, `keep-alive` `Some(false)`,
     /// any other value `None`.
     close: Option<Option<bool>>,
@@ -117,7 +115,9 @@ struct Head {
 /// The header block up to its blank line, at most `MAX_HEADERS` lines.
 /// Every line is checked for syntax; only the three headers [`Head`]
 /// holds are kept, matched by name while the line is still in the
-/// reader's buffer.
+/// reader's buffer. A head a proxy could frame differently is malformed
+/// (RFC 7230 §3.2.4, §3.3.2): a blank between a name and its colon, and
+/// a `content-length` that is not all digits or disagrees with another.
 fn read_head(r: &mut impl BufRead, spill: &mut Vec<u8>) -> Result<Head, ReadError> {
     let (mut head, mut lines) = (Head::default(), 0);
     loop {
@@ -125,16 +125,22 @@ fn read_head(r: &mut impl BufRead, spill: &mut Vec<u8>) -> Result<Head, ReadErro
             if line.is_empty() {
                 return Ok(false);
             }
+            let malformed = |what| ReadError::Malformed(format!("{what} {line:?}"));
             let (name, value) = line
                 .split_once(':')
-                .ok_or_else(|| ReadError::Malformed(format!("bad header line {line:?}")))?;
-            let (name, value) = (name.trim(), value.trim());
+                .ok_or_else(|| malformed("bad header line"))?;
+            if name.ends_with([' ', '\t']) {
+                return Err(malformed("blank before the colon of"));
+            }
+            let (name, value) = (name.trim_start(), value.trim());
             if name.eq_ignore_ascii_case("content-length") {
-                head.content_length.get_or_insert_with(|| {
-                    value
-                        .parse()
-                        .map_err(|_| format!("bad content-length {value:?}"))
-                });
+                let digits = value.bytes().all(|b| b.is_ascii_digit());
+                let len = value.parse().ok().filter(|_| digits);
+                match (len, head.content_length) {
+                    (Some(len), None) => head.content_length = Some(len),
+                    (Some(len), Some(first)) if len == first => {}
+                    _ => return Err(malformed("bad content-length in")),
+                }
             } else if name.eq_ignore_ascii_case("connection") {
                 let is = |token: &str| value.eq_ignore_ascii_case(token);
                 head.close
@@ -157,16 +163,14 @@ fn read_head(r: &mut impl BufRead, spill: &mut Vec<u8>) -> Result<Head, ReadErro
     }
 }
 
-/// The body `content-length` declares (none: empty). A length that does
-/// not parse is malformed; one over `max_body` is refused unread.
+/// The body `content_length` declares (none: empty); one over `max_body`
+/// is refused unread.
 fn read_body(
     r: &mut impl BufRead,
-    content_length: Option<Result<usize, String>>,
+    content_length: Option<usize>,
     max_body: usize,
 ) -> Result<Vec<u8>, ReadError> {
-    let len = content_length
-        .unwrap_or(Ok(0))
-        .map_err(ReadError::Malformed)?;
+    let len = content_length.unwrap_or(0);
     if len > max_body {
         return Err(ReadError::TooLarge { declared: len });
     }

@@ -172,10 +172,25 @@ fn messages(lines: &[String], version: &str) -> (Vec<u8>, Vec<u8>) {
     )
 }
 
+/// Two `content-length` headers that disagree are refused on both ends
+/// (RFC 7230 §3.3.2): a proxy that takes the other one would frame
+/// another body. Repeats of one length are read as that length.
 #[test]
-fn the_first_content_length_wins() {
+fn differing_content_lengths_are_refused() {
     let (request, response) = messages(
         &["content-length: 2".into(), "Content-Length: 4".into()],
+        "HTTP/1.1",
+    );
+    assert!(matches!(
+        read_request(&mut BufReader::new(&request[..]), 1024),
+        Err(ReadError::Malformed(_))
+    ));
+    assert!(matches!(
+        read_response(&mut BufReader::new(&response[..])),
+        Err(ReadError::Malformed(_))
+    ));
+    let (request, response) = messages(
+        &["content-length: 2".into(), "Content-Length: 02".into()],
         "HTTP/1.1",
     );
     let req = read_request(&mut BufReader::new(&request[..]), 1024).unwrap();
@@ -251,7 +266,9 @@ proptest! {
 
     /// A message head reads as a plain reader of its header block reads
     /// it: split the lines, lowercase the names, take each name's first
-    /// line; the value trimmed.
+    /// line; the value trimmed. The plain reader refuses a blank before a
+    /// colon, and a `content-length` that is not all digits or differs
+    /// from another.
     #[test]
     fn a_typed_head_reads_what_a_plain_reader_reads(
         lines in proptest::collection::vec(header_line(), 0..MAX_HEADERS + 1),
@@ -268,11 +285,22 @@ proptest! {
             })
             .collect();
         let first = |name: &str| pairs.iter().find(|(n, _)| n == name).map(|&(_, v)| v);
-        let body = match first("content-length").map(str::parse::<usize>) {
+        let blank_before_colon = lines
+            .iter()
+            .any(|l| l.split_once(':').unwrap().0.ends_with([' ', '\t']));
+        let lengths: Vec<Option<usize>> = pairs
+            .iter()
+            .filter(|(n, _)| n == "content-length")
+            .map(|(_, v)| v.parse().ok().filter(|_| v.bytes().all(|b| b.is_ascii_digit())))
+            .collect();
+        let body = match lengths.first() {
+            _ if blank_before_colon => Err("malformed"),
             None => Ok(Vec::new()),
-            Some(Err(_)) => Err("malformed"),
-            Some(Ok(n)) if n > BODY.len() => Err("io"),
-            Some(Ok(n)) => Ok(BODY[..n].to_vec()),
+            Some(&first) => match first.filter(|_| lengths.iter().all(|&l| l == first)) {
+                None => Err("malformed"),
+                Some(n) if n > BODY.len() => Err("io"),
+                Some(n) => Ok(BODY[..n].to_vec()),
+            },
         };
         let close = match first("connection") {
             Some(v) if v.eq_ignore_ascii_case("close") => true,

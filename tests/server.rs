@@ -414,6 +414,25 @@ fn a_statement_id_with_a_sign_is_a_bad_request() {
     server.shutdown();
 }
 
+/// Two `content-length` headers that disagree: a proxy in front that
+/// took the other one would read another request out of the body, so the
+/// server refuses the head and closes the connection.
+#[test]
+fn differing_content_lengths_are_a_bad_request_and_a_close() {
+    let server = start(ServerConfig::default());
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    // Read by its first length this is a health probe with a two-byte
+    // body, then two bytes of a next request.
+    raw.write_all(b"GET /healthz HTTP/1.1\r\nContent-Length: 2\r\nContent-Length: 4\r\n\r\nabcd")
+        .unwrap();
+    raw.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut buf = String::new();
+    raw.read_to_string(&mut buf).unwrap(); // EOF proves the close
+    assert!(buf.starts_with("HTTP/1.1 400"), "{buf}");
+    assert_eq!(buf.matches("HTTP/1.1").count(), 1, "{buf}");
+    server.shutdown();
+}
+
 #[test]
 fn idle_closed_keepalive_is_replayed_transparently() {
     // Aggressive idle timeout: the server closes the connection long
