@@ -190,12 +190,12 @@ impl Value {
             Value::Date(d) => word(4, d.0 as u64),
             Value::Ref(o) => word(5, o.as_u64()),
             Value::Str(s) => {
-                let mut chunks = s.as_bytes().chunks_exact(8);
-                let h = chunks.by_ref().fold(seed(6), |h, c| {
-                    mix(h, u64::from_le_bytes(c.try_into().expect("8-byte chunk")))
-                });
+                let (chunks, rest) = s.as_bytes().as_chunks::<8>();
+                let h = chunks
+                    .iter()
+                    .fold(seed(6), |h, &c| mix(h, u64::from_le_bytes(c)));
                 let mut last = [0; 8];
-                last[..chunks.remainder().len()].copy_from_slice(chunks.remainder());
+                last[..rest.len()].copy_from_slice(rest);
                 mix(mix(h, u64::from_le_bytes(last)), s.len() as u64)
             }
         }))
@@ -252,8 +252,6 @@ impl Value {
     /// the one definition [`fmt::Display`] delegates to. Ints, oids and
     /// plain strings, which fill result rows, bypass `fmt`.
     pub fn write_to(&self, out: &mut String) {
-        use fmt::Write as _;
-        const INFALLIBLE: &str = "writing to a String cannot fail";
         match self {
             Value::Null => out.push_str("null"),
             Value::Int(i) => {
@@ -262,7 +260,7 @@ impl Value {
                 }
                 push_decimal(out, i.unsigned_abs());
             }
-            Value::Float(x) => write!(out, "{x}").expect(INFALLIBLE),
+            Value::Float(x) => push_fmt(out, format_args!("{x}")),
             Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             // Printable ASCII without `"` or `\` is what `{:?}` leaves
             // alone between its quotes; everything else is its to escape.
@@ -274,8 +272,8 @@ impl Value {
                 out.push_str(s);
                 out.push('"');
             }
-            Value::Str(s) => write!(out, "{s:?}").expect(INFALLIBLE),
-            Value::Date(d) => write!(out, "{d}").expect(INFALLIBLE),
+            Value::Str(s) => push_fmt(out, format_args!("{s:?}")),
+            Value::Date(d) => push_fmt(out, format_args!("{d}")),
             Value::Ref(o) => o.write_to(out),
             Value::RefSet(s) => {
                 out.push('{');
@@ -284,6 +282,12 @@ impl Value {
             }
         }
     }
+}
+
+/// Appends formatted text: `fmt::Write for String` never returns `Err`,
+/// so there is no error to pass on.
+fn push_fmt(out: &mut String, args: fmt::Arguments<'_>) {
+    _ = fmt::Write::write_fmt(out, args);
 }
 
 /// Appends `n` in decimal.
@@ -298,7 +302,7 @@ pub(crate) fn push_decimal(out: &mut String, mut n: u64) {
             break;
         }
     }
-    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+    out.extend(digits[at..].iter().map(|&d| char::from(d)));
 }
 
 impl fmt::Display for Value {

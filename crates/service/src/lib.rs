@@ -29,6 +29,7 @@
 #![forbid(unsafe_code)]
 
 pub mod admission;
+mod answer;
 mod durability;
 mod error;
 mod memo;

@@ -3,6 +3,7 @@
 //! before under the same catalog skips the compile unless the plan cache
 //! misses.
 
+use crate::answer::{row_renderer, Answer};
 use crate::error::panic_message;
 use crate::{
     Compiled, QueryOutput, QueryService, ServiceError, ServiceState, ShedReason, StageBreakdown,
@@ -14,7 +15,7 @@ use oodb_algebra::{PhysicalOp, PhysicalPlan, QueryEnv, StatsOverlay};
 use oodb_core::plancache::{CacheKey, CachedBody, CachedPlan};
 use oodb_core::verify::{checks, walk_actual, Diagnostic};
 use oodb_core::{BoundedOutcome, CostParams, Observation, OpenOodb, OptimizerConfig};
-use oodb_exec::{ExecError, ExecStats, Executor, MemoryGovernor, PressureLevel, RootRow};
+use oodb_exec::{ExecError, ExecStats, Executor, MemoryGovernor, PressureLevel};
 use oodb_fault::{CancelToken, FaultClass, RunLimits};
 use oodb_telemetry::{OpTrace, StageTimer};
 use std::borrow::Cow;
@@ -58,7 +59,7 @@ pub(crate) type Front<'e> = (Cow<'e, QueryEnv>, Cow<'e, Compiled>);
 
 /// The run stage's result.
 struct Ran {
-    rows: Vec<String>,
+    answer: Answer,
     trace: Option<OpTrace>,
     stats: ExecStats,
     retries: u32,
@@ -202,14 +203,12 @@ impl QueryService {
     ) -> Result<QueryOutput, ServiceError> {
         let planned = self.plan(&mut req, fp, compile)?;
         let CachedBody::Static { plan, cost } = &planned.entry.body;
-        let mut ran = self.run(&mut req, &planned, plan)?;
+        let ran = self.run(&mut req, &planned, plan)?;
         let drift = self.close_feedback(&req, &planned, plan, &ran);
         let stats = &ran.stats;
-        let row_count = ran.rows.len();
-        ran.rows.sort_unstable();
         Ok(QueryOutput {
-            rows: ran.rows,
-            row_count,
+            row_count: ran.answer.len(),
+            rows: ran.answer.into_sorted_rows(),
             cache_hit: planned.cache_hit,
             est_cost_s: cost.total(),
             sim_io_s: stats.disk.total_s,
@@ -418,12 +417,13 @@ impl QueryService {
         let want_trace =
             opts.trace || (!planned.degraded && self.inner.feedback.wants_probe(planned.fp_hash));
         let mut render = row_renderer(entry);
+        // Spans sized from the root's estimate — capped, an estimate is
+        // not a bound — so a large answer does not regrow row by row.
+        let mut answer = Answer::with_capacity((plan.est.out_card as usize).min(4096));
         let mut retries = 0u32;
-        let (rows, trace, stats) = loop {
-            // Sized from the root's estimate — capped, an estimate is not a
-            // bound — so a large answer does not regrow row by row. Made
-            // per attempt: a retried fault starts an empty answer.
-            let mut rows = Vec::with_capacity((plan.est.out_card as usize).min(4096));
+        let (trace, stats) = loop {
+            // A retried fault starts an empty answer.
+            answer.clear();
             let ex = Executor::new(
                 store,
                 &entry.env,
@@ -436,8 +436,8 @@ impl QueryService {
                     governor: governor.clone(),
                 },
             );
-            match ex.try_run_rows(plan, want_trace, &mut |row| render(&mut rows, row)) {
-                (Ok(trace), stats) => break (rows, trace, stats),
+            match ex.try_run_rows(plan, want_trace, &mut |row| render(&mut answer, row)) {
+                (Ok(trace), stats) => break (trace, stats),
                 (Err(ExecError::Fault(f)), _)
                     if f.class == FaultClass::Transient
                         && retries < opts.retries
@@ -460,7 +460,7 @@ impl QueryService {
         req.stages.execute_ns = req.timer.lap_into(&m.stage_execute);
         m.record_exec(&stats);
         Ok(Ran {
-            rows,
+            answer,
             trace,
             stats,
             retries,
@@ -529,46 +529,6 @@ fn miss_optimizer<'e>(
     match overlay {
         Some(ov) => optimizer.with_overlay(ov),
         None => optimizer,
-    }
-}
-
-/// The root's row consumer: each result row is written once, into the one
-/// `String` the output keeps, from values still borrowed from the store.
-/// Tuple results project only the query's *result* variables: different
-/// plans bind different auxiliary variables (a materialized path object,
-/// say), and those must not leak into the observable answer.
-fn row_renderer(entry: &CachedPlan) -> impl FnMut(&mut Vec<String>, RootRow<'_>) + '_ {
-    let (scopes, result_vars) = (&entry.env.scopes, entry.result_vars);
-    // The result variables' (name, column) in scope order: the root's
-    // layout is the same for every row, so it is resolved once.
-    let mut named = None;
-    move |rows, row| {
-        // Rows of one query share a shape: each line starts at the length
-        // of the one rendered before it instead of doubling up from empty.
-        let mut line = String::with_capacity(rows.last().map_or(0, String::len));
-        match row {
-            RootRow::Cells(cells) => {
-                for (i, v) in cells.iter().enumerate() {
-                    line.push_str(if i > 0 { " | " } else { "" });
-                    v.write_to(&mut line);
-                }
-            }
-            RootRow::Bound(cols, oids) => {
-                let named = named.get_or_insert_with(|| {
-                    let result = scopes.iter().filter(|(v, _)| result_vars.contains(*v));
-                    let col = |v| cols.iter().position(|&c| c == v);
-                    let bound = result.filter_map(|(v, var)| Some((&*var.name, col(v)?)));
-                    bound.collect::<Vec<_>>()
-                });
-                for &(name, col) in named.iter() {
-                    line.push_str(if line.is_empty() { "" } else { "  " });
-                    line.push_str(name);
-                    line.push('=');
-                    oids[col].write_to(&mut line);
-                }
-            }
-        }
-        rows.push(line);
     }
 }
 
