@@ -12,52 +12,20 @@
 //!   [`IndexDef`] exists, and Table 3 sweeps index availability.
 
 use crate::fx::FxBuild;
-use crate::schema::{FieldId, Schema, TypeId};
+use crate::schema::{FieldId, FieldKind, Schema, TypeId};
 use crate::stats::Histogram;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// Identifier of a collection (user-defined set or type extent).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct CollectionId(u32);
-
-impl CollectionId {
-    /// Constructs from a raw arena index.
-    pub fn from_index(i: usize) -> Self {
-        CollectionId(i as u32)
-    }
-    /// The raw arena index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
+arena_id! {
+    /// Identifier of a collection (user-defined set or type extent).
+    CollectionId
 }
 
-impl fmt::Debug for CollectionId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "CollectionId({})", self.0)
-    }
-}
-
-/// Identifier of an index.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct IndexId(u32);
-
-impl IndexId {
-    /// Constructs from a raw arena index.
-    pub fn from_index(i: usize) -> Self {
-        IndexId(i as u32)
-    }
-    /// The raw arena index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Debug for IndexId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "IndexId({})", self.0)
-    }
+arena_id! {
+    /// Identifier of an index.
+    IndexId
 }
 
 /// Whether a collection is a user-defined set or a type extent.
@@ -183,34 +151,25 @@ impl Catalog {
     }
 
     /// Registers a collection. Extents are also recorded in the
-    /// type → extent map (at most one extent per type).
+    /// type → extent map. A name or an extent taken before keeps its
+    /// first owner; [`Catalog::check`] refuses the later one.
     pub fn add_collection(&mut self, def: CollectionDef) -> CollectionId {
         let body = Arc::make_mut(&mut self.body);
-        assert!(
-            !body.by_name.contains_key(&def.name),
-            "duplicate collection {:?}",
-            def.name
-        );
         let id = CollectionId::from_index(body.collections.len());
         if def.kind == CollectionKind::Extent {
-            let prev = body.extent_by_type.insert(def.elem_type, id);
-            assert!(prev.is_none(), "type already has an extent");
+            body.extent_by_type.entry(def.elem_type).or_insert(id);
         }
-        body.by_name.insert(def.name.clone(), id);
+        body.by_name.entry(def.name.clone()).or_insert(id);
         body.collections.push(def);
         id
     }
 
-    /// Registers an index.
+    /// Registers an index. A name taken before keeps its first owner;
+    /// [`Catalog::check`] refuses the later one.
     pub fn add_index(&mut self, def: IndexDef) -> IndexId {
         let body = Arc::make_mut(&mut self.body);
-        assert!(
-            !body.index_by_name.contains_key(&def.name),
-            "duplicate index {:?}",
-            def.name
-        );
         let id = IndexId::from_index(body.indexes.len());
-        body.index_by_name.insert(def.name.clone(), id);
+        body.index_by_name.entry(def.name.clone()).or_insert(id);
         body.indexes.push(def);
         id
     }
@@ -437,6 +396,65 @@ impl Catalog {
         h.finish()
     }
 
+    /// Checks every rule a catalog keeps over `schema`: unique collection
+    /// and index names, one extent per type, collection and field ids the
+    /// catalog and the schema hold, and indexes whose paths are
+    /// single-valued references from the collection's element type to an
+    /// attribute key. A catalog that passes can be read without a bounds
+    /// check; the store refuses one that does not.
+    pub fn check(&self, schema: &Schema) -> Result<(), CatalogError> {
+        let field = |x: FieldId| {
+            (x.index() < schema.field_count())
+                .then(|| schema.field(x))
+                .ok_or(CatalogError::UnknownField(x))
+        };
+        let collection = |c: CollectionId| {
+            self.body
+                .collections
+                .get(c.index())
+                .ok_or(CatalogError::UnknownCollection(c))
+        };
+        for (id, c) in self.collections() {
+            if self.collection_by_name(&c.name) != Some(id) {
+                return Err(CatalogError::DuplicateCollection(id));
+            }
+            if c.kind == CollectionKind::Extent && self.extent_of(c.elem_type) != Some(id) {
+                return Err(CatalogError::SecondExtent(id));
+            }
+            if c.elem_type.index() >= schema.type_count() {
+                return Err(CatalogError::UnknownType(c.elem_type));
+            }
+        }
+        for (id, idx) in self.indexes() {
+            if self.index_by_name(&idx.name) != Some(id) {
+                return Err(CatalogError::DuplicateIndex(id));
+            }
+            let mut ty = collection(idx.collection)?.elem_type;
+            for &link in &idx.path {
+                let f = field(link)?;
+                match f.kind {
+                    FieldKind::Ref(target) if schema.is_subtype(ty, f.owner) => ty = target,
+                    _ => return Err(CatalogError::PathLink(id, link)),
+                }
+            }
+            let key = field(idx.key)?;
+            if !key.kind.is_attr() || !schema.is_subtype(ty, key.owner) {
+                return Err(CatalogError::IndexKey(id, idx.key));
+            }
+        }
+        for (x, c) in self.ref_domains() {
+            field(x)?;
+            collection(c)?;
+        }
+        for ((c, path, key), _) in self.histograms() {
+            collection(c)?;
+            for &x in path.iter().chain([&key]) {
+                field(x)?;
+            }
+        }
+        Ok(())
+    }
+
     /// Number of 4 KB-equivalent pages a dense scan of the collection
     /// touches, given a page size. ("Objects in user-defined sets and type
     /// extents are assumed to be densely packed on pages.")
@@ -447,58 +465,49 @@ impl Catalog {
     }
 }
 
-/// Validates that every index in the catalog is well-formed against a
-/// schema: path links are reference fields on the right types and the key
-/// is an attribute. Returns a list of human-readable problems.
-pub fn validate_catalog(schema: &Schema, catalog: &Catalog) -> Vec<String> {
-    let mut problems = Vec::new();
-    for (_, idx) in catalog.indexes() {
-        let coll = catalog.collection(idx.collection);
-        let mut ty = coll.elem_type;
-        for &link in &idx.path {
-            let f = schema.field(link);
-            if !schema.is_subtype(ty, f.owner) {
-                problems.push(format!(
-                    "index {:?}: link {:?} not a field of {:?}",
-                    idx.name,
-                    f.name,
-                    schema.ty(ty).name
-                ));
-            }
-            match f.kind.target() {
-                Some(t) => ty = t,
-                None => {
-                    problems.push(format!(
-                        "index {:?}: link {:?} is not a reference field",
-                        idx.name, f.name
-                    ));
-                    break;
-                }
-            }
-        }
-        let key = schema.field(idx.key);
-        if !schema.is_subtype(ty, key.owner) {
-            problems.push(format!(
-                "index {:?}: key {:?} not a field of {:?}",
-                idx.name,
-                key.name,
-                schema.ty(ty).name
-            ));
-        }
-        if !key.kind.is_attr() {
-            problems.push(format!(
-                "index {:?}: key {:?} is not an attribute",
-                idx.name, key.name
-            ));
+/// Why a catalog is not well-formed over a schema ([`Catalog::check`]).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CatalogError {
+    /// A collection's name repeats an earlier collection's.
+    DuplicateCollection(CollectionId),
+    /// An extent of a type that already has one.
+    SecondExtent(CollectionId),
+    /// An index's name repeats an earlier index's.
+    DuplicateIndex(IndexId),
+    /// An index, referent domain or histogram names no collection.
+    UnknownCollection(CollectionId),
+    /// A collection's element type is not a type of the schema.
+    UnknownType(TypeId),
+    /// An index, referent domain or histogram names no field of the schema.
+    UnknownField(FieldId),
+    /// An index path link is no single-valued reference on the type the
+    /// path has reached.
+    PathLink(IndexId, FieldId),
+    /// An index key is no attribute of the type its path ends at.
+    IndexKey(IndexId, FieldId),
+}
+
+impl fmt::Display for CatalogError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CatalogError::DuplicateCollection(c) => write!(f, "duplicate collection name at {c:?}"),
+            CatalogError::SecondExtent(c) => write!(f, "second extent of a type at {c:?}"),
+            CatalogError::DuplicateIndex(i) => write!(f, "duplicate index name at {i:?}"),
+            CatalogError::UnknownCollection(c) => write!(f, "unknown collection {c:?}"),
+            CatalogError::UnknownType(t) => write!(f, "unknown type {t:?}"),
+            CatalogError::UnknownField(x) => write!(f, "unknown field {x:?}"),
+            CatalogError::PathLink(i, x) => write!(f, "{i:?}: link {x:?} is no reference"),
+            CatalogError::IndexKey(i, x) => write!(f, "{i:?}: key {x:?} is no attribute"),
         }
     }
-    problems
 }
+
+impl std::error::Error for CatalogError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schema::{AttrType, FieldKind, Schema};
+    use crate::schema::AttrType;
 
     fn setup() -> (Schema, Catalog) {
         let mut b = Schema::builder();
@@ -553,7 +562,7 @@ mod tests {
         });
         assert!(cat.find_index(cities, &[mayor], name).is_some());
         assert!(cat.find_index(cities, &[], name).is_none());
-        assert!(validate_catalog(&schema, &cat).is_empty());
+        assert_eq!(cat.check(&schema), Ok(()));
     }
 
     #[test]
@@ -571,7 +580,10 @@ mod tests {
             distinct_keys: 1,
             clustered: false,
         });
-        assert_eq!(validate_catalog(&schema, &cat).len(), 1);
+        assert_eq!(
+            cat.check(&schema),
+            Err(CatalogError::IndexKey(IndexId::from_index(0), mayor))
+        );
     }
 
     #[test]

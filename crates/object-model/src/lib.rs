@@ -28,6 +28,35 @@
 
 #![forbid(unsafe_code)]
 
+/// Declares a dense arena index over `u32`: `from_index`, `index`, and a
+/// `Debug` that prints `Name(i)`.
+macro_rules! arena_id {
+    ($(#[$doc:meta])* $name:ident) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        pub struct $name(u32);
+
+        impl $name {
+            /// Constructs from a raw arena index.
+            #[inline]
+            pub fn from_index(i: usize) -> Self {
+                $name(i as u32)
+            }
+            /// The raw arena index.
+            #[inline]
+            pub fn index(self) -> usize {
+                self.0 as usize
+            }
+        }
+
+        impl std::fmt::Debug for $name {
+            fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+                write!(f, concat!(stringify!($name), "({})"), self.0)
+            }
+        }
+    };
+}
+
 pub mod catalog;
 pub mod fnv;
 pub mod fx;
@@ -38,9 +67,10 @@ pub mod stats;
 pub mod value;
 
 pub use catalog::{
-    Catalog, CollectionDef, CollectionId, CollectionKind, IndexDef, IndexId, IndexKind,
+    Catalog, CatalogError, CollectionDef, CollectionId, CollectionKind, IndexDef, IndexId,
+    IndexKind,
 };
 pub use oid::Oid;
-pub use schema::{AttrType, FieldDef, FieldId, FieldKind, Schema, TypeDef, TypeId};
+pub use schema::{AttrType, FieldDef, FieldId, FieldKind, Schema, SchemaError, TypeDef, TypeId};
 pub use stats::Histogram;
 pub use value::{Date, Value};

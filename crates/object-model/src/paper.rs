@@ -349,13 +349,11 @@ pub fn paper_model_scaled(div: u64) -> PaperModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::validate_catalog;
 
     #[test]
     fn paper_catalog_is_valid() {
         let m = paper_model();
-        let problems = validate_catalog(&m.schema, &m.catalog);
-        assert!(problems.is_empty(), "{problems:?}");
+        assert_eq!(m.catalog.check(&m.schema), Ok(()));
     }
 
     #[test]

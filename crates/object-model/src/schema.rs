@@ -12,51 +12,15 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-/// Index of a type within a [`Schema`].
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct TypeId(u32);
-
-impl TypeId {
-    /// Constructs from a raw arena index.
-    #[inline]
-    pub fn from_index(i: usize) -> Self {
-        TypeId(i as u32)
-    }
-    /// The raw arena index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
+arena_id! {
+    /// Index of a type within a [`Schema`].
+    TypeId
 }
 
-impl fmt::Debug for TypeId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TypeId({})", self.0)
-    }
-}
-
-/// Index of a field within a [`Schema`] (global across types, so a
-/// `FieldId` alone identifies both the owning type and the field).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FieldId(u32);
-
-impl FieldId {
-    /// Constructs from a raw arena index.
-    #[inline]
-    pub fn from_index(i: usize) -> Self {
-        FieldId(i as u32)
-    }
-    /// The raw arena index.
-    #[inline]
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
-
-impl fmt::Debug for FieldId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "FieldId({})", self.0)
-    }
+arena_id! {
+    /// Index of a field within a [`Schema`] (global across types, so a
+    /// `FieldId` alone identifies both the owning type and the field).
+    FieldId
 }
 
 /// Primitive attribute types (embedded values; no identity).
@@ -188,98 +152,134 @@ impl Schema {
         self.body.type_by_name.get(name).copied()
     }
 
+    /// `ty`, then its supertypes, nearest first. The chain ends because a
+    /// supertype is declared before its subtypes ([`SchemaError::Supertype`]).
+    fn ancestors(&self, ty: TypeId) -> impl Iterator<Item = TypeId> + '_ {
+        std::iter::successors(Some(ty), |&t| self.body.types[t.index()].supertype)
+    }
+
     /// Resolves a field by name on a type, walking up the inheritance
     /// chain (mirrors C++ member lookup).
     pub fn field_by_name(&self, ty: TypeId, name: &str) -> Option<FieldId> {
-        let mut cur = Some(ty);
-        while let Some(t) = cur {
-            if let Some(&f) = self.body.field_by_name[t.index()].get(name) {
-                return Some(f);
-            }
-            cur = self.body.types[t.index()].supertype;
-        }
-        None
+        self.ancestors(ty)
+            .find_map(|t| self.body.field_by_name[t.index()].get(name).copied())
     }
 
     /// All fields visible on a type, inherited first (supertype order),
     /// matching the physical layout the storage manager uses.
     pub fn fields_of(&self, ty: TypeId) -> Vec<FieldId> {
-        let mut chain = Vec::new();
-        let mut cur = Some(ty);
-        while let Some(t) = cur {
-            chain.push(t);
-            cur = self.body.types[t.index()].supertype;
-        }
-        let mut out = Vec::new();
-        for t in chain.into_iter().rev() {
-            out.extend(self.body.types[t.index()].fields.iter().copied());
-        }
-        out
+        let chain: Vec<TypeId> = self.ancestors(ty).collect();
+        let own = |t: &TypeId| self.body.types[t.index()].fields.iter().copied();
+        chain.iter().rev().flat_map(own).collect()
     }
 
     /// True if `sub` is `sup` or a (transitive) subtype of it.
     pub fn is_subtype(&self, sub: TypeId, sup: TypeId) -> bool {
-        let mut cur = Some(sub);
-        while let Some(t) = cur {
-            if t == sup {
-                return true;
-            }
-            cur = self.body.types[t.index()].supertype;
-        }
-        false
+        self.ancestors(sub).any(|t| t == sup)
     }
 }
 
 /// Incremental schema construction with two-phase field registration so
-/// mutually-referencing types can be declared in any order.
+/// mutually-referencing types can be declared in any order: the builder
+/// records declarations, and [`SchemaBuilder::try_build`] checks them all
+/// at once.
 #[derive(Default)]
 pub struct SchemaBuilder {
-    body: SchemaBody,
+    types: Vec<TypeDef>,
+    fields: Vec<FieldDef>,
 }
+
+/// Why declarations do not make a schema ([`SchemaBuilder::try_build`]).
+/// The rules are the object model's: every reader of a schema — the
+/// optimizer, the store, log replay — relies on them holding.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SchemaError {
+    /// A type's name repeats an earlier type's.
+    DuplicateType(TypeId),
+    /// A field's name repeats an earlier field's on the same type.
+    DuplicateField(FieldId),
+    /// A field's owner or reference target is not a declared type.
+    UndeclaredType(FieldId),
+    /// A type's supertype is not a type declared before it — which rules
+    /// out every supertype cycle, so each chain ends.
+    Supertype(TypeId),
+}
+
+impl fmt::Display for SchemaError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SchemaError::DuplicateType(t) => write!(f, "duplicate type name at {t:?}"),
+            SchemaError::DuplicateField(x) => write!(f, "duplicate field name at {x:?}"),
+            SchemaError::UndeclaredType(x) => write!(f, "{x:?} names an undeclared type"),
+            SchemaError::Supertype(t) => write!(f, "{t:?}'s supertype is not declared before it"),
+        }
+    }
+}
+
+impl std::error::Error for SchemaError {}
 
 impl SchemaBuilder {
     /// Declares a type (fields are added separately).
     pub fn add_type(&mut self, name: &str, supertype: Option<TypeId>) -> TypeId {
-        let body = &mut self.body;
-        assert!(
-            !body.type_by_name.contains_key(name),
-            "duplicate type name {name:?}"
-        );
-        let id = TypeId::from_index(body.types.len());
-        body.types.push(TypeDef {
+        self.types.push(TypeDef {
             name: name.to_string(),
             supertype,
             fields: Vec::new(),
         });
-        body.field_by_name.push(HashMap::new());
-        body.type_by_name.insert(name.to_string(), id);
-        id
+        TypeId::from_index(self.types.len() - 1)
     }
 
-    /// Adds a field to a previously declared type.
+    /// Adds a field to a type.
     pub fn add_field(&mut self, owner: TypeId, name: &str, kind: FieldKind) -> FieldId {
-        let body = &mut self.body;
-        assert!(
-            !body.field_by_name[owner.index()].contains_key(name),
-            "duplicate field {name:?} on type {}",
-            body.types[owner.index()].name
-        );
-        let id = FieldId::from_index(body.fields.len());
-        body.fields.push(FieldDef {
+        self.fields.push(FieldDef {
             name: name.to_string(),
             owner,
             kind,
         });
-        body.types[owner.index()].fields.push(id);
-        body.field_by_name[owner.index()].insert(name.to_string(), id);
-        id
+        FieldId::from_index(self.fields.len() - 1)
     }
 
-    /// Finalizes the schema.
+    /// Finalizes a schema declared in code, where a refusal is a bug.
     pub fn build(self) -> Schema {
-        Schema {
-            body: Arc::new(self.body),
+        self.try_build().unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Finalizes the schema, refusing declarations that break a rule of
+    /// [`SchemaError`]. Ids come out as declared.
+    pub fn try_build(self) -> Result<Schema, SchemaError> {
+        let mut body = SchemaBody {
+            field_by_name: vec![HashMap::new(); self.types.len()],
+            types: self.types,
+            ..SchemaBody::default()
+        };
+        for (i, t) in body.types.iter().enumerate() {
+            let id = TypeId::from_index(i);
+            if t.supertype.is_some_and(|s| s >= id) {
+                return Err(SchemaError::Supertype(id));
+            }
+            if body.type_by_name.insert(t.name.clone(), id).is_some() {
+                return Err(SchemaError::DuplicateType(id));
+            }
         }
+        let n_types = body.types.len();
+        let declared = |t: TypeId| t.index() < n_types;
+        for (i, f) in self.fields.iter().enumerate() {
+            let id = FieldId::from_index(i);
+            if !declared(f.owner) || !f.kind.target().is_none_or(declared) {
+                return Err(SchemaError::UndeclaredType(id));
+            }
+            if body.field_by_name[f.owner.index()]
+                .insert(f.name.clone(), id)
+                .is_some()
+            {
+                return Err(SchemaError::DuplicateField(id));
+            }
+            body.types[f.owner.index()].fields.push(id);
+        }
+        body.fields = self.fields;
+        Ok(Schema {
+            body: Arc::new(body),
+        })
     }
 }
 
@@ -364,5 +364,41 @@ mod tests {
         let mut b = Schema::builder();
         b.add_type("A", None);
         b.add_type("A", None);
+        b.build();
+    }
+
+    /// Type `A` with attribute `x`, then one declaration per rule, each
+    /// refused with the id it breaks at.
+    #[test]
+    fn each_broken_rule_is_refused() {
+        fn refusal<T>(declare: impl FnOnce(&mut SchemaBuilder, TypeId) -> T) -> SchemaError {
+            let mut b = Schema::builder();
+            let a = b.add_type("A", None);
+            b.add_field(a, "x", FieldKind::Attr(AttrType::Int));
+            declare(&mut b, a);
+            b.try_build().unwrap_err()
+        }
+        let (t1, f1) = (TypeId::from_index(1), FieldId::from_index(1));
+        let int = FieldKind::Attr(AttrType::Int);
+        assert_eq!(
+            refusal(|b, _| b.add_type("A", None)),
+            SchemaError::DuplicateType(t1)
+        );
+        assert_eq!(
+            refusal(|b, _| b.add_type("B", Some(t1))),
+            SchemaError::Supertype(t1)
+        );
+        assert_eq!(
+            refusal(|b, a| b.add_field(a, "x", int)),
+            SchemaError::DuplicateField(f1)
+        );
+        assert_eq!(
+            refusal(|b, a| b.add_field(a, "y", FieldKind::Ref(t1))),
+            SchemaError::UndeclaredType(f1)
+        );
+        assert_eq!(
+            refusal(|b, _| b.add_field(t1, "y", int)),
+            SchemaError::UndeclaredType(f1)
+        );
     }
 }

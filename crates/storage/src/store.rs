@@ -21,7 +21,9 @@
 
 use crate::disk::{PageId, PAGE_BYTES};
 use crate::index::BuiltIndex;
-use oodb_object::{Catalog, CollectionId, FieldId, IndexId, Oid, Schema, TypeId, Value};
+use oodb_object::{
+    Catalog, CatalogError, CollectionId, FieldId, IndexId, Oid, Schema, TypeId, Value,
+};
 use std::sync::Arc;
 
 /// "No slot" marker in the dense `[type][field]` layout table.
@@ -62,8 +64,7 @@ pub enum StoreError {
         /// The link field.
         field: FieldId,
     },
-    /// An insert, or a collection of a catalog, named a type outside the
-    /// schema.
+    /// An insert named a type outside the schema.
     UnknownType(TypeId),
     /// An insert for a type that already owns a region.
     TypeAlreadyPopulated(TypeId),
@@ -80,6 +81,9 @@ pub enum StoreError {
         /// Collections in the arriving catalog.
         got: usize,
     },
+    /// A catalog that breaks a rule of the object model over the store's
+    /// schema ([`Catalog::check`]).
+    Catalog(CatalogError),
 }
 
 impl std::fmt::Display for StoreError {
@@ -103,25 +107,12 @@ impl std::fmt::Display for StoreError {
             StoreError::CatalogShape { have, got } => {
                 write!(f, "catalog reshapes collections ({have} -> {got})")
             }
+            StoreError::Catalog(e) => write!(f, "catalog: {e}"),
         }
     }
 }
 
 impl std::error::Error for StoreError {}
-
-/// Refuses a catalog with a collection of a type `schema` does not
-/// define: every query over that collection would look the type up.
-fn check_elem_types(schema: &Schema, catalog: &Catalog) -> Result<(), StoreError> {
-    let outside = |ty: &TypeId| ty.index() >= schema.type_count();
-    match catalog
-        .collections()
-        .map(|(_, c)| c.elem_type)
-        .find(outside)
-    {
-        Some(ty) => Err(StoreError::UnknownType(ty)),
-        None => Ok(()),
-    }
-}
 
 /// The instances of one type, column-major: one value vector per field
 /// slot, each in OID order. Columns never change after the insert that
@@ -197,9 +188,9 @@ impl Store {
     }
 
     /// [`Store::new`] for a catalog that arrives from outside, as a log's
-    /// `Genesis` does: refuses one that [`Store::set_catalog`] would.
+    /// `Genesis` does: refuses one that [`Catalog::check`] refuses.
     pub fn try_new(schema: Schema, catalog: Catalog) -> Result<Self, StoreError> {
-        check_elem_types(&schema, &catalog)?;
+        catalog.check(&schema).map_err(StoreError::Catalog)?;
         Ok(Store::new(schema, catalog))
     }
 
@@ -217,14 +208,14 @@ impl Store {
     /// rebuild the indexes afterwards ([`Store::try_rebuild_indexes`]).
     /// The statistics epoch stays monotonic across the swap so plans
     /// cached under the old catalog can never be served against the new
-    /// one. A catalog with a different collection count, or with a
-    /// collection of a type outside the schema, is refused.
+    /// one. A catalog with a different collection count, or one that
+    /// [`Catalog::check`] refuses, is refused.
     pub fn set_catalog(&mut self, catalog: Catalog) -> Result<(), StoreError> {
         let (have, got) = (self.members.len(), catalog.collections().count());
         if have != got {
             return Err(StoreError::CatalogShape { have, got });
         }
-        check_elem_types(&self.schema, &catalog)?;
+        catalog.check(&self.schema).map_err(StoreError::Catalog)?;
         let floor = self.catalog.stats_epoch() + 1;
         self.catalog = catalog;
         self.catalog.raise_stats_epoch_to(floor);
@@ -795,9 +786,10 @@ mod tests {
             cardinality: 0,
             obj_bytes: 8,
         });
+        let refused = Err(StoreError::Catalog(CatalogError::UnknownType(ghost)));
         assert_eq!(
             Store::try_new(store.schema().clone(), bogus).map(drop),
-            Err(StoreError::UnknownType(ghost))
+            refused
         );
         // Same count as the store's catalog, so only the type is wrong.
         let mut same_count = Catalog::new();
@@ -809,10 +801,7 @@ mod tests {
                 .clone()
         });
         let before = format!("{store:?}");
-        assert_eq!(
-            store.set_catalog(same_count),
-            Err(StoreError::UnknownType(ghost))
-        );
+        assert_eq!(store.set_catalog(same_count), refused);
         assert_eq!(format!("{store:?}"), before);
     }
 

@@ -24,11 +24,10 @@ impl FxHasher {
 
 impl Hasher for FxHasher {
     fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        let (words, rest) = bytes.as_chunks::<8>();
+        for &word in words {
+            self.add(u64::from_le_bytes(word));
         }
-        let rest = chunks.remainder();
         if !rest.is_empty() {
             let mut tail = [0u8; 8];
             tail[..rest.len()].copy_from_slice(rest);

@@ -12,10 +12,13 @@
 //! [`Reader::value`]). A log or checkpoint file opens with an 8-byte magic
 //! and its base sequence as a `u64` ([`HEADER_BYTES`]).
 
-use oodb_object::{Date, Oid, Value};
+use oodb_object::{Date, Oid, SchemaError, Value};
 use std::sync::Arc;
 
-/// Why bytes failed to decode.
+/// Why bytes failed to decode. Decoding checks bytes; what a well-formed
+/// schema and catalog are is the object model's rule, so a schema it
+/// refuses is [`DecodeError::Schema`] and a catalog is checked by the store
+/// that takes it ([`oodb_object::Catalog::check`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum DecodeError {
     /// Input ended before the structure was complete.
@@ -27,12 +30,8 @@ pub enum DecodeError {
     BadLength,
     /// A string payload was not UTF-8.
     BadUtf8,
-    /// An id referenced a type/collection/field that the same record's
-    /// context does not define.
-    DanglingId,
-    /// A schema or catalog carried duplicate names (would panic the
-    /// builders if replayed).
-    Duplicate,
+    /// A schema the object model refuses.
+    Schema(SchemaError),
     /// Histogram parts violate `Histogram::from_parts` invariants.
     BadHistogram,
     /// Trailing bytes after a complete record.
@@ -46,8 +45,7 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadTag(t) => write!(f, "unknown tag {t:#x}"),
             DecodeError::BadLength => write!(f, "length prefix exceeds input"),
             DecodeError::BadUtf8 => write!(f, "invalid utf-8 in a string"),
-            DecodeError::DanglingId => write!(f, "id references an undefined entity"),
-            DecodeError::Duplicate => write!(f, "duplicate name in schema/catalog"),
+            DecodeError::Schema(e) => write!(f, "schema: {e}"),
             DecodeError::BadHistogram => write!(f, "histogram parts violate invariants"),
             DecodeError::TrailingBytes => write!(f, "trailing bytes after record"),
         }

@@ -11,8 +11,10 @@
 //! replay the longest valid prefix of the WAL. A torn tail, a corrupt
 //! frame, a record that fails to decode, or a record that cannot apply
 //! all end the prefix — everything before it is kept, everything after
-//! is reported and discarded. Recovery never panics and never applies a
-//! record it cannot prove whole.
+//! is reported and discarded; a log without a checkpoint whose first
+//! record fails has no prefix, and its cause is the recovery error.
+//! Recovery never panics and never applies a record it cannot prove
+//! whole.
 
 use crate::checkpoint::{load_checkpoint, write_checkpoint, CheckpointStats};
 use crate::error::WalError;
@@ -36,8 +38,9 @@ pub enum ApplyError {
     MissingGenesis,
     /// A `Genesis` arrived for an already-initialized store.
     UnexpectedGenesis,
-    /// The store refused the mutation: a precondition of its own, or a
-    /// dangling reference during index rebuild or statistics collection.
+    /// The store refused the mutation: a precondition of its own (a
+    /// catalog the object model refuses among them), or a dangling
+    /// reference during index rebuild or statistics collection.
     Store(StoreError),
 }
 
@@ -387,14 +390,20 @@ fn replay(
             report.skipped_records += 1;
             continue;
         }
+        // Without a store there is no valid prefix to keep: the record
+        // that should have made one fails recovery with its cause.
         let rec = match WalRecord::decode(rec_bytes) {
             Ok(r) => r,
+            Err(e) if slot.is_none() => return Err(WalError::Decode(e)),
             Err(e) => {
                 report.stopped = Some(format!("decode (seq {seq}): {e}"));
                 break;
             }
         };
         if let Err(e) = apply_record(slot, &rec) {
+            if slot.is_none() {
+                return Err(WalError::Apply(e));
+            }
             report.stopped = Some(format!("apply (seq {seq}, {}): {e}", rec.kind()));
             break;
         }
@@ -653,7 +662,9 @@ mod tests {
         assert!(
             matches!(
                 err,
-                WalError::Apply(ApplyError::Store(StoreError::UnknownType(_)))
+                WalError::Apply(ApplyError::Store(StoreError::Catalog(
+                    oodb_object::CatalogError::UnknownType(_)
+                )))
             ),
             "{err}"
         );

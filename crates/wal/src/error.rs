@@ -25,9 +25,11 @@ pub enum WalError {
     /// A checkpoint frame failed validation. A checkpoint is written
     /// atomically, so unlike a log tail no stop in it is benign.
     Frame(FrameError),
-    /// A checkpoint record failed to decode.
+    /// A checkpoint record, or the log record a directory without a
+    /// checkpoint starts from, failed to decode.
     Decode(DecodeError),
-    /// A checkpoint record did not apply.
+    /// A checkpoint record, or the log record a directory without a
+    /// checkpoint starts from, did not apply.
     Apply(ApplyError),
     /// The log's base sequence is ahead of the checkpoint's: the pair
     /// cannot be from the same history.
@@ -50,8 +52,8 @@ impl std::fmt::Display for WalError {
             WalError::Poisoned => write!(f, "log poisoned by an earlier write fault"),
             WalError::BadHeader => write!(f, "not a log or checkpoint file (bad header)"),
             WalError::Frame(e) => write!(f, "corrupt checkpoint frame: {e}"),
-            WalError::Decode(e) => write!(f, "corrupt checkpoint record: {e}"),
-            WalError::Apply(e) => write!(f, "checkpoint record did not apply: {e}"),
+            WalError::Decode(e) => write!(f, "corrupt record: {e}"),
+            WalError::Apply(e) => write!(f, "record did not apply: {e}"),
             WalError::Generations { checkpoint, wal } => write!(
                 f,
                 "log generation mismatch: checkpoint base {checkpoint}, wal base {wal}"

@@ -13,10 +13,15 @@
 //! the store's columns, and replay hands the decoded ones to
 //! [`oodb_storage::Store::insert_columns`] as they are.
 //!
-//! Decoding is total and allocation-bounded: every length is checked
-//! against the remaining input before use, unknown tags and inconsistent
-//! structures (duplicate names, dangling ids, malformed histograms) are
-//! typed errors, and nothing panics on arbitrary input.
+//! Decoding is total and allocation-bounded, and checks only bytes: every
+//! length is checked against the remaining input before use, and unknown
+//! tags, bad UTF-8, malformed histogram parts and trailing bytes are
+//! typed errors. What a well-formed schema and catalog are is the object
+//! model's rule, not the codec's: a decoded schema goes through
+//! [`oodb_object::schema::SchemaBuilder::try_build`], whose refusal is
+//! [`DecodeError::Schema`], and a decoded catalog meets
+//! [`oodb_object::Catalog::check`] where the store takes it. Nothing
+//! panics on arbitrary input.
 
 use crate::codec::{encode_value, put_str, DecodeError, Reader};
 use oodb_object::{
@@ -136,34 +141,23 @@ fn encode_schema(schema: &Schema, out: &mut Vec<u8>) {
 }
 
 fn decode_schema(r: &mut Reader<'_>) -> Result<Schema, DecodeError> {
+    // Declared in encoded order, so ids come out dense and identical to
+    // the encoded schema's (the `field_count` invariant); the builder
+    // refuses what breaks the object model's rules.
+    let mut b = Schema::builder();
     let n_types = r.count(5)?;
-    let mut types: Vec<(String, Option<TypeId>)> = Vec::with_capacity(n_types);
     for _ in 0..n_types {
         let name = r.str()?;
         let supertype = match r.u8()? {
             0 => None,
-            1 => {
-                let raw = r.u32()? as usize;
-                if raw >= n_types {
-                    return Err(DecodeError::DanglingId);
-                }
-                Some(TypeId::from_index(raw))
-            }
+            1 => Some(TypeId::from_index(r.u32()? as usize)),
             t => return Err(DecodeError::BadTag(t)),
         };
-        if types.iter().any(|(n, _)| n == &name) {
-            return Err(DecodeError::Duplicate);
-        }
-        types.push((name, supertype));
+        b.add_type(&name, supertype);
     }
     let n_fields = r.count(10)?;
-    let mut fields: Vec<(TypeId, String, FieldKind)> = Vec::with_capacity(n_fields);
     for _ in 0..n_fields {
-        let owner_raw = r.u32()? as usize;
-        if owner_raw >= n_types {
-            return Err(DecodeError::DanglingId);
-        }
-        let owner = TypeId::from_index(owner_raw);
+        let owner = TypeId::from_index(r.u32()? as usize);
         let name = r.str()?;
         let kind = match r.u8()? {
             0 => FieldKind::Attr(match r.u8()? {
@@ -174,35 +168,13 @@ fn decode_schema(r: &mut Reader<'_>) -> Result<Schema, DecodeError> {
                 4 => AttrType::Date,
                 t => return Err(DecodeError::BadTag(t)),
             }),
-            tag @ (1 | 2) => {
-                let raw = r.u32()? as usize;
-                if raw >= n_types {
-                    return Err(DecodeError::DanglingId);
-                }
-                let t = TypeId::from_index(raw);
-                if tag == 1 {
-                    FieldKind::Ref(t)
-                } else {
-                    FieldKind::RefSet(t)
-                }
-            }
+            1 => FieldKind::Ref(TypeId::from_index(r.u32()? as usize)),
+            2 => FieldKind::RefSet(TypeId::from_index(r.u32()? as usize)),
             t => return Err(DecodeError::BadTag(t)),
         };
-        if fields.iter().any(|(o, n, _)| *o == owner && n == &name) {
-            return Err(DecodeError::Duplicate);
-        }
-        fields.push((owner, name, kind));
+        b.add_field(owner, &name, kind);
     }
-    // Replay through the builder in declaration order: ids come out dense
-    // and identical to the encoded schema's (the `field_count` invariant).
-    let mut b = Schema::builder();
-    for (name, supertype) in &types {
-        b.add_type(name, *supertype);
-    }
-    for (owner, name, kind) in &fields {
-        b.add_field(*owner, name, *kind);
-    }
-    Ok(b.build())
+    b.try_build().map_err(DecodeError::Schema)
 }
 
 // ---- catalog codec --------------------------------------------------------
@@ -278,8 +250,6 @@ fn decode_catalog(r: &mut Reader<'_>) -> Result<Catalog, DecodeError> {
     let mut catalog = Catalog::new();
 
     let n_colls = r.count(18)?;
-    let mut extent_types = Vec::new();
-    let mut coll_names = Vec::with_capacity(n_colls);
     for _ in 0..n_colls {
         let name = r.str()?;
         let elem_type = TypeId::from_index(r.u32()? as usize);
@@ -290,16 +260,6 @@ fn decode_catalog(r: &mut Reader<'_>) -> Result<Catalog, DecodeError> {
         };
         let cardinality = r.u64()?;
         let obj_bytes = r.u32()?;
-        if coll_names.contains(&name) {
-            return Err(DecodeError::Duplicate);
-        }
-        if kind == CollectionKind::Extent {
-            if extent_types.contains(&elem_type) {
-                return Err(DecodeError::Duplicate);
-            }
-            extent_types.push(elem_type);
-        }
-        coll_names.push(name.clone());
         catalog.add_collection(CollectionDef {
             name,
             elem_type,
@@ -310,13 +270,9 @@ fn decode_catalog(r: &mut Reader<'_>) -> Result<Catalog, DecodeError> {
     }
 
     let n_idxs = r.count(22)?;
-    let mut idx_names = Vec::with_capacity(n_idxs);
     for _ in 0..n_idxs {
         let name = r.str()?;
-        let coll_raw = r.u32()? as usize;
-        if coll_raw >= n_colls {
-            return Err(DecodeError::DanglingId);
-        }
+        let collection = CollectionId::from_index(r.u32()? as usize);
         let path_len = r.count(4)?;
         let mut path = Vec::with_capacity(path_len);
         for _ in 0..path_len {
@@ -329,13 +285,9 @@ fn decode_catalog(r: &mut Reader<'_>) -> Result<Catalog, DecodeError> {
             1 => true,
             t => return Err(DecodeError::BadTag(t)),
         };
-        if idx_names.contains(&name) {
-            return Err(DecodeError::Duplicate);
-        }
-        idx_names.push(name.clone());
         catalog.add_index(IndexDef {
             name,
-            collection: CollectionId::from_index(coll_raw),
+            collection,
             path,
             key,
             distinct_keys,
@@ -346,11 +298,7 @@ fn decode_catalog(r: &mut Reader<'_>) -> Result<Catalog, DecodeError> {
     let n_domains = r.count(8)?;
     for _ in 0..n_domains {
         let f = FieldId::from_index(r.u32()? as usize);
-        let c_raw = r.u32()? as usize;
-        if c_raw >= n_colls {
-            return Err(DecodeError::DanglingId);
-        }
-        catalog.set_ref_domain(f, CollectionId::from_index(c_raw));
+        catalog.set_ref_domain(f, CollectionId::from_index(r.u32()? as usize));
     }
 
     let n_fanouts = r.count(12)?;
@@ -362,10 +310,7 @@ fn decode_catalog(r: &mut Reader<'_>) -> Result<Catalog, DecodeError> {
 
     let n_hists = r.count(28)?;
     for _ in 0..n_hists {
-        let c_raw = r.u32()? as usize;
-        if c_raw >= n_colls {
-            return Err(DecodeError::DanglingId);
-        }
+        let coll = CollectionId::from_index(r.u32()? as usize);
         let path_len = r.count(4)?;
         let mut path = Vec::with_capacity(path_len);
         for _ in 0..path_len {
@@ -380,7 +325,7 @@ fn decode_catalog(r: &mut Reader<'_>) -> Result<Catalog, DecodeError> {
         let total = r.u64()?;
         let distinct = r.u64()?;
         let h = Histogram::from_parts(bounds, total, distinct).ok_or(DecodeError::BadHistogram)?;
-        catalog.set_histogram(CollectionId::from_index(c_raw), path, key, h);
+        catalog.set_histogram(coll, path, key, h);
     }
 
     catalog.raise_stats_epoch_to(epoch);

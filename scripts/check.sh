@@ -62,7 +62,7 @@ done
 # is gone from release builds), counted the way scripts/loc.sh counts
 # lines (up to a file's first `#[cfg(test)]`, comment lines aside). The
 # number only goes down: lower it here when a PR removes a site.
-panic_sites=31
+panic_sites=26
 echo "==> panic sites do not rise above $panic_sites"
 found=$(find crates/*/src -name '*.rs' ! -name tests.rs ! -path 'crates/bench/*' -print0 |
     xargs -0 awk 'FNR == 1 { counting = 1 } /^#\[cfg\(test\)\]/ { counting = 0 }
